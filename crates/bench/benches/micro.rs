@@ -6,6 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::collections::BTreeMap;
 use std::hint::black_box;
 use vr_dann::{plane_to_mask, recon, reconstruct_b_frame, ReconConfig};
+use vrd_bench::timing::{conv_fixture, NNS_HD_LAYERS};
 use vrd_codec::decoder::BFrameInfo;
 use vrd_codec::{CodecConfig, Decoder, Encoder, MvRecord, RefMv};
 use vrd_flow::{estimate, FlowConfig};
@@ -254,6 +255,20 @@ fn bench_conv(c: &mut Criterion) {
     c.bench_function("conv/backward_reference_64x48", |b| {
         b.iter(|| conv_reference::backward(black_box(&conv), &x, &gout))
     });
+
+    // The three NN-S layers at the e2e benchmark's HD shape on one thread —
+    // the same rows `perf_snapshot` writes to BENCH_nn.json.
+    for (name, cin, cout, h, w) in NNS_HD_LAYERS {
+        let (conv, x) = conv_fixture(cin, cout, h, w);
+        vrd_runtime::with_thread_budget(1, || {
+            c.bench_function(&format!("conv/{name}"), |b| {
+                b.iter(|| conv.forward_inference(black_box(&x)))
+            });
+            c.bench_function(&format!("conv/{name}_reference"), |b| {
+                b.iter(|| conv_reference::forward(black_box(&conv), &x))
+            });
+        });
+    }
 }
 
 /// Deployment-resolution quantized kernels vs their pinned f32

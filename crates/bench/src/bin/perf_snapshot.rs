@@ -29,6 +29,7 @@
 use std::collections::BTreeMap;
 use vr_dann::{build_sandwich, recon, reconstruct_b_frame, sandwich, ReconConfig};
 use vrd_bench::time_median;
+use vrd_bench::timing::{conv_fixture, NNS_HD_LAYERS};
 use vrd_codec::decoder::BFrameInfo;
 use vrd_codec::{MvRecord, RefMv};
 use vrd_metrics::segmentation::{reference as tally_reference, PixelCounts};
@@ -170,6 +171,22 @@ fn nn_rows(nns_hd: &NnsHdMeasurement) -> Vec<Row> {
         }) * 1e3,
         int8_ms: None,
     });
+
+    // --- The three NN-S layers at the e2e benchmark's HD shape, on one
+    // thread: the kernel rows behind its `nn.nns_infer_ms`.
+    for (name, cin, cout, h, w) in NNS_HD_LAYERS {
+        let (conv, x) = conv_fixture(cin, cout, h, w);
+        rows.push(vrd_runtime::with_thread_budget(1, || Row {
+            name,
+            optimized_ms: time_median(9, || {
+                std::hint::black_box(conv.forward_inference(&x));
+            }) * 1e3,
+            naive_ms: time_median(3, || {
+                std::hint::black_box(reference::forward(&conv, &x));
+            }) * 1e3,
+            int8_ms: None,
+        }));
+    }
 
     // --- Conv backward, training resolution.
     let mut conv_t = Conv2d::new(3, 8, 3, 7);
@@ -543,6 +560,8 @@ fn main() {
                     r.name
                 );
                 ok = false;
+            } else {
+                eprintln!("quant speedup: {} int8 is {speedup:.2}x f32", r.name);
             }
         }
     }

@@ -1,4 +1,5 @@
-//! Shared wall-clock measurement helpers.
+//! Shared wall-clock measurement helpers and the kernel fixtures more than
+//! one bench target times.
 //!
 //! Every bench binary that reports a measured time (`perf_snapshot`,
 //! `e2e_bench`) goes through this module, so artifacts like
@@ -6,6 +7,26 @@
 //! by one measurement harness and their numbers are directly comparable.
 
 use std::time::Instant;
+use vrd_nn::{Conv2d, Tensor};
+
+/// The three NN-S convolutions at the wall-clock benchmark's HD shape, as
+/// `(name, cin, cout, height, width)`; conv2 runs at half resolution. These
+/// are the kernel rows whose single-thread times, plus NN-S's element-wise
+/// passes, add up to the benchmark's `nn.nns_infer_ms` on `hd_f32`.
+pub const NNS_HD_LAYERS: [(&str, usize, usize, usize, usize); 3] = [
+    ("conv1_3to8_864x480", 3, 8, 480, 864),
+    ("conv2_8to8_432x240", 8, 8, 240, 432),
+    ("conv3_16to1_864x480", 16, 1, 480, 864),
+];
+
+/// A seeded 3×3 layer of the given shape and a non-trivial input for it.
+pub fn conv_fixture(cin: usize, cout: usize, h: usize, w: usize) -> (Conv2d, Tensor) {
+    let data = (0..cin * h * w).map(|v| (v as f32 * 0.013).sin()).collect();
+    (
+        Conv2d::new(cin, cout, 3, 7),
+        Tensor::from_vec(cin, h, w, data),
+    )
+}
 
 /// Median wall-clock seconds of `reps` runs of `f`.
 pub fn time_median<F: FnMut()>(reps: usize, mut f: F) -> f64 {

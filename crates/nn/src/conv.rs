@@ -1,18 +1,20 @@
 //! 2D convolution with backpropagation.
 //!
-//! The compute kernels are row-sliced: instead of a bounds-checked
-//! `get()`/`set()` per multiply-accumulate, each kernel tap is applied as a
-//! slice AXPY over a whole output row, which the compiler auto-vectorises.
-//! Tap application order per output element is kept identical to the naive
-//! triple loop (see [`reference`]), so the optimised kernels are **bit-exact**
-//! with the reference — the equivalence is pinned by property tests in
-//! `tests/conv_equivalence.rs`.
+//! The forward kernel is row-tiled: for each output row it holds a
+//! [`CO_BLOCK`]-channel × [`TILE_W`]-column block of accumulators in
+//! registers across every `(ci, ky, kx)` tap, so the input streams through
+//! the cache once per row instead of once per tap (see [`tile`]). The
+//! backward kernels apply each tap as a slice AXPY over a whole row. Either
+//! way the tap order per element is identical to the naive triple loop (see
+//! [`reference`]) and every tap is a multiply followed by an add, so the
+//! optimised kernels are **bit-exact** with the reference — pinned by
+//! property tests in `tests/conv_equivalence.rs`.
 //!
 //! Work above [`PAR_MIN_MACS`] is split across cores via `vrd-runtime`
-//! (forward: per output channel; backward: per output channel for weight
-//! gradients, per input channel for the input gradient). The partitions
-//! write disjoint buffers in unchanged per-element order, so results are
-//! independent of the thread count.
+//! (forward: per band of output rows; backward: per output channel for
+//! weight gradients, per input channel for the input gradient). The
+//! partitions write disjoint buffers in unchanged per-element order, so
+//! results are independent of the thread count.
 
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
@@ -155,61 +157,81 @@ impl Conv2d {
         (self.cin * self.cout * self.k * self.k * h * w) as u64
     }
 
-    fn check_input(&self, x: &Tensor) {
-        assert_eq!(x.channels(), self.cin, "conv input channel mismatch");
-    }
-
-    /// Computes one output-channel plane of the forward pass.
-    ///
-    /// Bias first, then one slice AXPY per `(ci, ky, kx)` tap — the same
-    /// per-element accumulation order as the naive loop in [`reference`].
-    fn forward_plane(&self, co: usize, xdata: &[f32], h: usize, w: usize, plane: &mut [f32]) {
-        let (k, pad) = (self.k, (self.k / 2) as isize);
-        plane.fill(self.b[co]);
-        for ci in 0..self.cin {
-            let xplane = &xdata[ci * h * w..][..h * w];
-            for ky in 0..k {
-                let dy = ky as isize - pad;
-                let y0 = (-dy).max(0) as usize;
-                let y1 = (h as isize - dy).min(h as isize).max(0) as usize;
-                for kx in 0..k {
-                    let dx = kx as isize - pad;
-                    let x0 = (-dx).max(0) as usize;
-                    let x1 = (w as isize - dx).min(w as isize).max(0) as usize;
-                    if x0 >= x1 {
-                        continue;
-                    }
-                    let wv = self.w[((co * self.cin + ci) * k + ky) * k + kx];
-                    for y in y0..y1 {
-                        let sy = (y as isize + dy) as usize;
-                        let sx = (x0 as isize + dx) as usize;
-                        let orow = &mut plane[y * w + x0..y * w + x1];
-                        let xrow = &xplane[sy * w + sx..][..x1 - x0];
-                        for (o, &xv) in orow.iter_mut().zip(xrow) {
-                            *o += wv * xv;
-                        }
-                    }
-                }
-            }
+    /// Row bands a forward pass over `h × w` fans out to: one per available
+    /// thread once the work exceeds [`PAR_MIN_MACS`], otherwise one.
+    fn auto_bands(&self, h: usize, w: usize) -> usize {
+        if self.macs(h, w) >= PAR_MIN_MACS {
+            vrd_runtime::max_threads()
+        } else {
+            1
         }
     }
 
     /// Slice-level forward kernel: reads a `cin × h × w` input, writes a
-    /// `cout × h × w` output. Used by both the tensor API and the pooled
-    /// scratch-buffer inference path in `NnS`.
-    pub(crate) fn forward_into(&self, xdata: &[f32], h: usize, w: usize, out: &mut [f32]) {
-        assert_eq!(xdata.len(), self.cin * h * w, "conv input length mismatch");
+    /// `cout × h × w` output with `epilogue` applied as each value is
+    /// stored. Used by the pooled scratch-buffer path in `NnS`; the tensor
+    /// API (inference and training alike) runs the same driver.
+    pub(crate) fn forward_into(
+        &self,
+        xdata: &[f32],
+        h: usize,
+        w: usize,
+        out: &mut [f32],
+        epilogue: Epilogue,
+    ) {
+        let x = Input { data: xdata, h, w };
+        self.forward_banded(x, out, epilogue, self.auto_bands(h, w), band_dispatch);
+    }
+
+    /// The row-band driver: cuts the output rows into `bands` contiguous
+    /// bands (each a disjoint set of row slices, one per output channel) and
+    /// runs `body` on each, one thread per band. Every output element is
+    /// computed from scratch by exactly one band, so the result does not
+    /// depend on `bands`.
+    fn forward_banded(
+        &self,
+        x: Input<'_>,
+        out: &mut [f32],
+        epilogue: Epilogue,
+        bands: usize,
+        body: BandBody,
+    ) {
+        let (h, w) = (x.h, x.w);
+        assert_eq!(x.data.len(), self.cin * h * w, "conv input length mismatch");
         assert_eq!(out.len(), self.cout * h * w, "conv output length mismatch");
-        if self.macs(h, w) >= PAR_MIN_MACS && vrd_runtime::max_threads() > 1 {
-            let planes: Vec<(usize, &mut [f32])> = out.chunks_mut(h * w).enumerate().collect();
-            vrd_runtime::parallel_for_each(planes, |(co, plane)| {
-                self.forward_plane(co, xdata, h, w, plane);
-            });
-        } else {
-            for (co, plane) in out.chunks_mut(h * w).enumerate() {
-                self.forward_plane(co, xdata, h, w, plane);
+        if h == 0 || w == 0 {
+            return;
+        }
+        let band_rows = h.div_ceil(bands.clamp(1, h));
+        let mut work: Vec<Band<'_>> = (0..h)
+            .step_by(band_rows)
+            .map(|y0| Band {
+                y0,
+                planes: Vec::with_capacity(self.cout),
+            })
+            .collect();
+        for plane in out.chunks_mut(h * w) {
+            for (band, rows) in work.iter_mut().zip(plane.chunks_mut(band_rows * w)) {
+                band.planes.push(rows);
             }
         }
+        let threads = work.len();
+        vrd_runtime::parallel_for_each_with(work, threads, |band| {
+            body(self, x, band, epilogue);
+        });
+    }
+
+    fn forward_tensor(&self, x: &Tensor, bands: usize, body: BandBody) -> Tensor {
+        assert_eq!(x.channels(), self.cin, "conv input channel mismatch");
+        let (h, w) = (x.height(), x.width());
+        let mut out = Tensor::zeros(self.cout, h, w);
+        let input = Input {
+            data: x.as_slice(),
+            h,
+            w,
+        };
+        self.forward_banded(input, out.as_mut_slice(), Epilogue::Linear, bands, body);
+        out
     }
 
     /// Forward pass without gradient bookkeeping: no input clone is cached,
@@ -218,11 +240,16 @@ impl Conv2d {
     /// # Panics
     /// Panics if the input channel count differs from `cin`.
     pub fn forward_inference(&self, x: &Tensor) -> Tensor {
-        self.check_input(x);
-        let (h, w) = (x.height(), x.width());
-        let mut out = Tensor::zeros(self.cout, h, w);
-        self.forward_into(x.as_slice(), h, w, out.as_mut_slice());
-        out
+        self.forward_tensor(x, self.auto_bands(x.height(), x.width()), band_dispatch)
+    }
+
+    /// [`Conv2d::forward_inference`] split into exactly `threads` row bands
+    /// whatever the work size (for tests pinning thread-count invariance).
+    ///
+    /// # Panics
+    /// Panics if the input channel count differs from `cin`.
+    pub fn forward_inference_with(&self, x: &Tensor, threads: usize) -> Tensor {
+        self.forward_tensor(x, threads, band_dispatch)
     }
 
     /// Forward pass; caches the input for the backward pass.
@@ -463,6 +490,207 @@ impl Conv2d {
     }
 }
 
+/// Output columns per register tile of the forward kernel.
+const TILE_W: usize = 32;
+
+/// Lanes per accumulator vector: the unit the tile loops are written in, so
+/// the compiler sees fixed eight-wide groups (one AVX2 register, two SSE2).
+const LANES: usize = 8;
+
+/// Accumulator vectors per tile row.
+const TILE_VECS: usize = TILE_W / LANES;
+
+/// Output channels per register tile of the forward kernel.
+const CO_BLOCK: usize = 2;
+
+/// What the forward kernel applies to each value as it stores it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Epilogue {
+    /// Store the accumulator as is.
+    Linear,
+    /// Store `v.max(0.0)` — the expression of `layers::relu_in_place`.
+    Relu,
+}
+
+impl Epilogue {
+    #[inline(always)]
+    fn apply(self, v: f32) -> f32 {
+        match self {
+            Epilogue::Linear => v,
+            Epilogue::Relu => v.max(0.0),
+        }
+    }
+}
+
+/// The `cin × h × w` input of one forward pass.
+#[derive(Clone, Copy)]
+struct Input<'a> {
+    data: &'a [f32],
+    h: usize,
+    w: usize,
+}
+
+/// One band of output rows: rows `y0..` of every output-channel plane.
+struct Band<'a> {
+    y0: usize,
+    planes: Vec<&'a mut [f32]>,
+}
+
+/// One output row as the kernels see it.
+struct Row {
+    /// Output row index in the frame.
+    y: usize,
+    /// In-range kernel rows for this output row.
+    taps_y: std::ops::Range<usize>,
+    /// Offset of this row inside each of the band's plane slices.
+    offset: usize,
+}
+
+type BandBody = fn(&Conv2d, Input<'_>, Band<'_>, Epilogue);
+
+/// [`band_body`] compiled for the baseline target.
+fn band_portable(conv: &Conv2d, x: Input<'_>, band: Band<'_>, epilogue: Epilogue) {
+    band_body(conv, x, band, epilogue);
+}
+
+/// [`band_body`] compiled with AVX2 enabled. `fma` is deliberately left
+/// off: a fused multiply-add rounds once where the reference rounds twice.
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+fn band_avx2(conv: &Conv2d, x: Input<'_>, band: Band<'_>, epilogue: Epilogue) {
+    band_body(conv, x, band, epilogue);
+}
+
+/// The AVX2 build of the band kernel when the `simd` feature is on and the
+/// CPU has it; [`band_portable`] otherwise.
+fn band_dispatch(conv: &Conv2d, x: Input<'_>, band: Band<'_>, epilogue: Epilogue) {
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if crate::quant::avx2_enabled() {
+        // SAFETY: AVX2 was just detected on this CPU, which is all
+        // `band_avx2` (safe code compiled for that target) requires.
+        return unsafe { band_avx2(conv, x, band, epilogue) };
+    }
+    band_portable(conv, x, band, epilogue);
+}
+
+/// Computes one band of output rows.
+///
+/// Per row, the interior columns `[pad, w − pad)` — where every `kx` tap is
+/// in range — are covered by [`TILE_W`]-wide register tiles, [`CO_BLOCK`]
+/// output channels at a time; a ragged tail is covered by one more tile
+/// ending at the last interior column (tiles compute from scratch and
+/// plain-store, so re-storing a column stores the same value). The `pad`
+/// edge columns, and whole rows narrower than one tile, go through
+/// [`pixel`].
+#[inline(always)]
+fn band_body(conv: &Conv2d, x: Input<'_>, mut band: Band<'_>, epilogue: Epilogue) {
+    let (k, pad, w) = (conv.k, conv.k / 2, x.w);
+    let rows = band.planes.first().map_or(0, |p| p.len() / w);
+    let full_blocks = conv.cout - conv.cout % CO_BLOCK;
+    // The columns the register tiles cover; everything outside is an edge.
+    let interior = if w >= TILE_W + 2 * pad {
+        pad..w - pad
+    } else {
+        0..0
+    };
+    for r in 0..rows {
+        let y = band.y0 + r;
+        let row = Row {
+            y,
+            // Kernel rows whose source row `y + ky − pad` is inside the frame.
+            taps_y: pad.saturating_sub(y)..k.min(x.h + pad - y),
+            offset: r * w,
+        };
+        for x0 in interior.clone().step_by(TILE_W) {
+            let x0 = x0.min(interior.end - TILE_W);
+            for co0 in (0..full_blocks).step_by(CO_BLOCK) {
+                tile::<CO_BLOCK>(conv, x, &row, x0, co0, &mut band.planes, epilogue);
+            }
+            for co in full_blocks..conv.cout {
+                tile::<1>(conv, x, &row, x0, co, &mut band.planes, epilogue);
+            }
+        }
+        for (co, plane) in band.planes.iter_mut().enumerate() {
+            for xp in (0..interior.start).chain(interior.end..w) {
+                plane[row.offset + xp] = epilogue.apply(pixel(conv, x, &row, co, xp));
+            }
+        }
+    }
+}
+
+/// One register tile: output columns `[x0, x0 + TILE_W)` of channels
+/// `[co0, co0 + NCO)` on one row. The accumulators start at the bias and
+/// take the taps in ascending `(ci, ky, kx)` order, each as a multiply
+/// followed by an add — per element, exactly the reference's sequence.
+///
+/// The caller guarantees `pad ≤ x0` and `x0 + TILE_W ≤ w − pad`, so every
+/// `kx` tap of every column is in range.
+#[inline(always)]
+fn tile<const NCO: usize>(
+    conv: &Conv2d,
+    x: Input<'_>,
+    row: &Row,
+    x0: usize,
+    co0: usize,
+    planes: &mut [&mut [f32]],
+    epilogue: Epilogue,
+) {
+    let (cin, k, pad) = (conv.cin, conv.k, conv.k / 2);
+    let mut acc = [[[0.0f32; LANES]; TILE_VECS]; NCO];
+    for (c, a) in acc.iter_mut().enumerate() {
+        *a = [[conv.b[co0 + c]; LANES]; TILE_VECS];
+    }
+    for ci in 0..cin {
+        for ky in row.taps_y.clone() {
+            let sy = row.y + ky - pad;
+            let src = &x.data[(ci * x.h + sy) * x.w + x0 - pad..][..TILE_W + k - 1];
+            let taps: [&[f32]; NCO] =
+                std::array::from_fn(|c| &conv.w[(((co0 + c) * cin + ci) * k + ky) * k..][..k]);
+            for kx in 0..k {
+                let xs = &src[kx..][..TILE_W];
+                for (a, wrow) in acc.iter_mut().zip(taps) {
+                    let wv = wrow[kx];
+                    for (av, xv) in a.iter_mut().zip(xs.chunks_exact(LANES)) {
+                        for (o, &xl) in av.iter_mut().zip(xv) {
+                            *o += wv * xl;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    for (c, a) in acc.iter().enumerate() {
+        let dst = &mut planes[co0 + c][row.offset + x0..][..TILE_W];
+        for (ov, av) in dst.chunks_exact_mut(LANES).zip(a) {
+            for (o, &v) in ov.iter_mut().zip(av) {
+                *o = epilogue.apply(v);
+            }
+        }
+    }
+}
+
+/// One output value the scalar way: bias, then every in-range tap in
+/// ascending `(ci, ky, kx)` order. Out-of-range taps are skipped, not added
+/// as zeros (`-0.0 + 0.0` is `+0.0`, so padding with zeros could flip a
+/// sign the reference keeps).
+#[inline(always)]
+fn pixel(conv: &Conv2d, x: Input<'_>, row: &Row, co: usize, xp: usize) -> f32 {
+    let (cin, k, pad) = (conv.cin, conv.k, conv.k / 2);
+    let taps_x = pad.saturating_sub(xp)..k.min(x.w + pad - xp);
+    let mut acc = conv.b[co];
+    for ci in 0..cin {
+        for ky in row.taps_y.clone() {
+            let sy = row.y + ky - pad;
+            let src = &x.data[(ci * x.h + sy) * x.w..][..x.w];
+            let wrow = &conv.w[((co * cin + ci) * k + ky) * k..][..k];
+            for kx in taps_x.clone() {
+                acc += wrow[kx] * src[xp + kx - pad];
+            }
+        }
+    }
+    acc
+}
+
 /// The naive per-element kernels the optimised paths are verified against.
 ///
 /// These are the original triple-loop implementations, kept as the ground
@@ -507,6 +735,17 @@ pub mod reference {
             }
         }
         out
+    }
+
+    /// The row-tiled forward kernel on its portable body, in `threads` row
+    /// bands — bit-exact with both [`forward`] and the dispatched kernel;
+    /// exported so the equivalence tests pin the fallback even on AVX2
+    /// machines.
+    ///
+    /// # Panics
+    /// Panics if the input channel count differs from the layer's.
+    pub fn forward_portable(conv: &Conv2d, x: &Tensor, threads: usize) -> Tensor {
+        conv.forward_tensor(x, threads, super::band_portable)
     }
 
     /// Naive backward pass over an explicit input; returns

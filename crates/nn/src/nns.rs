@@ -6,10 +6,9 @@
 //! segmentation / reconstructed B-frame / next reference segmentation); the
 //! output is a single-channel refined foreground probability.
 
-use crate::conv::Conv2d;
+use crate::conv::{Conv2d, Epilogue};
 use crate::layers::{
-    concat, maxpool2_into, relu_in_place, sigmoid_in_place, split, upsample2_into, MaxPool2, Relu,
-    Upsample2,
+    concat, maxpool2_into, sigmoid_in_place, split, upsample2_into, MaxPool2, Relu, Upsample2,
 };
 use crate::loss::bce_with_logits;
 use crate::quant::{ActScales, QuantNnS};
@@ -132,14 +131,14 @@ impl NnS {
             let (hw, hid) = (h * w, self.hidden);
             in_max = in_max.max(abs_max(x.as_slice()));
             let mut a1 = SCRATCH.take(hid * hw);
-            self.conv1.forward_into(x.as_slice(), h, w, &mut a1);
-            relu_in_place(&mut a1);
+            self.conv1
+                .forward_into(x.as_slice(), h, w, &mut a1, Epilogue::Relu);
             a1_max = a1_max.max(abs_max(&a1));
             let mut d = SCRATCH.take(hid * hw / 4);
             maxpool2_into(&a1, hid, h, w, &mut d);
             let mut a2 = SCRATCH.take(hid * hw / 4);
-            self.conv2.forward_into(&d, h / 2, w / 2, &mut a2);
-            relu_in_place(&mut a2);
+            self.conv2
+                .forward_into(&d, h / 2, w / 2, &mut a2, Epilogue::Relu);
             a2_max = a2_max.max(abs_max(&a2));
         }
         self.act_scales = Some(ActScales::from_maxes(in_max, a1_max, a2_max));
@@ -213,19 +212,21 @@ impl NnS {
         let (h, w) = (x.height(), x.width());
         assert!(h % 2 == 0 && w % 2 == 0, "max-pool needs even dimensions");
         let (hw, hid) = (h * w, self.hidden);
-        let mut a1 = SCRATCH.take(hid * hw);
-        self.conv1.forward_into(x.as_slice(), h, w, &mut a1);
-        relu_in_place(&mut a1);
-        let mut d = SCRATCH.take(hid * hw / 4);
-        maxpool2_into(&a1, hid, h, w, &mut d);
-        let mut a2 = SCRATCH.take(hid * hw / 4);
-        self.conv2.forward_into(&d, h / 2, w / 2, &mut a2);
-        relu_in_place(&mut a2);
+        // conv1 writes its activations straight into the first half of the
+        // concatenation buffer; the upsampled conv2 branch fills the second.
         let mut cat = SCRATCH.take(2 * hid * hw);
-        cat[..hid * hw].copy_from_slice(&a1);
-        upsample2_into(&a2, hid, h / 2, w / 2, &mut cat[hid * hw..]);
+        let (a1, up) = cat.split_at_mut(hid * hw);
+        self.conv1
+            .forward_into(x.as_slice(), h, w, a1, Epilogue::Relu);
+        let mut d = SCRATCH.take(hid * hw / 4);
+        maxpool2_into(a1, hid, h, w, &mut d);
+        let mut a2 = SCRATCH.take(hid * hw / 4);
+        self.conv2
+            .forward_into(&d, h / 2, w / 2, &mut a2, Epilogue::Relu);
+        upsample2_into(&a2, hid, h / 2, w / 2, up);
         let mut out = vec![0.0; hw];
-        self.conv3.forward_into(&cat, h, w, &mut out);
+        self.conv3
+            .forward_into(&cat, h, w, &mut out, Epilogue::Linear);
         sigmoid_in_place(&mut out);
         Tensor::from_vec(1, h, w, out)
     }

@@ -503,7 +503,7 @@ fn scalar_columns(
 }
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-fn avx2_enabled() -> bool {
+pub(crate) fn avx2_enabled() -> bool {
     use std::sync::OnceLock;
     static ON: OnceLock<bool> = OnceLock::new();
     *ON.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))

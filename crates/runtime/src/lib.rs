@@ -20,7 +20,7 @@
 //! environment variable before falling back to the hardware parallelism.
 
 use std::cell::Cell;
-use std::sync::{Mutex, Once};
+use std::sync::{Mutex, Once, OnceLock};
 use std::thread;
 
 pub mod stage;
@@ -99,10 +99,16 @@ pub fn max_threads() -> usize {
     }
 }
 
+/// The hardware parallelism, detected once per process:
+/// [`thread::available_parallelism`] re-reads the affinity mask and cgroup
+/// quota files on every call, and [`max_threads`] is asked per kernel launch.
 fn detected_parallelism() -> usize {
-    thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static DETECTED: OnceLock<usize> = OnceLock::new();
+    *DETECTED.get_or_init(|| {
+        thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Runs `f` over the items on all available cores, preserving order.
@@ -270,10 +276,10 @@ where
 /// accumulators).
 ///
 /// `take` hands out a buffer of the requested length filled with
-/// `T::default()` (reusing a retired allocation when one is available);
-/// dropping the returned [`PooledBuf`] recycles it. The pool holds at most
-/// a fixed number of retired buffers so long-running processes do not
-/// accumulate memory.
+/// `T::default()` (reusing the best-fitting retired allocation when one is
+/// available); dropping the returned [`PooledBuf`] recycles it. The pool
+/// holds at most a fixed number of retired buffers so long-running
+/// processes do not accumulate memory.
 #[derive(Debug)]
 pub struct BufferPool<T = f32> {
     free: Mutex<Vec<Vec<T>>>,
@@ -293,13 +299,25 @@ impl<T> BufferPool<T> {
 
 impl<T: Copy + Default> BufferPool<T> {
     /// A `T::default()`-filled scratch buffer of length `len`.
+    ///
+    /// Reuses the smallest retired buffer whose capacity fits, so a small
+    /// request does not walk off with (and pin) a large allocation; when
+    /// none fits, the largest one is grown.
     pub fn take(&self, len: usize) -> PooledBuf<'_, T> {
-        let mut buf = self
-            .free
-            .lock()
-            .expect("buffer pool lock is never poisoned")
-            .pop()
-            .unwrap_or_default();
+        let mut buf = {
+            let mut free = self
+                .free
+                .lock()
+                .expect("buffer pool lock is never poisoned");
+            // Fitting buffers sort first; within either group the capacity
+            // closest to `len` is the smallest fit or the largest misfit.
+            let best = free
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, b)| (b.capacity() < len, b.capacity().abs_diff(len)))
+                .map(|(i, _)| i);
+            best.map(|i| free.swap_remove(i)).unwrap_or_default()
+        };
         buf.clear();
         buf.resize(len, T::default());
         PooledBuf { buf, pool: self }
@@ -426,6 +444,32 @@ mod tests {
         assert!(b.iter().all(|&v| v == 0.0));
         let c = pool.take(8);
         assert_eq!(c.len(), 8);
+    }
+
+    #[test]
+    fn buffer_pool_takes_the_best_fitting_allocation() {
+        let pool = BufferPool::new();
+        let (small, large) = {
+            let (s, l) = (pool.take(64), pool.take(4096));
+            (s.as_ptr(), l.as_ptr())
+        };
+        // Whatever order the two retired, a small request gets the small
+        // allocation and leaves the large one for a large request.
+        let a = pool.take(16);
+        assert_eq!(a.as_ptr(), small);
+        let b = pool.take(4000);
+        assert_eq!(b.as_ptr(), large);
+        drop((a, b));
+        // Nothing fits: the largest is grown rather than a fresh buffer
+        // allocated beside it, and the contents are defaulted.
+        let mut c = pool.take(4096);
+        c.fill(7.0);
+        drop(c);
+        let d = pool.take(10_000);
+        assert_eq!(d.len(), 10_000);
+        assert!(d.iter().all(|&v| v == 0.0));
+        let e = pool.take(64);
+        assert_eq!(e.as_ptr(), small);
     }
 
     #[test]
