@@ -20,6 +20,7 @@
 //! environment variable before falling back to the hardware parallelism.
 
 use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, Once, OnceLock};
 use std::thread;
 
@@ -135,21 +136,43 @@ where
     if threads == 1 {
         return items.iter().map(f).collect();
     }
-    let mut results: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    let chunk = items.len().div_ceil(threads);
+    // Workers claim the next unclaimed item instead of owning a fixed chunk:
+    // a worker that is preempted or lands on a slower core then delays the
+    // call by part of one item, not by its share of a whole chunk. Results
+    // are keyed by item index, so the output does not depend on who ran what.
+    let next = AtomicUsize::new(0);
     let budget = child_budget(threads);
-    let f = &f;
-    thread::scope(|s| {
-        for (slot_chunk, item_chunk) in results.chunks_mut(chunk).zip(items.chunks(chunk)) {
-            s.spawn(move || {
-                with_thread_budget(budget, || {
-                    for (slot, item) in slot_chunk.iter_mut().zip(item_chunk) {
-                        *slot = Some(f(item));
-                    }
+    let (f, next) = (&f, &next);
+    let per_worker: Vec<Vec<(usize, R)>> = thread::scope(|s| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                s.spawn(move || {
+                    with_thread_budget(budget, || {
+                        let mut done = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(item) = items.get(i) else { break };
+                            done.push((i, f(item)));
+                        }
+                        done
+                    })
                 })
-            });
-        }
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("map worker never panics"))
+            .collect()
     });
+    scatter(items.len(), per_worker)
+}
+
+/// Puts `(index, result)` pairs collected by workers back in item order.
+fn scatter<R>(len: usize, per_worker: Vec<Vec<(usize, R)>>) -> Vec<R> {
+    let mut results: Vec<Option<R>> = (0..len).map(|_| None).collect();
+    for (i, r) in per_worker.into_iter().flatten() {
+        results[i] = Some(r);
+    }
     results
         .into_iter()
         .map(|r| r.expect("every slot is filled by its worker"))
@@ -159,12 +182,13 @@ where
 /// Order-preserving parallel map with **striped** work assignment: worker
 /// `w` of `T` processes items `w, w+T, w+2T, …`.
 ///
-/// [`parallel_map_with`] hands each worker a contiguous chunk, which is
-/// ideal for uniform items but serialises the tail when costs are skewed
+/// [`parallel_map_with`] lets workers claim items as they go, so which
+/// worker runs an item depends on timing. Striping fixes the assignment
+/// (the same items always share a worker, whatever the machine is doing)
+/// while still interleaving cheap and expensive items when costs are skewed
 /// (e.g. fleet shard replay, where one hot shard can hold most of the
-/// frames). Striping interleaves cheap and expensive items across workers
-/// at the same deterministic output order: each worker writes results into
-/// pre-assigned slots, so the output never depends on the thread count.
+/// frames). Results are keyed by item index, so the output never depends on
+/// the thread count.
 pub fn parallel_map_striped<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -180,7 +204,7 @@ where
     }
     let budget = child_budget(threads);
     let f = &f;
-    let mut per_worker: Vec<Vec<(usize, R)>> = thread::scope(|s| {
+    let per_worker: Vec<Vec<(usize, R)>> = thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|w| {
                 s.spawn(move || {
@@ -201,16 +225,7 @@ where
             .map(|h| h.join().expect("striped worker never panics"))
             .collect()
     });
-    let mut results: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    for pairs in &mut per_worker {
-        for (i, r) in pairs.drain(..) {
-            results[i] = Some(r);
-        }
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("every slot is filled by its worker"))
-        .collect()
+    scatter(items.len(), per_worker)
 }
 
 /// Thread-pool sizing for a batch of `jobs` independent work items: the
@@ -387,6 +402,30 @@ mod tests {
         for threads in [1, 2, 3, 8, 200] {
             assert_eq!(parallel_map_with(&items, threads, |&x| x * x), expect);
         }
+    }
+
+    #[test]
+    fn parallel_map_runs_each_item_once_when_one_item_stalls() {
+        // Item 0 stalls its worker; the other worker must pick up the rest
+        // rather than leave half of them queued behind the stall.
+        let items: Vec<usize> = (0..16).collect();
+        let calls = AtomicUsize::new(0);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        let out = parallel_map_with(&items, 2, |&i| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            if i == 0 {
+                while calls.load(Ordering::Relaxed) < items.len()
+                    && std::time::Instant::now() < deadline
+                {
+                    thread::yield_now();
+                }
+            }
+            (i, thread::current().id())
+        });
+        assert_eq!(calls.load(Ordering::Relaxed), items.len());
+        assert!(out.iter().map(|&(i, _)| i).eq(0..16));
+        let staller = out[0].1;
+        assert!(out[1..].iter().all(|&(_, id)| id != staller));
     }
 
     #[test]
