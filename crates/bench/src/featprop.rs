@@ -7,6 +7,7 @@
 use crate::context::{parallel_map, Context};
 use crate::table::{fmt_x, Table};
 use vr_dann::baselines::{run_dff, run_favos, DFF_KEY_INTERVAL};
+use vr_dann::{FeatPropTask, RunInput};
 use vrd_sim::{simulate, ExecMode, ParallelOptions};
 
 /// One scheme's position: speed/efficiency vs FAVOS, plus the accuracy and
@@ -41,10 +42,11 @@ pub struct FeatPropBench {
 pub fn run(ctx: &Context) -> FeatPropBench {
     let per_video = parallel_map(&ctx.davis, |seq| {
         let (encoded, vr) = ctx.run_vrdann(seq);
-        let fp = ctx
+        let fp: vr_dann::SegmentationRun = ctx
             .model
-            .run_feature_propagation(seq, &encoded)
-            .expect("suite sequences propagate in feature space");
+            .run::<FeatPropTask>(seq, RunInput::Strict(&encoded), None)
+            .expect("suite sequences propagate in feature space")
+            .into();
         let favos = run_favos(seq, &encoded, 1);
         let dff = run_dff(seq, &encoded, DFF_KEY_INTERVAL, 1);
 

@@ -4,7 +4,7 @@
 use crate::context::{parallel_map, Context};
 use crate::table::{fmt_score, Table};
 use vr_dann::baselines::{run_euphrates, run_selsa};
-use vr_dann::DetectionRun;
+use vr_dann::{DetTask, DetectionRun, RunInput};
 use vrd_metrics::{average_precision, FrameDetections};
 use vrd_video::{Sequence, SpeedClass};
 
@@ -74,9 +74,10 @@ pub fn run(ctx: &Context) -> Fig11 {
     let det_model = ctx.detection_model();
     let results = parallel_map(&suite, |seq| {
         let encoded = det_model.encode(seq).expect("suite sequences encode");
-        let vr = det_model
-            .run_detection(seq, &encoded)
-            .expect("suite sequences detect");
+        let vr: DetectionRun = det_model
+            .run::<DetTask>(seq, RunInput::Strict(&encoded), None)
+            .expect("suite sequences detect")
+            .into();
         let selsa = run_selsa(seq, &encoded, 2);
         let e2 = run_euphrates(seq, &encoded, 2, 2);
         let e4 = run_euphrates(seq, &encoded, 4, 2);

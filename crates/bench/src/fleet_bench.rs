@@ -128,7 +128,7 @@ fn build_library(ctx: &Context, base_interval_ns: f64) -> Vec<StreamEntry> {
     let mut push = |model: &vr_dann::VrDann, seq: &vrd_video::Sequence| {
         let encoded = model.encode(seq).expect("library sequences encode");
         let template =
-            drive_template(model, seq, &encoded, &ctx.sim).expect("library streams drive");
+            drive_template(model, seq, &encoded, &ctx.sim, None).expect("library streams drive");
         let demand = SessionDemand::estimate(model, seq, &encoded, base_interval_ns, &ctx.sim);
         entries.push(StreamEntry { template, demand });
     };

@@ -19,7 +19,9 @@
 
 use crate::context::{parallel_map, Context};
 use crate::table::{fmt_pct, fmt_score, Table};
-use vr_dann::{ConcealmentStats, DetectionRun, ResilienceOptions, VrDann};
+use vr_dann::{
+    ConcealmentStats, DetTask, DetectionRun, ResilienceOptions, RunInput, SegTask, VrDann,
+};
 use vrd_codec::{inject, packetize, FaultConfig, PacketStream};
 use vrd_metrics::{average_precision, FrameDetections};
 use vrd_video::Sequence;
@@ -93,10 +95,12 @@ fn seg_leg(
 ) -> SegLeg {
     let per_seq = parallel_map(pairs, |(i, seq, ps)| {
         let (damaged, log) = inject(ps, &cfg_of(fault_seed(rate_idx, *i, leg_id)));
+        let opts = ResilienceOptions::default();
+        let input = RunInput::Resilient(&damaged, &opts);
         let run = model
-            .run_segmentation_resilient(seq, &damaged, &ResilienceOptions::default())
+            .run::<SegTask>(seq, input, None)
             .expect("resilient segmentation completes on damaged streams");
-        let scores = score(seq, &run.masks);
+        let scores = score(seq, &run.outputs);
         (
             scores.iou,
             scores.f_score,
@@ -180,9 +184,12 @@ pub fn run_rates(ctx: &Context, rates: &[f64]) -> Resilience {
             let det_results = parallel_map(&det_pairs, |(i, seq, ps)| {
                 let cfg = FaultConfig::b_mv_loss(rate, fault_seed(ri, *i, 2));
                 let (damaged, log) = inject(ps, &cfg);
-                let run = det_model
-                    .run_detection_resilient(seq, &damaged, &ResilienceOptions::default())
-                    .expect("resilient detection completes on damaged streams");
+                let opts = ResilienceOptions::default();
+                let input = RunInput::Resilient(&damaged, &opts);
+                let run: DetectionRun = det_model
+                    .run::<DetTask>(seq, input, None)
+                    .expect("resilient detection completes on damaged streams")
+                    .into();
                 (det_ap(&run, seq), log.events.len(), run.concealment)
             });
             let dn = det_results.len().max(1) as f64;

@@ -4,7 +4,7 @@
 //! mAP (VID-like suite, the fig. 11 configuration), while putting the
 //! byte-identical workload trace on the simulated NPU.
 
-use vr_dann::{ComputeMode, DetectionRun, VrDann};
+use vr_dann::{ComputeMode, DetTask, DetectionRun, RunInput, VrDann};
 use vrd_bench::{Context, Scale};
 use vrd_metrics::{average_precision, FrameDetections};
 use vrd_video::Sequence;
@@ -66,8 +66,10 @@ fn int8_detection_map_within_tolerance() {
             .iter()
             .zip(encoded)
             .map(|(seq, enc)| {
-                let run = model.run_detection(seq, enc).expect("detection runs");
-                ap_of(&run, seq)
+                let run = model
+                    .run::<DetTask>(seq, RunInput::Strict(enc), None)
+                    .expect("detection runs");
+                ap_of(&run.into(), seq)
             })
             .sum();
         sum / suite.len() as f64

@@ -578,11 +578,11 @@ impl FrameSource for ResilientFrameSource<'_> {
     }
 }
 
-// Threading audit: the pipelined executor moves a frame source onto a
-// decode-lane worker thread and ships `DecodedUnit`s through a stage
+// Threading audit: the engine driver, given lanes, moves a frame source
+// onto a decode-lane worker thread and ships `DecodedUnit`s through a stage
 // channel. These assertions pin the `Send` guarantees that makes that
 // safe — a non-`Send` field sneaking into a source or unit must fail to
-// compile here, not deep inside `run_pipelined`'s thread scope.
+// compile here, not deep inside the driver's thread scope.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<StrictFrameSource>();

@@ -2,7 +2,7 @@
 //! (segmentation) and SELSA, Euphrates (detection).
 //!
 //! Each baseline produces the same artefacts as the VR-DANN pipeline —
-//! per-frame masks or detections plus a [`SchemeTrace`] — so accuracy and
+//! per-frame masks or detections plus a [`SchemeTrace`](crate::trace::SchemeTrace) — so accuracy and
 //! simulated performance/energy are compared on identical footing.
 
 use crate::engine::run_display_order;

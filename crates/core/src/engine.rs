@@ -8,13 +8,13 @@
 //! reference segmentations plus whatever the source keeps in its own pixel
 //! window — never the whole video.
 //!
-//! The engine is generic over two axes, so the four former monolithic
-//! pipelines (`run_{segmentation,detection}[_resilient]`) are each one
-//! configuration of the same code:
+//! The engine is generic over two axes, and one driver
+//! ([`PipelineEngine::drive`]) runs every combination, on one thread or on
+//! two lanes:
 //!
 //! | axis | trait | implementations |
 //! |------|-------|-----------------|
-//! | task | [`TaskPolicy`] | [`SegTask`] (masks), [`DetTask`] (boxes) |
+//! | task | [`TaskPolicy`] | [`SegTask`] (masks), [`DetTask`] (boxes), [`FeatPropTask`](crate::FeatPropTask) (feature propagation) |
 //! | fault handling | [`FaultPolicy`] | [`StrictPolicy`] (fail fast), [`ConcealingPolicy`] (degrade) |
 //!
 //! The per-unit ladder, in order:
@@ -81,6 +81,11 @@ fn p90_mv_magnitude(mvs: &[vrd_codec::MvRecord]) -> f64 {
     mags[(mags.len() * 9 / 10).min(mags.len() - 1)]
 }
 
+/// Whether every anchor `mv` names has a segmentation in `ref_segs`.
+fn refs_present(mv: &vrd_codec::MvRecord, ref_segs: &BTreeMap<u32, SegMask>) -> bool {
+    ref_segs.contains_key(&mv.ref0.frame) && mv.ref1.is_none_or(|r| ref_segs.contains_key(&r.frame))
+}
+
 /// Rewrites a (possibly salvaged) B-frame payload against the references
 /// that actually decoded: MV records pointing at anchors with no
 /// segmentation, and blocks the payload never covered at all, are demoted to
@@ -113,9 +118,7 @@ fn sanitize_b_info(
     }
     for mv in &info.mvs {
         mark(&mut covered, mv.dst_x, mv.dst_y);
-        let refs_present = ref_segs.contains_key(&mv.ref0.frame)
-            && mv.ref1.is_none_or(|r| ref_segs.contains_key(&r.frame));
-        if refs_present {
+        if refs_present(mv, ref_segs) {
             out.mvs.push(*mv);
         } else {
             out.intra_blocks.push((mv.dst_x, mv.dst_y));
@@ -165,8 +168,8 @@ pub struct EngineRun<O> {
     /// (0 unless the task propagates in feature space).
     pub peak_live_features: usize,
     /// Peak number of decoded units buffered between the decode and
-    /// compute lanes (always 0 for the sequential driver; bounded by the
-    /// stage channel's capacity under [`PipelineEngine::run_pipelined`]).
+    /// compute lanes (0 when [`PipelineEngine::drive`] runs without lanes;
+    /// bounded by the stage channel's capacity with them).
     pub peak_inflight_units: usize,
 }
 
@@ -243,6 +246,14 @@ pub trait TaskPolicy {
     fn finalize_concealed(self) -> Vec<Self::Output>;
 }
 
+/// A [`TaskPolicy`] that [`VrDann::run`](crate::VrDann::run) can build for
+/// a stream by itself: which NN-L profile of the configuration it runs on
+/// anchors is the task's own knowledge, not the caller's.
+pub trait StreamTask<'s>: TaskPolicy + Sized {
+    /// Builds the task for one sequence/stream pair under `cfg`.
+    fn for_stream(seq: &'s Sequence, cfg: &VrDannConfig, info: &StreamInfo) -> Self;
+}
+
 /// Segmentation task: NN-L masks on anchors, refined masks on B-frames.
 #[derive(Debug)]
 pub struct SegTask<'a> {
@@ -265,6 +276,12 @@ impl<'a> SegTask<'a> {
             h: info.height,
             masks: vec![None; seq.len()],
         }
+    }
+}
+
+impl<'s> StreamTask<'s> for SegTask<'s> {
+    fn for_stream(seq: &'s Sequence, cfg: &VrDannConfig, info: &StreamInfo) -> Self {
+        Self::new(seq, LargeNet::new(cfg.segment_profile), cfg.seed, info)
     }
 }
 
@@ -349,6 +366,12 @@ impl<'a> DetTask<'a> {
             anchor_dets: BTreeMap::new(),
             detections: vec![None; seq.len()],
         }
+    }
+}
+
+impl<'s> StreamTask<'s> for DetTask<'s> {
+    fn for_stream(seq: &'s Sequence, cfg: &VrDannConfig, info: &StreamInfo) -> Self {
+        Self::new(seq, LargeNet::new(cfg.detect_profile), cfg.seed, info)
     }
 }
 
@@ -590,9 +613,11 @@ pub struct StepWork {
 /// `ip_Q`/`b_Q` frame queues between the decoder and the NPU.
 const DEFAULT_STAGE_CAPACITY: usize = 8;
 
-/// Tuning knobs of [`PipelineEngine::run_pipelined`]. `Default` resolves
-/// both: worker count from [`vrd_runtime::max_threads`] (which honours
-/// `VRD_THREADS`), channel capacity from [`DEFAULT_STAGE_CAPACITY`].
+/// The lanes of [`PipelineEngine::drive`]: passing one moves the source
+/// onto a decode-lane thread and defers B-frame mask computation into
+/// waves. `Default` resolves both fields: worker count from
+/// [`vrd_runtime::max_threads`] (which honours `VRD_THREADS`), channel
+/// capacity 8.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PipelineOptions {
     /// Wave-front worker threads for B-frame reconstruction + refinement
@@ -601,20 +626,6 @@ pub struct PipelineOptions {
     pub threads: Option<usize>,
     /// Bounded capacity of the decode→compute stage channel (`None` → 8).
     pub channel_capacity: Option<usize>,
-}
-
-impl PipelineOptions {
-    /// The worker-thread count this configuration resolves to.
-    pub fn resolved_threads(&self) -> usize {
-        self.threads.unwrap_or_else(vrd_runtime::max_threads).max(1)
-    }
-
-    /// The stage-channel capacity this configuration resolves to.
-    pub fn resolved_capacity(&self) -> usize {
-        self.channel_capacity
-            .unwrap_or(DEFAULT_STAGE_CAPACITY)
-            .max(1)
-    }
 }
 
 /// One deferred B-frame mask computation: everything the pure
@@ -631,23 +642,18 @@ struct ReconJob {
 /// The compute lane's in-flight wave: B-frame jobs planned since the last
 /// reference-window mutation, executed together (fanned out across
 /// `threads` workers) when the next mutation — or the end of the stream —
-/// forces a barrier.
-///
-/// Do not interleave [`PipelineEngine::checkpoint`] /
-/// [`PipelineEngine::restore`] with a non-empty wave: the snapshot cannot
-/// see deferred jobs. The serving layer's checkpointed driver stays on the
-/// sequential [`PipelineEngine::step`] for exactly this reason.
+/// forces a barrier. Installed by [`PipelineEngine::drive`] when it runs
+/// with lanes; without one every job executes inside its `step`.
 #[derive(Debug)]
-pub struct PipelineWave {
+struct Wave {
     jobs: Vec<ReconJob>,
     threads: usize,
     flush_threshold: usize,
 }
 
-impl PipelineWave {
-    /// An empty wave fanning out over `threads` (≥ 1) workers.
-    pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
+impl Wave {
+    /// An empty wave fanning out over `threads` workers.
+    fn new(threads: usize) -> Self {
         Self {
             jobs: Vec::new(),
             threads,
@@ -656,11 +662,6 @@ impl PipelineWave {
             // streams that lose every anchor (no barrier would ever fire).
             flush_threshold: (2 * MASK_WINDOW).max(2 * threads),
         }
-    }
-
-    /// Deferred jobs currently in the wave.
-    pub fn pending(&self) -> usize {
-        self.jobs.len()
     }
 }
 
@@ -699,15 +700,14 @@ fn exec_recon(
 /// The generic streaming engine: a task, a fault policy, and a shared model
 /// configuration, executed over any [`FrameSource`].
 ///
-/// Two driving styles share the same stage ladder:
-///
-/// * [`PipelineEngine::run`] — pull a source to exhaustion (the classic
-///   single-stream entry points);
-/// * [`PipelineEngine::prime`] / [`PipelineEngine::step`] /
-///   [`PipelineEngine::finish`] — resumable stepping for callers that
-///   interleave many streams over shared hardware (the `vrd-serve` session
-///   layer): feed one [`DecodedUnit`] at a time, observe the [`StepWork`]
-///   it put on the NPU, and close the books when the stream ends.
+/// [`PipelineEngine::drive`] is the one driver from a source to a finished
+/// run: prime → pump units → finish, with the decode lane and the
+/// wave-front fan-out as its `lanes` parameter and an observer that sees
+/// the [`StepWork`] each unit put on the NPU. The pieces it is made of —
+/// [`PipelineEngine::prime`] / [`PipelineEngine::step`] /
+/// [`PipelineEngine::finish`] — stay public for callers that must own the
+/// loop themselves (crash replay after a [`PipelineEngine::restore`], a
+/// harness timing each call).
 #[derive(Debug)]
 pub struct PipelineEngine<'a, T, P> {
     cfg: &'a VrDannConfig,
@@ -731,9 +731,11 @@ pub struct PipelineEngine<'a, T, P> {
     // Set once an anchor is lost; the next decodable B-frame goes
     // through NN-L to re-establish a trusted reference.
     pending_refetch: bool,
-    // High-water mark of the decode→compute stage channel (0 unless a
-    // pipelined driver reported one via `note_peak_inflight`).
+    // High-water mark of the decode→compute stage channel (0 unless the
+    // driver ran with lanes).
     peak_inflight_units: usize,
+    // Deferred B-frame jobs; `Some` only while the driver runs with lanes.
+    wave: Option<Wave>,
 }
 
 impl<'a, T: TaskPolicy, P: FaultPolicy> PipelineEngine<'a, T, P> {
@@ -756,14 +758,8 @@ impl<'a, T: TaskPolicy, P: FaultPolicy> PipelineEngine<'a, T, P> {
             frames: Vec::new(),
             pending_refetch: false,
             peak_inflight_units: 0,
+            wave: None,
         }
-    }
-
-    /// Records the stage channel's occupancy high-water mark so
-    /// [`PipelineEngine::finish`] can report it (pipelined drivers only;
-    /// keeps the larger of repeated reports).
-    pub fn note_peak_inflight(&mut self, peak: usize) {
-        self.peak_inflight_units = self.peak_inflight_units.max(peak);
     }
 
     /// Prepares the engine for a stream: caches the stream geometry and
@@ -798,12 +794,20 @@ impl<'a, T: TaskPolicy, P: FaultPolicy> PipelineEngine<'a, T, P> {
     ///
     /// # Errors
     /// Returns [`VrDannError::BadInput`] if the engine was never primed —
-    /// there is no stream state to snapshot.
+    /// there is no stream state to snapshot — or if deferred B-frame jobs
+    /// are pending (an observer under lanes asking between barriers): the
+    /// snapshot cannot carry them. Every large-model step flushes the wave
+    /// first, so anchor checkpoints work with and without lanes.
     pub fn checkpoint(&self) -> Result<EngineCheckpoint> {
         if !self.primed {
             return Err(VrDannError::BadInput(
                 "engine checkpointed before prime() established the stream".into(),
             ));
+        }
+        if let Some(pending) = self.wave.as_ref().map(|w| w.jobs.len()).filter(|&n| n > 0) {
+            return Err(VrDannError::BadInput(format!(
+                "engine checkpointed with {pending} deferred B-frame jobs pending"
+            )));
         }
         Ok(EngineCheckpoint {
             ref_segs: self.ref_segs.clone(),
@@ -861,83 +865,48 @@ impl<'a, T: TaskPolicy, P: FaultPolicy> PipelineEngine<'a, T, P> {
         })
     }
 
-    /// Advances the engine by one decoded unit through the stage ladder,
-    /// returning the NPU work the unit generated (`None` for units that
-    /// parse to nothing, e.g. a lost frame with no inferable display slot).
-    ///
-    /// # Errors
-    /// Returns [`VrDannError::BadInput`] if called before
-    /// [`PipelineEngine::prime`], and propagates reconstruction failures.
-    pub fn step(&mut self, unit: DecodedUnit) -> Result<Option<StepWork>> {
-        self.step_impl(unit, None)
-    }
-
-    /// [`PipelineEngine::step`] with wave-front deferral: everything
-    /// stateful (routing, sanitisation, the fault lottery, trace emission)
-    /// still happens here, in decode order, but a B-frame's pure mask
-    /// computation is parked in `wave` instead of executed inline. The
-    /// engine flushes the wave itself before any reference-window mutation;
-    /// the caller only owes a final [`PipelineEngine::drain_wave`] once the
-    /// stream ends. The returned [`StepWork`] is identical to the
-    /// sequential driver's (it derives from the plan, not the masks).
-    ///
-    /// # Errors
-    /// As [`PipelineEngine::step`]; a forced wave flush can surface a
-    /// reconstruction failure from an earlier deferred unit.
-    pub fn step_pipelined(
-        &mut self,
-        unit: DecodedUnit,
-        wave: &mut PipelineWave,
-    ) -> Result<Option<StepWork>> {
-        self.step_impl(unit, Some(wave))
-    }
-
-    /// Executes every job still parked in `wave`, fanning out across its
-    /// worker threads. Must be called (repeatedly, if it errors) before
-    /// [`PipelineEngine::finish`] when driving with
-    /// [`PipelineEngine::step_pipelined`].
-    ///
-    /// # Errors
-    /// Propagates the decode-order-first reconstruction failure among the
-    /// deferred jobs.
-    pub fn drain_wave(&mut self, wave: &mut PipelineWave) -> Result<()> {
-        self.flush_wave(wave)
-    }
-
     /// Executes and stores the wave's deferred jobs: reconstruct + refine
     /// in parallel (order-preserving, pure reads of the reference window),
-    /// then store results sequentially in decode order.
-    fn flush_wave(&mut self, wave: &mut PipelineWave) -> Result<()> {
-        if wave.jobs.is_empty() {
+    /// then store results sequentially in decode order. A no-op without a
+    /// wave.
+    fn flush_wave(&mut self) -> Result<()> {
+        let Some(wave) = self.wave.as_mut().filter(|w| !w.jobs.is_empty()) else {
             return Ok(());
-        }
+        };
         let jobs = std::mem::take(&mut wave.jobs);
+        let threads = wave.threads;
         let refs = &self.ref_segs;
         let (w, h, mb) = (self.w, self.h, self.mb);
         let recon_cfg = &self.cfg.recon;
         let sandwich = self.cfg.sandwich;
         let nns = self.nns;
         let nns_q = self.nns_q.as_ref();
-        let masks: Vec<Result<SegMask>> = if wave.threads > 1 && jobs.len() > 1 {
-            vrd_runtime::parallel_map_with(&jobs, wave.threads, |job| {
-                exec_recon(job, refs, w, h, mb, recon_cfg, sandwich, nns, nns_q)
-            })
-        } else {
-            jobs.iter()
-                .map(|job| exec_recon(job, refs, w, h, mb, recon_cfg, sandwich, nns, nns_q))
-                .collect()
-        };
+        let masks: Vec<Result<SegMask>> = vrd_runtime::parallel_map_with(&jobs, threads, |job| {
+            exec_recon(job, refs, w, h, mb, recon_cfg, sandwich, nns, nns_q)
+        });
         for (job, mask) in jobs.into_iter().zip(masks) {
             self.task.store_refined(job.display, mask?);
         }
         Ok(())
     }
 
-    fn step_impl(
-        &mut self,
-        unit: DecodedUnit,
-        mut wave: Option<&mut PipelineWave>,
-    ) -> Result<Option<StepWork>> {
+    /// Advances the engine by one decoded unit through the stage ladder,
+    /// returning the NPU work the unit generated (`None` for units that
+    /// parse to nothing, e.g. a lost frame with no inferable display slot).
+    ///
+    /// Everything stateful (routing, sanitisation, the fault lottery, trace
+    /// emission) happens here, in decode order. A B-frame's pure mask
+    /// computation also runs inside this call — unless
+    /// [`PipelineEngine::drive`] runs with lanes, which parks it in the
+    /// engine's wave until the next reference-window mutation. The returned
+    /// [`StepWork`] is the same either way (it derives from the plan, not
+    /// the masks).
+    ///
+    /// # Errors
+    /// Returns [`VrDannError::BadInput`] if called before
+    /// [`PipelineEngine::prime`], and propagates reconstruction failures
+    /// (under lanes, possibly those of an earlier deferred unit).
+    pub fn step(&mut self, unit: DecodedUnit) -> Result<Option<StepWork>> {
         if !self.primed {
             return Err(VrDannError::BadInput(
                 "engine stepped before prime() established the stream".into(),
@@ -950,9 +919,7 @@ impl<'a, T: TaskPolicy, P: FaultPolicy> PipelineEngine<'a, T, P> {
                 // Barrier: a strict anchor mutates the reference window
                 // (insert + eviction), which every deferred job reads.
                 // Flushing on concealing anchors too keeps waves GOP-sized.
-                if let Some(wv) = wave.as_deref_mut() {
-                    self.flush_wave(wv)?;
-                }
+                self.flush_wave()?;
                 if P::CONCEALING {
                     // Reference already established by prepopulation;
                     // only the substitution bookkeeping remains.
@@ -998,9 +965,7 @@ impl<'a, T: TaskPolicy, P: FaultPolicy> PipelineEngine<'a, T, P> {
                 // fallback machinery, repurposed for recovery).
                 if P::CONCEALING && self.pending_refetch {
                     // Barrier: the re-inference inserts a new reference.
-                    if let Some(wv) = wave.as_deref_mut() {
-                        self.flush_wave(wv)?;
-                    }
+                    self.flush_wave()?;
                     self.pending_refetch = false;
                     self.policy.stats().nnl_reinferences += 1;
                     let mask = self.task.infer_anchor(display, true);
@@ -1024,9 +989,7 @@ impl<'a, T: TaskPolicy, P: FaultPolicy> PipelineEngine<'a, T, P> {
                     if let Some(threshold) = self.cfg.fallback_mv_threshold {
                         if p90_mv_magnitude(&info_b.mvs) > threshold as f64 {
                             // Barrier: the fallback inserts a reference.
-                            if let Some(wv) = wave.as_deref_mut() {
-                                self.flush_wave(wv)?;
-                            }
+                            self.flush_wave()?;
                             let mask = self.task.infer_anchor(display, true);
                             self.ref_segs.insert(display, mask);
                             self.frames.push((
@@ -1048,9 +1011,14 @@ impl<'a, T: TaskPolicy, P: FaultPolicy> PipelineEngine<'a, T, P> {
                 // the MV payload here (warp cached features + head-only
                 // inference) and the mask-space reconstruction ladder
                 // below never runs. Only fully trusted payloads qualify —
-                // a concealing run routes damaged frames to the ladder,
-                // whose sanitisation machinery knows how to degrade.
-                if !P::CONCEALING || unit.outcome == DecodeOutcome::Ok {
+                // a concealing run routes damaged frames, and frames naming
+                // an anchor that never decoded, to the ladder, whose
+                // sanitisation machinery knows how to degrade.
+                let trusted = !P::CONCEALING
+                    || (unit.outcome == DecodeOutcome::Ok
+                        && !self.ref_segs.is_empty()
+                        && info_b.mvs.iter().all(|mv| refs_present(mv, &self.ref_segs)));
+                if trusted {
                     if let Some(head) = self.task.propagate(&info_b) {
                         let ops = head?;
                         self.frames.push((
@@ -1095,8 +1063,8 @@ impl<'a, T: TaskPolicy, P: FaultPolicy> PipelineEngine<'a, T, P> {
                 }
                 // Plan the reconstruction now — sanitisation and the fault
                 // lottery are stateful and must happen in decode order —
-                // but the mask computation itself is pure, so the wave
-                // driver may defer it past this unit.
+                // but the mask computation itself is pure, so a wave may
+                // defer it past this unit.
                 let use_info = match P::CONCEALING {
                     true => sanitize_b_info(&info_b, &self.ref_segs, w, h, self.mb),
                     false => info_b,
@@ -1127,15 +1095,15 @@ impl<'a, T: TaskPolicy, P: FaultPolicy> PipelineEngine<'a, T, P> {
                         ByteClass::BAvg,
                     )
                 };
-                match wave {
-                    Some(wv) => {
+                match self.wave.as_mut() {
+                    Some(wave) => {
                         // The trace frame and the deferred job both need
                         // the (sanitised) MV payload; the job keeps the
                         // original.
                         self.frames.push(entry(job.info.mvs.clone()));
-                        wv.jobs.push(job);
-                        if wv.jobs.len() >= wv.flush_threshold {
-                            self.flush_wave(wv)?;
+                        wave.jobs.push(job);
+                        if wave.jobs.len() >= wave.flush_threshold {
+                            self.flush_wave()?;
                         }
                     }
                     None => {
@@ -1235,61 +1203,59 @@ impl<'a, T: TaskPolicy, P: FaultPolicy> PipelineEngine<'a, T, P> {
         })
     }
 
-    /// Drives the source to exhaustion through the stage ladder — the
-    /// prime/step/finish cycle in one call (see [`PipelineEngine::prime`]
-    /// for the `prepopulate` contract).
+    /// The one driver from a source to a finished run: prime, pump every
+    /// unit through [`PipelineEngine::step`], finish (see
+    /// [`PipelineEngine::prime`] for the `prepopulate` contract).
+    ///
+    /// `lanes` selects where the work runs, never what it computes:
+    ///
+    /// * `None` — units are pulled inline on the caller's thread and every
+    ///   B-frame is computed inside its `step`;
+    /// * `Some(opts)` — **two lanes**: a decode-lane thread owns the source
+    ///   and feeds [`DecodedUnit`]s through a bounded SPSC stage channel
+    ///   (the software `ip_Q`/`b_Q`) while this thread plans them in decode
+    ///   order and fans each GOP's B-frame reconstructions out
+    ///   wave-front-style across `opts.threads` workers.
+    ///
+    /// Outputs, trace and concealment counters are bit-identical for every
+    /// [`TaskPolicy`] × [`FaultPolicy`] at every `lanes` value — all
+    /// stateful decisions execute sequentially in decode order; only pure
+    /// per-frame mask computation runs concurrently. Memory stays bounded:
+    /// the source keeps its own O(GOP) window, at most
+    /// `opts.channel_capacity` decoded units sit in the channel, and a wave
+    /// holds at most O(GOP) deferred jobs.
+    ///
+    /// `observe` is called on this thread after each step that emitted
+    /// work, with the engine, the index of the unit in decode order and
+    /// its [`StepWork`] — the same sequence with and without lanes. It may
+    /// [`PipelineEngine::checkpoint`] the engine at large-model steps; an
+    /// error it returns ends the run.
     ///
     /// # Errors
-    /// Propagates source decode errors (strict sources only) and
-    /// reconstruction failures.
-    pub fn run<S: FrameSource>(
+    /// Propagates source decode errors (strict sources only; with lanes
+    /// the decode lane shuts down first), reconstruction failures and
+    /// observer errors, and reports a decode lane that panicked as
+    /// [`VrDannError::BadInput`] carrying the panic message.
+    pub fn drive<S: FrameSource + Send>(
         mut self,
         mut source: S,
         prepopulate: &[u32],
+        lanes: Option<&PipelineOptions>,
+        mut observe: impl FnMut(&Self, usize, StepWork) -> Result<()>,
     ) -> Result<EngineRun<T::Output>> {
         self.prime(&source.info(), prepopulate);
-        while let Some(unit) = source.next_unit() {
-            self.step(unit?)?;
-        }
-        let totals = source.totals();
-        let peak = source.peak_live_frames();
-        self.finish(totals, peak)
-    }
-
-    /// Drives the source to exhaustion on **two lanes**: a decode-lane
-    /// worker thread owns the source and pulls [`DecodedUnit`]s through a
-    /// bounded SPSC stage channel (the software `ip_Q`/`b_Q`), while this
-    /// thread plans units in decode order and fans each GOP's B-frame
-    /// reconstructions out wave-front-style across `opts.threads` workers.
-    ///
-    /// A drop-in sibling of [`PipelineEngine::run`]: same `prepopulate`
-    /// contract, works for every [`TaskPolicy`] × [`FaultPolicy`], and
-    /// produces bit-identical outputs, traces and concealment counters at
-    /// every thread count — all stateful decisions still execute
-    /// sequentially in decode order; only pure per-frame mask computation
-    /// runs concurrently. Memory stays bounded: the source keeps its own
-    /// O(GOP) window, at most `opts.channel_capacity` decoded units sit in
-    /// the channel, and a wave holds at most O(GOP) deferred jobs.
-    ///
-    /// Checkpoint/restore is not available mid-run here (see
-    /// [`PipelineWave`]); use the sequential stepping API for that.
-    ///
-    /// # Errors
-    /// As [`PipelineEngine::run`]. On a source decode error the decode
-    /// lane shuts down and the error is reported after the lanes join.
-    pub fn run_pipelined<S: FrameSource + Send>(
-        mut self,
-        source: S,
-        prepopulate: &[u32],
-        opts: &PipelineOptions,
-    ) -> Result<EngineRun<T::Output>> {
-        self.prime(&source.info(), prepopulate);
-        let threads = opts.resolved_threads();
-        let mut wave = PipelineWave::new(threads);
-        let (tx, rx) = vrd_runtime::stage_channel(opts.resolved_capacity());
-        let (stepped, totals, peak_frames) = std::thread::scope(|s| {
+        let Some(opts) = lanes else {
+            self.pump(std::iter::from_fn(|| source.next_unit()), &mut observe)?;
+            return self.finish(source.totals(), source.peak_live_frames());
+        };
+        // A zero in either field is clamped to 1 by `parallel_map_with` and
+        // `stage_channel` themselves.
+        let threads = opts.threads.unwrap_or_else(vrd_runtime::max_threads);
+        self.wave = Some(Wave::new(threads));
+        let capacity = opts.channel_capacity.unwrap_or(DEFAULT_STAGE_CAPACITY);
+        let (tx, rx) = vrd_runtime::stage_channel(capacity);
+        let (pumped, lane) = std::thread::scope(|s| {
             let decode_lane = s.spawn(move || {
-                let mut source = source;
                 while let Some(unit) = source.next_unit() {
                     // A strict source fuses after an error; forward it and
                     // stop. A dropped receiver (compute lane bailed) also
@@ -1301,24 +1267,38 @@ impl<'a, T: TaskPolicy, P: FaultPolicy> PipelineEngine<'a, T, P> {
                 }
                 (source.totals(), source.peak_live_frames())
             });
-            let mut stepped = Ok(());
-            while let Some(unit) = rx.recv() {
-                let advanced = unit
-                    .map_err(VrDannError::from)
-                    .and_then(|u| self.step_pipelined(u, &mut wave).map(|_| ()));
-                if let Err(e) = advanced {
-                    stepped = Err(e);
-                    break;
-                }
-            }
-            self.note_peak_inflight(rx.peak_len());
+            let pumped = self.pump(std::iter::from_fn(|| rx.recv()), &mut observe);
+            self.peak_inflight_units = rx.peak_len();
             drop(rx);
-            let (totals, peak_frames) = decode_lane.join().expect("decode lane never panics");
-            (stepped, totals, peak_frames)
+            // A panicking lane drops its sender, which closes the channel:
+            // the pump above drained what was sent and returned.
+            (pumped, decode_lane.join())
         });
-        stepped?;
-        self.drain_wave(&mut wave)?;
+        pumped?;
+        let (totals, peak_frames) = lane.map_err(|panic| {
+            let msg = panic
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".into());
+            VrDannError::BadInput(format!("decode lane panicked: {msg}"))
+        })?;
+        self.flush_wave()?;
         self.finish(totals, peak_frames)
+    }
+
+    /// Steps every unit in decode order, handing emitted work to `observe`.
+    fn pump(
+        &mut self,
+        units: impl Iterator<Item = vrd_codec::Result<DecodedUnit>>,
+        observe: &mut impl FnMut(&Self, usize, StepWork) -> Result<()>,
+    ) -> Result<()> {
+        for (k, unit) in units.enumerate() {
+            if let Some(work) = self.step(unit?)? {
+                observe(self, k, work)?;
+            }
+        }
+        Ok(())
     }
 }
 

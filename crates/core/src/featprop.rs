@@ -19,9 +19,10 @@
 //! ([`TaskPolicy::evict_below`]), so peak live features obey the same
 //! O(GOP) bound the masks do (`bounded_memory.rs` pins it).
 
-use crate::engine::TaskPolicy;
+use crate::engine::{StreamTask, TaskPolicy};
 use crate::error::{Result, VrDannError};
 use crate::trace::SchemeKind;
+use crate::vrdann::VrDannConfig;
 use std::collections::BTreeMap;
 use vrd_codec::decoder::BFrameInfo;
 use vrd_codec::StreamInfo;
@@ -76,6 +77,12 @@ impl<'a> FeatPropTask<'a> {
             .iter()
             .min_by_key(|(d, _)| d.abs_diff(display))
             .map(|(_, f)| f)
+    }
+}
+
+impl<'s> StreamTask<'s> for FeatPropTask<'s> {
+    fn for_stream(seq: &'s Sequence, cfg: &VrDannConfig, info: &StreamInfo) -> Self {
+        Self::new(seq, LargeNet::new(cfg.segment_profile), cfg.seed, info)
     }
 }
 

@@ -10,8 +10,12 @@
 //!   vectors, with the 2-bit bi-reference mean filter;
 //! * [`sandwich`] — the 3-channel NN-S input builder;
 //! * [`VrDann`] — the trained pipeline: NN-L on I/P anchors, reconstruction
-//!   plus NN-S refinement on B-frames, for both **segmentation** and
-//!   **detection**;
+//!   plus NN-S refinement on B-frames. [`VrDann::run`] is its one entry
+//!   point, parameterised by task ([`SegTask`], [`DetTask`],
+//!   [`FeatPropTask`]), input ([`RunInput`]: strict bitstream or resilient
+//!   packet stream) and optional lanes ([`PipelineOptions`]);
+//! * [`engine`] — the streaming [`PipelineEngine`] underneath and its one
+//!   driver, [`PipelineEngine::drive`];
 //! * [`baselines`] — OSVOS, FAVOS, DFF, SELSA and Euphrates;
 //! * [`trace`] — the workload traces the `vrd-sim` architecture simulator
 //!   replays to produce the paper's performance/energy figures.
@@ -19,7 +23,7 @@
 //! ## Example
 //!
 //! ```
-//! use vr_dann::{TrainTask, VrDann, VrDannConfig};
+//! use vr_dann::{RunInput, SegTask, TrainTask, VrDann, VrDannConfig};
 //! use vrd_video::davis::{davis_sequence, davis_train_suite, SuiteConfig};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -29,8 +33,8 @@
 //!
 //! let seq = davis_sequence("cows", &cfg)?;
 //! let encoded = model.encode(&seq)?;
-//! let run = model.run_segmentation(&seq, &encoded)?;
-//! assert_eq!(run.masks.len(), seq.len());
+//! let run = model.run::<SegTask>(&seq, RunInput::Strict(&encoded), None)?;
+//! assert_eq!(run.outputs.len(), seq.len());
 //! # Ok(())
 //! # }
 //! ```
@@ -48,7 +52,7 @@ pub mod vrdann;
 pub use components::{boxes_to_mask, extract_components};
 pub use engine::{
     ConcealingPolicy, DetTask, EngineCheckpoint, EngineRun, FaultPolicy, PipelineEngine,
-    PipelineOptions, PipelineWave, PolicyCheckpoint, SegTask, StepWork, StrictPolicy, TaskPolicy,
+    PipelineOptions, PolicyCheckpoint, SegTask, StepWork, StreamTask, StrictPolicy, TaskPolicy,
 };
 pub use error::{Result, VrDannError};
 pub use featprop::FeatPropTask;
@@ -57,5 +61,5 @@ pub use sandwich::{build_reconstruction_only, build_sandwich};
 pub use trace::{ComputeKind, ConcealmentStats, SchemeKind, SchemeTrace, TraceFrame};
 pub use vrd_nn::ComputeMode;
 pub use vrdann::{
-    DetectionRun, ResilienceOptions, SegmentationRun, TrainTask, VrDann, VrDannConfig,
+    DetectionRun, ResilienceOptions, RunInput, SegmentationRun, TrainTask, VrDann, VrDannConfig,
 };

@@ -12,7 +12,7 @@
 //! unit's coalesced DRAM burst, §IV-B) and combined with two bitwise ops
 //! (`white = a AND b`, `gray = a XOR b`) before being merged into the
 //! destination plane. The original per-pixel loops are retained in
-//! [`reference`] and pinned bit-exact by the proptests in
+//! [`mod@reference`] and pinned bit-exact by the proptests in
 //! `tests/recon_equivalence.rs`.
 
 use crate::error::{Result, VrDannError};

@@ -1,17 +1,18 @@
 //! The VR-DANN pipeline (Fig. 5): decode anchors, segment them with NN-L,
 //! reconstruct B-frames from motion vectors, refine with NN-S.
 //!
-//! Every entry point is one configuration of the streaming
-//! [`PipelineEngine`](crate::engine::PipelineEngine) — a task
-//! (segmentation/detection) paired with a fault policy (strict/concealing)
-//! over a pull-based [`FrameSource`](vrd_codec::FrameSource). No entry
-//! point materialises the whole video: live pixel memory is bounded by the
-//! source's reference window, and the strict paths keep only an O(GOP)
-//! window of reference masks.
+//! [`VrDann::run`] is the one entry point: a task (segmentation, detection,
+//! feature propagation), an input (strict bitstream or resilient packet
+//! stream, which picks the fault policy) and optional lanes, handed to the
+//! streaming [`PipelineEngine`]'s driver over a pull-based
+//! [`FrameSource`]. Nothing materialises the whole video: live pixel memory
+//! is bounded by the source's reference window, and the strict path keeps
+//! only an O(GOP) window of reference masks.
 
 use crate::components::boxes_to_mask;
 use crate::engine::{
-    ConcealingPolicy, DetTask, EngineRun, PipelineEngine, PipelineOptions, SegTask, StrictPolicy,
+    ConcealingPolicy, EngineRun, FaultPolicy, PipelineEngine, PipelineOptions, SegTask, StreamTask,
+    StrictPolicy,
 };
 use crate::error::{Result, VrDannError};
 use crate::recon::{reconstruct_b_frame, ReconConfig};
@@ -23,7 +24,7 @@ use vrd_codec::{
     CodecConfig, Decoder, EncodedVideo, Encoder, FrameSource, ResilientFrameSource,
     StrictFrameSource,
 };
-use vrd_nn::{trainer, ComputeMode, LargeNet, LargeNetProfile, NnS, Sample, Tensor, TrainConfig};
+use vrd_nn::{trainer, ComputeMode, LargeNetProfile, NnS, Sample, Tensor, TrainConfig};
 use vrd_video::{Detection, SegMask, Sequence};
 
 /// Full pipeline configuration.
@@ -100,8 +101,8 @@ pub struct SegmentationRun {
     /// (0 unless the run propagates in feature space).
     pub peak_live_features: usize,
     /// Peak number of decoded units buffered between the decode and
-    /// compute lanes (0 for sequential drivers; bounded by the stage
-    /// channel capacity under the pipelined executor).
+    /// compute lanes (0 without lanes; bounded by the stage channel
+    /// capacity with them).
     pub peak_inflight_units: usize,
 }
 
@@ -132,7 +133,7 @@ pub struct DetectionRun {
     /// baselines, O(GOP) for the streaming engine).
     pub peak_live_frames: usize,
     /// Peak number of decoded units buffered between the decode and
-    /// compute lanes (0 for sequential drivers).
+    /// compute lanes (0 without lanes).
     pub peak_inflight_units: usize,
 }
 
@@ -148,7 +149,7 @@ impl From<EngineRun<Vec<Detection>>> for DetectionRun {
     }
 }
 
-/// Degradation-policy knobs for the resilient pipeline entry points.
+/// Degradation-policy knobs of [`RunInput::Resilient`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResilienceOptions {
     /// Per-B-frame probability that the NN-S inference itself faults (a
@@ -166,6 +167,32 @@ impl Default for ResilienceOptions {
             seed: 0x5eed,
         }
     }
+}
+
+/// What [`VrDann::run`] reads the stream from. The input alone decides the
+/// source type, the fault policy and whether NN-L references are
+/// established up front.
+#[derive(Debug, Clone, Copy)]
+pub enum RunInput<'a> {
+    /// A contiguous bitstream, decoded strictly: the first decode error
+    /// aborts the run, nothing is concealed, anchors are inferred lazily.
+    Strict(&'a EncodedVideo),
+    /// A (possibly damaged) packetized stream, degrading gracefully
+    /// instead of failing:
+    ///
+    /// * a B-frame whose MV payload was **lost** copies the result of the
+    ///   nearest reference frame;
+    /// * a **salvaged** B payload is reconstructed with uncovered blocks and
+    ///   records pointing at missing anchors filled co-located;
+    /// * a **lost anchor** is concealed by a nearest-reference copy and
+    ///   triggers an NN-L re-inference on the next decodable B-frame to
+    ///   re-establish a trusted reference;
+    /// * an **NN-S fault** (modelled by [`ResilienceOptions`]) falls back to
+    ///   the unrefined blocky reconstruction.
+    ///
+    /// On a clean stream with `nns_failure_rate == 0` the output is
+    /// bit-identical to the strict run and `concealment.is_clean()` holds.
+    Resilient(&'a PacketStream, &'a ResilienceOptions),
 }
 
 /// A trained VR-DANN pipeline instance.
@@ -296,298 +323,118 @@ impl VrDann {
         Ok(Encoder::new(self.cfg.codec).encode(&seq.frames)?)
     }
 
-    /// Runs video segmentation on an encoded sequence (Fig. 5's flow): the
-    /// strict segmentation configuration of the streaming engine.
+    /// The one run path from a bitstream to per-frame outputs: opens the
+    /// source `input` names, builds task `T` for it, picks the matching
+    /// fault policy and hands all three to [`PipelineEngine::drive`].
+    ///
+    /// * `T` — what to compute: [`SegTask`] (Fig. 5's segmentation flow),
+    ///   [`DetTask`](crate::DetTask) (§III-B: anchor boxes from NN-L are
+    ///   rasterised into masks, B-frames reconstructed and refined like
+    ///   segmentation, the refined masks read back as boxes) or
+    ///   [`FeatPropTask`](crate::FeatPropTask) (the Jain & Gonzalez
+    ///   baseline: the staged NN-L runs in full on anchors and caches its
+    ///   penultimate features in the O(GOP) window; each B-frame warps them
+    ///   with its block MVs and runs only the network head —
+    ///   [`crate::trace::ComputeKind::FeatHead`], billed at
+    ///   [`vrd_nn::NNL_HEAD_FRACTION`] of an inference, trace labelled
+    ///   [`crate::trace::SchemeKind::FeatProp`]);
+    /// * `input` — strict or resilient, see [`RunInput`];
+    /// * `lanes` — `None` runs everything on the caller's thread,
+    ///   `Some(opts)` puts the decoder on its own thread and fans B-frame
+    ///   reconstruction out across the wave-front pool. Outputs, trace and
+    ///   concealment counters are bit-identical either way.
     ///
     /// # Errors
-    /// Fails on malformed bitstreams or missing references.
+    /// [`RunInput::Strict`] fails on malformed bitstreams or missing
+    /// references; [`RunInput::Resilient`] only if the stream *header* is
+    /// unusable or the sequence and stream disagree structurally — frame
+    /// damage never errors.
+    pub fn run<'s, T: StreamTask<'s>>(
+        &self,
+        seq: &'s Sequence,
+        input: RunInput<'_>,
+        lanes: Option<&PipelineOptions>,
+    ) -> Result<EngineRun<T::Output>> {
+        match input {
+            RunInput::Strict(encoded) => {
+                let source = StrictFrameSource::new(&encoded.bitstream)?;
+                self.run_on::<T, _, _>(seq, source, StrictPolicy::default(), &[], lanes)
+            }
+            RunInput::Resilient(stream, opts) => {
+                let source = ResilientFrameSource::new(stream)?;
+                // A lost B-frame may copy from an anchor that only decodes
+                // later, so every usable anchor is inferred up front.
+                let prepopulate = source.usable_anchor_displays().to_vec();
+                self.run_on::<T, _, _>(
+                    seq,
+                    source,
+                    ConcealingPolicy::new(opts),
+                    &prepopulate,
+                    lanes,
+                )
+            }
+        }
+    }
+
+    /// Builds task `T` for `source` and drives the engine over it.
+    fn run_on<'s, T: StreamTask<'s>, S: FrameSource + Send, P: FaultPolicy>(
+        &self,
+        seq: &'s Sequence,
+        source: S,
+        policy: P,
+        prepopulate: &[u32],
+        lanes: Option<&PipelineOptions>,
+    ) -> Result<EngineRun<T::Output>> {
+        let task = T::for_stream(seq, &self.cfg, &source.info());
+        PipelineEngine::new(&self.cfg, &self.nns, task, policy).drive(
+            source,
+            prepopulate,
+            lanes,
+            |_, _, _| Ok(()),
+        )
+    }
+
+    /// Strict segmentation on the caller's thread:
+    /// `run::<SegTask>(seq, RunInput::Strict(encoded), None)`.
+    ///
+    /// # Errors
+    /// As [`VrDann::run`] on a strict input.
     pub fn run_segmentation(
         &self,
         seq: &Sequence,
         encoded: &EncodedVideo,
     ) -> Result<SegmentationRun> {
-        let source = StrictFrameSource::new(&encoded.bitstream)?;
-        let info = source.info();
-        let task = SegTask::new(
-            seq,
-            LargeNet::new(self.cfg.segment_profile),
-            self.cfg.seed,
-            &info,
-        );
-        let run = PipelineEngine::new(&self.cfg, &self.nns, task, StrictPolicy::default())
-            .run(source, &[])?;
-        Ok(run.into())
+        Ok(self
+            .run::<SegTask>(seq, RunInput::Strict(encoded), None)?
+            .into())
     }
 
-    /// Runs the feature-space propagation baseline (Jain & Gonzalez) on an
-    /// encoded sequence, through the same streaming engine as
-    /// [`VrDann::run_segmentation`]: the staged NN-L runs in full on I/P
-    /// anchors and caches its penultimate feature maps in the O(GOP)
-    /// window; each B-frame warps those features with its bitstream block
-    /// MVs and runs only the network head
-    /// ([`crate::trace::ComputeKind::FeatHead`], billed at
-    /// [`vrd_nn::NNL_HEAD_FRACTION`] of a full inference). The run's trace
-    /// carries [`crate::trace::SchemeKind::FeatProp`] for the fig13-style
-    /// comparisons.
+    /// [`VrDann::run_segmentation`] on two lanes:
+    /// `run::<SegTask>(seq, RunInput::Strict(encoded), Some(opts))`.
     ///
     /// # Errors
-    /// Fails on malformed bitstreams or payloads referencing anchors
-    /// outside the feature window.
-    pub fn run_feature_propagation(
-        &self,
-        seq: &Sequence,
-        encoded: &EncodedVideo,
-    ) -> Result<SegmentationRun> {
-        let source = StrictFrameSource::new(&encoded.bitstream)?;
-        let info = source.info();
-        let task = crate::featprop::FeatPropTask::new(
-            seq,
-            LargeNet::new(self.cfg.segment_profile),
-            self.cfg.seed,
-            &info,
-        );
-        let run = PipelineEngine::new(&self.cfg, &self.nns, task, StrictPolicy::default())
-            .run(source, &[])?;
-        Ok(run.into())
-    }
-
-    /// Runs video detection (§III-B): anchor boxes from NN-L are rasterised
-    /// into masks, B-frames are reconstructed and refined exactly like
-    /// segmentation, and the refined masks are read back as boxes — the
-    /// strict detection configuration of the streaming engine.
-    ///
-    /// # Errors
-    /// Fails on malformed bitstreams or missing references.
-    pub fn run_detection(&self, seq: &Sequence, encoded: &EncodedVideo) -> Result<DetectionRun> {
-        let source = StrictFrameSource::new(&encoded.bitstream)?;
-        let info = source.info();
-        let task = DetTask::new(
-            seq,
-            LargeNet::new(self.cfg.detect_profile),
-            self.cfg.seed,
-            &info,
-        );
-        let run = PipelineEngine::new(&self.cfg, &self.nns, task, StrictPolicy::default())
-            .run(source, &[])?;
-        Ok(run.into())
-    }
-
-    /// Runs segmentation on a (possibly damaged) packetized stream,
-    /// degrading gracefully instead of failing — the concealing
-    /// segmentation configuration of the streaming engine:
-    ///
-    /// * a B-frame whose MV payload was **lost** copies the segmentation of
-    ///   the nearest reference frame;
-    /// * a **salvaged** B payload is reconstructed with uncovered blocks and
-    ///   records pointing at missing anchors filled co-located;
-    /// * a **lost anchor** is concealed by a nearest-reference copy and
-    ///   triggers an NN-L re-inference on the next decodable B-frame to
-    ///   re-establish a trusted reference;
-    /// * an **NN-S fault** (modelled by [`ResilienceOptions`]) falls back to
-    ///   the unrefined blocky reconstruction.
-    ///
-    /// On a clean stream with `nns_failure_rate == 0` the output is
-    /// bit-identical to [`VrDann::run_segmentation`] and
-    /// `concealment.is_clean()` holds.
-    ///
-    /// # Errors
-    /// Fails only if the stream *header* is unusable or the sequence and
-    /// stream disagree structurally — frame damage never errors.
-    pub fn run_segmentation_resilient(
-        &self,
-        seq: &Sequence,
-        stream: &PacketStream,
-        opts: &ResilienceOptions,
-    ) -> Result<SegmentationRun> {
-        let source = ResilientFrameSource::new(stream)?;
-        let info = source.info();
-        let prepopulate = source.usable_anchor_displays().to_vec();
-        let task = SegTask::new(
-            seq,
-            LargeNet::new(self.cfg.segment_profile),
-            self.cfg.seed,
-            &info,
-        );
-        let run = PipelineEngine::new(&self.cfg, &self.nns, task, ConcealingPolicy::new(opts))
-            .run(source, &prepopulate)?;
-        Ok(run.into())
-    }
-
-    /// Runs detection on a (possibly damaged) packetized stream with the
-    /// same degradation ladder as [`VrDann::run_segmentation_resilient`]
-    /// (lost B payloads copy the nearest reference's detections).
-    ///
-    /// # Errors
-    /// Fails only on an unusable stream header or a structural mismatch.
-    pub fn run_detection_resilient(
-        &self,
-        seq: &Sequence,
-        stream: &PacketStream,
-        opts: &ResilienceOptions,
-    ) -> Result<DetectionRun> {
-        let source = ResilientFrameSource::new(stream)?;
-        let info = source.info();
-        let prepopulate = source.usable_anchor_displays().to_vec();
-        let task = DetTask::new(
-            seq,
-            LargeNet::new(self.cfg.detect_profile),
-            self.cfg.seed,
-            &info,
-        );
-        let run = PipelineEngine::new(&self.cfg, &self.nns, task, ConcealingPolicy::new(opts))
-            .run(source, &prepopulate)?;
-        Ok(run.into())
-    }
-
-    /// [`VrDann::run_segmentation`] on the two-lane pipelined executor
-    /// ([`PipelineEngine::run_pipelined`]): the decoder runs on its own
-    /// thread and each GOP's B-frame reconstructions fan out across the
-    /// wave-front pool. Outputs, trace and concealment counters are
-    /// bit-identical to the sequential entry point at every thread count.
-    ///
-    /// # Errors
-    /// As [`VrDann::run_segmentation`].
+    /// As [`VrDann::run`] on a strict input.
     pub fn run_segmentation_pipelined(
         &self,
         seq: &Sequence,
         encoded: &EncodedVideo,
         opts: &PipelineOptions,
     ) -> Result<SegmentationRun> {
-        let source = StrictFrameSource::new(&encoded.bitstream)?;
-        let info = source.info();
-        let task = SegTask::new(
-            seq,
-            LargeNet::new(self.cfg.segment_profile),
-            self.cfg.seed,
-            &info,
-        );
-        let run = PipelineEngine::new(&self.cfg, &self.nns, task, StrictPolicy::default())
-            .run_pipelined(source, &[], opts)?;
-        Ok(run.into())
-    }
-
-    /// [`VrDann::run_detection`] on the pipelined executor; bit-identical
-    /// to the sequential entry point at every thread count.
-    ///
-    /// # Errors
-    /// As [`VrDann::run_detection`].
-    pub fn run_detection_pipelined(
-        &self,
-        seq: &Sequence,
-        encoded: &EncodedVideo,
-        opts: &PipelineOptions,
-    ) -> Result<DetectionRun> {
-        let source = StrictFrameSource::new(&encoded.bitstream)?;
-        let info = source.info();
-        let task = DetTask::new(
-            seq,
-            LargeNet::new(self.cfg.detect_profile),
-            self.cfg.seed,
-            &info,
-        );
-        let run = PipelineEngine::new(&self.cfg, &self.nns, task, StrictPolicy::default())
-            .run_pipelined(source, &[], opts)?;
-        Ok(run.into())
-    }
-
-    /// [`VrDann::run_feature_propagation`] on the pipelined executor. The
-    /// propagating task consumes B-frames at plan time (feature-space
-    /// warps are engine state), so the wave only ever carries the
-    /// mask-space ladder's work — still bit-identical at every thread
-    /// count.
-    ///
-    /// # Errors
-    /// As [`VrDann::run_feature_propagation`].
-    pub fn run_feature_propagation_pipelined(
-        &self,
-        seq: &Sequence,
-        encoded: &EncodedVideo,
-        opts: &PipelineOptions,
-    ) -> Result<SegmentationRun> {
-        let source = StrictFrameSource::new(&encoded.bitstream)?;
-        let info = source.info();
-        let task = crate::featprop::FeatPropTask::new(
-            seq,
-            LargeNet::new(self.cfg.segment_profile),
-            self.cfg.seed,
-            &info,
-        );
-        let run = PipelineEngine::new(&self.cfg, &self.nns, task, StrictPolicy::default())
-            .run_pipelined(source, &[], opts)?;
-        Ok(run.into())
-    }
-
-    /// [`VrDann::run_segmentation_resilient`] on the pipelined executor.
-    /// The degradation ladder (sanitisation, lottery draws, refetches)
-    /// executes sequentially in decode order exactly as in the sequential
-    /// driver, so concealment statistics are bit-identical too.
-    ///
-    /// # Errors
-    /// As [`VrDann::run_segmentation_resilient`].
-    pub fn run_segmentation_resilient_pipelined(
-        &self,
-        seq: &Sequence,
-        stream: &PacketStream,
-        opts: &ResilienceOptions,
-        pipe: &PipelineOptions,
-    ) -> Result<SegmentationRun> {
-        let source = ResilientFrameSource::new(stream)?;
-        let info = source.info();
-        let prepopulate = source.usable_anchor_displays().to_vec();
-        let task = SegTask::new(
-            seq,
-            LargeNet::new(self.cfg.segment_profile),
-            self.cfg.seed,
-            &info,
-        );
-        let run = PipelineEngine::new(&self.cfg, &self.nns, task, ConcealingPolicy::new(opts))
-            .run_pipelined(source, &prepopulate, pipe)?;
-        Ok(run.into())
-    }
-
-    /// [`VrDann::run_detection_resilient`] on the pipelined executor.
-    ///
-    /// # Errors
-    /// As [`VrDann::run_detection_resilient`].
-    pub fn run_detection_resilient_pipelined(
-        &self,
-        seq: &Sequence,
-        stream: &PacketStream,
-        opts: &ResilienceOptions,
-        pipe: &PipelineOptions,
-    ) -> Result<DetectionRun> {
-        let source = ResilientFrameSource::new(stream)?;
-        let info = source.info();
-        let prepopulate = source.usable_anchor_displays().to_vec();
-        let task = DetTask::new(
-            seq,
-            LargeNet::new(self.cfg.detect_profile),
-            self.cfg.seed,
-            &info,
-        );
-        let run = PipelineEngine::new(&self.cfg, &self.nns, task, ConcealingPolicy::new(opts))
-            .run_pipelined(source, &prepopulate, pipe)?;
-        Ok(run.into())
+        Ok(self
+            .run::<SegTask>(seq, RunInput::Strict(encoded), Some(opts))?
+            .into())
     }
 
     /// Runs segmentation over many (sequence, bitstream) jobs concurrently
     /// — multi-sequence batch serving on `vrd-runtime`'s deterministic,
-    /// order-preserving thread pool. Results match per-job
-    /// [`VrDann::run_segmentation`] calls exactly, in input order.
+    /// order-preserving thread pool, one job per pool worker and no thread
+    /// per stream. Results match per-job [`VrDann::run_segmentation`] calls
+    /// exactly, in input order.
     pub fn run_segmentation_batch(
         &self,
         jobs: &[(&Sequence, &EncodedVideo)],
     ) -> Vec<Result<SegmentationRun>> {
         vrd_runtime::parallel_map(jobs, |job| self.run_segmentation(job.0, job.1))
-    }
-
-    /// Runs detection over many (sequence, bitstream) jobs concurrently;
-    /// the detection counterpart of [`VrDann::run_segmentation_batch`].
-    pub fn run_detection_batch(
-        &self,
-        jobs: &[(&Sequence, &EncodedVideo)],
-    ) -> Vec<Result<DetectionRun>> {
-        vrd_runtime::parallel_map(jobs, |job| self.run_detection(job.0, job.1))
     }
 }
 
@@ -661,10 +508,12 @@ mod tests {
         let (model, cfg) = tiny_model(TrainTask::Detection);
         let seq = davis_sequence("camel", &cfg).unwrap();
         let encoded = model.encode(&seq).unwrap();
-        let run = model.run_detection(&seq, &encoded).unwrap();
-        assert_eq!(run.detections.len(), seq.len());
+        let run = model
+            .run::<crate::DetTask>(&seq, RunInput::Strict(&encoded), None)
+            .unwrap();
+        assert_eq!(run.outputs.len(), seq.len());
         // Most frames should have at least one detection.
-        let with_dets = run.detections.iter().filter(|d| !d.is_empty()).count();
+        let with_dets = run.outputs.iter().filter(|d| !d.is_empty()).count();
         assert!(with_dets > seq.len() * 2 / 3, "{with_dets}/{}", seq.len());
     }
 

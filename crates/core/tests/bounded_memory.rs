@@ -4,7 +4,10 @@
 //! it has to stay within a small multiple of one GOP.
 
 use vr_dann::baselines::run_favos;
-use vr_dann::{PipelineOptions, ResilienceOptions, TrainTask, VrDann, VrDannConfig};
+use vr_dann::{
+    FeatPropTask, PipelineOptions, ResilienceOptions, RunInput, SegTask, TrainTask, VrDann,
+    VrDannConfig,
+};
 use vrd_codec::{inject, packetize, FaultConfig, FaultKind};
 use vrd_video::davis::{davis_sequence, davis_train_suite, SuiteConfig};
 
@@ -70,8 +73,10 @@ fn featprop_feature_window_stays_bounded() {
     };
     let seq = davis_sequence("cows", &long_cfg).unwrap();
     let encoded = model.encode(&seq).unwrap();
-    let run = model.run_feature_propagation(&seq, &encoded).unwrap();
-    assert_eq!(run.masks.len(), seq.len());
+    let run = model
+        .run::<FeatPropTask>(&seq, RunInput::Strict(&encoded), None)
+        .unwrap();
+    assert_eq!(run.outputs.len(), seq.len());
 
     // Cached backbone feature maps are evicted with the reference-mask
     // window, so their high-water mark obeys the same 2xGOP bound the
@@ -132,9 +137,13 @@ fn concealing_engine_memory_stays_bounded_under_anchor_loss() {
     assert!(!log.events.is_empty(), "no faults planted at 30% rate");
 
     let run = model
-        .run_segmentation_resilient(&seq, &damaged, &ResilienceOptions::default())
+        .run::<SegTask>(
+            &seq,
+            RunInput::Resilient(&damaged, &ResilienceOptions::default()),
+            None,
+        )
         .unwrap();
-    assert_eq!(run.masks.len(), seq.len());
+    assert_eq!(run.outputs.len(), seq.len());
     assert!(
         run.concealment.anchors_lost > 0,
         "fault plan lost no anchors; the substitution path never ran"
@@ -191,14 +200,13 @@ fn pipelined_engine_memory_stays_bounded_under_anchor_loss() {
             channel_capacity: None,
         };
         let run = model
-            .run_segmentation_resilient_pipelined(
+            .run::<SegTask>(
                 &seq,
-                &damaged,
-                &ResilienceOptions::default(),
-                &opts,
+                RunInput::Resilient(&damaged, &ResilienceOptions::default()),
+                Some(&opts),
             )
             .unwrap();
-        assert_eq!(run.masks.len(), seq.len());
+        assert_eq!(run.outputs.len(), seq.len());
         assert!(run.concealment.anchors_lost > 0, "no anchors lost");
 
         // The pipelined executor adds one new place decoded frames can

@@ -1,4 +1,4 @@
-//! Degradation-ladder tests for the resilient pipeline entry points.
+//! Degradation-ladder tests for the resilient run input.
 //!
 //! One test per concealment tier: clean streams must be bit-identical to the
 //! strict pipeline, lost B-frame MV payloads copy the nearest reference's
@@ -6,7 +6,7 @@
 //! re-inference, and NN-S faults fall back to the raw reconstruction —
 //! each verified through the run's `ConcealmentStats`.
 
-use vr_dann::{ResilienceOptions, TrainTask, VrDann, VrDannConfig};
+use vr_dann::{DetTask, ResilienceOptions, RunInput, SegTask, TrainTask, VrDann, VrDannConfig};
 use vrd_codec::faults::{inject, packetize, FaultConfig, FaultKind};
 use vrd_codec::{BFrameMode, CodecConfig};
 use vrd_metrics::score_sequence;
@@ -40,14 +40,18 @@ fn clean_stream_is_bit_identical_to_strict_segmentation() {
     let strict = model.run_segmentation(&seq, &encoded).unwrap();
     let ps = packetize(&encoded.bitstream).unwrap();
     let resilient = model
-        .run_segmentation_resilient(&seq, &ps, &ResilienceOptions::default())
+        .run::<SegTask>(
+            &seq,
+            RunInput::Resilient(&ps, &ResilienceOptions::default()),
+            None,
+        )
         .unwrap();
     assert!(
         resilient.concealment.is_clean(),
         "{}",
         resilient.concealment
     );
-    assert_eq!(resilient.masks, strict.masks);
+    assert_eq!(resilient.outputs, strict.masks);
     assert_eq!(resilient.trace, strict.trace);
 }
 
@@ -64,10 +68,14 @@ fn clean_stream_is_bit_identical_with_fallback_enabled() {
     let strict = model.run_segmentation(&seq, &encoded).unwrap();
     let ps = packetize(&encoded.bitstream).unwrap();
     let resilient = model
-        .run_segmentation_resilient(&seq, &ps, &ResilienceOptions::default())
+        .run::<SegTask>(
+            &seq,
+            RunInput::Resilient(&ps, &ResilienceOptions::default()),
+            None,
+        )
         .unwrap();
     assert!(resilient.concealment.is_clean());
-    assert_eq!(resilient.masks, strict.masks);
+    assert_eq!(resilient.outputs, strict.masks);
     assert_eq!(resilient.trace, strict.trace);
 }
 
@@ -79,9 +87,13 @@ fn lost_b_mvs_are_concealed_and_counted() {
     let (damaged, log) = inject(&ps, &FaultConfig::b_mv_loss(0.5, 17));
     assert!(!log.events.is_empty(), "rate 0.5 planted nothing");
     let run = model
-        .run_segmentation_resilient(&seq, &damaged, &ResilienceOptions::default())
+        .run::<SegTask>(
+            &seq,
+            RunInput::Resilient(&damaged, &ResilienceOptions::default()),
+            None,
+        )
         .unwrap();
-    assert_eq!(run.masks.len(), seq.len());
+    assert_eq!(run.outputs.len(), seq.len());
     // Every faulted B-frame lands in exactly one concealment bucket: copied
     // (payload unusable) or salvaged (partial/suspect records).
     let c = run.concealment;
@@ -89,7 +101,7 @@ fn lost_b_mvs_are_concealed_and_counted() {
     assert_eq!(c.anchors_lost, 0);
     assert_eq!(c.nns_failures, 0);
     // Concealment holds accuracy above a trivial all-background predictor.
-    let scores = score_sequence(&run.masks, &seq.gt_masks);
+    let scores = score_sequence(&run.outputs, &seq.gt_masks);
     assert!(scores.iou > 0.3, "IoU collapsed to {:.3}", scores.iou);
 }
 
@@ -106,9 +118,13 @@ fn lost_anchor_triggers_substitution_and_nnl_reinference() {
     ps.packets[victim].lost = true;
     ps.packets[victim].payload = ps.packets[victim].payload.slice(0..0);
     let run = model
-        .run_segmentation_resilient(&seq, &ps, &ResilienceOptions::default())
+        .run::<SegTask>(
+            &seq,
+            RunInput::Resilient(&ps, &ResilienceOptions::default()),
+            None,
+        )
         .unwrap();
-    assert_eq!(run.masks.len(), seq.len());
+    assert_eq!(run.outputs.len(), seq.len());
     let c = run.concealment;
     assert_eq!(c.anchors_lost, 1, "{c}");
     assert_eq!(c.nnl_reinferences, 1, "{c}");
@@ -138,7 +154,7 @@ fn nns_faults_fall_back_to_raw_reconstruction() {
         seed: 1,
     };
     let run = model
-        .run_segmentation_resilient(&seq, &ps, &all_faults)
+        .run::<SegTask>(&seq, RunInput::Resilient(&ps, &all_faults), None)
         .unwrap();
     let raw = {
         let mut cfg_raw = *model.config();
@@ -148,14 +164,16 @@ fn nns_faults_fall_back_to_raw_reconstruction() {
             .run_segmentation(&seq, &encoded)
             .unwrap()
     };
-    assert_eq!(run.masks, raw.masks);
+    assert_eq!(run.outputs, raw.masks);
     assert_eq!(run.concealment.nns_failures, encoded.stats.b_frames);
     // A zero rate with the same seed conceals nothing.
     let none = ResilienceOptions {
         nns_failure_rate: 0.0,
         seed: 1,
     };
-    let clean = model.run_segmentation_resilient(&seq, &ps, &none).unwrap();
+    let clean = model
+        .run::<SegTask>(&seq, RunInput::Resilient(&ps, &none), None)
+        .unwrap();
     assert!(clean.concealment.is_clean());
 }
 
@@ -164,24 +182,34 @@ fn detection_clean_stream_is_bit_identical_and_loss_degrades_gracefully() {
     let (model, cfg) = tiny_model(TrainTask::Detection);
     let seq = davis_sequence("drift-straight", &cfg).unwrap();
     let encoded = model.encode(&seq).unwrap();
-    let strict = model.run_detection(&seq, &encoded).unwrap();
+    let strict = model
+        .run::<DetTask>(&seq, RunInput::Strict(&encoded), None)
+        .unwrap();
     let ps = packetize(&encoded.bitstream).unwrap();
     let clean = model
-        .run_detection_resilient(&seq, &ps, &ResilienceOptions::default())
+        .run::<DetTask>(
+            &seq,
+            RunInput::Resilient(&ps, &ResilienceOptions::default()),
+            None,
+        )
         .unwrap();
     assert!(clean.concealment.is_clean());
-    assert_eq!(clean.detections, strict.detections);
+    assert_eq!(clean.outputs, strict.outputs);
     assert_eq!(clean.trace, strict.trace);
 
     let (damaged, log) = inject(&ps, &FaultConfig::uniform(0.3, 23));
     assert!(!log.events.is_empty());
     let run = model
-        .run_detection_resilient(&seq, &damaged, &ResilienceOptions::default())
+        .run::<DetTask>(
+            &seq,
+            RunInput::Resilient(&damaged, &ResilienceOptions::default()),
+            None,
+        )
         .unwrap();
-    assert_eq!(run.detections.len(), seq.len());
+    assert_eq!(run.outputs.len(), seq.len());
     assert!(run.concealment.total() > 0);
     // Most frames still carry detections after concealment.
-    let with_dets = run.detections.iter().filter(|d| !d.is_empty()).count();
+    let with_dets = run.outputs.iter().filter(|d| !d.is_empty()).count();
     assert!(with_dets > seq.len() / 2, "{with_dets}/{}", seq.len());
 }
 
@@ -206,9 +234,13 @@ fn every_sequence_survives_heavy_mixed_damage() {
             };
             let (damaged, _) = inject(&ps, &fault_cfg);
             let run = model
-                .run_segmentation_resilient(&seq, &damaged, &ResilienceOptions::default())
+                .run::<SegTask>(
+                    &seq,
+                    RunInput::Resilient(&damaged, &ResilienceOptions::default()),
+                    None,
+                )
                 .unwrap();
-            assert_eq!(run.masks.len(), seq.len(), "{name} seed {seed}");
+            assert_eq!(run.outputs.len(), seq.len(), "{name} seed {seed}");
         }
     }
 }

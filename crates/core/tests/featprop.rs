@@ -2,7 +2,7 @@
 //! staged NN-L on I/P anchors, warped backbone features + head-only
 //! inference on B-frames, all through the shared streaming engine.
 
-use vr_dann::{ComputeKind, SchemeKind, TrainTask, VrDann, VrDannConfig};
+use vr_dann::{ComputeKind, FeatPropTask, RunInput, SchemeKind, TrainTask, VrDann, VrDannConfig};
 use vrd_codec::FrameType;
 use vrd_metrics::score_sequence;
 use vrd_video::davis::{davis_sequence, davis_train_suite, SuiteConfig};
@@ -26,9 +26,11 @@ fn feature_propagation_runs_end_to_end() {
     let model = tiny_model();
     let seq = davis_sequence("cows", &SuiteConfig::tiny()).unwrap();
     let encoded = model.encode(&seq).unwrap();
-    let run = model.run_feature_propagation(&seq, &encoded).unwrap();
+    let run = model
+        .run::<FeatPropTask>(&seq, RunInput::Strict(&encoded), None)
+        .unwrap();
 
-    assert_eq!(run.masks.len(), seq.len());
+    assert_eq!(run.outputs.len(), seq.len());
     assert_eq!(run.trace.scheme, SchemeKind::FeatProp);
     assert_eq!(run.trace.frames.len(), seq.len());
 
@@ -63,7 +65,7 @@ fn feature_propagation_runs_end_to_end() {
 
     // Warped-feature masks track the ground truth well enough to sit in
     // the published baseline band (well below FAVOS, well above garbage).
-    let s = score_sequence(&run.masks, &seq.gt_masks);
+    let s = score_sequence(&run.outputs, &seq.gt_masks);
     assert!(s.iou > 0.5, "feature propagation IoU collapsed: {}", s.iou);
 }
 
@@ -75,7 +77,9 @@ fn featprop_anchors_match_vrdann_bit_exactly() {
     let model = tiny_model();
     let seq = davis_sequence("camel", &SuiteConfig::tiny()).unwrap();
     let encoded = model.encode(&seq).unwrap();
-    let fp = model.run_feature_propagation(&seq, &encoded).unwrap();
+    let fp = model
+        .run::<FeatPropTask>(&seq, RunInput::Strict(&encoded), None)
+        .unwrap();
     let vr = model.run_segmentation(&seq, &encoded).unwrap();
 
     let mut anchors = 0;
@@ -84,7 +88,7 @@ fn featprop_anchors_match_vrdann_bit_exactly() {
             anchors += 1;
             let d = f.display as usize;
             assert_eq!(
-                fp.masks[d].words(),
+                fp.outputs[d].words(),
                 vr.masks[d].words(),
                 "anchor {i} (display {d}) diverged from VR-DANN"
             );
@@ -104,10 +108,14 @@ fn from_parts_model_stages_and_propagates() {
 
     let seq = davis_sequence("cows", &SuiteConfig::tiny()).unwrap();
     let encoded = model.encode(&seq).unwrap();
-    let a = model.run_feature_propagation(&seq, &encoded).unwrap();
-    let b = restored.run_feature_propagation(&seq, &encoded).unwrap();
-    assert_eq!(a.masks.len(), b.masks.len());
-    for (x, y) in a.masks.iter().zip(&b.masks) {
+    let a = model
+        .run::<FeatPropTask>(&seq, RunInput::Strict(&encoded), None)
+        .unwrap();
+    let b = restored
+        .run::<FeatPropTask>(&seq, RunInput::Strict(&encoded), None)
+        .unwrap();
+    assert_eq!(a.outputs.len(), b.outputs.len());
+    for (x, y) in a.outputs.iter().zip(&b.outputs) {
         assert_eq!(x.words(), y.words());
     }
 }

@@ -1,77 +1,52 @@
-//! Property tests pinning the two-lane pipelined executor
-//! (`run_*_pipelined`) bit-identical to the sequential engine: same masks,
-//! detections, traces, concealment counters and live-frame accounting over
-//! random GOP shapes × thread counts (1, 2, 4, 8) × strict/concealing
-//! policies. The wave-front fan-out and the decode-lane thread must be
-//! invisible in every output.
+//! One table pinning the engine driver's lanes invisible in every output:
+//! {segmentation, detection, feature propagation} × {strict, resilient with
+//! damage} through the generic `VrDann::run`, each compared between no
+//! lanes and lanes at 1/2/4/8 worker threads × channel capacities
+//! 1/2/4/default — same outputs, trace, concealment counters and
+//! live-frame/feature peaks. Random GOP shapes and the fallback barrier
+//! feed the same check; the observer, checkpoint and panicking-lane
+//! contracts of `PipelineEngine::drive` are pinned below it.
 
 use proptest::prelude::*;
+use std::fmt::Debug;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 use vr_dann::{
-    DetectionRun, PipelineOptions, ResilienceOptions, SegmentationRun, TrainTask, VrDann,
-    VrDannConfig,
+    ComputeKind, ConcealingPolicy, DetTask, FaultPolicy, FeatPropTask, PipelineEngine,
+    PipelineOptions, ResilienceOptions, RunInput, SegTask, StepWork, StreamTask, StrictPolicy,
+    TraceFrame, TrainTask, VrDann, VrDannConfig,
 };
-use vrd_codec::{inject, BFrameMode, CodecConfig, FaultConfig, FaultKind};
+use vrd_codec::faults::PacketStream;
+use vrd_codec::{
+    inject, BFrameMode, CodecConfig, DecodedUnit, EncodedVideo, FaultConfig, FaultKind,
+    FrameSource, ResilientFrameSource, StreamInfo, StreamTotals, StrictFrameSource,
+};
 use vrd_video::davis::{davis_sequence, davis_train_suite, SuiteConfig};
 use vrd_video::Sequence;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
+const CAPACITIES: [Option<usize>; 4] = [Some(1), Some(2), Some(4), None];
 const SEQ_NAMES: [&str; 4] = ["cows", "dog", "goat", "parkour"];
+
+fn trained(task: TrainTask) -> VrDann {
+    let cfg = SuiteConfig::tiny();
+    let train = davis_train_suite(&cfg, 2);
+    let vr_cfg = VrDannConfig {
+        nns_hidden: 4,
+        ..VrDannConfig::default()
+    };
+    VrDann::train(&train, task, vr_cfg).unwrap()
+}
 
 fn seg_model() -> &'static VrDann {
     static MODEL: OnceLock<VrDann> = OnceLock::new();
-    MODEL.get_or_init(|| {
-        let cfg = SuiteConfig::tiny();
-        let train = davis_train_suite(&cfg, 2);
-        VrDann::train(
-            &train,
-            TrainTask::Segmentation,
-            VrDannConfig {
-                nns_hidden: 4,
-                ..VrDannConfig::default()
-            },
-        )
-        .unwrap()
-    })
+    MODEL.get_or_init(|| trained(TrainTask::Segmentation))
 }
 
-/// The same trained NN-S redeployed under a different codec configuration
+/// The same trained NN-S redeployed under a different configuration
 /// (GOP shape randomisation without retraining per case).
-fn with_codec(model: &VrDann, codec: CodecConfig) -> VrDann {
-    let cfg = VrDannConfig {
-        codec,
-        ..*model.config()
-    };
+fn redeploy(model: &VrDann, cfg: VrDannConfig) -> VrDann {
     VrDann::from_parts(cfg, &model.export_nns()).unwrap()
-}
-
-fn assert_seg_identical(seq_run: &SegmentationRun, pipe_run: &SegmentationRun, label: &str) {
-    assert_eq!(seq_run.masks, pipe_run.masks, "masks diverged: {label}");
-    assert_eq!(seq_run.trace, pipe_run.trace, "trace diverged: {label}");
-    assert_eq!(
-        seq_run.concealment, pipe_run.concealment,
-        "concealment diverged: {label}"
-    );
-    assert_eq!(
-        seq_run.peak_live_frames, pipe_run.peak_live_frames,
-        "live-frame accounting diverged: {label}"
-    );
-    assert_eq!(
-        seq_run.peak_live_features, pipe_run.peak_live_features,
-        "feature accounting diverged: {label}"
-    );
-}
-
-fn assert_det_identical(seq_run: &DetectionRun, pipe_run: &DetectionRun, label: &str) {
-    assert_eq!(
-        seq_run.detections, pipe_run.detections,
-        "detections diverged: {label}"
-    );
-    assert_eq!(seq_run.trace, pipe_run.trace, "trace diverged: {label}");
-    assert_eq!(
-        seq_run.concealment, pipe_run.concealment,
-        "concealment diverged: {label}"
-    );
 }
 
 fn random_codec(gop_sel: usize, bmode_sel: usize) -> CodecConfig {
@@ -95,38 +70,133 @@ fn pick_sequence(seq_sel: usize, frames: usize) -> Sequence {
     davis_sequence(SEQ_NAMES[seq_sel % SEQ_NAMES.len()], &cfg).unwrap()
 }
 
+fn damaged(encoded: &EncodedVideo, seed: u64, rate: f64, kinds: &[FaultKind]) -> PacketStream {
+    let stream = vrd_codec::packetize(&encoded.bitstream).unwrap();
+    let faults = FaultConfig {
+        seed,
+        rate,
+        kinds: kinds.to_vec(),
+        b_frames_only: false,
+        protect_first_i: true,
+    };
+    let (damaged, log) = inject(&stream, &faults);
+    assert!(!log.events.is_empty(), "no faults planted at rate {rate}");
+    damaged
+}
+
+/// The single check: task `T` over `input` without lanes, then with lanes
+/// at every thread count × `capacities`; every laned run must equal the
+/// inline one and keep its in-flight units within the channel capacity.
+fn check_lanes<'s, T>(
+    model: &VrDann,
+    seq: &'s Sequence,
+    input: RunInput<'_>,
+    capacities: &[Option<usize>],
+    label: &str,
+) where
+    T: StreamTask<'s>,
+    T::Output: PartialEq + Debug,
+{
+    let inline = model.run::<T>(seq, input, None).unwrap();
+    assert_eq!(inline.outputs.len(), seq.len(), "{label}");
+    assert_eq!(inline.peak_inflight_units, 0, "{label}: no lanes, no queue");
+    for threads in THREADS {
+        for &channel_capacity in capacities {
+            let opts = PipelineOptions {
+                threads: Some(threads),
+                channel_capacity,
+            };
+            let at = format!("{label}, {threads} threads, capacity {channel_capacity:?}");
+            let laned = model.run::<T>(seq, input, Some(&opts)).unwrap();
+            assert_eq!(inline.outputs, laned.outputs, "outputs diverged: {at}");
+            assert_eq!(inline.trace, laned.trace, "trace diverged: {at}");
+            assert_eq!(
+                inline.concealment, laned.concealment,
+                "concealment diverged: {at}"
+            );
+            assert_eq!(
+                inline.peak_live_frames, laned.peak_live_frames,
+                "live-frame accounting diverged: {at}"
+            );
+            assert_eq!(
+                inline.peak_live_features, laned.peak_live_features,
+                "feature accounting diverged: {at}"
+            );
+            assert!(
+                laned.peak_inflight_units <= channel_capacity.unwrap_or(8),
+                "{} units in flight: {at}",
+                laned.peak_inflight_units
+            );
+        }
+    }
+}
+
+#[test]
+fn every_task_and_input_is_lane_invariant() {
+    let seg = seg_model();
+    let seq = pick_sequence(0, 48);
+    let encoded = seg.encode(&seq).unwrap();
+    let res = ResilienceOptions {
+        nns_failure_rate: 0.1,
+        seed: 0xfa17,
+    };
+    let kinds = [FaultKind::DropFrame, FaultKind::DropBMvs];
+    let lossy = damaged(&encoded, 0xdec0de, 0.25, &kinds);
+    let strict = RunInput::Strict(&encoded);
+    let resilient = RunInput::Resilient(&lossy, &res);
+    check_lanes::<SegTask>(seg, &seq, strict, &CAPACITIES, "strict seg");
+    check_lanes::<SegTask>(seg, &seq, resilient, &CAPACITIES, "resilient seg");
+    check_lanes::<FeatPropTask>(seg, &seq, strict, &CAPACITIES, "strict featprop");
+    check_lanes::<FeatPropTask>(seg, &seq, resilient, &CAPACITIES, "resilient featprop");
+    // The damage costs anchors, and B-frames naming a lost anchor go down
+    // the mask-space ladder instead of failing the feature warp.
+    let fp = seg.run::<FeatPropTask>(&seq, resilient, None).unwrap();
+    assert!(fp.concealment.anchors_lost > 0, "{}", fp.concealment);
+    let propagated = |f: &TraceFrame| matches!(f.kind, ComputeKind::FeatHead { .. });
+    assert!(
+        fp.trace.frames.iter().any(propagated),
+        "nothing propagated in feature space"
+    );
+
+    let det = trained(TrainTask::Detection);
+    let seq = davis_sequence("camel", &SuiteConfig::tiny()).unwrap();
+    let encoded = det.encode(&seq).unwrap();
+    let lossy = damaged(&encoded, 0xdec0de, 0.25, &kinds);
+    let strict = RunInput::Strict(&encoded);
+    let resilient = RunInput::Resilient(&lossy, &res);
+    check_lanes::<DetTask>(&det, &seq, strict, &CAPACITIES, "strict det");
+    check_lanes::<DetTask>(&det, &seq, resilient, &CAPACITIES, "resilient det");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
-    fn strict_pipelined_matches_sequential(
+    fn random_gop_shapes_are_lane_invariant_strict(
         gop_sel in 0usize..3,
         bmode_sel in 0usize..9,
         seq_sel in 0usize..4,
         frames in 24usize..56,
         cap in 1usize..9,
     ) {
-        let model = with_codec(seg_model(), random_codec(gop_sel, bmode_sel));
+        let base = seg_model();
+        let model = redeploy(base, VrDannConfig {
+            codec: random_codec(gop_sel, bmode_sel),
+            ..*base.config()
+        });
         let seq = pick_sequence(seq_sel, frames);
         let encoded = model.encode(&seq).unwrap();
-        let baseline = model.run_segmentation(&seq, &encoded).unwrap();
-        for threads in THREADS {
-            let opts = PipelineOptions {
-                threads: Some(threads),
-                channel_capacity: Some(cap),
-            };
-            let piped = model.run_segmentation_pipelined(&seq, &encoded, &opts).unwrap();
-            assert_seg_identical(
-                &baseline,
-                &piped,
-                &format!("strict seg, {threads} threads, cap {cap}"),
-            );
-            prop_assert_eq!(piped.peak_inflight_units <= cap, true);
-        }
+        check_lanes::<SegTask>(
+            &model,
+            &seq,
+            RunInput::Strict(&encoded),
+            &[Some(cap)],
+            &format!("strict seg, gop {gop_sel}/{bmode_sel}, {frames} frames"),
+        );
     }
 
     #[test]
-    fn concealing_pipelined_matches_sequential(
+    fn random_gop_shapes_are_lane_invariant_under_damage(
         gop_sel in 0usize..3,
         bmode_sel in 0usize..9,
         seq_sel in 0usize..4,
@@ -134,131 +204,42 @@ proptest! {
         rate_pct in 5u64..35,
         nns_fail_pct in 0u64..30,
     ) {
-        let model = with_codec(seg_model(), random_codec(gop_sel, bmode_sel));
+        let base = seg_model();
+        let model = redeploy(base, VrDannConfig {
+            codec: random_codec(gop_sel, bmode_sel),
+            ..*base.config()
+        });
         let seq = pick_sequence(seq_sel, 48);
         let encoded = model.encode(&seq).unwrap();
-        let stream = vrd_codec::packetize(&encoded.bitstream).unwrap();
-        let faults = FaultConfig {
-            seed: fault_seed,
-            rate: rate_pct as f64 / 100.0,
-            kinds: vec![
-                FaultKind::DropFrame,
-                FaultKind::DropBMvs,
-                FaultKind::Truncate,
-            ],
-            b_frames_only: false,
-            protect_first_i: true,
-        };
-        let (damaged, _log) = inject(&stream, &faults);
+        let kinds = [FaultKind::DropFrame, FaultKind::DropBMvs, FaultKind::Truncate];
+        let lossy = damaged(&encoded, fault_seed, rate_pct as f64 / 100.0, &kinds);
         let res = ResilienceOptions {
             nns_failure_rate: nns_fail_pct as f64 / 100.0,
             seed: fault_seed ^ 0x5eed,
         };
-        let baseline = model.run_segmentation_resilient(&seq, &damaged, &res).unwrap();
-        for threads in THREADS {
-            let opts = PipelineOptions {
-                threads: Some(threads),
-                channel_capacity: None,
-            };
-            let piped = model
-                .run_segmentation_resilient_pipelined(&seq, &damaged, &res, &opts)
-                .unwrap();
-            assert_seg_identical(
-                &baseline,
-                &piped,
-                &format!("concealing seg, {threads} threads, rate {rate_pct}%"),
-            );
-        }
-    }
-}
-
-#[test]
-fn detection_pipelined_matches_sequential_strict_and_resilient() {
-    let cfg = SuiteConfig::tiny();
-    let train = davis_train_suite(&cfg, 2);
-    let model = VrDann::train(
-        &train,
-        TrainTask::Detection,
-        VrDannConfig {
-            nns_hidden: 4,
-            ..VrDannConfig::default()
-        },
-    )
-    .unwrap();
-    let seq = davis_sequence("camel", &cfg).unwrap();
-    let encoded = model.encode(&seq).unwrap();
-
-    let baseline = model.run_detection(&seq, &encoded).unwrap();
-    for threads in THREADS {
-        let opts = PipelineOptions {
-            threads: Some(threads),
-            channel_capacity: Some(4),
-        };
-        let piped = model
-            .run_detection_pipelined(&seq, &encoded, &opts)
-            .unwrap();
-        assert_det_identical(&baseline, &piped, &format!("strict det, {threads} threads"));
-    }
-
-    let stream = vrd_codec::packetize(&encoded.bitstream).unwrap();
-    let faults = FaultConfig {
-        seed: 0xdec0de,
-        rate: 0.25,
-        kinds: vec![FaultKind::DropFrame, FaultKind::DropBMvs],
-        b_frames_only: false,
-        protect_first_i: true,
-    };
-    let (damaged, _log) = inject(&stream, &faults);
-    let res = ResilienceOptions {
-        nns_failure_rate: 0.1,
-        seed: 0xfa17,
-    };
-    let baseline = model.run_detection_resilient(&seq, &damaged, &res).unwrap();
-    for threads in THREADS {
-        let opts = PipelineOptions {
-            threads: Some(threads),
-            channel_capacity: Some(4),
-        };
-        let piped = model
-            .run_detection_resilient_pipelined(&seq, &damaged, &res, &opts)
-            .unwrap();
-        assert_det_identical(
-            &baseline,
-            &piped,
-            &format!("resilient det, {threads} threads"),
+        check_lanes::<SegTask>(
+            &model,
+            &seq,
+            RunInput::Resilient(&lossy, &res),
+            &[None],
+            &format!("resilient seg, seed {fault_seed}, rate {rate_pct}%"),
         );
     }
 }
 
 #[test]
-fn featprop_pipelined_matches_sequential() {
-    let model = seg_model();
-    let seq = pick_sequence(0, 48);
-    let encoded = model.encode(&seq).unwrap();
-    let baseline = model.run_feature_propagation(&seq, &encoded).unwrap();
-    for threads in THREADS {
-        let opts = PipelineOptions {
-            threads: Some(threads),
-            channel_capacity: Some(4),
-        };
-        let piped = model
-            .run_feature_propagation_pipelined(&seq, &encoded, &opts)
-            .unwrap();
-        assert_seg_identical(&baseline, &piped, &format!("featprop, {threads} threads"));
-    }
-}
-
-#[test]
-fn adaptive_fallback_pipelined_matches_sequential() {
+fn adaptive_fallback_barrier_is_lane_invariant() {
     // The fallback reroutes fast B-frames through NN-L mid-GOP, mutating
-    // the reference window — the pipelined executor must flush its wave at
-    // exactly that point to keep earlier B-frames' sandwiches identical.
+    // the reference window — the driver must flush its wave at exactly
+    // that point to keep earlier B-frames' sandwiches identical.
     let base = seg_model();
-    let cfg = VrDannConfig {
-        fallback_mv_threshold: Some(1.5),
-        ..*base.config()
-    };
-    let model = VrDann::from_parts(cfg, &base.export_nns()).unwrap();
+    let model = redeploy(
+        base,
+        VrDannConfig {
+            fallback_mv_threshold: Some(1.5),
+            ..*base.config()
+        },
+    );
     let seq = pick_sequence(3, 48); // parkour: fast motion
     let encoded = model.encode(&seq).unwrap();
     let baseline = model.run_segmentation(&seq, &encoded).unwrap();
@@ -271,14 +252,165 @@ fn adaptive_fallback_pipelined_matches_sequential() {
             .any(|f| f.kind.uses_large_model()),
         "fallback rerouted nothing; the barrier under test never fired"
     );
-    for threads in THREADS {
+    check_lanes::<SegTask>(
+        &model,
+        &seq,
+        RunInput::Strict(&encoded),
+        &[Some(2)],
+        "fallback",
+    );
+}
+
+/// What an observer sees over one drive: the `(unit_index, StepWork)`
+/// sequence, the engine checkpoint at every large-model step, and the steps
+/// at which `checkpoint()` refused because deferred jobs were pending.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    steps: Vec<(usize, StepWork)>,
+    checkpoints: Vec<String>,
+    refused_at: Vec<usize>,
+}
+
+fn observe<S: FrameSource + Send, P: FaultPolicy>(
+    model: &VrDann,
+    seq: &Sequence,
+    source: S,
+    policy: P,
+    prepopulate: &[u32],
+    lanes: Option<&PipelineOptions>,
+) -> Observed {
+    let task = SegTask::for_stream(seq, model.config(), &source.info());
+    let engine = PipelineEngine::new(model.config(), model.nns(), task, policy);
+    let mut seen = Observed {
+        steps: Vec::new(),
+        checkpoints: Vec::new(),
+        refused_at: Vec::new(),
+    };
+    engine
+        .drive(source, prepopulate, lanes, |engine, k, work| {
+            seen.steps.push((k, work));
+            match engine.checkpoint() {
+                // `EngineCheckpoint` has no `PartialEq`; its `Debug` form
+                // spells out every field.
+                Ok(ckpt) if work.uses_large_model => seen.checkpoints.push(format!("{ckpt:?}")),
+                Ok(_) => {}
+                Err(e) => {
+                    assert!(!work.uses_large_model, "refused at a barrier step: {e}");
+                    assert!(e.to_string().contains("pending"), "{e}");
+                    seen.refused_at.push(k);
+                }
+            }
+            Ok(())
+        })
+        .unwrap();
+    seen
+}
+
+#[test]
+fn observer_and_anchor_checkpoints_are_lane_invariant() {
+    let model = seg_model();
+    let seq = pick_sequence(1, 48);
+    let encoded = model.encode(&seq).unwrap();
+    let res = ResilienceOptions {
+        nns_failure_rate: 0.2,
+        seed: 0xfa17,
+    };
+    let lossy = damaged(
+        &encoded,
+        7,
+        0.2,
+        &[FaultKind::DropFrame, FaultKind::DropBMvs],
+    );
+    let strict = |lanes: Option<&PipelineOptions>| {
+        let source = StrictFrameSource::new(&encoded.bitstream).unwrap();
+        observe(model, &seq, source, StrictPolicy::default(), &[], lanes)
+    };
+    let resilient = |lanes: Option<&PipelineOptions>| {
+        let source = ResilientFrameSource::new(&lossy).unwrap();
+        let prepopulate = source.usable_anchor_displays().to_vec();
+        let policy = ConcealingPolicy::new(&res);
+        observe(model, &seq, source, policy, &prepopulate, lanes)
+    };
+    for (label, run) in [
+        (
+            "strict",
+            &strict as &dyn Fn(Option<&PipelineOptions>) -> Observed,
+        ),
+        ("resilient", &resilient),
+    ] {
+        let inline = run(None);
+        assert!(
+            inline.refused_at.is_empty(),
+            "{label}: nothing is deferred inline"
+        );
+        assert!(inline.checkpoints.len() >= 2, "{label}: too few anchors");
+        for threads in THREADS {
+            let opts = PipelineOptions {
+                threads: Some(threads),
+                channel_capacity: Some(2),
+            };
+            let laned = run(Some(&opts));
+            assert_eq!(inline.steps, laned.steps, "{label}, {threads} threads");
+            assert_eq!(
+                inline.checkpoints, laned.checkpoints,
+                "{label}, {threads} threads"
+            );
+            assert!(
+                !laned.refused_at.is_empty(),
+                "{label}, {threads} threads: checkpoint() ignored pending jobs"
+            );
+        }
+    }
+}
+
+/// A strict source whose third `next_unit` panics.
+struct PanicsOnThird(StrictFrameSource, usize);
+
+impl FrameSource for PanicsOnThird {
+    fn info(&self) -> StreamInfo {
+        self.0.info()
+    }
+    fn next_unit(&mut self) -> Option<vrd_codec::Result<DecodedUnit>> {
+        self.1 += 1;
+        assert!(self.1 < 3, "source double gave out on unit {}", self.1);
+        self.0.next_unit()
+    }
+    fn live_frames(&self) -> usize {
+        self.0.live_frames()
+    }
+    fn peak_live_frames(&self) -> usize {
+        self.0.peak_live_frames()
+    }
+    fn totals(&self) -> StreamTotals {
+        self.0.totals()
+    }
+}
+
+#[test]
+fn panicking_decode_lane_is_an_error_not_a_crash() {
+    let model = seg_model();
+    let seq = pick_sequence(0, 24);
+    let encoded = model.encode(&seq).unwrap();
+    let drive = |lanes: Option<&PipelineOptions>| {
+        let source = PanicsOnThird(StrictFrameSource::new(&encoded.bitstream).unwrap(), 0);
+        let task = SegTask::for_stream(&seq, model.config(), &source.info());
+        PipelineEngine::new(model.config(), model.nns(), task, StrictPolicy::default())
+            .drive(source, &[], lanes, |_, _, _| Ok(()))
+            .map(|run| run.outputs.len())
+    };
+    for threads in [1, 4] {
         let opts = PipelineOptions {
             threads: Some(threads),
-            channel_capacity: Some(2),
+            channel_capacity: None,
         };
-        let piped = model
-            .run_segmentation_pipelined(&seq, &encoded, &opts)
-            .unwrap();
-        assert_seg_identical(&baseline, &piped, &format!("fallback, {threads} threads"));
+        let err = drive(Some(&opts)).expect_err("a panicked lane cannot finish the run");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("decode lane panicked") && msg.contains("gave out on unit 3"),
+            "{threads} threads: {msg}"
+        );
     }
+    // Without lanes the source runs on the caller's thread: a plain unwind.
+    let unwound = catch_unwind(AssertUnwindSafe(|| drive(None)));
+    assert!(unwound.is_err(), "inline panic was swallowed");
 }

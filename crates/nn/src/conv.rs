@@ -1,16 +1,16 @@
 //! 2D convolution with backpropagation.
 //!
 //! The forward kernel is row-tiled: for each output row it holds a
-//! [`CO_BLOCK`]-channel × [`TILE_W`]-column block of accumulators in
+//! `CO_BLOCK`-channel × `TILE_W`-column block of accumulators in
 //! registers across every `(ci, ky, kx)` tap, so the input streams through
-//! the cache once per row instead of once per tap (see [`tile`]). The
+//! the cache once per row instead of once per tap (see `tile`). The
 //! backward kernels apply each tap as a slice AXPY over a whole row. Either
 //! way the tap order per element is identical to the naive triple loop (see
-//! [`reference`]) and every tap is a multiply followed by an add, so the
+//! [`mod@reference`]) and every tap is a multiply followed by an add, so the
 //! optimised kernels are **bit-exact** with the reference — pinned by
 //! property tests in `tests/conv_equivalence.rs`.
 //!
-//! Work above [`PAR_MIN_MACS`] is split across cores via `vrd-runtime`
+//! Work above `PAR_MIN_MACS` is split across cores via `vrd-runtime`
 //! (forward: per band of output rows; backward: per output channel for
 //! weight gradients, per input channel for the input gradient). The
 //! partitions write disjoint buffers in unchanged per-element order, so

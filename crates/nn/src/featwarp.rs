@@ -21,7 +21,7 @@
 //!
 //! The optimized kernel hoists the per-column tap indices/weights out of
 //! the channel and row loops and samples whole rows through precomputed
-//! slices; [`reference`] retains the naive per-cell implementation with the
+//! slices; [`mod@reference`] retains the naive per-cell implementation with the
 //! identical floating-point expression, and the proptest suite
 //! (`tests/featwarp_equivalence.rs`) pins the two bit-exact.
 
@@ -260,7 +260,7 @@ fn check_geometry(out: &FeatureMap, src: &WarpSource<'_>) {
 }
 
 /// Naive per-cell warp, retained as the equivalence oracle for
-/// [`warp_block`](super::warp_block). Every floating-point expression is
+/// [`warp_block`]. Every floating-point expression is
 /// spelled the same way as the optimized kernel so the pair stays
 /// bit-exact; only the loop structure (per-cell tap recomputation, checked
 /// `get`/`set` indexing) differs.

@@ -14,7 +14,7 @@
 //!   (`2 · 127 · 127 < 2^15`);
 //! * **accumulation** — exact `i32` dot products. Integer addition is
 //!   associative, so the SIMD kernels are **bit-exact** with the naive
-//!   [`reference`] kernel (pinned by `tests/quant_equivalence.rs`) — a
+//!   [`mod@reference`] kernel (pinned by `tests/quant_equivalence.rs`) — a
 //!   stronger guarantee than the f32 path, which had to match accumulation
 //!   order;
 //! * **requantization** — between layers a TFLite-style fixed-point

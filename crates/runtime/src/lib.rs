@@ -161,15 +161,15 @@ where
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("map worker never panics"))
+            // A worker that panicked re-raises here with its own payload;
+            // the scope joins the rest while this thread unwinds.
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
             .collect()
     });
-    scatter(items.len(), per_worker)
-}
-
-/// Puts `(index, result)` pairs collected by workers back in item order.
-fn scatter<R>(len: usize, per_worker: Vec<Vec<(usize, R)>>) -> Vec<R> {
-    let mut results: Vec<Option<R>> = (0..len).map(|_| None).collect();
+    let mut results: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
     for (i, r) in per_worker.into_iter().flatten() {
         results[i] = Some(r);
     }
@@ -177,55 +177,6 @@ fn scatter<R>(len: usize, per_worker: Vec<Vec<(usize, R)>>) -> Vec<R> {
         .into_iter()
         .map(|r| r.expect("every slot is filled by its worker"))
         .collect()
-}
-
-/// Order-preserving parallel map with **striped** work assignment: worker
-/// `w` of `T` processes items `w, w+T, w+2T, …`.
-///
-/// [`parallel_map_with`] lets workers claim items as they go, so which
-/// worker runs an item depends on timing. Striping fixes the assignment
-/// (the same items always share a worker, whatever the machine is doing)
-/// while still interleaving cheap and expensive items when costs are skewed
-/// (e.g. fleet shard replay, where one hot shard can hold most of the
-/// frames). Results are keyed by item index, so the output never depends on
-/// the thread count.
-pub fn parallel_map_striped<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let threads = threads.max(1).min(items.len());
-    if threads == 1 {
-        return items.iter().map(f).collect();
-    }
-    let budget = child_budget(threads);
-    let f = &f;
-    let per_worker: Vec<Vec<(usize, R)>> = thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                s.spawn(move || {
-                    with_thread_budget(budget, || {
-                        items
-                            .iter()
-                            .enumerate()
-                            .skip(w)
-                            .step_by(threads)
-                            .map(|(i, item)| (i, f(item)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("striped worker never panics"))
-            .collect()
-    });
-    scatter(items.len(), per_worker)
 }
 
 /// Thread-pool sizing for a batch of `jobs` independent work items: the
@@ -429,17 +380,17 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_striped_is_thread_count_invariant() {
-        let items: Vec<u64> = (0..101).collect();
-        let expect: Vec<u64> = items.iter().map(|&x| x * 3 + 1).collect();
-        for threads in [1, 2, 3, 8, 200] {
-            assert_eq!(
-                parallel_map_striped(&items, threads, |&x| x * 3 + 1),
-                expect
-            );
-        }
-        let empty: Vec<u64> = vec![];
-        assert!(parallel_map_striped(&empty, 4, |&x| x).is_empty());
+    fn parallel_map_reraises_a_worker_panic_with_its_payload() {
+        let items: Vec<u32> = (0..8).collect();
+        let caught = std::panic::catch_unwind(|| {
+            parallel_map_with(&items, 2, |&x| {
+                assert!(x != 5, "item {x} is poison");
+                x
+            })
+        });
+        let payload = caught.expect_err("the worker's panic must reach the caller");
+        let msg = payload.downcast_ref::<String>().expect("assert! message");
+        assert!(msg.contains("item 5 is poison"), "{msg}");
     }
 
     #[test]

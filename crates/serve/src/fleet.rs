@@ -31,8 +31,8 @@
 //! 2. **Replay** — every shard's final session set is instantiated from
 //!    its stream template ([`crate::session::SessionTemplate`], a prefix
 //!    for churned sessions) and replayed through the shared-NPU event loop
-//!    in parallel (striped across workers — shard costs are skewed by
-//!    construction, so contiguous chunking would serialise the hot tail).
+//!    in parallel (workers claim shards one at a time — shard costs are
+//!    skewed by construction, so fixed chunks would serialise the hot tail).
 //!    A shard created at `t` starts serving at
 //!    `t + `[`vrd_sim::SimConfig::shard_spinup_ns`] — autoscaling pays its
 //!    provisioning latency on the simulated clock, not for free.
@@ -626,7 +626,7 @@ pub fn run_fleet(
         .collect();
     let threads = vrd_runtime::pool_threads(cfg.threads, jobs.len());
     let replays: Vec<Result<(ScheduleOutcome, Vec<f64>)>> =
-        vrd_runtime::parallel_map_striped(&jobs, threads, |(si, driven)| {
+        vrd_runtime::parallel_map_with(&jobs, threads, |(si, driven)| {
             let sched = SchedConfig {
                 npu_available_ns: shards[*si].created_ns + spinup_ns,
                 ..cfg.sched

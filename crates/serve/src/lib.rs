@@ -82,7 +82,6 @@ pub use sched::{
 };
 pub use server::{admit_and_drive, serve, ServeConfig, ServeReport, SessionReport};
 pub use session::{
-    drive_session, drive_session_checkpointed, drive_session_pipelined, drive_template,
-    drive_template_pipelined, DrivenSession, SessionCheckpoint, SessionSpec, SessionState,
-    SessionTemplate, TemplateItem, WorkItem,
+    drive_session, drive_session_checkpointed, drive_template, DrivenSession, SessionCheckpoint,
+    SessionSpec, SessionState, SessionTemplate, TemplateItem, WorkItem,
 };

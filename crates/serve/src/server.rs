@@ -14,9 +14,7 @@ use crate::admission::{
 };
 use crate::error::{Result, ServeError};
 use crate::sched::{schedule, SchedConfig, SchedPolicy, ScheduleOutcome};
-use crate::session::{
-    drive_session, drive_session_pipelined, DrivenSession, SessionSpec, SessionState,
-};
+use crate::session::{drive_template, DrivenSession, SessionSpec, SessionState};
 use vr_dann::{PipelineOptions, VrDann};
 use vrd_codec::EncodedVideo;
 use vrd_nn::LargeNet;
@@ -164,12 +162,8 @@ pub fn admit_and_drive(
     let driven: Vec<vr_dann::Result<DrivenSession>> =
         vrd_runtime::parallel_map_with(&admitted_jobs, threads, |&(session, r, spec)| {
             let (seq, encoded) = requests[r];
-            match &cfg.pipeline {
-                Some(pipe) => {
-                    drive_session_pipelined(model, session, seq, encoded, &spec, &cfg.sim, pipe)
-                }
-                None => drive_session(model, session, seq, encoded, &spec, &cfg.sim),
-            }
+            let template = drive_template(model, seq, encoded, &cfg.sim, cfg.pipeline.as_ref())?;
+            Ok(template.instantiate(session, &spec))
         });
     let mut sessions_driven = Vec::with_capacity(driven.len());
     for (d, &(session, r, _)) in driven.into_iter().zip(&admitted_jobs) {

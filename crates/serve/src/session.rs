@@ -3,8 +3,8 @@
 //!
 //! The session driver is where the real recognition work happens — it pulls
 //! [`DecodedUnit`](vrd_codec::DecodedUnit)s from a
-//! [`StrictFrameSource`](vrd_codec::StrictFrameSource) and advances the
-//! engine one `step()` at a time, so NN-L/NN-S actually run and the masks
+//! [`StrictFrameSource`] through the engine's own driver
+//! ([`PipelineEngine::drive`]), so NN-L/NN-S actually run and the masks
 //! are produced exactly as a standalone
 //! [`run_segmentation`](vr_dann::VrDann::run_segmentation) call would.
 //! Alongside the compute it clocks a per-session *decoder lane* with
@@ -14,12 +14,11 @@
 //! extraction otherwise), and every emitted [`WorkItem`] carries the
 //! hand-over instant the shared-NPU scheduler replays.
 
-use vr_dann::engine::{SegTask, StrictPolicy};
 use vr_dann::{
-    ComputeMode, EngineCheckpoint, PipelineEngine, PipelineOptions, PipelineWave, Result, VrDann,
+    ComputeMode, EngineCheckpoint, PipelineEngine, PipelineOptions, Result, SegTask, StreamTask,
+    StrictPolicy, VrDann,
 };
 use vrd_codec::{EncodedVideo, FrameSource, FrameType, StrictFrameSource};
-use vrd_nn::LargeNet;
 use vrd_sim::{simulate_stream, ExecMode, ParallelOptions, SimConfig};
 use vrd_video::Sequence;
 
@@ -158,9 +157,8 @@ pub struct SessionTemplate {
 }
 
 impl SessionTemplate {
-    /// Stamps the full template for one session spec. Byte-identical to
-    /// driving the stream live under the same spec (pinned by
-    /// `template_instantiation_matches_live_drive`).
+    /// Stamps the full template for one session spec — the only place the
+    /// decoder-lane stamping arithmetic exists.
     pub fn instantiate(&self, session: usize, spec: &SessionSpec) -> DrivenSession {
         self.instantiate_prefix(session, spec, self.items.len())
     }
@@ -226,9 +224,21 @@ impl SessionTemplate {
     }
 }
 
+/// The engine configuration every session runs: strict segmentation.
+type SessionEngine<'a> = PipelineEngine<'a, SegTask<'a>, StrictPolicy>;
+
 /// Drives one stream through the engine and captures it as a reusable
 /// [`SessionTemplate`]: the real compute runs exactly once, every
 /// [`SessionSpec`] instantiation afterwards is pure arithmetic.
+///
+/// `lanes` is handed to [`PipelineEngine::drive`] unchanged: `None` runs
+/// the session on the caller's thread, `Some` puts its decoder on a lane of
+/// its own and fans B-frame reconstruction out. The captured template is
+/// **byte-identical** either way — every [`TemplateItem`] derives from the
+/// engine's plan-time [`StepWork`](vr_dann::StepWork), which executes sequentially in decode
+/// order — so the shared-NPU scheduler's accounting (ops, model residency,
+/// switch counts, decoder service times) never depends on how the session
+/// was driven. Pinned by `lanes_do_not_change_the_schedule`.
 ///
 /// # Errors
 /// Propagates bitstream decode errors and engine reconstruction failures.
@@ -237,29 +247,30 @@ pub fn drive_template(
     seq: &Sequence,
     encoded: &EncodedVideo,
     sim: &SimConfig,
+    lanes: Option<&PipelineOptions>,
 ) -> Result<SessionTemplate> {
-    let mut source = StrictFrameSource::new(&encoded.bitstream)?;
+    drive_observed(model, seq, encoded, sim, lanes, |_, _| Ok(()))
+}
+
+/// [`drive_template`] with a hook on the engine driver's observer: after
+/// each emission `after_item` sees the engine and the items so far, the
+/// one just emitted last.
+fn drive_observed(
+    model: &VrDann,
+    seq: &Sequence,
+    encoded: &EncodedVideo,
+    sim: &SimConfig,
+    lanes: Option<&PipelineOptions>,
+    mut after_item: impl FnMut(&SessionEngine<'_>, &[TemplateItem]) -> Result<()>,
+) -> Result<SessionTemplate> {
+    let source = StrictFrameSource::new(&encoded.bitstream)?;
     let info = source.info();
-    let task = SegTask::new(
-        seq,
-        LargeNet::new(model.config().segment_profile),
-        model.config().seed,
-        &info,
-    );
-    let mut engine =
-        PipelineEngine::new(model.config(), model.nns(), task, StrictPolicy::default());
-    engine.prime(&info, &[]);
+    let task = SegTask::for_stream(seq, model.config(), &info);
+    let engine = PipelineEngine::new(model.config(), model.nns(), task, StrictPolicy::default());
 
     let px = (info.width * info.height) as f64;
     let mut items: Vec<TemplateItem> = Vec::with_capacity(info.n_frames);
-    let mut k = 0usize;
-    while let Some(unit) = source.next_unit() {
-        let unit = unit?;
-        let arrive_idx = k;
-        k += 1;
-        let Some(work) = engine.step(unit)? else {
-            continue;
-        };
+    let run = engine.drive(source, &[], lanes, |engine, arrive_idx, work| {
         let cpp = if work.full_decode {
             sim.decoder.cycles_per_pixel_full
         } else {
@@ -273,117 +284,8 @@ pub fn drive_template(
             arrive_idx,
             decode_ns: px * cpp / sim.decoder.freq_hz * 1e9,
         });
-    }
-    let totals = source.totals();
-    let peak = source.peak_live_frames();
-    let run = engine.finish(totals, peak)?;
-    let isolated = simulate_stream(
-        run.trace.frames.iter(),
-        run.trace.scheme,
-        run.trace.width,
-        run.trace.height,
-        run.trace.mb_size,
-        ExecMode::VrDannParallel(ParallelOptions::default()),
-        sim,
-    );
-    Ok(SessionTemplate {
-        name: seq.name.clone(),
-        compute: model.config().compute,
-        frames: run.outputs.len(),
-        peak_live_frames: run.peak_live_frames,
-        total_ops: run.trace.total_ops(),
-        switches_in_order: run.trace.model_switches_in_order(),
-        isolated_ns: isolated.total_ns,
-        items,
-    })
-}
-
-/// [`drive_template`] on the engine's two-lane pipelined executor: a
-/// decode-lane thread owns the [`StrictFrameSource`] and feeds units
-/// through a bounded stage channel while this thread plans them and fans
-/// B-frame reconstruction out wave-front-style
-/// ([`PipelineEngine::step_pipelined`]).
-///
-/// The captured template is **byte-identical** to the sequential
-/// [`drive_template`] — every [`TemplateItem`] derives from the engine's
-/// plan-time [`StepWork`](vr_dann::StepWork), which executes sequentially
-/// in decode order on both paths, so the shared-NPU scheduler's accounting
-/// (ops, model residency, switch counts, decoder service times) never
-/// depends on how the session was driven. Pinned by
-/// `pipelined_drive_emits_identical_schedule`.
-///
-/// # Errors
-/// Propagates bitstream decode errors and engine reconstruction failures.
-pub fn drive_template_pipelined(
-    model: &VrDann,
-    seq: &Sequence,
-    encoded: &EncodedVideo,
-    sim: &SimConfig,
-    pipe: &PipelineOptions,
-) -> Result<SessionTemplate> {
-    let source = StrictFrameSource::new(&encoded.bitstream)?;
-    let info = source.info();
-    let task = SegTask::new(
-        seq,
-        LargeNet::new(model.config().segment_profile),
-        model.config().seed,
-        &info,
-    );
-    let mut engine =
-        PipelineEngine::new(model.config(), model.nns(), task, StrictPolicy::default());
-    engine.prime(&info, &[]);
-
-    let px = (info.width * info.height) as f64;
-    let mut wave = PipelineWave::new(pipe.resolved_threads());
-    let mut items: Vec<TemplateItem> = Vec::with_capacity(info.n_frames);
-    let (tx, rx) = vrd_runtime::stage_channel(pipe.resolved_capacity());
-    let (stepped, totals, peak) = std::thread::scope(|s| {
-        let decode_lane = s.spawn(move || {
-            let mut source = source;
-            let mut k = 0usize;
-            while let Some(unit) = source.next_unit() {
-                let fatal = unit.is_err();
-                if tx.send((k, unit)).is_err() || fatal {
-                    break;
-                }
-                k += 1;
-            }
-            (source.totals(), source.peak_live_frames())
-        });
-        let mut stepped = Ok(());
-        while let Some((arrive_idx, unit)) = rx.recv() {
-            let advanced = (|| -> Result<()> {
-                let Some(work) = engine.step_pipelined(unit?, &mut wave)? else {
-                    return Ok(());
-                };
-                let cpp = if work.full_decode {
-                    sim.decoder.cycles_per_pixel_full
-                } else {
-                    sim.decoder.cycles_per_pixel_mv
-                };
-                items.push(TemplateItem {
-                    display: work.display,
-                    ftype: work.ftype,
-                    ops: work.ops,
-                    uses_large_model: work.uses_large_model,
-                    arrive_idx,
-                    decode_ns: px * cpp / sim.decoder.freq_hz * 1e9,
-                });
-                Ok(())
-            })();
-            if let Err(e) = advanced {
-                stepped = Err(e);
-                break;
-            }
-        }
-        engine.note_peak_inflight(rx.peak_len());
-        drop(rx);
-        let (totals, peak) = decode_lane.join().expect("decode lane never panics");
-        (stepped, totals, peak)
-    });
-    stepped?;
-    engine.drain_wave(&mut wave)?;
-    let run = engine.finish(totals, peak)?;
+        after_item(engine, &items)
+    })?;
     let isolated = simulate_stream(
         run.trace.frames.iter(),
         run.trace.scheme,
@@ -421,31 +323,14 @@ pub fn drive_session(
     spec: &SessionSpec,
     sim: &SimConfig,
 ) -> Result<DrivenSession> {
-    Ok(drive_template(model, seq, encoded, sim)?.instantiate(session, spec))
-}
-
-/// [`drive_session`] on the pipelined executor. The stamped work items are
-/// byte-identical to the sequential drive (see
-/// [`drive_template_pipelined`]); only wall-clock time changes.
-///
-/// # Errors
-/// Propagates bitstream decode errors and engine reconstruction failures.
-pub fn drive_session_pipelined(
-    model: &VrDann,
-    session: usize,
-    seq: &Sequence,
-    encoded: &EncodedVideo,
-    spec: &SessionSpec,
-    sim: &SimConfig,
-    pipe: &PipelineOptions,
-) -> Result<DrivenSession> {
-    Ok(drive_template_pipelined(model, seq, encoded, sim, pipe)?.instantiate(session, spec))
+    Ok(drive_template(model, seq, encoded, sim, None)?.instantiate(session, spec))
 }
 
 /// [`drive_session`] that also snapshots a [`SessionCheckpoint`] after
 /// every NN-L anchor — the natural recovery points: each anchor refreshes
 /// the reference window the following B-frames lean on, so restoring at an
-/// anchor bounds the replay to one GOP.
+/// anchor bounds the replay to one GOP. The decoder-lane clock of a
+/// snapshot is the hand-over stamp of the anchor's own work item.
 ///
 /// # Errors
 /// Propagates bitstream decode errors and engine reconstruction failures.
@@ -457,104 +342,33 @@ pub fn drive_session_checkpointed(
     spec: &SessionSpec,
     sim: &SimConfig,
 ) -> Result<(DrivenSession, Vec<SessionCheckpoint>)> {
-    let mut ckpts = Vec::new();
-    let driven = drive_core(model, session, seq, encoded, spec, sim, &mut ckpts)?;
-    Ok((driven, ckpts))
-}
-
-/// The live checkpointing walk: unlike the template path it must stamp the
-/// decoder lane *while* the engine runs, because every anchor checkpoint
-/// snapshots the lane clock alongside the engine state. Its stamping
-/// arithmetic is the same op-for-op as
-/// [`SessionTemplate::instantiate_prefix`], pinned byte-identical by
-/// `checkpointed_drive_is_identical_and_snapshots_every_anchor`.
-fn drive_core(
-    model: &VrDann,
-    session: usize,
-    seq: &Sequence,
-    encoded: &EncodedVideo,
-    spec: &SessionSpec,
-    sim: &SimConfig,
-    checkpoints: &mut Vec<SessionCheckpoint>,
-) -> Result<DrivenSession> {
-    let mut source = StrictFrameSource::new(&encoded.bitstream)?;
-    let info = source.info();
-    let task = SegTask::new(
-        seq,
-        LargeNet::new(model.config().segment_profile),
-        model.config().seed,
-        &info,
-    );
-    let mut engine =
-        PipelineEngine::new(model.config(), model.nns(), task, StrictPolicy::default());
-    engine.prime(&info, &[]);
-
-    let px = (info.width * info.height) as f64;
-    let mut items: Vec<WorkItem> = Vec::with_capacity(info.n_frames);
-    let mut t_decode = spec.start_offset_ns;
-    let mut k = 0usize;
-    while let Some(unit) = source.next_unit() {
-        let unit = unit?;
-        let arrival = spec.start_offset_ns + k as f64 * spec.frame_interval_ns;
-        k += 1;
-        let Some(work) = engine.step(unit)? else {
-            continue;
-        };
-        let cpp = if work.full_decode {
-            sim.decoder.cycles_per_pixel_full
-        } else {
-            sim.decoder.cycles_per_pixel_mv
-        };
-        let decode_ns = px * cpp / sim.decoder.freq_hz * 1e9;
-        t_decode = t_decode.max(arrival) + decode_ns;
-        items.push(WorkItem {
-            session,
-            idx: items.len(),
-            display: work.display,
-            ftype: work.ftype,
-            ops: work.ops,
-            uses_large_model: work.uses_large_model,
-            arrival_ns: arrival,
-            ready_ns: t_decode,
-        });
-        if work.uses_large_model {
-            checkpoints.push(SessionCheckpoint {
-                items_emitted: items.len(),
-                units_consumed: k,
-                decode_clock_ns: t_decode,
-                engine: engine.checkpoint()?,
-            });
+    let mut snapshots = Vec::new();
+    let template = drive_observed(model, seq, encoded, sim, None, |engine, items| {
+        if let Some(anchor) = items.last().filter(|item| item.uses_large_model) {
+            snapshots.push((items.len(), anchor.arrive_idx + 1, engine.checkpoint()?));
         }
-    }
-    let totals = source.totals();
-    let peak = source.peak_live_frames();
-    let run = engine.finish(totals, peak)?;
-    let isolated = simulate_stream(
-        run.trace.frames.iter(),
-        run.trace.scheme,
-        run.trace.width,
-        run.trace.height,
-        run.trace.mb_size,
-        ExecMode::VrDannParallel(ParallelOptions::default()),
-        sim,
-    );
-    Ok(DrivenSession {
-        name: seq.name.clone(),
-        session,
-        compute: model.config().compute,
-        frames: run.outputs.len(),
-        peak_live_frames: run.peak_live_frames,
-        total_ops: run.trace.total_ops(),
-        switches_in_order: run.trace.model_switches_in_order(),
-        isolated_ns: isolated.total_ns,
-        items,
-    })
+        Ok(())
+    })?;
+    let driven = template.instantiate(session, spec);
+    let checkpoints = snapshots
+        .into_iter()
+        .map(
+            |(items_emitted, units_consumed, engine)| SessionCheckpoint {
+                items_emitted,
+                units_consumed,
+                decode_clock_ns: driven.items[items_emitted - 1].ready_ns,
+                engine,
+            },
+        )
+        .collect();
+    Ok((driven, checkpoints))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use vr_dann::{ComputeMode, TrainTask, VrDannConfig};
+    use vrd_nn::LargeNet;
     use vrd_video::davis::{davis_sequence, davis_train_suite, SuiteConfig};
 
     fn tiny_model() -> (VrDann, SuiteConfig) {
@@ -625,43 +439,25 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_drive_emits_identical_schedule() {
+    fn lanes_do_not_change_the_schedule() {
         // The scheduler accounting must be executor-invariant: a session
-        // driven on the two-lane pipelined path puts byte-identical work
-        // (ops, residency, decoder-lane stamps, switch counts) on the
-        // shared NPU at every thread count.
+        // driven on two lanes puts byte-identical work (ops, residency,
+        // decoder-lane stamps, switch counts) on the shared NPU at every
+        // thread count.
         let (model, cfg) = tiny_model();
         let seq = davis_sequence("cows", &cfg).unwrap();
         let encoded = model.encode(&seq).unwrap();
         let sim = SimConfig::default();
-        let tpl = drive_template(&model, &seq, &encoded, &sim).unwrap();
-        for threads in [1, 2, 4] {
-            let pipe = PipelineOptions {
-                threads: Some(threads),
-                channel_capacity: Some(4),
-            };
-            let piped = drive_template_pipelined(&model, &seq, &encoded, &sim, &pipe).unwrap();
-            assert_eq!(
-                piped, tpl,
-                "scheduler accounting diverged at {threads} threads"
-            );
+        let tpl = drive_template(&model, &seq, &encoded, &sim, None).unwrap();
+        let default_lanes = PipelineOptions::default();
+        let capped = [1, 2, 4].map(|threads| PipelineOptions {
+            threads: Some(threads),
+            channel_capacity: Some(4),
+        });
+        for pipe in capped.iter().chain([&default_lanes]) {
+            let laned = drive_template(&model, &seq, &encoded, &sim, Some(pipe)).unwrap();
+            assert_eq!(laned, tpl, "scheduler accounting diverged under {pipe:?}");
         }
-        let spec = SessionSpec {
-            start_offset_ns: 250.0,
-            frame_interval_ns: 1.5e6,
-        };
-        let live = drive_session(&model, 1, &seq, &encoded, &spec, &sim).unwrap();
-        let piped = drive_session_pipelined(
-            &model,
-            1,
-            &seq,
-            &encoded,
-            &spec,
-            &sim,
-            &PipelineOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(piped, live);
     }
 
     #[test]
@@ -770,36 +566,12 @@ mod tests {
     }
 
     #[test]
-    fn template_instantiation_matches_live_drive() {
-        // One template, many pacings: every instantiation must be
-        // byte-identical to the (checkpointed) live drive under the same
-        // spec — including the f64 decoder-lane stamps.
-        let (model, cfg) = tiny_model();
-        let seq = davis_sequence("cows", &cfg).unwrap();
-        let encoded = model.encode(&seq).unwrap();
-        let sim = SimConfig::default();
-        let tpl = drive_template(&model, &seq, &encoded, &sim).unwrap();
-        for (session, (offset, interval)) in [(0.0, 1e6), (250.0, 1.5e6), (7.3e6, 0.4e6)]
-            .iter()
-            .enumerate()
-        {
-            let spec = SessionSpec {
-                start_offset_ns: *offset,
-                frame_interval_ns: *interval,
-            };
-            let (live, _) =
-                drive_session_checkpointed(&model, session, &seq, &encoded, &spec, &sim).unwrap();
-            assert_eq!(tpl.instantiate(session, &spec), live);
-        }
-    }
-
-    #[test]
     fn template_prefix_truncates_for_churn() {
         let (model, cfg) = tiny_model();
         let seq = davis_sequence("dog", &cfg).unwrap();
         let encoded = model.encode(&seq).unwrap();
         let sim = SimConfig::default();
-        let tpl = drive_template(&model, &seq, &encoded, &sim).unwrap();
+        let tpl = drive_template(&model, &seq, &encoded, &sim, None).unwrap();
         let spec = SessionSpec {
             start_offset_ns: 100.0,
             frame_interval_ns: 2e6,

@@ -21,7 +21,7 @@
 //! invariant, which is what lets `count_ones()`-style reductions run over
 //! raw words without masking.
 //!
-//! Per-pixel reference semantics are retained in [`reference`] (and in the
+//! Per-pixel reference semantics are retained in [`mod@reference`] (and in the
 //! scalar `get`/`set` accessors themselves); property tests pin the packed
 //! kernels to them bit-for-bit.
 

@@ -10,7 +10,7 @@
 //! simulated time of each scheme.
 
 use vr_dann::baselines::{run_euphrates, run_selsa};
-use vr_dann::{DetectionRun, TrainTask, VrDann, VrDannConfig};
+use vr_dann::{DetTask, DetectionRun, RunInput, TrainTask, VrDann, VrDannConfig};
 use vrd_metrics::{average_precision, FrameDetections};
 use vrd_sim::{simulate, ExecMode, ParallelOptions, SimConfig};
 use vrd_video::davis::SuiteConfig;
@@ -51,7 +51,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for seq in &suite {
         let encoded = model.encode(seq)?;
-        let vr = model.run_detection(seq, &encoded)?;
+        let vr: DetectionRun = model
+            .run::<DetTask>(seq, RunInput::Strict(&encoded), None)?
+            .into();
         let selsa = run_selsa(seq, &encoded, 2);
         let e2 = run_euphrates(seq, &encoded, 2, 2);
         let e4 = run_euphrates(seq, &encoded, 4, 2);

@@ -2,7 +2,7 @@
 //! through codec, recognition, metrics and the architecture simulator.
 
 use vr_dann::baselines::{run_dff, run_euphrates, run_favos, run_osvos, run_selsa};
-use vr_dann::{ComputeKind, TrainTask, VrDann, VrDannConfig};
+use vr_dann::{ComputeKind, DetTask, DetectionRun, RunInput, TrainTask, VrDann, VrDannConfig};
 use vrd_metrics::{average_precision, score_sequence, FrameDetections};
 use vrd_sim::{simulate, ExecMode, ParallelOptions, SimConfig};
 use vrd_video::davis::{davis_sequence, davis_train_suite, SuiteConfig};
@@ -102,7 +102,10 @@ fn detection_stack_end_to_end() {
     let suite = vid_val_suite(&cfg, 1);
     for seq in &suite {
         let encoded = model.encode(seq).unwrap();
-        let vr = model.run_detection(seq, &encoded).unwrap();
+        let vr: DetectionRun = model
+            .run::<DetTask>(seq, RunInput::Strict(&encoded), None)
+            .unwrap()
+            .into();
         let selsa = run_selsa(seq, &encoded, 2);
         let e2 = run_euphrates(seq, &encoded, 2, 2);
         let to_frames = |runs: &Vec<Vec<vrd_video::Detection>>| -> Vec<FrameDetections> {
