@@ -6,8 +6,8 @@
 //! 8-shard row must hold ≥ 64 concurrent sessions at ≥ 0.8× ideal linear
 //! throughput over the 1-shard baseline, and the autoscaler must hold the
 //! p99 SLO through the 4× arrival spike (shedding reported, not hidden).
-//! CI runs this twice and diffs the JSON, guarding determinism
-//! byte-for-byte.
+//! CI runs the quick sweep and `git diff`s both files against the
+//! committed ones, guarding determinism and the numbers byte-for-byte.
 
 use vrd_bench::{fleet_bench, Context, Scale};
 

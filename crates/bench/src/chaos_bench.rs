@@ -1,15 +1,15 @@
 //! Chaos sweep: the serving workload replayed under seeded fault timelines.
 //!
 //! Reuses the `serve_bench` workload (K concurrent DAVIS-like sessions on
-//! one shared virtual NPU) but replays the admitted work through
-//! [`vrd_serve::schedule_chaos`] against deterministic fault plans. Each
-//! session count pays the real NN-L/NN-S compute **once** (via
-//! [`vrd_serve::admit_and_drive`]); every scenario is then a pure replay of
-//! the same stamped work:
+//! one shared virtual NPU, offered by [`vrd_serve::legacy_sweep`]) but
+//! replays the admitted work through [`vrd_serve::schedule`] against
+//! deterministic fault plans. Each session count pays the real NN-L/NN-S
+//! compute **once** (via [`vrd_serve::admit_and_drive`]); every scenario
+//! is then a pure replay of the same stamped work:
 //!
-//! * `clean` — a quiet fault profile. Must be byte-identical to the plain
-//!   [`vrd_serve::schedule`] replay under both policies: the fault
-//!   branches change no arithmetic when nothing fires.
+//! * `clean` — a quiet fault plan. Its whole [`ScheduleOutcome`] must equal
+//!   the no-plan replay's under both policies: the fault branches change
+//!   no arithmetic when nothing fires.
 //! * `itemfail10-shed` — 10 % work-item failures (plus the profile's
 //!   transient stalls) under the PR-4 shed-only posture: one attempt per
 //!   item, misses dropped at the deadline.
@@ -30,9 +30,8 @@ use crate::context::{parallel_map, Context};
 use crate::table::{fmt_pct, Table};
 use vrd_codec::EncodedVideo;
 use vrd_serve::{
-    admit_and_drive, schedule, schedule_chaos, ChaosConfig, ChaosOutcome, DrivenSession,
-    LatencyStats, NpuFaultProfile, RecoveryConfig, SchedConfig, SchedPolicy, ScheduleOutcome,
-    ServeConfig,
+    admit_and_drive, schedule, ChaosConfig, DegradationStats, DrivenSession, NpuFaultProfile,
+    RecoveryConfig, SchedConfig, SchedPolicy, ScheduleOutcome, ServeConfig,
 };
 
 /// The session counts the sweep offers (the serve sweep's contended tail
@@ -45,75 +44,6 @@ pub const FAIL_RATE: f64 = 0.10;
 /// Seed for every fault lottery in the sweep.
 pub const CHAOS_SEED: u64 = 0xC4A0_5EED;
 
-/// One scenario's chaos replay, flattened for reporting.
-#[derive(Debug, Clone)]
-pub struct ScenarioSummary {
-    /// Scenario name (`clean`, `itemfail10-shed`, ...).
-    pub name: &'static str,
-    /// Work items offered across the admitted sessions.
-    pub frames_offered: usize,
-    /// Frames delivered at their session's own fidelity.
-    pub frames_full: usize,
-    /// Frames delivered degraded (ladder rung or copy-forward).
-    pub frames_degraded: usize,
-    /// Frames dropped at the deadline.
-    pub frames_shed: usize,
-    /// Frames lost to a crash kill.
-    pub frames_lost: usize,
-    /// Delivered fraction of the offered load.
-    pub delivered_frac: f64,
-    /// Sessions killed by the crash window.
-    pub sessions_lost: usize,
-    /// Checkpoint restores paid.
-    pub restores: usize,
-    /// Failed attempts that were retried.
-    pub retries: usize,
-    /// Items whose retry budget ran out.
-    pub retry_exhausted: usize,
-    /// Deadline misses delivered as copy-forward.
-    pub watchdog_degraded: usize,
-    /// Ladder rungs stepped down across sessions.
-    pub downgrades: usize,
-    /// Ladder rungs stepped back up across sessions.
-    pub upgrades: usize,
-    /// Transient stalls drawn.
-    pub stalls: usize,
-    /// Crash windows hit.
-    pub crashes: usize,
-    /// Service time burnt by failed attempts and crash-voided work.
-    pub wasted_ns: f64,
-    /// Wall time to the last NPU event.
-    pub makespan_ns: f64,
-    /// Arrival → delivery latency over delivered frames.
-    pub latency: LatencyStats,
-}
-
-impl ScenarioSummary {
-    fn new(name: &'static str, o: &ChaosOutcome) -> Self {
-        Self {
-            name,
-            frames_offered: o.frames_offered,
-            frames_full: o.frames_full,
-            frames_degraded: o.frames_degraded,
-            frames_shed: o.frames_shed,
-            frames_lost: o.frames_lost,
-            delivered_frac: o.delivered_fraction(),
-            sessions_lost: o.sessions_lost,
-            restores: o.session_restores,
-            retries: o.retries,
-            retry_exhausted: o.retry_exhausted,
-            watchdog_degraded: o.watchdog_degraded,
-            downgrades: o.per_session.iter().map(|p| p.degradation.downgrades).sum(),
-            upgrades: o.per_session.iter().map(|p| p.degradation.upgrades).sum(),
-            stalls: o.stalls,
-            crashes: o.crashes,
-            wasted_ns: o.wasted_ns,
-            makespan_ns: o.makespan_ns,
-            latency: o.latency,
-        }
-    }
-}
-
 /// One session count's chaos results (all replays under the batching
 /// policy — the serving discipline the subsystem actually runs).
 #[derive(Debug, Clone)]
@@ -122,11 +52,11 @@ pub struct ChaosBenchRow {
     pub requested: usize,
     /// Sessions the SLO admitted.
     pub admitted: usize,
-    /// Whether the quiet-profile chaos replay reproduced the plain
-    /// [`schedule`] replay bit-for-bit under **both** policies.
+    /// Whether the quiet-plan replay returned the same record as the
+    /// no-plan replay under **both** policies.
     pub clean_matches_plain: bool,
     /// The shedding deadline the fault scenarios ran with, derived from
-    /// the clean replay's latency distribution (just above the p50) so
+    /// the clean replay's latency distribution (`0.9·p50 + 0.1·p95`) so
     /// quick and full scales stress comparably.
     pub deadline_ns: f64,
     /// When the single crash window opens, on the NPU clock.
@@ -135,15 +65,16 @@ pub struct ChaosBenchRow {
     pub crash_down_ns: f64,
     /// Scenario replays, fixed order: clean, itemfail10-shed,
     /// itemfail10-ladder, crash-shed, crash-restore.
-    pub scenarios: Vec<ScenarioSummary>,
+    pub scenarios: Vec<(&'static str, ScheduleOutcome)>,
 }
 
 impl ChaosBenchRow {
     /// Looks a scenario up by name.
-    pub fn scenario(&self, name: &str) -> &ScenarioSummary {
+    pub fn scenario(&self, name: &str) -> &ScheduleOutcome {
         self.scenarios
             .iter()
-            .find(|s| s.name == name)
+            .find(|(n, _)| *n == name)
+            .map(|(_, o)| o)
             .unwrap_or_else(|| panic!("no scenario named {name}"))
     }
 }
@@ -155,50 +86,30 @@ pub struct ChaosBench {
     pub rows: Vec<ChaosBenchRow>,
 }
 
-/// Quiet chaos must reproduce the plain replay's arithmetic exactly.
-fn matches_plain(c: &ChaosOutcome, p: &ScheduleOutcome) -> bool {
-    c.frames_full == p.frames_served
-        && c.frames_degraded == 0
-        && c.frames_shed == p.frames_shed
-        && c.frames_lost == 0
-        && c.switches == p.switches
-        && c.switch_ns == p.switch_ns
-        && c.busy_ns == p.busy_ns
-        && c.makespan_ns == p.makespan_ns
-        && c.max_queue_depth == p.max_queue_depth
-        && c.mean_queue_depth == p.mean_queue_depth
-        && c.decoder_stalls == p.decoder_stalls
-        && c.latency == p.latency
-}
-
 fn run_row(requested: usize, driven: &[DrivenSession], cfg: &ServeConfig) -> ChaosBenchRow {
     let sim = &cfg.sim;
+    let replay = |policy, sched: &SchedConfig, chaos: Option<&ChaosConfig>| {
+        schedule(driven, policy, sched, sim, chaos).expect("replay")
+    };
+
+    // Clean identity: the quiet plan against no plan, both policies, the
+    // serve-bench configuration (no deadline), on the whole record.
     let quiet = ChaosConfig {
         faults: NpuFaultProfile::none(),
         recovery: RecoveryConfig::default(),
     };
+    let clean = replay(SchedPolicy::Batch, &cfg.sched, Some(&quiet));
+    let clean_matches_plain = replay(SchedPolicy::Batch, &cfg.sched, None) == clean
+        && replay(SchedPolicy::Fifo, &cfg.sched, None)
+            == replay(SchedPolicy::Fifo, &cfg.sched, Some(&quiet));
 
-    // Clean identity: the quiet replay against the plain scheduler, both
-    // policies, the serve-bench configuration (no deadline).
-    let mut clean_matches_plain = true;
-    let mut clean_batch: Option<ChaosOutcome> = None;
-    for policy in [SchedPolicy::Fifo, SchedPolicy::Batch] {
-        let plain = schedule(driven, policy, &cfg.sched, sim).expect("plain replay");
-        let chaos =
-            schedule_chaos(driven, policy, &cfg.sched, sim, &quiet).expect("quiet chaos replay");
-        clean_matches_plain &= matches_plain(&chaos, &plain);
-        if policy == SchedPolicy::Batch {
-            clean_batch = Some(chaos);
-        }
-    }
-    let clean = clean_batch.expect("batch policy replayed");
-
-    // The fault scenarios' deadline scales with the clean tail latency
-    // (just past the p95, so only genuinely late frames are at risk and
-    // quick and full runs shed under comparable relative pressure). The
-    // crash window opens at the median work-item hand-over instant — by
-    // construction the NPU has device-resident work then, whatever the
-    // scale — and stays down for a makespan-relative outage.
+    // The fault scenarios' deadline scales with the clean latency
+    // distribution — `0.9·p50 + 0.1·p95`, a tenth of the way from the
+    // median to the tail — so quick and full runs shed under comparable
+    // relative pressure. The crash window opens at the median
+    // work-item hand-over instant — by construction the NPU has
+    // device-resident work then, whatever the scale — and stays down for
+    // a makespan-relative outage.
     let deadline_ns = (0.9 * clean.latency.p50_ns + 0.1 * clean.latency.p95_ns).max(1.0);
     let mut ready: Vec<f64> = driven
         .iter()
@@ -215,31 +126,31 @@ fn run_row(requested: usize, driven: &[DrivenSession], cfg: &ServeConfig) -> Cha
     let faults = NpuFaultProfile::chaos(FAIL_RATE, CHAOS_SEED);
     let crash = NpuFaultProfile::single_crash(crash_at_ns, crash_down_ns);
 
-    let replay = |sched: &SchedConfig, faults: &NpuFaultProfile, recovery: RecoveryConfig| {
+    let faulty = |sched: &SchedConfig, faults: &NpuFaultProfile, recovery: RecoveryConfig| {
         let chaos = ChaosConfig {
             faults: faults.clone(),
             recovery,
         };
-        schedule_chaos(driven, SchedPolicy::Batch, sched, sim, &chaos).expect("chaos replay")
+        replay(SchedPolicy::Batch, sched, Some(&chaos))
     };
 
     let scenarios = vec![
-        ScenarioSummary::new("clean", &clean),
-        ScenarioSummary::new(
+        ("clean", clean),
+        (
             "itemfail10-shed",
-            &replay(&deadline_cfg, &faults, RecoveryConfig::shed_only()),
+            faulty(&deadline_cfg, &faults, RecoveryConfig::shed_only()),
         ),
-        ScenarioSummary::new(
+        (
             "itemfail10-ladder",
-            &replay(&deadline_cfg, &faults, RecoveryConfig::default()),
+            faulty(&deadline_cfg, &faults, RecoveryConfig::default()),
         ),
-        ScenarioSummary::new(
+        (
             "crash-shed",
-            &replay(&cfg.sched, &crash, RecoveryConfig::shed_only()),
+            faulty(&cfg.sched, &crash, RecoveryConfig::shed_only()),
         ),
-        ScenarioSummary::new(
+        (
             "crash-restore",
-            &replay(&cfg.sched, &crash, RecoveryConfig::default()),
+            faulty(&cfg.sched, &crash, RecoveryConfig::default()),
         ),
     ];
 
@@ -265,11 +176,10 @@ pub fn run_sessions(ctx: &Context, sessions: &[usize]) -> ChaosBench {
     };
     let mut rows = Vec::with_capacity(sessions.len());
     for &k in sessions {
-        let requests: Vec<_> = (0..k)
-            .map(|i| {
-                let j = i % ctx.davis.len();
-                (&ctx.davis[j], &encoded[j])
-            })
+        let requests: Vec<_> = vrd_serve::legacy_sweep(k, ctx.davis.len())
+            .arrivals
+            .iter()
+            .map(|a| (&ctx.davis[a.stream], &encoded[a.stream]))
             .collect();
         // The real compute, paid once; every scenario replays this work.
         let (_, driven, _) =
@@ -297,8 +207,8 @@ impl ChaosBench {
 
     /// Every acceptance-gate violation in the sweep (empty = pass).
     ///
-    /// Gates, per contended row: the quiet replay is bit-identical to the
-    /// plain scheduler; at a 10 % work-item fault rate the shed-only
+    /// Gates, per contended row: the quiet-plan replay equals the no-plan
+    /// replay; at a 10 % work-item fault rate the shed-only
     /// posture serves ≤ 80 % while the recovery stack delivers ≥ 95 %;
     /// a single NPU crash kills sessions without checkpoints and loses
     /// nothing with them.
@@ -309,21 +219,21 @@ impl ChaosBench {
             contended += 1;
             let k = r.requested;
             if !r.clean_matches_plain {
-                fails.push(format!("{k} sessions: quiet chaos != plain schedule"));
+                fails.push(format!("{k} sessions: quiet-plan replay != no-plan replay"));
             }
             let shed = r.scenario("itemfail10-shed");
-            if shed.delivered_frac > 0.80 {
+            if shed.delivered_fraction() > 0.80 {
                 fails.push(format!(
                     "{k} sessions: shed-only served {:.1}% > 80% at {:.0}% faults",
-                    100.0 * shed.delivered_frac,
+                    100.0 * shed.delivered_fraction(),
                     100.0 * FAIL_RATE
                 ));
             }
             let ladder = r.scenario("itemfail10-ladder");
-            if ladder.delivered_frac < 0.95 {
+            if ladder.delivered_fraction() < 0.95 {
                 fails.push(format!(
                     "{k} sessions: recovery stack delivered {:.1}% < 95%",
-                    100.0 * ladder.delivered_frac
+                    100.0 * ladder.delivered_fraction()
                 ));
             }
             let crash = r.scenario("crash-shed");
@@ -367,17 +277,17 @@ impl ChaosBench {
             "span ms",
         ]);
         for r in &self.rows {
-            for s in &r.scenarios {
+            for (name, s) in &r.scenarios {
                 t.row(vec![
                     r.requested.to_string(),
-                    s.name.to_string(),
-                    fmt_pct(s.delivered_frac),
+                    name.to_string(),
+                    fmt_pct(s.delivered_fraction()),
                     s.frames_full.to_string(),
                     s.frames_degraded.to_string(),
                     s.frames_shed.to_string(),
                     s.frames_lost.to_string(),
                     s.sessions_lost.to_string(),
-                    s.restores.to_string(),
+                    s.session_restores.to_string(),
                     s.retries.to_string(),
                     fmt_ms(s.latency.p99_ns),
                     fmt_ms(s.makespan_ns),
@@ -393,7 +303,10 @@ impl ChaosBench {
     /// Machine-readable JSON of the sweep (hand-rolled — the workspace
     /// carries no serialisation dependency).
     pub fn to_json(&self) -> String {
-        fn scenario_json(s: &ScenarioSummary) -> String {
+        fn scenario_json((name, s): &(&'static str, ScheduleOutcome)) -> String {
+            let ladder_steps = |f: fn(&DegradationStats) -> usize| -> usize {
+                s.per_session.iter().map(|p| f(&p.degradation)).sum()
+            };
             format!(
                 "{{\"name\":\"{}\",\"frames_offered\":{},\"frames_full\":{},\
                  \"frames_degraded\":{},\"frames_shed\":{},\"frames_lost\":{},\
@@ -403,20 +316,20 @@ impl ChaosBench {
                  \"wasted_ns\":{:.1},\"makespan_ns\":{:.1},\
                  \"latency\":{{\"mean_ns\":{:.1},\"p50_ns\":{:.1},\"p95_ns\":{:.1},\
                  \"p99_ns\":{:.1},\"max_ns\":{:.1}}}}}",
-                s.name,
+                name,
                 s.frames_offered,
                 s.frames_full,
                 s.frames_degraded,
                 s.frames_shed,
                 s.frames_lost,
-                s.delivered_frac,
+                s.delivered_fraction(),
                 s.sessions_lost,
-                s.restores,
+                s.session_restores,
                 s.retries,
                 s.retry_exhausted,
                 s.watchdog_degraded,
-                s.downgrades,
-                s.upgrades,
+                ladder_steps(|d| d.downgrades),
+                ladder_steps(|d| d.upgrades),
                 s.stalls,
                 s.crashes,
                 s.wasted_ns,
@@ -472,7 +385,7 @@ mod tests {
         let fails = sweep.acceptance_failures();
         assert!(fails.is_empty(), "acceptance gates failed: {fails:?}");
 
-        // The quiet replay reproduces the plain scheduler on every row,
+        // The quiet-plan replay equals the no-plan replay on every row,
         // contended or not.
         for r in &sweep.rows {
             assert!(r.clean_matches_plain, "{} sessions drifted", r.requested);
@@ -490,11 +403,11 @@ mod tests {
         assert!(shed.frames_shed > 0);
         let ladder = r.scenario("itemfail10-ladder");
         assert!(ladder.retries > 0);
-        assert!(ladder.delivered_frac >= 0.95);
+        assert!(ladder.delivered_fraction() >= 0.95);
         assert!(r.scenario("crash-shed").sessions_lost > 0);
         let restore = r.scenario("crash-restore");
         assert_eq!(restore.sessions_lost, 0);
-        assert!(restore.restores > 0);
+        assert!(restore.session_restores > 0);
 
         // Deterministic: a rerun over the same context is byte-identical.
         let again = run_sessions(&ctx, &[1, 4]);

@@ -78,19 +78,6 @@ pub struct MeasuredFps {
     pub speedup: f64,
 }
 
-/// The pipelined-over-sequential ratio that `--min-e2e-speedup min` demands
-/// of a host with `cores` cores: nothing below two (there is no parallel
-/// speedup to measure), at most 1.1 on two or three (the decode lane and the
-/// compute wave share them, and the sequential side's kernels already fan
-/// out over row bands), the full `min` from four up.
-pub fn required_speedup(min: f64, cores: usize) -> Option<f64> {
-    match cores {
-        0 | 1 => None,
-        2 | 3 => Some(min.min(1.1)),
-        _ => Some(min),
-    }
-}
-
 /// Everything one benchmark run produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct E2eReport {
@@ -309,17 +296,6 @@ mod tests {
         let json = render_json(&a);
         assert!(json.contains("\"output_digest\""));
         assert!(!json.contains("\"measured\""));
-    }
-
-    #[test]
-    fn speedup_gate_scales_with_core_count() {
-        assert_eq!(required_speedup(1.5, 1), None);
-        assert_eq!(required_speedup(1.5, 2), Some(1.1));
-        assert_eq!(required_speedup(1.5, 3), Some(1.1));
-        assert_eq!(required_speedup(1.5, 4), Some(1.5));
-        assert_eq!(required_speedup(1.5, 64), Some(1.5));
-        // A laxer request is never tightened.
-        assert_eq!(required_speedup(1.0, 2), Some(1.0));
     }
 
     #[test]

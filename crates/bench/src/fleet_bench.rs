@@ -18,7 +18,7 @@
 //!   clean-run SLO, with the shed/reject rate reported, not hidden.
 //!
 //! Deterministic for a fixed scale: reruns are byte-identical (CI diffs
-//! the JSON).
+//! the quick run against the committed `BENCH_fleet.json`).
 
 use crate::context::Context;
 use crate::table::{fmt_pct, Table};

@@ -13,52 +13,10 @@
 use crate::context::{parallel_map, Context};
 use crate::table::{fmt_pct, Table};
 use vrd_codec::EncodedVideo;
-use vrd_serve::{serve, LatencyStats, ScheduleOutcome, ServeConfig, ServeReport, SessionState};
+use vrd_serve::{serve, ScheduleOutcome, ServeConfig, ServeReport, SessionState};
 
 /// The session counts the full sweep offers.
 pub const SESSIONS: [usize; 5] = [1, 2, 4, 6, 8];
-
-/// One policy's shared-NPU outcome, flattened for reporting.
-#[derive(Debug, Clone, Copy)]
-pub struct PolicySummary {
-    /// Frames the NPU served.
-    pub frames_served: usize,
-    /// Frames shed past their deadline.
-    pub frames_shed: usize,
-    /// NN-L↔NN-S model switches paid.
-    pub switches: usize,
-    /// Nanoseconds spent switching models.
-    pub switch_ns: f64,
-    /// Nanoseconds the NPU spent busy (switching + serving).
-    pub busy_ns: f64,
-    /// Wall time from first arrival to last completion.
-    pub makespan_ns: f64,
-    /// Deepest any session queue got.
-    pub max_queue_depth: usize,
-    /// Mean total queue depth sampled at each service completion.
-    pub mean_queue_depth: f64,
-    /// Times a bounded session queue backpressured its decode lane.
-    pub decoder_stalls: usize,
-    /// Frame latency distribution (arrival → NPU completion).
-    pub latency: LatencyStats,
-}
-
-impl From<&ScheduleOutcome> for PolicySummary {
-    fn from(o: &ScheduleOutcome) -> Self {
-        Self {
-            frames_served: o.frames_served,
-            frames_shed: o.frames_shed,
-            switches: o.switches,
-            switch_ns: o.switch_ns,
-            busy_ns: o.busy_ns,
-            makespan_ns: o.makespan_ns,
-            max_queue_depth: o.max_queue_depth,
-            mean_queue_depth: o.mean_queue_depth,
-            decoder_stalls: o.decoder_stalls,
-            latency: o.latency,
-        }
-    }
-}
 
 /// One session count's results.
 #[derive(Debug, Clone)]
@@ -78,9 +36,9 @@ pub struct ServeBenchRow {
     /// Projected NPU utilisation over the admitted set.
     pub projected_utilization: f64,
     /// Shared NPU under per-stream FIFO.
-    pub fifo: PolicySummary,
+    pub fifo: ScheduleOutcome,
     /// Shared NPU under cross-session batching.
-    pub batched: PolicySummary,
+    pub batched: ScheduleOutcome,
     /// Switches batching saved over FIFO (positive = saved).
     pub switches_saved: i64,
 }
@@ -92,9 +50,10 @@ pub struct ServeBench {
     pub rows: Vec<ServeBenchRow>,
 }
 
-fn row_from_report(requested: usize, report: &ServeReport) -> ServeBenchRow {
+fn row_from_report(requested: usize, report: ServeReport) -> ServeBenchRow {
     ServeBenchRow {
         requested,
+        switches_saved: report.switches_saved(),
         admitted: report.admitted,
         rejected: report.rejected,
         admitted_sessions: report
@@ -105,9 +64,8 @@ fn row_from_report(requested: usize, report: &ServeReport) -> ServeBenchRow {
             .collect(),
         duplicate_of: None,
         projected_utilization: report.projected_utilization,
-        fifo: PolicySummary::from(&report.fifo),
-        batched: PolicySummary::from(&report.batched),
-        switches_saved: report.switches_saved(),
+        fifo: report.fifo,
+        batched: report.batched,
     }
 }
 
@@ -135,7 +93,7 @@ pub fn run_sessions(ctx: &Context, sessions: &[usize]) -> ServeBench {
             .collect();
         let report = serve(&ctx.model, &requests, &cfg)
             .expect("admitted suite sessions serve to completion");
-        let mut row = row_from_report(k, &report);
+        let mut row = row_from_report(k, report);
         // When admission saturates, a larger offered count admits the same
         // sessions as an earlier row and serving is deterministic, so the
         // whole schedule is a verbatim repeat — mark it instead of letting
@@ -214,14 +172,14 @@ impl ServeBench {
     /// Machine-readable JSON of the sweep (hand-rolled — the workspace
     /// carries no serialisation dependency).
     pub fn to_json(&self) -> String {
-        fn policy_json(p: &PolicySummary) -> String {
+        fn policy_json(p: &ScheduleOutcome) -> String {
             format!(
                 "{{\"frames_served\":{},\"frames_shed\":{},\"switches\":{},\
                  \"switch_ns\":{:.1},\"busy_ns\":{:.1},\"makespan_ns\":{:.1},\
                  \"max_queue_depth\":{},\"mean_queue_depth\":{:.3},\
                  \"decoder_stalls\":{},\"latency\":{{\"mean_ns\":{:.1},\
                  \"p50_ns\":{:.1},\"p95_ns\":{:.1},\"p99_ns\":{:.1},\"max_ns\":{:.1}}}}}",
-                p.frames_served,
+                p.frames_delivered(),
                 p.frames_shed,
                 p.switches,
                 p.switch_ns,
@@ -310,7 +268,7 @@ mod tests {
                 r.fifo.latency.p99_ns
             );
             // Both policies served the full admitted workload.
-            assert_eq!(r.fifo.frames_served, r.batched.frames_served);
+            assert_eq!(r.fifo.frames_delivered(), r.batched.frames_delivered());
             assert_eq!(r.fifo.frames_shed, 0);
         }
 

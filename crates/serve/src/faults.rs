@@ -73,7 +73,7 @@ const SALT_FAIL: u64 = 0x4641_494c_4954_4d02;
 
 impl NpuFaultProfile {
     /// No faults at all. A scheduler replay under this profile must be
-    /// byte-identical to a plain (fault-unaware) replay.
+    /// byte-identical to a replay with no fault plan.
     pub fn none() -> Self {
         Self {
             seed: 0,

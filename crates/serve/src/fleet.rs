@@ -48,7 +48,7 @@ use crate::admission::{AdmissionController, RejectReason, SessionDemand, SloConf
 use crate::error::{Result, ServeError};
 use crate::loadgen::TrafficTrace;
 use crate::metrics::LatencyStats;
-use crate::sched::{schedule_sampled, SchedConfig, SchedPolicy, ScheduleOutcome};
+use crate::sched::{schedule, SchedConfig, SchedPolicy, ScheduleOutcome};
 use crate::session::{DrivenSession, SessionSpec, SessionTemplate};
 use vr_dann::ComputeMode;
 use vrd_sim::SimConfig;
@@ -625,13 +625,13 @@ pub fn run_fleet(
         })
         .collect();
     let threads = vrd_runtime::pool_threads(cfg.threads, jobs.len());
-    let replays: Vec<Result<(ScheduleOutcome, Vec<f64>)>> =
+    let replays: Vec<Result<ScheduleOutcome>> =
         vrd_runtime::parallel_map_with(&jobs, threads, |(si, driven)| {
             let sched = SchedConfig {
                 npu_available_ns: shards[*si].created_ns + spinup_ns,
                 ..cfg.sched
             };
-            schedule_sampled(driven, cfg.policy, &sched, &cfg.sim)
+            schedule(driven, cfg.policy, &sched, &cfg.sim, None)
         });
 
     let mut shard_reports = Vec::with_capacity(shards.len());
@@ -643,9 +643,9 @@ pub fn run_fleet(
     let mut makespan_ns = 0.0f64;
     let mut energy_total = 0.0f64;
     for (state, replay) in shards.iter().zip(replays) {
-        let (outcome, samples) = replay?;
-        all_samples.extend_from_slice(&samples);
-        frames_served += outcome.frames_served;
+        let outcome = replay?;
+        all_samples.extend_from_slice(&outcome.latency_samples);
+        frames_served += outcome.frames_delivered();
         frames_shed += outcome.frames_shed;
         switches += outcome.switches;
         busy_ns += outcome.busy_ns;
@@ -825,7 +825,11 @@ mod tests {
         // Fleet totals are exactly the sum of shard totals.
         let sessions: usize = report.shards.iter().map(|s| s.sessions).sum();
         assert_eq!(sessions, report.admitted);
-        let served: usize = report.shards.iter().map(|s| s.outcome.frames_served).sum();
+        let served: usize = report
+            .shards
+            .iter()
+            .map(|s| s.outcome.frames_delivered())
+            .sum();
         assert_eq!(served, report.frames_served);
         assert_eq!(report.latency.count, report.frames_served);
         assert!(report.frames_served > 0);
@@ -929,7 +933,7 @@ mod tests {
         assert!(starved.rejected > 0);
         // Spin-up is billed: no shard serves before it is up.
         for s in &report.shards {
-            if s.outcome.frames_served > 0 {
+            if s.outcome.frames_delivered() > 0 {
                 assert!(s.outcome.makespan_ns >= s.created_ns + sim.shard_spinup_ns());
             }
         }

@@ -39,13 +39,15 @@
 //!   stealing and an autoscaler that provisions/drains shards (billing
 //!   spin-up latency) to hold the SLO under traffic spikes.
 //!
-//! On top of the plain replay, [`sched::schedule_chaos`] replays the same
-//! admitted work against an [`faults::NpuFaultProfile`]: work-item
-//! failures retry with bounded exponential backoff, crashed sessions
-//! restore from host-side engine checkpoints
-//! ([`session::drive_session_checkpointed`]), and a graceful-degradation
-//! ladder ([`sched::DegradeLevel`]) trades per-frame fidelity for
-//! throughput instead of shedding.
+//! [`sched::schedule`] is the one scheduler entry and
+//! [`sched::ScheduleOutcome`] the one record it returns. Its last argument
+//! is an optional fault plan ([`sched::ChaosConfig`]): `None` is what
+//! [`serve`] and [`run_fleet`] pass; `Some` replays the same admitted work
+//! against an [`faults::NpuFaultProfile`] — work-item failures retry with
+//! bounded exponential backoff, crashed sessions restore from host-side
+//! engine checkpoints ([`session::drive_session_checkpointed`]), and a
+//! graceful-degradation ladder ([`sched::DegradeLevel`]) trades per-frame
+//! fidelity for throughput instead of shedding.
 //!
 //! Everything is deterministic: the same requests and configuration produce
 //! byte-identical reports — fault-injected or not — which is what lets
@@ -76,9 +78,8 @@ pub use loadgen::{
 };
 pub use metrics::LatencyStats;
 pub use sched::{
-    schedule, schedule_chaos, schedule_sampled, ChaosConfig, ChaosOutcome, DegradationStats,
-    DegradeLevel, LadderConfig, RecoveryConfig, SchedConfig, SchedPolicy, ScheduleOutcome,
-    SessionChaosStats, SessionSchedStats,
+    schedule, ChaosConfig, DegradationStats, DegradeLevel, LadderConfig, RecoveryConfig,
+    SchedConfig, SchedPolicy, ScheduleOutcome, SessionSchedStats,
 };
 pub use server::{admit_and_drive, serve, ServeConfig, ServeReport, SessionReport};
 pub use session::{

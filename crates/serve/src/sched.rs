@@ -1,10 +1,11 @@
 //! The shared virtual NPU: one accelerator, many sessions.
 //!
-//! Replays the stamped work of every admitted session through a
-//! deterministic event loop timed by `vrd-sim`'s cost model
+//! [`schedule`] replays the stamped work of every admitted session through
+//! one deterministic event loop timed by `vrd-sim`'s cost model
 //! ([`SimConfig::npu_ops_per_ns`] for service,
 //! [`SimConfig::switch_to_large_ns`]/[`SimConfig::switch_to_small_ns`] for
-//! NN-L ↔ NN-S weight swaps). Two policies share the loop:
+//! NN-L ↔ NN-S weight swaps) and returns one record, [`ScheduleOutcome`].
+//! Two policies share the loop:
 //!
 //! * [`SchedPolicy::Fifo`] — per-stream FIFO: always serve the globally
 //!   oldest handed-over item, switching models whenever two consecutive
@@ -22,13 +23,17 @@
 //! Each session owns a bounded queue between its decoder lane and the NPU
 //! (backpressure: a full queue delays the hand-over to the next serve
 //! completion, counted in [`ScheduleOutcome::decoder_stalls`]). Frame
-//! latency is measured arrival → NPU completion, so decode, queueing,
-//! switching and service all show up in the percentiles.
+//! latency is measured arrival → delivery, so decode, queueing, switching
+//! and service all show up in the percentiles; the raw samples ride along
+//! in [`ScheduleOutcome::latency_samples`] so a caller merging several
+//! replays (the fleet) can take percentiles over the union.
 //!
-//! ## Fault-tolerant replays
+//! ## Fault plans
 //!
-//! [`schedule_chaos`] runs the *same* event loop against a deterministic
-//! [`NpuFaultProfile`] plus a [`RecoveryConfig`]:
+//! The last argument of [`schedule`] is an optional [`ChaosConfig`] — a
+//! deterministic [`NpuFaultProfile`] plus a [`RecoveryConfig`]. `None` means
+//! no faults and shed-only pressure handling (what [`crate::serve`] and
+//! [`crate::run_fleet`] pass). With a plan:
 //!
 //! * **work-item failures** are retried in place with bounded exponential
 //!   backoff until the retry budget runs out;
@@ -38,8 +43,7 @@
 //!   unit's `ip_Q`/`b_Q`, which live next to the NPU). With
 //!   [`RecoveryConfig::checkpoint_restore`] the affected sessions resume
 //!   from their host-side engine checkpoints after the outage, paying
-//!   [`RecoveryConfig::restore_penalty_ns`]; without it they are lost —
-//!   the PR-4 behaviour.
+//!   [`RecoveryConfig::restore_penalty_ns`]; without it they are lost.
 //! * the **degradation ladder** ([`LadderConfig`]) replaces shed-only
 //!   pressure handling: a backlogged session steps down
 //!   [`DegradeLevel::Full`] → [`DegradeLevel::Int8`] →
@@ -53,16 +57,16 @@
 //!   deadline, so it is dormant when [`SchedConfig::shed_after_ns`] is
 //!   `None`.
 //!
-//! A [`NpuFaultProfile::none`] chaos replay is **byte-identical** to the
-//! plain [`schedule`] replay: both run one loop, and the fault branches
-//! change no arithmetic when quiet. Fault draws are counter-hashed per
+//! A quiet plan ([`NpuFaultProfile::none`], no active ladder) returns a
+//! record **equal** to the `None` replay's — the fault branches change no
+//! arithmetic when nothing fires. Fault draws are counter-hashed per
 //! `(session, item, attempt)`, so Fifo and Batch replays of the same
 //! profile see the same faults on the same items.
 
 use crate::error::{Result, ServeError};
 use crate::faults::{CrashWindow, NpuFaultProfile};
 use crate::metrics::LatencyStats;
-use crate::session::DrivenSession;
+use crate::session::{DrivenSession, WorkItem};
 use std::collections::VecDeque;
 use vr_dann::ComputeMode;
 use vrd_sim::SimConfig;
@@ -97,7 +101,7 @@ pub struct SchedConfig {
     pub batch_cap: usize,
     /// Optional shedding deadline: a frame still unserved this long after
     /// its arrival is dropped instead of served (`None` = serve everything).
-    /// Under a chaos replay with a ladder, the miss is delivered as a
+    /// Under a fault plan with a ladder, the miss is delivered as a
     /// copy-forward frame instead of dropped.
     pub shed_after_ns: Option<f64>,
     /// Instant the NPU comes online (0 = always on). The fleet layer sets
@@ -203,7 +207,7 @@ impl Default for LadderConfig {
     }
 }
 
-/// Recovery machinery knobs for a chaos replay.
+/// Recovery machinery knobs of a fault plan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryConfig {
     /// Total service attempts allowed per work item (≥ 1).
@@ -254,7 +258,7 @@ impl RecoveryConfig {
     }
 }
 
-/// Everything a chaos replay needs besides the plain scheduling knobs.
+/// A replay's fault plan: what goes wrong and what is done about it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosConfig {
     /// The deterministic fault plan.
@@ -263,7 +267,7 @@ pub struct ChaosConfig {
     pub recovery: RecoveryConfig,
 }
 
-/// Ladder and retry activity of one session across a chaos replay.
+/// Ladder and retry activity of one session across a replay.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DegradationStats {
     /// Rungs stepped down.
@@ -281,21 +285,8 @@ pub struct DegradationStats {
 }
 
 /// Per-session outcome of one schedule replay.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SessionSchedStats {
-    /// Index into the admitted set.
-    pub session: usize,
-    /// Frames the NPU completed for this session.
-    pub frames_served: usize,
-    /// Frames dropped by the shedding deadline.
-    pub frames_shed: usize,
-    /// Arrival → completion latency summary.
-    pub latency: LatencyStats,
-}
-
-/// Per-session outcome of one chaos replay.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SessionChaosStats {
     /// Index into the admitted set.
     pub session: usize,
     /// Frames delivered at the session's own fidelity.
@@ -319,47 +310,6 @@ pub struct SessionChaosStats {
 /// Global outcome of replaying the merged sessions under one policy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScheduleOutcome {
-    /// The policy replayed.
-    pub policy: SchedPolicy,
-    /// Frames completed across all sessions.
-    pub frames_served: usize,
-    /// Frames dropped by the shedding deadline.
-    pub frames_shed: usize,
-    /// NN-L ↔ NN-S model switches paid.
-    pub switches: usize,
-    /// Time lost to those switches.
-    pub switch_ns: f64,
-    /// Time the NPU spent computing.
-    pub busy_ns: f64,
-    /// Completion time of the last served frame.
-    pub makespan_ns: f64,
-    /// Largest total queue depth observed across serve events.
-    pub max_queue_depth: usize,
-    /// Mean total queue depth over serve events.
-    pub mean_queue_depth: f64,
-    /// Hand-overs delayed because the session's queue was full
-    /// (backpressure onto the decoder lane).
-    pub decoder_stalls: usize,
-    /// Arrival → completion latency summary over every served frame.
-    pub latency: LatencyStats,
-    /// Per-session breakdown, admitted order.
-    pub per_session: Vec<SessionSchedStats>,
-}
-
-impl ScheduleOutcome {
-    /// Fraction of the makespan the NPU spent computing (0 when empty).
-    pub fn utilization(&self) -> f64 {
-        if self.makespan_ns > 0.0 {
-            self.busy_ns / self.makespan_ns
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Global outcome of one chaos replay.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChaosOutcome {
     /// The policy replayed.
     pub policy: SchedPolicy,
     /// Work items across all admitted sessions.
@@ -405,15 +355,21 @@ pub struct ChaosOutcome {
     pub max_queue_depth: usize,
     /// Mean total queue depth over deliveries.
     pub mean_queue_depth: f64,
-    /// Hand-overs delayed because the session's queue was full.
+    /// Hand-overs delayed because the session's queue was full
+    /// (backpressure onto the decoder lane).
     pub decoder_stalls: usize,
     /// Arrival → delivery latency over every delivered frame.
     pub latency: LatencyStats,
+    /// The raw samples behind [`Self::latency`], in delivery order. The
+    /// fleet layer merges the samples of every shard to compute genuine
+    /// fleet-wide percentiles — percentiles of percentiles would be wrong
+    /// whenever shards carry different loads.
+    pub latency_samples: Vec<f64>,
     /// Per-session breakdown, admitted order.
-    pub per_session: Vec<SessionChaosStats>,
+    pub per_session: Vec<SessionSchedStats>,
 }
 
-impl ChaosOutcome {
+impl ScheduleOutcome {
     /// Frames that reached the client at any fidelity.
     pub fn frames_delivered(&self) -> usize {
         self.frames_full + self.frames_degraded
@@ -428,7 +384,8 @@ impl ChaosOutcome {
         }
     }
 
-    /// Fraction of the makespan the NPU spent on completed work.
+    /// Fraction of the makespan the NPU spent on completed work (0 when
+    /// empty).
     pub fn utilization(&self) -> f64 {
         if self.makespan_ns > 0.0 {
             self.busy_ns / self.makespan_ns
@@ -451,7 +408,7 @@ struct QueueEntry {
 
 /// One session's bounded queue state inside the event loop.
 struct SessionQueue<'a> {
-    items: &'a [crate::session::WorkItem],
+    items: &'a [WorkItem],
     /// Next item not yet handed over.
     next: usize,
     /// Front is the only servable entry; sessions are strictly in decode
@@ -479,7 +436,7 @@ impl SessionQueue<'_> {
     }
 }
 
-/// Mutable chaos state of one session.
+/// One session's ladder position, next to the stats it will report.
 struct SessLive {
     /// Current ladder rung.
     level: DegradeLevel,
@@ -487,179 +444,153 @@ struct SessLive {
     base: DegradeLevel,
     /// Consecutive short-wait serves toward an upgrade.
     streak: usize,
-    /// Killed by a crash.
-    dead: bool,
-    /// Checkpoint restores paid.
-    restores: usize,
-    /// Delivered at own fidelity.
-    full: usize,
-    /// Delivered degraded.
-    degraded: usize,
-    /// Dropped by the deadline.
-    shed: usize,
-    /// Ladder/retry counters.
-    stats: DegradationStats,
+    /// Filled as the loop runs; `frames_lost` and `latency` at the end.
+    out: SessionSchedStats,
 }
 
-/// Voids every device-resident hand-over at the crash instant. With
-/// checkpoint restore the owning sessions re-enter after the outage plus
-/// the restore penalty; without it they die.
-fn apply_crash(
-    w: &CrashWindow,
-    queues: &mut [SessionQueue<'_>],
-    live: &mut [SessLive],
-    rec: &RecoveryConfig,
-    session_restores: &mut usize,
-    sessions_lost: &mut usize,
-) {
-    for (s, q) in queues.iter_mut().enumerate() {
-        if live[s].dead {
-            continue;
-        }
-        let resident = q.queue.iter().any(|e| e.entry_ns <= w.at_ns);
-        if !resident {
-            continue;
-        }
-        if rec.checkpoint_restore {
-            let resume = w.end_ns() + rec.restore_penalty_ns;
-            for e in q.queue.iter_mut() {
-                if e.entry_ns <= w.at_ns {
-                    e.entry_ns = resume;
-                }
-            }
-            live[s].restores += 1;
-            *session_restores += 1;
+/// The per-session state one replay threads through its event loop, plus
+/// what every delivery accumulates.
+struct Replay<'a> {
+    queues: Vec<SessionQueue<'a>>,
+    live: Vec<SessLive>,
+    /// Bound of every session queue.
+    cap: usize,
+    decoder_stalls: usize,
+    /// Delivered-frame latencies, delivery order.
+    samples: Vec<f64>,
+    /// The same samples split by session.
+    session_samples: Vec<Vec<f64>>,
+    /// Total queue depth is sampled once per delivery.
+    max_depth: usize,
+    depth_sum: usize,
+}
+
+impl Replay<'_> {
+    /// Retires session `s`'s front entry at `now` and hands over what the
+    /// freed slot admits.
+    fn retire(&mut self, s: usize, now: f64) {
+        self.queues[s].queue.pop_front();
+        self.queues[s].refill(now, self.cap, &mut self.decoder_stalls);
+    }
+
+    /// Drops session `s`'s front entry at `now`.
+    fn shed(&mut self, s: usize, now: f64) {
+        self.live[s].out.frames_shed += 1;
+        self.retire(s, now);
+    }
+
+    /// Delivers `item`, session `s`'s front entry, at `now` on `rung`: one
+    /// latency sample, one rung count, one queue-depth sample.
+    fn deliver(&mut self, s: usize, item: &WorkItem, now: f64, rung: DegradeLevel) {
+        let latency = now - item.arrival_ns;
+        self.samples.push(latency);
+        self.session_samples[s].push(latency);
+        let l = &mut self.live[s];
+        if rung > l.base {
+            l.out.frames_degraded += 1;
         } else {
-            live[s].dead = true;
-            q.queue.clear();
-            q.next = q.items.len();
-            *sessions_lost += 1;
+            l.out.frames_full += 1;
+        }
+        l.out.degradation.frames_at_level[rung.index()] += 1;
+        self.retire(s, now);
+        let depth: usize = self.queues.iter().map(|q| q.queue.len()).sum();
+        self.max_depth = self.max_depth.max(depth);
+        self.depth_sum += depth;
+    }
+
+    /// Voids every device-resident hand-over at the crash instant. With
+    /// checkpoint restore the owning sessions re-enter after the outage
+    /// plus the restore penalty; without it they die.
+    fn crash(&mut self, w: &CrashWindow, rec: &RecoveryConfig) {
+        for (q, l) in self.queues.iter_mut().zip(&mut self.live) {
+            if l.out.lost || !q.queue.iter().any(|e| e.entry_ns <= w.at_ns) {
+                continue;
+            }
+            if rec.checkpoint_restore {
+                let resume = w.end_ns() + rec.restore_penalty_ns;
+                for e in q.queue.iter_mut() {
+                    if e.entry_ns <= w.at_ns {
+                        e.entry_ns = resume;
+                    }
+                }
+                l.out.restores += 1;
+            } else {
+                l.out.lost = true;
+                q.queue.clear();
+                q.next = q.items.len();
+            }
         }
     }
 }
 
 /// Replays the merged work of `sessions` through the shared NPU under
-/// `policy`. Deterministic: ties between sessions break by admitted index.
+/// `policy`, against the fault plan `chaos` (`None` = no faults, shed-only
+/// pressure handling). Deterministic: ties between sessions break by
+/// admitted index.
+///
+/// # Errors
+/// [`ServeError::Scheduler`] when an event-loop invariant breaks.
 pub fn schedule(
     sessions: &[DrivenSession],
     policy: SchedPolicy,
     cfg: &SchedConfig,
     sim: &SimConfig,
-) -> Result<ScheduleOutcome> {
-    Ok(schedule_sampled(sessions, policy, cfg, sim)?.0)
-}
-
-/// [`schedule`] that also returns the raw per-frame latency samples, in
-/// delivery order. The fleet layer merges the samples of every shard to
-/// compute genuine fleet-wide percentiles — percentiles of percentiles
-/// would be wrong whenever shards carry different loads.
-pub fn schedule_sampled(
-    sessions: &[DrivenSession],
-    policy: SchedPolicy,
-    cfg: &SchedConfig,
-    sim: &SimConfig,
-) -> Result<(ScheduleOutcome, Vec<f64>)> {
-    let (out, samples) = run_loop(sessions, policy, cfg, sim, None)?;
-    let per_session = out
-        .per_session
-        .iter()
-        .map(|s| SessionSchedStats {
-            session: s.session,
-            frames_served: s.frames_full + s.frames_degraded,
-            frames_shed: s.frames_shed,
-            latency: s.latency,
-        })
-        .collect();
-    Ok((
-        ScheduleOutcome {
-            policy: out.policy,
-            frames_served: out.frames_delivered(),
-            frames_shed: out.frames_shed,
-            switches: out.switches,
-            switch_ns: out.switch_ns,
-            busy_ns: out.busy_ns,
-            makespan_ns: out.makespan_ns,
-            max_queue_depth: out.max_queue_depth,
-            mean_queue_depth: out.mean_queue_depth,
-            decoder_stalls: out.decoder_stalls,
-            latency: out.latency,
-            per_session,
-        },
-        samples,
-    ))
-}
-
-/// Replays the merged sessions against a deterministic fault plan. The
-/// quiet-profile replay is byte-identical to [`schedule`].
-pub fn schedule_chaos(
-    sessions: &[DrivenSession],
-    policy: SchedPolicy,
-    cfg: &SchedConfig,
-    sim: &SimConfig,
-    chaos: &ChaosConfig,
-) -> Result<ChaosOutcome> {
-    Ok(run_loop(sessions, policy, cfg, sim, Some(chaos))?.0)
-}
-
-/// The unified event loop behind [`schedule`] and [`schedule_chaos`].
-/// Also returns the raw delivered-frame latency samples, delivery order.
-fn run_loop(
-    sessions: &[DrivenSession],
-    policy: SchedPolicy,
-    cfg: &SchedConfig,
-    sim: &SimConfig,
     chaos: Option<&ChaosConfig>,
-) -> Result<(ChaosOutcome, Vec<f64>)> {
-    let cap = cfg.queue_capacity.max(1);
-    let mut queues: Vec<SessionQueue> = sessions
-        .iter()
-        .map(|s| SessionQueue {
-            items: &s.items,
-            next: 0,
-            queue: VecDeque::new(),
-        })
-        .collect();
-    let mut decoder_stalls = 0usize;
-    for q in &mut queues {
-        q.refill(0.0, cap, &mut decoder_stalls);
-    }
-
-    let quiet = NpuFaultProfile::none();
-    let profile = chaos.map(|c| &c.faults).unwrap_or(&quiet);
-    let default_rec = RecoveryConfig::default();
-    let rec = chaos.map(|c| &c.recovery).unwrap_or(&default_rec);
+) -> Result<ScheduleOutcome> {
+    let no_plan = ChaosConfig {
+        faults: NpuFaultProfile::none(),
+        recovery: RecoveryConfig::shed_only(),
+    };
+    let ChaosConfig {
+        faults: profile,
+        recovery: rec,
+    } = chaos.unwrap_or(&no_plan);
     let max_attempts = rec.max_attempts.max(1);
     // The ladder needs the deadline to scale its thresholds; without one
     // it stays dormant and pressure handling is shed-only.
-    let ladder = chaos
-        .and_then(|c| c.recovery.ladder)
-        .filter(|_| cfg.shed_after_ns.is_some());
-    let mut crash_windows: Vec<CrashWindow> =
-        chaos.map(|c| c.faults.crashes.clone()).unwrap_or_default();
+    let ladder = rec.ladder.filter(|_| cfg.shed_after_ns.is_some());
+    let mut crash_windows = profile.crashes.clone();
     crash_windows.sort_by(|a, b| a.at_ns.total_cmp(&b.at_ns));
     let mut crash_idx = 0usize;
 
-    let mut live: Vec<SessLive> = sessions
-        .iter()
-        .map(|s| {
-            let base = if s.compute == ComputeMode::Int8 {
-                DegradeLevel::Int8
-            } else {
-                DegradeLevel::Full
-            };
-            SessLive {
-                level: base,
-                base,
-                streak: 0,
-                dead: false,
-                restores: 0,
-                full: 0,
-                degraded: 0,
-                shed: 0,
-                stats: DegradationStats::default(),
-            }
-        })
-        .collect();
+    let mut r = Replay {
+        queues: sessions
+            .iter()
+            .map(|s| SessionQueue {
+                items: &s.items,
+                next: 0,
+                queue: VecDeque::new(),
+            })
+            .collect(),
+        live: sessions
+            .iter()
+            .map(|s| {
+                let base = if s.compute == ComputeMode::Int8 {
+                    DegradeLevel::Int8
+                } else {
+                    DegradeLevel::Full
+                };
+                SessLive {
+                    level: base,
+                    base,
+                    streak: 0,
+                    out: SessionSchedStats {
+                        session: s.session,
+                        ..SessionSchedStats::default()
+                    },
+                }
+            })
+            .collect(),
+        cap: cfg.queue_capacity.max(1),
+        decoder_stalls: 0,
+        samples: Vec::new(),
+        session_samples: vec![Vec::new(); sessions.len()],
+        max_depth: 0,
+        depth_sum: 0,
+    };
+    for q in &mut r.queues {
+        q.refill(0.0, r.cap, &mut r.decoder_stalls);
+    }
 
     let ops_per_ns = sim.npu_ops_per_ns();
     let int8_ops_per_ns = sim.npu_int8_ops_per_ns();
@@ -671,24 +602,16 @@ fn run_loop(
     let mut switch_ns = 0.0f64;
     let mut busy_ns = 0.0f64;
     let mut stalls = 0usize;
-    let mut stall_ns_total = 0.0f64;
+    let mut stall_ns = 0.0f64;
     let mut wasted_ns = 0.0f64;
     let mut crashes = 0usize;
-    let mut retries_total = 0usize;
-    let mut session_restores = 0usize;
-    let mut sessions_lost = 0usize;
-    let mut latencies: Vec<f64> = Vec::new();
-    let mut lat_per: Vec<Vec<f64>> = vec![Vec::new(); sessions.len()];
-    let mut max_depth = 0usize;
-    let mut depth_sum = 0usize;
-    let mut depth_events = 0usize;
 
-    let total_items: usize = sessions.iter().map(|s| s.items.len()).sum();
+    let frames_offered: usize = sessions.iter().map(|s| s.items.len()).sum();
     // Every iteration resolves an item, burns one bounded retry, or
     // consumes a crash window — so this bound is unreachable unless an
     // invariant broke, and tripping it surfaces the bug instead of
     // spinning forever.
-    let max_iters = total_items
+    let max_iters = frames_offered
         .saturating_mul(max_attempts as usize + 2)
         .saturating_add(crash_windows.len() * (sessions.len() + 2))
         .saturating_add(64);
@@ -697,7 +620,8 @@ fn run_loop(
     // Each pass delivers, sheds, retries or crash-recovers one event; done
     // when all queues are empty. The loop condition finds the earliest
     // hand-over among the queue fronts.
-    while let Some(min_entry) = queues
+    while let Some(min_entry) = r
+        .queues
         .iter()
         .filter_map(|q| q.queue.front().map(|e| e.entry_ns))
         .min_by(|a, b| a.total_cmp(b))
@@ -719,21 +643,14 @@ fn run_loop(
             crashes += 1;
             resident_large = None;
             run_len = 0;
-            apply_crash(
-                &w,
-                &mut queues,
-                &mut live,
-                rec,
-                &mut session_restores,
-                &mut sessions_lost,
-            );
+            r.crash(&w, rec);
             t_npu = t_npu.max(w.end_ns());
             continue;
         }
 
         // Items already handed over at t_now; non-empty by construction.
         let oldest = |pred: &dyn Fn(bool) -> bool| -> Option<(usize, usize, f64, u32)> {
-            queues
+            r.queues
                 .iter()
                 .enumerate()
                 .filter_map(|(s, q)| {
@@ -769,28 +686,16 @@ fn run_loop(
             });
         };
 
-        let item = &queues[s].items[i];
+        let item = &r.queues[s].items[i];
         // Past its shedding deadline: the watchdog fires. With a ladder
         // the frame is delivered as a copy-forward; shed-only drops it.
         if let Some(d) = cfg.shed_after_ns {
             if item.arrival_ns + d < t_now {
                 if ladder.is_some() {
-                    let latency = t_now - item.arrival_ns;
-                    latencies.push(latency);
-                    lat_per[s].push(latency);
-                    live[s].degraded += 1;
-                    live[s].stats.watchdog_degraded += 1;
-                    live[s].stats.frames_at_level[DegradeLevel::CopyForward.index()] += 1;
-                    queues[s].queue.pop_front();
-                    queues[s].refill(t_now, cap, &mut decoder_stalls);
-                    let depth: usize = queues.iter().map(|q| q.queue.len()).sum();
-                    max_depth = max_depth.max(depth);
-                    depth_sum += depth;
-                    depth_events += 1;
+                    r.live[s].out.degradation.watchdog_degraded += 1;
+                    r.deliver(s, item, t_now, DegradeLevel::CopyForward);
                 } else {
-                    queues[s].queue.pop_front();
-                    queues[s].refill(t_now, cap, &mut decoder_stalls);
-                    live[s].shed += 1;
+                    r.shed(s, t_now);
                 }
                 continue;
             }
@@ -799,22 +704,23 @@ fn run_loop(
         // Ladder transitions, driven by how close this frame ran to its
         // deadline.
         if let (Some(lad), Some(d)) = (ladder, cfg.shed_after_ns) {
+            let l = &mut r.live[s];
             let age = t_now - item.arrival_ns;
             if age > lad.downgrade_wait_frac * d {
-                if live[s].level < DegradeLevel::CopyForward {
-                    live[s].level = live[s].level.down();
-                    live[s].stats.downgrades += 1;
+                if l.level < DegradeLevel::CopyForward {
+                    l.level = l.level.down();
+                    l.out.degradation.downgrades += 1;
                 }
-                live[s].streak = 0;
+                l.streak = 0;
             } else if age <= lad.upgrade_wait_frac * d {
-                live[s].streak += 1;
-                if live[s].streak >= lad.upgrade_streak && live[s].level > live[s].base {
-                    live[s].level = live[s].level.up();
-                    live[s].stats.upgrades += 1;
-                    live[s].streak = 0;
+                l.streak += 1;
+                if l.streak >= lad.upgrade_streak && l.level > l.base {
+                    l.level = l.level.up();
+                    l.out.degradation.upgrades += 1;
+                    l.streak = 0;
                 }
             } else {
-                live[s].streak = 0;
+                l.streak = 0;
             }
         }
 
@@ -823,24 +729,14 @@ fn run_loop(
         let eff = if item.uses_large_model {
             DegradeLevel::Full
         } else {
-            live[s].level
+            r.live[s].level
         };
 
         // Agent-unit-only rungs: no NPU occupancy, no switch, no fault
         // exposure — the mask is reconstructed (or copied forward) on the
         // agent unit and delivered at the decision instant.
         if !item.uses_large_model && eff >= DegradeLevel::SkipRefine {
-            let latency = t_now - item.arrival_ns;
-            latencies.push(latency);
-            lat_per[s].push(latency);
-            live[s].degraded += 1;
-            live[s].stats.frames_at_level[eff.index()] += 1;
-            queues[s].queue.pop_front();
-            queues[s].refill(t_now, cap, &mut decoder_stalls);
-            let depth: usize = queues.iter().map(|q| q.queue.len()).sum();
-            max_depth = max_depth.max(depth);
-            depth_sum += depth;
-            depth_events += 1;
+            r.deliver(s, item, t_now, eff);
             continue;
         }
 
@@ -872,14 +768,7 @@ fn run_loop(
             wasted_ns += w.at_ns - t_now;
             resident_large = None;
             run_len = 0;
-            apply_crash(
-                &w,
-                &mut queues,
-                &mut live,
-                rec,
-                &mut session_restores,
-                &mut sessions_lost,
-            );
+            r.crash(&w, rec);
             t_npu = w.end_ns();
             continue;
         }
@@ -892,32 +781,18 @@ fn run_loop(
         }
         if stalled {
             stalls += 1;
-            stall_ns_total += stall_extra;
+            stall_ns += stall_extra;
         }
         run_len += 1;
+        t_npu = finish;
 
         // The attempt completed on the NPU clock — did it return garbage?
         if profile.draw_work_item_failure(item.session, item.idx, attempt) {
             wasted_ns += service;
             let failed_attempts = attempt + 1;
-            if failed_attempts >= max_attempts {
-                live[s].stats.retry_exhausted += 1;
-                if ladder.is_some() {
-                    // Budget gone: deliver the copy-forward fallback.
-                    let latency = finish - item.arrival_ns;
-                    latencies.push(latency);
-                    lat_per[s].push(latency);
-                    live[s].degraded += 1;
-                    live[s].stats.frames_at_level[DegradeLevel::CopyForward.index()] += 1;
-                } else {
-                    live[s].shed += 1;
-                }
-                queues[s].queue.pop_front();
-                queues[s].refill(finish, cap, &mut decoder_stalls);
-            } else {
-                retries_total += 1;
-                live[s].stats.retries += 1;
-                let Some(front) = queues[s].queue.front_mut() else {
+            if failed_attempts < max_attempts {
+                r.live[s].out.degradation.retries += 1;
+                let Some(front) = r.queues[s].queue.front_mut() else {
                     return Err(ServeError::Scheduler {
                         time_ns: finish,
                         detail: format!("session {s}: retried entry vanished from its queue front"),
@@ -925,103 +800,80 @@ fn run_loop(
                 };
                 front.attempt = failed_attempts;
                 front.entry_ns = finish + rec.backoff_ns(failed_attempts);
+                continue;
             }
-            t_npu = finish;
+            r.live[s].out.degradation.retry_exhausted += 1;
+            if ladder.is_some() {
+                // Budget gone: deliver the copy-forward fallback.
+                r.deliver(s, item, finish, DegradeLevel::CopyForward);
+            } else {
+                r.shed(s, finish);
+            }
             continue;
         }
 
         busy_ns += service;
-        let latency = finish - item.arrival_ns;
-        latencies.push(latency);
-        lat_per[s].push(latency);
-        if eff > live[s].base {
-            live[s].degraded += 1;
-        } else {
-            live[s].full += 1;
-        }
-        live[s].stats.frames_at_level[eff.index()] += 1;
-        queues[s].queue.pop_front();
-        queues[s].refill(finish, cap, &mut decoder_stalls);
-        t_npu = finish;
-
-        let depth: usize = queues.iter().map(|q| q.queue.len()).sum();
-        max_depth = max_depth.max(depth);
-        depth_sum += depth;
-        depth_events += 1;
+        r.deliver(s, item, finish, eff);
     }
 
-    let mut frames_at_level = [0usize; DegradeLevel::COUNT];
     let mut per_session = Vec::with_capacity(sessions.len());
-    for (s, sess) in sessions.iter().enumerate() {
-        let l = &live[s];
-        let resolved = l.full + l.degraded + l.shed;
-        let lost = sess.items.len() - resolved;
-        if lost > 0 && !l.dead {
+    for (s, (l, samples)) in r.live.into_iter().zip(&r.session_samples).enumerate() {
+        let mut out = l.out;
+        let resolved = out.frames_full + out.frames_degraded + out.frames_shed;
+        let lost = sessions[s].items.len() - resolved;
+        if lost > 0 && !out.lost {
             return Err(ServeError::Scheduler {
                 time_ns: t_npu,
                 detail: format!("session {s}: {lost} frames unaccounted without a crash kill"),
             });
         }
-        for (k, n) in l.stats.frames_at_level.iter().enumerate() {
-            frames_at_level[k] += n;
-        }
-        per_session.push(SessionChaosStats {
-            session: sess.session,
-            frames_full: l.full,
-            frames_degraded: l.degraded,
-            frames_shed: l.shed,
-            frames_lost: lost,
-            lost: l.dead,
-            restores: l.restores,
-            degradation: l.stats,
-            latency: LatencyStats::from_samples(&lat_per[s]),
-        });
+        out.frames_lost = lost;
+        out.latency = LatencyStats::from_samples(samples);
+        per_session.push(out);
+    }
+    let sum = |f: &dyn Fn(&SessionSchedStats) -> usize| per_session.iter().map(f).sum::<usize>();
+    let mut frames_at_level = [0usize; DegradeLevel::COUNT];
+    for (k, n) in frames_at_level.iter_mut().enumerate() {
+        *n = sum(&|p| p.degradation.frames_at_level[k]);
     }
 
-    let outcome = ChaosOutcome {
+    Ok(ScheduleOutcome {
         policy,
-        frames_offered: total_items,
-        frames_full: per_session.iter().map(|p| p.frames_full).sum(),
-        frames_degraded: per_session.iter().map(|p| p.frames_degraded).sum(),
-        frames_shed: per_session.iter().map(|p| p.frames_shed).sum(),
-        frames_lost: per_session.iter().map(|p| p.frames_lost).sum(),
+        frames_offered,
+        frames_full: sum(&|p| p.frames_full),
+        frames_degraded: sum(&|p| p.frames_degraded),
+        frames_shed: sum(&|p| p.frames_shed),
+        frames_lost: sum(&|p| p.frames_lost),
         frames_at_level,
-        sessions_lost,
-        session_restores,
-        retries: retries_total,
-        retry_exhausted: per_session
-            .iter()
-            .map(|p| p.degradation.retry_exhausted)
-            .sum(),
-        watchdog_degraded: per_session
-            .iter()
-            .map(|p| p.degradation.watchdog_degraded)
-            .sum(),
+        sessions_lost: sum(&|p| usize::from(p.lost)),
+        session_restores: sum(&|p| p.restores),
+        retries: sum(&|p| p.degradation.retries),
+        retry_exhausted: sum(&|p| p.degradation.retry_exhausted),
+        watchdog_degraded: sum(&|p| p.degradation.watchdog_degraded),
         stalls,
-        stall_ns: stall_ns_total,
+        stall_ns,
         crashes,
         wasted_ns,
         switches,
         switch_ns,
         busy_ns,
         makespan_ns: t_npu,
-        max_queue_depth: max_depth,
-        mean_queue_depth: if depth_events > 0 {
-            depth_sum as f64 / depth_events as f64
-        } else {
+        max_queue_depth: r.max_depth,
+        mean_queue_depth: if r.samples.is_empty() {
             0.0
+        } else {
+            r.depth_sum as f64 / r.samples.len() as f64
         },
-        decoder_stalls,
-        latency: LatencyStats::from_samples(&latencies),
+        decoder_stalls: r.decoder_stalls,
+        latency: LatencyStats::from_samples(&r.samples),
+        latency_samples: r.samples,
         per_session,
-    };
-    Ok((outcome, latencies))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::{DrivenSession, WorkItem};
     use vrd_codec::FrameType;
 
     /// A synthetic session alternating one NN-L anchor with `b_per_anchor`
@@ -1092,12 +944,18 @@ mod tests {
         }
     }
 
-    /// Every admitted frame accounted for exactly once.
-    fn assert_conserved(out: &ChaosOutcome) {
+    /// Every admitted frame accounted for exactly once, and every delivered
+    /// one backed by exactly one raw latency sample.
+    fn assert_conserved(out: &ScheduleOutcome) {
         assert_eq!(
             out.frames_full + out.frames_degraded + out.frames_shed + out.frames_lost,
             out.frames_offered,
             "conservation broke: {out:?}"
+        );
+        assert_eq!(out.latency_samples.len(), out.frames_delivered());
+        assert_eq!(
+            LatencyStats::from_samples(&out.latency_samples),
+            out.latency
         );
     }
 
@@ -1105,10 +963,10 @@ mod tests {
     fn single_session_policies_agree() {
         let sessions = vec![synth_session(0, 4, 3, 2e6)];
         let cfg = SchedConfig::default();
-        let fifo = schedule(&sessions, SchedPolicy::Fifo, &cfg, &sim()).unwrap();
-        let batch = schedule(&sessions, SchedPolicy::Batch, &cfg, &sim()).unwrap();
+        let fifo = schedule(&sessions, SchedPolicy::Fifo, &cfg, &sim(), None).unwrap();
+        let batch = schedule(&sessions, SchedPolicy::Batch, &cfg, &sim(), None).unwrap();
         // One stream leaves nothing to batch across: identical schedules.
-        assert_eq!(fifo.frames_served, batch.frames_served);
+        assert_eq!(fifo.frames_delivered(), batch.frames_delivered());
         assert_eq!(fifo.switches, batch.switches);
         assert_eq!(fifo.latency, batch.latency);
     }
@@ -1120,10 +978,10 @@ mod tests {
         // backlog forms and cross-session batching has choices to make.
         let sessions: Vec<DrivenSession> = (0..4).map(|s| synth_session(s, 4, 3, 1e6)).collect();
         let cfg = SchedConfig::default();
-        let fifo = schedule(&sessions, SchedPolicy::Fifo, &cfg, &sim()).unwrap();
-        let batch = schedule(&sessions, SchedPolicy::Batch, &cfg, &sim()).unwrap();
-        assert_eq!(fifo.frames_served, 4 * 16);
-        assert_eq!(batch.frames_served, 4 * 16);
+        let fifo = schedule(&sessions, SchedPolicy::Fifo, &cfg, &sim(), None).unwrap();
+        let batch = schedule(&sessions, SchedPolicy::Batch, &cfg, &sim(), None).unwrap();
+        assert_eq!(fifo.frames_delivered(), 4 * 16);
+        assert_eq!(batch.frames_delivered(), 4 * 16);
         assert!(
             batch.switches < fifo.switches,
             "batching should amortise switches: {} vs {}",
@@ -1144,8 +1002,8 @@ mod tests {
     fn schedules_are_deterministic() {
         let sessions: Vec<DrivenSession> = (0..3).map(|s| synth_session(s, 3, 2, 1.5e6)).collect();
         let cfg = SchedConfig::default();
-        let a = schedule(&sessions, SchedPolicy::Batch, &cfg, &sim()).unwrap();
-        let b = schedule(&sessions, SchedPolicy::Batch, &cfg, &sim()).unwrap();
+        let a = schedule(&sessions, SchedPolicy::Batch, &cfg, &sim(), None).unwrap();
+        let b = schedule(&sessions, SchedPolicy::Batch, &cfg, &sim(), None).unwrap();
         assert_eq!(a, b);
     }
 
@@ -1157,21 +1015,20 @@ mod tests {
             npu_available_ns: 5e7,
             ..SchedConfig::default()
         };
-        let (a, a_samples) =
-            schedule_sampled(&sessions, SchedPolicy::Fifo, &on_time, &sim()).unwrap();
-        let (b, b_samples) = schedule_sampled(&sessions, SchedPolicy::Fifo, &late, &sim()).unwrap();
-        assert_eq!(a.frames_served, b.frames_served);
+        let a = schedule(&sessions, SchedPolicy::Fifo, &on_time, &sim(), None).unwrap();
+        let b = schedule(&sessions, SchedPolicy::Fifo, &late, &sim(), None).unwrap();
+        assert_eq!(a.frames_delivered(), b.frames_delivered());
         // Spin-up delays every completion: first frame can't finish before
         // the device exists, so the whole distribution shifts right.
         assert!(b.latency.p50_ns > a.latency.p50_ns);
         assert!(b.makespan_ns >= 5e7);
         assert_eq!(b.busy_ns, a.busy_ns, "spin-up is idle time, not compute");
         // The raw samples back the summary exactly.
-        assert_eq!(a_samples.len(), a.frames_served);
-        assert_eq!(LatencyStats::from_samples(&a_samples), a.latency);
-        assert_eq!(LatencyStats::from_samples(&b_samples), b.latency);
+        assert_eq!(a.latency_samples.len(), a.frames_delivered());
+        assert_eq!(LatencyStats::from_samples(&a.latency_samples), a.latency);
+        assert_eq!(LatencyStats::from_samples(&b.latency_samples), b.latency);
         // A zero offset is byte-identical to the default config.
-        let (c, _) = schedule_sampled(&sessions, SchedPolicy::Fifo, &on_time, &sim()).unwrap();
+        let c = schedule(&sessions, SchedPolicy::Fifo, &on_time, &sim(), None).unwrap();
         assert_eq!(a, c);
     }
 
@@ -1183,8 +1040,8 @@ mod tests {
             queue_capacity: 1,
             ..SchedConfig::default()
         };
-        let out = schedule(&sessions, SchedPolicy::Fifo, &cfg, &sim()).unwrap();
-        assert_eq!(out.frames_served, 36);
+        let out = schedule(&sessions, SchedPolicy::Fifo, &cfg, &sim(), None).unwrap();
+        assert_eq!(out.frames_delivered(), 36);
         assert!(out.decoder_stalls > 0, "expected backpressure stalls");
         assert!(out.max_queue_depth <= 1);
     }
@@ -1203,10 +1060,10 @@ mod tests {
             batch_cap: 4,
             ..SchedConfig::default()
         };
-        let out = schedule(&[nns_only, anchors], SchedPolicy::Batch, &cfg, &sim()).unwrap();
-        assert_eq!(out.frames_served, 61 + 3);
+        let out = schedule(&[nns_only, anchors], SchedPolicy::Batch, &cfg, &sim(), None).unwrap();
+        assert_eq!(out.frames_delivered(), 61 + 3);
         // Every anchor was eventually served despite the NN-S flood.
-        assert_eq!(out.per_session[1].frames_served, 3);
+        assert_eq!(out.per_session[1].frames_full, 3);
     }
 
     #[test]
@@ -1216,9 +1073,9 @@ mod tests {
             shed_after_ns: Some(2e6),
             ..SchedConfig::default()
         };
-        let out = schedule(&sessions, SchedPolicy::Fifo, &cfg, &sim()).unwrap();
+        let out = schedule(&sessions, SchedPolicy::Fifo, &cfg, &sim(), None).unwrap();
         assert!(out.frames_shed > 0, "overload should shed");
-        assert_eq!(out.frames_served + out.frames_shed, 4 * 16);
+        assert_eq!(out.frames_delivered() + out.frames_shed, 4 * 16);
         // A served frame waited at most the deadline before starting, so
         // its latency is bounded by deadline + one switch + its service.
         let bound = 2e6 + sim().switch_to_large_ns() + 4e9 / sim().npu_ops_per_ns() + 1.0;
@@ -1231,8 +1088,9 @@ mod tests {
 
     #[test]
     fn fault_free_chaos_is_identical_to_plain_schedule() {
-        // The quiet-profile chaos replay and the plain replay must agree
-        // bit-for-bit, with and without a deadline, under both policies.
+        // A quiet fault plan and no plan at all must produce the same
+        // record — per-session stats, queue depths and raw samples
+        // included — with and without a deadline, under both policies.
         // With a deadline the ladder intentionally replaces sheds with
         // copy-forwards, so identity is pinned against shed-only recovery;
         // without one the ladder is dormant and the default recovery must
@@ -1248,21 +1106,14 @@ mod tests {
                 ..SchedConfig::default()
             };
             for policy in [SchedPolicy::Fifo, SchedPolicy::Batch] {
-                let plain = schedule(&sessions, policy, &cfg, &sim()).unwrap();
+                let plain = schedule(&sessions, policy, &cfg, &sim(), None).unwrap();
                 let quiet = ChaosConfig {
                     faults: NpuFaultProfile::none(),
                     recovery: recovery.clone(),
                 };
-                let chaos = schedule_chaos(&sessions, policy, &cfg, &sim(), &quiet).unwrap();
-                assert_eq!(chaos.frames_delivered(), plain.frames_served);
-                assert_eq!(chaos.frames_shed, plain.frames_shed);
+                let chaos = schedule(&sessions, policy, &cfg, &sim(), Some(&quiet)).unwrap();
+                assert_eq!(plain, chaos);
                 assert_eq!(chaos.frames_degraded, 0, "quiet replay degraded frames");
-                assert_eq!(chaos.switches, plain.switches);
-                assert_eq!(chaos.switch_ns, plain.switch_ns);
-                assert_eq!(chaos.busy_ns, plain.busy_ns);
-                assert_eq!(chaos.makespan_ns, plain.makespan_ns);
-                assert_eq!(chaos.latency, plain.latency);
-                assert_eq!(chaos.decoder_stalls, plain.decoder_stalls);
                 assert_conserved(&chaos);
             }
         }
@@ -1279,7 +1130,7 @@ mod tests {
                 ..RecoveryConfig::default()
             },
         };
-        let out = schedule_chaos(&sessions, SchedPolicy::Fifo, &cfg, &sim(), &chaos).unwrap();
+        let out = schedule(&sessions, SchedPolicy::Fifo, &cfg, &sim(), Some(&chaos)).unwrap();
         assert_conserved(&out);
         assert!(out.retries > 0, "rate 0.2 planted no failures");
         assert!(out.wasted_ns > 0.0);
@@ -1289,7 +1140,7 @@ mod tests {
         assert_eq!(out.frames_degraded + out.frames_shed + out.frames_lost, 0);
         // Failed attempts burn real time: retried frames finish later, so
         // mean latency strictly rises (idle gaps can absorb the makespan).
-        let clean = schedule(&sessions, SchedPolicy::Fifo, &cfg, &sim()).unwrap();
+        let clean = schedule(&sessions, SchedPolicy::Fifo, &cfg, &sim(), None).unwrap();
         assert!(out.makespan_ns >= clean.makespan_ns);
         assert!(out.latency.mean_ns > clean.latency.mean_ns);
     }
@@ -1306,31 +1157,36 @@ mod tests {
             work_item_fail_rate: 1.0,
             ..NpuFaultProfile::none()
         };
-        let with_ladder = schedule_chaos(
+        let with_ladder = schedule(
             &sessions,
             SchedPolicy::Fifo,
             &cfg,
             &sim(),
-            &ChaosConfig {
+            Some(&ChaosConfig {
                 faults: faults.clone(),
                 recovery: RecoveryConfig::default(),
-            },
+            }),
         )
         .unwrap();
         assert_conserved(&with_ladder);
         assert_eq!(with_ladder.frames_degraded, with_ladder.frames_offered);
         assert_eq!(with_ladder.retry_exhausted, with_ladder.frames_offered);
         assert!(with_ladder.retries > 0);
+        // Queue depth is sampled at *every* delivery, the copy-forward
+        // fallback included: all 8 items are handed over at t≈0, so the
+        // first delivery leaves 7 queued and the mean is (7+6+…+0)/8.
+        assert_eq!(with_ladder.max_queue_depth, 7);
+        assert_eq!(with_ladder.mean_queue_depth, 3.5);
 
-        let shed_only = schedule_chaos(
+        let shed_only = schedule(
             &sessions,
             SchedPolicy::Fifo,
             &cfg,
             &sim(),
-            &ChaosConfig {
+            Some(&ChaosConfig {
                 faults,
                 recovery: RecoveryConfig::shed_only(),
-            },
+            }),
         )
         .unwrap();
         assert_conserved(&shed_only);
@@ -1347,8 +1203,8 @@ mod tests {
             faults: NpuFaultProfile::stalls(0.5, 300_000.0, 5),
             recovery: RecoveryConfig::default(),
         };
-        let out = schedule_chaos(&sessions, SchedPolicy::Fifo, &cfg, &sim(), &chaos).unwrap();
-        let clean = schedule(&sessions, SchedPolicy::Fifo, &cfg, &sim()).unwrap();
+        let out = schedule(&sessions, SchedPolicy::Fifo, &cfg, &sim(), Some(&chaos)).unwrap();
+        let clean = schedule(&sessions, SchedPolicy::Fifo, &cfg, &sim(), None).unwrap();
         assert_conserved(&out);
         assert!(out.stalls > 0);
         assert!(out.stall_ns > 0.0);
@@ -1368,7 +1224,7 @@ mod tests {
                 ..RecoveryConfig::shed_only()
             },
         };
-        let out = schedule_chaos(&sessions, SchedPolicy::Fifo, &cfg, &sim(), &chaos).unwrap();
+        let out = schedule(&sessions, SchedPolicy::Fifo, &cfg, &sim(), Some(&chaos)).unwrap();
         assert_conserved(&out);
         assert_eq!(out.crashes, 1);
         assert!(out.sessions_lost > 0, "crash killed nobody");
@@ -1389,7 +1245,7 @@ mod tests {
             faults: NpuFaultProfile::single_crash(5e6, 2e6),
             recovery: RecoveryConfig::default(),
         };
-        let out = schedule_chaos(&sessions, SchedPolicy::Fifo, &cfg, &sim(), &chaos).unwrap();
+        let out = schedule(&sessions, SchedPolicy::Fifo, &cfg, &sim(), Some(&chaos)).unwrap();
         assert_conserved(&out);
         assert_eq!(out.crashes, 1);
         assert_eq!(out.sessions_lost, 0);
@@ -1397,7 +1253,7 @@ mod tests {
         assert!(out.session_restores > 0, "nobody paid a restore");
         assert_eq!(out.frames_delivered(), out.frames_offered);
         // The outage plus restore penalty shows up on the clock.
-        let clean = schedule(&sessions, SchedPolicy::Fifo, &cfg, &sim()).unwrap();
+        let clean = schedule(&sessions, SchedPolicy::Fifo, &cfg, &sim(), None).unwrap();
         assert!(out.makespan_ns > clean.makespan_ns);
         assert!(out.makespan_ns >= 7e6, "makespan predates the recovery");
     }
@@ -1422,7 +1278,7 @@ mod tests {
             ..SchedConfig::default()
         };
         let chaos = quiet_chaos();
-        let out = schedule_chaos(&[burst], SchedPolicy::Fifo, &cfg, &sim(), &chaos).unwrap();
+        let out = schedule(&[burst], SchedPolicy::Fifo, &cfg, &sim(), Some(&chaos)).unwrap();
         assert_conserved(&out);
         let deg = &out.per_session[0].degradation;
         assert!(deg.downgrades > 0, "burst never downgraded: {deg:?}");
@@ -1443,9 +1299,15 @@ mod tests {
         s.compute = ComputeMode::Int8;
         let f32_twin = synth_session(0, 3, 5, 4e6);
         let cfg = SchedConfig::default();
-        let int8 = schedule_chaos(&[s], SchedPolicy::Fifo, &cfg, &sim(), &quiet_chaos()).unwrap();
-        let f32r =
-            schedule_chaos(&[f32_twin], SchedPolicy::Fifo, &cfg, &sim(), &quiet_chaos()).unwrap();
+        let int8 = schedule(&[s], SchedPolicy::Fifo, &cfg, &sim(), Some(&quiet_chaos())).unwrap();
+        let f32r = schedule(
+            &[f32_twin],
+            SchedPolicy::Fifo,
+            &cfg,
+            &sim(),
+            Some(&quiet_chaos()),
+        )
+        .unwrap();
         assert_conserved(&int8);
         assert_eq!(int8.frames_full, int8.frames_offered);
         assert_eq!(int8.frames_degraded, 0);
@@ -1464,14 +1326,14 @@ mod tests {
             faults: NpuFaultProfile::chaos(0.15, 77),
             recovery: RecoveryConfig::default(),
         };
-        let a = schedule_chaos(&sessions, SchedPolicy::Batch, &cfg, &sim(), &chaos).unwrap();
-        let b = schedule_chaos(&sessions, SchedPolicy::Batch, &cfg, &sim(), &chaos).unwrap();
+        let a = schedule(&sessions, SchedPolicy::Batch, &cfg, &sim(), Some(&chaos)).unwrap();
+        let b = schedule(&sessions, SchedPolicy::Batch, &cfg, &sim(), Some(&chaos)).unwrap();
         assert_eq!(a, b);
         assert_conserved(&a);
         // Counter-hashed draws: the fifo replay of the same profile sees
         // the same fault count on first attempts even though its visit
         // order differs.
-        let fifo = schedule_chaos(&sessions, SchedPolicy::Fifo, &cfg, &sim(), &chaos).unwrap();
+        let fifo = schedule(&sessions, SchedPolicy::Fifo, &cfg, &sim(), Some(&chaos)).unwrap();
         assert_conserved(&fifo);
         assert!(fifo.retries + fifo.retry_exhausted > 0);
     }

@@ -191,9 +191,10 @@ pub fn serve(
     let (decisions, sessions_driven, projected_utilization) =
         admit_and_drive(model, requests, cfg)?;
 
-    // Replay the merged work under both disciplines.
-    let fifo = schedule(&sessions_driven, SchedPolicy::Fifo, &cfg.sched, &cfg.sim)?;
-    let batched = schedule(&sessions_driven, SchedPolicy::Batch, &cfg.sched, &cfg.sim)?;
+    // Replay the merged work under both disciplines, no fault plan.
+    let replay = |policy| schedule(&sessions_driven, policy, &cfg.sched, &cfg.sim, None);
+    let fifo = replay(SchedPolicy::Fifo)?;
+    let batched = replay(SchedPolicy::Batch)?;
 
     // Stitch per-request reports back into request order.
     let mut reports = Vec::with_capacity(requests.len());

@@ -1,4 +1,4 @@
-//! Property: the chaos scheduler conserves frames.
+//! Property: the scheduler conserves frames under any fault plan.
 //!
 //! Over random synthetic session mixes, random fault profiles (work-item
 //! failures, stalls, crash windows), both policies and every recovery
@@ -12,8 +12,8 @@ use proptest::prelude::*;
 use vr_dann::ComputeMode;
 use vrd_codec::FrameType;
 use vrd_serve::{
-    schedule_chaos, ChaosConfig, ChaosOutcome, DrivenSession, LadderConfig, NpuFaultProfile,
-    RecoveryConfig, SchedConfig, SchedPolicy, WorkItem,
+    schedule, ChaosConfig, DrivenSession, LadderConfig, LatencyStats, NpuFaultProfile,
+    RecoveryConfig, SchedConfig, SchedPolicy, ScheduleOutcome, WorkItem,
 };
 use vrd_sim::SimConfig;
 
@@ -65,7 +65,7 @@ fn synth(seed: u64, session: usize, groups: usize, b_per: usize, int8: bool) -> 
 
 /// Exactly-once accounting, globally and per session; delivered frames
 /// each carry exactly one latency sample (no duplicate emission).
-fn assert_conserved(out: &ChaosOutcome, sessions: &[DrivenSession]) {
+fn assert_conserved(out: &ScheduleOutcome, sessions: &[DrivenSession]) {
     assert_eq!(
         out.frames_full + out.frames_degraded + out.frames_shed + out.frames_lost,
         out.frames_offered,
@@ -93,6 +93,14 @@ fn assert_conserved(out: &ChaosOutcome, sessions: &[DrivenSession]) {
         assert_eq!(p.frames_lost > 0, p.lost, "session {}", p.session);
     }
     assert_eq!(out.latency.count, out.frames_full + out.frames_degraded);
+    assert_eq!(
+        out.latency_samples.len(),
+        out.frames_full + out.frames_degraded
+    );
+    assert_eq!(
+        LatencyStats::from_samples(&out.latency_samples),
+        out.latency
+    );
     assert_eq!(
         out.sessions_lost,
         out.per_session.iter().filter(|p| p.lost).count()
@@ -152,7 +160,7 @@ proptest! {
 
         // Termination is part of the property: a deadlock trips the
         // scheduler's iteration bound and comes back as Err.
-        let out = schedule_chaos(&sessions, policy, &cfg, &sim, &chaos);
+        let out = schedule(&sessions, policy, &cfg, &sim, Some(&chaos));
         prop_assert!(out.is_ok(), "scheduler error: {:?}", out.err());
         let out = out.unwrap();
         assert_conserved(&out, &sessions);
@@ -169,7 +177,7 @@ proptest! {
         }
 
         // Bitwise determinism of the whole outcome.
-        let again = schedule_chaos(&sessions, policy, &cfg, &sim, &chaos).unwrap();
+        let again = schedule(&sessions, policy, &cfg, &sim, Some(&chaos)).unwrap();
         prop_assert_eq!(out, again);
     }
 }

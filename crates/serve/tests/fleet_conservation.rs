@@ -13,8 +13,8 @@ use proptest::prelude::*;
 use vr_dann::ComputeMode;
 use vrd_codec::FrameType;
 use vrd_serve::{
-    run_fleet, AutoscaleConfig, Envelope, FleetConfig, FleetReport, LoadGenConfig, OfferFate,
-    RebalanceConfig, SessionDemand, SessionTemplate, StreamEntry, TemplateItem,
+    run_fleet, AutoscaleConfig, Envelope, FleetConfig, FleetReport, LatencyStats, LoadGenConfig,
+    OfferFate, RebalanceConfig, SessionDemand, SessionTemplate, StreamEntry, TemplateItem,
 };
 use vrd_sim::SimConfig;
 
@@ -124,7 +124,11 @@ fn assert_conserved(report: &FleetReport) {
     }
     assert_eq!(per_shard.iter().sum::<usize>(), report.admitted);
     // Fleet frame/switch/time totals are exactly the shard sums.
-    let served: usize = report.shards.iter().map(|s| s.outcome.frames_served).sum();
+    let served: usize = report
+        .shards
+        .iter()
+        .map(|s| s.outcome.frames_delivered())
+        .sum();
     let shed: usize = report.shards.iter().map(|s| s.outcome.frames_shed).sum();
     let switches: usize = report.shards.iter().map(|s| s.outcome.switches).sum();
     let busy: f64 = report.shards.iter().map(|s| s.outcome.busy_ns).sum();
@@ -133,6 +137,14 @@ fn assert_conserved(report: &FleetReport) {
     assert_eq!(switches, report.switches);
     assert!((busy - report.busy_ns).abs() < 1e-6);
     assert_eq!(report.latency.count, report.frames_served);
+    // Fleet-wide percentiles are taken over the union of the shards' raw
+    // samples, not over the shards' own percentiles.
+    let merged: Vec<f64> = report
+        .shards
+        .iter()
+        .flat_map(|s| s.outcome.latency_samples.iter().copied())
+        .collect();
+    assert_eq!(LatencyStats::from_samples(&merged), report.latency);
     let max_span = report
         .shards
         .iter()

@@ -58,7 +58,8 @@ fn serving_window_end_to_end() {
         }
     }
     for out in [&report.fifo, &report.batched] {
-        assert_eq!(out.frames_served, expected_frames);
+        assert_eq!(out.frames_full, expected_frames);
+        assert_eq!(out.frames_delivered(), out.frames_offered);
         assert_eq!(out.frames_shed, 0);
         assert_eq!(out.per_session.len(), report.admitted);
         assert!(out.latency.p99_ns >= out.latency.p50_ns);
