@@ -20,14 +20,15 @@
 //! * `crash-restore` — the same crash with checkpoint restore: every
 //!   session resumes after the outage plus the restore penalty.
 //!
-//! The acceptance gates (enforced by the `chaos_bench` binary and the
+//! The acceptance gates (enforced by `vrd-bench -- chaos` and the
 //! quick-scale test) mirror the resilience claims: on contended rows the
 //! ladder delivers ≥ 95 % of offered frames where shed-only serves ≤ 80 %,
 //! and checkpoints turn "sessions lost" into "zero lost, all frames
 //! delivered". Everything is deterministic: reruns are byte-identical.
 
 use crate::context::{parallel_map, Context};
-use crate::table::{fmt_pct, Table};
+use crate::serve_bench::latency_json;
+use crate::table::{fmt_ms, fmt_pct, Table};
 use vrd_codec::EncodedVideo;
 use vrd_serve::{
     admit_and_drive, schedule, ChaosConfig, DegradationStats, DrivenSession, NpuFaultProfile,
@@ -194,10 +195,6 @@ pub fn run(ctx: &Context) -> ChaosBench {
     run_sessions(ctx, &SESSIONS)
 }
 
-fn fmt_ms(ns: f64) -> String {
-    format!("{:.3}", ns / 1e6)
-}
-
 impl ChaosBench {
     /// Rows with enough admitted sessions for the NPU to be contended —
     /// where the resilience gates apply (≥ 4, the serve-bench regime).
@@ -313,9 +310,7 @@ impl ChaosBench {
                  \"delivered_frac\":{:.6},\"sessions_lost\":{},\"restores\":{},\
                  \"retries\":{},\"retry_exhausted\":{},\"watchdog_degraded\":{},\
                  \"downgrades\":{},\"upgrades\":{},\"stalls\":{},\"crashes\":{},\
-                 \"wasted_ns\":{:.1},\"makespan_ns\":{:.1},\
-                 \"latency\":{{\"mean_ns\":{:.1},\"p50_ns\":{:.1},\"p95_ns\":{:.1},\
-                 \"p99_ns\":{:.1},\"max_ns\":{:.1}}}}}",
+                 \"wasted_ns\":{:.1},\"makespan_ns\":{:.1},\"latency\":{}}}",
                 name,
                 s.frames_offered,
                 s.frames_full,
@@ -334,11 +329,7 @@ impl ChaosBench {
                 s.crashes,
                 s.wasted_ns,
                 s.makespan_ns,
-                s.latency.mean_ns,
-                s.latency.p50_ns,
-                s.latency.p95_ns,
-                s.latency.p99_ns,
-                s.latency.max_ns,
+                latency_json(&s.latency),
             )
         }
         let rows: Vec<String> = self

@@ -1,9 +1,9 @@
 //! Shared experiment context: suites, trained models and common runners.
 //!
-//! Every figure binary builds a [`Context`] once (training NN-S is the
-//! expensive part) and then runs its sweep. [`Scale::Quick`] shrinks the
-//! canvas, the sequence count and the training set so criterion benches and
-//! CI runs stay fast; [`Scale::Full`] is the paper-scale configuration every
+//! One invocation builds a [`Context`] at most once (training NN-S is the
+//! expensive part) and every named experiment runs its sweep on it.
+//! [`Scale::Quick`] shrinks the canvas, the sequence count and the training
+//! set so tests and CI runs stay fast; [`Scale::Full`] is the paper-scale configuration every
 //! number in `EXPERIMENTS.md` was produced with.
 
 use vr_dann::{ComputeMode, SegmentationRun, TrainTask, VrDann, VrDannConfig};
@@ -19,20 +19,11 @@ use vrd_video::Sequence;
 pub enum Scale {
     /// Paper-scale: 160×96 × 48 frames, all 20 DAVIS-like videos.
     Full,
-    /// Reduced: 64×48 × 16 frames, 6 videos — for benches and smoke runs.
+    /// Reduced: 64×48 × 16 frames, 6 videos — for tests and smoke runs.
     Quick,
 }
 
 impl Scale {
-    /// Parses `--quick` from a binary's arguments.
-    pub fn from_args() -> Self {
-        if std::env::args().any(|a| a == "--quick") {
-            Scale::Quick
-        } else {
-            Scale::Full
-        }
-    }
-
     /// The video-suite configuration of this scale.
     pub fn suite_config(self) -> SuiteConfig {
         match self {

@@ -21,7 +21,7 @@
 //! the quick run against the committed `BENCH_fleet.json`).
 
 use crate::context::Context;
-use crate::table::{fmt_pct, Table};
+use crate::table::{fmt_ms, fmt_pct, Table};
 use vr_dann::{TrainTask, VrDannConfig};
 use vrd_codec::{BFrameMode, CodecConfig};
 use vrd_serve::{
@@ -333,10 +333,6 @@ pub fn run(ctx: &Context) -> FleetBench {
     };
 
     FleetBench { rows, spike }
-}
-
-fn fmt_ms(ns: f64) -> String {
-    format!("{:.3}", ns / 1e6)
 }
 
 impl FleetBench {

@@ -1,0 +1,488 @@
+//! Optimised-vs-reference kernel timings at the deployment resolution: the
+//! one module of this crate that reads the wall clock.
+//!
+//! End-to-end and per-layer wall-clock numbers come from the stand-alone
+//! `benchmark/` workspace, which gates them. What is measured here is only
+//! the *ratio* of each optimised kernel to the naive reference it is
+//! pinned bit-exact against (asserted again before every timed pair), plus
+//! the int8 path's time where one exists. Rows carry their own floor;
+//! [`run`] writes every row to `BENCH_kernels.json` and reports the rows
+//! that fell under theirs.
+
+use crate::registry::Output;
+use std::collections::BTreeMap;
+use std::hint::black_box;
+use std::time::Instant;
+use vr_dann::{build_sandwich, plane_to_mask, recon, reconstruct_b_frame, sandwich, ReconConfig};
+use vrd_codec::decoder::BFrameInfo;
+use vrd_codec::{MvRecord, RefMv};
+use vrd_metrics::segmentation::{reference as tally_reference, PixelCounts};
+use vrd_nn::conv::{reference, Conv2d};
+use vrd_nn::featwarp::{self, FeatureMap, WarpSource, FEATURE_CHANNELS, FEATURE_STRIDE};
+use vrd_nn::layers::{maxpool2_into, relu_in_place, sigmoid_in_place, upsample2_into};
+use vrd_nn::{NnS, QuantConv2d, Requant, Tensor};
+use vrd_video::{mask, Seg2Plane, SegMask};
+
+const W: usize = 854;
+const H: usize = 480;
+const MB: usize = 16;
+
+/// Floor of the packed-mask kernels over their byte-wise references.
+const PACKED_MASK_FLOOR: f64 = 3.0;
+/// Floor of the feature-warp kernel over its per-cell reference.
+const WARP_FLOOR: f64 = 2.0;
+/// Floor of the int8 path over the optimised f32 path, on every row that
+/// has an int8 column.
+const INT8_FLOOR: f64 = 1.0;
+/// Rows that are reported, not gated.
+const UNGATED: f64 = 0.0;
+
+/// One kernel's timings.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Row {
+    /// Kernel and shape.
+    pub name: &'static str,
+    /// Median time of the optimised kernel, milliseconds.
+    pub optimized_ms: f64,
+    /// Median time of the naive reference it is pinned against.
+    pub reference_ms: f64,
+    /// Median time of the int8 path doing the same work, where one exists.
+    pub int8_ms: Option<f64>,
+    /// Lowest acceptable `reference_ms / optimized_ms`.
+    pub floor: f64,
+}
+
+/// Median wall-clock milliseconds of `reps` runs of `f`, whose result is
+/// kept from the optimiser and dropped inside the timed region.
+fn time_median<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
+    let mut times: Vec<f64> = (0..reps.max(1))
+        .map(|_| {
+            let t = Instant::now();
+            black_box(f());
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    times.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
+    times[times.len() / 2]
+}
+
+/// Asserts that the optimised kernel and its reference return the same
+/// value, then times both; each side is `(reps, body)`. Kernels that write
+/// through an out-parameter return `()` and are compared by their caller.
+fn pair<T: PartialEq>(
+    name: &'static str,
+    floor: f64,
+    mut optimized: (usize, impl FnMut() -> T),
+    mut reference: (usize, impl FnMut() -> T),
+) -> Row {
+    assert!(
+        (optimized.1)() == (reference.1)(),
+        "{name}: optimised and reference kernels diverged"
+    );
+    Row {
+        name,
+        optimized_ms: time_median(optimized.0, optimized.1),
+        reference_ms: time_median(reference.0, reference.1),
+        int8_ms: None,
+        floor,
+    }
+}
+
+/// NN-S inference composed purely from the naive reference conv kernels.
+fn naive_infer(nns: &NnS, x: &Tensor) -> Tensor {
+    let (c1, c2, c3) = nns.convs();
+    let (h, w) = (x.height(), x.width());
+    let hid = nns.hidden();
+    let mut a1 = reference::forward(c1, x);
+    relu_in_place(a1.as_mut_slice());
+    let mut d = vec![0.0; hid * h * w / 4];
+    maxpool2_into(a1.as_slice(), hid, h, w, &mut d);
+    let mut a2 = reference::forward(c2, &Tensor::from_vec(hid, h / 2, w / 2, d));
+    relu_in_place(a2.as_mut_slice());
+    let mut cat = vec![0.0; 2 * hid * h * w];
+    cat[..hid * h * w].copy_from_slice(a1.as_slice());
+    upsample2_into(a2.as_slice(), hid, h / 2, w / 2, &mut cat[hid * h * w..]);
+    let mut out = reference::forward(c3, &Tensor::from_vec(2 * hid, h, w, cat));
+    sigmoid_in_place(out.as_mut_slice());
+    out
+}
+
+fn nn_rows(rows: &mut Vec<Row>) {
+    // NN-S refinement at deployment resolution: optimised f32 vs the naive
+    // composition, and the calibrated int8 path on the same fixture.
+    let mut nns = NnS::new(8, 42);
+    let hd = Tensor::from_vec(
+        3,
+        H,
+        W,
+        (0..3 * H * W).map(|v| (v as f32 * 0.01).sin()).collect(),
+    );
+    nns.calibrate(&[&hd]);
+    let q = nns.quantize();
+    let mut row = pair(
+        "nns_infer_854x480",
+        UNGATED,
+        (5, || nns.infer(&hd)),
+        (3, || naive_infer(&nns, &hd)),
+    );
+    row.int8_ms = Some(time_median(9, || q.infer(&hd)));
+    rows.push(row);
+
+    // Single conv layer, forward and backward, at the training resolution.
+    let mut conv = Conv2d::new(3, 8, 3, 7);
+    let x = Tensor::from_vec(
+        3,
+        48,
+        64,
+        (0..3 * 48 * 64).map(|v| (v as f32).cos()).collect(),
+    );
+    rows.push(pair(
+        "conv_forward_64x48",
+        UNGATED,
+        (31, || conv.forward_inference(&x)),
+        (31, || reference::forward(&conv, &x)),
+    ));
+
+    // The three NN-S layers at the wall-clock benchmark's HD shape, on one
+    // thread: the kernel rows behind its `nn.nns_infer_ms` on `hd_f32`
+    // (conv2 runs at half resolution).
+    for (name, cin, cout, h, w) in [
+        ("conv1_3to8_864x480", 3, 8, 480, 864),
+        ("conv2_8to8_432x240", 8, 8, 240, 432),
+        ("conv3_16to1_864x480", 16, 1, 480, 864),
+    ] {
+        let conv = Conv2d::new(cin, cout, 3, 7);
+        let data = (0..cin * h * w).map(|v| (v as f32 * 0.013).sin()).collect();
+        let x = Tensor::from_vec(cin, h, w, data);
+        rows.push(vrd_runtime::with_thread_budget(1, || {
+            pair(
+                name,
+                UNGATED,
+                (9, || conv.forward_inference(&x)),
+                (3, || reference::forward(&conv, &x)),
+            )
+        }));
+    }
+
+    let gout = conv.forward(&x);
+    let frozen = conv.clone();
+    rows.push(pair(
+        "conv_backward_64x48",
+        UNGATED,
+        (31, || {
+            conv.zero_grad();
+            conv.backward(&gout)
+        }),
+        (31, || reference::backward(&frozen, &x, &gout).0),
+    ));
+}
+
+/// Deployment-resolution mask fixture with pseudo-random blobs.
+fn hd_mask(seed: u64) -> SegMask {
+    SegMask::from_bits(
+        W,
+        H,
+        (0..W * H).map(|i| vrd_video::texture::hash2(i as i64, 43, seed) & 3 == 0),
+    )
+}
+
+/// A full-coverage 16-px MV grid at 854×480 (53 block columns cover the
+/// 848 coded pixels; H.264 streams pad the rest) with word-straddling
+/// sources, half of them bi-predicted.
+fn hd_bframe() -> BFrameInfo {
+    let mut mvs = Vec::new();
+    for by in 0..(H / MB) as u32 {
+        for bx in 0..(W / MB) as u32 {
+            let s = vrd_video::texture::hash2(i64::from(bx), i64::from(by), 97);
+            let ref0 = RefMv {
+                frame: 0,
+                src_x: (s % 854) as i32 - 13,
+                src_y: ((s >> 8) % 480) as i32 - 7,
+            };
+            let ref1 = (s & 1 == 0).then_some(RefMv {
+                frame: 4,
+                src_x: ((s >> 16) % 854) as i32 - 13,
+                src_y: ((s >> 24) % 480) as i32 - 7,
+            });
+            mvs.push(MvRecord {
+                dst_x: bx * MB as u32,
+                dst_y: by * MB as u32,
+                ref0,
+                ref1,
+            });
+        }
+    }
+    BFrameInfo {
+        display_idx: 2,
+        mvs,
+        intra_blocks: vec![],
+    }
+}
+
+fn packed_mask_rows(rows: &mut Vec<Row>) {
+    let (a, b) = (hd_mask(1), hd_mask(2));
+    let refs = BTreeMap::from([(0u32, a.clone()), (4u32, b.clone())]);
+    let info = hd_bframe();
+    let cfg = ReconConfig::default();
+
+    // B-frame reconstruction: shift-and-merge word moves vs per-pixel.
+    let packed = reconstruct_b_frame(&info, &refs, W, H, MB, &cfg).expect("anchors present");
+    rows.push(pair(
+        "reconstruct_854x480",
+        PACKED_MASK_FLOOR,
+        (31, || {
+            reconstruct_b_frame(&info, &refs, W, H, MB, &cfg).unwrap()
+        }),
+        (9, || {
+            recon::reference::reconstruct_b_frame(&info, &refs, W, H, MB, &cfg).unwrap()
+        }),
+    ));
+
+    // Whole-frame bi-reference mean filter: AND/XOR vs per-pixel.
+    rows.push(pair(
+        "mean_filter_854x480",
+        PACKED_MASK_FLOOR,
+        (31, || Seg2Plane::mean_filter(&a, &b)),
+        (9, || mask::reference::mean_filter(&a, &b)),
+    ));
+
+    // IoU tally: popcounts over packed words vs the byte-wise loop.
+    let (pred_bytes, gt_bytes) = (a.to_byte_vec(), b.to_byte_vec());
+    rows.push(pair(
+        "tally_854x480",
+        PACKED_MASK_FLOOR,
+        (31, || PixelCounts::tally(&a, &b)),
+        (31, || tally_reference::tally_bytes(&pred_bytes, &gt_bytes)),
+    ));
+
+    // Sandwich assembly: fused packed→f32 expansion vs per-pixel sets.
+    rows.push(pair(
+        "sandwich_854x480",
+        PACKED_MASK_FLOOR,
+        (31, || build_sandwich(2, &packed, &refs).unwrap()),
+        (9, || {
+            sandwich::reference::build_sandwich(2, &packed, &refs).unwrap()
+        }),
+    ));
+
+    // 2-bit plane → binary mask: word-wise threshold vs per-pixel.
+    rows.push(pair(
+        "plane_to_mask_854x480",
+        PACKED_MASK_FLOOR,
+        (31, || plane_to_mask(&packed, &cfg)),
+        (9, || recon::reference::plane_to_mask(&packed, &cfg)),
+    ));
+}
+
+/// One 8→8 3×3 conv layer at deployment resolution: the optimised f32
+/// forward vs the naive one, and the fused quantized forward+requant (the
+/// inner loop the NPU's MAC array maps to).
+fn quant_conv_row() -> Row {
+    let conv = Conv2d::new(8, 8, 3, 7);
+    let xf = Tensor::from_vec(
+        8,
+        H,
+        W,
+        (0..8 * H * W).map(|v| (v % 97) as f32 / 96.0).collect(),
+    );
+    let qconv = QuantConv2d::from_conv(&conv);
+    let xq: Vec<u8> = xf
+        .as_slice()
+        .iter()
+        .map(|&v| ((v * 127.0) as i32).clamp(0, 127) as u8)
+        .collect();
+    let rq = vec![Requant::from_real(0.01, 0); 8];
+    let mut out_q = vec![0u8; 8 * H * W];
+    let mut row = pair(
+        "conv_forward_854x480",
+        UNGATED,
+        (5, || conv.forward_inference(&xf)),
+        (3, || reference::forward(&conv, &xf)),
+    );
+    row.int8_ms = Some(time_median(9, || {
+        qconv.forward_requant(&xq, H, W, &rq, &mut out_q);
+        black_box(&out_q);
+    }));
+    row
+}
+
+/// Full-frame feature warp: every 16-px block of an 854×480 frame
+/// resampled from two cached anchor maps, half of the blocks bi-predicted —
+/// the per-B-frame kernel cost of the feature-propagation baseline.
+fn featwarp_row() -> Row {
+    let filled = |salt: u64| {
+        let mut m = FeatureMap::zeros(W, H, FEATURE_STRIDE, FEATURE_CHANNELS);
+        for (i, v) in m.tensor_mut().as_mut_slice().iter_mut().enumerate() {
+            *v = ((i as u64 ^ salt) % 97) as f32 / 96.0;
+        }
+        m
+    };
+    let (a, b) = (filled(3), filled(11));
+    type WarpBlock = (usize, usize, i32, i32, Option<(i32, i32)>);
+    let blocks: Vec<WarpBlock> = (0..H / MB)
+        .flat_map(|by| (0..W / MB).map(move |bx| (bx, by)))
+        .map(|(bx, by)| {
+            let s = vrd_video::texture::hash2(bx as i64, by as i64, 131);
+            (
+                bx * MB,
+                by * MB,
+                (s % 61) as i32 - 30,
+                ((s >> 8) % 61) as i32 - 30,
+                (s & 1 == 0)
+                    .then_some((((s >> 16) % 61) as i32 - 30, ((s >> 24) % 61) as i32 - 30)),
+            )
+        })
+        .collect();
+    let warp_frame = |out: &mut FeatureMap, optimized: bool| {
+        for &(dx_px, dy_px, dx, dy, second) in &blocks {
+            let first = WarpSource { feat: &a, dx, dy };
+            let second = second.map(|(dx, dy)| WarpSource { feat: &b, dx, dy });
+            if optimized {
+                featwarp::warp_block(out, dx_px, dy_px, MB, first, second);
+            } else {
+                featwarp::reference::warp_block(out, dx_px, dy_px, MB, first, second);
+            }
+        }
+    };
+    let mut fast = FeatureMap::zeros(W, H, FEATURE_STRIDE, FEATURE_CHANNELS);
+    let mut slow = FeatureMap::zeros(W, H, FEATURE_STRIDE, FEATURE_CHANNELS);
+    warp_frame(&mut fast, true);
+    warp_frame(&mut slow, false);
+    assert_eq!(
+        fast.tensor().as_slice(),
+        slow.tensor().as_slice(),
+        "warp kernels diverged"
+    );
+    pair(
+        "featwarp_854x480",
+        WARP_FLOOR,
+        (31, || {
+            warp_frame(&mut fast, true);
+            black_box(&fast);
+        }),
+        (9, || {
+            warp_frame(&mut slow, false);
+            black_box(&slow);
+        }),
+    )
+}
+
+/// Every row that is under its floor, as a printable complaint.
+pub fn failures(rows: &[Row]) -> Vec<String> {
+    let mut fails = Vec::new();
+    for r in rows {
+        let speedup = r.reference_ms / r.optimized_ms;
+        if speedup < r.floor {
+            fails.push(format!(
+                "{} is {speedup:.2}x its reference, need >= {:.2}x",
+                r.name, r.floor
+            ));
+        }
+        if let Some(int8_ms) = r.int8_ms {
+            let speedup = r.optimized_ms / int8_ms;
+            if speedup < INT8_FLOOR {
+                fails.push(format!(
+                    "{} int8 is {speedup:.2}x f32, need >= {INT8_FLOOR:.2}x",
+                    r.name
+                ));
+            }
+        }
+    }
+    fails
+}
+
+/// Renders the rows as the `BENCH_kernels.json` artefact (hand-rolled —
+/// the workspace carries no serialisation dependency).
+pub fn to_json(rows: &[Row]) -> String {
+    let lines: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            let int8 = r.int8_ms.map_or(String::new(), |ms| {
+                format!(
+                    ", \"int8_ms\": {:.4}, \"int8_speedup\": {:.2}",
+                    ms,
+                    r.optimized_ms / ms
+                )
+            });
+            format!(
+                "  \"{}\": {{\"optimized_ms\": {:.4}, \"reference_ms\": {:.4}, \"speedup\": {:.2}{}}}",
+                r.name,
+                r.optimized_ms,
+                r.reference_ms,
+                r.reference_ms / r.optimized_ms,
+                int8,
+            )
+        })
+        .collect();
+    format!("{{\n{}\n}}\n", lines.join(",\n"))
+}
+
+/// Times every kernel pair (about 10 s) and packages the report.
+///
+/// # Panics
+/// Panics if an optimised kernel's output differs from its reference's.
+pub fn run() -> Output {
+    let mut rows = Vec::new();
+    nn_rows(&mut rows);
+    packed_mask_rows(&mut rows);
+    rows.push(quant_conv_row());
+    rows.push(featwarp_row());
+    let json = to_json(&rows);
+    Output {
+        text: json.trim_end().to_string(),
+        files: vec![("BENCH_kernels.json", json)],
+        failures: failures(&rows),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn row(optimized_ms: f64, reference_ms: f64, int8_ms: Option<f64>, floor: f64) -> Row {
+        Row {
+            name: "synthetic",
+            optimized_ms,
+            reference_ms,
+            int8_ms,
+            floor,
+        }
+    }
+
+    #[test]
+    fn gate_fails_a_row_under_its_floor_and_passes_one_at_it() {
+        assert!(failures(&[row(1.0, 3.0, None, 3.0)]).is_empty());
+        assert!(failures(&[row(1.0, 0.5, None, UNGATED)]).is_empty());
+        assert!(failures(&[row(2.0, 9.0, Some(2.0), 3.0)]).is_empty());
+
+        let under = failures(&[row(1.0, 2.99, None, 3.0), row(1.0, 3.0, None, 3.0)]);
+        assert_eq!(under.len(), 1, "{under:?}");
+        assert!(under[0].contains("synthetic is 2.99x"));
+
+        let slow_int8 = failures(&[row(1.0, 50.0, Some(1.25), UNGATED)]);
+        assert_eq!(slow_int8.len(), 1, "{slow_int8:?}");
+        assert!(slow_int8[0].contains("int8 is 0.80x f32"));
+    }
+
+    #[test]
+    fn json_carries_the_int8_column_only_where_measured() {
+        let json = to_json(&[row(2.0, 8.0, Some(1.0), 0.0), row(1.0, 3.0, None, 3.0)]);
+        assert_eq!(
+            json,
+            "{\n  \"synthetic\": {\"optimized_ms\": 2.0000, \"reference_ms\": 8.0000, \
+             \"speedup\": 4.00, \"int8_ms\": 1.0000, \"int8_speedup\": 2.00},\n  \
+             \"synthetic\": {\"optimized_ms\": 1.0000, \"reference_ms\": 3.0000, \
+             \"speedup\": 3.00}\n}\n"
+        );
+    }
+
+    #[test]
+    fn median_runs_the_body_reps_times_and_at_least_once() {
+        let mut n = 0;
+        let t = time_median(5, || n += 1);
+        assert!(t.is_finite() && t >= 0.0);
+        assert_eq!(n, 5);
+        let mut ran = false;
+        assert!(time_median(0, || ran = true) >= 0.0 && ran);
+    }
+}

@@ -27,15 +27,28 @@
 //! | [`serve_bench`] | extra: multi-session serving, FIFO vs batching |
 //! | [`chaos_bench`] | extra: fault-injected serving, recovery vs shed-only |
 //! | [`fleet_bench`] | extra: fleet scaling, sharded NPUs + autoscaled spike |
-//! | [`e2e`] | extra: measured end-to-end fps, sequential vs pipelined |
+//! | [`kernels`] | extra: optimised-vs-reference kernel time ratios |
 //!
-//! Binaries (`cargo run --release --bin fig10`, …) print the tables;
-//! `--quick` switches to the reduced scale.
+//! One binary runs them by name, in the order given, training the shared
+//! [`Context`] at most once:
+//!
+//! ```text
+//! cargo run --release -p vrd-bench -- <name>... [--quick]
+//! ```
+//!
+//! Names are the rows of [`registry::REGISTRY`] — the module names above
+//! (`serve`, `chaos`, `fleet` without the `_bench`), plus `fig13_hd` (the
+//! §VI-B 864×480 fps line) and `resilience_smoke` (one loss rate, gated) —
+//! and `all` for [`registry::PAPER_SET`]. `--quick` switches to the reduced
+//! scale; anything else is rejected. `resilience*`, `serve`, `chaos`,
+//! `fleet` and `kernels` also write their `results_*`/`BENCH_*` artefacts
+//! to the working directory and fail the run when a gate does not hold.
+//! End-to-end wall-clock fps is measured by the stand-alone `benchmark/`
+//! workspace, not here.
 
 pub mod ablation;
 pub mod chaos_bench;
 pub mod context;
-pub mod e2e;
 pub mod featprop;
 pub mod fig03;
 pub mod fig07;
@@ -49,13 +62,13 @@ pub mod fig15;
 pub mod fig16;
 pub mod fig17;
 pub mod fleet_bench;
+pub mod kernels;
 pub mod nns_width;
+pub mod registry;
 pub mod resilience;
 pub mod sensitivity;
 pub mod serve_bench;
 pub mod table;
 pub mod table02;
-pub mod timing;
 
 pub use context::{parallel_map, Context, Scale};
-pub use timing::time_median;

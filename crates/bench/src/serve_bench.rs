@@ -11,9 +11,9 @@
 //! load. Deterministic for a fixed scale: reruns are byte-identical.
 
 use crate::context::{parallel_map, Context};
-use crate::table::{fmt_pct, Table};
+use crate::table::{fmt_ms, fmt_pct, Table};
 use vrd_codec::EncodedVideo;
-use vrd_serve::{serve, ScheduleOutcome, ServeConfig, ServeReport, SessionState};
+use vrd_serve::{serve, LatencyStats, ScheduleOutcome, ServeConfig, ServeReport, SessionState};
 
 /// The session counts the full sweep offers.
 pub const SESSIONS: [usize; 5] = [1, 2, 4, 6, 8];
@@ -112,8 +112,12 @@ pub fn run(ctx: &Context) -> ServeBench {
     run_sessions(ctx, &SESSIONS)
 }
 
-fn fmt_ms(ns: f64) -> String {
-    format!("{:.3}", ns / 1e6)
+/// The five-field latency object the serving artefacts share.
+pub(crate) fn latency_json(l: &LatencyStats) -> String {
+    format!(
+        "{{\"mean_ns\":{:.1},\"p50_ns\":{:.1},\"p95_ns\":{:.1},\"p99_ns\":{:.1},\"max_ns\":{:.1}}}",
+        l.mean_ns, l.p50_ns, l.p95_ns, l.p99_ns, l.max_ns
+    )
 }
 
 impl ServeBench {
@@ -121,6 +125,35 @@ impl ServeBench {
     /// to have headroom (the acceptance regime: ≥ 4 concurrent sessions).
     pub fn contended_rows(&self) -> impl Iterator<Item = &ServeBenchRow> {
         self.rows.iter().filter(|r| r.admitted >= 4)
+    }
+
+    /// Every acceptance-gate violation in the sweep (empty = pass): on each
+    /// contended row the batching scheduler must strictly beat per-stream
+    /// FIFO on both model switches and p99 frame latency, and at least one
+    /// row must be contended — the subsystem's headline claim, not just
+    /// its determinism.
+    pub fn acceptance_failures(&self) -> Vec<String> {
+        let mut fails: Vec<String> = self
+            .contended_rows()
+            .filter(|r| {
+                r.batched.switches >= r.fifo.switches
+                    || r.batched.latency.p99_ns >= r.fifo.latency.p99_ns
+            })
+            .map(|r| {
+                format!(
+                    "{} sessions: switches {} vs {}, p99 {:.0} vs {:.0}",
+                    r.requested,
+                    r.batched.switches,
+                    r.fifo.switches,
+                    r.batched.latency.p99_ns,
+                    r.fifo.latency.p99_ns
+                )
+            })
+            .collect();
+        if self.contended_rows().next().is_none() {
+            fails.push("no row admitted >= 4 sessions".to_string());
+        }
+        fails
     }
 
     /// Renders the serving table.
@@ -177,8 +210,7 @@ impl ServeBench {
                 "{{\"frames_served\":{},\"frames_shed\":{},\"switches\":{},\
                  \"switch_ns\":{:.1},\"busy_ns\":{:.1},\"makespan_ns\":{:.1},\
                  \"max_queue_depth\":{},\"mean_queue_depth\":{:.3},\
-                 \"decoder_stalls\":{},\"latency\":{{\"mean_ns\":{:.1},\
-                 \"p50_ns\":{:.1},\"p95_ns\":{:.1},\"p99_ns\":{:.1},\"max_ns\":{:.1}}}}}",
+                 \"decoder_stalls\":{},\"latency\":{}}}",
                 p.frames_delivered(),
                 p.frames_shed,
                 p.switches,
@@ -188,11 +220,7 @@ impl ServeBench {
                 p.max_queue_depth,
                 p.mean_queue_depth,
                 p.decoder_stalls,
-                p.latency.mean_ns,
-                p.latency.p50_ns,
-                p.latency.p95_ns,
-                p.latency.p99_ns,
-                p.latency.max_ns,
+                latency_json(&p.latency),
             )
         }
         let rows: Vec<String> = self
@@ -249,6 +277,8 @@ mod tests {
 
         // The acceptance regime: at ≥ 4 admitted sessions the batching
         // scheduler pays strictly fewer switches AND a lower p99 than FIFO.
+        let fails = sweep.acceptance_failures();
+        assert!(fails.is_empty(), "acceptance failures: {fails:?}");
         let contended: Vec<_> = sweep.contended_rows().collect();
         assert!(!contended.is_empty(), "no row admitted ≥ 4 sessions");
         for r in contended {

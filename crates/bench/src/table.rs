@@ -1,4 +1,4 @@
-//! Plain-text table rendering for the experiment binaries.
+//! Plain-text table rendering and number formatting for the experiments.
 
 /// A simple aligned text table.
 #[derive(Debug, Clone, Default)]
@@ -82,6 +82,11 @@ pub fn fmt_pct(v: f64) -> String {
     format!("{:.1}%", v * 100.0)
 }
 
+/// Formats nanoseconds as milliseconds with three decimals.
+pub fn fmt_ms(ns: f64) -> String {
+    format!("{:.3}", ns / 1e6)
+}
+
 /// Formats an accuracy score with three decimals.
 pub fn fmt_score(v: f64) -> String {
     format!("{v:.3}")
@@ -119,6 +124,7 @@ mod tests {
     fn formatters() {
         assert_eq!(fmt_x(2.899), "2.90x");
         assert_eq!(fmt_pct(0.651), "65.1%");
+        assert_eq!(fmt_ms(1_234_567.0), "1.235");
         assert_eq!(fmt_score(0.9157), "0.916");
     }
 }
