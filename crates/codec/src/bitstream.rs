@@ -5,8 +5,14 @@
 //! it is a *real* bitstream: the decoder parses exactly these bytes, the
 //! compression-ratio statistics come from its length, and the recognition
 //! path's "decode I/P only" saving is measured on it.
+//!
+//! Each macro-block is a [`BlockMode`] record ([`BlockMode::write`] /
+//! [`BlockMode::read`]) followed by its residual
+//! ([`Writer::put_residual`] / [`Reader::get_residual`] or
+//! [`Reader::skip_residual`]).
 
 use crate::error::{CodecError, Result};
+use crate::types::{BlockMode, BlockMv};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Magic bytes identifying a VR-DANN codec bitstream.
@@ -226,9 +232,109 @@ impl Reader {
     }
 }
 
+/// The macro-block record codec: a mode byte (`0` intra, `1` inter, `2`
+/// bi), then the intra mode byte or one/two `varint frame, svarint dx,
+/// svarint dy` motion vectors.
+impl BlockMode {
+    /// Serialises the record.
+    pub fn write(&self, w: &mut Writer) {
+        w.put_u8(match self {
+            BlockMode::Intra(_) => 0,
+            BlockMode::Inter(_) => 1,
+            BlockMode::Bi(..) => 2,
+        });
+        if let BlockMode::Intra(mode) = *self {
+            w.put_u8(mode);
+        }
+        for mv in self.mvs() {
+            w.put_varint(mv.frame as u64);
+            w.put_svarint(mv.dx as i64);
+            w.put_svarint(mv.dy as i64);
+        }
+    }
+
+    /// Parses one record of a stream announcing `n_frames` frames.
+    ///
+    /// # Errors
+    /// Returns [`CodecError::Bitstream`] on truncation, an unknown mode byte
+    /// or a reference index outside `0..n_frames`.
+    pub fn read(r: &mut Reader, n_frames: usize) -> Result<Self> {
+        // Guarded once up here: the same check inside `mv` measured half
+        // again as slow on the B-frame MV-extraction pass.
+        let Some(max) = n_frames.checked_sub(1) else {
+            return Err(CodecError::Bitstream(
+                "block record in a stream of no frames".into(),
+            ));
+        };
+        let mv = |r: &mut Reader| -> Result<BlockMv> {
+            Ok(BlockMv {
+                frame: r.get_varint_bounded(max as u64, "reference")? as u32,
+                dx: r.get_svarint()? as i32,
+                dy: r.get_svarint()? as i32,
+            })
+        };
+        match r.get_u8()? {
+            0 => Ok(BlockMode::Intra(r.get_u8()?)),
+            1 => Ok(BlockMode::Inter(mv(r)?)),
+            2 => Ok(BlockMode::Bi(mv(r)?, mv(r)?)),
+            m => Err(CodecError::Bitstream(format!("unknown block mode {m}"))),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    /// A displacement: half the time a varint-length or `i32` edge.
+    fn displacement(rng: &mut StdRng) -> i32 {
+        const EDGES: [i32; 8] = [i32::MIN, -8193, -65, -64, 0, 63, 8192, i32::MAX];
+        if rng.random_range(0u8..2) == 0 {
+            EDGES[rng.random_range(0usize..EDGES.len())]
+        } else {
+            rng.random_range(i32::MIN as i64..i32::MAX as i64 + 1) as i32
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn block_record_roundtrips_and_bounds_its_references(
+            kind in 0u8..3,
+            n_frames in 1usize..70_000,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut mv = || BlockMv {
+                frame: rng.random_range(0usize..n_frames) as u32,
+                dx: displacement(&mut rng),
+                dy: displacement(&mut rng),
+            };
+            let record = match kind {
+                0 => BlockMode::Intra((seed >> 8) as u8),
+                1 => BlockMode::Inter(mv()),
+                _ => BlockMode::Bi(mv(), mv()),
+            };
+            let mut w = Writer::new();
+            record.write(&mut w);
+            let bytes = w.into_bytes();
+            let mut r = Reader::new(bytes.clone());
+            prop_assert_eq!(BlockMode::read(&mut r, n_frames).unwrap(), record);
+            prop_assert_eq!(r.remaining(), 0);
+            // The same bytes in a stream too short to hold the record's
+            // highest reference: index == frame count is out of range. (A
+            // stream of no frames holds no record at all.)
+            let highest = record.mvs().map(|mv| mv.frame as usize).max().unwrap_or(0);
+            prop_assert!(BlockMode::read(&mut Reader::new(bytes.clone()), highest).is_err());
+            // Any mode byte but 0, 1, 2 is rejected whatever follows it.
+            let mut bad = bytes.to_vec();
+            bad[0] = 3 + (seed % 253) as u8;
+            let err = BlockMode::read(&mut Reader::new(Bytes::from(bad)), n_frames).unwrap_err();
+            prop_assert!(err.to_string().contains("block mode"), "{err}");
+        }
+    }
 
     #[test]
     fn varint_roundtrip() {

@@ -1,22 +1,35 @@
-//! The decoder, with the two operating modes VR-DANN distinguishes.
+//! The decoder: one record walk, four visitors.
 //!
-//! * [`Decoder::decode`] — conventional full decode: every frame (I, P and
-//!   B) is reconstructed to pixels. This is what OSVOS/FAVOS/DFF consume.
-//! * [`Decoder::decode_for_recognition`] — the VR-DANN mode (§I, Fig. 1):
-//!   I/P frames are reconstructed to pixels, but for B-frames only the
-//!   motion-vector records and block metadata are extracted; their residuals
-//!   are *skipped*, never dequantised, and no B pixels are produced. The
-//!   per-mode byte counts are reported so the simulator can account for the
-//!   decoder-side savings.
+//! Every frame payload is a raster of macro-block records
+//! ([`BlockMode::read`], the only code that knows the wire layout), each
+//! followed by its residual. `Decoder::for_each_block` is the one walk over
+//! that raster; what happens to a block is up to its visitor:
+//!
+//! * **pixel reconstruction** (`reconstruct`) — residuals decoded, each
+//!   motion vector resolved against the `RefWindow` of retained anchors
+//!   either strictly ([`Decoder::decode`], [`crate::StrictFrameSource`]) or
+//!   with concealment ([`crate::ResilientFrameSource`]);
+//! * **motion-vector extraction** (`read_motion`) — the VR-DANN mode (§I,
+//!   Fig. 1): only a B-frame's MV records and block metadata are kept; its
+//!   residuals are *skipped*, never dequantised, and no B pixels are
+//!   produced;
+//! * **anchor validation** (`scan_anchor`) — the resilient source's
+//!   pixel-free pre-scan;
+//! * **summary** ([`Decoder::inspect`]) — the `vrdstat` inspector's engine.
+//!
+//! [`Decoder::decode`] is the conventional full decode (every frame to
+//! pixels — what OSVOS/FAVOS/DFF consume); the recognition mode is pulled
+//! one frame at a time from a [`crate::FrameSource`].
 
 use crate::bitstream::{Reader, MAGIC, VERSION};
 use crate::block::{average_blocks, extract_block, write_block};
 use crate::config::Standard;
 use crate::error::{CodecError, Result};
 use crate::intra;
-use crate::types::{FrameMeta, FrameType, MvRecord, RefMv};
+use crate::stream::StreamInfo;
+use crate::types::{BlockMode, BlockMv, FrameMeta, FrameType, MvRecord};
 use bytes::Bytes;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 use vrd_video::Frame;
 
 /// A fully decoded sequence.
@@ -45,27 +58,6 @@ pub struct BFrameInfo {
     /// Top-left coordinates of intra-coded blocks (no motion information;
     /// the reconstruction layer decides how to fill them).
     pub intra_blocks: Vec<(u32, u32)>,
-}
-
-/// Output of the recognition-mode decode.
-#[derive(Debug, Clone)]
-pub struct RecognitionStream {
-    /// Frame width in pixels.
-    pub width: usize,
-    /// Frame height in pixels.
-    pub height: usize,
-    /// Macro-block size the stream was coded with.
-    pub mb_size: usize,
-    /// Per-frame metadata in decode order.
-    pub metas: Vec<FrameMeta>,
-    /// Reconstructed anchor frames `(display_idx, pixels)` in decode order.
-    pub anchors: Vec<(u32, Frame)>,
-    /// Motion-vector payloads of B-frames in decode order.
-    pub b_frames: Vec<BFrameInfo>,
-    /// Bitstream bytes parsed for anchor frames.
-    pub anchor_bytes: usize,
-    /// Bitstream bytes parsed (and mostly skipped) for B-frames.
-    pub b_bytes: usize,
 }
 
 /// Per-frame summary produced by [`Decoder::inspect`].
@@ -103,7 +95,7 @@ impl FrameSummary {
     }
 }
 
-/// Stream header shared by both decode modes.
+/// Stream header shared by every reader.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Header {
     pub(crate) width: usize,
@@ -111,6 +103,107 @@ pub(crate) struct Header {
     pub(crate) n_frames: usize,
     pub(crate) standard: Standard,
     pub(crate) quant: i32,
+}
+
+impl Header {
+    /// Macro-block edge in pixels.
+    pub(crate) fn mb(&self) -> usize {
+        self.standard.mb_size()
+    }
+
+    pub(crate) fn info(&self) -> StreamInfo {
+        StreamInfo {
+            width: self.width,
+            height: self.height,
+            mb_size: self.mb(),
+            n_frames: self.n_frames,
+        }
+    }
+}
+
+/// Reconstructed anchors retained for reference. The encoder never
+/// references further back than the nearest 9 anchors
+/// ([`crate::SearchInterval`] is clamped to 1..=9, `Auto` resolves to 7),
+/// so a 10-deep window always holds every frame a valid stream can ask
+/// for — and bounds a reader's live pixel memory regardless of sequence
+/// length.
+pub(crate) const REF_WINDOW: usize = 10;
+
+/// The last [`REF_WINDOW`] reconstructed anchors in decode order: the only
+/// frames a record's motion vector can be resolved against.
+#[derive(Debug, Default)]
+pub(crate) struct RefWindow {
+    anchors: VecDeque<(u32, Frame)>,
+    peak_live: usize,
+}
+
+impl RefWindow {
+    /// Retains a reconstructed anchor, evicting the oldest beyond the window.
+    pub(crate) fn push(&mut self, display: u32, frame: Frame) {
+        self.anchors.push_back((display, frame));
+        if self.anchors.len() > REF_WINDOW {
+            self.anchors.pop_front();
+        }
+        self.peak_live = self.peak_live.max(self.anchors.len() + 1);
+    }
+
+    /// Anchors currently held.
+    pub(crate) fn live(&self) -> usize {
+        self.anchors.len()
+    }
+
+    /// High-water mark of held anchors plus the one being handed over.
+    pub(crate) fn peak_live(&self) -> usize {
+        self.peak_live
+    }
+
+    fn get(&self, display: u32) -> Option<&Frame> {
+        let hit = self.anchors.iter().rev().find(|(d, _)| *d == display);
+        hit.map(|(_, f)| f)
+    }
+
+    /// Strict fetch: a reference outside the window or a vector leaving the
+    /// frame is an error.
+    pub(crate) fn fetch(&self, mv: BlockMv, bx: usize, by: usize, mb: usize) -> Result<Vec<u8>> {
+        let f = self.get(mv.frame).ok_or_else(|| {
+            CodecError::Bitstream(format!("reference {} not yet decoded", mv.frame))
+        })?;
+        let src = mv.at(bx, by);
+        let inside = |s: i32, edge: usize| s >= 0 && s as usize + mb <= edge;
+        if !inside(src.src_x, f.width()) || !inside(src.src_y, f.height()) {
+            return Err(CodecError::Bitstream("motion vector out of frame".into()));
+        }
+        Ok(extract_block(f, src.src_x as usize, src.src_y as usize, mb))
+    }
+
+    /// Concealing fetch: a reference that never arrived is replaced by the
+    /// nearest held anchor by display distance (the lower index wins ties),
+    /// or flat mid-gray when none is held, and source coordinates are
+    /// clamped into the frame. Sets `substituted` when it had to replace.
+    pub(crate) fn fetch_concealed(
+        &self,
+        mv: BlockMv,
+        bx: usize,
+        by: usize,
+        mb: usize,
+        substituted: &mut bool,
+    ) -> Vec<u8> {
+        let source = self.get(mv.frame).or_else(|| {
+            *substituted = true;
+            let nearest = self
+                .anchors
+                .iter()
+                .min_by_key(|(d, _)| (d.abs_diff(mv.frame), *d));
+            nearest.map(|(_, f)| f)
+        });
+        let Some(f) = source else {
+            return vec![128u8; mb * mb];
+        };
+        let src = mv.at(bx, by);
+        let sx = src.src_x.clamp(0, (f.width() - mb) as i32) as usize;
+        let sy = src.src_y.clamp(0, (f.height() - mb) as i32) as usize;
+        extract_block(f, sx, sy, mb)
+    }
 }
 
 /// Video decoder. Stateless; create once and reuse.
@@ -132,14 +225,10 @@ impl Decoder {
     /// bytes-remaining bound cannot apply.
     pub const MAX_FRAMES: u64 = 1 << 20;
 
-    fn read_header(r: &mut Reader) -> Result<Header> {
-        Self::read_header_capped(r, None)
-    }
-
     /// Reads the stream header. `frames_cap` overrides the frame-count
     /// bound; `None` uses the contiguous-stream rule (every frame costs at
     /// least two bytes of what remains in this buffer).
-    pub(crate) fn read_header_capped(r: &mut Reader, frames_cap: Option<u64>) -> Result<Header> {
+    pub(crate) fn read_header(r: &mut Reader, frames_cap: Option<u64>) -> Result<Header> {
         for expected in MAGIC {
             if r.get_u8()? != expected {
                 return Err(CodecError::Bitstream("bad magic".into()));
@@ -201,28 +290,186 @@ impl Decoder {
         Ok((ftype, display as u32))
     }
 
+    /// The one raster walk over a frame's macro-block records. `visit` gets
+    /// each block's position and parsed record with the reader parked on
+    /// the block's residual, which it must consume (decode, validate or
+    /// skip).
+    fn for_each_block(
+        r: &mut Reader,
+        hdr: &Header,
+        mut visit: impl FnMut(usize, usize, BlockMode, &mut Reader) -> Result<()>,
+    ) -> Result<()> {
+        let mb = hdr.mb();
+        for by in (0..hdr.height).step_by(mb) {
+            for bx in (0..hdr.width).step_by(mb) {
+                let record = BlockMode::read(r, hdr.n_frames)?;
+                visit(bx, by, record, r)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Decodes one frame's payload to pixels; `fetch` resolves a motion
+    /// vector of the block at `(bx, by)` to its reference block (strictly or
+    /// with concealment — see [`RefWindow`]).
+    pub(crate) fn reconstruct(
+        r: &mut Reader,
+        hdr: &Header,
+        mut fetch: impl FnMut(BlockMv, usize, usize) -> Result<Vec<u8>>,
+    ) -> Result<Frame> {
+        let mb = hdr.mb();
+        let mut rec = Frame::new(hdr.width, hdr.height);
+        Self::for_each_block(r, hdr, |bx, by, record, r| {
+            let pred = match record {
+                BlockMode::Intra(mode) => intra::predict(&rec, bx, by, mb, mode),
+                BlockMode::Inter(mv) => fetch(mv, bx, by)?,
+                BlockMode::Bi(a, b) => average_blocks(&fetch(a, bx, by)?, &fetch(b, bx, by)?),
+            };
+            let resid = r.get_residual(mb * mb)?;
+            let mut block = Vec::with_capacity(mb * mb);
+            for (p, q) in pred.iter().zip(&resid) {
+                block.push((*p as i32 + *q as i32 * hdr.quant).clamp(0, 255) as u8);
+            }
+            write_block(&mut rec, bx, by, mb, &block);
+            Ok(())
+        })?;
+        Ok(rec)
+    }
+
+    /// Parses one B-frame's block records, raster order, skipping every
+    /// residual. The payload comes back even when the parse fails: every
+    /// record in it was fully read and validated, so a caller that tolerates
+    /// corruption keeps the prefix parsed before the error.
+    pub(crate) fn read_motion(
+        r: &mut Reader,
+        hdr: &Header,
+        display_idx: u32,
+    ) -> (BFrameInfo, Result<()>) {
+        let mut info = BFrameInfo {
+            display_idx,
+            mvs: Vec::new(),
+            intra_blocks: Vec::new(),
+        };
+        let len = hdr.mb() * hdr.mb();
+        let parsed = Self::for_each_block(r, hdr, |bx, by, record, r| {
+            r.skip_residual(len)?;
+            let (ref0, ref1) = match record {
+                BlockMode::Intra(_) => {
+                    info.intra_blocks.push((bx as u32, by as u32));
+                    return Ok(());
+                }
+                BlockMode::Inter(a) => (a, None),
+                BlockMode::Bi(a, b) => (a, Some(b)),
+            };
+            info.mvs.push(MvRecord {
+                dst_x: bx as u32,
+                dst_y: by as u32,
+                ref0: ref0.at(bx, by),
+                ref1: ref1.map(|mv| mv.at(bx, by)),
+            });
+            Ok(())
+        });
+        (info, parsed)
+    }
+
+    /// Walks one anchor payload without producing pixels, with the full
+    /// run-length validation of `get_residual` rather than the cheaper
+    /// skip, so a payload that passes here reconstructs under a concealing
+    /// fetch (which cannot fail).
+    pub(crate) fn scan_anchor(r: &mut Reader, hdr: &Header) -> Result<()> {
+        let len = hdr.mb() * hdr.mb();
+        Self::for_each_block(r, hdr, |_, _, _, r| r.get_residual(len).map(drop))
+    }
+
+    /// Summarises the next frame of the stream (header and payload).
+    fn summarise(r: &mut Reader, hdr: &Header, decode_idx: u32) -> Result<FrameSummary> {
+        let before = r.remaining();
+        let (ftype, display_idx) = Self::read_frame_header(r, hdr.n_frames)?;
+        let mut summary = FrameSummary {
+            ftype,
+            display_idx,
+            decode_idx,
+            bytes: 0,
+            intra_blocks: 0,
+            inter_blocks: 0,
+            bi_blocks: 0,
+            mv_magnitude_sum: 0.0,
+            refs: BTreeSet::new(),
+        };
+        let len = hdr.mb() * hdr.mb();
+        Self::for_each_block(r, hdr, |_, _, record, r| {
+            match record {
+                BlockMode::Intra(_) => summary.intra_blocks += 1,
+                BlockMode::Inter(_) => summary.inter_blocks += 1,
+                BlockMode::Bi(..) => summary.bi_blocks += 1,
+            }
+            for mv in record.mvs() {
+                summary.refs.insert(mv.frame);
+                summary.mv_magnitude_sum += mv.magnitude();
+            }
+            r.skip_residual(len)
+        })?;
+        summary.bytes = before - r.remaining();
+        Ok(summary)
+    }
+
+    /// Parses the stream without reconstructing any pixels, summarising
+    /// each frame (the `vrdstat` inspector's engine).
+    ///
+    /// # Errors
+    /// Returns [`CodecError::Bitstream`] for a malformed stream header and
+    /// [`CodecError::Corrupt`] naming the frame for anything after it.
+    pub fn inspect(&self, bitstream: &Bytes) -> Result<Vec<FrameSummary>> {
+        let mut r = Reader::new(bitstream.clone());
+        let hdr = Self::read_header(&mut r, None)?;
+        (0..hdr.n_frames as u32)
+            .map(|i| Self::summarise(&mut r, &hdr, i).map_err(|e| e.in_frame(i)))
+            .collect()
+    }
+
+    /// Decodes the next frame of the stream to pixels against `window`.
+    fn decode_frame(
+        r: &mut Reader,
+        hdr: &Header,
+        window: &RefWindow,
+        decode_idx: u32,
+    ) -> Result<(FrameMeta, Frame)> {
+        let (ftype, display_idx) = Self::read_frame_header(r, hdr.n_frames)?;
+        let mb = hdr.mb();
+        let mut refs = BTreeSet::new();
+        let rec = Self::reconstruct(r, hdr, |mv, bx, by| {
+            refs.insert(mv.frame);
+            window.fetch(mv, bx, by, mb)
+        })?;
+        let meta = FrameMeta {
+            ftype,
+            display_idx,
+            decode_idx,
+            refs: refs.into_iter().collect(),
+        };
+        Ok((meta, rec))
+    }
+
     /// Fully decodes the bitstream (every frame to pixels).
     ///
     /// # Errors
-    /// Returns [`CodecError::Bitstream`] for malformed input.
+    /// Returns [`CodecError::Bitstream`] for a malformed stream header and
+    /// [`CodecError::Corrupt`] naming the frame for anything after it.
     pub fn decode(&self, bitstream: &Bytes) -> Result<DecodedVideo> {
         let mut r = Reader::new(bitstream.clone());
-        let hdr = Self::read_header(&mut r)?;
-        let mb = hdr.standard.mb_size();
+        let hdr = Self::read_header(&mut r, None)?;
+        let mut window = RefWindow::default();
         let mut frames: Vec<Option<Frame>> = vec![None; hdr.n_frames];
         let mut metas = Vec::with_capacity(hdr.n_frames);
 
-        for decode_idx in 0..hdr.n_frames {
-            let (ftype, display) = Self::read_frame_header(&mut r, hdr.n_frames)?;
-            let mut refs_used = BTreeSet::new();
-            let rec = Self::read_anchor(&mut r, &hdr, mb, &frames, &mut refs_used)?;
-            metas.push(FrameMeta {
-                ftype,
-                display_idx: display,
-                decode_idx: decode_idx as u32,
-                refs: refs_used.into_iter().collect(),
-            });
-            frames[display as usize] = Some(rec);
+        for decode_idx in 0..hdr.n_frames as u32 {
+            let (meta, rec) = Self::decode_frame(&mut r, &hdr, &window, decode_idx)
+                .map_err(|e| e.in_frame(decode_idx))?;
+            if meta.ftype.is_anchor() {
+                window.push(meta.display_idx, rec.clone());
+            }
+            frames[meta.display_idx as usize] = Some(rec);
+            metas.push(meta);
         }
 
         let frames: Vec<Frame> = frames
@@ -235,316 +482,10 @@ impl Decoder {
         Ok(DecodedVideo {
             width: hdr.width,
             height: hdr.height,
-            mb_size: mb,
+            mb_size: hdr.mb(),
             frames,
             metas,
         })
-    }
-
-    /// Reads one block's prediction (intra / inter / bi) during full decode.
-    #[allow(clippy::too_many_arguments)]
-    fn read_prediction(
-        r: &mut Reader,
-        frames: &[Option<Frame>],
-        rec: &Frame,
-        bx: usize,
-        by: usize,
-        mb: usize,
-        n_frames: usize,
-        refs_used: &mut BTreeSet<u32>,
-    ) -> Result<Vec<u8>> {
-        let fetch = |r: &mut Reader, refs_used: &mut BTreeSet<u32>| -> Result<(u32, i32, i32)> {
-            let rf = r.get_varint()? as usize;
-            let dx = r.get_svarint()? as i32;
-            let dy = r.get_svarint()? as i32;
-            if rf >= n_frames {
-                return Err(CodecError::Bitstream(format!(
-                    "reference {rf} out of range"
-                )));
-            }
-            refs_used.insert(rf as u32);
-            Ok((rf as u32, dx, dy))
-        };
-        let grab = |frames: &[Option<Frame>], rf: u32, sx: i32, sy: i32| -> Result<Vec<u8>> {
-            let f = frames[rf as usize]
-                .as_ref()
-                .ok_or_else(|| CodecError::Bitstream(format!("reference {rf} not yet decoded")))?;
-            if sx < 0 || sy < 0 || sx as usize + mb > f.width() || sy as usize + mb > f.height() {
-                return Err(CodecError::Bitstream("motion vector out of frame".into()));
-            }
-            Ok(extract_block(f, sx as usize, sy as usize, mb))
-        };
-        match r.get_u8()? {
-            0 => {
-                let mode = r.get_u8()?;
-                Ok(intra::predict(rec, bx, by, mb, mode))
-            }
-            1 => {
-                let (rf, dx, dy) = fetch(r, refs_used)?;
-                grab(frames, rf, bx as i32 + dx, by as i32 + dy)
-            }
-            2 => {
-                let (rf0, dx0, dy0) = fetch(r, refs_used)?;
-                let (rf1, dx1, dy1) = fetch(r, refs_used)?;
-                let a = grab(frames, rf0, bx as i32 + dx0, by as i32 + dy0)?;
-                let b = grab(frames, rf1, bx as i32 + dx1, by as i32 + dy1)?;
-                Ok(average_blocks(&a, &b))
-            }
-            m => Err(CodecError::Bitstream(format!("unknown block mode {m}"))),
-        }
-    }
-
-    /// Decodes one frame's block payload to pixels against the reference
-    /// set in `frames` (strict mode: any unreadable record is an error).
-    /// Shared by full decode and the streaming strict source.
-    pub(crate) fn read_anchor(
-        r: &mut Reader,
-        hdr: &Header,
-        mb: usize,
-        frames: &[Option<Frame>],
-        refs_used: &mut BTreeSet<u32>,
-    ) -> Result<Frame> {
-        let mut rec = Frame::new(hdr.width, hdr.height);
-        for by in (0..hdr.height).step_by(mb) {
-            for bx in (0..hdr.width).step_by(mb) {
-                let pred =
-                    Self::read_prediction(r, frames, &rec, bx, by, mb, hdr.n_frames, refs_used)?;
-                let resid = r.get_residual(mb * mb)?;
-                let mut block = Vec::with_capacity(mb * mb);
-                for (p, q) in pred.iter().zip(&resid) {
-                    block.push((*p as i32 + *q as i32 * hdr.quant).clamp(0, 255) as u8);
-                }
-                write_block(&mut rec, bx, by, mb, &block);
-            }
-        }
-        Ok(rec)
-    }
-
-    /// Walks one anchor payload structurally — same reads, same error
-    /// points as [`Decoder::read_anchor`] / the resilient variant — without
-    /// producing pixels. Returns whether any block referenced a frame
-    /// outside `decoded` (i.e. pixel decode would substitute). Residuals
-    /// are read with the full run-length validation of `get_residual`, not
-    /// the cheaper skip, so success here is success there.
-    pub(crate) fn scan_anchor(
-        r: &mut Reader,
-        hdr: &Header,
-        mb: usize,
-        decoded: &BTreeSet<u32>,
-    ) -> Result<bool> {
-        let mut substituted = false;
-        let fetch = |r: &mut Reader, substituted: &mut bool| -> Result<()> {
-            let rf = r.get_varint_bounded(hdr.n_frames.saturating_sub(1) as u64, "reference")?;
-            r.get_svarint()?;
-            r.get_svarint()?;
-            if !decoded.contains(&(rf as u32)) {
-                *substituted = true;
-            }
-            Ok(())
-        };
-        for _by in (0..hdr.height).step_by(mb) {
-            for _bx in (0..hdr.width).step_by(mb) {
-                match r.get_u8()? {
-                    0 => {
-                        r.get_u8()?;
-                    }
-                    1 => fetch(r, &mut substituted)?,
-                    2 => {
-                        fetch(r, &mut substituted)?;
-                        fetch(r, &mut substituted)?;
-                    }
-                    m => {
-                        return Err(CodecError::Corrupt {
-                            frame: 0,
-                            detail: format!("unknown block mode {m}"),
-                        });
-                    }
-                }
-                r.get_residual(mb * mb)?;
-            }
-        }
-        Ok(substituted)
-    }
-
-    /// Parses one B-frame's block records into `info`, raster order.
-    ///
-    /// Fills `info` incrementally so a caller that tolerates corruption can
-    /// keep the records parsed before the error (`info` is always left in a
-    /// consistent state: every pushed record was fully read and validated).
-    pub(crate) fn read_b_frame_blocks(
-        r: &mut Reader,
-        hdr: &Header,
-        mb: usize,
-        info: &mut BFrameInfo,
-        refs_used: &mut BTreeSet<u32>,
-    ) -> Result<()> {
-        let read_ref = |r: &mut Reader, bx: usize, by: usize| -> Result<RefMv> {
-            let rf = r.get_varint_bounded(hdr.n_frames.saturating_sub(1) as u64, "reference")?;
-            let dx = r.get_svarint()? as i32;
-            let dy = r.get_svarint()? as i32;
-            Ok(RefMv {
-                frame: rf as u32,
-                src_x: bx as i32 + dx,
-                src_y: by as i32 + dy,
-            })
-        };
-        for by in (0..hdr.height).step_by(mb) {
-            for bx in (0..hdr.width).step_by(mb) {
-                match r.get_u8()? {
-                    0 => {
-                        r.get_u8()?; // intra mode id, unused here
-                        r.skip_residual(mb * mb)?;
-                        info.intra_blocks.push((bx as u32, by as u32));
-                    }
-                    1 => {
-                        let ref0 = read_ref(r, bx, by)?;
-                        r.skip_residual(mb * mb)?;
-                        refs_used.insert(ref0.frame);
-                        info.mvs.push(MvRecord {
-                            dst_x: bx as u32,
-                            dst_y: by as u32,
-                            ref0,
-                            ref1: None,
-                        });
-                    }
-                    2 => {
-                        let ref0 = read_ref(r, bx, by)?;
-                        let ref1 = read_ref(r, bx, by)?;
-                        r.skip_residual(mb * mb)?;
-                        refs_used.insert(ref0.frame);
-                        refs_used.insert(ref1.frame);
-                        info.mvs.push(MvRecord {
-                            dst_x: bx as u32,
-                            dst_y: by as u32,
-                            ref0,
-                            ref1: Some(ref1),
-                        });
-                    }
-                    m => {
-                        return Err(CodecError::Bitstream(format!("unknown block mode {m}")));
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Parses the stream without reconstructing any pixels, summarising
-    /// each frame (the `vrdstat` inspector's engine).
-    ///
-    /// # Errors
-    /// Returns [`CodecError::Bitstream`] for malformed input.
-    pub fn inspect(&self, bitstream: &Bytes) -> Result<Vec<FrameSummary>> {
-        let mut r = Reader::new(bitstream.clone());
-        let total = bitstream.len();
-        let hdr = Self::read_header(&mut r)?;
-        let mb = hdr.standard.mb_size();
-        let mut out = Vec::with_capacity(hdr.n_frames);
-        for decode_idx in 0..hdr.n_frames {
-            let before = r.remaining();
-            let (ftype, display) = Self::read_frame_header(&mut r, hdr.n_frames)?;
-            let mut summary = FrameSummary {
-                ftype,
-                display_idx: display,
-                decode_idx: decode_idx as u32,
-                bytes: 0,
-                intra_blocks: 0,
-                inter_blocks: 0,
-                bi_blocks: 0,
-                mv_magnitude_sum: 0.0,
-                refs: BTreeSet::new(),
-            };
-            for by in (0..hdr.height).step_by(mb) {
-                for bx in (0..hdr.width).step_by(mb) {
-                    let read_mv = |r: &mut Reader, summary: &mut FrameSummary| -> Result<()> {
-                        let rf = r.get_varint()? as u32;
-                        let dx = r.get_svarint()? as f64;
-                        let dy = r.get_svarint()? as f64;
-                        summary.refs.insert(rf);
-                        summary.mv_magnitude_sum += (dx * dx + dy * dy).sqrt();
-                        Ok(())
-                    };
-                    let _ = (bx, by);
-                    match r.get_u8()? {
-                        0 => {
-                            r.get_u8()?;
-                            summary.intra_blocks += 1;
-                        }
-                        1 => {
-                            read_mv(&mut r, &mut summary)?;
-                            summary.inter_blocks += 1;
-                        }
-                        2 => {
-                            read_mv(&mut r, &mut summary)?;
-                            read_mv(&mut r, &mut summary)?;
-                            summary.bi_blocks += 1;
-                        }
-                        m => {
-                            return Err(CodecError::Bitstream(format!("unknown block mode {m}")));
-                        }
-                    }
-                    r.skip_residual(mb * mb)?;
-                }
-            }
-            summary.bytes = before - r.remaining();
-            out.push(summary);
-        }
-        let _ = total;
-        Ok(out)
-    }
-
-    /// Decodes in recognition mode: anchors to pixels, B-frames to motion
-    /// vectors only (their residuals are skipped, not decoded).
-    ///
-    /// Collects the pull-based [`crate::stream::StrictFrameSource`] into a
-    /// batch structure; streaming consumers should pull from the source
-    /// directly and keep memory bounded.
-    ///
-    /// # Errors
-    /// Returns [`CodecError::Bitstream`] for malformed input.
-    pub fn decode_for_recognition(&self, bitstream: &Bytes) -> Result<RecognitionStream> {
-        use crate::stream::{FrameSource, StrictFrameSource, UnitPayload};
-        let mut src = StrictFrameSource::new(bitstream)?;
-        let info = src.info();
-        let mut out = RecognitionStream {
-            width: info.width,
-            height: info.height,
-            mb_size: info.mb_size,
-            metas: Vec::with_capacity(info.n_frames),
-            anchors: Vec::new(),
-            b_frames: Vec::new(),
-            anchor_bytes: 0,
-            b_bytes: 0,
-        };
-        while let Some(unit) = src.next_unit() {
-            let unit = unit?;
-            let display = match unit.payload {
-                UnitPayload::Anchor { display, frame } => {
-                    out.anchors.push((display, frame));
-                    display
-                }
-                UnitPayload::Motion(info_b) => {
-                    let display = info_b.display_idx;
-                    out.b_frames.push(info_b);
-                    display
-                }
-                UnitPayload::Skipped { .. } => {
-                    return Err(CodecError::Bitstream(
-                        "strict stream produced a skipped unit".into(),
-                    ));
-                }
-            };
-            out.metas.push(FrameMeta {
-                ftype: unit.ftype,
-                display_idx: display,
-                decode_idx: unit.decode_idx,
-                refs: unit.refs,
-            });
-        }
-        let totals = src.totals();
-        out.anchor_bytes = totals.anchor_bytes;
-        out.b_bytes = totals.b_bytes;
-        Ok(out)
     }
 }
 
@@ -586,231 +527,63 @@ pub enum ConcealReason {
     MissingReference,
 }
 
-/// Per-frame record of a resilient decode, in decode (packet) order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FrameOutcome {
-    /// Decode-order index (the packet slot).
-    pub decode_idx: u32,
-    /// Frame type, known from transport metadata even for lost payloads.
-    pub ftype: FrameType,
-    /// Display index — `None` when the payload was too damaged to read it
-    /// and no unique slot could be inferred from the surviving frames.
-    pub display: Option<u32>,
-    /// What the decoder managed to recover.
-    pub outcome: DecodeOutcome,
-}
-
-/// Output of [`Decoder::decode_recognition_resilient`]: the recognition
-/// stream of a damaged transport, plus the per-frame damage report.
-#[derive(Debug, Clone)]
-pub struct ResilientStream {
-    /// Frame width in pixels.
-    pub width: usize,
-    /// Frame height in pixels.
-    pub height: usize,
-    /// Macro-block size the stream was coded with.
-    pub mb_size: usize,
-    /// Frame count announced by the stream header.
-    pub n_frames: usize,
-    /// Per-frame outcomes in decode order (one per packet).
-    pub outcomes: Vec<FrameOutcome>,
-    /// Reconstructed anchor frames `(display_idx, pixels)`, decode order.
-    /// Contains every anchor whose outcome is usable.
-    pub anchors: Vec<(u32, Frame)>,
-    /// Parsed B-frame MV payloads (complete or salvaged prefixes), decode
-    /// order, display indices resolved where possible.
-    pub b_frames: Vec<BFrameInfo>,
-    /// Payload bytes of surviving anchor packets.
-    pub anchor_bytes: usize,
-    /// Payload bytes of surviving B packets.
-    pub b_bytes: usize,
-}
-
-impl ResilientStream {
-    /// Number of frames per [`DecodeOutcome`] variant as
-    /// `(ok, concealed, lost)`.
-    pub fn outcome_counts(&self) -> (usize, usize, usize) {
-        let mut c = (0, 0, 0);
-        for o in &self.outcomes {
-            match o.outcome {
-                DecodeOutcome::Ok => c.0 += 1,
-                DecodeOutcome::Concealed(_) => c.1 += 1,
-                DecodeOutcome::Lost => c.2 += 1,
-            }
-        }
-        c
-    }
-}
-
-impl Decoder {
-    /// Decodes a (possibly damaged) packetized stream in recognition mode,
-    /// resynchronising at frame-packet boundaries.
-    ///
-    /// Damage never aborts the run: each frame independently yields a
-    /// [`DecodeOutcome`]. Anchors with missing references are concealed by
-    /// substituting the nearest decoded anchor; damaged B payloads are
-    /// salvaged up to the first unparseable record. On an uninjected
-    /// stream, the result is identical to [`Decoder::decode_for_recognition`]
-    /// with every outcome [`DecodeOutcome::Ok`].
-    ///
-    /// # Errors
-    /// Returns [`CodecError::Bitstream`] only if the *stream header* is
-    /// unusable — without dimensions nothing can be concealed. Frame-level
-    /// damage is reported per frame, never as an `Err`.
-    ///
-    /// Collects the pull-based [`crate::stream::ResilientFrameSource`] into
-    /// a batch structure; streaming consumers should pull from the source
-    /// directly and keep memory bounded.
-    pub fn decode_recognition_resilient(
-        &self,
-        stream: &crate::faults::PacketStream,
-    ) -> Result<ResilientStream> {
-        use crate::stream::{FrameSource, ResilientFrameSource, UnitPayload};
-        let mut src = ResilientFrameSource::new(stream)?;
-        let info = src.info();
-        let totals = src.totals();
-        let mut out = ResilientStream {
-            width: info.width,
-            height: info.height,
-            mb_size: info.mb_size,
-            n_frames: info.n_frames,
-            outcomes: Vec::with_capacity(stream.packets.len()),
-            anchors: Vec::new(),
-            b_frames: Vec::new(),
-            anchor_bytes: totals.anchor_bytes,
-            b_bytes: totals.b_bytes,
-        };
-        while let Some(unit) = src.next_unit() {
-            let unit = unit?;
-            let display = unit.display();
-            match unit.payload {
-                UnitPayload::Anchor { display, frame } => out.anchors.push((display, frame)),
-                UnitPayload::Motion(info_b) => out.b_frames.push(info_b),
-                UnitPayload::Skipped { .. } => {}
-            }
-            out.outcomes.push(FrameOutcome {
-                decode_idx: unit.decode_idx,
-                ftype: unit.ftype,
-                display,
-                outcome: unit.outcome,
-            });
-        }
-        Ok(out)
-    }
-
-    /// Reconstructs one anchor frame, substituting the nearest available
-    /// decoded anchor (or flat mid-gray) when a reference never arrived.
-    pub(crate) fn read_anchor_resilient(
-        r: &mut Reader,
-        hdr: &Header,
-        mb: usize,
-        anchor_recon: &[Option<Frame>],
-        substituted: &mut bool,
-    ) -> Result<Frame> {
-        let mut rec = Frame::new(hdr.width, hdr.height);
-        for by in (0..hdr.height).step_by(mb) {
-            for bx in (0..hdr.width).step_by(mb) {
-                let pred = Self::read_prediction_resilient(
-                    r,
-                    anchor_recon,
-                    &rec,
-                    bx,
-                    by,
-                    mb,
-                    hdr.n_frames,
-                    substituted,
-                )?;
-                let resid = r.get_residual(mb * mb)?;
-                let mut block = Vec::with_capacity(mb * mb);
-                for (p, q) in pred.iter().zip(&resid) {
-                    block.push((*p as i32 + *q as i32 * hdr.quant).clamp(0, 255) as u8);
-                }
-                write_block(&mut rec, bx, by, mb, &block);
-            }
-        }
-        Ok(rec)
-    }
-
-    /// [`Decoder::read_prediction`] with concealment: a missing reference
-    /// frame is replaced by the nearest decoded anchor (or flat mid-gray),
-    /// and source coordinates are clamped into the frame.
-    #[allow(clippy::too_many_arguments)]
-    fn read_prediction_resilient(
-        r: &mut Reader,
-        frames: &[Option<Frame>],
-        rec: &Frame,
-        bx: usize,
-        by: usize,
-        mb: usize,
-        n_frames: usize,
-        substituted: &mut bool,
-    ) -> Result<Vec<u8>> {
-        let fetch = |r: &mut Reader| -> Result<(u32, i32, i32)> {
-            let rf = r.get_varint_bounded(n_frames.saturating_sub(1) as u64, "reference")?;
-            let dx = r.get_svarint()? as i32;
-            let dy = r.get_svarint()? as i32;
-            Ok((rf as u32, dx, dy))
-        };
-        let mut grab = |frames: &[Option<Frame>], rf: u32, sx: i32, sy: i32| -> Vec<u8> {
-            let source = frames[rf as usize].as_ref().or_else(|| {
-                // Reference never arrived: conceal from the nearest decoded
-                // anchor by display distance.
-                *substituted = true;
-                frames
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(d, f)| f.as_ref().map(|f| (d, f)))
-                    .min_by_key(|(d, _)| (*d as i64 - rf as i64).unsigned_abs())
-                    .map(|(_, f)| f)
-            });
-            match source {
-                Some(f) => {
-                    let sx = sx.clamp(0, (f.width() - mb) as i32) as usize;
-                    let sy = sy.clamp(0, (f.height() - mb) as i32) as usize;
-                    extract_block(f, sx, sy, mb)
-                }
-                None => {
-                    // No anchor decoded yet at all: flat mid-gray.
-                    *substituted = true;
-                    vec![128u8; mb * mb]
-                }
-            }
-        };
-        match r.get_u8()? {
-            0 => {
-                let mode = r.get_u8()?;
-                Ok(intra::predict(rec, bx, by, mb, mode))
-            }
-            1 => {
-                let (rf, dx, dy) = fetch(r)?;
-                Ok(grab(frames, rf, bx as i32 + dx, by as i32 + dy))
-            }
-            2 => {
-                let (rf0, dx0, dy0) = fetch(r)?;
-                let (rf1, dx1, dy1) = fetch(r)?;
-                let a = grab(frames, rf0, bx as i32 + dx0, by as i32 + dy0);
-                let b = grab(frames, rf1, bx as i32 + dx1, by as i32 + dy1);
-                Ok(average_blocks(&a, &b))
-            }
-            m => Err(CodecError::Corrupt {
-                frame: 0,
-                detail: format!("unknown block mode {m}"),
-            }),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitstream::Writer;
     use crate::config::{BFrameMode, CodecConfig};
     use crate::encoder::Encoder;
+    use crate::stream::{
+        DecodedUnit, FrameSource, ResilientFrameSource, StrictFrameSource, UnitPayload,
+    };
     use vrd_video::davis::{davis_sequence, SuiteConfig};
 
     fn encode_tiny(cfg: CodecConfig) -> (Vec<Frame>, crate::encoder::EncodedVideo) {
         let frames = davis_sequence("cows", &SuiteConfig::tiny()).unwrap().frames;
         let ev = Encoder::new(cfg).encode(&frames).unwrap();
         (frames, ev)
+    }
+
+    fn fixed3() -> CodecConfig {
+        CodecConfig {
+            b_frames: BFrameMode::Fixed(3),
+            ..CodecConfig::default()
+        }
+    }
+
+    /// Pulls a source dry; the first failing unit aborts.
+    fn drain(src: &mut impl FrameSource) -> Result<Vec<DecodedUnit>> {
+        std::iter::from_fn(|| src.next_unit()).collect()
+    }
+
+    fn anchors(units: &[DecodedUnit]) -> Vec<(u32, &Frame)> {
+        let mut out = Vec::new();
+        for unit in units {
+            if let UnitPayload::Anchor { display, frame } = &unit.payload {
+                out.push((*display, frame));
+            }
+        }
+        out
+    }
+
+    fn b_frames(units: &[DecodedUnit]) -> Vec<&BFrameInfo> {
+        let mut out = Vec::new();
+        for unit in units {
+            if let UnitPayload::Motion(info) = &unit.payload {
+                out.push(info);
+            }
+        }
+        out
+    }
+
+    /// Units per [`DecodeOutcome`] variant as `(ok, concealed, lost)`.
+    fn outcome_counts(units: &[DecodedUnit]) -> (usize, usize, usize) {
+        let count = |f: fn(&DecodeOutcome) -> bool| units.iter().filter(|u| f(&u.outcome)).count();
+        (
+            count(|o| *o == DecodeOutcome::Ok),
+            count(|o| matches!(o, DecodeOutcome::Concealed(_))),
+            count(|o| *o == DecodeOutcome::Lost),
+        )
     }
 
     fn psnr(a: &Frame, b: &Frame) -> f64 {
@@ -854,26 +627,21 @@ mod tests {
 
     #[test]
     fn recognition_mode_yields_anchors_and_mvs() {
-        let cfg = CodecConfig {
-            b_frames: BFrameMode::Fixed(3),
-            ..CodecConfig::default()
-        };
-        let (_, ev) = encode_tiny(cfg);
-        let rec = Decoder::new()
-            .decode_for_recognition(&ev.bitstream)
-            .unwrap();
+        let (_, ev) = encode_tiny(fixed3());
+        let mut src = StrictFrameSource::new(&ev.bitstream).unwrap();
+        let units = drain(&mut src).unwrap();
+        let (info, anchors, b_frames) = (src.info(), anchors(&units), b_frames(&units));
         let n_b = ev.stats.b_frames;
-        assert_eq!(rec.b_frames.len(), n_b);
-        assert_eq!(rec.anchors.len(), ev.stats.n_frames - n_b);
+        assert_eq!(b_frames.len(), n_b);
+        assert_eq!(anchors.len(), ev.stats.n_frames - n_b);
         // Every B-frame block is accounted for: mvs + intra blocks.
-        let blocks = (rec.width / rec.mb_size) * (rec.height / rec.mb_size);
-        for info in &rec.b_frames {
+        let blocks = (info.width / info.mb_size) * (info.height / info.mb_size);
+        for info in &b_frames {
             assert_eq!(info.mvs.len() + info.intra_blocks.len(), blocks);
         }
         // MV references must point at decoded anchors.
-        let anchor_set: std::collections::BTreeSet<u32> =
-            rec.anchors.iter().map(|(d, _)| *d).collect();
-        for info in &rec.b_frames {
+        let anchor_set: BTreeSet<u32> = anchors.iter().map(|(d, _)| *d).collect();
+        for info in &b_frames {
             for mv in &info.mvs {
                 assert!(anchor_set.contains(&mv.ref0.frame));
                 if let Some(r1) = mv.ref1 {
@@ -887,12 +655,10 @@ mod tests {
     fn recognition_anchors_match_full_decode() {
         let (_, ev) = encode_tiny(CodecConfig::default());
         let full = Decoder::new().decode(&ev.bitstream).unwrap();
-        let rec = Decoder::new()
-            .decode_for_recognition(&ev.bitstream)
-            .unwrap();
-        for (display, frame) in &rec.anchors {
+        let units = drain(&mut StrictFrameSource::new(&ev.bitstream).unwrap()).unwrap();
+        for (display, frame) in anchors(&units) {
             assert_eq!(
-                frame, &full.frames[*display as usize],
+                frame, &full.frames[display as usize],
                 "anchor {display} differs between modes"
             );
         }
@@ -901,11 +667,11 @@ mod tests {
     #[test]
     fn byte_accounting_sums_to_stream_length() {
         let (_, ev) = encode_tiny(CodecConfig::default());
-        let rec = Decoder::new()
-            .decode_for_recognition(&ev.bitstream)
-            .unwrap();
-        assert_eq!(rec.anchor_bytes + rec.b_bytes, ev.bitstream.len());
-        assert!(rec.b_bytes > 0);
+        let mut src = StrictFrameSource::new(&ev.bitstream).unwrap();
+        drain(&mut src).unwrap();
+        let totals = src.totals();
+        assert_eq!(totals.anchor_bytes + totals.b_bytes, ev.bitstream.len());
+        assert!(totals.b_bytes > 0);
     }
 
     #[test]
@@ -944,50 +710,126 @@ mod tests {
         let (_, ev) = encode_tiny(CodecConfig::default());
         let truncated = ev.bitstream.slice(0..ev.bitstream.len() / 2);
         assert!(dec.decode(&truncated).is_err());
-        assert!(dec.decode_for_recognition(&truncated).is_err());
+        assert!(drain(&mut StrictFrameSource::new(&truncated).unwrap()).is_err());
+    }
+
+    /// Every strict entry point's verdict on `bytes`.
+    fn verdicts(bytes: &Bytes) -> [Result<()>; 3] {
+        let strict = StrictFrameSource::new(bytes).and_then(|mut src| drain(&mut src));
+        [
+            Decoder::new().decode(bytes).map(drop),
+            strict.map(drop),
+            Decoder::new().inspect(bytes).map(drop),
+        ]
+    }
+
+    #[test]
+    fn payload_errors_name_the_frame_that_broke() {
+        let (_, ev) = encode_tiny(fixed3());
+        let spans = Decoder::new().frame_spans(&ev.bitstream).unwrap();
+        // The stream header itself is not any frame's payload.
+        for verdict in verdicts(&ev.bitstream.slice(0..spans[0].offset / 2)) {
+            assert!(
+                matches!(verdict, Err(CodecError::Bitstream(_))),
+                "{verdict:?}"
+            );
+        }
+        // A cut inside frame k (anchors and B-frames alike), or right at
+        // its first byte, is frame k's fault at every entry point.
+        for k in [0, 1, 4, spans.len() - 1] {
+            let mut cuts = vec![spans[k].offset + spans[k].len / 2];
+            if k > 0 {
+                // (At frame 0's first byte too few bytes are left for the
+                // announced frame count, which is the stream header's fault.)
+                cuts.push(spans[k].offset);
+            }
+            for cut in cuts {
+                for verdict in verdicts(&ev.bitstream.slice(0..cut)) {
+                    match verdict {
+                        Err(CodecError::Corrupt { frame, .. }) => assert_eq!(frame, k as u32),
+                        other => panic!("cut in frame {k}: {other:?}"),
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_range_reference_is_rejected_by_every_reader() {
+        // One 16x16 H.264 P-frame announced as frame 0 of 1, whose single
+        // inter block names reference `n_frames`.
+        let stream = |reference: u32| {
+            let mut w = Writer::new();
+            for b in MAGIC {
+                w.put_u8(b);
+            }
+            w.put_u8(VERSION);
+            for v in [16, 16, 1] {
+                w.put_varint(v);
+            }
+            w.put_u8(0); // H.264
+            w.put_u8(8); // quantiser
+            w.put_u8(1); // P-frame
+            w.put_varint(0); // display 0
+            let mv = BlockMv {
+                frame: reference,
+                dx: 0,
+                dy: 0,
+            };
+            BlockMode::Inter(mv).write(&mut w);
+            w.put_residual(&[0i16; 256]);
+            w.into_bytes()
+        };
+        for verdict in verdicts(&stream(1)) {
+            let err = verdict.expect_err("reference 1 of 1 frame accepted");
+            assert!(err.to_string().contains("reference 1 exceeds"), "{err}");
+        }
+        // The same stream with an in-range index gets past the record
+        // reader everywhere; only the pixel readers then miss the frame.
+        let [decode, strict, inspect] = verdicts(&stream(0));
+        assert!(decode.unwrap_err().to_string().contains("not yet decoded"));
+        assert!(strict.unwrap_err().to_string().contains("not yet decoded"));
+        inspect.unwrap();
     }
 
     #[test]
     fn resilient_decode_of_clean_stream_matches_strict_mode() {
-        let cfg = CodecConfig {
-            b_frames: BFrameMode::Fixed(3),
-            ..CodecConfig::default()
-        };
-        let (_, ev) = encode_tiny(cfg);
-        let dec = Decoder::new();
-        let strict = dec.decode_for_recognition(&ev.bitstream).unwrap();
+        let (_, ev) = encode_tiny(fixed3());
+        let mut strict_src = StrictFrameSource::new(&ev.bitstream).unwrap();
+        let strict = drain(&mut strict_src).unwrap();
         let ps = crate::faults::packetize(&ev.bitstream).unwrap();
-        let res = dec.decode_recognition_resilient(&ps).unwrap();
+        let mut res_src = ResilientFrameSource::new(&ps).unwrap();
+        let res = drain(&mut res_src).unwrap();
 
-        let (ok, concealed, lost) = res.outcome_counts();
+        let (ok, concealed, lost) = outcome_counts(&res);
         assert_eq!((concealed, lost), (0, 0));
-        assert_eq!(ok, strict.metas.len());
+        assert_eq!(ok, strict.len());
         // Anchors bit-identical, B payloads record-identical, bytes match.
-        assert_eq!(res.anchors.len(), strict.anchors.len());
-        for ((da, fa), (db, fb)) in res.anchors.iter().zip(&strict.anchors) {
+        assert_eq!(anchors(&res).len(), anchors(&strict).len());
+        for ((da, fa), (db, fb)) in anchors(&res).iter().zip(&anchors(&strict)) {
             assert_eq!(da, db);
             assert_eq!(fa, fb);
         }
-        assert_eq!(res.b_frames, strict.b_frames);
-        assert_eq!(res.anchor_bytes, strict.anchor_bytes);
-        assert_eq!(res.b_bytes, strict.b_bytes);
+        assert_eq!(b_frames(&res), b_frames(&strict));
+        assert_eq!(
+            res_src.totals().anchor_bytes,
+            strict_src.totals().anchor_bytes
+        );
+        assert_eq!(res_src.totals().b_bytes, strict_src.totals().b_bytes);
     }
 
     #[test]
     fn resilient_decode_survives_heavy_damage_without_err() {
-        let cfg = CodecConfig {
-            b_frames: BFrameMode::Fixed(3),
-            ..CodecConfig::default()
-        };
-        let (_, ev) = encode_tiny(cfg);
+        let (_, ev) = encode_tiny(fixed3());
         let ps = crate::faults::packetize(&ev.bitstream).unwrap();
-        let dec = Decoder::new();
         for seed in 0..8 {
             let (damaged, log) =
                 crate::faults::inject(&ps, &crate::faults::FaultConfig::uniform(0.5, seed));
-            let res = dec.decode_recognition_resilient(&damaged).unwrap();
-            assert_eq!(res.outcomes.len(), ps.packets.len());
-            let (ok, concealed, lost) = res.outcome_counts();
+            let mut src = ResilientFrameSource::new(&damaged).unwrap();
+            let res = drain(&mut src).unwrap();
+            let info = src.info();
+            assert_eq!(res.len(), ps.packets.len());
+            let (ok, concealed, lost) = outcome_counts(&res);
             assert!(
                 concealed + lost > 0 || log.events.is_empty(),
                 "seed {seed}: faults planted but every frame decoded Ok"
@@ -996,30 +838,24 @@ mod tests {
             // so at least one frame is always Ok).
             assert!(ok > 0, "seed {seed}: nothing decoded Ok");
             // Whatever survived is structurally sound.
-            let blocks = (res.width / res.mb_size) * (res.height / res.mb_size);
-            for info in &res.b_frames {
-                assert!(info.mvs.len() + info.intra_blocks.len() <= blocks);
-                assert!((info.display_idx as usize) < res.n_frames);
+            let blocks = (info.width / info.mb_size) * (info.height / info.mb_size);
+            for b in b_frames(&res) {
+                assert!(b.mvs.len() + b.intra_blocks.len() <= blocks);
+                assert!((b.display_idx as usize) < info.n_frames);
             }
         }
     }
 
     #[test]
     fn dropped_b_mvs_are_salvaged_as_partial_prefix() {
-        let cfg = CodecConfig {
-            b_frames: BFrameMode::Fixed(3),
-            ..CodecConfig::default()
-        };
-        let (_, ev) = encode_tiny(cfg);
+        let (_, ev) = encode_tiny(fixed3());
         let ps = crate::faults::packetize(&ev.bitstream).unwrap();
         let (damaged, log) =
             crate::faults::inject(&ps, &crate::faults::FaultConfig::b_mv_loss(1.0, 3));
         assert!(!log.events.is_empty());
-        let res = Decoder::new()
-            .decode_recognition_resilient(&damaged)
-            .unwrap();
+        let res = drain(&mut ResilientFrameSource::new(&damaged).unwrap()).unwrap();
         // Every anchor is untouched by the b_mv_loss config and decodes Ok.
-        for o in &res.outcomes {
+        for o in &res {
             if o.ftype.is_anchor() {
                 assert_eq!(o.outcome, DecodeOutcome::Ok, "anchor {:?}", o.decode_idx);
             }
@@ -1027,7 +863,7 @@ mod tests {
         // Damaged B-frames are either concealed with a salvaged prefix or
         // lost outright — never silently Ok, and never an Err.
         let damaged_idx: BTreeSet<u32> = log.events.iter().map(|e| e.decode_idx).collect();
-        for o in &res.outcomes {
+        for o in &res {
             if damaged_idx.contains(&o.decode_idx) {
                 match &o.outcome {
                     DecodeOutcome::Concealed(ConcealReason::PartialMvs { parsed, total }) => {
@@ -1042,11 +878,7 @@ mod tests {
 
     #[test]
     fn lost_anchor_is_reported_and_dependents_concealed() {
-        let cfg = CodecConfig {
-            b_frames: BFrameMode::Fixed(3),
-            ..CodecConfig::default()
-        };
-        let (_, ev) = encode_tiny(cfg);
+        let (_, ev) = encode_tiny(fixed3());
         let mut ps = crate::faults::packetize(&ev.bitstream).unwrap();
         // Drop the second anchor by hand (deterministic, no RNG).
         let victim = ps
@@ -1057,9 +889,8 @@ mod tests {
         let victim_decode = ps.packets[victim].decode_idx;
         ps.packets[victim].lost = true;
         ps.packets[victim].payload = Bytes::new();
-        let res = Decoder::new().decode_recognition_resilient(&ps).unwrap();
+        let res = drain(&mut ResilientFrameSource::new(&ps).unwrap()).unwrap();
         let lost: Vec<u32> = res
-            .outcomes
             .iter()
             .filter(|o| o.outcome == DecodeOutcome::Lost)
             .map(|o| o.decode_idx)
@@ -1067,10 +898,9 @@ mod tests {
         assert_eq!(lost, vec![victim_decode]);
         // The lost frame's display slot was inferred, so every outcome maps
         // to a display index.
-        assert!(res.outcomes.iter().all(|o| o.display.is_some()));
+        assert!(res.iter().all(|o| o.display().is_some()));
         // Anchors that referenced the lost one decode via substitution.
         let concealed_anchors = res
-            .outcomes
             .iter()
             .filter(|o| {
                 o.ftype.is_anchor()

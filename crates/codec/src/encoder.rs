@@ -8,14 +8,14 @@
 //! references exactly and no drift accumulates.
 
 use crate::bitstream::{Writer, MAGIC, VERSION};
-use crate::block::{extract_block, sae_against, write_block};
+use crate::block::{extract_block, write_block};
 use crate::config::{CodecConfig, Standard};
 use crate::error::{CodecError, Result};
 use crate::gop::GopPlan;
 use crate::intra;
 use crate::me::{self, Match};
 use crate::stats::EncodeStats;
-use crate::types::FrameType;
+use crate::types::{BlockMode, BlockMv, FrameType};
 use bytes::Bytes;
 use std::collections::BTreeSet;
 use vrd_video::Frame;
@@ -179,48 +179,37 @@ impl Encoder {
                     } else {
                         bi.map_or(BlockChoice::Intra, BlockChoice::Bi)
                     };
-                    let pred: Vec<u8> = match choice {
+                    let mv_of = |m: &Match| BlockMv {
+                        frame: candidates[m.ref_index],
+                        dx: m.src_x - bx as i32,
+                        dy: m.src_y - by as i32,
+                    };
+                    let (record, pred) = match choice {
                         BlockChoice::Intra => {
                             stats.intra_blocks += 1;
-                            wtr.put_u8(0);
-                            wtr.put_u8(mode_intra);
-                            pred_intra
+                            (BlockMode::Intra(mode_intra), pred_intra)
                         }
                         BlockChoice::Single(m) => {
                             stats.inter_blocks += 1;
-                            let ref_frame = candidates[m.ref_index];
-                            refs_used.insert(ref_frame);
-                            stats.mv_magnitude_sum += mv_mag(&m, bx, by);
-                            stats.mv_count += 1;
-                            wtr.put_u8(1);
-                            wtr.put_varint(ref_frame as u64);
-                            wtr.put_svarint((m.src_x - bx as i32) as i64);
-                            wtr.put_svarint((m.src_y - by as i32) as i64);
-                            extract_block(
+                            let pred = extract_block(
                                 cand_frames[m.ref_index],
                                 m.src_x as usize,
                                 m.src_y as usize,
                                 mb,
-                            )
+                            );
+                            (BlockMode::Inter(mv_of(&m)), pred)
                         }
                         BlockChoice::Bi(b) => {
                             stats.bi_blocks += 1;
-                            for m in [&b.fwd, &b.bwd] {
-                                let ref_frame = candidates[m.ref_index];
-                                refs_used.insert(ref_frame);
-                                stats.mv_magnitude_sum += mv_mag(m, bx, by);
-                                stats.mv_count += 1;
-                            }
-                            wtr.put_u8(2);
-                            wtr.put_varint(candidates[b.fwd.ref_index] as u64);
-                            wtr.put_svarint((b.fwd.src_x - bx as i32) as i64);
-                            wtr.put_svarint((b.fwd.src_y - by as i32) as i64);
-                            wtr.put_varint(candidates[b.bwd.ref_index] as u64);
-                            wtr.put_svarint((b.bwd.src_x - bx as i32) as i64);
-                            wtr.put_svarint((b.bwd.src_y - by as i32) as i64);
-                            b.pred
+                            (BlockMode::Bi(mv_of(&b.fwd), mv_of(&b.bwd)), b.pred)
                         }
                     };
+                    for mv in record.mvs() {
+                        refs_used.insert(mv.frame);
+                        stats.mv_magnitude_sum += mv.magnitude();
+                        stats.mv_count += 1;
+                    }
+                    record.write(&mut wtr);
 
                     // Quantised residual + local reconstruction.
                     let src = extract_block(cur, bx, by, mb);
@@ -309,19 +298,6 @@ enum BlockChoice {
     Intra,
     Single(Match),
     Bi(me::BiMatch),
-}
-
-fn mv_mag(m: &Match, bx: usize, by: usize) -> f64 {
-    let dx = (m.src_x - bx as i32) as f64;
-    let dy = (m.src_y - by as i32) as f64;
-    (dx * dx + dy * dy).sqrt()
-}
-
-/// Helper shared by tests and benchmarks: SAE of a residual-free prediction
-/// (kept public within the crate for diagnostics).
-#[allow(dead_code)]
-pub(crate) fn prediction_sae(cur: &Frame, bx: usize, by: usize, pred: &[u8], mb: usize) -> u32 {
-    sae_against(cur, bx, by, pred, mb)
 }
 
 #[cfg(test)]

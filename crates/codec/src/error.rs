@@ -13,15 +13,26 @@ pub enum CodecError {
     BadDimensions(String),
     /// The bitstream is truncated or structurally malformed.
     Bitstream(String),
-    /// A specific frame's payload is corrupt (fault injection, transport
-    /// damage). Carries the decode-order frame index so resilient callers
-    /// can conceal exactly the damaged frame.
+    /// A specific frame's header or payload is truncated or malformed.
+    /// Every failure past the stream header surfaces as this variant, so
+    /// callers can tell which frame broke.
     Corrupt {
         /// Decode-order index of the damaged frame.
         frame: u32,
         /// What went wrong inside the frame payload.
         detail: String,
     },
+}
+
+impl CodecError {
+    /// Attributes a bitstream failure to the frame (decode order) whose
+    /// bytes were being parsed; other variants pass through.
+    pub(crate) fn in_frame(self, frame: u32) -> Self {
+        match self {
+            CodecError::Bitstream(detail) => CodecError::Corrupt { frame, detail },
+            other => other,
+        }
+    }
 }
 
 impl fmt::Display for CodecError {

@@ -13,10 +13,10 @@
 //! * [`inject`] corrupts a `PacketStream` in controlled, seeded ways — bit
 //!   flips, payload truncation, dropped B-frame MV payloads, whole lost
 //!   frames — and logs every fault it plants;
-//! * [`crate::Decoder::decode_recognition_resilient`] then decodes the
-//!   damaged stream frame by frame, resynchronising at packet boundaries
-//!   and reporting a per-frame [`crate::decoder::DecodeOutcome`] instead of
-//!   aborting the run.
+//! * [`crate::ResilientFrameSource`] then decodes the damaged stream frame
+//!   by frame, resynchronising at packet boundaries and reporting a
+//!   per-frame [`crate::decoder::DecodeOutcome`] instead of aborting the
+//!   run.
 //!
 //! Everything is reproducible from [`FaultConfig::seed`]; the sweep in
 //! `crates/bench` relies on that to plot accuracy-vs-loss curves.
@@ -96,7 +96,7 @@ pub fn checksum(bytes: &[u8]) -> u32 {
 /// Splits a *valid* bitstream into its per-frame packets.
 ///
 /// # Errors
-/// Returns [`CodecError::Bitstream`] if the stream does not parse — only
+/// Fails like [`Decoder::inspect`] if the stream does not parse — only
 /// well-formed streams can be packetized (the sender owns the encoder).
 pub fn packetize(bitstream: &Bytes) -> Result<PacketStream> {
     let spans = Decoder::new().frame_spans(bitstream)?;
@@ -303,7 +303,7 @@ impl Decoder {
     /// packetizer's engine; also useful for diagnostics).
     ///
     /// # Errors
-    /// Returns [`CodecError::Bitstream`] for malformed input.
+    /// Fails like [`Decoder::inspect`] for malformed input.
     pub fn frame_spans(&self, bitstream: &Bytes) -> Result<Vec<FrameSpan>> {
         let summaries = self.inspect(bitstream)?;
         let total = bitstream.len();

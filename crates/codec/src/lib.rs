@@ -9,16 +9,18 @@
 //! * SAE-driven **intra prediction** and **three-step inter motion search**
 //!   over a configurable reference interval `n` (Fig. 16's knob);
 //! * **bi-prediction** for B-frames with the `bi-ref` flag ([`MvRecord`]);
-//! * a real serialised **bitstream**, decodable in two modes:
-//!   [`Decoder::decode`] (all pixels) and [`Decoder::decode_for_recognition`]
-//!   (anchor pixels + B-frame motion vectors only — the VR-DANN fast path);
+//! * a real serialised **bitstream** — one macro-block record codec
+//!   ([`BlockMode`]) — decodable in two modes: [`Decoder::decode`] (all
+//!   pixels) and a pulled [`FrameSource`] (anchor pixels + B-frame motion
+//!   vectors only — the VR-DANN fast path), strict
+//!   ([`StrictFrameSource`]) or damage-tolerant ([`ResilientFrameSource`]);
 //! * the **H.264 vs H.265 profile split** (16- vs 8-pixel macro-blocks,
 //!   9 vs 14 intra modes) behind Fig. 17.
 //!
 //! ## Example
 //!
 //! ```
-//! use vrd_codec::{CodecConfig, Decoder, Encoder};
+//! use vrd_codec::{CodecConfig, Encoder, FrameSource, StrictFrameSource, UnitPayload};
 //! use vrd_video::davis::{davis_sequence, SuiteConfig};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -26,9 +28,16 @@
 //! let encoded = Encoder::new(CodecConfig::default()).encode(&seq.frames)?;
 //! println!("B-frame ratio: {:.0}%", encoded.stats.b_ratio() * 100.0);
 //!
-//! // VR-DANN's path: anchors decoded, B-frames as motion vectors.
-//! let stream = Decoder::new().decode_for_recognition(&encoded.bitstream)?;
-//! assert_eq!(stream.b_frames.len(), encoded.stats.b_frames);
+//! // VR-DANN's path: anchors decoded, B-frames as motion vectors, pulled
+//! // one frame at a time in decode order.
+//! let mut source = StrictFrameSource::new(&encoded.bitstream)?;
+//! let mut b_frames = 0;
+//! while let Some(unit) = source.next_unit() {
+//!     if let UnitPayload::Motion(_) = unit?.payload {
+//!         b_frames += 1;
+//!     }
+//! }
+//! assert_eq!(b_frames, encoded.stats.b_frames);
 //! # Ok(())
 //! # }
 //! ```
@@ -50,10 +59,7 @@ pub mod stream;
 pub mod types;
 
 pub use config::{BFrameMode, CodecConfig, SearchInterval, Standard};
-pub use decoder::{
-    BFrameInfo, ConcealReason, DecodeOutcome, DecodedVideo, Decoder, FrameOutcome, FrameSummary,
-    RecognitionStream, ResilientStream,
-};
+pub use decoder::{BFrameInfo, ConcealReason, DecodeOutcome, DecodedVideo, Decoder, FrameSummary};
 pub use encoder::{EncodedVideo, Encoder};
 pub use error::{CodecError, Result};
 pub use faults::{
@@ -67,4 +73,4 @@ pub use stream::{
     DecodedUnit, FrameSource, ResilientFrameSource, StreamInfo, StreamTotals, StrictFrameSource,
     UnitPayload,
 };
-pub use types::{BlockMode, FrameMeta, FrameType, MvRecord, RefMv};
+pub use types::{BlockMode, BlockMv, FrameMeta, FrameType, MvRecord, RefMv};

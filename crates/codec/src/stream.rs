@@ -9,38 +9,32 @@
 //! whole video — which is what makes the downstream engine's memory
 //! footprint O(GOP) instead of O(sequence).
 //!
-//! Two sources implement the trait:
+//! Two sources implement the trait, both on the one record codec and its
+//! visitors in [`crate::decoder`]:
 //!
 //! * [`StrictFrameSource`] walks a contiguous bitstream and fails fast on
-//!   corruption (the behaviour of the retired monolithic
-//!   `decode_for_recognition` loop);
+//!   corruption, naming the frame that broke;
 //! * [`ResilientFrameSource`] walks a packetized, possibly damaged
 //!   transport stream and never fails after the header: every packet
 //!   yields a unit whose [`DecodeOutcome`] reports what was recovered.
 //!
 //! The resilient source runs a pixel-free *pre-scan* over the packets
-//! first. The per-packet claim/outcome ladder only depends on transport
-//! metadata and payload structure (an intact anchor always decodes; a B
-//! payload parses without pixels), so outcomes, inferred display slots for
-//! lost packets, and the usable-anchor list are all known before the first
-//! unit is pulled — exactly what a concealing consumer needs up front.
+//! first. Whether a packet yields anything usable only depends on
+//! transport metadata and payload structure (an intact anchor that
+//! validates always decodes; a B payload parses without pixels), so
+//! inferred display slots for lost packets, byte totals and the
+//! usable-anchor list are all known before the first unit is pulled —
+//! exactly what a concealing consumer needs up front. Anchor pixels, and
+//! with them whether a reference had to be substituted, follow on pull.
 
 use crate::bitstream::Reader;
-use crate::decoder::{BFrameInfo, ConcealReason, DecodeOutcome, Decoder, Header};
+use crate::decoder::{BFrameInfo, ConcealReason, DecodeOutcome, Decoder, Header, RefWindow};
 use crate::error::Result;
-use crate::faults::PacketStream;
+use crate::faults::{FramePacket, PacketStream};
 use crate::types::FrameType;
 use bytes::Bytes;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use vrd_video::Frame;
-
-/// Reconstructed anchors retained for reference. The encoder never
-/// references further back than the nearest 9 anchors
-/// ([`crate::SearchInterval`] is clamped to 1..=9, `Auto` resolves to 7),
-/// so a 10-deep window always holds every frame a valid stream can ask
-/// for — and bounds the source's live pixel memory regardless of sequence
-/// length.
-const REF_WINDOW: usize = 10;
 
 /// Stream-level metadata shared by every unit of one source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,9 +98,6 @@ pub struct DecodedUnit {
     /// What the decoder managed to recover (always [`DecodeOutcome::Ok`]
     /// for a strict source).
     pub outcome: DecodeOutcome,
-    /// Distinct reference frames this unit's payload named, ascending
-    /// (strict source only; resilient units leave it empty).
-    pub refs: Vec<u32>,
     /// The recovered data.
     pub payload: UnitPayload,
 }
@@ -145,16 +136,14 @@ pub trait FrameSource {
 }
 
 /// Strict streaming decode of a contiguous bitstream: anchors to pixels,
-/// B-frames to motion vectors, first error fuses the source.
+/// B-frames to motion vectors. The first error — a
+/// [`crate::CodecError::Corrupt`] naming the frame — fuses the source.
 #[derive(Debug)]
 pub struct StrictFrameSource {
     r: Reader,
     hdr: Header,
-    mb: usize,
     next_decode: usize,
-    anchor_recon: Vec<Option<Frame>>,
-    window: VecDeque<u32>,
-    peak_live: usize,
+    window: RefWindow,
     totals: StreamTotals,
     fused: bool,
 }
@@ -166,91 +155,51 @@ impl StrictFrameSource {
     /// Returns [`crate::CodecError::Bitstream`] if the header is malformed.
     pub fn new(bitstream: &Bytes) -> Result<Self> {
         let mut r = Reader::new(bitstream.clone());
-        let total = bitstream.len();
-        let hdr = Decoder::read_header_capped(&mut r, None)?;
-        let mb = hdr.standard.mb_size();
-        let anchor_recon = vec![None; hdr.n_frames];
+        let hdr = Decoder::read_header(&mut r, None)?;
         Ok(Self {
             totals: StreamTotals {
-                anchor_bytes: total - r.remaining(),
+                anchor_bytes: bitstream.len() - r.remaining(),
                 ..StreamTotals::default()
             },
             r,
             hdr,
-            mb,
             next_decode: 0,
-            anchor_recon,
-            window: VecDeque::new(),
-            peak_live: 0,
+            window: RefWindow::default(),
             fused: false,
         })
     }
 
-    fn step(&mut self, decode_idx: u32, before: usize) -> Result<DecodedUnit> {
+    fn step(&mut self, decode_idx: u32) -> Result<DecodedUnit> {
+        let before = self.r.remaining();
         let (ftype, display) = Decoder::read_frame_header(&mut self.r, self.hdr.n_frames)?;
-        let mut refs_used = BTreeSet::new();
-        if ftype.is_anchor() {
-            let rec = Decoder::read_anchor(
-                &mut self.r,
-                &self.hdr,
-                self.mb,
-                &self.anchor_recon,
-                &mut refs_used,
-            )?;
-            self.anchor_recon[display as usize] = Some(rec.clone());
-            self.window.push_back(display);
-            if self.window.len() > REF_WINDOW {
-                if let Some(old) = self.window.pop_front() {
-                    self.anchor_recon[old as usize] = None;
-                }
-            }
-            self.peak_live = self.peak_live.max(self.window.len() + 1);
+        let payload = if ftype.is_anchor() {
+            let (window, mb) = (&self.window, self.hdr.mb());
+            let frame = Decoder::reconstruct(&mut self.r, &self.hdr, |mv, bx, by| {
+                window.fetch(mv, bx, by, mb)
+            })?;
+            self.window.push(display, frame.clone());
             self.totals.anchor_bytes += before - self.r.remaining();
             self.totals.anchors += 1;
-            Ok(DecodedUnit {
-                decode_idx,
-                ftype,
-                outcome: DecodeOutcome::Ok,
-                refs: refs_used.into_iter().collect(),
-                payload: UnitPayload::Anchor {
-                    display,
-                    frame: rec,
-                },
-            })
+            UnitPayload::Anchor { display, frame }
         } else {
-            let mut info = BFrameInfo {
-                display_idx: display,
-                mvs: Vec::new(),
-                intra_blocks: Vec::new(),
-            };
-            Decoder::read_b_frame_blocks(
-                &mut self.r,
-                &self.hdr,
-                self.mb,
-                &mut info,
-                &mut refs_used,
-            )?;
+            let (info, parsed) = Decoder::read_motion(&mut self.r, &self.hdr, display);
+            parsed?;
             self.totals.b_bytes += before - self.r.remaining();
             self.totals.b_frames += 1;
-            Ok(DecodedUnit {
-                decode_idx,
-                ftype,
-                outcome: DecodeOutcome::Ok,
-                refs: refs_used.into_iter().collect(),
-                payload: UnitPayload::Motion(info),
-            })
-        }
+            UnitPayload::Motion(info)
+        };
+        Ok(DecodedUnit {
+            decode_idx,
+            ftype,
+            outcome: DecodeOutcome::Ok,
+            payload,
+        })
     }
 }
 
 impl FrameSource for StrictFrameSource {
     fn info(&self) -> StreamInfo {
-        StreamInfo {
-            width: self.hdr.width,
-            height: self.hdr.height,
-            mb_size: self.mb,
-            n_frames: self.hdr.n_frames,
-        }
+        self.hdr.info()
     }
 
     fn next_unit(&mut self) -> Option<Result<DecodedUnit>> {
@@ -259,22 +208,17 @@ impl FrameSource for StrictFrameSource {
         }
         let decode_idx = self.next_decode as u32;
         self.next_decode += 1;
-        let before = self.r.remaining();
-        match self.step(decode_idx, before) {
-            Ok(unit) => Some(Ok(unit)),
-            Err(e) => {
-                self.fused = true;
-                Some(Err(e))
-            }
-        }
+        let unit = self.step(decode_idx).map_err(|e| e.in_frame(decode_idx));
+        self.fused = unit.is_err();
+        Some(unit)
     }
 
     fn live_frames(&self) -> usize {
-        self.window.len()
+        self.window.live()
     }
 
     fn peak_live_frames(&self) -> usize {
-        self.peak_live
+        self.window.peak_live()
     }
 
     fn totals(&self) -> StreamTotals {
@@ -282,12 +226,16 @@ impl FrameSource for StrictFrameSource {
     }
 }
 
-/// Pre-scanned plan for one packet of a resilient stream.
+/// What the pre-scan found in one packet of a resilient stream.
 #[derive(Debug)]
-struct UnitPlan {
-    display: Option<u32>,
-    outcome: DecodeOutcome,
-    b_info: Option<BFrameInfo>,
+enum Plan {
+    /// Nothing usable; the display slot when it could be read or inferred.
+    Lost(Option<u32>),
+    /// An intact anchor (by display index) whose payload validated; its
+    /// pixels decode on pull.
+    Anchor(u32),
+    /// A parsed (possibly salvaged) B payload and how it came out.
+    Motion(BFrameInfo, DecodeOutcome),
 }
 
 /// Resilient streaming decode of a packetized, possibly damaged transport
@@ -296,13 +244,10 @@ struct UnitPlan {
 pub struct ResilientFrameSource<'a> {
     stream: &'a PacketStream,
     hdr: Header,
-    mb: usize,
     pos: usize,
-    plans: Vec<UnitPlan>,
+    plans: Vec<Plan>,
     usable_anchors: Vec<u32>,
-    anchor_recon: Vec<Option<Frame>>,
-    window: VecDeque<u32>,
-    peak_live: usize,
+    window: RefWindow,
     totals: StreamTotals,
 }
 
@@ -314,9 +259,7 @@ impl<'a> ResilientFrameSource<'a> {
     /// is unusable — packet damage is reported per unit, never as an `Err`.
     pub fn new(stream: &'a PacketStream) -> Result<Self> {
         let mut hr = Reader::new(stream.header.clone());
-        let hdr = Decoder::read_header_capped(&mut hr, Some(Decoder::MAX_FRAMES))?;
-        let mb = hdr.standard.mb_size();
-        let blocks_per_frame = (hdr.width / mb) * (hdr.height / mb);
+        let hdr = Decoder::read_header(&mut hr, Some(Decoder::MAX_FRAMES))?;
 
         let mut totals = StreamTotals {
             anchor_bytes: stream.header.len(),
@@ -325,27 +268,21 @@ impl<'a> ResilientFrameSource<'a> {
         let mut plans = Vec::with_capacity(stream.packets.len());
         let mut usable_anchors = Vec::new();
         let mut claimed = BTreeSet::new();
-        let mut decoded_anchors = BTreeSet::new();
         for packet in &stream.packets {
-            let plan = Self::scan_packet(
-                packet,
-                &hdr,
-                mb,
-                blocks_per_frame,
-                &mut claimed,
-                &mut decoded_anchors,
-            );
-            if plan.outcome.is_usable() {
-                if packet.ftype.is_anchor() {
-                    if let Some(d) = plan.display {
-                        usable_anchors.push(d);
-                    }
+            let plan = Self::scan_packet(packet, &hdr, &claimed);
+            match &plan {
+                Plan::Anchor(display) => {
+                    claimed.insert(*display);
+                    usable_anchors.push(*display);
                     totals.anchor_bytes += packet.payload.len();
                     totals.anchors += 1;
-                } else {
+                }
+                Plan::Motion(info, _) => {
+                    claimed.insert(info.display_idx);
                     totals.b_bytes += packet.payload.len();
                     totals.b_frames += 1;
                 }
+                Plan::Lost(_) => {}
             }
             plans.push(plan);
         }
@@ -359,22 +296,18 @@ impl<'a> ResilientFrameSource<'a> {
             .collect::<Vec<_>>();
         missing.reverse(); // pop() yields ascending order
         for plan in &mut plans {
-            if plan.display.is_none() {
-                plan.display = missing.pop();
+            if let Plan::Lost(display @ None) = plan {
+                *display = missing.pop();
             }
         }
 
-        let anchor_recon = vec![None; hdr.n_frames];
         Ok(Self {
             stream,
             hdr,
-            mb,
             pos: 0,
             plans,
             usable_anchors,
-            anchor_recon,
-            window: VecDeque::new(),
-            peak_live: 0,
+            window: RefWindow::default(),
             totals,
         })
     }
@@ -386,25 +319,12 @@ impl<'a> ResilientFrameSource<'a> {
         &self.usable_anchors
     }
 
-    /// Replays `decode_one_packet`'s claim/outcome ladder without touching
-    /// pixels. Anchor payloads are only decoded when intact (original
-    /// encoder bytes), so a structural walk with the same reads decides
-    /// success exactly; B payloads are parsed outright and cached.
-    fn scan_packet(
-        packet: &crate::faults::FramePacket,
-        hdr: &Header,
-        mb: usize,
-        blocks_per_frame: usize,
-        claimed: &mut BTreeSet<u32>,
-        decoded_anchors: &mut BTreeSet<u32>,
-    ) -> UnitPlan {
-        let lost = UnitPlan {
-            display: None,
-            outcome: DecodeOutcome::Lost,
-            b_info: None,
-        };
+    /// Decides, without touching pixels, what one packet will yield. Anchor
+    /// payloads are only used when intact (original encoder bytes) and
+    /// structurally valid; B payloads are parsed outright and kept.
+    fn scan_packet(packet: &FramePacket, hdr: &Header, claimed: &BTreeSet<u32>) -> Plan {
         if packet.lost {
-            return lost;
+            return Plan::Lost(None);
         }
         let intact = packet.intact();
         let mut r = Reader::new(packet.payload.clone());
@@ -413,164 +333,95 @@ impl<'a> ResilientFrameSource<'a> {
         // contradicts the transport metadata, nothing in the payload can be
         // trusted.
         let Ok((ftype, display)) = Decoder::read_frame_header(&mut r, hdr.n_frames) else {
-            return lost;
+            return Plan::Lost(None);
         };
         if ftype != packet.ftype || claimed.contains(&display) {
-            return lost;
+            return Plan::Lost(None);
         }
 
         if ftype.is_anchor() {
-            if !intact {
-                // Damaged anchor pixels would silently poison NN-L and all
-                // B-frames referencing them; treat the frame as lost.
-                return UnitPlan {
-                    display: Some(display),
-                    outcome: DecodeOutcome::Lost,
-                    b_info: None,
-                };
-            }
-            match Decoder::scan_anchor(&mut r, hdr, mb, decoded_anchors) {
-                Ok(substituted) => {
-                    claimed.insert(display);
-                    decoded_anchors.insert(display);
-                    let outcome = if substituted {
-                        DecodeOutcome::Concealed(ConcealReason::MissingReference)
-                    } else {
-                        DecodeOutcome::Ok
-                    };
-                    UnitPlan {
-                        display: Some(display),
-                        outcome,
-                        b_info: None,
-                    }
-                }
-                Err(_) => UnitPlan {
-                    display: Some(display),
-                    outcome: DecodeOutcome::Lost,
-                    b_info: None,
-                },
+            // Damaged anchor pixels would silently poison NN-L and all
+            // B-frames referencing them; treat the frame as lost.
+            if intact && Decoder::scan_anchor(&mut r, hdr).is_ok() {
+                Plan::Anchor(display)
+            } else {
+                Plan::Lost(Some(display))
             }
         } else {
-            let mut info = BFrameInfo {
-                display_idx: display,
-                mvs: Vec::new(),
-                intra_blocks: Vec::new(),
-            };
-            let mut refs_used = BTreeSet::new();
-            let parse = Decoder::read_b_frame_blocks(&mut r, hdr, mb, &mut info, &mut refs_used);
+            let (info, parsed) = Decoder::read_motion(&mut r, hdr, display);
             let parsed_blocks = info.mvs.len() + info.intra_blocks.len();
-            let outcome = match (intact, parse) {
+            let outcome = match (intact, parsed) {
                 (true, Ok(())) => DecodeOutcome::Ok,
                 (false, Ok(())) => DecodeOutcome::Concealed(ConcealReason::SuspectPayload),
                 (_, Err(_)) if parsed_blocks > 0 => {
                     DecodeOutcome::Concealed(ConcealReason::PartialMvs {
                         parsed: parsed_blocks,
-                        total: blocks_per_frame,
+                        total: (hdr.width / hdr.mb()) * (hdr.height / hdr.mb()),
                     })
                 }
-                (_, Err(_)) => DecodeOutcome::Lost,
+                (_, Err(_)) => return Plan::Lost(Some(display)),
             };
-            if outcome.is_usable() {
-                claimed.insert(display);
-                UnitPlan {
-                    display: Some(display),
-                    outcome,
-                    b_info: Some(info),
-                }
-            } else {
-                UnitPlan {
-                    display: Some(display),
-                    outcome,
-                    b_info: None,
-                }
-            }
+            Plan::Motion(info, outcome)
         }
     }
 
-    /// Decodes the pixels of a pre-scanned usable anchor packet, updating
-    /// the retention window. Falls back to a skipped unit if the payload
-    /// does not decode (unreachable for a correct pre-scan — the scan walks
-    /// the same bytes with the same error points).
-    fn decode_anchor_unit(&mut self, i: usize) -> UnitPayload {
-        let packet = &self.stream.packets[i];
+    /// Decodes the pixels of a pre-scanned usable anchor packet into the
+    /// retention window, reporting whether a reference was substituted.
+    fn decode_anchor(&mut self, packet: &FramePacket, display: u32) -> Result<(Frame, bool)> {
         let mut r = Reader::new(packet.payload.clone());
-        let Ok((_ftype, display)) = Decoder::read_frame_header(&mut r, self.hdr.n_frames) else {
-            return UnitPayload::Skipped {
-                display: self.plans[i].display,
-            };
-        };
+        Decoder::read_frame_header(&mut r, self.hdr.n_frames)?;
+        let (window, mb) = (&self.window, self.hdr.mb());
         let mut substituted = false;
-        match Decoder::read_anchor_resilient(
-            &mut r,
-            &self.hdr,
-            self.mb,
-            &self.anchor_recon,
-            &mut substituted,
-        ) {
-            Ok(rec) => {
-                self.anchor_recon[display as usize] = Some(rec.clone());
-                self.window.push_back(display);
-                if self.window.len() > REF_WINDOW {
-                    if let Some(old) = self.window.pop_front() {
-                        self.anchor_recon[old as usize] = None;
-                    }
-                }
-                self.peak_live = self.peak_live.max(self.window.len() + 1);
-                UnitPayload::Anchor {
-                    display,
-                    frame: rec,
-                }
-            }
-            Err(_) => UnitPayload::Skipped {
-                display: self.plans[i].display,
-            },
-        }
+        let frame = Decoder::reconstruct(&mut r, &self.hdr, |mv, bx, by| {
+            Ok(window.fetch_concealed(mv, bx, by, mb, &mut substituted))
+        })?;
+        self.window.push(display, frame.clone());
+        Ok((frame, substituted))
     }
 }
 
 impl FrameSource for ResilientFrameSource<'_> {
     fn info(&self) -> StreamInfo {
-        StreamInfo {
-            width: self.hdr.width,
-            height: self.hdr.height,
-            mb_size: self.mb,
-            n_frames: self.hdr.n_frames,
-        }
+        self.hdr.info()
     }
 
     fn next_unit(&mut self) -> Option<Result<DecodedUnit>> {
-        if self.pos >= self.stream.packets.len() {
-            return None;
-        }
-        let i = self.pos;
+        let packet = self.stream.packets.get(self.pos)?;
+        let plan = std::mem::replace(&mut self.plans[self.pos], Plan::Lost(None));
         self.pos += 1;
-        let packet = &self.stream.packets[i];
-        let (decode_idx, ftype) = (packet.decode_idx, packet.ftype);
-        let outcome = self.plans[i].outcome.clone();
-        let payload = if let Some(info) = self.plans[i].b_info.take() {
-            UnitPayload::Motion(info)
-        } else if ftype.is_anchor() && outcome.is_usable() {
-            self.decode_anchor_unit(i)
-        } else {
-            UnitPayload::Skipped {
-                display: self.plans[i].display,
-            }
+        let lost = |display| (DecodeOutcome::Lost, UnitPayload::Skipped { display });
+        let (outcome, payload) = match plan {
+            Plan::Lost(display) => lost(display),
+            Plan::Motion(info, outcome) => (outcome, UnitPayload::Motion(info)),
+            Plan::Anchor(display) => match self.decode_anchor(packet, display) {
+                Ok((frame, substituted)) => {
+                    let outcome = if substituted {
+                        DecodeOutcome::Concealed(ConcealReason::MissingReference)
+                    } else {
+                        DecodeOutcome::Ok
+                    };
+                    (outcome, UnitPayload::Anchor { display, frame })
+                }
+                // Unreachable: the pre-scan validated these very records
+                // and a concealing fetch cannot fail. Were it ever reached,
+                // the unit at least says what it carries.
+                Err(_) => lost(Some(display)),
+            },
         };
         Some(Ok(DecodedUnit {
-            decode_idx,
-            ftype,
+            decode_idx: packet.decode_idx,
+            ftype: packet.ftype,
             outcome,
-            refs: Vec::new(),
             payload,
         }))
     }
 
     fn live_frames(&self) -> usize {
-        self.window.len()
+        self.window.live()
     }
 
     fn peak_live_frames(&self) -> usize {
-        self.peak_live
+        self.window.peak_live()
     }
 
     fn totals(&self) -> StreamTotals {
@@ -595,6 +446,7 @@ const _: () = {
 mod tests {
     use super::*;
     use crate::config::{BFrameMode, CodecConfig};
+    use crate::decoder::REF_WINDOW;
     use crate::encoder::Encoder;
     use vrd_video::davis::{davis_sequence, SuiteConfig};
 
@@ -610,37 +462,6 @@ mod tests {
     }
 
     #[test]
-    fn strict_source_units_match_collected_stream() {
-        let bs = tiny_bitstream();
-        let rec = Decoder::new().decode_for_recognition(&bs).unwrap();
-        let mut src = StrictFrameSource::new(&bs).unwrap();
-        let mut anchors = 0usize;
-        let mut bs_seen = 0usize;
-        while let Some(unit) = src.next_unit() {
-            let unit = unit.unwrap();
-            assert_eq!(unit.outcome, DecodeOutcome::Ok);
-            match unit.payload {
-                UnitPayload::Anchor { display, frame } => {
-                    assert_eq!(
-                        (display, &frame),
-                        (rec.anchors[anchors].0, &rec.anchors[anchors].1)
-                    );
-                    anchors += 1;
-                }
-                UnitPayload::Motion(info) => {
-                    assert_eq!(info, rec.b_frames[bs_seen]);
-                    bs_seen += 1;
-                }
-                UnitPayload::Skipped { .. } => panic!("strict source skipped a unit"),
-            }
-        }
-        assert_eq!((anchors, bs_seen), (rec.anchors.len(), rec.b_frames.len()));
-        let totals = src.totals();
-        assert_eq!(totals.anchor_bytes, rec.anchor_bytes);
-        assert_eq!(totals.b_bytes, rec.b_bytes);
-    }
-
-    #[test]
     fn strict_source_live_frames_are_bounded_by_window() {
         let bs = tiny_bitstream();
         let mut src = StrictFrameSource::new(&bs).unwrap();
@@ -649,27 +470,5 @@ mod tests {
             assert!(src.live_frames() <= REF_WINDOW);
         }
         assert!(src.peak_live_frames() <= REF_WINDOW + 1);
-    }
-
-    #[test]
-    fn resilient_source_pre_scan_matches_streamed_outcomes() {
-        let bs = tiny_bitstream();
-        let ps = crate::faults::packetize(&bs).unwrap();
-        let (damaged, _) = crate::faults::inject(&ps, &crate::faults::FaultConfig::uniform(0.4, 5));
-        let res = Decoder::new()
-            .decode_recognition_resilient(&damaged)
-            .unwrap();
-        let mut src = ResilientFrameSource::new(&damaged).unwrap();
-        let mut outcomes = Vec::new();
-        while let Some(unit) = src.next_unit() {
-            let unit = unit.unwrap();
-            outcomes.push((unit.decode_idx, unit.ftype, unit.display(), unit.outcome));
-        }
-        let expected: Vec<_> = res
-            .outcomes
-            .iter()
-            .map(|o| (o.decode_idx, o.ftype, o.display, o.outcome.clone()))
-            .collect();
-        assert_eq!(outcomes, expected);
     }
 }

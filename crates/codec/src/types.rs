@@ -77,15 +77,62 @@ impl MvRecord {
     }
 }
 
-/// How a macro-block was coded.
+/// One motion vector as a macro-block record carries it: the referenced
+/// frame and the displacement from the block's own position.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct BlockMv {
+    /// Display index of the referenced frame.
+    pub frame: u32,
+    /// Horizontal displacement of the source block, in pixels.
+    pub dx: i32,
+    /// Vertical displacement of the source block, in pixels.
+    pub dy: i32,
+}
+
+impl BlockMv {
+    /// The vector resolved against the block at `(bx, by)`. Wrapping, so a
+    /// corrupt displacement becomes an out-of-frame source (which every
+    /// consumer rejects or clamps) instead of an overflow.
+    pub(crate) fn at(self, bx: usize, by: usize) -> RefMv {
+        RefMv {
+            frame: self.frame,
+            src_x: (bx as i32).wrapping_add(self.dx),
+            src_y: (by as i32).wrapping_add(self.dy),
+        }
+    }
+
+    /// Displacement magnitude in pixels.
+    pub(crate) fn magnitude(self) -> f64 {
+        let (dx, dy) = (self.dx as f64, self.dy as f64);
+        (dx * dx + dy * dy).sqrt()
+    }
+}
+
+/// One macro-block record of the bitstream: how the block was predicted.
+/// The residual that follows it on the wire is not part of the record — the
+/// reader decides whether to decode, validate or skip it.
+/// [`BlockMode::write`] and [`BlockMode::read`] (in [`crate::bitstream`])
+/// are the only code that knows the wire layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BlockMode {
     /// Intra prediction with the given mode index.
     Intra(u8),
     /// Single-reference inter prediction.
-    Inter,
+    Inter(BlockMv),
     /// Bi-predicted inter prediction (B-frames only).
-    Bi,
+    Bi(BlockMv, BlockMv),
+}
+
+impl BlockMode {
+    /// The record's motion vectors, wire order (none for intra blocks).
+    pub(crate) fn mvs(&self) -> impl Iterator<Item = BlockMv> {
+        let (first, second) = match *self {
+            BlockMode::Intra(_) => (None, None),
+            BlockMode::Inter(a) => (Some(a), None),
+            BlockMode::Bi(a, b) => (Some(a), Some(b)),
+        };
+        first.into_iter().chain(second)
+    }
 }
 
 /// Decode-order metadata for one frame, as exposed by the decoder's

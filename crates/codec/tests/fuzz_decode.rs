@@ -4,16 +4,20 @@
 //! Three generators, >1k cases total: fully arbitrary byte soup, valid
 //! streams with seeded mutations (bit flips, truncation, byte splices), and
 //! packetized streams run through the fault injector into the resilient
-//! decode path. Every entry point (`decode`, `decode_for_recognition`,
-//! `inspect`, `decode_recognition_resilient`) must return `Ok` or `Err` —
-//! never panic, never hang on absurd declared sizes.
+//! decode path. Every entry point (`decode`, `StrictFrameSource`,
+//! `inspect`, `ResilientFrameSource`) must return `Ok` or `Err` — never
+//! panic, never hang on absurd declared sizes — and the strict ones must
+//! agree on what is malformed.
 
 use bytes::Bytes;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::sync::OnceLock;
-use vrd_codec::{packetize, CodecConfig, Decoder, Encoder, FaultConfig, FaultKind};
+use vrd_codec::{
+    packetize, CodecConfig, ConcealReason, DecodeOutcome, DecodedUnit, Decoder, Encoder,
+    FaultConfig, FaultKind, FrameSource, ResilientFrameSource, StrictFrameSource, UnitPayload,
+};
 use vrd_video::davis::{davis_sequence, SuiteConfig};
 
 /// A valid encoded stream, built once (encoding dominates the case cost).
@@ -28,12 +32,29 @@ fn valid_stream() -> &'static Bytes {
     })
 }
 
-/// Exercises every strict entry point; only panics are failures.
+/// Pulls a source dry; the first failing unit aborts.
+fn drain(src: &mut impl FrameSource) -> vrd_codec::Result<Vec<DecodedUnit>> {
+    std::iter::from_fn(|| src.next_unit()).collect()
+}
+
+/// Exercises every strict entry point. Panics are failures, and so is a
+/// reader accepting what a more thorough one rejects: full decode validates
+/// most and `inspect` least, all over the same record reader.
 fn decode_all_entry_points(bytes: &Bytes) {
     let dec = Decoder::new();
-    let _ = dec.decode(bytes);
-    let _ = dec.decode_for_recognition(bytes);
-    let _ = dec.inspect(bytes);
+    let decoded = dec.decode(bytes).is_ok();
+    let streamed = StrictFrameSource::new(bytes).and_then(|mut src| drain(&mut src));
+    let inspected = dec.inspect(bytes);
+    assert!(
+        !decoded || streamed.is_ok(),
+        "decode accepts what the strict source rejects: {:?}",
+        streamed.err()
+    );
+    assert!(
+        streamed.is_err() || inspected.is_ok(),
+        "the strict source accepts what inspect rejects: {:?}",
+        inspected.err()
+    );
 }
 
 proptest! {
@@ -108,75 +129,36 @@ proptest! {
             protect_first_i: seed % 2 == 0,
         };
         let (damaged, _log) = vrd_codec::inject(&ps, &cfg);
-        let dec = Decoder::new();
-        let res = dec.decode_recognition_resilient(&damaged);
         // The transport header survives injection, so resilient decode
         // always produces per-frame outcomes rather than failing outright.
-        prop_assert!(res.is_ok(), "resilient decode errored: {:?}", res.err());
-        let stream = res.expect("checked above");
-        let (ok, concealed, lost) = stream.outcome_counts();
-        prop_assert_eq!(ok + concealed + lost, stream.n_frames);
+        let mut src = ResilientFrameSource::new(&damaged)
+            .expect("transport header survives injection");
+        let units = drain(&mut src);
+        prop_assert!(units.is_ok(), "resilient decode errored: {:?}", units.err());
+        let units = units.expect("checked above");
+        prop_assert_eq!(units.len(), src.info().n_frames);
+
+        // Pre-scan and pixel pass tell one story. The references each frame
+        // names come from the pristine stream: an anchor only decodes when
+        // its packet is intact.
+        let named = Decoder::new().inspect(valid_stream()).expect("valid stream inspects");
+        let mut anchors = Vec::new();
+        for unit in &units {
+            let skipped = matches!(unit.payload, UnitPayload::Skipped { .. });
+            prop_assert_eq!(unit.outcome.is_usable(), !skipped, "unit {}", unit.decode_idx);
+            if let UnitPayload::Anchor { display, .. } = unit.payload {
+                let refs = &named[unit.decode_idx as usize].refs;
+                let substituted = refs.iter().any(|r| !anchors.contains(r));
+                let concealed = DecodeOutcome::Concealed(ConcealReason::MissingReference);
+                prop_assert_eq!(unit.outcome == concealed, substituted, "anchor {display}");
+                prop_assert!(substituted || unit.outcome == DecodeOutcome::Ok);
+                anchors.push(display);
+            }
+        }
+        prop_assert_eq!(src.usable_anchor_displays(), &anchors[..]);
+
         // The damaged transport also reassembles into bytes the strict
         // decoder must survive (it may and usually will error).
         decode_all_entry_points(&damaged.reassemble());
-    }
-
-    #[test]
-    fn resilient_source_and_batch_decode_agree_on_faulted_streams(
-        seed in 0u64..u64::MAX,
-        rate in 0.0f64..0.9,
-    ) {
-        use vrd_codec::{DecodedUnit, FrameSource, ResilientFrameSource, UnitPayload};
-
-        let ps = packetize(valid_stream()).expect("valid stream packetizes");
-        let cfg = FaultConfig {
-            seed,
-            rate,
-            kinds: vec![
-                FaultKind::BitFlip,
-                FaultKind::Truncate,
-                FaultKind::DropBMvs,
-                FaultKind::DropFrame,
-            ],
-            b_frames_only: seed % 3 == 0,
-            protect_first_i: seed % 2 == 0,
-        };
-        let (damaged, _log) = vrd_codec::inject(&ps, &cfg);
-
-        // Pull the streaming source by hand and collect its per-unit view.
-        let mut src = ResilientFrameSource::new(&damaged)
-            .expect("transport header survives injection");
-        let mut pulled: Vec<DecodedUnit> = Vec::new();
-        while let Some(unit) = src.next_unit() {
-            pulled.push(unit.expect("resilient sources never error per unit"));
-        }
-
-        // The batch façade over the same damaged stream must tell the same
-        // story frame-by-frame: outcome kind, frame type and display slot.
-        let batch = Decoder::new()
-            .decode_recognition_resilient(&damaged)
-            .expect("transport header survives injection");
-        prop_assert_eq!(pulled.len(), batch.outcomes.len());
-        let mut anchors = 0usize;
-        let mut b_frames = 0usize;
-        for (unit, rec) in pulled.iter().zip(&batch.outcomes) {
-            prop_assert_eq!(unit.decode_idx, rec.decode_idx);
-            prop_assert_eq!(unit.ftype, rec.ftype);
-            prop_assert_eq!(unit.display(), rec.display);
-            prop_assert_eq!(&unit.outcome, &rec.outcome);
-            match &unit.payload {
-                UnitPayload::Anchor { display, .. } => {
-                    prop_assert_eq!(Some(batch.anchors[anchors].0), Some(*display));
-                    anchors += 1;
-                }
-                UnitPayload::Motion(info) => {
-                    prop_assert_eq!(batch.b_frames[b_frames].display_idx, info.display_idx);
-                    b_frames += 1;
-                }
-                UnitPayload::Skipped { .. } => {}
-            }
-        }
-        prop_assert_eq!(anchors, batch.anchors.len());
-        prop_assert_eq!(b_frames, batch.b_frames.len());
     }
 }

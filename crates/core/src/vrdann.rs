@@ -21,8 +21,8 @@ use crate::trace::{ConcealmentStats, SchemeTrace};
 use std::collections::BTreeMap;
 use vrd_codec::faults::PacketStream;
 use vrd_codec::{
-    CodecConfig, Decoder, EncodedVideo, Encoder, FrameSource, ResilientFrameSource,
-    StrictFrameSource,
+    CodecConfig, EncodedVideo, Encoder, FrameSource, ResilientFrameSource, StrictFrameSource,
+    UnitPayload,
 };
 use vrd_nn::{trainer, ComputeMode, LargeNetProfile, NnS, Sample, Tensor, TrainConfig};
 use vrd_video::{Detection, SegMask, Sequence};
@@ -221,11 +221,9 @@ impl VrDann {
     /// Fails if encoding fails or the training set contains no B-frames.
     pub fn train(train_seqs: &[Sequence], task: TrainTask, cfg: VrDannConfig) -> Result<Self> {
         let encoder = Encoder::new(cfg.codec);
-        let decoder = Decoder::new();
         let mut samples = Vec::new();
         for seq in train_seqs {
             let ev = encoder.encode(&seq.frames)?;
-            let rec = decoder.decode_for_recognition(&ev.bitstream)?;
             let gt_mask = |d: usize| -> SegMask {
                 match task {
                     TrainTask::Segmentation => seq.gt_masks[d].clone(),
@@ -234,18 +232,28 @@ impl VrDann {
                     }
                 }
             };
-            let ref_segs: BTreeMap<u32, SegMask> = rec
-                .anchors
-                .iter()
-                .map(|(d, _)| (*d, gt_mask(*d as usize)))
-                .collect();
-            for info in &rec.b_frames {
+            // Training needs which frames are anchors and the B-frames' motion
+            // vectors; anchor pixels are dropped as they are pulled.
+            let mut source = StrictFrameSource::new(&ev.bitstream)?;
+            let stream = source.info();
+            let mut ref_segs: BTreeMap<u32, SegMask> = BTreeMap::new();
+            let mut b_frames = Vec::new();
+            while let Some(unit) = source.next_unit() {
+                match unit?.payload {
+                    UnitPayload::Anchor { display, .. } => {
+                        ref_segs.insert(display, gt_mask(display as usize));
+                    }
+                    UnitPayload::Motion(info) => b_frames.push(info),
+                    UnitPayload::Skipped { .. } => {}
+                }
+            }
+            for info in &b_frames {
                 let plane = reconstruct_b_frame(
                     info,
                     &ref_segs,
-                    rec.width,
-                    rec.height,
-                    rec.mb_size,
+                    stream.width,
+                    stream.height,
+                    stream.mb_size,
                     &cfg.recon,
                 )?;
                 let input = if cfg.sandwich {

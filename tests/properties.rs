@@ -5,7 +5,9 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 use vr_dann::{extract_components, reconstruct_b_frame, ReconConfig};
 use vrd_codec::decoder::BFrameInfo;
-use vrd_codec::{CodecConfig, Decoder, Encoder, MvRecord, RefMv};
+use vrd_codec::{
+    CodecConfig, Decoder, Encoder, FrameSource, MvRecord, RefMv, StrictFrameSource, UnitPayload,
+};
 use vrd_metrics::{average_precision, FrameDetections, PixelCounts};
 use vrd_video::{Detection, Frame, Rect, Seg2, SegMask};
 
@@ -147,9 +149,11 @@ proptest! {
             prop_assert!(max_err <= 8, "max error {max_err}");
         }
         // Recognition mode sees the same anchors as the full decode.
-        let rec = Decoder::new().decode_for_recognition(&encoded.bitstream).unwrap();
-        for (d, frame) in &rec.anchors {
-            prop_assert_eq!(frame, &decoded.frames[*d as usize]);
+        let mut source = StrictFrameSource::new(&encoded.bitstream).unwrap();
+        while let Some(unit) = source.next_unit() {
+            if let UnitPayload::Anchor { display, frame } = unit.unwrap().payload {
+                prop_assert_eq!(&frame, &decoded.frames[display as usize]);
+            }
         }
     }
 }
@@ -170,8 +174,22 @@ proptest! {
         bytes[idx] ^= 0x5a;
         let corrupted = bytes::Bytes::from(bytes);
         let decoder = Decoder::new();
-        let _ = decoder.decode(&corrupted);
-        let _ = decoder.decode_for_recognition(&corrupted);
-        let _ = decoder.inspect(&corrupted);
+        let decoded = decoder.decode(&corrupted).is_ok();
+        let streamed = StrictFrameSource::new(&corrupted).and_then(|mut src| {
+            std::iter::from_fn(|| src.next_unit()).collect::<Result<Vec<_>, _>>()
+        });
+        let inspected = decoder.inspect(&corrupted);
+        // Readers agree on what is malformed: full decode validates most,
+        // `inspect` least, all over the same record reader.
+        prop_assert!(
+            !decoded || streamed.is_ok(),
+            "decode accepts what the strict source rejects: {:?}",
+            streamed.err()
+        );
+        prop_assert!(
+            streamed.is_err() || inspected.is_ok(),
+            "the strict source accepts what inspect rejects: {:?}",
+            inspected.err()
+        );
     }
 }
