@@ -6,7 +6,9 @@
 //! re-inference, and NN-S faults fall back to the raw reconstruction —
 //! each verified through the run's `ConcealmentStats`.
 
-use vr_dann::{DetTask, ResilienceOptions, RunInput, SegTask, TrainTask, VrDann, VrDannConfig};
+use vr_dann::{
+    DetTask, FeatPropTask, ResilienceOptions, RunInput, SegTask, TrainTask, VrDann, VrDannConfig,
+};
 use vrd_codec::faults::{inject, packetize, FaultConfig, FaultKind};
 use vrd_codec::{BFrameMode, CodecConfig};
 use vrd_metrics::score_sequence;
@@ -243,4 +245,102 @@ fn every_sequence_survives_heavy_mixed_damage() {
             assert_eq!(run.outputs.len(), seq.len(), "{name} seed {seed}");
         }
     }
+}
+
+/// FNV-1a over the `Debug` rendering of a run's outputs, trace and
+/// concealment counters (every field of all three prints).
+fn run_digest<O: std::fmt::Debug>(run: &vr_dann::EngineRun<O>) -> u64 {
+    let text = format!("{:?}{:?}{:?}", run.outputs, run.trace, run.concealment);
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Concealed outputs pinned by value: every task over one fixed damage plan
+/// that fires every rung (lost B payloads, salvaged prefixes, one lost
+/// anchor with its re-inference and substitutions, NN-S faults), and over a
+/// stream that lost every anchor (frame 0 included, so the collect fills a
+/// leading gap and every reference is a re-inference). The constants were computed at commit
+/// `43cb36b`; a refactor of the engine's ladder must not move them.
+#[test]
+fn concealed_outputs_are_pinned_by_value_for_every_task() {
+    let (model, cfg) = tiny_model(TrainTask::Segmentation);
+    let cfg = SuiteConfig { frames: 48, ..cfg };
+    let seq = davis_sequence("dog", &cfg).unwrap();
+    let ps = encode_and_packetize(&model, &seq);
+    let b_damage = FaultConfig {
+        seed: 0x1add,
+        rate: 0.4,
+        kinds: vec![
+            FaultKind::DropFrame,
+            FaultKind::DropBMvs,
+            FaultKind::Truncate,
+        ],
+        b_frames_only: true,
+        protect_first_i: true,
+    };
+    let (mut mixed, _) = inject(&ps, &b_damage);
+    let lose = |p: &mut vrd_codec::faults::FramePacket| {
+        p.lost = true;
+        p.payload = p.payload.slice(0..0);
+    };
+    let second_anchor = (mixed.packets.iter())
+        .position(|p| p.ftype.is_anchor() && p.decode_idx > 0)
+        .expect("stream has a second anchor");
+    lose(&mut mixed.packets[second_anchor]);
+    let mut no_anchors = ps.clone();
+    (no_anchors.packets.iter_mut())
+        .filter(|p| p.ftype.is_anchor())
+        .for_each(lose);
+    let opts = ResilienceOptions {
+        nns_failure_rate: 0.25,
+        seed: 0xfa17,
+    };
+
+    let seg = |ps| {
+        model
+            .run::<SegTask>(&seq, RunInput::Resilient(ps, &opts), None)
+            .unwrap()
+    };
+    let det = |ps| {
+        model
+            .run::<DetTask>(&seq, RunInput::Resilient(ps, &opts), None)
+            .unwrap()
+    };
+    let featprop = |ps| {
+        model
+            .run::<FeatPropTask>(&seq, RunInput::Resilient(ps, &opts), None)
+            .unwrap()
+    };
+
+    let c = seg(&mixed).concealment;
+    assert!(
+        c.b_copied > 0 && c.b_salvaged > 0 && c.nns_failures > 0,
+        "{c}"
+    );
+    assert!(c.anchors_substituted > 0, "{c}");
+    assert_eq!((c.anchors_lost, c.nnl_reinferences), (1, 1), "{c}");
+    let c = seg(&no_anchors).concealment;
+    assert!(c.anchors_lost > 1 && c.nnl_reinferences > 1, "{c}");
+
+    let digests = [
+        run_digest(&seg(&mixed)),
+        run_digest(&det(&mixed)),
+        run_digest(&featprop(&mixed)),
+        run_digest(&seg(&no_anchors)),
+        run_digest(&det(&no_anchors)),
+        run_digest(&featprop(&no_anchors)),
+    ];
+    assert_eq!(
+        digests,
+        [
+            0x3e24_4b16_ec21_9ee6,
+            0x3135_b326_4c99_1634,
+            0xea8e_e4a2_e519_5aa6,
+            0x173e_0442_780e_3712,
+            0x363a_2879_b2ef_cad5,
+            0xb553_ef8d_3aeb_8220,
+        ],
+        "concealed outputs moved: {digests:#018x?}"
+    );
 }
