@@ -8,25 +8,34 @@
 //! reference segmentations plus whatever the source keeps in its own pixel
 //! window — never the whole video.
 //!
-//! The engine is generic over two axes, and one driver
-//! ([`PipelineEngine::drive`]) runs every combination, on one thread or on
-//! two lanes:
+//! The engine owns the frame ladder — routing, the reference window, the
+//! per-frame output store, concealment and its counters, trace emission,
+//! the wave every B-frame mask goes through — and is generic over the two
+//! things that differ between runs. One driver ([`PipelineEngine::drive`])
+//! runs every combination, on one thread or on two lanes:
 //!
-//! | axis | trait | implementations |
-//! |------|-------|-----------------|
-//! | task | [`TaskPolicy`] | [`SegTask`] (masks), [`DetTask`] (boxes), [`FeatPropTask`](crate::FeatPropTask) (feature propagation) |
-//! | fault handling | [`FaultPolicy`] | [`StrictPolicy`] (fail fast), [`ConcealingPolicy`] (degrade) |
+//! | axis | trait | what it supplies | implementations |
+//! |------|-------|------------------|-----------------|
+//! | task | [`TaskPolicy`] | what NN-L yields on an anchor, how a refined mask is read out, the empty output, optionally feature-space propagation | [`SegTask`] (masks), [`DetTask`] (boxes), [`FeatPropTask`](crate::FeatPropTask) (feature propagation) |
+//! | fault handling | [`FaultPolicy`] | whether damage is concealed or fatal, the NN-S fault lottery | [`StrictPolicy`] (fail fast), [`ConcealingPolicy`] (degrade) |
 //!
-//! The per-unit ladder, in order:
+//! The per-unit ladder, in order (`route_nnl`, `store` and `emit` are each
+//! the engine's only site for what they do):
 //!
-//! 1. **anchor** → NN-L inference (lazy, as the unit arrives) and insertion
-//!    into the reference window — or, concealing, a substitution count for
-//!    anchors decoded from replacement references;
+//! 1. **anchor** → `route_nnl`: flush the wave, NN-L inference (lazy, as
+//!    the unit arrives), insertion into the reference window, `store`,
+//!    `emit` — or, concealing, where `prime` already routed every usable
+//!    anchor, a substitution count for anchors decoded from replacement
+//!    references and the `emit` alone;
 //! 2. **lost anchor** (concealing) → mark a pending NN-L re-inference;
-//! 3. **B-frame payload** → pending re-inference, then the §VI-A adaptive
-//!    fallback, then reconstruction from motion vectors and NN-S refinement
-//!    (with the fault lottery and payload sanitisation when concealing);
-//! 4. **lost B-frame** (concealing) → copy the nearest reference's result.
+//! 3. **B-frame payload** → the pending re-inference or the §VI-A adaptive
+//!    fallback (both `route_nnl`), else feature-space propagation for a
+//!    task that has it, else the frame is *planned* — payload sanitised and
+//!    fault lottery drawn when concealing, trace frame emitted — and its
+//!    job joins the wave; reconstruction from motion vectors, NN-S
+//!    refinement and the `store` run when the wave flushes;
+//! 4. **lost B-frame** (concealing) → `store` a copy of the output of the
+//!    display-nearest reference.
 //!
 //! A windowed strict run is byte-identical to the retired eager pipeline:
 //! every nearest/adjacent reference lookup a B-frame performs resolves
@@ -38,7 +47,7 @@
 use crate::components::{boxes_to_mask, extract_components};
 use crate::error::{Result, VrDannError};
 use crate::recon::{plane_to_mask, reconstruct_b_frame};
-use crate::sandwich::{build_reconstruction_only, build_sandwich};
+use crate::sandwich::nns_input;
 use crate::trace::{ComputeKind, ConcealmentStats, SchemeKind, SchemeTrace, TraceFrame};
 use crate::vrdann::{ResilienceOptions, VrDannConfig};
 use rand::rngs::StdRng;
@@ -134,23 +143,6 @@ fn sanitize_b_info(
     out
 }
 
-/// The segmentation of the display-nearest entry of `refs` (empty mask when
-/// there is nothing to copy from — a stream with every anchor lost).
-fn nearest_mask(refs: &BTreeMap<u32, SegMask>, display: u32, w: usize, h: usize) -> SegMask {
-    refs.iter()
-        .min_by_key(|(d, _)| d.abs_diff(display))
-        .map(|(_, m)| m.clone())
-        .unwrap_or_else(|| SegMask::new(w, h))
-}
-
-/// The detections of the display-nearest entry of `dets` (empty when none).
-fn nearest_dets(dets: &BTreeMap<u32, Vec<Detection>>, display: u32) -> Vec<Detection> {
-    dets.iter()
-        .min_by_key(|(d, _)| d.abs_diff(display))
-        .map(|(_, v)| v.clone())
-        .unwrap_or_default()
-}
-
 /// What the engine produces: per-frame outputs in display order, the
 /// workload trace in decode order, concealment counters, and the source's
 /// live-pixel high-water mark (the bounded-memory accounting hook).
@@ -173,11 +165,12 @@ pub struct EngineRun<O> {
     pub peak_inflight_units: usize,
 }
 
-/// The task axis of the engine: what NN-L produces on anchors, what a
-/// refined B-frame mask is turned into, and how gaps are concealed.
+/// The task axis of the engine: what NN-L yields on an anchor and how a
+/// refined B-frame mask is read out. Where a frame's output is kept, how a
+/// gap is concealed and how the run is collected are the engine's.
 pub trait TaskPolicy {
     /// Per-frame artefact the task produces (mask or detection list).
-    type Output;
+    type Output: Clone;
 
     /// Whether the §VI-A adaptive fallback applies (segmentation only).
     const SUPPORTS_FALLBACK: bool;
@@ -191,17 +184,17 @@ pub trait TaskPolicy {
 
     /// Feature-space propagation hook. A propagating task consumes the
     /// B-frame's MV payload entirely in feature space (warp cached
-    /// backbone features, run the head, store the result) and returns
-    /// `Some(ops)` — the head-only NPU cost — which makes the engine emit
-    /// a [`ComputeKind::FeatHead`] trace frame and skip the mask-space
-    /// reconstruction ladder. The default (`None`) routes the B-frame
-    /// through reconstruction + NN-S unchanged.
+    /// backbone features, run the head) and returns `Some((output, ops))`
+    /// — the frame's output and the head-only NPU cost — which makes the
+    /// engine store the output, emit a [`ComputeKind::FeatHead`] trace
+    /// frame and skip the mask-space reconstruction ladder. The default
+    /// (`None`) routes the B-frame through reconstruction + NN-S.
     ///
     /// # Errors
     /// `Some(Err(..))` aborts the run (e.g. the payload references an
     /// anchor whose features left the window — impossible on a conforming
     /// stream, fatal on a corrupt one).
-    fn propagate(&mut self, _info: &BFrameInfo) -> Option<Result<u64>> {
+    fn propagate(&mut self, _info: &BFrameInfo) -> Option<Result<(Self::Output, u64)>> {
         None
     }
 
@@ -216,34 +209,27 @@ pub trait TaskPolicy {
         0
     }
 
+    /// The sequence the task reads its ground truth from. Its frame count
+    /// sizes the engine's output store and bounds every display index;
+    /// [`PipelineEngine::drive`] rejects a stream it does not match.
+    fn sequence(&self) -> &Sequence;
+
     /// Operations of one NN-L inference at the stream's resolution.
     fn nnl_ops(&self) -> u64;
 
-    /// Runs NN-L on frame `display`, records its output, and returns the
-    /// reference mask downstream B-frames reconstruct from. `reinfer`
-    /// selects the re-inference / fallback seeding lane (a B-frame routed
-    /// through NN-L must not collide with the anchor lane).
-    fn infer_anchor(&mut self, display: u32, reinfer: bool) -> SegMask;
+    /// Runs NN-L on frame `display` (within [`TaskPolicy::sequence`]) and
+    /// returns the frame's output with the reference mask downstream
+    /// B-frames reconstruct from. `reinfer` selects the re-inference /
+    /// fallback seeding lane (a B-frame routed through NN-L must not
+    /// collide with the anchor lane).
+    fn infer_anchor(&mut self, display: u32, reinfer: bool) -> (Self::Output, SegMask);
 
-    /// Records the refined result of a reconstructed B-frame.
-    fn store_refined(&mut self, display: u32, mask: SegMask);
+    /// Reads the output out of a reconstructed (and refined) B-frame mask.
+    fn refine(&self, mask: SegMask) -> Self::Output;
 
-    /// Conceals an unusable B-frame with the nearest reference's result.
-    fn store_nearest(&mut self, display: u32, refs: &BTreeMap<u32, SegMask>);
-
-    /// Conceals a B-frame when no reference at all survived.
-    fn store_empty(&mut self, display: u32);
-
-    /// Collects the outputs, erroring on any frame that was never produced
-    /// (the strict pipeline's contract).
-    ///
-    /// # Errors
-    /// Returns [`VrDannError::BadInput`] naming the first missing frame.
-    fn finalize_strict(self) -> Result<Vec<Self::Output>>;
-
-    /// Collects the outputs, filling gaps from the nearest computed frame
-    /// (the concealing pipeline never fails on damage).
-    fn finalize_concealed(self) -> Vec<Self::Output>;
+    /// The output of a frame nothing can be copied from (a stream with
+    /// every anchor lost).
+    fn empty(&self) -> Self::Output;
 }
 
 /// A [`TaskPolicy`] that [`VrDann::run`](crate::VrDann::run) can build for
@@ -262,7 +248,6 @@ pub struct SegTask<'a> {
     seed: u64,
     w: usize,
     h: usize,
-    masks: Vec<Option<SegMask>>,
 }
 
 impl<'a> SegTask<'a> {
@@ -274,7 +259,6 @@ impl<'a> SegTask<'a> {
             seed,
             w: info.width,
             h: info.height,
-            masks: vec![None; seq.len()],
         }
     }
 }
@@ -290,52 +274,27 @@ impl TaskPolicy for SegTask<'_> {
 
     const SUPPORTS_FALLBACK: bool = true;
 
+    fn sequence(&self) -> &Sequence {
+        self.seq
+    }
+
     fn nnl_ops(&self) -> u64 {
         self.nnl.ops(self.w, self.h)
     }
 
-    fn infer_anchor(&mut self, display: u32, reinfer: bool) -> SegMask {
+    fn infer_anchor(&mut self, display: u32, reinfer: bool) -> (SegMask, SegMask) {
         let lane: i64 = if reinfer { 2 } else { 0 };
         let seed = hash2(display as i64, lane, self.seed);
         let mask = self.nnl.segment(&self.seq.gt_masks[display as usize], seed);
-        self.masks[display as usize] = Some(mask.clone());
+        (mask.clone(), mask)
+    }
+
+    fn refine(&self, mask: SegMask) -> SegMask {
         mask
     }
 
-    fn store_refined(&mut self, display: u32, mask: SegMask) {
-        self.masks[display as usize] = Some(mask);
-    }
-
-    fn store_nearest(&mut self, display: u32, refs: &BTreeMap<u32, SegMask>) {
-        self.masks[display as usize] = Some(nearest_mask(refs, display, self.w, self.h));
-    }
-
-    fn store_empty(&mut self, display: u32) {
-        self.masks[display as usize] = Some(SegMask::new(self.w, self.h));
-    }
-
-    fn finalize_strict(self) -> Result<Vec<SegMask>> {
-        self.masks
-            .into_iter()
-            .enumerate()
-            .map(|(i, m)| {
-                m.ok_or_else(|| VrDannError::BadInput(format!("frame {i} never segmented")))
-            })
-            .collect()
-    }
-
-    fn finalize_concealed(self) -> Vec<SegMask> {
-        let computed: BTreeMap<u32, SegMask> = self
-            .masks
-            .iter()
-            .enumerate()
-            .filter_map(|(d, m)| m.as_ref().map(|m| (d as u32, m.clone())))
-            .collect();
-        self.masks
-            .into_iter()
-            .enumerate()
-            .map(|(d, m)| m.unwrap_or_else(|| nearest_mask(&computed, d as u32, self.w, self.h)))
-            .collect()
+    fn empty(&self) -> SegMask {
+        SegMask::new(self.w, self.h)
     }
 }
 
@@ -349,29 +308,18 @@ pub struct DetTask<'a> {
     w: usize,
     h: usize,
     min_component: usize,
-    anchor_dets: BTreeMap<u32, Vec<Detection>>,
-    detections: Vec<Option<Vec<Detection>>>,
-}
-
-impl<'a> DetTask<'a> {
-    /// Builds the task for one sequence/stream pair.
-    pub fn new(seq: &'a Sequence, nnl: LargeNet, seed: u64, info: &StreamInfo) -> Self {
-        Self {
-            seq,
-            nnl,
-            seed,
-            w: info.width,
-            h: info.height,
-            min_component: (info.mb_size * info.mb_size) / 2,
-            anchor_dets: BTreeMap::new(),
-            detections: vec![None; seq.len()],
-        }
-    }
 }
 
 impl<'s> StreamTask<'s> for DetTask<'s> {
     fn for_stream(seq: &'s Sequence, cfg: &VrDannConfig, info: &StreamInfo) -> Self {
-        Self::new(seq, LargeNet::new(cfg.detect_profile), cfg.seed, info)
+        Self {
+            seq,
+            nnl: LargeNet::new(cfg.detect_profile),
+            seed: cfg.seed,
+            w: info.width,
+            h: info.height,
+            min_component: (info.mb_size * info.mb_size) / 2,
+        }
     }
 }
 
@@ -380,131 +328,70 @@ impl TaskPolicy for DetTask<'_> {
 
     const SUPPORTS_FALLBACK: bool = false;
 
+    fn sequence(&self) -> &Sequence {
+        self.seq
+    }
+
     fn nnl_ops(&self) -> u64 {
         self.nnl.ops(self.w, self.h)
     }
 
-    fn infer_anchor(&mut self, display: u32, _reinfer: bool) -> SegMask {
+    fn infer_anchor(&mut self, display: u32, _reinfer: bool) -> (Vec<Detection>, SegMask) {
         let seed = hash2(display as i64, 1, self.seed);
         let dets = self
             .nnl
             .detect(&self.seq.gt_boxes[display as usize], self.w, self.h, seed);
         let boxes: Vec<_> = dets.iter().map(|d| d.rect).collect();
-        self.detections[display as usize] = Some(dets.clone());
-        self.anchor_dets.insert(display, dets);
-        boxes_to_mask(&boxes, self.w, self.h)
+        (dets, boxes_to_mask(&boxes, self.w, self.h))
     }
 
-    fn store_refined(&mut self, display: u32, mask: SegMask) {
-        self.detections[display as usize] = Some(extract_components(&mask, self.min_component));
+    fn refine(&self, mask: SegMask) -> Vec<Detection> {
+        extract_components(&mask, self.min_component)
     }
 
-    fn store_nearest(&mut self, display: u32, _refs: &BTreeMap<u32, SegMask>) {
-        self.detections[display as usize] = Some(nearest_dets(&self.anchor_dets, display));
+    fn empty(&self) -> Vec<Detection> {
+        Vec::new()
     }
-
-    fn store_empty(&mut self, display: u32) {
-        self.detections[display as usize] = Some(Vec::new());
-    }
-
-    fn finalize_strict(self) -> Result<Vec<Vec<Detection>>> {
-        self.detections
-            .into_iter()
-            .enumerate()
-            .map(|(i, d)| {
-                d.ok_or_else(|| VrDannError::BadInput(format!("frame {i} never detected")))
-            })
-            .collect()
-    }
-
-    fn finalize_concealed(self) -> Vec<Vec<Detection>> {
-        let computed: BTreeMap<u32, Vec<Detection>> = self
-            .detections
-            .iter()
-            .enumerate()
-            .filter_map(|(d, v)| v.as_ref().map(|v| (d as u32, v.clone())))
-            .collect();
-        self.detections
-            .into_iter()
-            .enumerate()
-            .map(|(d, v)| v.unwrap_or_else(|| nearest_dets(&computed, d as u32)))
-            .collect()
-    }
-}
-
-/// Saved state of a [`FaultPolicy`], captured by
-/// [`PipelineEngine::checkpoint`]: the concealment counters and the NN-S
-/// fault lottery's generator position. Restoring it rewinds the lottery, so
-/// a replayed span of units redraws exactly the faults it drew the first
-/// time instead of double-counting them.
-#[derive(Debug, Clone)]
-pub struct PolicyCheckpoint {
-    stats: ConcealmentStats,
-    rng: Option<StdRng>,
 }
 
 /// The fault axis of the engine: whether damage is concealed or fatal, and
-/// the NN-S soft-error lottery.
+/// the NN-S soft-error lottery. The concealment itself — and its counters —
+/// are the engine's; the defaults describe a policy without a lottery.
 pub trait FaultPolicy {
     /// Whether the degradation rungs (substitution, refetch, copy, salvage)
     /// are active. A strict run treats every unit as pristine.
     const CONCEALING: bool;
 
-    /// Concealment counters the rungs increment as they fire.
-    fn stats(&mut self) -> &mut ConcealmentStats;
-
-    /// Draws the per-B-frame NN-S fault lottery (always `false` when
-    /// strict; one draw per reconstructed B-frame, in decode order).
-    fn draw_nns_fault(&mut self) -> bool;
-
-    /// Saves the policy's counters and lottery position.
-    fn save(&self) -> PolicyCheckpoint;
-
-    /// Restores a previously [`save`](FaultPolicy::save)d state.
-    fn load(&mut self, ckpt: &PolicyCheckpoint);
-
-    /// Final counters for the run report.
-    fn into_stats(self) -> ConcealmentStats;
-}
-
-/// Fail-fast policy: any decode error aborts the run, no concealment.
-#[derive(Debug, Default)]
-pub struct StrictPolicy {
-    stats: ConcealmentStats,
-}
-
-impl FaultPolicy for StrictPolicy {
-    const CONCEALING: bool = false;
-
-    fn stats(&mut self) -> &mut ConcealmentStats {
-        &mut self.stats
-    }
-
+    /// Draws the per-B-frame NN-S fault lottery (one draw per
+    /// reconstructed B-frame, in decode order).
     fn draw_nns_fault(&mut self) -> bool {
         false
     }
 
-    fn save(&self) -> PolicyCheckpoint {
-        PolicyCheckpoint {
-            stats: self.stats,
-            rng: None,
-        }
+    /// The lottery's generator at its current position, saved by
+    /// [`PipelineEngine::checkpoint`].
+    fn save(&self) -> Option<StdRng> {
+        None
     }
 
-    fn load(&mut self, ckpt: &PolicyCheckpoint) {
-        self.stats = ckpt.stats;
-    }
+    /// Rewinds the lottery to a [`save`](FaultPolicy::save)d generator, so
+    /// a replayed span of units redraws exactly the faults it drew the
+    /// first time.
+    fn load(&mut self, _lottery: Option<StdRng>) {}
+}
 
-    fn into_stats(self) -> ConcealmentStats {
-        self.stats
-    }
+/// Fail-fast policy: any decode error aborts the run, no concealment.
+#[derive(Debug, Default)]
+pub struct StrictPolicy {}
+
+impl FaultPolicy for StrictPolicy {
+    const CONCEALING: bool = false;
 }
 
 /// Degrade-gracefully policy: damage is concealed per the ladder and the
 /// seeded NN-S fault lottery of [`ResilienceOptions`] applies.
 #[derive(Debug)]
 pub struct ConcealingPolicy {
-    stats: ConcealmentStats,
     rng: Option<StdRng>,
     rate: f64,
 }
@@ -513,7 +400,6 @@ impl ConcealingPolicy {
     /// Builds the policy from the run's resilience knobs.
     pub fn new(opts: &ResilienceOptions) -> Self {
         Self {
-            stats: ConcealmentStats::default(),
             rng: (opts.nns_failure_rate > 0.0).then(|| StdRng::seed_from_u64(opts.seed)),
             rate: opts.nns_failure_rate,
         }
@@ -523,45 +409,35 @@ impl ConcealingPolicy {
 impl FaultPolicy for ConcealingPolicy {
     const CONCEALING: bool = true;
 
-    fn stats(&mut self) -> &mut ConcealmentStats {
-        &mut self.stats
-    }
-
     fn draw_nns_fault(&mut self) -> bool {
         self.rng
             .as_mut()
             .is_some_and(|rng| rng.random_range(0.0f64..1.0) < self.rate)
     }
 
-    fn save(&self) -> PolicyCheckpoint {
-        PolicyCheckpoint {
-            stats: self.stats,
-            rng: self.rng.clone(),
-        }
+    fn save(&self) -> Option<StdRng> {
+        self.rng.clone()
     }
 
-    fn load(&mut self, ckpt: &PolicyCheckpoint) {
-        self.stats = ckpt.stats;
-        self.rng = ckpt.rng.clone();
-    }
-
-    fn into_stats(self) -> ConcealmentStats {
-        self.stats
+    fn load(&mut self, lottery: Option<StdRng>) {
+        self.rng = lottery;
     }
 }
 
 /// A snapshot of the engine's resumable streaming state: the O(GOP)
 /// reference-mask window, the anchor eviction queue, the pending-refetch
-/// flag, the fault policy's counters and lottery position, and the length
-/// of the trace at capture time.
+/// flag, the concealment counters, the fault lottery's generator position
+/// and the length of the trace at capture time.
 ///
 /// [`PipelineEngine::checkpoint`] captures it; [`PipelineEngine::restore`]
 /// rolls the same engine back to it, after which re-[`step`]ping the units
 /// decoded since the checkpoint reproduces the original run byte-for-byte
 /// (every inference lane is display-seeded, every store idempotent per
-/// display index). This is what lets a serving layer resume a stream whose
-/// accelerator crashed mid-flight instead of dropping it: the host keeps
-/// the checkpoint, re-primes the recovered NPU, and replays forward.
+/// display index, and the rewound lottery redraws the faults it drew the
+/// first time instead of double-counting them). This is what lets a
+/// serving layer resume a stream whose accelerator crashed mid-flight
+/// instead of dropping it: the host keeps the checkpoint, re-primes the
+/// recovered NPU, and replays forward.
 ///
 /// The snapshot is O(GOP): `MASK_WINDOW` reference masks plus scalars —
 /// never the decoded video or the per-frame outputs.
@@ -573,7 +449,8 @@ pub struct EngineCheckpoint {
     anchor_window: VecDeque<u32>,
     pending_refetch: bool,
     frames_len: usize,
-    policy: PolicyCheckpoint,
+    stats: ConcealmentStats,
+    lottery: Option<StdRng>,
 }
 
 impl EngineCheckpoint {
@@ -614,9 +491,9 @@ pub struct StepWork {
 const DEFAULT_STAGE_CAPACITY: usize = 8;
 
 /// The lanes of [`PipelineEngine::drive`]: passing one moves the source
-/// onto a decode-lane thread and defers B-frame mask computation into
-/// waves. `Default` resolves both fields: worker count from
-/// [`vrd_runtime::max_threads`] (which honours `VRD_THREADS`), channel
+/// onto a decode-lane thread and lets B-frame mask computation wait in the
+/// wave for the next barrier. `Default` resolves both fields: worker count
+/// from [`vrd_runtime::max_threads`] (which honours `VRD_THREADS`), channel
 /// capacity 8.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PipelineOptions {
@@ -628,7 +505,7 @@ pub struct PipelineOptions {
     pub channel_capacity: Option<usize>,
 }
 
-/// One deferred B-frame mask computation: everything the pure
+/// One planned B-frame mask computation: everything the pure
 /// reconstruct → sandwich → NN-S chain needs, captured at plan time. The
 /// payload is already sanitised (concealing) and the fault lottery already
 /// drawn (`refined`), so executing the job touches no engine state.
@@ -639,11 +516,11 @@ struct ReconJob {
     refined: bool,
 }
 
-/// The compute lane's in-flight wave: B-frame jobs planned since the last
-/// reference-window mutation, executed together (fanned out across
-/// `threads` workers) when the next mutation — or the end of the stream —
-/// forces a barrier. Installed by [`PipelineEngine::drive`] when it runs
-/// with lanes; without one every job executes inside its `step`.
+/// The only path a B-frame's mask takes: jobs planned since the last
+/// flush, executed together (fanned out across `threads` workers) when the
+/// wave reaches `flush_threshold`, when the reference window is about to
+/// change, or when the stream ends. Without lanes the threshold is 1 —
+/// every job runs inside its own `step`, on the caller's thread.
 #[derive(Debug)]
 struct Wave {
     jobs: Vec<ReconJob>,
@@ -652,53 +529,59 @@ struct Wave {
 }
 
 impl Wave {
-    /// An empty wave fanning out over `threads` workers.
-    fn new(threads: usize) -> Self {
+    /// An empty wave: with `lanes`, fanning out over that many workers at
+    /// barriers; without, flushing each job as it is planned.
+    fn new(lanes: Option<usize>) -> Self {
         Self {
             jobs: Vec::new(),
-            threads,
-            // Anchor arrivals bound a wave at one GOP's worth of B-frames;
-            // this threshold keeps the wave O(GOP) even on pathological
+            threads: lanes.unwrap_or(1),
+            // Anchor arrivals bound a laned wave at one GOP's worth of
+            // B-frames; this threshold keeps it O(GOP) even on pathological
             // streams that lose every anchor (no barrier would ever fire).
-            flush_threshold: (2 * MASK_WINDOW).max(2 * threads),
+            flush_threshold: lanes.map_or(1, |threads| (2 * MASK_WINDOW).max(2 * threads)),
         }
     }
 }
 
-/// Executes one deferred B-frame job. Pure with respect to the engine:
+/// What the pure B-frame chain reads besides its job and the reference
+/// window; fixed for a stream once `prime` has set `stream` and `nns_q`.
+#[derive(Debug)]
+struct ReconCtx<'a> {
+    stream: StreamInfo,
+    cfg: &'a VrDannConfig,
+    nns: &'a NnS,
+    // Quantized twin of `nns`, present when the configuration selects
+    // `ComputeMode::Int8` (weight quantization is done once, not per frame).
+    nns_q: Option<QuantNnS>,
+}
+
+/// Executes one planned B-frame job. Pure with respect to the engine:
 /// reads the reference window and model, produces the mask, mutates
 /// nothing — which is what makes the wave fan-out safe and bit-identical
 /// to sequential execution.
-#[allow(clippy::too_many_arguments)]
 fn exec_recon(
     job: &ReconJob,
     ref_segs: &BTreeMap<u32, SegMask>,
-    w: usize,
-    h: usize,
-    mb: usize,
-    recon_cfg: &crate::recon::ReconConfig,
-    sandwich: bool,
-    nns: &NnS,
-    nns_q: Option<&QuantNnS>,
+    ctx: &ReconCtx<'_>,
 ) -> Result<SegMask> {
-    let plane = reconstruct_b_frame(&job.info, ref_segs, w, h, mb, recon_cfg)?;
-    if job.refined {
-        let input = if sandwich {
-            build_sandwich(job.display, &plane, ref_segs)?
-        } else {
-            build_reconstruction_only(&plane)
-        };
-        Ok(match nns_q {
-            Some(q) => q.infer(&input).to_mask(0.5),
-            None => nns.infer(&input).to_mask(0.5),
-        })
-    } else {
-        Ok(plane_to_mask(&plane, recon_cfg))
+    if !job.refined {
+        let (s, recon) = (&ctx.stream, &ctx.cfg.recon);
+        let plane = reconstruct_b_frame(&job.info, ref_segs, s.width, s.height, s.mb_size, recon)?;
+        return Ok(plane_to_mask(&plane, recon));
     }
+    let input = nns_input(&job.info, ref_segs, &ctx.stream, ctx.cfg)?;
+    Ok(match &ctx.nns_q {
+        Some(q) => q.infer(&input).to_mask(0.5),
+        None => ctx.nns.infer(&input).to_mask(0.5),
+    })
 }
 
 /// The generic streaming engine: a task, a fault policy, and a shared model
-/// configuration, executed over any [`FrameSource`].
+/// configuration, executed over any [`FrameSource`]. It owns the whole
+/// frame ladder: the O(GOP) reference window, the per-frame output store
+/// (one write site, one nearest-reference concealment, one collect at
+/// [`finish`](PipelineEngine::finish)), the concealment counters, the
+/// trace and the wave every B-frame's mask goes through.
 ///
 /// [`PipelineEngine::drive`] is the one driver from a source to a finished
 /// run: prime → pump units → finish, with the decode lane and the
@@ -709,24 +592,20 @@ fn exec_recon(
 /// loop themselves (crash replay after a [`PipelineEngine::restore`], a
 /// harness timing each call).
 #[derive(Debug)]
-pub struct PipelineEngine<'a, T, P> {
-    cfg: &'a VrDannConfig,
-    nns: &'a NnS,
+pub struct PipelineEngine<'a, T: TaskPolicy, P> {
     task: T,
     policy: P,
-    // Streaming state, established by `prime` and advanced by `step`.
-    primed: bool,
-    w: usize,
-    h: usize,
-    mb: usize,
+    ctx: ReconCtx<'a>,
+    // `Err` until `prime` has established the stream (or with what its
+    // prepopulation failed on); every stateful entry point checks it.
+    primed: Result<()>,
     nns_ops: u64,
     nnl_ops: u64,
-    // Quantized twin of `nns`, built at prime time when the configuration
-    // selects `ComputeMode::Int8` (weight quantization is done once, not
-    // per frame).
-    nns_q: Option<QuantNnS>,
     ref_segs: BTreeMap<u32, SegMask>,
     anchor_window: VecDeque<u32>,
+    // One slot per frame of the task's sequence, display order.
+    outputs: Vec<Option<T::Output>>,
+    stats: ConcealmentStats,
     frames: Vec<(TraceFrame, ByteClass)>,
     // Set once an anchor is lost; the next decodable B-frame goes
     // through NN-L to re-establish a trusted reference.
@@ -734,31 +613,38 @@ pub struct PipelineEngine<'a, T, P> {
     // High-water mark of the decode→compute stage channel (0 unless the
     // driver ran with lanes).
     peak_inflight_units: usize,
-    // Deferred B-frame jobs; `Some` only while the driver runs with lanes.
-    wave: Option<Wave>,
+    wave: Wave,
 }
 
 impl<'a, T: TaskPolicy, P: FaultPolicy> PipelineEngine<'a, T, P> {
     /// Assembles an engine from its stages.
     pub fn new(cfg: &'a VrDannConfig, nns: &'a NnS, task: T, policy: P) -> Self {
+        let unprimed = "engine used before prime() established the stream";
         Self {
-            cfg,
-            nns,
+            outputs: vec![None; task.sequence().len()],
             task,
             policy,
-            primed: false,
-            w: 0,
-            h: 0,
-            mb: 0,
+            ctx: ReconCtx {
+                stream: StreamInfo {
+                    width: 0,
+                    height: 0,
+                    mb_size: 0,
+                    n_frames: 0,
+                },
+                cfg,
+                nns,
+                nns_q: None,
+            },
+            primed: Err(VrDannError::BadInput(unprimed.into())),
             nns_ops: 0,
             nnl_ops: 0,
-            nns_q: None,
             ref_segs: BTreeMap::new(),
             anchor_window: VecDeque::new(),
+            stats: ConcealmentStats::default(),
             frames: Vec::new(),
             pending_refetch: false,
             peak_inflight_units: 0,
-            wave: None,
+            wave: Wave::new(None),
         }
     }
 
@@ -770,22 +656,21 @@ impl<'a, T: TaskPolicy, P: FaultPolicy> PipelineEngine<'a, T, P> {
     /// before the first unit (the concealing path needs the full usable
     /// anchor set up front: a lost B-frame may copy from an anchor that
     /// only decodes *later*). Strict runs pass `&[]` and infer lazily,
-    /// which keeps the reference window O(GOP).
+    /// which keeps the reference window O(GOP). A display outside the
+    /// task's sequence is reported by the first
+    /// [`step`](PipelineEngine::step).
     pub fn prime(&mut self, info: &StreamInfo, prepopulate: &[u32]) {
-        self.w = info.width;
-        self.h = info.height;
-        self.mb = info.mb_size;
+        self.ctx.stream = *info;
         // The NPU is charged the same MAC count in both compute modes (the
         // paper's MAC array runs low precision natively), so traces are
         // byte-identical across `ComputeMode`s.
-        self.nns_ops = 2 * self.nns.macs(self.h, self.w);
+        self.nns_ops = 2 * self.ctx.nns.macs(info.height, info.width);
         self.nnl_ops = self.task.nnl_ops();
-        self.nns_q = (self.cfg.compute == ComputeMode::Int8).then(|| self.nns.quantize());
-        for &display in prepopulate {
-            let mask = self.task.infer_anchor(display, false);
-            self.ref_segs.insert(display, mask);
-        }
-        self.primed = true;
+        self.ctx.nns_q =
+            (self.ctx.cfg.compute == ComputeMode::Int8).then(|| self.ctx.nns.quantize());
+        self.primed = prepopulate
+            .iter()
+            .try_for_each(|&display| self.route_nnl(display, false, None).map(|_| ()));
     }
 
     /// Snapshots the engine's resumable streaming state (see
@@ -794,19 +679,16 @@ impl<'a, T: TaskPolicy, P: FaultPolicy> PipelineEngine<'a, T, P> {
     ///
     /// # Errors
     /// Returns [`VrDannError::BadInput`] if the engine was never primed —
-    /// there is no stream state to snapshot — or if deferred B-frame jobs
+    /// there is no stream state to snapshot — or if planned B-frame jobs
     /// are pending (an observer under lanes asking between barriers): the
     /// snapshot cannot carry them. Every large-model step flushes the wave
     /// first, so anchor checkpoints work with and without lanes.
     pub fn checkpoint(&self) -> Result<EngineCheckpoint> {
-        if !self.primed {
-            return Err(VrDannError::BadInput(
-                "engine checkpointed before prime() established the stream".into(),
-            ));
-        }
-        if let Some(pending) = self.wave.as_ref().map(|w| w.jobs.len()).filter(|&n| n > 0) {
+        self.primed.clone()?;
+        if !self.wave.jobs.is_empty() {
             return Err(VrDannError::BadInput(format!(
-                "engine checkpointed with {pending} deferred B-frame jobs pending"
+                "engine checkpointed with {} deferred B-frame jobs pending",
+                self.wave.jobs.len()
             )));
         }
         Ok(EngineCheckpoint {
@@ -814,28 +696,25 @@ impl<'a, T: TaskPolicy, P: FaultPolicy> PipelineEngine<'a, T, P> {
             anchor_window: self.anchor_window.clone(),
             pending_refetch: self.pending_refetch,
             frames_len: self.frames.len(),
-            policy: self.policy.save(),
+            stats: self.stats,
+            lottery: self.policy.save(),
         })
     }
 
     /// Rolls this engine back to `ckpt`: the reference window, anchor
-    /// eviction queue, refetch flag and fault-lottery position return to
-    /// their snapshot values and the trace is truncated to the snapshot
-    /// length. Task outputs recorded after the checkpoint are left in place
-    /// — re-stepping the same units overwrites them with identical values
-    /// (all stores are keyed by display index and all inference lanes are
-    /// display-seeded), which is exactly the crash-replay contract.
+    /// eviction queue, refetch flag, concealment counters and fault-lottery
+    /// position return to their snapshot values and the trace is truncated
+    /// to the snapshot length. Outputs stored after the checkpoint are left
+    /// in place — re-stepping the same units overwrites them with identical
+    /// values (the store is keyed by display index and all inference lanes
+    /// are display-seeded), which is exactly the crash-replay contract.
     ///
     /// # Errors
     /// Returns [`VrDannError::BadInput`] if the engine is unprimed or the
     /// checkpoint is ahead of this engine's trace (it belongs to a
     /// different or longer-lived run).
     pub fn restore(&mut self, ckpt: &EngineCheckpoint) -> Result<()> {
-        if !self.primed {
-            return Err(VrDannError::BadInput(
-                "engine restored before prime() established the stream".into(),
-            ));
-        }
+        self.primed.clone()?;
         if ckpt.frames_len > self.frames.len() {
             return Err(VrDannError::BadInput(format!(
                 "checkpoint at trace length {} is ahead of the engine ({} frames emitted)",
@@ -847,45 +726,110 @@ impl<'a, T: TaskPolicy, P: FaultPolicy> PipelineEngine<'a, T, P> {
         self.ref_segs = ckpt.ref_segs.clone();
         self.anchor_window = ckpt.anchor_window.clone();
         self.pending_refetch = ckpt.pending_refetch;
-        self.policy.load(&ckpt.policy);
+        self.stats = ckpt.stats;
+        self.policy.load(ckpt.lottery.clone());
         Ok(())
     }
 
-    /// The [`StepWork`] view of the trace frame just pushed (if any).
-    fn emitted(&self, before: usize) -> Option<StepWork> {
-        (self.frames.len() > before).then(|| {
-            let f = &self.frames[self.frames.len() - 1].0;
-            StepWork {
-                display: f.display,
-                ftype: f.ftype,
-                ops: f.kind.ops(),
-                uses_large_model: f.kind.uses_large_model(),
-                full_decode: f.full_decode,
-            }
+    /// The output slot of frame `display` — the one frame-index bound.
+    ///
+    /// # Errors
+    /// Returns [`VrDannError::BadInput`] for a display index outside the
+    /// task's sequence.
+    fn slot(&mut self, display: u32) -> Result<&mut Option<T::Output>> {
+        let frames = self.outputs.len();
+        self.outputs.get_mut(display as usize).ok_or_else(|| {
+            VrDannError::BadInput(format!(
+                "frame {display} is outside the {frames}-frame sequence"
+            ))
         })
     }
 
-    /// Executes and stores the wave's deferred jobs: reconstruct + refine
-    /// in parallel (order-preserving, pure reads of the reference window),
-    /// then store results sequentially in decode order. A no-op without a
-    /// wave.
-    fn flush_wave(&mut self) -> Result<()> {
-        let Some(wave) = self.wave.as_mut().filter(|w| !w.jobs.is_empty()) else {
-            return Ok(());
+    /// The one output-slot write.
+    fn store(&mut self, display: u32, out: T::Output) -> Result<()> {
+        *self.slot(display)? = Some(out);
+        Ok(())
+    }
+
+    /// The one concealment: a copy of the output of the display-nearest of
+    /// `among` (ascending; the lower display wins a tie), or the task's
+    /// empty output when there is nothing to copy from.
+    fn nearest_output(&self, among: impl Iterator<Item = u32>, display: u32) -> T::Output {
+        among
+            .min_by_key(|d| d.abs_diff(display))
+            .and_then(|d| self.outputs.get(d as usize)?.clone())
+            .unwrap_or_else(|| self.task.empty())
+    }
+
+    /// Conceals a B-frame nothing can be reconstructed for with the output
+    /// of the display-nearest reference.
+    fn copy_nearest_reference(&mut self, display: u32) -> Result<()> {
+        self.stats.b_copied += 1;
+        let copy = self.nearest_output(self.ref_segs.keys().copied(), display);
+        self.store(display, copy)
+    }
+
+    /// The one trace-emission site; returns the [`StepWork`] view of the
+    /// frame it pushed. The decoder reconstructs pixels for exactly the
+    /// frames a full NN-L pass reads (a feature head reads warped features).
+    fn emit(
+        &mut self,
+        display: u32,
+        ftype: FrameType,
+        kind: ComputeKind,
+        bytes: ByteClass,
+    ) -> StepWork {
+        let work = StepWork {
+            display,
+            ftype,
+            ops: kind.ops(),
+            uses_large_model: kind.uses_large_model(),
+            full_decode: matches!(kind, ComputeKind::NnL { .. }),
         };
-        let jobs = std::mem::take(&mut wave.jobs);
-        let threads = wave.threads;
-        let refs = &self.ref_segs;
-        let (w, h, mb) = (self.w, self.h, self.mb);
-        let recon_cfg = &self.cfg.recon;
-        let sandwich = self.cfg.sandwich;
-        let nns = self.nns;
-        let nns_q = self.nns_q.as_ref();
-        let masks: Vec<Result<SegMask>> = vrd_runtime::parallel_map_with(&jobs, threads, |job| {
-            exec_recon(job, refs, w, h, mb, recon_cfg, sandwich, nns, nns_q)
+        let frame = TraceFrame {
+            display,
+            ftype,
+            kind,
+            full_decode: work.full_decode,
+            bitstream_bytes: 0,
+        };
+        self.frames.push((frame, bytes));
+        work
+    }
+
+    /// The one NN-L route, behind anchors, prepopulation, the lost-anchor
+    /// re-inference and the adaptive fallback: flush the wave (the new
+    /// reference mutates the window every planned job reads), infer, insert
+    /// the reference, store the output and — unless this is prepopulation,
+    /// whose anchors are traced when their units arrive — emit.
+    fn route_nnl(
+        &mut self,
+        display: u32,
+        reinfer: bool,
+        traced: Option<(FrameType, ByteClass)>,
+    ) -> Result<Option<StepWork>> {
+        self.flush_wave()?;
+        // The task indexes its sequence with `display`: bound it first.
+        self.slot(display)?;
+        let (out, mask) = self.task.infer_anchor(display, reinfer);
+        self.ref_segs.insert(display, mask);
+        self.store(display, out)?;
+        let kind = ComputeKind::NnL { ops: self.nnl_ops };
+        Ok(traced.map(|(ftype, bytes)| self.emit(display, ftype, kind, bytes)))
+    }
+
+    /// Executes the wave's planned jobs: reconstruct + refine in parallel
+    /// (order-preserving, pure reads of the reference window), then store
+    /// the results sequentially in decode order.
+    fn flush_wave(&mut self) -> Result<()> {
+        let jobs = std::mem::take(&mut self.wave.jobs);
+        let (refs, ctx) = (&self.ref_segs, &self.ctx);
+        let masks = vrd_runtime::parallel_map_with(&jobs, self.wave.threads, |job| {
+            exec_recon(job, refs, ctx)
         });
-        for (job, mask) in jobs.into_iter().zip(masks) {
-            self.task.store_refined(job.display, mask?);
+        for (job, mask) in jobs.iter().zip(masks) {
+            let out = self.task.refine(mask?);
+            self.store(job.display, out)?;
         }
         Ok(())
     }
@@ -896,115 +840,73 @@ impl<'a, T: TaskPolicy, P: FaultPolicy> PipelineEngine<'a, T, P> {
     ///
     /// Everything stateful (routing, sanitisation, the fault lottery, trace
     /// emission) happens here, in decode order. A B-frame's pure mask
-    /// computation also runs inside this call — unless
-    /// [`PipelineEngine::drive`] runs with lanes, which parks it in the
-    /// engine's wave until the next reference-window mutation. The returned
-    /// [`StepWork`] is the same either way (it derives from the plan, not
-    /// the masks).
+    /// computation is planned into the wave, which without lanes flushes
+    /// inside this call and under [`PipelineEngine::drive`]'s lanes waits
+    /// for the next reference-window mutation. The returned [`StepWork`] is
+    /// the same either way (it derives from the plan, not the masks).
     ///
     /// # Errors
     /// Returns [`VrDannError::BadInput`] if called before
-    /// [`PipelineEngine::prime`], and propagates reconstruction failures
-    /// (under lanes, possibly those of an earlier deferred unit).
+    /// [`PipelineEngine::prime`] or for a frame outside the task's
+    /// sequence, and propagates reconstruction failures (under lanes,
+    /// possibly those of an earlier planned unit).
     pub fn step(&mut self, unit: DecodedUnit) -> Result<Option<StepWork>> {
-        if !self.primed {
-            return Err(VrDannError::BadInput(
-                "engine stepped before prime() established the stream".into(),
-            ));
-        }
-        let before = self.frames.len();
-        let (w, h) = (self.w, self.h);
-        match unit.payload {
-            UnitPayload::Anchor { display, .. } => {
-                // Barrier: a strict anchor mutates the reference window
-                // (insert + eviction), which every deferred job reads.
-                // Flushing on concealing anchors too keeps waves GOP-sized.
+        self.primed.clone()?;
+        let lost = || ComputeKind::NnSRefine {
+            ops: 0,
+            mvs: vec![],
+        };
+        let work = match unit.payload {
+            UnitPayload::Anchor { display, .. } if P::CONCEALING => {
+                // Reference already established by prepopulation; only the
+                // substitution bookkeeping remains. Flushing here too keeps
+                // waves GOP-sized.
                 self.flush_wave()?;
-                if P::CONCEALING {
-                    // Reference already established by prepopulation;
-                    // only the substitution bookkeeping remains.
-                    if matches!(
-                        unit.outcome,
-                        DecodeOutcome::Concealed(ConcealReason::MissingReference)
-                    ) {
-                        self.policy.stats().anchors_substituted += 1;
-                    }
-                } else {
-                    let mask = self.task.infer_anchor(display, false);
-                    self.ref_segs.insert(display, mask);
-                    self.anchor_window.push_back(display);
-                    if self.anchor_window.len() > MASK_WINDOW {
-                        self.anchor_window.pop_front();
-                        if let Some(&front) = self.anchor_window.front() {
-                            // Drop every reference older than the window
-                            // (fallback masks between evicted anchors
-                            // can never win a nearest lookup again).
-                            self.ref_segs = self.ref_segs.split_off(&front);
-                            // Cached backbone features ride the same
-                            // window: evicting the mask evicts the map.
-                            self.task.evict_below(front);
-                        }
+                if unit.outcome == DecodeOutcome::Concealed(ConcealReason::MissingReference) {
+                    self.stats.anchors_substituted += 1;
+                }
+                let kind = ComputeKind::NnL { ops: self.nnl_ops };
+                self.emit(display, unit.ftype, kind, ByteClass::AnchorAvg)
+            }
+            UnitPayload::Anchor { display, .. } => {
+                let work =
+                    self.route_nnl(display, false, Some((unit.ftype, ByteClass::AnchorAvg)))?;
+                self.anchor_window.push_back(display);
+                if self.anchor_window.len() > MASK_WINDOW {
+                    self.anchor_window.pop_front();
+                    if let Some(&front) = self.anchor_window.front() {
+                        // Drop every reference older than the window
+                        // (fallback masks between evicted anchors can
+                        // never win a nearest lookup again).
+                        self.ref_segs = self.ref_segs.split_off(&front);
+                        // Cached backbone features ride the same window:
+                        // evicting the mask evicts the map.
+                        self.task.evict_below(front);
                     }
                 }
-                self.frames.push((
-                    TraceFrame {
-                        display,
-                        ftype: unit.ftype,
-                        kind: ComputeKind::NnL { ops: self.nnl_ops },
-                        full_decode: true,
-                        bitstream_bytes: 0,
-                    },
-                    ByteClass::AnchorAvg,
-                ));
+                return Ok(work);
             }
             UnitPayload::Motion(info_b) => {
                 let display = info_b.display_idx;
+                let via_nnl = Some((FrameType::B, ByteClass::BAvg));
 
                 // A lost anchor earlier in decode order: spend an NN-L
                 // here to re-establish a trusted reference (§VI-A's
                 // fallback machinery, repurposed for recovery).
                 if P::CONCEALING && self.pending_refetch {
-                    // Barrier: the re-inference inserts a new reference.
-                    self.flush_wave()?;
                     self.pending_refetch = false;
-                    self.policy.stats().nnl_reinferences += 1;
-                    let mask = self.task.infer_anchor(display, true);
-                    self.ref_segs.insert(display, mask);
-                    self.frames.push((
-                        TraceFrame {
-                            display,
-                            ftype: FrameType::B,
-                            kind: ComputeKind::NnL { ops: self.nnl_ops },
-                            full_decode: true,
-                            bitstream_bytes: 0,
-                        },
-                        ByteClass::BAvg,
-                    ));
-                    return Ok(self.emitted(before));
+                    self.stats.nnl_reinferences += 1;
+                    return self.route_nnl(display, true, via_nnl);
                 }
 
                 // Adaptive fallback: fast-moving B-frames go through
                 // NN-L (only on fully trusted payloads when concealing).
-                if T::SUPPORTS_FALLBACK && (!P::CONCEALING || unit.outcome == DecodeOutcome::Ok) {
-                    if let Some(threshold) = self.cfg.fallback_mv_threshold {
-                        if p90_mv_magnitude(&info_b.mvs) > threshold as f64 {
-                            // Barrier: the fallback inserts a reference.
-                            self.flush_wave()?;
-                            let mask = self.task.infer_anchor(display, true);
-                            self.ref_segs.insert(display, mask);
-                            self.frames.push((
-                                TraceFrame {
-                                    display,
-                                    ftype: FrameType::B,
-                                    kind: ComputeKind::NnL { ops: self.nnl_ops },
-                                    full_decode: true,
-                                    bitstream_bytes: 0,
-                                },
-                                ByteClass::BAvg,
-                            ));
-                            return Ok(self.emitted(before));
-                        }
-                    }
+                if T::SUPPORTS_FALLBACK
+                    && (!P::CONCEALING || unit.outcome == DecodeOutcome::Ok)
+                    && (self.ctx.cfg.fallback_mv_threshold)
+                        .is_some_and(|t| p90_mv_magnitude(&info_b.mvs) > t as f64)
+                {
+                    return self.route_nnl(display, true, via_nnl);
                 }
 
                 // Feature-space propagation: a propagating task consumes
@@ -1020,150 +922,96 @@ impl<'a, T: TaskPolicy, P: FaultPolicy> PipelineEngine<'a, T, P> {
                         && info_b.mvs.iter().all(|mv| refs_present(mv, &self.ref_segs)));
                 if trusted {
                     if let Some(head) = self.task.propagate(&info_b) {
-                        let ops = head?;
-                        self.frames.push((
-                            TraceFrame {
-                                display,
-                                ftype: FrameType::B,
-                                kind: ComputeKind::FeatHead {
-                                    ops,
-                                    mvs: info_b.mvs,
-                                },
-                                full_decode: false,
-                                bitstream_bytes: 0,
-                            },
+                        let (out, ops) = head?;
+                        self.store(display, out)?;
+                        let kind = ComputeKind::FeatHead {
+                            ops,
+                            mvs: info_b.mvs,
+                        };
+                        return Ok(Some(self.emit(
+                            display,
+                            FrameType::B,
+                            kind,
                             ByteClass::BAvg,
-                        ));
-                        return Ok(self.emitted(before));
+                        )));
                     }
                 }
 
                 if P::CONCEALING && self.ref_segs.is_empty() {
                     // Every anchor lost: nothing to reconstruct from.
-                    self.policy.stats().b_copied += 1;
-                    self.task.store_empty(display);
-                    self.frames.push((
-                        TraceFrame {
-                            display,
-                            ftype: unit.ftype,
-                            kind: ComputeKind::NnSRefine {
-                                ops: 0,
-                                mvs: vec![],
-                            },
-                            full_decode: false,
-                            bitstream_bytes: 0,
-                        },
+                    self.copy_nearest_reference(display)?;
+                    return Ok(Some(self.emit(
+                        display,
+                        unit.ftype,
+                        lost(),
                         ByteClass::Zero,
-                    ));
-                    return Ok(self.emitted(before));
+                    )));
                 }
 
                 if P::CONCEALING && matches!(unit.outcome, DecodeOutcome::Concealed(_)) {
-                    self.policy.stats().b_salvaged += 1;
+                    self.stats.b_salvaged += 1;
                 }
                 // Plan the reconstruction now — sanitisation and the fault
                 // lottery are stateful and must happen in decode order —
-                // but the mask computation itself is pure, so a wave may
-                // defer it past this unit.
-                let use_info = match P::CONCEALING {
-                    true => sanitize_b_info(&info_b, &self.ref_segs, w, h, self.mb),
+                // but the mask computation itself is pure, so the wave may
+                // hold it past this unit.
+                let s = self.ctx.stream;
+                let info = match P::CONCEALING {
+                    true => sanitize_b_info(&info_b, &self.ref_segs, s.width, s.height, s.mb_size),
                     false => info_b,
                 };
                 let nns_faulted = self.policy.draw_nns_fault();
-                if nns_faulted {
-                    self.policy.stats().nns_failures += 1;
-                }
-                let refined = self.cfg.refine && !nns_faulted;
-                let job = ReconJob {
+                self.stats.nns_failures += usize::from(nns_faulted);
+                let refined = self.ctx.cfg.refine && !nns_faulted;
+                // The trace frame and the job both need the (sanitised) MV
+                // payload; the job keeps the original.
+                let kind = ComputeKind::NnSRefine {
+                    ops: if refined { self.nns_ops } else { 0 },
+                    mvs: info.mvs.clone(),
+                };
+                let work = self.emit(display, FrameType::B, kind, ByteClass::BAvg);
+                self.wave.jobs.push(ReconJob {
                     display,
-                    info: use_info,
+                    info,
                     refined,
-                };
-                let refine_ops = if refined { self.nns_ops } else { 0 };
-                let entry = |mvs| {
-                    (
-                        TraceFrame {
-                            display,
-                            ftype: FrameType::B,
-                            kind: ComputeKind::NnSRefine {
-                                ops: refine_ops,
-                                mvs,
-                            },
-                            full_decode: false,
-                            bitstream_bytes: 0,
-                        },
-                        ByteClass::BAvg,
-                    )
-                };
-                match self.wave.as_mut() {
-                    Some(wave) => {
-                        // The trace frame and the deferred job both need
-                        // the (sanitised) MV payload; the job keeps the
-                        // original.
-                        self.frames.push(entry(job.info.mvs.clone()));
-                        wave.jobs.push(job);
-                        if wave.jobs.len() >= wave.flush_threshold {
-                            self.flush_wave()?;
-                        }
-                    }
-                    None => {
-                        let mask = exec_recon(
-                            &job,
-                            &self.ref_segs,
-                            w,
-                            h,
-                            self.mb,
-                            &self.cfg.recon,
-                            self.cfg.sandwich,
-                            self.nns,
-                            self.nns_q.as_ref(),
-                        )?;
-                        self.task.store_refined(display, mask);
-                        self.frames.push(entry(job.info.mvs));
-                    }
+                });
+                if self.wave.jobs.len() >= self.wave.flush_threshold {
+                    self.flush_wave()?;
                 }
+                work
             }
             UnitPayload::Skipped { display } => {
                 let Some(display) = display else {
                     return Ok(None);
                 };
                 if unit.ftype.is_anchor() {
-                    self.policy.stats().anchors_lost += 1;
+                    self.stats.anchors_lost += 1;
                     self.pending_refetch = true;
                 } else {
-                    self.policy.stats().b_copied += 1;
-                    self.task.store_nearest(display, &self.ref_segs);
+                    self.copy_nearest_reference(display)?;
                 }
-                self.frames.push((
-                    TraceFrame {
-                        display,
-                        ftype: unit.ftype,
-                        kind: ComputeKind::NnSRefine {
-                            ops: 0,
-                            mvs: vec![],
-                        },
-                        full_decode: false,
-                        bitstream_bytes: 0,
-                    },
-                    ByteClass::Zero,
-                ));
+                self.emit(display, unit.ftype, lost(), ByteClass::Zero)
             }
-        }
-        Ok(self.emitted(before))
+        };
+        Ok(Some(work))
     }
 
-    /// Ends the stream: patches the whole-stream per-frame byte averages
-    /// into the trace, collects the task outputs and closes the books.
-    /// `totals` and `peak_live_frames` come from the exhausted source.
+    /// Ends the stream: flushes the wave, patches the whole-stream
+    /// per-frame byte averages into the trace, collects the outputs and
+    /// closes the books. `totals` and `peak_live_frames` come from the
+    /// exhausted source.
     ///
     /// # Errors
-    /// Propagates [`TaskPolicy::finalize_strict`] failures (a strict run
-    /// with frames that were never produced).
+    /// A strict run with a frame that was never produced returns
+    /// [`VrDannError::BadInput`] naming the first one (a concealing run
+    /// fills such gaps from the nearest computed frame instead); pending
+    /// reconstruction failures propagate.
     pub fn finish(
         mut self,
         totals: vrd_codec::StreamTotals,
         peak_live_frames: usize,
     ) -> Result<EngineRun<T::Output>> {
+        self.flush_wave()?;
         // The per-frame byte figures are whole-stream averages, only known
         // once the source is exhausted — patch them in now.
         let per_anchor_bytes = totals.anchor_bytes / totals.anchors.max(1);
@@ -1180,25 +1028,36 @@ impl<'a, T: TaskPolicy, P: FaultPolicy> PipelineEngine<'a, T, P> {
             })
             .collect();
 
-        let scheme = self.task.scheme();
-        let peak_live_features = self.task.peak_live_features();
-        let outputs = if P::CONCEALING {
-            self.task.finalize_concealed()
-        } else {
-            self.task.finalize_strict()?
-        };
+        if P::CONCEALING {
+            let computed: Vec<u32> = (0u32..)
+                .zip(&self.outputs)
+                .filter_map(|(d, slot)| slot.is_some().then_some(d))
+                .collect();
+            for display in 0..self.outputs.len() as u32 {
+                if self.outputs[display as usize].is_none() {
+                    let fill = self.nearest_output(computed.iter().copied(), display);
+                    self.store(display, fill)?;
+                }
+            }
+        }
+        let outputs = (self.outputs.into_iter())
+            .enumerate()
+            .map(|(d, slot)| {
+                slot.ok_or_else(|| VrDannError::BadInput(format!("frame {d} never produced")))
+            })
+            .collect::<Result<_>>()?;
         Ok(EngineRun {
             outputs,
             trace: SchemeTrace {
-                scheme,
-                width: self.w,
-                height: self.h,
-                mb_size: self.mb,
+                scheme: self.task.scheme(),
+                width: self.ctx.stream.width,
+                height: self.ctx.stream.height,
+                mb_size: self.ctx.stream.mb_size,
                 frames,
             },
-            concealment: self.policy.into_stats(),
+            concealment: self.stats,
             peak_live_frames,
-            peak_live_features,
+            peak_live_features: self.task.peak_live_features(),
             peak_inflight_units: self.peak_inflight_units,
         })
     }
@@ -1223,7 +1082,7 @@ impl<'a, T: TaskPolicy, P: FaultPolicy> PipelineEngine<'a, T, P> {
     /// per-frame mask computation runs concurrently. Memory stays bounded:
     /// the source keeps its own O(GOP) window, at most
     /// `opts.channel_capacity` decoded units sit in the channel, and a wave
-    /// holds at most O(GOP) deferred jobs.
+    /// holds at most O(GOP) planned jobs.
     ///
     /// `observe` is called on this thread after each step that emitted
     /// work, with the engine, the index of the unit in decode order and
@@ -1232,6 +1091,8 @@ impl<'a, T: TaskPolicy, P: FaultPolicy> PipelineEngine<'a, T, P> {
     /// error it returns ends the run.
     ///
     /// # Errors
+    /// Returns [`VrDannError::BadInput`] before priming if the task's
+    /// sequence and the stream disagree on frame count or frame size.
     /// Propagates source decode errors (strict sources only; with lanes
     /// the decode lane shuts down first), reconstruction failures and
     /// observer errors, and reports a decode lane that panicked as
@@ -1243,7 +1104,19 @@ impl<'a, T: TaskPolicy, P: FaultPolicy> PipelineEngine<'a, T, P> {
         lanes: Option<&PipelineOptions>,
         mut observe: impl FnMut(&Self, usize, StepWork) -> Result<()>,
     ) -> Result<EngineRun<T::Output>> {
-        self.prime(&source.info(), prepopulate);
+        let info = source.info();
+        let seq = self.task.sequence();
+        let (w, h) = (seq.frames.first()).map_or((0, 0), |f| (f.width(), f.height()));
+        if (seq.len(), w, h) != (info.n_frames, info.width, info.height) {
+            return Err(VrDannError::BadInput(format!(
+                "the sequence holds {} frames of {w}x{h}, the stream {} frames of {}x{}",
+                seq.len(),
+                info.n_frames,
+                info.width,
+                info.height
+            )));
+        }
+        self.prime(&info, prepopulate);
         let Some(opts) = lanes else {
             self.pump(std::iter::from_fn(|| source.next_unit()), &mut observe)?;
             return self.finish(source.totals(), source.peak_live_frames());
@@ -1251,7 +1124,7 @@ impl<'a, T: TaskPolicy, P: FaultPolicy> PipelineEngine<'a, T, P> {
         // A zero in either field is clamped to 1 by `parallel_map_with` and
         // `stage_channel` themselves.
         let threads = opts.threads.unwrap_or_else(vrd_runtime::max_threads);
-        self.wave = Some(Wave::new(threads));
+        self.wave = Wave::new(Some(threads));
         let capacity = opts.channel_capacity.unwrap_or(DEFAULT_STAGE_CAPACITY);
         let (tx, rx) = vrd_runtime::stage_channel(capacity);
         let (pumped, lane) = std::thread::scope(|s| {
@@ -1283,7 +1156,6 @@ impl<'a, T: TaskPolicy, P: FaultPolicy> PipelineEngine<'a, T, P> {
                 .unwrap_or_else(|| "non-string panic payload".into());
             VrDannError::BadInput(format!("decode lane panicked: {msg}"))
         })?;
-        self.flush_wave()?;
         self.finish(totals, peak_frames)
     }
 
@@ -1337,4 +1209,92 @@ pub(crate) fn run_display_order<O>(
             frames,
         },
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vrd_video::davis::{davis_sequence, SuiteConfig};
+
+    /// Frame `d`'s stand-in output: an otherwise empty mask with pixel
+    /// `(d, 0)` set.
+    fn marked(seq: &Sequence, d: u32) -> SegMask {
+        let mut mask = SegMask::new(seq.width(), seq.height());
+        mask.set(d as usize, 0, 1);
+        mask
+    }
+
+    /// Runs `check` on an unprimed engine over an 8-frame sequence (the
+    /// store needs no stream) with `marked` outputs stored at `stored`.
+    fn with_store<P: FaultPolicy>(
+        policy: P,
+        stored: &[u32],
+        check: impl FnOnce(PipelineEngine<'_, SegTask<'_>, P>, &Sequence),
+    ) {
+        let suite = SuiteConfig {
+            frames: 8,
+            ..SuiteConfig::tiny()
+        };
+        let seq = davis_sequence("cows", &suite).unwrap();
+        let (cfg, nns) = (VrDannConfig::default(), NnS::new(4, 1));
+        let info = StreamInfo {
+            width: seq.width(),
+            height: seq.height(),
+            mb_size: 16,
+            n_frames: seq.len(),
+        };
+        let task = SegTask::for_stream(&seq, &cfg, &info);
+        let mut engine = PipelineEngine::new(&cfg, &nns, task, policy);
+        for &d in stored {
+            engine.store(d, marked(&seq, d)).unwrap();
+        }
+        check(engine, &seq);
+    }
+
+    #[test]
+    fn nearest_copy_prefers_the_lower_display_and_falls_back_to_empty() {
+        with_store(StrictPolicy::default(), &[2, 5, 6], |engine, seq| {
+            let refs = || [2u32, 6].into_iter();
+            assert_eq!(engine.nearest_output(refs(), 3), marked(seq, 2));
+            assert_eq!(engine.nearest_output(refs(), 4), marked(seq, 2), "tie");
+            assert_eq!(engine.nearest_output(refs(), 5), marked(seq, 6));
+            let empty = SegMask::new(seq.width(), seq.height());
+            assert_eq!(engine.nearest_output(std::iter::empty(), 4), empty);
+        });
+    }
+
+    #[test]
+    fn the_store_bounds_display_indices_by_the_sequence() {
+        with_store(StrictPolicy::default(), &[], |mut engine, seq| {
+            let err = engine.store(8, marked(seq, 0)).unwrap_err();
+            assert!(matches!(err, VrDannError::BadInput(_)), "{err}");
+            let msg = err.to_string();
+            assert!(msg.contains("frame 8") && msg.contains("8-frame"), "{msg}");
+        });
+    }
+
+    #[test]
+    fn strict_collect_names_the_first_missing_frame() {
+        with_store(StrictPolicy::default(), &[0, 1, 2, 4, 6, 7], |engine, _| {
+            let err = engine.finish(Default::default(), 0).unwrap_err();
+            assert!(err.to_string().contains("frame 3 never produced"), "{err}");
+        });
+    }
+
+    #[test]
+    fn concealed_collect_fills_leading_inner_and_trailing_gaps() {
+        let policy = ConcealingPolicy::new(&ResilienceOptions::default());
+        with_store(policy, &[2, 4, 5], |engine, seq| {
+            let run = engine.finish(Default::default(), 0).unwrap();
+            let from: Vec<u32> = vec![2, 2, 2, 2, 4, 5, 5, 5];
+            let want: Vec<SegMask> = from.iter().map(|&d| marked(seq, d)).collect();
+            assert_eq!(run.outputs, want);
+        });
+        let policy = ConcealingPolicy::new(&ResilienceOptions::default());
+        with_store(policy, &[], |engine, seq| {
+            let run = engine.finish(Default::default(), 0).unwrap();
+            let empty = SegMask::new(seq.width(), seq.height());
+            assert_eq!(run.outputs, vec![empty; 8]);
+        });
+    }
 }

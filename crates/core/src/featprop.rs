@@ -46,29 +46,13 @@ pub struct FeatPropTask<'a> {
     w: usize,
     h: usize,
     mb: usize,
-    masks: Vec<Option<SegMask>>,
     /// Cached backbone features per live anchor, evicted with the engine's
     /// reference-mask window.
     feats: BTreeMap<u32, FeatureMap>,
     peak_feats: usize,
 }
 
-impl<'a> FeatPropTask<'a> {
-    /// Builds the task for one sequence/stream pair.
-    pub fn new(seq: &'a Sequence, nnl: LargeNet, seed: u64, info: &StreamInfo) -> Self {
-        Self {
-            seq,
-            nnl,
-            seed,
-            w: info.width,
-            h: info.height,
-            mb: info.mb_size,
-            masks: vec![None; seq.len()],
-            feats: BTreeMap::new(),
-            peak_feats: 0,
-        }
-    }
-
+impl FeatPropTask<'_> {
     /// The feature map of the display-nearest cached anchor (for intra
     /// blocks, which have no MV and fill co-located — the feature-space
     /// analogue of the reconstruction kernel's intra fallback).
@@ -82,7 +66,16 @@ impl<'a> FeatPropTask<'a> {
 
 impl<'s> StreamTask<'s> for FeatPropTask<'s> {
     fn for_stream(seq: &'s Sequence, cfg: &VrDannConfig, info: &StreamInfo) -> Self {
-        Self::new(seq, LargeNet::new(cfg.segment_profile), cfg.seed, info)
+        Self {
+            seq,
+            nnl: LargeNet::new(cfg.segment_profile),
+            seed: cfg.seed,
+            w: info.width,
+            h: info.height,
+            mb: info.mb_size,
+            feats: BTreeMap::new(),
+            peak_feats: 0,
+        }
     }
 }
 
@@ -97,11 +90,15 @@ impl TaskPolicy for FeatPropTask<'_> {
         SchemeKind::FeatProp
     }
 
+    fn sequence(&self) -> &Sequence {
+        self.seq
+    }
+
     fn nnl_ops(&self) -> u64 {
         self.nnl.ops(self.w, self.h)
     }
 
-    fn infer_anchor(&mut self, display: u32, reinfer: bool) -> SegMask {
+    fn infer_anchor(&mut self, display: u32, reinfer: bool) -> (SegMask, SegMask) {
         // Same seed lanes as `SegTask`, so FeatProp's anchors are
         // bit-identical to VR-DANN's — the baseline comparison then
         // isolates the propagation method, not the anchor noise.
@@ -113,11 +110,10 @@ impl TaskPolicy for FeatPropTask<'_> {
         let mask = self.nnl.forward_head(&feat);
         self.feats.insert(display, feat);
         self.peak_feats = self.peak_feats.max(self.feats.len());
-        self.masks[display as usize] = Some(mask.clone());
-        mask
+        (mask.clone(), mask)
     }
 
-    fn propagate(&mut self, info: &BFrameInfo) -> Option<Result<u64>> {
+    fn propagate(&mut self, info: &BFrameInfo) -> Option<Result<(SegMask, u64)>> {
         let display = info.display_idx;
         let mut out = FeatureMap::zeros(self.w, self.h, FEATURE_STRIDE, FEATURE_CHANNELS);
         // The transient destination map counts against the live-feature
@@ -183,8 +179,7 @@ impl TaskPolicy for FeatPropTask<'_> {
         }
 
         let mask = self.nnl.forward_head(&out);
-        self.masks[display as usize] = Some(mask);
-        Some(Ok(self.nnl.head_ops(self.w, self.h)))
+        Some(Ok((mask, self.nnl.head_ops(self.w, self.h))))
     }
 
     fn evict_below(&mut self, oldest: u32) {
@@ -195,53 +190,11 @@ impl TaskPolicy for FeatPropTask<'_> {
         self.peak_feats
     }
 
-    fn store_refined(&mut self, display: u32, mask: SegMask) {
-        self.masks[display as usize] = Some(mask);
+    fn refine(&self, mask: SegMask) -> SegMask {
+        mask
     }
 
-    fn store_nearest(&mut self, display: u32, refs: &BTreeMap<u32, SegMask>) {
-        let mask = refs
-            .iter()
-            .min_by_key(|(d, _)| d.abs_diff(display))
-            .map(|(_, m)| m.clone())
-            .unwrap_or_else(|| SegMask::new(self.w, self.h));
-        self.masks[display as usize] = Some(mask);
-    }
-
-    fn store_empty(&mut self, display: u32) {
-        self.masks[display as usize] = Some(SegMask::new(self.w, self.h));
-    }
-
-    fn finalize_strict(self) -> Result<Vec<SegMask>> {
-        self.masks
-            .into_iter()
-            .enumerate()
-            .map(|(i, m)| {
-                m.ok_or_else(|| VrDannError::BadInput(format!("frame {i} never segmented")))
-            })
-            .collect()
-    }
-
-    fn finalize_concealed(self) -> Vec<SegMask> {
-        let computed: BTreeMap<u32, SegMask> = self
-            .masks
-            .iter()
-            .enumerate()
-            .filter_map(|(d, m)| m.as_ref().map(|m| (d as u32, m.clone())))
-            .collect();
-        let (w, h) = (self.w, self.h);
-        self.masks
-            .into_iter()
-            .enumerate()
-            .map(|(d, m)| {
-                m.unwrap_or_else(|| {
-                    computed
-                        .iter()
-                        .min_by_key(|(k, _)| k.abs_diff(d as u32))
-                        .map(|(_, m)| m.clone())
-                        .unwrap_or_else(|| SegMask::new(w, h))
-                })
-            })
-            .collect()
+    fn empty(&self) -> SegMask {
+        SegMask::new(self.w, self.h)
     }
 }

@@ -15,7 +15,10 @@
 //!   [`FeatPropTask`]), input ([`RunInput`]: strict bitstream or resilient
 //!   packet stream) and optional lanes ([`PipelineOptions`]);
 //! * [`engine`] — the streaming [`PipelineEngine`] underneath and its one
-//!   driver, [`PipelineEngine::drive`];
+//!   driver, [`PipelineEngine::drive`]. The engine owns the frame ladder
+//!   (reference window, output store, concealment and its counters, trace);
+//!   [`TaskPolicy`] and [`FaultPolicy`] supply what differs between tasks
+//!   and between strict and resilient inputs;
 //! * [`baselines`] — OSVOS, FAVOS, DFF, SELSA and Euphrates;
 //! * [`trace`] — the workload traces the `vrd-sim` architecture simulator
 //!   replays to produce the paper's performance/energy figures.
@@ -52,7 +55,7 @@ pub mod vrdann;
 pub use components::{boxes_to_mask, extract_components};
 pub use engine::{
     ConcealingPolicy, DetTask, EngineCheckpoint, EngineRun, FaultPolicy, PipelineEngine,
-    PipelineOptions, PolicyCheckpoint, SegTask, StepWork, StreamTask, StrictPolicy, TaskPolicy,
+    PipelineOptions, SegTask, StepWork, StreamTask, StrictPolicy, TaskPolicy,
 };
 pub use error::{Result, VrDannError};
 pub use featprop::FeatPropTask;

@@ -6,7 +6,11 @@
 //! and following segmentation results of the reference I-frame and P-frame."
 
 use crate::error::{Result, VrDannError};
+use crate::recon::reconstruct_b_frame;
+use crate::vrdann::VrDannConfig;
 use std::collections::BTreeMap;
+use vrd_codec::decoder::BFrameInfo;
+use vrd_codec::StreamInfo;
 use vrd_nn::Tensor;
 use vrd_video::{Seg2Plane, SegMask};
 
@@ -71,6 +75,28 @@ pub fn build_reconstruction_only(plane: &Seg2Plane) -> Tensor {
     rest[..hw].copy_from_slice(first);
     rest[hw..].copy_from_slice(first);
     Tensor::from_vec(3, h, w, data)
+}
+
+/// The NN-S input of one B-frame, shared by training and the engine:
+/// reconstruct the frame from its motion vectors, then build the sandwich
+/// around it — or, with `cfg.sandwich` off, the reconstruction alone.
+///
+/// # Errors
+/// Propagates reconstruction and sandwich failures (a motion vector or a
+/// sandwich with no reference segmentation to read).
+pub(crate) fn nns_input(
+    info: &BFrameInfo,
+    ref_segs: &BTreeMap<u32, SegMask>,
+    stream: &StreamInfo,
+    cfg: &VrDannConfig,
+) -> Result<Tensor> {
+    let (w, h, mb) = (stream.width, stream.height, stream.mb_size);
+    let plane = reconstruct_b_frame(info, ref_segs, w, h, mb, &cfg.recon)?;
+    if cfg.sandwich {
+        build_sandwich(info.display_idx, &plane, ref_segs)
+    } else {
+        Ok(build_reconstruction_only(&plane))
+    }
 }
 
 /// Retained per-pixel sandwich assembly — the scalar ground truth the fused

@@ -15,8 +15,8 @@ use crate::engine::{
     StrictPolicy,
 };
 use crate::error::{Result, VrDannError};
-use crate::recon::{reconstruct_b_frame, ReconConfig};
-use crate::sandwich::{build_reconstruction_only, build_sandwich};
+use crate::recon::ReconConfig;
+use crate::sandwich::nns_input;
 use crate::trace::{ConcealmentStats, SchemeTrace};
 use std::collections::BTreeMap;
 use vrd_codec::faults::PacketStream;
@@ -248,19 +248,7 @@ impl VrDann {
                 }
             }
             for info in &b_frames {
-                let plane = reconstruct_b_frame(
-                    info,
-                    &ref_segs,
-                    stream.width,
-                    stream.height,
-                    stream.mb_size,
-                    &cfg.recon,
-                )?;
-                let input = if cfg.sandwich {
-                    build_sandwich(info.display_idx, &plane, &ref_segs)?
-                } else {
-                    build_reconstruction_only(&plane)
-                };
+                let input = nns_input(info, &ref_segs, &stream, &cfg)?;
                 let target = Tensor::from_mask(&gt_mask(info.display_idx as usize));
                 samples.push(Sample { input, target });
             }
@@ -626,6 +614,56 @@ mod tests {
         seq.gt_boxes.truncate(1);
         let err = VrDann::train(&[seq], TrainTask::Segmentation, VrDannConfig::default());
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn a_sequence_that_disagrees_with_its_stream_is_an_error() {
+        let (model, cfg) = tiny_model(TrainTask::Segmentation);
+        let seq = davis_sequence("cows", &cfg).unwrap();
+        let encoded = model.encode(&seq).unwrap();
+        let packets = vrd_codec::packetize(&encoded.bitstream).unwrap();
+        let resilience = ResilienceOptions::default();
+        let mut short = seq.clone();
+        short.frames.truncate(6);
+        short.gt_masks.truncate(6);
+        short.gt_boxes.truncate(6);
+        let wide = SuiteConfig {
+            width: 96,
+            height: 64,
+            ..cfg
+        };
+        let wide = davis_sequence("cows", &wide).unwrap();
+        for (other, what) in [(&short, "6 frames"), (&wide, "96x64")] {
+            for input in [
+                RunInput::Strict(&encoded),
+                RunInput::Resilient(&packets, &resilience),
+            ] {
+                let seg = model.run::<SegTask>(other, input, None).map(|_| ());
+                let det = model.run::<crate::DetTask>(other, input, None).map(|_| ());
+                for result in [seg, det] {
+                    match result {
+                        Err(VrDannError::BadInput(msg)) => assert!(msg.contains(what), "{msg}"),
+                        unexpected => panic!("{what}: {unexpected:?}"),
+                    }
+                }
+            }
+        }
+
+        // A caller that owns the loop bypasses `drive`'s check; the store's
+        // frame-index bound still turns the overrun into an error, from a
+        // unit and from `prime`'s prepopulation alike.
+        for prepopulate in [&[][..], &[9]] {
+            let mut source = StrictFrameSource::new(&encoded.bitstream).unwrap();
+            let info = source.info();
+            let task = SegTask::for_stream(&short, model.config(), &info);
+            let mut engine =
+                PipelineEngine::new(model.config(), model.nns(), task, StrictPolicy::default());
+            engine.prime(&info, prepopulate);
+            let err = std::iter::from_fn(|| source.next_unit())
+                .find_map(|unit| engine.step(unit.unwrap()).err())
+                .expect("a 16-frame stream overruns a 6-frame sequence");
+            assert!(err.to_string().contains("6-frame sequence"), "{err}");
+        }
     }
 
     #[test]

@@ -555,16 +555,16 @@ fn band_portable(conv: &Conv2d, x: Input<'_>, band: Band<'_>, epilogue: Epilogue
 
 /// [`band_body`] compiled with AVX2 enabled. `fma` is deliberately left
 /// off: a fused multiply-add rounds once where the reference rounds twice.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn band_avx2(conv: &Conv2d, x: Input<'_>, band: Band<'_>, epilogue: Epilogue) {
     band_body(conv, x, band, epilogue);
 }
 
-/// The AVX2 build of the band kernel when the `simd` feature is on and the
-/// CPU has it; [`band_portable`] otherwise.
+/// The AVX2 build of the band kernel on an `x86_64` CPU that has it;
+/// [`band_portable`] otherwise.
 fn band_dispatch(conv: &Conv2d, x: Input<'_>, band: Band<'_>, epilogue: Epilogue) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if crate::quant::avx2_enabled() {
         // SAFETY: AVX2 was just detected on this CPU, which is all
         // `band_avx2` (safe code compiled for that target) requires.

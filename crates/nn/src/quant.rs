@@ -23,12 +23,12 @@
 //!   the clamp *is* the ReLU.
 //!
 //! The inner loops come in two flavours: a portable tap-AXPY over `i32`
-//! rows (autovectorizable tight loops), and an explicit AVX2 kernel behind
-//! the `simd` cargo feature + runtime detection that widens `u8` rows to
-//! `i16` lanes, multiplies two taps per step (`127·127` fits `i16`, the
-//! pair-sum too), and widens to `i32` accumulators held in registers — 32
-//! MACs per 9 vector ops, no loads/stores of the accumulator row. Both
-//! compute identical integers.
+//! rows (autovectorizable tight loops), and an explicit AVX2 kernel —
+//! built on `x86_64`, selected by runtime detection — that widens `u8`
+//! rows to `i16` lanes, multiplies two taps per step (`127·127` fits
+//! `i16`, the pair-sum too), and widens to `i32` accumulators held in
+//! registers — 32 MACs per 9 vector ops, no loads/stores of the
+//! accumulator row. Both compute identical integers.
 //!
 //! [`QuantNnS`] wires three [`QuantConv2d`]s into the NN-S topology.
 //! The final concat feeding conv3 mixes two activation scales (`a1` and
@@ -333,7 +333,7 @@ impl QuantConv2d {
         let mut entries: Vec<(&[u8], &[i8])> = Vec::with_capacity(self.cin * k);
         // Packed (w_a, w_b) weight-pair scratch for the AVX2 inner loop,
         // reused across rows.
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         let mut wpack: Vec<i32> = Vec::with_capacity(self.cin * k * k);
         for y in 0..h {
             entries.clear();
@@ -349,7 +349,7 @@ impl QuantConv2d {
                 }
             }
             let row = &mut acc[y * w..][..w];
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             if avx2_enabled() && w >= 2 * pad + 16 {
                 // SAFETY: AVX2 was detected; `x86::accumulate_row` only
                 // touches indices in [0, w) of each entry row and
@@ -369,7 +369,7 @@ impl QuantConv2d {
     /// for this layer's accumulator range (see [`Requant::vector_safe`]);
     /// otherwise applies the scalar definition element-wise.
     fn requant_plane(&self, rq: &Requant, acc: &[i32], out: &mut [u8]) {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         {
             let acc_bound = (self.cin * self.k * self.k) as i64 * (QMAX as i64) * (QMAX as i64);
             if avx2_enabled() && rq.vector_safe(acc_bound) {
@@ -502,14 +502,14 @@ fn scalar_columns(
     }
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 pub(crate) fn avx2_enabled() -> bool {
     use std::sync::OnceLock;
     static ON: OnceLock<bool> = OnceLock::new();
     *ON.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod x86 {
     #[allow(clippy::wildcard_imports)] // the intrinsics namespace is the API
     use std::arch::x86_64::*;
