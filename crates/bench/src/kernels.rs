@@ -96,7 +96,7 @@ fn naive_infer(nns: &NnS, x: &Tensor) -> Tensor {
     let mut a1 = reference::forward(c1, x);
     relu_in_place(a1.as_mut_slice());
     let mut d = vec![0.0; hid * h * w / 4];
-    maxpool2_into(a1.as_slice(), hid, h, w, &mut d);
+    maxpool2_into(a1.as_slice(), hid, h, w, &mut d, f32::max);
     let mut a2 = reference::forward(c2, &Tensor::from_vec(hid, h / 2, w / 2, d));
     relu_in_place(a2.as_mut_slice());
     let mut cat = vec![0.0; 2 * hid * h * w];
@@ -129,7 +129,7 @@ fn nn_rows(rows: &mut Vec<Row>) {
     rows.push(row);
 
     // Single conv layer, forward and backward, at the training resolution.
-    let mut conv = Conv2d::new(3, 8, 3, 7);
+    let conv = Conv2d::new(3, 8, 3, 7);
     let x = Tensor::from_vec(
         3,
         48,
@@ -164,16 +164,16 @@ fn nn_rows(rows: &mut Vec<Row>) {
         }));
     }
 
-    let gout = conv.forward(&x);
-    let frozen = conv.clone();
+    let gout = conv.forward_inference(&x);
     rows.push(pair(
         "conv_backward_64x48",
         UNGATED,
         (31, || {
-            conv.zero_grad();
-            conv.backward(&gout)
+            let (mut gw, mut gb) = (vec![0.0; conv.weights().len()], vec![0.0; conv.cout()]);
+            let gin = conv.backward(&x, &gout, &mut gw, &mut gb);
+            (gin, gw, gb)
         }),
-        (31, || reference::backward(&frozen, &x, &gout).0),
+        (31, || reference::backward(&conv, &x, &gout)),
     ));
 }
 

@@ -533,6 +533,28 @@ mod tests {
     }
 
     #[test]
+    fn a_model_file_with_a_non_finite_weight_is_invalid_config() {
+        // Such a file used to load and then panic the int8 path inside
+        // `Requant::from_real` — with the calibration trailer and, through
+        // the weight-norm scale bound, without it.
+        let (model, _) = tiny_model(TrainTask::Segmentation);
+        let with_trailer = model.export_nns();
+        let without = &with_trailer[..with_trailer.len() - 16];
+        for file in [&with_trailer[..], without] {
+            assert!(VrDann::from_parts(*model.config(), file).is_ok());
+            let mut bad = file.to_vec();
+            // Bytes 13..17 hold conv1's first weight.
+            bad[13..17].copy_from_slice(&f32::INFINITY.to_le_bytes());
+            match VrDann::from_parts(*model.config(), &bad) {
+                Err(VrDannError::InvalidConfig(msg)) => {
+                    assert!(msg.contains("conv1: weight 0 is inf"), "{msg}");
+                }
+                other => panic!("expected InvalidConfig, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn adaptive_fallback_reroutes_fast_b_frames_to_nnl() {
         let (model, cfg) = tiny_model(TrainTask::Segmentation);
         let seq = davis_sequence("parkour", &cfg).unwrap();

@@ -1,4 +1,6 @@
-//! 2D convolution with backpropagation.
+//! 2D convolution: a layer is its shape and its parameters; the forward and
+//! backward kernels take everything else — input, output gradient, the
+//! buffers gradients are added into — from the caller.
 //!
 //! The forward kernel is row-tiled: for each output row it holds a
 //! `CO_BLOCK`-channel × `TILE_W`-column block of accumulators in
@@ -25,8 +27,9 @@ use rand::{RngExt, SeedableRng};
 /// saves.
 const PAR_MIN_MACS: u64 = 8_000_000;
 
-/// A stride-1, same-padded `k × k` convolution layer with bias, plus the
-/// plumbing needed to train it (gradient buffers, SGD-momentum state).
+/// A stride-1, same-padded `k × k` convolution layer with bias: its shape and
+/// its parameters, nothing else. Gradients and optimiser state belong to
+/// whoever trains it (see [`crate::trainer`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Conv2d {
     cin: usize,
@@ -35,14 +38,6 @@ pub struct Conv2d {
     /// Weights laid out `[cout][cin][k][k]`.
     w: Vec<f32>,
     b: Vec<f32>,
-    gw: Vec<f32>,
-    gb: Vec<f32>,
-    vw: Vec<f32>,
-    vb: Vec<f32>,
-    /// Second-moment accumulators (Adam only).
-    sw: Vec<f32>,
-    sb: Vec<f32>,
-    cache: Option<Tensor>,
 }
 
 impl Conv2d {
@@ -60,21 +55,49 @@ impl Conv2d {
         let w = (0..cout * cin * k * k)
             .map(|_| rng.random_range(-bound..bound))
             .collect();
-        let n = cout * cin * k * k;
         Self {
             cin,
             cout,
             k,
             w,
             b: vec![0.0; cout],
-            gw: vec![0.0; n],
-            gb: vec![0.0; cout],
-            vw: vec![0.0; n],
-            vb: vec![0.0; cout],
-            sw: vec![0.0; n],
-            sb: vec![0.0; cout],
-            cache: None,
         }
+    }
+
+    /// Builds a layer from existing parameters — the one way parameters
+    /// from outside (a model file, a test) become a layer.
+    ///
+    /// # Errors
+    /// Returns a message if a dimension is zero, `k` is even, a length does
+    /// not match the shape, or any weight or bias is not finite.
+    pub fn from_params(
+        cin: usize,
+        cout: usize,
+        k: usize,
+        w: Vec<f32>,
+        b: Vec<f32>,
+    ) -> Result<Self, String> {
+        if cin == 0 || cout == 0 || k.is_multiple_of(2) {
+            return Err(format!(
+                "bad shape {cin}x{cout}, kernel {k}: dims must be non-zero, the kernel odd"
+            ));
+        }
+        let n = [cin, k, k]
+            .iter()
+            .try_fold(cout, |n, &d| n.checked_mul(d))
+            .ok_or("shape overflows")?;
+        if w.len() != n {
+            return Err(format!("expected {n} weights, got {}", w.len()));
+        }
+        if b.len() != cout {
+            return Err(format!("expected {cout} biases, got {}", b.len()));
+        }
+        for (what, vals) in [("weight", &w), ("bias", &b)] {
+            if let Some((i, v)) = vals.iter().enumerate().find(|(_, v)| !v.is_finite()) {
+                return Err(format!("{what} {i} is {v}"));
+            }
+        }
+        Ok(Self { cin, cout, k, w, b })
     }
 
     /// Number of trainable parameters.
@@ -97,59 +120,19 @@ impl Conv2d {
         self.k
     }
 
-    /// Accumulated weight and bias gradients (for tests and reductions).
-    pub fn grads(&self) -> (&[f32], &[f32]) {
-        (&self.gw, &self.gb)
+    /// The weights, laid out `[cout][cin][k][k]`.
+    pub fn weights(&self) -> &[f32] {
+        &self.w
     }
 
-    /// Adds another layer's accumulated gradients into this one's buffers
-    /// (per-sample gradient reduction in the trainer).
-    ///
-    /// # Panics
-    /// Panics if the layer shapes differ.
-    pub fn accumulate_grads_from(&mut self, other: &Conv2d) {
-        assert_eq!(
-            self.gw.len(),
-            other.gw.len(),
-            "grad reduction shape mismatch"
-        );
-        for (a, &g) in self.gw.iter_mut().zip(&other.gw) {
-            *a += g;
-        }
-        for (a, &g) in self.gb.iter_mut().zip(&other.gb) {
-            *a += g;
-        }
+    /// The biases, one per output channel.
+    pub fn bias(&self) -> &[f32] {
+        &self.b
     }
 
-    /// Copies out the weights and biases (for serialisation).
-    pub fn export_params(&self) -> (Vec<f32>, Vec<f32>) {
-        (self.w.clone(), self.b.clone())
-    }
-
-    /// Replaces the weights and biases (for deserialisation); resets the
-    /// optimiser state.
-    ///
-    /// # Errors
-    /// Returns a message if the lengths do not match this layer's shape.
-    pub fn import_params(&mut self, w: &[f32], b: &[f32]) -> Result<(), String> {
-        if w.len() != self.w.len() {
-            return Err(format!(
-                "expected {} weights, got {}",
-                self.w.len(),
-                w.len()
-            ));
-        }
-        if b.len() != self.b.len() {
-            return Err(format!("expected {} biases, got {}", self.b.len(), b.len()));
-        }
-        self.w.copy_from_slice(w);
-        self.b.copy_from_slice(b);
-        self.vw.fill(0.0);
-        self.vb.fill(0.0);
-        self.sw.fill(0.0);
-        self.sb.fill(0.0);
-        self.zero_grad();
-        Ok(())
+    /// Weights and biases, mutably — for the optimiser's update.
+    pub(crate) fn params_mut(&mut self) -> (&mut [f32], &mut [f32]) {
+        (&mut self.w, &mut self.b)
     }
 
     /// Multiply-accumulate operations for one forward pass over `h × w`.
@@ -157,9 +140,9 @@ impl Conv2d {
         (self.cin * self.cout * self.k * self.k * h * w) as u64
     }
 
-    /// Row bands a forward pass over `h × w` fans out to: one per available
-    /// thread once the work exceeds [`PAR_MIN_MACS`], otherwise one.
-    fn auto_bands(&self, h: usize, w: usize) -> usize {
+    /// Threads a pass over `h × w` fans out to: every available one once the
+    /// work exceeds [`PAR_MIN_MACS`], otherwise one.
+    fn auto_threads(&self, h: usize, w: usize) -> usize {
         if self.macs(h, w) >= PAR_MIN_MACS {
             vrd_runtime::max_threads()
         } else {
@@ -169,18 +152,10 @@ impl Conv2d {
 
     /// Slice-level forward kernel: reads a `cin × h × w` input, writes a
     /// `cout × h × w` output with `epilogue` applied as each value is
-    /// stored. Used by the pooled scratch-buffer path in `NnS`; the tensor
-    /// API (inference and training alike) runs the same driver.
-    pub(crate) fn forward_into(
-        &self,
-        xdata: &[f32],
-        h: usize,
-        w: usize,
-        out: &mut [f32],
-        epilogue: Epilogue,
-    ) {
-        let x = Input { data: xdata, h, w };
-        self.forward_banded(x, out, epilogue, self.auto_bands(h, w), band_dispatch);
+    /// stored. What the `NnS` graph runs on its pooled scratch buffers; the
+    /// tensor API runs the same driver.
+    pub(crate) fn forward_into(&self, x: Input<'_>, out: &mut [f32], epilogue: Epilogue) {
+        self.forward_banded(x, out, epilogue, self.auto_threads(x.h, x.w), band_dispatch);
     }
 
     /// The row-band driver: cuts the output rows into `bands` contiguous
@@ -223,24 +198,23 @@ impl Conv2d {
 
     fn forward_tensor(&self, x: &Tensor, bands: usize, body: BandBody) -> Tensor {
         assert_eq!(x.channels(), self.cin, "conv input channel mismatch");
-        let (h, w) = (x.height(), x.width());
-        let mut out = Tensor::zeros(self.cout, h, w);
-        let input = Input {
-            data: x.as_slice(),
-            h,
-            w,
-        };
-        self.forward_banded(input, out.as_mut_slice(), Epilogue::Linear, bands, body);
+        let mut out = Tensor::zeros(self.cout, x.height(), x.width());
+        self.forward_banded(
+            Input::of(x),
+            out.as_mut_slice(),
+            Epilogue::Linear,
+            bands,
+            body,
+        );
         out
     }
 
-    /// Forward pass without gradient bookkeeping: no input clone is cached,
-    /// so per-frame pipelines do not pay training costs.
+    /// Forward pass on tensors.
     ///
     /// # Panics
     /// Panics if the input channel count differs from `cin`.
     pub fn forward_inference(&self, x: &Tensor) -> Tensor {
-        self.forward_tensor(x, self.auto_bands(x.height(), x.width()), band_dispatch)
+        self.forward_tensor(x, self.auto_threads(x.height(), x.width()), band_dispatch)
     }
 
     /// [`Conv2d::forward_inference`] split into exactly `threads` row bands
@@ -252,29 +226,19 @@ impl Conv2d {
         self.forward_tensor(x, threads, band_dispatch)
     }
 
-    /// Forward pass; caches the input for the backward pass.
-    ///
-    /// # Panics
-    /// Panics if the input channel count differs from `cin`.
-    pub fn forward(&mut self, x: &Tensor) -> Tensor {
-        let out = self.forward_inference(x);
-        self.cache = Some(x.clone());
-        out
-    }
-
     /// Weight/bias gradient accumulation for one output channel.
     fn backward_wb_plane(
         &self,
         co: usize,
-        x: &Tensor,
-        gout: &Tensor,
+        x: Input<'_>,
+        gout: &[f32],
         row_nz: &[bool],
         gw_co: &mut [f32],
         gb_co: &mut f32,
     ) {
-        let (h, w) = (x.height(), x.width());
+        let (h, w) = (x.h, x.w);
         let (k, pad) = (self.k, (self.k / 2) as isize);
-        let gplane = &gout.as_slice()[co * h * w..][..h * w];
+        let gplane = &gout[co * h * w..][..h * w];
         let nz = &row_nz[co * h..][..h];
         // dL/db: plain sum of the output gradient, in (y, x) order. Rows
         // that are entirely zero are skipped — the sparse fast path for
@@ -292,7 +256,7 @@ impl Conv2d {
         // dL/dw: per tap, a scalar running sum over (y, x) — kept scalar so
         // the accumulation order matches the reference exactly.
         for ci in 0..self.cin {
-            let xplane = &x.as_slice()[ci * h * w..][..h * w];
+            let xplane = &x.data[ci * h * w..][..h * w];
             for ky in 0..k {
                 let dy = ky as isize - pad;
                 let y0 = (-dy).max(0) as usize;
@@ -330,11 +294,17 @@ impl Conv2d {
     /// ascending `(co, y, x)` order of the output elements; iterating the
     /// kernel taps in *descending* `(ky, kx)` order reproduces exactly that,
     /// so this scatter is bit-exact with the reference.
-    fn backward_gin_plane(&self, ci: usize, gout: &Tensor, row_nz: &[bool], gplane_in: &mut [f32]) {
-        let (h, w) = (gout.height(), gout.width());
+    fn backward_gin_plane(
+        &self,
+        ci: usize,
+        gout: &[f32],
+        (h, w): (usize, usize),
+        row_nz: &[bool],
+        gplane_in: &mut [f32],
+    ) {
         let (k, pad) = (self.k, (self.k / 2) as isize);
         for co in 0..self.cout {
-            let gplane = &gout.as_slice()[co * h * w..][..h * w];
+            let gplane = &gout[co * h * w..][..h * w];
             let nz = &row_nz[co * h..][..h];
             for ky in (0..k).rev() {
                 let dy = ky as isize - pad;
@@ -365,128 +335,78 @@ impl Conv2d {
         }
     }
 
-    /// Backward pass: accumulates weight/bias gradients and returns the
-    /// gradient with respect to the input.
-    ///
-    /// # Panics
-    /// Panics if called before [`Conv2d::forward`] or with a gradient whose
-    /// shape does not match the forward output.
-    pub fn backward(&mut self, gout: &Tensor) -> Tensor {
-        let x = self.cache.take().expect("forward must run before backward");
-        assert_eq!(gout.channels(), self.cout, "grad channel mismatch");
-        assert_eq!(
-            (gout.height(), gout.width()),
-            (x.height(), x.width()),
-            "grad spatial mismatch"
-        );
-        let (h, w) = (x.height(), x.width());
+    /// Slice-level backward pass over a `cin × h × w` input `x` and the
+    /// `cout × h × w` output gradient `gout`: adds dL/dw into `gw` and dL/db
+    /// into `gb` (both shaped like [`Conv2d::weights`] / [`Conv2d::bias`]),
+    /// and, when asked for, adds dL/dx into `gin`.
+    pub(crate) fn backward_into(
+        &self,
+        x: Input<'_>,
+        gout: &[f32],
+        gw: &mut [f32],
+        gb: &mut [f32],
+        gin: Option<&mut [f32]>,
+    ) {
+        let (h, w) = (x.h, x.w);
+        assert_eq!(x.data.len(), self.cin * h * w, "conv input length mismatch");
+        assert_eq!(gout.len(), self.cout * h * w, "grad length mismatch");
+        assert_eq!(gw.len(), self.w.len(), "weight-grad length mismatch");
+        assert_eq!(gb.len(), self.b.len(), "bias-grad length mismatch");
         // Row-granular zero map: gradients arriving through ReLU masks are
         // often zero-heavy, and whole-zero rows contribute nothing to any
         // gradient, so each pass skips them up front.
         let row_nz: Vec<bool> = gout
-            .as_slice()
             .chunks(w)
             .map(|row| row.iter().any(|&g| g != 0.0))
             .collect();
-        let parallel = self.macs(h, w) >= PAR_MIN_MACS && vrd_runtime::max_threads() > 1;
+        let threads = self.auto_threads(h, w);
 
         // Pass A — weight and bias gradients, partitioned by output channel
         // (each owns a disjoint `gw` block and `gb` element).
         let wb_len = self.cin * self.k * self.k;
-        let mut gw = std::mem::take(&mut self.gw);
-        let mut gb = std::mem::take(&mut self.gb);
-        {
-            let items: Vec<(usize, (&mut [f32], &mut f32))> = gw
-                .chunks_mut(wb_len)
-                .zip(gb.iter_mut())
-                .enumerate()
-                .collect();
-            let run = |(co, (gw_co, gb_co)): (usize, (&mut [f32], &mut f32))| {
-                self.backward_wb_plane(co, &x, gout, &row_nz, gw_co, gb_co);
-            };
-            if parallel {
-                vrd_runtime::parallel_for_each(items, run);
-            } else {
-                for item in items {
-                    run(item);
-                }
-            }
-        }
-        self.gw = gw;
-        self.gb = gb;
+        let items: Vec<(usize, (&mut [f32], &mut f32))> = gw
+            .chunks_mut(wb_len)
+            .zip(gb.iter_mut())
+            .enumerate()
+            .collect();
+        vrd_runtime::parallel_for_each_with(items, threads, |(co, (gw_co, gb_co))| {
+            self.backward_wb_plane(co, x, gout, &row_nz, gw_co, gb_co);
+        });
 
         // Pass B — input gradient, partitioned by input channel.
+        let Some(gin) = gin else { return };
+        assert_eq!(gin.len(), self.cin * h * w, "input-grad length mismatch");
+        let items: Vec<(usize, &mut [f32])> = gin.chunks_mut(h * w).enumerate().collect();
+        vrd_runtime::parallel_for_each_with(items, threads, |(ci, plane)| {
+            self.backward_gin_plane(ci, gout, (h, w), &row_nz, plane);
+        });
+    }
+
+    /// Backward pass for the input `x` and the output gradient `gout`: adds
+    /// the weight and bias gradients into `gw` and `gb` and returns the
+    /// gradient with respect to the input.
+    ///
+    /// # Panics
+    /// Panics if `x` or `gout` does not match the layer's shape or each
+    /// other's, or `gw` / `gb` the parameters' lengths.
+    pub fn backward(&self, x: &Tensor, gout: &Tensor, gw: &mut [f32], gb: &mut [f32]) -> Tensor {
+        // With the spatial sizes equal, the slice pass's length checks are
+        // the channel checks.
+        let (h, w) = (x.height(), x.width());
+        assert_eq!(
+            (gout.height(), gout.width()),
+            (h, w),
+            "grad spatial mismatch"
+        );
         let mut gin = Tensor::zeros(self.cin, h, w);
-        {
-            let items: Vec<(usize, &mut [f32])> =
-                gin.as_mut_slice().chunks_mut(h * w).enumerate().collect();
-            let run = |(ci, plane): (usize, &mut [f32])| {
-                self.backward_gin_plane(ci, gout, &row_nz, plane);
-            };
-            if parallel {
-                vrd_runtime::parallel_for_each(items, run);
-            } else {
-                for item in items {
-                    run(item);
-                }
-            }
-        }
-        self.cache = Some(x);
+        self.backward_into(
+            Input::of(x),
+            gout.as_slice(),
+            gw,
+            gb,
+            Some(gin.as_mut_slice()),
+        );
         gin
-    }
-
-    /// Clears accumulated gradients.
-    pub fn zero_grad(&mut self) {
-        self.gw.fill(0.0);
-        self.gb.fill(0.0);
-    }
-
-    /// SGD-with-momentum update using the accumulated gradients, scaled by
-    /// `1 / batch` (pass the minibatch size).
-    pub fn apply_grads(&mut self, lr: f32, momentum: f32, batch: usize) {
-        let scale = 1.0 / batch.max(1) as f32;
-        for i in 0..self.w.len() {
-            self.vw[i] = momentum * self.vw[i] - lr * self.gw[i] * scale;
-            self.w[i] += self.vw[i];
-        }
-        for i in 0..self.b.len() {
-            self.vb[i] = momentum * self.vb[i] - lr * self.gb[i] * scale;
-            self.b[i] += self.vb[i];
-        }
-    }
-
-    /// Adam update (Kingma & Ba) with bias correction; `step` is the
-    /// 1-based optimisation step and `batch` the minibatch size.
-    pub fn apply_grads_adam(
-        &mut self,
-        lr: f32,
-        beta1: f32,
-        beta2: f32,
-        eps: f32,
-        step: usize,
-        batch: usize,
-    ) {
-        let scale = 1.0 / batch.max(1) as f32;
-        let t = step.max(1) as i32;
-        let bc1 = 1.0 - beta1.powi(t);
-        let bc2 = 1.0 - beta2.powi(t);
-        let update = |w: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32]| {
-            for i in 0..w.len() {
-                let grad = g[i] * scale;
-                m[i] = beta1 * m[i] + (1.0 - beta1) * grad;
-                v[i] = beta2 * v[i] + (1.0 - beta2) * grad * grad;
-                let m_hat = m[i] / bc1;
-                let v_hat = v[i] / bc2;
-                w[i] -= lr * m_hat / (v_hat.sqrt() + eps);
-            }
-        };
-        update(&mut self.w, &self.gw, &mut self.vw, &mut self.sw);
-        update(&mut self.b, &self.gb, &mut self.vb, &mut self.sb);
-    }
-
-    #[cfg(test)]
-    fn w_mut(&mut self) -> &mut [f32] {
-        &mut self.w
     }
 }
 
@@ -522,12 +442,22 @@ impl Epilogue {
     }
 }
 
-/// The `cin × h × w` input of one forward pass.
+/// A `cin × h × w` layer input as the slice-level kernels take it.
 #[derive(Clone, Copy)]
-struct Input<'a> {
+pub(crate) struct Input<'a> {
     data: &'a [f32],
     h: usize,
     w: usize,
+}
+
+impl<'a> Input<'a> {
+    pub(crate) fn new(data: &'a [f32], h: usize, w: usize) -> Self {
+        Self { data, h, w }
+    }
+
+    pub(crate) fn of(x: &'a Tensor) -> Self {
+        Self::new(x.as_slice(), x.height(), x.width())
+    }
 }
 
 /// One band of output rows: rows `y0..` of every output-channel plane.
@@ -803,23 +733,50 @@ pub mod reference {
 mod tests {
     use super::*;
 
+    /// Zeroed gradient buffers shaped like `conv`'s parameters.
+    fn zero_grads(conv: &Conv2d) -> (Vec<f32>, Vec<f32>) {
+        (
+            vec![0.0; conv.weights().len()],
+            vec![0.0; conv.bias().len()],
+        )
+    }
+
+    /// Half the sum of squares of the output: dL/dy = y.
+    fn half_sq_loss(conv: &Conv2d, x: &Tensor) -> f32 {
+        let y = conv.forward_inference(x);
+        y.as_slice().iter().map(|v| v * v).sum::<f32>() / 2.0
+    }
+
     #[test]
     fn identity_kernel_passes_through() {
-        let mut conv = Conv2d::new(1, 1, 3, 0);
-        conv.w_mut().fill(0.0);
-        conv.w_mut()[4] = 1.0; // centre tap
+        let mut w = vec![0.0; 9];
+        w[4] = 1.0; // centre tap
+        let conv = Conv2d::from_params(1, 1, 3, w, vec![0.0]).unwrap();
         let x = Tensor::from_vec(1, 2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let y = conv.forward(&x);
+        let y = conv.forward_inference(&x);
         assert_eq!(y.as_slice(), x.as_slice());
     }
 
     #[test]
-    fn inference_matches_training_forward() {
-        let mut conv = Conv2d::new(3, 5, 3, 11);
-        let x = Tensor::from_vec(3, 6, 7, (0..126).map(|v| (v as f32).sin()).collect());
-        let trained = conv.forward(&x);
-        let inferred = conv.forward_inference(&x);
-        assert_eq!(trained.as_slice(), inferred.as_slice());
+    fn from_params_validates_shape_and_values() {
+        let ok = |w: Vec<f32>, b: Vec<f32>| Conv2d::from_params(2, 3, 3, w, b);
+        assert!(ok(vec![0.5; 54], vec![0.0; 3]).is_ok());
+        assert!(ok(vec![0.5; 53], vec![0.0; 3])
+            .unwrap_err()
+            .contains("expected 54 weights, got 53"));
+        assert!(ok(vec![0.5; 54], vec![0.0; 2])
+            .unwrap_err()
+            .contains("expected 3 biases, got 2"));
+        let mut w = vec![0.5; 54];
+        w[17] = f32::NAN;
+        assert!(ok(w, vec![0.0; 3])
+            .unwrap_err()
+            .contains("weight 17 is NaN"));
+        let b = vec![0.0, f32::NEG_INFINITY, 0.0];
+        assert!(ok(vec![0.5; 54], b).unwrap_err().contains("bias 1 is -inf"));
+        assert!(Conv2d::from_params(0, 1, 3, vec![], vec![0.0]).is_err());
+        assert!(Conv2d::from_params(1, 1, 2, vec![0.0; 4], vec![0.0]).is_err());
+        assert!(Conv2d::from_params(usize::MAX, 2, 3, vec![], vec![0.0; 2]).is_err());
     }
 
     #[test]
@@ -838,16 +795,15 @@ mod tests {
 
     #[test]
     fn optimized_backward_is_bit_exact_with_reference() {
-        let mut conv = Conv2d::new(2, 3, 3, 5);
+        let conv = Conv2d::new(2, 3, 3, 5);
         let x = Tensor::from_vec(2, 6, 8, (0..96).map(|v| (v as f32 * 0.13).sin()).collect());
-        let y = conv.forward(&x);
-        conv.zero_grad();
-        let gin = conv.backward(&y);
+        let y = conv.forward_inference(&x);
+        let (mut gw, mut gb) = zero_grads(&conv);
+        let gin = conv.backward(&x, &y, &mut gw, &mut gb);
         let (gin_ref, gw_ref, gb_ref) = reference::backward(&conv, &x, &y);
         assert_eq!(gin.as_slice(), gin_ref.as_slice());
-        let (gw, gb) = conv.grads();
-        assert_eq!(gw, &gw_ref[..]);
-        assert_eq!(gb, &gb_ref[..]);
+        assert_eq!(gw, gw_ref);
+        assert_eq!(gb, gb_ref);
     }
 
     #[test]
@@ -864,25 +820,18 @@ mod tests {
         let x = Tensor::from_vec(1, 3, 3, (1..=9).map(|v| v as f32 / 9.0).collect());
         let wi = 2; // an arbitrary weight index
 
-        let loss = |conv: &mut Conv2d, x: &Tensor| -> f32 {
-            let y = conv.forward(x);
-            // Loss = sum of squares / 2, dL/dy = y.
-            y.as_slice().iter().map(|v| v * v).sum::<f32>() / 2.0
-        };
-
         // Analytical.
-        let y = conv.forward(&x);
-        conv.zero_grad();
-        let _ = conv.backward(&y);
-        let analytic = conv.grads().0[wi];
+        let y = conv.forward_inference(&x);
+        let (mut gw, mut gb) = zero_grads(&conv);
+        let _ = conv.backward(&x, &y, &mut gw, &mut gb);
+        let analytic = gw[wi];
 
         // Numerical.
         let eps = 1e-3;
-        conv.w_mut()[wi] += eps;
-        let lp = loss(&mut conv, &x);
-        conv.w_mut()[wi] -= 2.0 * eps;
-        let lm = loss(&mut conv, &x);
-        conv.w_mut()[wi] += eps;
+        conv.params_mut().0[wi] += eps;
+        let lp = half_sq_loss(&conv, &x);
+        conv.params_mut().0[wi] -= 2.0 * eps;
+        let lm = half_sq_loss(&conv, &x);
         let numeric = (lp - lm) / (2.0 * eps);
         assert!(
             (analytic - numeric).abs() < 1e-2,
@@ -892,33 +841,19 @@ mod tests {
 
     #[test]
     fn gradient_check_input() {
-        let mut conv = Conv2d::new(2, 3, 3, 7);
+        let conv = Conv2d::new(2, 3, 3, 7);
         let mut x = Tensor::from_vec(2, 3, 3, (0..18).map(|v| (v as f32) / 18.0).collect());
-        let y = conv.forward(&x);
-        let gin = {
-            conv.zero_grad();
-            conv.backward(&y)
-        };
+        let y = conv.forward_inference(&x);
+        let (mut gw, mut gb) = zero_grads(&conv);
+        let gin = conv.backward(&x, &y, &mut gw, &mut gb);
         // Numerical gradient for input element (1, 1, 1).
         let eps = 1e-3;
         let idx = (1usize, 1usize, 1usize);
         let orig = x.get(idx.0, idx.1, idx.2);
         x.set(idx.0, idx.1, idx.2, orig + eps);
-        let lp: f32 = conv
-            .forward(&x)
-            .as_slice()
-            .iter()
-            .map(|v| v * v)
-            .sum::<f32>()
-            / 2.0;
+        let lp = half_sq_loss(&conv, &x);
         x.set(idx.0, idx.1, idx.2, orig - eps);
-        let lm: f32 = conv
-            .forward(&x)
-            .as_slice()
-            .iter()
-            .map(|v| v * v)
-            .sum::<f32>()
-            / 2.0;
+        let lm = half_sq_loss(&conv, &x);
         let numeric = (lp - lm) / (2.0 * eps);
         let analytic = gin.get(idx.0, idx.1, idx.2);
         assert!(
@@ -928,59 +863,23 @@ mod tests {
     }
 
     #[test]
-    fn adam_reduces_simple_loss() {
-        let mut conv = Conv2d::new(1, 1, 3, 3);
-        let x = Tensor::from_vec(1, 4, 4, (0..16).map(|v| v as f32 / 16.0).collect());
-        let target: Vec<f32> = x.as_slice().iter().map(|v| 2.0 * v).collect();
-        let mut first_loss = None;
-        let mut last_loss = 0.0;
-        for step in 1..=200 {
-            let y = conv.forward(&x);
-            let diff: Vec<f32> = y
-                .as_slice()
-                .iter()
-                .zip(&target)
-                .map(|(a, b)| a - b)
-                .collect();
-            last_loss = diff.iter().map(|d| d * d).sum::<f32>();
-            first_loss.get_or_insert(last_loss);
-            let g = Tensor::from_vec(1, 4, 4, diff);
-            conv.zero_grad();
-            let _ = conv.backward(&g);
-            conv.apply_grads_adam(0.02, 0.9, 0.999, 1e-8, step, 1);
-        }
-        assert!(
-            last_loss < first_loss.unwrap() / 10.0,
-            "Adam loss did not drop: {first_loss:?} -> {last_loss}"
-        );
-    }
-
-    #[test]
-    fn sgd_reduces_simple_loss() {
-        // Train a 1x1-ish task: map input to 2*input via a 3x3 conv.
-        let mut conv = Conv2d::new(1, 1, 3, 3);
-        let x = Tensor::from_vec(1, 4, 4, (0..16).map(|v| v as f32 / 16.0).collect());
-        let target: Vec<f32> = x.as_slice().iter().map(|v| 2.0 * v).collect();
-        let mut first_loss = None;
-        let mut last_loss = 0.0;
-        for _ in 0..200 {
-            let y = conv.forward(&x);
-            let diff: Vec<f32> = y
-                .as_slice()
-                .iter()
-                .zip(&target)
-                .map(|(a, b)| a - b)
-                .collect();
-            last_loss = diff.iter().map(|d| d * d).sum::<f32>();
-            first_loss.get_or_insert(last_loss);
-            let g = Tensor::from_vec(1, 4, 4, diff);
-            conv.zero_grad();
-            let _ = conv.backward(&g);
-            conv.apply_grads(0.05, 0.9, 1);
-        }
-        assert!(
-            last_loss < first_loss.unwrap() / 10.0,
-            "loss did not drop: {first_loss:?} -> {last_loss}"
-        );
+    fn backward_adds_into_the_gradient_buffers() {
+        // Two passes into the same buffers leave twice one pass: the
+        // buffers are accumulated into, never reset.
+        let conv = Conv2d::new(2, 2, 3, 1);
+        let x = Tensor::from_vec(2, 4, 4, (0..32).map(|v| v as f32 / 32.0).collect());
+        let y = conv.forward_inference(&x);
+        let (mut gw1, mut gb1) = zero_grads(&conv);
+        let _ = conv.backward(&x, &y, &mut gw1, &mut gb1);
+        let (mut gw2, mut gb2) = (gw1.clone(), gb1.clone());
+        let _ = conv.backward(&x, &y, &mut gw2, &mut gb2);
+        assert!(gw2
+            .iter()
+            .zip(&gw1)
+            .all(|(b, a)| (b - 2.0 * a).abs() < 1e-4));
+        assert!(gb2
+            .iter()
+            .zip(&gb1)
+            .all(|(b, a)| (b - 2.0 * a).abs() < 1e-4));
     }
 }

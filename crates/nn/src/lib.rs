@@ -1,13 +1,18 @@
-//! # vrd-nn — a from-scratch CNN substrate for VR-DANN
+//! # vrd-nn — the two networks of VR-DANN
 //!
-//! Substrate crate of the VR-DANN reproduction (MICRO 2020). It contains:
+//! Substrate crate of the VR-DANN reproduction (MICRO 2020). It is one
+//! network and a stand-in for another, not a framework:
 //!
-//! * a minimal trainable CNN stack — [`Tensor`], [`Conv2d`] with
-//!   backpropagation, pooling/upsampling/activation layers, BCE loss and an
-//!   SGD-momentum [`trainer`];
 //! * [`NnS`], the paper's 3-layer refinement network (conv → downsample →
-//!   conv → upsample → concat → conv on the sandwich input), actually
-//!   trained for the paper's two epochs;
+//!   conv → upsample → concat → conv on the sandwich input). Its graph is
+//!   spelled once and is what inference, calibration and training all
+//!   walk; [`trainer`] trains it for the paper's two epochs with
+//!   SGD-momentum and owns all training state, [`quant`] runs it on int8,
+//!   [`serialize`] loads and saves it (a model file is untrusted input);
+//! * what that graph is made of: [`Tensor`], [`Conv2d`] (shape and
+//!   parameters, with bit-exact optimised forward and backward kernels
+//!   beside a naive [`conv::reference`]), stateless pooling / upsampling /
+//!   activation kernels in [`layers`], and the BCE loss;
 //! * [`LargeNet`], the calibrated oracle standing in for the trained
 //!   ROI-SegNet / OSVOS / SELSA networks (quality + ops model; see
 //!   `DESIGN.md` §2 for the substitution rationale).
@@ -41,10 +46,9 @@ pub use featwarp::{FeatureMap, WarpSource, FEATURE_CHANNELS, FEATURE_STRIDE};
 pub use largenet::{
     LargeNet, LargeNetProfile, FLOWNET_OPS_PER_PIXEL, NNL_HEAD_FRACTION, NNL_OPS_PER_PIXEL,
 };
-pub use layers::{concat, sigmoid, split, MaxPool2, Relu, Upsample2};
-pub use loss::{bce_with_logits, mse};
+pub use loss::bce_with_logits;
 pub use nns::{NnS, SANDWICH_CHANNELS};
 pub use quant::{ActScales, ComputeMode, QuantConv2d, QuantNnS, Requant};
 pub use serialize::{load_nns, save_nns};
 pub use tensor::Tensor;
-pub use trainer::{train, Optimizer, Sample, TrainConfig};
+pub use trainer::{train, Sample, TrainConfig};

@@ -1,4 +1,4 @@
-//! Losses for segmentation training.
+//! The segmentation training loss.
 
 use crate::tensor::Tensor;
 
@@ -23,26 +23,6 @@ pub fn bce_with_logits(logits: &Tensor, target: &Tensor) -> (f32, Tensor) {
     (
         loss / n,
         Tensor::from_vec(logits.channels(), logits.height(), logits.width(), grad),
-    )
-}
-
-/// Mean squared error; returns `(mean loss, gradient)`.
-///
-/// # Panics
-/// Panics if the shapes differ.
-pub fn mse(pred: &Tensor, target: &Tensor) -> (f32, Tensor) {
-    assert_eq!(pred.len(), target.len(), "loss shape mismatch");
-    let n = pred.len() as f32;
-    let mut loss = 0.0f32;
-    let mut grad = Vec::with_capacity(pred.len());
-    for (&p, &t) in pred.as_slice().iter().zip(target.as_slice()) {
-        let d = p - t;
-        loss += d * d;
-        grad.push(2.0 * d / n);
-    }
-    (
-        loss / n,
-        Tensor::from_vec(pred.channels(), pred.height(), pred.width(), grad),
     )
 }
 
@@ -83,15 +63,5 @@ mod tests {
         };
         let numeric = (l(z + eps) - l(z - eps)) / (2.0 * eps);
         assert!((grad.as_slice()[0] - numeric).abs() < 1e-3);
-    }
-
-    #[test]
-    fn mse_basics() {
-        let pred = Tensor::from_vec(1, 1, 2, vec![1.0, 3.0]);
-        let target = Tensor::from_vec(1, 1, 2, vec![1.0, 1.0]);
-        let (loss, grad) = mse(&pred, &target);
-        assert!((loss - 2.0).abs() < 1e-6);
-        assert_eq!(grad.as_slice()[0], 0.0);
-        assert!((grad.as_slice()[1] - 2.0).abs() < 1e-6);
     }
 }

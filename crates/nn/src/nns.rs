@@ -5,47 +5,53 @@
 //! layers." The input is the sandwich 3-channel image (previous reference
 //! segmentation / reconstructed B-frame / next reference segmentation); the
 //! output is a single-channel refined foreground probability.
+//!
+//! That topology is written down in one place, `NnS::walk`. Inference is
+//! the walk plus a sigmoid, calibration the walk plus three abs-max
+//! reductions, and a training step the walk plus the backward pass over the
+//! activations it kept. (The int8 graph in [`crate::quant`] is a second
+//! arithmetic — requantisation between layers — not a second copy.)
 
-use crate::conv::{Conv2d, Epilogue};
+use crate::conv::{Conv2d, Epilogue, Input};
 use crate::layers::{
-    concat, maxpool2_into, sigmoid_in_place, split, upsample2_into, MaxPool2, Relu, Upsample2,
+    maxpool2_backward, maxpool2_into, relu_backward, sigmoid_in_place, upsample2_backward,
+    upsample2_into,
 };
 use crate::loss::bce_with_logits;
 use crate::quant::{ActScales, QuantNnS};
 use crate::tensor::Tensor;
-use vrd_runtime::BufferPool;
+use crate::trainer::Grads;
+use vrd_runtime::{BufferPool, PooledBuf};
 
 /// Channels of the sandwich input.
 pub const SANDWICH_CHANNELS: usize = 3;
 
-/// Scratch buffers for the cache-free inference path, recycled across
-/// frames so steady-state refinement does not allocate per call.
+/// Scratch buffers for the graph's activations, recycled across frames so
+/// steady-state refinement does not allocate per call.
 static SCRATCH: BufferPool = BufferPool::new();
-
-/// Element-wise tensor addition.
-fn add(a: &Tensor, b: &Tensor) -> Tensor {
-    assert_eq!(a.len(), b.len(), "tensor addition shape mismatch");
-    let data = a
-        .as_slice()
-        .iter()
-        .zip(b.as_slice())
-        .map(|(&x, &y)| x + y)
-        .collect();
-    Tensor::from_vec(a.channels(), a.height(), a.width(), data)
-}
 
 /// The NN-S refinement network.
 #[derive(Debug, Clone)]
 pub struct NnS {
     hidden: usize,
     conv1: Conv2d,
-    relu1: Relu,
-    pool: MaxPool2,
     conv2: Conv2d,
-    relu2: Relu,
     conv3: Conv2d,
-    cache_a1: Option<Tensor>,
     act_scales: Option<ActScales>,
+}
+
+/// What one walk of the graph leaves behind. Inference reads `logits`,
+/// calibration the ranges of `a1` and `a2`, and the backward pass all of it.
+struct Activations {
+    /// conv3's input: conv1's post-ReLU output `a1` in the first `hidden`
+    /// channels, the upsampled `a2` in the rest.
+    cat: PooledBuf<'static>,
+    /// `a1` max-pooled to half resolution: conv2's input.
+    d: PooledBuf<'static>,
+    /// conv2's post-ReLU output.
+    a2: PooledBuf<'static>,
+    /// conv3's output, one channel at full resolution.
+    logits: Vec<f32>,
 }
 
 impl NnS {
@@ -58,14 +64,47 @@ impl NnS {
         Self {
             hidden,
             conv1: Conv2d::new(SANDWICH_CHANNELS, hidden, 3, seed ^ 0x01),
-            relu1: Relu::new(),
-            pool: MaxPool2::new(),
             conv2: Conv2d::new(hidden, hidden, 3, seed ^ 0x02),
-            relu2: Relu::new(),
             conv3: Conv2d::new(2 * hidden, 1, 3, seed ^ 0x03),
-            cache_a1: None,
             act_scales: None,
         }
+    }
+
+    /// Rebuilds a model from its three convolutions and, when it was
+    /// calibrated, its activation scales (what a model file holds).
+    ///
+    /// # Errors
+    /// Returns a message if the layers do not chain into the NN-S topology
+    /// (`3 → hidden`, `hidden → hidden`, `2·hidden → 1`, all 3×3) or the
+    /// scales are not usable.
+    pub fn from_parts(
+        conv1: Conv2d,
+        conv2: Conv2d,
+        conv3: Conv2d,
+        act_scales: Option<ActScales>,
+    ) -> Result<Self, String> {
+        let hidden = conv1.cout();
+        let got = [&conv1, &conv2, &conv3].map(|c| (c.cin(), c.cout(), c.kernel_size()));
+        let expected = [
+            (SANDWICH_CHANNELS, hidden, 3),
+            (hidden, hidden, 3),
+            (2 * hidden, 1, 3),
+        ];
+        if got != expected {
+            return Err(format!(
+                "layers {got:?} are not an NN-S of width {hidden} ({expected:?})"
+            ));
+        }
+        if let Some(scales) = &act_scales {
+            scales.validate()?;
+        }
+        Ok(Self {
+            hidden,
+            conv1,
+            conv2,
+            conv3,
+            act_scales,
+        })
     }
 
     /// Hidden feature-channel width.
@@ -73,28 +112,14 @@ impl NnS {
         self.hidden
     }
 
-    /// The three convolution layers (for serialisation).
+    /// The three convolution layers, in graph order.
     pub fn convs(&self) -> (&Conv2d, &Conv2d, &Conv2d) {
         (&self.conv1, &self.conv2, &self.conv3)
     }
 
-    /// Rebuilds a model from deserialised convolutions.
-    ///
-    /// # Panics
-    /// Panics if `hidden` is zero (the deserialiser validates shapes).
-    pub fn from_convs(hidden: usize, conv1: Conv2d, conv2: Conv2d, conv3: Conv2d) -> Self {
-        assert!(hidden > 0, "hidden channel count must be non-zero");
-        Self {
-            hidden,
-            conv1,
-            relu1: Relu::new(),
-            pool: MaxPool2::new(),
-            conv2,
-            relu2: Relu::new(),
-            conv3,
-            cache_a1: None,
-            act_scales: None,
-        }
+    /// The three convolution layers, mutably — for the optimiser's update.
+    pub(crate) fn convs_mut(&mut self) -> [&mut Conv2d; 3] {
+        [&mut self.conv1, &mut self.conv2, &mut self.conv3]
     }
 
     /// Calibrated activation scales, if [`NnS::calibrate`] ran (or a
@@ -103,45 +128,22 @@ impl NnS {
         self.act_scales
     }
 
-    /// Attaches activation scales (used by the deserialiser; normal code
-    /// calls [`NnS::calibrate`]).
-    pub fn set_act_scales(&mut self, scales: ActScales) {
-        self.act_scales = Some(scales);
-    }
-
     /// Observes activation ranges on a calibration set and stores the
     /// resulting [`ActScales`], tightening the quantized path's resolution
-    /// versus the conservative weight-norm bound. Runs the inference
-    /// layers only (no gradients); inputs with odd dimensions are skipped
-    /// by the same even-dimension rule as [`NnS::infer`].
+    /// versus the conservative weight-norm bound. Weights are untouched.
     ///
     /// # Panics
     /// Panics if any input has the wrong channel count or odd dimensions.
     pub fn calibrate(&mut self, inputs: &[&Tensor]) {
-        let (mut in_max, mut a1_max, mut a2_max) = (0.0f32, 0.0f32, 0.0f32);
-        let abs_max = |s: &[f32]| s.iter().fold(0.0f32, |m, v| m.max(v.abs()));
+        let mut maxes = [0.0f32; 3];
         for x in inputs {
-            assert_eq!(
-                x.channels(),
-                SANDWICH_CHANNELS,
-                "NN-S expects the 3-channel sandwich input"
-            );
-            let (h, w) = (x.height(), x.width());
-            assert!(h % 2 == 0 && w % 2 == 0, "max-pool needs even dimensions");
-            let (hw, hid) = (h * w, self.hidden);
-            in_max = in_max.max(abs_max(x.as_slice()));
-            let mut a1 = SCRATCH.take(hid * hw);
-            self.conv1
-                .forward_into(x.as_slice(), h, w, &mut a1, Epilogue::Relu);
-            a1_max = a1_max.max(abs_max(&a1));
-            let mut d = SCRATCH.take(hid * hw / 4);
-            maxpool2_into(&a1, hid, h, w, &mut d);
-            let mut a2 = SCRATCH.take(hid * hw / 4);
-            self.conv2
-                .forward_into(&d, h / 2, w / 2, &mut a2, Epilogue::Relu);
-            a2_max = a2_max.max(abs_max(&a2));
+            let acts = self.walk(x);
+            let a1 = &acts.cat[..self.hidden * x.height() * x.width()];
+            for (m, s) in maxes.iter_mut().zip([x.as_slice(), a1, &acts.a2]) {
+                *m = s.iter().fold(*m, |m, v| m.max(v.abs()));
+            }
         }
-        self.act_scales = Some(ActScales::from_maxes(in_max, a1_max, a2_max));
+        self.act_scales = Some(ActScales::from_maxes(maxes[0], maxes[1], maxes[2]));
     }
 
     /// Builds the quantized twin of this model ([`QuantNnS`]), using the
@@ -149,16 +151,6 @@ impl NnS {
     /// the weight quantization is the expensive part.
     pub fn quantize(&self) -> QuantNnS {
         QuantNnS::from_nns(self)
-    }
-
-    /// One-shot quantized inference — [`NnS::quantize`] then
-    /// [`QuantNnS::infer`]. Steady-state pipelines should hold the
-    /// [`QuantNnS`] instead of re-quantizing per frame.
-    ///
-    /// # Panics
-    /// Panics on a wrong channel count or odd spatial dimensions.
-    pub fn infer_quantized(&self, x: &Tensor) -> Tensor {
-        self.quantize().infer(x)
     }
 
     /// Total trainable parameter count.
@@ -173,37 +165,15 @@ impl NnS {
         self.conv1.macs(h, w) + self.conv2.macs(h / 2, w / 2) + self.conv3.macs(h, w)
     }
 
-    /// Forward pass producing logits. Input must be
-    /// `SANDWICH_CHANNELS × h × w` with even `h`, `w`.
+    /// The NN-S graph, spelled once: conv1 + ReLU → 2×2 max-pool → conv2 +
+    /// ReLU → 2× upsample → concatenate with conv1's output → conv3. Runs
+    /// on pooled scratch with the ReLUs fused into the conv stores and
+    /// conv1 writing straight into the concatenation buffer, so inference
+    /// pays nothing for the activations only training reads afterwards.
     ///
     /// # Panics
     /// Panics on a wrong channel count or odd spatial dimensions.
-    pub fn forward_logits(&mut self, x: &Tensor) -> Tensor {
-        assert_eq!(
-            x.channels(),
-            SANDWICH_CHANNELS,
-            "NN-S expects the 3-channel sandwich input"
-        );
-        let a1 = self.relu1.forward(&self.conv1.forward(x));
-        let d = self.pool.forward(&a1);
-        let a2 = self.relu2.forward(&self.conv2.forward(&d));
-        let up = Upsample2::forward(&a2);
-        let cat = concat(&a1, &up);
-        self.cache_a1 = Some(a1);
-        self.conv3.forward(&cat)
-    }
-
-    /// Inference: refined foreground probability map in `[0, 1]`.
-    ///
-    /// Unlike the training path this takes `&self` and skips every piece of
-    /// gradient bookkeeping — no input clones, no activation masks, no
-    /// argmax maps — running the whole pipeline on pooled scratch buffers.
-    /// It computes exactly the same values as
-    /// `sigmoid(forward_logits(x))`.
-    ///
-    /// # Panics
-    /// Panics on a wrong channel count or odd spatial dimensions.
-    pub fn infer(&self, x: &Tensor) -> Tensor {
+    fn walk(&self, x: &Tensor) -> Activations {
         assert_eq!(
             x.channels(),
             SANDWICH_CHANNELS,
@@ -212,94 +182,72 @@ impl NnS {
         let (h, w) = (x.height(), x.width());
         assert!(h % 2 == 0 && w % 2 == 0, "max-pool needs even dimensions");
         let (hw, hid) = (h * w, self.hidden);
-        // conv1 writes its activations straight into the first half of the
-        // concatenation buffer; the upsampled conv2 branch fills the second.
         let mut cat = SCRATCH.take(2 * hid * hw);
         let (a1, up) = cat.split_at_mut(hid * hw);
-        self.conv1
-            .forward_into(x.as_slice(), h, w, a1, Epilogue::Relu);
+        self.conv1.forward_into(Input::of(x), a1, Epilogue::Relu);
         let mut d = SCRATCH.take(hid * hw / 4);
-        maxpool2_into(a1, hid, h, w, &mut d);
+        maxpool2_into(a1, hid, h, w, &mut d, f32::max);
         let mut a2 = SCRATCH.take(hid * hw / 4);
-        self.conv2
-            .forward_into(&d, h / 2, w / 2, &mut a2, Epilogue::Relu);
+        let half = Input::new(&d, h / 2, w / 2);
+        self.conv2.forward_into(half, &mut a2, Epilogue::Relu);
         upsample2_into(&a2, hid, h / 2, w / 2, up);
-        let mut out = vec![0.0; hw];
-        self.conv3
-            .forward_into(&cat, h, w, &mut out, Epilogue::Linear);
-        sigmoid_in_place(&mut out);
-        Tensor::from_vec(1, h, w, out)
+        let mut logits = vec![0.0; hw];
+        let full = Input::new(&cat, h, w);
+        self.conv3.forward_into(full, &mut logits, Epilogue::Linear);
+        Activations { cat, d, a2, logits }
     }
 
-    /// Adds another model's accumulated gradients into this one's buffers
-    /// (per-sample gradient reduction in the trainer).
-    pub fn accumulate_grads_from(&mut self, other: &NnS) {
-        self.conv1.accumulate_grads_from(&other.conv1);
-        self.conv2.accumulate_grads_from(&other.conv2);
-        self.conv3.accumulate_grads_from(&other.conv3);
-    }
-
-    /// One training step: forward, BCE-with-logits against `target`,
-    /// backward. Gradients accumulate until [`NnS::apply_grads`].
-    /// Returns the loss.
-    pub fn train_step(&mut self, x: &Tensor, target: &Tensor) -> f32 {
-        let logits = self.forward_logits(x);
-        let (loss, dlogits) = bce_with_logits(&logits, target);
-        self.backward(&dlogits);
-        loss
-    }
-
-    /// Backward pass from a logits gradient.
+    /// Inference: refined foreground probability map in `[0, 1]`.
     ///
     /// # Panics
-    /// Panics if called before [`NnS::forward_logits`].
-    pub fn backward(&mut self, dlogits: &Tensor) {
-        let g_cat = self.conv3.backward(dlogits);
-        let (g_a1_direct, g_up) = split(&g_cat, self.hidden);
-        let g_a2 = Upsample2::backward(&g_up);
-        let g_d = self.conv2.backward(&self.relu2.backward(&g_a2));
-        let g_a1_pool = self.pool.backward(&g_d);
-        let g_a1 = add(&g_a1_direct, &g_a1_pool);
-        let _ = self.conv1.backward(&self.relu1.backward(&g_a1));
-        self.cache_a1 = None;
+    /// Panics on a wrong channel count or odd spatial dimensions.
+    pub fn infer(&self, x: &Tensor) -> Tensor {
+        let mut out = self.walk(x).logits;
+        sigmoid_in_place(&mut out);
+        Tensor::from_vec(1, x.height(), x.width(), out)
     }
 
-    /// Clears accumulated gradients.
-    pub fn zero_grad(&mut self) {
-        self.conv1.zero_grad();
-        self.conv2.zero_grad();
-        self.conv3.zero_grad();
-    }
+    /// One sample's training step: forward, BCE-with-logits against
+    /// `target`, backward. Adds the sample's parameter gradients into
+    /// `grads` and returns the loss.
+    ///
+    /// # Panics
+    /// Panics on a wrong channel count, odd spatial dimensions or a target
+    /// of another size.
+    pub(crate) fn train_step(&self, x: &Tensor, target: &Tensor, grads: &mut Grads) -> f32 {
+        let Activations { cat, d, a2, logits } = self.walk(x);
+        let (h, w) = (x.height(), x.width());
+        let (hw, hid) = (h * w, self.hidden);
+        let (loss, dlogits) = bce_with_logits(&Tensor::from_vec(1, h, w, logits), target);
+        let [(gw1, gb1), (gw2, gb2), (gw3, gb3)] = grads.layers_mut();
+        let a1 = &cat[..hid * hw];
 
-    /// SGD-with-momentum update (gradients averaged over `batch`).
-    pub fn apply_grads(&mut self, lr: f32, momentum: f32, batch: usize) {
-        self.conv1.apply_grads(lr, momentum, batch);
-        self.conv2.apply_grads(lr, momentum, batch);
-        self.conv3.apply_grads(lr, momentum, batch);
-    }
-
-    /// Adam update (gradients averaged over `batch`; `step` is 1-based).
-    pub fn apply_grads_adam(
-        &mut self,
-        lr: f32,
-        beta1: f32,
-        beta2: f32,
-        eps: f32,
-        step: usize,
-        batch: usize,
-    ) {
-        self.conv1
-            .apply_grads_adam(lr, beta1, beta2, eps, step, batch);
-        self.conv2
-            .apply_grads_adam(lr, beta1, beta2, eps, step, batch);
+        let mut g_cat = vec![0.0; 2 * hid * hw];
+        let full = Input::new(&cat, h, w);
         self.conv3
-            .apply_grads_adam(lr, beta1, beta2, eps, step, batch);
+            .backward_into(full, dlogits.as_slice(), gw3, gb3, Some(&mut g_cat));
+        // The concat's gradient splits into conv1's output directly (`g_a1`)
+        // and, through the upsample, conv2's.
+        let (g_a1, g_up) = g_cat.split_at_mut(hid * hw);
+        let mut g_a2 = vec![0.0; hid * hw / 4];
+        upsample2_backward(g_up, hid, h / 2, w / 2, &mut g_a2);
+        relu_backward(&a2, &mut g_a2);
+        let mut g_d = vec![0.0; hid * hw / 4];
+        let half = Input::new(&d, h / 2, w / 2);
+        self.conv2
+            .backward_into(half, &g_a2, gw2, gb2, Some(&mut g_d));
+        maxpool2_backward(a1, &d, &g_d, (hid, h, w), g_a1);
+        relu_backward(a1, g_a1);
+        // Nothing reads the gradient of the sandwich itself.
+        self.conv1.backward_into(Input::of(x), g_a1, gw1, gb1, None);
+        loss
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trainer::sgd_step;
 
     #[test]
     fn output_shape_and_range() {
@@ -311,19 +259,17 @@ mod tests {
     }
 
     #[test]
-    fn inference_matches_training_forward() {
-        use crate::layers::sigmoid;
-        let mut nns = NnS::new(6, 23);
-        let x = Tensor::from_vec(
-            3,
-            10,
-            14,
-            (0..3 * 10 * 14).map(|v| (v as f32 * 0.11).sin()).collect(),
-        );
-        let logits = nns.forward_logits(&x);
-        let trained = sigmoid(&logits);
-        let inferred = nns.infer(&x);
-        assert_eq!(trained.as_slice(), inferred.as_slice());
+    fn from_parts_checks_the_topology_and_the_scales() {
+        let conv = |cin, cout| Conv2d::new(cin, cout, 3, 0);
+        let scales = ActScales::from_maxes(1.0, 2.0, 3.0);
+        let ok = NnS::from_parts(conv(3, 4), conv(4, 4), conv(8, 1), Some(scales)).unwrap();
+        assert_eq!((ok.hidden(), ok.act_scales()), (4, Some(scales)));
+        // conv3 must take both halves of the concat; kernels must be 3×3.
+        assert!(NnS::from_parts(conv(3, 4), conv(4, 4), conv(4, 1), None).is_err());
+        let five = Conv2d::new(4, 4, 5, 0);
+        assert!(NnS::from_parts(conv(3, 4), five, conv(8, 1), None).is_err());
+        let bad = ActScales { a1: 0.0, ..scales };
+        assert!(NnS::from_parts(conv(3, 4), conv(4, 4), conv(8, 1), Some(bad)).is_err());
     }
 
     #[test]
@@ -360,13 +306,14 @@ mod tests {
             }
         }
         let target = Tensor::from_vec(1, 8, 8, pattern.channel(1).to_vec());
+        let mut velocity = Grads::zeros(&nns);
         let mut first = None;
         let mut last = 0.0;
         for _ in 0..60 {
-            nns.zero_grad();
-            last = nns.train_step(&pattern, &target);
+            let mut grads = Grads::zeros(&nns);
+            last = nns.train_step(&pattern, &target, &mut grads);
             first.get_or_insert(last);
-            nns.apply_grads(0.5, 0.9, 1);
+            sgd_step(&mut nns, &grads, &mut velocity, 0.5, 0.9, 1);
         }
         assert!(
             last < first.unwrap() * 0.3,

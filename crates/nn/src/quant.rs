@@ -36,10 +36,11 @@
 //! `i32` accumulators are dequantized separately and summed in f32 — dot
 //! products distribute, so the split is exact. Max-pool and
 //! nearest-neighbour upsampling commute with the monotone quantizer and run
-//! directly on `u8` planes.
+//! directly on `u8` planes, through the same two kernels as the f32 graph
+//! ([`crate::layers`]).
 
 use crate::conv::Conv2d;
-use crate::layers::sigmoid_in_place;
+use crate::layers::{maxpool2_into, sigmoid_in_place, upsample2_into};
 use crate::nns::{NnS, SANDWICH_CHANNELS};
 use crate::tensor::Tensor;
 use vrd_runtime::BufferPool;
@@ -86,9 +87,11 @@ pub struct ActScales {
 impl ActScales {
     /// Builds scales from observed maximum activation magnitudes
     /// (`scale = max / 127`, floored away from zero so all-zero
-    /// calibration activations stay representable).
+    /// calibration activations stay representable, and capped at the
+    /// largest finite value so an overflowing activation still yields a
+    /// usable scale).
     pub fn from_maxes(input: f32, a1: f32, a2: f32) -> Self {
-        let s = |m: f32| m.max(1e-6) / QMAX as f32;
+        let s = |m: f32| (m.max(1e-6) / QMAX as f32).min(f32::MAX);
         Self {
             input: s(input),
             a1: s(a1),
@@ -103,12 +106,13 @@ impl ActScales {
     pub fn bound_from_nns(nns: &NnS) -> Self {
         let (c1, c2, _) = nns.convs();
         let layer_bound = |conv: &Conv2d, in_max: f32| -> f32 {
-            let (w, b) = conv.export_params();
-            let per_co = w.len() / conv.cout();
-            (0..conv.cout())
-                .map(|co| {
-                    let l1: f32 = w[co * per_co..][..per_co].iter().map(|v| v.abs()).sum();
-                    l1 * in_max + b[co].abs()
+            let per_co = conv.weights().len() / conv.cout();
+            conv.weights()
+                .chunks(per_co)
+                .zip(conv.bias())
+                .map(|(w, b)| {
+                    let l1: f32 = w.iter().map(|v| v.abs()).sum();
+                    l1 * in_max + b.abs()
                 })
                 .fold(0.0, f32::max)
         };
@@ -281,8 +285,7 @@ impl QuantConv2d {
     /// Quantizes a trained [`Conv2d`]'s weights (the bias stays f32 and is
     /// folded into the requantization by the caller).
     pub fn from_conv(conv: &Conv2d) -> Self {
-        let (w, _) = conv.export_params();
-        Self::from_weights(conv.cin(), conv.cout(), conv.kernel_size(), &w)
+        Self::from_weights(conv.cin(), conv.cout(), conv.kernel_size(), conv.weights())
     }
 
     /// Input channel count.
@@ -718,60 +721,6 @@ pub fn quantize_activations(src: &[f32], scale: f32, dst: &mut [u8]) {
     }
 }
 
-/// 2×2 max pooling over `u8` planes — max-pool commutes with the monotone
-/// quantizer, so the quantized pipeline pools in the integer domain.
-///
-/// # Panics
-/// Panics on odd input dimensions or mismatched buffer lengths.
-pub fn maxpool2_u8_into(src: &[u8], c: usize, h: usize, w: usize, dst: &mut [u8]) {
-    assert!(
-        h.is_multiple_of(2) && w.is_multiple_of(2),
-        "max-pool needs even dimensions"
-    );
-    assert_eq!(src.len(), c * h * w, "max-pool input length mismatch");
-    assert_eq!(dst.len(), c * h * w / 4, "max-pool output length mismatch");
-    let (oh, ow) = (h / 2, w / 2);
-    for ci in 0..c {
-        let plane = &src[ci * h * w..][..h * w];
-        for y in 0..oh {
-            let top = &plane[2 * y * w..][..w];
-            let bot = &plane[(2 * y + 1) * w..][..w];
-            let orow = &mut dst[(ci * oh + y) * ow..][..ow];
-            for (o, (t, b)) in orow
-                .iter_mut()
-                .zip(top.chunks_exact(2).zip(bot.chunks_exact(2)))
-            {
-                *o = t[0].max(t[1]).max(b[0]).max(b[1]);
-            }
-        }
-    }
-}
-
-/// Nearest-neighbour 2× upsampling over `u8` planes.
-///
-/// # Panics
-/// Panics on mismatched buffer lengths.
-pub fn upsample2_u8_into(src: &[u8], c: usize, h: usize, w: usize, dst: &mut [u8]) {
-    assert_eq!(src.len(), c * h * w, "upsample input length mismatch");
-    assert_eq!(dst.len(), c * h * w * 4, "upsample output length mismatch");
-    let (oh, ow) = (h * 2, w * 2);
-    for ci in 0..c {
-        let plane = &src[ci * h * w..][..h * w];
-        for y in 0..h {
-            let srow = &plane[y * w..][..w];
-            // Double horizontally into the even output row, then duplicate
-            // it into the odd one with a straight copy.
-            let rows = &mut dst[(ci * oh + 2 * y) * ow..][..2 * ow];
-            let (even, odd) = rows.split_at_mut(ow);
-            for (pair, &s) in even.chunks_exact_mut(2).zip(srow) {
-                pair[0] = s;
-                pair[1] = s;
-            }
-            odd.copy_from_slice(even);
-        }
-    }
-}
-
 /// The quantized NN-S: three [`QuantConv2d`]s in the paper's topology with
 /// requantization between layers and an f32 epilogue (dequantize, bias,
 /// sigmoid) on the final logits.
@@ -804,24 +753,23 @@ impl QuantNnS {
         let (c1, c2, c3) = nns.convs();
         let conv1 = QuantConv2d::from_conv(c1);
         let conv2 = QuantConv2d::from_conv(c2);
-        let (_, b1) = c1.export_params();
-        let (_, b2) = c2.export_params();
-        let (w3, b3) = c3.export_params();
+        let w3 = c3.weights();
         let requants = |conv: &QuantConv2d, b: &[f32], s_in: f32, s_out: f32| -> Vec<Requant> {
             conv.w_scale()
                 .iter()
                 .zip(b)
                 .map(|(&sw, &bias)| {
                     let acc_scale = (s_in * sw) as f64;
-                    Requant::from_real(
-                        acc_scale / s_out as f64,
-                        (bias as f64 / acc_scale).round() as i32,
-                    )
+                    // Trained weights sit far inside these limits; absurd
+                    // ones (a damaged model file) saturate the multiplier
+                    // instead of tripping `from_real`'s range asserts.
+                    let m = (acc_scale / s_out as f64).clamp(f64::MIN_POSITIVE, 2f64.powi(29));
+                    Requant::from_real(m, (bias as f64 / acc_scale).round() as i32)
                 })
                 .collect()
         };
-        let rq1 = requants(&conv1, &b1, scales.input, scales.a1);
-        let rq2 = requants(&conv2, &b2, scales.a1, scales.a2);
+        let rq1 = requants(&conv1, c1.bias(), scales.input, scales.a1);
+        let rq2 = requants(&conv2, c2.bias(), scales.a1, scales.a2);
         // conv3's input concatenates a1 (scale a1) with upsampled a2
         // (scale a2): split it into two half-convolutions so each half
         // dequantizes with its own exact scale.
@@ -841,7 +789,7 @@ impl QuantNnS {
             conv3b,
             deq3a,
             deq3b,
-            bias3: b3[0],
+            bias3: c3.bias()[0],
         }
     }
 
@@ -874,12 +822,12 @@ impl QuantNnS {
         let mut a1 = SCRATCH_U8.take(hid * hw);
         self.conv1.forward_requant(&xq, h, w, &self.rq1, &mut a1);
         let mut d = SCRATCH_U8.take(hid * hw / 4);
-        maxpool2_u8_into(&a1, hid, h, w, &mut d);
+        maxpool2_into(&a1, hid, h, w, &mut d, u8::max);
         let mut a2 = SCRATCH_U8.take(hid * hw / 4);
         self.conv2
             .forward_requant(&d, h / 2, w / 2, &self.rq2, &mut a2);
         let mut up = SCRATCH_U8.take(hid * hw);
-        upsample2_u8_into(&a2, hid, h / 2, w / 2, &mut up);
+        upsample2_into(&a2, hid, h / 2, w / 2, &mut up);
         let mut acc_a = SCRATCH_I32.take(hw);
         self.conv3a.forward_i32(&a1, h, w, &mut acc_a);
         let mut acc_b = SCRATCH_I32.take(hw);
@@ -1053,17 +1001,16 @@ mod tests {
 
     #[test]
     fn quantized_pool_and_upsample_commute_with_f32() {
-        use crate::layers::{maxpool2_into, upsample2_into};
         let src = test_input(2, 6, 8, 11);
         let srcf: Vec<f32> = src.iter().map(|&v| v as f32).collect();
         let mut dq = vec![0u8; 2 * 3 * 4];
         let mut df = vec![0.0f32; 2 * 3 * 4];
-        maxpool2_u8_into(&src, 2, 6, 8, &mut dq);
-        maxpool2_into(&srcf, 2, 6, 8, &mut df);
+        maxpool2_into(&src, 2, 6, 8, &mut dq, u8::max);
+        maxpool2_into(&srcf, 2, 6, 8, &mut df, f32::max);
         assert_eq!(dq.iter().map(|&v| v as f32).collect::<Vec<_>>(), df);
         let mut uq = vec![0u8; 2 * 6 * 8];
         let mut uf = vec![0.0f32; 2 * 6 * 8];
-        upsample2_u8_into(&dq, 2, 3, 4, &mut uq);
+        upsample2_into(&dq, 2, 3, 4, &mut uq);
         upsample2_into(&df, 2, 3, 4, &mut uf);
         assert_eq!(uq.iter().map(|&v| v as f32).collect::<Vec<_>>(), uf);
     }
@@ -1087,7 +1034,7 @@ mod tests {
         );
         nns.calibrate(&[&x]);
         let f = nns.infer(&x);
-        let q = nns.infer_quantized(&x);
+        let q = nns.quantize().infer(&x);
         let max_err = f
             .as_slice()
             .iter()

@@ -26,45 +26,43 @@ fn put_f32s(out: &mut Vec<u8>, vals: &[f32]) {
     }
 }
 
-fn get_f32s(buf: &[u8], pos: &mut usize) -> Result<Vec<f32>, String> {
-    let n = u32::from_le_bytes(
-        buf.get(*pos..*pos + 4)
-            .ok_or("truncated length")?
-            .try_into()
-            .expect("slice of 4"),
-    ) as usize;
-    *pos += 4;
-    let end = pos
-        .checked_add(n * 4)
-        .filter(|&e| e <= buf.len())
-        .ok_or("truncated parameter block")?;
-    let vals = buf[*pos..end]
+/// Splits `n` bytes off the front of `buf`, if it holds that many.
+fn take<'a>(buf: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
+    let (head, tail) = buf.split_at_checked(n)?;
+    *buf = tail;
+    Some(head)
+}
+
+/// Reads one length-prefixed block that must hold exactly `expected`
+/// values; the claimed length is checked before anything is decoded.
+fn get_f32s(buf: &mut &[u8], expected: usize, what: &str) -> Result<Vec<f32>, String> {
+    let n = take(buf, 4).ok_or_else(|| format!("truncated before the {what} length"))?;
+    let n = u32::from_le_bytes(n.try_into().expect("slice of 4")) as usize;
+    if n != expected {
+        return Err(format!("expected {expected} {what}, got {n}"));
+    }
+    let block = take(buf, 4 * n).ok_or_else(|| format!("truncated {what} block"))?;
+    Ok(block
         .chunks_exact(4)
         .map(|c| f32::from_le_bytes(c.try_into().expect("chunk of 4")))
-        .collect();
-    *pos = end;
-    Ok(vals)
+        .collect())
 }
 
 fn put_conv(out: &mut Vec<u8>, conv: &Conv2d) {
-    let (w, b) = conv.export_params();
-    put_f32s(out, &w);
-    put_f32s(out, &b);
+    put_f32s(out, conv.weights());
+    put_f32s(out, conv.bias());
 }
 
-fn get_conv(
-    buf: &[u8],
-    pos: &mut usize,
-    cin: usize,
-    cout: usize,
-    k: usize,
-) -> Result<Conv2d, String> {
-    let w = get_f32s(buf, pos)?;
-    let b = get_f32s(buf, pos)?;
-    let mut conv = Conv2d::new(cin, cout, k, 0);
-    conv.import_params(&w, &b)
-        .map_err(|e| format!("conv {cin}x{cout}: {e}"))?;
-    Ok(conv)
+/// Reads the layer called `name`, whose shape the header fixed: both block
+/// lengths are compared with that shape before a value is decoded, and the
+/// values are validated by [`Conv2d::from_params`].
+fn get_conv(buf: &mut &[u8], name: &str, cin: usize, cout: usize) -> Result<Conv2d, String> {
+    let mut read = || {
+        let w = get_f32s(buf, cout * cin * 9, "weights")?;
+        let b = get_f32s(buf, cout, "biases")?;
+        Conv2d::from_params(cin, cout, 3, w, b)
+    };
+    read().map_err(|e| format!("{name}: {e}"))
 }
 
 /// Serialises a trained NN-S to bytes.
@@ -103,7 +101,9 @@ pub fn save_nns(model: &NnS) -> Vec<u8> {
 /// Deserialises an NN-S from bytes produced by [`save_nns`].
 ///
 /// # Errors
-/// Returns a message on bad magic/version, truncation or shape mismatch.
+/// Returns a message on bad magic/version, truncation, a block whose length
+/// disagrees with the header's width, a non-finite parameter or unusable
+/// calibration scales.
 pub fn load_nns(buf: &[u8]) -> Result<NnS, String> {
     if buf.len() < 9 || buf[..4] != MAGIC {
         return Err("not an NN-S model (bad magic)".into());
@@ -115,46 +115,45 @@ pub fn load_nns(buf: &[u8]) -> Result<NnS, String> {
     if hidden == 0 || hidden > 4096 {
         return Err(format!("implausible hidden width {hidden}"));
     }
-    let mut pos = 9usize;
-    let c1 = get_conv(buf, &mut pos, SANDWICH_CHANNELS, hidden, 3)?;
-    let c2 = get_conv(buf, &mut pos, hidden, hidden, 3)?;
-    let c3 = get_conv(buf, &mut pos, 2 * hidden, 1, 3)?;
-    let mut model = NnS::from_convs(hidden, c1, c2, c3);
-    let rest = &buf[pos..];
-    if rest.is_empty() {
-        // Pre-quantization file: no calibration trailer.
-        return Ok(model);
-    }
-    if rest.len() != 16 || rest[..4] != SCALES_MAGIC {
+    // The widest model's largest block is 4096·4096·9 values: every length
+    // below fits `usize` with room to spare.
+    let mut rest = &buf[9..];
+    let c1 = get_conv(&mut rest, "conv1", SANDWICH_CHANNELS, hidden)?;
+    let c2 = get_conv(&mut rest, "conv2", hidden, hidden)?;
+    let c3 = get_conv(&mut rest, "conv3", 2 * hidden, 1)?;
+    // A pre-quantization file ends here: no calibration trailer.
+    let scales = if rest.is_empty() {
+        None
+    } else if rest.len() == 16 && rest[..4] == SCALES_MAGIC {
+        let f =
+            |i: usize| f32::from_le_bytes(rest[4 + 4 * i..8 + 4 * i].try_into().expect("4 bytes"));
+        Some(ActScales {
+            input: f(0),
+            a1: f(1),
+            a2: f(2),
+        })
+    } else {
         return Err(format!("{} trailing bytes", rest.len()));
-    }
-    let f = |i: usize| f32::from_le_bytes(rest[4 + 4 * i..8 + 4 * i].try_into().expect("4 bytes"));
-    let scales = ActScales {
-        input: f(0),
-        a1: f(1),
-        a2: f(2),
     };
-    scales
-        .validate()
-        .map_err(|e| format!("calibration trailer: {e}"))?;
-    model.set_act_scales(scales);
-    Ok(model)
+    NnS::from_parts(c1, c2, c3, scales)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tensor::Tensor;
+    use crate::trainer::{train, Sample, TrainConfig};
 
     #[test]
     fn roundtrip_preserves_inference() {
         let mut model = NnS::new(4, 99);
         // Nudge it away from the raw init so the test is not vacuous.
         let x = Tensor::from_vec(3, 8, 8, (0..192).map(|v| v as f32 / 192.0).collect());
-        let t = Tensor::zeros(1, 8, 8);
-        model.zero_grad();
-        model.train_step(&x, &t);
-        model.apply_grads(0.1, 0.9, 1);
+        let sample = Sample {
+            input: x.clone(),
+            target: Tensor::zeros(1, 8, 8),
+        };
+        train(&mut model, &[sample], &TrainConfig::default());
 
         let bytes = save_nns(&model);
         let loaded = load_nns(&bytes).expect("loads");
@@ -230,5 +229,59 @@ mod tests {
         let mut trailing = save_nns(&NnS::new(4, 1));
         trailing.push(0);
         assert!(load_nns(&trailing).is_err());
+    }
+
+    #[test]
+    fn reserialising_a_loaded_model_reproduces_the_file() {
+        let mut model = NnS::new(4, 3);
+        let x = Tensor::from_vec(3, 8, 8, (0..192).map(|v| (v % 3) as f32 / 2.0).collect());
+        let sample = Sample {
+            input: x.clone(),
+            target: Tensor::from_vec(1, 8, 8, x.channel(1).to_vec()),
+        };
+        train(&mut model, &[sample], &TrainConfig::default());
+        let plain = save_nns(&model);
+        assert_eq!(save_nns(&load_nns(&plain).unwrap()), plain);
+        model.calibrate(&[&x]);
+        let with_trailer = save_nns(&model);
+        assert_eq!(save_nns(&load_nns(&with_trailer).unwrap()), with_trailer);
+    }
+
+    #[test]
+    fn block_lengths_are_checked_against_the_header_before_anything_is_built() {
+        // Under half a megabyte claiming the widest model the format
+        // allows: a well-formed conv1, then conv2 blocks of length zero.
+        let hidden = 4096usize;
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&MAGIC);
+        bytes.push(VERSION);
+        bytes.extend_from_slice(&(hidden as u32).to_le_bytes());
+        put_f32s(&mut bytes, &vec![0.0; SANDWICH_CHANNELS * hidden * 9]);
+        put_f32s(&mut bytes, &vec![0.0; hidden]);
+        put_f32s(&mut bytes, &[]);
+        put_f32s(&mut bytes, &[]);
+        assert!(bytes.len() < 500_000);
+        let err = load_nns(&bytes).unwrap_err();
+        assert_eq!(err, "conv2: expected 150994944 weights, got 0");
+        // A length field edited upwards is refused the same way, without
+        // reading past the buffer.
+        let mut long = save_nns(&NnS::new(4, 1));
+        long[9..13].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = load_nns(&long).unwrap_err();
+        assert_eq!(err, "conv1: expected 108 weights, got 4294967295");
+    }
+
+    #[test]
+    fn rejects_non_finite_parameters_naming_layer_and_index() {
+        let good = save_nns(&NnS::new(4, 1));
+        // Bytes 13..17 hold conv1's first weight.
+        let mut inf = good.clone();
+        inf[13..17].copy_from_slice(&f32::INFINITY.to_le_bytes());
+        assert_eq!(load_nns(&inf).unwrap_err(), "conv1: weight 0 is inf");
+        // conv3's only bias is the last value of an uncalibrated file.
+        let mut nan = good.clone();
+        let n = nan.len();
+        nan[n - 4..].copy_from_slice(&f32::NAN.to_le_bytes());
+        assert_eq!(load_nns(&nan).unwrap_err(), "conv3: bias 0 is NaN");
     }
 }

@@ -1,6 +1,6 @@
 //! A minimal CHW float tensor.
 
-use vrd_video::{Seg2Plane, SegMask};
+use vrd_video::SegMask;
 
 /// A dense `channels × height × width` tensor of `f32`.
 #[derive(Debug, Clone, PartialEq)]
@@ -104,37 +104,12 @@ impl Tensor {
         &self.data[c * self.h * self.w..(c + 1) * self.h * self.w]
     }
 
-    /// Stacks single-channel planes into a multi-channel tensor.
-    ///
-    /// # Panics
-    /// Panics if `planes` is empty or the planes disagree in size.
-    pub fn stack(planes: &[Tensor]) -> Tensor {
-        assert!(!planes.is_empty(), "cannot stack zero planes");
-        let (h, w) = (planes[0].h, planes[0].w);
-        let c: usize = planes.iter().map(|p| p.c).sum();
-        let mut data = Vec::with_capacity(c * h * w);
-        for p in planes {
-            assert_eq!((p.h, p.w), (h, w), "stacked planes must share size");
-            data.extend_from_slice(&p.data);
-        }
-        Tensor::from_vec(c, h, w, data)
-    }
-
     /// Converts a binary mask into a 1-channel 0.0/1.0 tensor via the
     /// packed word-at-a-time expansion.
     pub fn from_mask(mask: &SegMask) -> Tensor {
         let mut data = vec![0.0; mask.height() * mask.width()];
         mask.expand_f32_into(&mut data);
         Tensor::from_vec(1, mask.height(), mask.width(), data)
-    }
-
-    /// Converts a 2-bit reconstruction plane into a 1-channel tensor with
-    /// the mean-filter values 0.0 / 0.5 / 1.0, expanding the two bitplanes
-    /// word-at-a-time.
-    pub fn from_seg2(plane: &Seg2Plane) -> Tensor {
-        let mut data = vec![0.0; plane.height() * plane.width()];
-        plane.expand_f32_into(&mut data);
-        Tensor::from_vec(1, plane.height(), plane.width(), data)
     }
 
     /// Thresholds a 1-channel tensor of probabilities into a mask, packing
@@ -161,17 +136,6 @@ mod tests {
         assert_eq!(t.len(), 24);
         assert!(!t.is_empty());
         assert_eq!(t.channel(1)[2 * 4 + 3], 7.5);
-    }
-
-    #[test]
-    fn stack_concatenates_channels() {
-        let a = Tensor::from_vec(1, 2, 2, vec![1.0; 4]);
-        let b = Tensor::from_vec(2, 2, 2, vec![2.0; 8]);
-        let s = Tensor::stack(&[a, b]);
-        assert_eq!(s.channels(), 3);
-        assert_eq!(s.get(0, 0, 0), 1.0);
-        assert_eq!(s.get(1, 1, 1), 2.0);
-        assert_eq!(s.get(2, 0, 1), 2.0);
     }
 
     #[test]

@@ -1,4 +1,6 @@
-//! Minibatch SGD training loop for NN-S.
+//! Minibatch SGD-with-momentum training loop for NN-S, and the state it
+//! owns: the model holds parameters only, so the gradient and momentum
+//! buffers live here (`Grads`).
 //!
 //! The paper trains NN-S for **two epochs** on the training split's
 //! reconstructed B-frames with ground-truth labels (§III-B); these defaults
@@ -9,42 +11,6 @@ use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-
-/// The optimiser driving the weight updates.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Optimizer {
-    /// Stochastic gradient descent with momentum (the calibrated default).
-    Sgd {
-        /// Learning rate.
-        lr: f32,
-        /// Momentum coefficient.
-        momentum: f32,
-    },
-    /// Adam (Kingma & Ba) — converges in fewer steps on the refinement
-    /// task, matching the paper's Keras setup more closely.
-    Adam {
-        /// Learning rate.
-        lr: f32,
-        /// First-moment decay.
-        beta1: f32,
-        /// Second-moment decay.
-        beta2: f32,
-        /// Denominator stabiliser.
-        eps: f32,
-    },
-}
-
-impl Optimizer {
-    /// Adam with the standard hyper-parameters.
-    pub fn adam(lr: f32) -> Self {
-        Optimizer::Adam {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-        }
-    }
-}
 
 /// One training sample: sandwich input and ground-truth mask target.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,8 +26,10 @@ pub struct Sample {
 pub struct TrainConfig {
     /// Number of passes over the data (paper: 2).
     pub epochs: usize,
-    /// The optimiser and its hyper-parameters.
-    pub optimizer: Optimizer,
+    /// Learning rate.
+    pub lr: f32,
+    /// Momentum coefficient.
+    pub momentum: f32,
     /// Minibatch size.
     pub batch: usize,
     /// Shuffling seed.
@@ -76,10 +44,8 @@ impl Default for TrainConfig {
     fn default() -> Self {
         Self {
             epochs: 2,
-            optimizer: Optimizer::Sgd {
-                lr: 0.4,
-                momentum: 0.9,
-            },
+            lr: 0.4,
+            momentum: 0.9,
             batch: 4,
             seed: 0x7a41,
             threads: 0,
@@ -87,12 +53,68 @@ impl Default for TrainConfig {
     }
 }
 
+/// One `f32` per NN-S parameter — a weight-shaped and a bias-shaped buffer
+/// per convolution, in graph order. A sample's gradient, a minibatch's
+/// summed gradient and the momentum state are each one of these.
+#[derive(Debug)]
+pub(crate) struct Grads([(Vec<f32>, Vec<f32>); 3]);
+
+impl Grads {
+    /// All-zero buffers shaped like `model`'s parameters.
+    pub(crate) fn zeros(model: &NnS) -> Self {
+        let (c1, c2, c3) = model.convs();
+        Self([c1, c2, c3].map(|c| (vec![0.0; c.weights().len()], vec![0.0; c.bias().len()])))
+    }
+
+    /// The per-layer `(weights, bias)` buffers, for a backward pass to add
+    /// into.
+    pub(crate) fn layers_mut(&mut self) -> [(&mut [f32], &mut [f32]); 3] {
+        self.0.each_mut().map(|(w, b)| (&mut w[..], &mut b[..]))
+    }
+
+    /// Element-wise `self += other`.
+    fn add(&mut self, other: &Grads) {
+        for ((w, b), (ow, ob)) in self.0.iter_mut().zip(&other.0) {
+            for (a, &g) in w.iter_mut().zip(ow).chain(b.iter_mut().zip(ob)) {
+                *a += g;
+            }
+        }
+    }
+}
+
+/// One SGD-with-momentum step, `v = momentum·v − lr·g/batch; p += v` for
+/// every parameter `p`: updates `model` from the summed gradients of a
+/// minibatch of `batch` samples and the momentum state `velocity`.
+pub(crate) fn sgd_step(
+    model: &mut NnS,
+    grads: &Grads,
+    velocity: &mut Grads,
+    lr: f32,
+    momentum: f32,
+    batch: usize,
+) {
+    let scale = 1.0 / batch.max(1) as f32;
+    let update = |p: &mut [f32], g: &[f32], v: &mut [f32]| {
+        for ((p, &g), v) in p.iter_mut().zip(g).zip(v) {
+            *v = momentum * *v - lr * g * scale;
+            *p += *v;
+        }
+    };
+    let layers = model.convs_mut().into_iter().zip(&grads.0);
+    for ((conv, (gw, gb)), (vw, vb)) in layers.zip(&mut velocity.0) {
+        let (w, b) = conv.params_mut();
+        update(w, gw, vw);
+        update(b, gb, vb);
+    }
+}
+
 /// Trains `model` on `samples`; returns the mean loss of each epoch.
 ///
 /// Each minibatch computes per-sample gradients independently (in parallel
-/// across `cfg.threads` workers) and reduces them in sample order, so the
-/// trained weights are **bit-identical for every thread count** — the
-/// parallelism only changes wall-clock time, never the result.
+/// across `cfg.threads` workers, each borrowing the model) and reduces them
+/// in sample order, so the trained weights are **bit-identical for every
+/// thread count** — the parallelism only changes wall-clock time, never the
+/// result.
 ///
 /// # Panics
 /// Panics if `samples` is empty or `cfg.batch == 0`.
@@ -107,35 +129,30 @@ pub fn train(model: &mut NnS, samples: &[Sample], cfg: &TrainConfig) -> Vec<f32>
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut order: Vec<usize> = (0..samples.len()).collect();
     let mut history = Vec::with_capacity(cfg.epochs);
-    let mut step = 0usize;
+    let mut velocity = Grads::zeros(model);
     for _ in 0..cfg.epochs {
         order.shuffle(&mut rng);
         let mut epoch_loss = 0.0f32;
         for chunk in order.chunks(cfg.batch) {
-            model.zero_grad();
-            // Per-sample gradients in parallel: each worker clones the
-            // (zero-gradient) model, runs one forward/backward, and hands
-            // its gradient buffers back for an in-order reduction.
             let shared: &NnS = model;
             let per_sample = vrd_runtime::parallel_map_with(chunk, threads, |&i| {
-                let mut worker = shared.clone();
-                let loss = worker.train_step(&samples[i].input, &samples[i].target);
-                (loss, worker)
+                let mut grads = Grads::zeros(shared);
+                let loss = shared.train_step(&samples[i].input, &samples[i].target, &mut grads);
+                (loss, grads)
             });
-            for (loss, worker) in &per_sample {
+            let mut batch = Grads::zeros(model);
+            for (loss, grads) in &per_sample {
                 epoch_loss += loss;
-                model.accumulate_grads_from(worker);
+                batch.add(grads);
             }
-            step += 1;
-            match cfg.optimizer {
-                Optimizer::Sgd { lr, momentum } => model.apply_grads(lr, momentum, chunk.len()),
-                Optimizer::Adam {
-                    lr,
-                    beta1,
-                    beta2,
-                    eps,
-                } => model.apply_grads_adam(lr, beta1, beta2, eps, step, chunk.len()),
-            }
+            sgd_step(
+                model,
+                &batch,
+                &mut velocity,
+                cfg.lr,
+                cfg.momentum,
+                chunk.len(),
+            );
         }
         history.push(epoch_loss / samples.len() as f32);
     }
@@ -199,25 +216,6 @@ mod tests {
     }
 
     #[test]
-    fn adam_also_reduces_loss() {
-        let samples = toy_samples(32);
-        let mut model = NnS::new(4, 5);
-        let history = train(
-            &mut model,
-            &samples,
-            &TrainConfig {
-                epochs: 4,
-                optimizer: Optimizer::adam(0.05),
-                ..TrainConfig::default()
-            },
-        );
-        assert!(
-            history.last().unwrap() < &(history[0] * 0.8),
-            "Adam loss did not fall: {history:?}"
-        );
-    }
-
-    #[test]
     fn training_is_deterministic() {
         let samples = toy_samples(8);
         let cfg = TrainConfig::default();
@@ -235,10 +233,7 @@ mod tests {
             let (c1, c2, c3) = model.convs();
             [c1, c2, c3]
                 .iter()
-                .flat_map(|c| {
-                    let (w, b) = c.export_params();
-                    [w, b]
-                })
+                .flat_map(|c| [c.weights(), c.bias()])
                 .map(|v| v.iter().map(|f| f.to_bits()).collect())
                 .collect()
         };

@@ -8,7 +8,8 @@
 
 use proptest::prelude::*;
 use vrd_nn::conv::{reference, Conv2d};
-use vrd_nn::{sigmoid, train, NnS, Sample, Tensor, TrainConfig};
+use vrd_nn::layers::{maxpool2_into, relu_in_place, sigmoid_in_place, upsample2_into};
+use vrd_nn::{train, NnS, Sample, Tensor, TrainConfig};
 
 /// The forward kernel's column-tile width (`TILE_W`, private to `conv.rs`).
 /// Only the choice of boundary shapes below depends on it.
@@ -73,17 +74,15 @@ proptest! {
     #[test]
     fn backward_matches_reference(shape in arb_shape(), seed in 0u64..1_000_000) {
         let (cin, cout, k, h, w) = shape;
-        let mut conv = Conv2d::new(cin, cout, k, seed);
+        let conv = Conv2d::new(cin, cout, k, seed);
         let x = Tensor::from_vec(cin, h, w, fill(cin * h * w, seed));
         let gout = Tensor::from_vec(cout, h, w, fill(cout * h * w, seed ^ 0xabcd));
-        let _ = conv.forward(&x);
-        conv.zero_grad();
-        let gin = conv.backward(&gout);
+        let (mut gw, mut gb) = (vec![0.0; conv.weights().len()], vec![0.0; cout]);
+        let gin = conv.backward(&x, &gout, &mut gw, &mut gb);
         let (gin_ref, gw_ref, gb_ref) = reference::backward(&conv, &x, &gout);
         prop_assert_eq!(gin.as_slice(), gin_ref.as_slice());
-        let (gw, gb) = conv.grads();
-        prop_assert_eq!(gw, &gw_ref[..]);
-        prop_assert_eq!(gb, &gb_ref[..]);
+        prop_assert_eq!(gw, gw_ref);
+        prop_assert_eq!(gb, gb_ref);
     }
 
     #[test]
@@ -96,7 +95,7 @@ proptest! {
         // optimised backward keeps a row-granular sparse fast path. Pin
         // that it never changes the result — including fully-zero inputs.
         let (cin, cout, k, h, w) = shape;
-        let mut conv = Conv2d::new(cin, cout, k, seed);
+        let conv = Conv2d::new(cin, cout, k, seed);
         let x = Tensor::from_vec(cin, h, w, fill(cin * h * w, seed));
         let mut g = fill(cout * h * w, seed ^ 0x5eed);
         for (i, v) in g.iter_mut().enumerate() {
@@ -109,24 +108,12 @@ proptest! {
             row.fill(0.0);
         }
         let gout = Tensor::from_vec(cout, h, w, g);
-        let _ = conv.forward(&x);
-        conv.zero_grad();
-        let gin = conv.backward(&gout);
+        let (mut gw, mut gb) = (vec![0.0; conv.weights().len()], vec![0.0; cout]);
+        let gin = conv.backward(&x, &gout, &mut gw, &mut gb);
         let (gin_ref, gw_ref, gb_ref) = reference::backward(&conv, &x, &gout);
         prop_assert_eq!(gin.as_slice(), gin_ref.as_slice());
-        let (gw, gb) = conv.grads();
-        prop_assert_eq!(gw, &gw_ref[..]);
-        prop_assert_eq!(gb, &gb_ref[..]);
-    }
-
-    #[test]
-    fn inference_matches_training_forward(shape in arb_shape(), seed in 0u64..1_000_000) {
-        let (cin, cout, k, h, w) = shape;
-        let mut conv = Conv2d::new(cin, cout, k, seed);
-        let x = Tensor::from_vec(cin, h, w, fill(cin * h * w, seed ^ 0x77));
-        let trained = conv.forward(&x);
-        let inferred = conv.forward_inference(&x);
-        prop_assert_eq!(bits(&trained), bits(&inferred));
+        prop_assert_eq!(gw, gw_ref);
+        prop_assert_eq!(gb, gb_ref);
     }
 }
 
@@ -182,8 +169,7 @@ fn forward_keeps_signed_zeros() {
     for tap in weights.chunks_mut(k * k) {
         tap[0] = 1.0;
     }
-    let mut conv = Conv2d::new(cin, cout, k, 0);
-    conv.import_params(&weights, &vec![-0.0; cout]).unwrap();
+    let conv = Conv2d::from_params(cin, cout, k, weights, vec![-0.0; cout]).unwrap();
     for zero in [0.0f32, -0.0] {
         let x = Tensor::from_vec(cin, h, w, vec![zero; cin * h * w]);
         let naive = reference::forward(&conv, &x);
@@ -222,17 +208,31 @@ fn forward_is_thread_count_invariant() {
     }
 }
 
-/// `NnS::infer` fuses ReLU into the conv store and lets conv1 write into the
-/// concatenation buffer; the training path runs separate layers. Pin one to
-/// the other at a shape whose last tile is ragged at both resolutions, with
-/// a hidden width that leaves a partial channel block.
+/// `NnS::infer` — which is also the forward pass training differentiates —
+/// fuses ReLU into the conv store and lets conv1 write into the
+/// concatenation buffer. Pin it to the same graph run as separate layers
+/// over the naive reference convolution, at a shape whose last tile is
+/// ragged at both resolutions, with a hidden width that leaves a partial
+/// channel block.
 #[test]
-fn nns_infer_matches_training_forward_on_a_ragged_shape() {
-    let (h, w) = (38, 70);
-    let mut nns = NnS::new(5, 31);
+fn nns_infer_matches_separate_layers_on_a_ragged_shape() {
+    let (h, w, hid) = (38, 70, 5);
+    let nns = NnS::new(hid, 31);
+    let (c1, c2, c3) = nns.convs();
     let x = Tensor::from_vec(3, h, w, fill(3 * h * w, 9));
-    let trained = sigmoid(&nns.forward_logits(&x));
-    assert_eq!(bits(&nns.infer(&x)), bits(&trained));
+    let mut a1 = reference::forward(c1, &x);
+    relu_in_place(a1.as_mut_slice());
+    let mut d = Tensor::zeros(hid, h / 2, w / 2);
+    maxpool2_into(a1.as_slice(), hid, h, w, d.as_mut_slice(), f32::max);
+    let mut a2 = reference::forward(c2, &d);
+    relu_in_place(a2.as_mut_slice());
+    let mut cat = Tensor::zeros(2 * hid, h, w);
+    let (first, second) = cat.as_mut_slice().split_at_mut(hid * h * w);
+    first.copy_from_slice(a1.as_slice());
+    upsample2_into(a2.as_slice(), hid, h / 2, w / 2, second);
+    let mut layered = reference::forward(c3, &cat);
+    sigmoid_in_place(layered.as_mut_slice());
+    assert_eq!(bits(&nns.infer(&x)), bits(&layered));
 }
 
 /// Small random training corpus for the determinism property.
@@ -272,11 +272,8 @@ proptest! {
             let (c1, c2, c3) = model.convs();
             let bits = [c1, c2, c3]
                 .iter()
-                .flat_map(|c| {
-                    let (w, b) = c.export_params();
-                    w.into_iter().chain(b)
-                })
-                .map(f32::to_bits)
+                .flat_map(|c| c.weights().iter().chain(c.bias()))
+                .map(|v| v.to_bits())
                 .collect();
             (hist, bits)
         };
