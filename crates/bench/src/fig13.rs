@@ -94,8 +94,7 @@ pub fn fps_hd(frames: usize) -> (f64, f64, f64) {
         &sim,
     );
     // Decoder-limited ceiling at this resolution.
-    let decoder_fps = sim.decoder.freq_hz
-        / (cfg.width as f64 * cfg.height as f64 * sim.decoder.cycles_per_pixel_full);
+    let decoder_fps = sim.decoder_ceiling_fps(cfg.width * cfg.height);
     (r_favos.fps, r_par.fps, decoder_fps)
 }
 

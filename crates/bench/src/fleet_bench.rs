@@ -129,7 +129,7 @@ fn build_library(ctx: &Context, base_interval_ns: f64) -> Vec<StreamEntry> {
         let encoded = model.encode(seq).expect("library sequences encode");
         let template =
             drive_template(model, seq, &encoded, &ctx.sim, None).expect("library streams drive");
-        let demand = SessionDemand::estimate(model, seq, &encoded, base_interval_ns, &ctx.sim);
+        let demand = SessionDemand::estimate(model, seq, &encoded, base_interval_ns);
         entries.push(StreamEntry { template, demand });
     };
     for i in 0..STD_STREAMS {
@@ -181,10 +181,8 @@ fn resolve_shapes(trace: &mut TrafficTrace) {
 /// comparably: the admission projection's base latency (one NN-L plus a
 /// switch pair) with 8× headroom.
 fn bench_slo(library: &[StreamEntry], ctx: &Context) -> SloConfig {
-    let base =
-        library[0].demand.nnl_ns + ctx.sim.switch_to_large_ns() + ctx.sim.switch_to_small_ns();
     SloConfig {
-        target_p99_ns: 8.0 * base,
+        target_p99_ns: 8.0 * library[0].demand.unloaded_anchor_ns(&ctx.sim),
         ..SloConfig::default()
     }
 }
@@ -260,9 +258,8 @@ pub fn run(ctx: &Context) -> FleetBench {
         &ctx.davis[0],
         &ctx.model.encode(&ctx.davis[0]).expect("suite encodes"),
         1.0,
-        &ctx.sim,
     );
-    let base_interval_ns = 12.0 * probe.nnl_ns;
+    let base_interval_ns = 12.0 * probe.nnl_ns(&ctx.sim);
     let library = build_library(ctx, base_interval_ns);
     let slo = bench_slo(&library, ctx);
 

@@ -13,7 +13,7 @@
 use vr_dann::{ComputeMode, VrDann};
 use vrd_codec::EncodedVideo;
 use vrd_nn::LargeNet;
-use vrd_sim::SimConfig;
+use vrd_sim::{Model, SimConfig};
 use vrd_video::Sequence;
 
 /// The service-level objective a deployment promises its sessions.
@@ -72,17 +72,19 @@ pub struct AdmissionProjection {
     pub projected_p99_ns: f64,
 }
 
-/// Analytic per-session demand, derived from encode statistics alone.
+/// Analytic per-session demand, derived from encode statistics alone. It
+/// holds *work* — operation counts and frame counts — and asks the cost
+/// model ([`vrd_sim::cost`]) for time at the point of use, so the same
+/// demand can be billed under any [`SimConfig`] or restamped to another
+/// compute mode without re-estimating the stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SessionDemand {
-    /// One NN-L inference at the session's resolution, in nanoseconds.
-    pub nnl_ns: f64,
-    /// One NN-S inference at the session's resolution, in nanoseconds —
-    /// already scaled for the session's compute mode (int8 NN-S runs
-    /// [`vrd_sim::NpuConfig::int8_speedup`]× faster, so an int8 stream
-    /// claims genuinely less of the NPU).
-    pub nns_ns: f64,
-    /// The NN-S compute mode this demand was estimated for.
+    /// Operations of one NN-L inference at the session's resolution.
+    pub nnl_ops: u64,
+    /// Operations of one NN-S inference at the session's resolution.
+    pub nns_ops: u64,
+    /// The NN-S compute mode the session is billed at: an int8 stream
+    /// claims genuinely less of the NPU.
     pub compute: ComputeMode,
     /// Anchor (I/P) frames in the stream.
     pub anchors: usize,
@@ -94,50 +96,58 @@ pub struct SessionDemand {
 
 impl SessionDemand {
     /// Estimates demand for one request from its encode statistics (anchors
-    /// run NN-L, B-frames run NN-S — the VR-DANN compute split). The NN-S
-    /// term is compute-mode-aware: quantized sessions are billed at the
-    /// int8 service rate, so admitting int8 (or ladder-degraded) streams
-    /// frees real headroom for more sessions instead of being charged as
-    /// if they ran f32.
+    /// run NN-L, B-frames run NN-S — the VR-DANN compute split), billed at
+    /// the model's own compute mode.
     pub fn estimate(
         model: &VrDann,
         seq: &Sequence,
         encoded: &EncodedVideo,
         frame_interval_ns: f64,
-        sim: &SimConfig,
     ) -> Self {
-        let ops_per_ns = sim.npu_ops_per_ns();
-        let compute = model.config().compute;
-        let nns_ops_per_ns = match compute {
-            ComputeMode::Int8 => sim.npu_int8_ops_per_ns(),
-            _ => ops_per_ns,
-        };
-        let nnl_ops = LargeNet::new(model.config().segment_profile).ops(seq.width(), seq.height());
-        let nns_ops = 2 * model.nns().macs(seq.height(), seq.width());
         let n = encoded.stats.n_frames;
         let b = encoded.stats.b_frames.min(n);
         Self {
-            nnl_ns: nnl_ops as f64 / ops_per_ns,
-            nns_ns: nns_ops as f64 / nns_ops_per_ns,
-            compute,
+            nnl_ops: LargeNet::new(model.config().segment_profile).ops(seq.width(), seq.height()),
+            nns_ops: 2 * model.nns().macs(seq.height(), seq.width()),
+            compute: model.config().compute,
             anchors: n - b,
             b_frames: b,
             frame_interval_ns,
         }
     }
 
+    /// One NN-L inference, in nanoseconds.
+    pub fn nnl_ns(&self, sim: &SimConfig) -> f64 {
+        sim.service_ns(self.nnl_ops, Model::Large, self.compute)
+    }
+
+    /// One NN-S inference at the session's compute mode, in nanoseconds.
+    pub fn nns_ns(&self, sim: &SimConfig) -> f64 {
+        sim.service_ns(self.nns_ops, Model::Small, self.compute)
+    }
+
     /// Steady-state compute utilisation this session puts on the NPU.
-    pub fn compute_utilization(&self) -> f64 {
+    pub fn compute_utilization(&self, sim: &SimConfig) -> f64 {
         let n = (self.anchors + self.b_frames).max(1) as f64;
-        let mean_ns = (self.anchors as f64 * self.nnl_ns + self.b_frames as f64 * self.nns_ns) / n;
+        let mean_ns =
+            (self.anchors as f64 * self.nnl_ns(sim) + self.b_frames as f64 * self.nns_ns(sim)) / n;
         mean_ns / self.frame_interval_ns
     }
 
     /// Switch overhead under the batching scheduler: one NN-L ↔ NN-S swap
     /// pair amortised over `batch_cap` served items.
     pub fn switch_utilization(&self, batch_cap: usize, sim: &SimConfig) -> f64 {
-        let pair_ns = sim.switch_to_large_ns() + sim.switch_to_small_ns();
-        pair_ns / batch_cap.max(1) as f64 / self.frame_interval_ns
+        sim.switch_pair_ns() / batch_cap.max(1) as f64 / self.frame_interval_ns
+    }
+
+    /// The worst frame's pass through an idle NPU: switch the large model
+    /// in, run NN-L, switch back. The base the p99 projection inflates.
+    pub fn unloaded_anchor_ns(&self, sim: &SimConfig) -> f64 {
+        // Summed in service order, not as NN-L + `switch_pair_ns()`: the
+        // two associate differently and admission decisions are pinned.
+        self.nnl_ns(sim)
+            + sim.switch_ns(Some(Model::Small), Model::Large)
+            + sim.switch_ns(Some(Model::Large), Model::Small)
     }
 }
 
@@ -195,13 +205,12 @@ impl AdmissionController {
         demand: &SessionDemand,
     ) -> std::result::Result<AdmissionProjection, RejectReason> {
         let u = self.utilization
-            + demand.compute_utilization()
+            + demand.compute_utilization(&self.sim)
             + demand.switch_utilization(self.batch_cap, &self.sim);
         if u >= self.slo.max_utilization {
             return Err(RejectReason::Utilization { projected: u });
         }
-        let base = (demand.nnl_ns + self.sim.switch_to_large_ns() + self.sim.switch_to_small_ns())
-            .max(self.worst_base_ns);
+        let base = demand.unloaded_anchor_ns(&self.sim).max(self.worst_base_ns);
         let p99 = self.project_p99_ns(base, u);
         if p99 > self.slo.target_p99_ns {
             return Err(RejectReason::LatencySlo {
@@ -224,7 +233,8 @@ impl AdmissionController {
     /// mark of the worst frame the shard ever carried, and keeping it makes
     /// the p99 projection conservative rather than optimistic after churn.
     pub fn release(&mut self, demand: &SessionDemand) {
-        let u = demand.compute_utilization() + demand.switch_utilization(self.batch_cap, &self.sim);
+        let u = demand.compute_utilization(&self.sim)
+            + demand.switch_utilization(self.batch_cap, &self.sim);
         self.utilization = (self.utilization - u).max(0.0);
     }
 }
@@ -234,9 +244,10 @@ mod tests {
     use super::*;
 
     fn demand(interval_ns: f64) -> SessionDemand {
+        // 570 us of NN-L and 0.5 us of NN-S at the default service rate.
         SessionDemand {
-            nnl_ns: 570_000.0,
-            nns_ns: 500.0,
+            nnl_ops: 3_739_200_000,
+            nns_ops: 3_280_000,
             compute: ComputeMode::F32Reference,
             anchors: 6,
             b_frames: 10,
@@ -255,7 +266,8 @@ mod tests {
             SimConfig::default(),
         );
         let d = demand(1_710_000.0);
-        let per = d.compute_utilization() + d.switch_utilization(24, &SimConfig::default());
+        let sim = SimConfig::default();
+        let per = d.compute_utilization(&sim) + d.switch_utilization(24, &sim);
         let fit = (0.9 / per) as usize;
         for i in 0..fit {
             assert!(ctl.try_admit(&d).is_ok(), "session {i} should fit");
@@ -272,7 +284,7 @@ mod tests {
     fn latency_slo_rejects_before_the_utilization_ceiling() {
         let sim = SimConfig::default();
         let d = demand(1_710_000.0);
-        let base = d.nnl_ns + sim.switch_to_large_ns() + sim.switch_to_small_ns();
+        let base = d.unloaded_anchor_ns(&sim);
         // An SLO just above the unloaded base: the first session fits, load
         // quickly inflates past it.
         let mut ctl = AdmissionController::new(
@@ -300,8 +312,8 @@ mod tests {
     fn faster_arrivals_demand_more() {
         let slow = demand(2e6);
         let fast = demand(1e6);
-        assert!(fast.compute_utilization() > slow.compute_utilization());
         let sim = SimConfig::default();
+        assert!(fast.compute_utilization(&sim) > slow.compute_utilization(&sim));
         assert!(fast.switch_utilization(24, &sim) > slow.switch_utilization(24, &sim));
         // A bigger batch window amortises switches further.
         assert!(fast.switch_utilization(48, &sim) < fast.switch_utilization(24, &sim));
@@ -313,19 +325,18 @@ mod tests {
         // A B-heavy stream where NN-S dominates the compute term, so the
         // mode actually moves the needle.
         let f32_d = SessionDemand {
-            nnl_ns: 570_000.0,
-            nns_ns: 40_000.0,
-            compute: ComputeMode::F32Reference,
+            nns_ops: 262_400_000,
             anchors: 2,
             b_frames: 60,
-            frame_interval_ns: 150_000.0,
+            ..demand(150_000.0)
         };
         let int8_d = SessionDemand {
-            nns_ns: f32_d.nns_ns / sim.npu.int8_speedup,
             compute: ComputeMode::Int8,
             ..f32_d
         };
-        assert!(int8_d.compute_utilization() < f32_d.compute_utilization());
+        assert!(int8_d.compute_utilization(&sim) < f32_d.compute_utilization(&sim));
+        // Anchors run in full either way.
+        assert_eq!(int8_d.nnl_ns(&sim), f32_d.nnl_ns(&sim));
 
         // The freed headroom is real: the controller admits strictly more
         // int8 sessions than f32 ones under the same ceiling.
@@ -364,7 +375,8 @@ mod tests {
             // ceiling, is what guards saturation in this test.
             max_utilization: 2.0,
         };
-        let mut ctl = AdmissionController::new(slo, 24, SimConfig::default());
+        let sim = SimConfig::default();
+        let mut ctl = AdmissionController::new(slo, 24, sim);
         let base = 1_000_000.0;
 
         // u = 0.999: finite, positive, 1000× the base — over any SLO.
@@ -387,14 +399,11 @@ mod tests {
         // rejected on latency with an infinite projection, and the
         // controller state is untouched by the rejection.
         let d = SessionDemand {
-            nnl_ns: 570_000.0,
-            nns_ns: 500.0,
-            compute: ComputeMode::F32Reference,
             anchors: 1,
             b_frames: 0,
-            // interval == nnl_ns → compute utilisation exactly 1.0; the
+            // interval == NN-L time → compute utilisation exactly 1.0; the
             // switch term pushes it strictly past saturation.
-            frame_interval_ns: 570_000.0,
+            ..demand(demand(1.0).nnl_ns(&sim))
         };
         let before = ctl.utilization();
         match ctl.try_admit(&d) {

@@ -161,9 +161,10 @@ fn mix(mut z: u64) -> u64 {
 }
 
 /// Counter-based uniform draw in `[0, 1)`: a pure hash of the identifying
-/// tuple, so every `(session, item, attempt)` has its own independent coin
-/// regardless of scheduling order.
-fn draw(seed: u64, salt: u64, a: u64, b: u64, c: u64) -> f64 {
+/// tuple, so every `(session, item, attempt)` — or, for the load
+/// generator, every `(candidate, sub-draw)` — has its own independent coin
+/// regardless of visiting order.
+pub(crate) fn draw(seed: u64, salt: u64, a: u64, b: u64, c: u64) -> f64 {
     let h = mix(seed
         ^ mix(salt
             .wrapping_add(a.wrapping_mul(0x9e37_79b9_7f4a_7c15))

@@ -12,8 +12,9 @@
 //! The simulation is a two-phase design:
 //!
 //! 1. **Placement walk** — arrivals are processed in time order. Each
-//!    offered session is billed analytically ([`SessionDemand`], restamped
-//!    for the arrival's pacing and compute mode) and placed on the active
+//!    offered session is billed analytically ([`SessionDemand`] — work,
+//!    restamped with the arrival's pacing and compute mode and priced by
+//!    [`vrd_sim::cost`]) and placed on the active
 //!    shard with the best *model-affinity* score: shards accumulate a mean
 //!    NN-L compute fraction over their resident sessions, and a session
 //!    prefers the shard whose mix looks most like its own — NN-L-heavy
@@ -46,11 +47,10 @@
 
 use crate::admission::{AdmissionController, RejectReason, SessionDemand, SloConfig};
 use crate::error::{Result, ServeError};
-use crate::loadgen::TrafficTrace;
+use crate::loadgen::{SessionArrival, TrafficTrace};
 use crate::metrics::LatencyStats;
 use crate::sched::{schedule, SchedConfig, SchedPolicy, ScheduleOutcome};
 use crate::session::{DrivenSession, SessionSpec, SessionTemplate};
-use vr_dann::ComputeMode;
 use vrd_sim::SimConfig;
 
 /// One stream the fleet can serve: a driven template plus the admission
@@ -246,7 +246,8 @@ struct ShardState {
     draining_since: Option<f64>,
     retired_ns: Option<f64>,
     controller: AdmissionController,
-    /// Resident offer ids, placement order (the rebalancer steals the tail).
+    /// Resident sessions as indices into [`Walk::placements`], placement
+    /// order (the rebalancer steals the tail).
     resident: Vec<usize>,
     /// Sum of resident sessions' NN-L compute fractions (affinity mean).
     affinity_sum: f64,
@@ -255,12 +256,12 @@ struct ShardState {
 }
 
 impl ShardState {
-    fn new(created_ns: f64, slo: SloConfig, batch_cap: usize, sim: SimConfig) -> Self {
+    fn new(created_ns: f64, cfg: &FleetConfig) -> Self {
         Self {
             created_ns,
             draining_since: None,
             retired_ns: None,
-            controller: AdmissionController::new(slo, batch_cap, sim),
+            controller: AdmissionController::new(cfg.slo, cfg.sched.batch_cap, cfg.sim),
             resident: Vec::new(),
             affinity_sum: 0.0,
             peak_utilization: 0.0,
@@ -272,6 +273,10 @@ impl ShardState {
         self.draining_since.is_none()
     }
 
+    fn utilization(&self) -> f64 {
+        self.controller.utilization()
+    }
+
     /// Mean NN-L compute fraction of the resident sessions (0.5 when
     /// empty — a fresh shard is equally attractive to both mixes).
     fn affinity_mean(&self) -> f64 {
@@ -280,6 +285,20 @@ impl ShardState {
         } else {
             self.affinity_sum / self.resident.len() as f64
         }
+    }
+
+    /// Takes session `idx` in; the caller's `try_admit` already billed it.
+    fn settle(&mut self, idx: usize, affinity: f64) {
+        self.resident.push(idx);
+        self.affinity_sum += affinity;
+        self.peak_utilization = self.peak_utilization.max(self.utilization());
+    }
+
+    /// Returns session `idx`'s demand and affinity to the pool.
+    fn evict(&mut self, idx: usize, s: &Placement) {
+        self.controller.release(&s.demand);
+        self.affinity_sum -= s.affinity;
+        self.resident.retain(|&r| r != idx);
     }
 }
 
@@ -291,9 +310,9 @@ const AFFINITY_WEIGHT: f64 = 2.0;
 
 /// Fraction of a session's NPU time spent in NN-L — the placement
 /// affinity axis.
-fn nnl_fraction(d: &SessionDemand) -> f64 {
-    let l = d.anchors as f64 * d.nnl_ns;
-    let s = d.b_frames as f64 * d.nns_ns;
+fn nnl_fraction(d: &SessionDemand, sim: &SimConfig) -> f64 {
+    let l = d.anchors as f64 * d.nnl_ns(sim);
+    let s = d.b_frames as f64 * d.nns_ns(sim);
     if l + s > 0.0 {
         l / (l + s)
     } else {
@@ -301,15 +320,376 @@ fn nnl_fraction(d: &SessionDemand) -> f64 {
     }
 }
 
-/// Per-offer placement bookkeeping.
+/// One arrival resolved against the library and billed: what the walk
+/// places and, once admitted, what the replay instantiates.
 struct Placement {
+    /// Position in the trace.
+    offer: usize,
+    /// Owning shard: set by `place`, moved by `rebalance`, final once the
+    /// walk ends.
     shard: usize,
+    /// The entry's demand restamped with the arrival's pacing and mode.
     demand: SessionDemand,
     affinity: f64,
     /// Template items the session contributes (full length unless churned).
     budget_items: usize,
-    compute: ComputeMode,
-    interval_ns: f64,
+    /// When its stream ends or it churns out, at nominal pacing.
+    end_ns: f64,
+}
+
+impl Placement {
+    /// Bills `arr` against its library `entry`. `None` when the session
+    /// churns out with an empty prefix: only work whose decode unit fully
+    /// arrives (one pacing interval) before departure is ever offered, so
+    /// a session that leaves within its first interval never reaches
+    /// admission.
+    fn bill(
+        offer: usize,
+        arr: &SessionArrival,
+        entry: &StreamEntry,
+        sim: &SimConfig,
+    ) -> Option<Self> {
+        let t = arr.arrive_ns;
+        let mut demand = entry.demand;
+        if arr.interval_ns > 0.0 {
+            demand.frame_interval_ns = arr.interval_ns;
+        }
+        demand.compute = arr.shape.compute;
+        let interval_ns = demand.frame_interval_ns;
+        let nominal_end = t + entry.template.frames.max(1) as f64 * interval_ns;
+        let (end_ns, budget_items) = match arr.depart_ns {
+            Some(d) => {
+                let dur = (d - t).max(0.0);
+                let n = entry
+                    .template
+                    .items
+                    .iter()
+                    .filter(|it| (it.arrive_idx as f64 + 1.0) * interval_ns <= dur)
+                    .count();
+                (d.min(nominal_end), n)
+            }
+            None => (nominal_end, entry.template.items.len()),
+        };
+        (budget_items > 0).then(|| Self {
+            offer,
+            shard: 0,
+            affinity: nnl_fraction(&demand, sim),
+            demand,
+            budget_items,
+            end_ns,
+        })
+    }
+}
+
+/// The placement walk: shards, the sessions admitted so far and the
+/// fleet-level counters, advanced one arrival at a time.
+struct Walk<'a> {
+    cfg: &'a FleetConfig,
+    min_shards: usize,
+    max_shards: usize,
+    shards: Vec<ShardState>,
+    /// Per-offer fates, offer order.
+    fates: Vec<OfferFate>,
+    /// Admitted sessions, offer order; shards and departures hold indices
+    /// into this list.
+    placements: Vec<Placement>,
+    /// (end_ns, placement index) of resident sessions, drained as the clock
+    /// passes.
+    departures: Vec<(f64, usize)>,
+    migrations: usize,
+    scale_ups: usize,
+    scale_downs: usize,
+    peak_concurrent: usize,
+    peak_shards: usize,
+    last_scale_down_ns: f64,
+}
+
+impl<'a> Walk<'a> {
+    fn new(cfg: &'a FleetConfig) -> Self {
+        let min_shards = cfg.min_shards.max(1);
+        Self {
+            cfg,
+            min_shards,
+            max_shards: cfg.max_shards.max(min_shards),
+            shards: (0..min_shards).map(|_| ShardState::new(0.0, cfg)).collect(),
+            fates: Vec::new(),
+            placements: Vec::new(),
+            departures: Vec::new(),
+            migrations: 0,
+            scale_ups: 0,
+            scale_downs: 0,
+            peak_concurrent: 0,
+            peak_shards: min_shards,
+            last_scale_down_ns: f64::NEG_INFINITY,
+        }
+    }
+
+    fn active(&self) -> impl Iterator<Item = usize> + Clone + '_ {
+        (0..self.shards.len()).filter(|&i| self.shards[i].is_active())
+    }
+
+    fn note_peak_shards(&mut self) {
+        let alive = self
+            .shards
+            .iter()
+            .filter(|s| s.retired_ns.is_none())
+            .count();
+        self.peak_shards = self.peak_shards.max(alive);
+    }
+
+    /// Sessions whose streams ended (or churned out) by `t` release their
+    /// demand — in end-time order, ids breaking ties, so the controller
+    /// state is a pure function of the trace.
+    fn depart_until(&mut self, t: f64) {
+        self.departures
+            .sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let gone = self.departures.partition_point(|&(end, _)| end <= t);
+        for (end, idx) in self.departures.drain(..gone) {
+            let shard = &mut self.shards[self.placements[idx].shard];
+            shard.evict(idx, &self.placements[idx]);
+            if shard.draining_since.is_some() && shard.resident.is_empty() {
+                shard.retired_ns = Some(end);
+            }
+        }
+    }
+
+    /// Proactively sizes the active set for the load `offer` projects, and
+    /// drains the emptiest shard when over-provisioned.
+    fn autoscale(&mut self, t: f64, offer: &Placement) {
+        let cfg = self.cfg;
+        let Some(auto) = &cfg.autoscale else {
+            return;
+        };
+        let new_util = offer.demand.compute_utilization(&cfg.sim)
+            + offer
+                .demand
+                .switch_utilization(cfg.sched.batch_cap, &cfg.sim);
+        let fleet_util: f64 = self.active().map(|i| self.shards[i].utilization()).sum();
+        let needed = ((fleet_util + new_util) / auto.target_utilization.max(1e-6)).ceil() as usize;
+        let mut active_now = self.active().count();
+        while active_now < needed.min(self.max_shards) {
+            self.shards.push(ShardState::new(t, cfg));
+            self.scale_ups += 1;
+            active_now += 1;
+        }
+        if active_now > self.min_shards
+            && t - self.last_scale_down_ns >= auto.cooldown_ns
+            && fleet_util / active_now as f64 <= auto.scale_down_level
+            && fleet_util / (active_now - 1) as f64 <= auto.target_utilization
+        {
+            // Drain the emptiest active shard; highest index breaks ties
+            // so the longest-lived shards persist.
+            let victim = self.active().min_by(|&i, &j| {
+                self.shards[i]
+                    .utilization()
+                    .total_cmp(&self.shards[j].utilization())
+                    .then(j.cmp(&i))
+            });
+            if let Some(victim) = victim {
+                let shard = &mut self.shards[victim];
+                shard.draining_since = Some(t);
+                if shard.resident.is_empty() {
+                    shard.retired_ns = Some(t);
+                }
+                self.scale_downs += 1;
+                self.last_scale_down_ns = t;
+            }
+        }
+    }
+
+    /// Affinity placement: active shards ordered by how closely their
+    /// resident NN-L mix matches the session's, load and index breaking
+    /// ties; the first whose controller admits takes it. When every
+    /// running shard says no and the autoscaler has headroom, one more is
+    /// provisioned reactively. Returns whether the session was admitted.
+    fn place(&mut self, t: f64, mut offer: Placement) -> bool {
+        let score = |s: &ShardState| {
+            (s.affinity_mean() - offer.affinity).abs() * AFFINITY_WEIGHT + s.utilization()
+        };
+        let mut order: Vec<usize> = self.active().collect();
+        order.sort_by(|&a, &b| {
+            score(&self.shards[a])
+                .total_cmp(&score(&self.shards[b]))
+                .then(a.cmp(&b))
+        });
+        let mut placed: Option<usize> = None;
+        let mut first_reject: Option<RejectReason> = None;
+        for i in order {
+            match self.shards[i].controller.try_admit(&offer.demand) {
+                Ok(_) => {
+                    placed = Some(i);
+                    break;
+                }
+                Err(r) => {
+                    first_reject.get_or_insert(r);
+                }
+            }
+        }
+        if placed.is_none()
+            && self.cfg.autoscale.is_some()
+            && self.active().count() < self.max_shards
+        {
+            let mut fresh = ShardState::new(t, self.cfg);
+            if fresh.controller.try_admit(&offer.demand).is_ok() {
+                self.shards.push(fresh);
+                self.scale_ups += 1;
+                placed = Some(self.shards.len() - 1);
+                self.note_peak_shards();
+            }
+        }
+        let Some(shard) = placed else {
+            self.fates.push(OfferFate::Rejected {
+                reason: first_reject.unwrap_or(RejectReason::Utilization { projected: 1.0 }),
+            });
+            return false;
+        };
+
+        let idx = self.placements.len();
+        self.shards[shard].settle(idx, offer.affinity);
+        self.departures.push((offer.end_ns, idx));
+        self.fates.push(OfferFate::Admitted { shard });
+        offer.shard = shard;
+        self.placements.push(offer);
+        let concurrent = self.shards.iter().map(|s| s.resident.len()).sum();
+        self.peak_concurrent = self.peak_concurrent.max(concurrent);
+        true
+    }
+
+    /// Skew-triggered work stealing: move the hottest shard's most recent
+    /// placement to the coolest shard when the utilisation gap crosses the
+    /// threshold.
+    fn rebalance(&mut self) {
+        let Some(reb) = self.cfg.rebalance else {
+            return;
+        };
+        let by_util = |&a: &usize, &b: &usize| {
+            self.shards[a]
+                .utilization()
+                .total_cmp(&self.shards[b].utilization())
+        };
+        // Lowest index wins a tie at either end.
+        let hot = self.active().max_by(|a, b| by_util(a, b).then(b.cmp(a)));
+        let cool = self.active().min_by(|a, b| by_util(a, b).then(a.cmp(b)));
+        let (Some(hot), Some(cool)) = (hot, cool) else {
+            return;
+        };
+        let skew = self.shards[hot].utilization() - self.shards[cool].utilization();
+        if hot == cool || skew <= reb.skew_threshold {
+            return;
+        }
+        let Some(&victim) = self.shards[hot].resident.last() else {
+            return;
+        };
+        let v = &mut self.placements[victim];
+        if self.shards[cool].controller.try_admit(&v.demand).is_ok() {
+            self.shards[hot].evict(victim, v);
+            self.shards[cool].settle(victim, v.affinity);
+            self.shards[cool].migrations_in += 1;
+            v.shard = cool;
+            self.fates[v.offer] = OfferFate::Admitted { shard: cool };
+            self.migrations += 1;
+        }
+    }
+
+    /// Replays every shard's final session set — instantiated from its
+    /// stream template in offer order — through the shared-NPU event loop,
+    /// shards in parallel.
+    fn replay(
+        &self,
+        trace: &TrafficTrace,
+        library: &[StreamEntry],
+    ) -> Vec<Result<ScheduleOutcome>> {
+        let mut jobs: Vec<Vec<DrivenSession>> = vec![Vec::new(); self.shards.len()];
+        for s in &self.placements {
+            let arr = &trace.arrivals[s.offer];
+            let spec = SessionSpec {
+                start_offset_ns: arr.arrive_ns,
+                frame_interval_ns: s.demand.frame_interval_ns,
+            };
+            let on_shard = &mut jobs[s.shard];
+            let mut d = library[arr.stream % library.len()]
+                .template
+                .instantiate_prefix(on_shard.len(), &spec, s.budget_items);
+            d.compute = s.demand.compute;
+            on_shard.push(d);
+        }
+        let jobs: Vec<(&ShardState, Vec<DrivenSession>)> = self.shards.iter().zip(jobs).collect();
+        let cfg = self.cfg;
+        let threads = vrd_runtime::pool_threads(cfg.threads, jobs.len());
+        vrd_runtime::parallel_map_with(&jobs, threads, |(shard, driven)| {
+            let sched = SchedConfig {
+                npu_available_ns: shard.created_ns + cfg.sim.shard_spinup_ns(),
+                ..cfg.sched
+            };
+            schedule(driven, cfg.policy, &sched, &cfg.sim, None)
+        })
+    }
+
+    /// Folds the shard replays into the fleet-wide report.
+    fn report(self, replays: Vec<Result<ScheduleOutcome>>) -> Result<FleetReport> {
+        let sim = &self.cfg.sim;
+        let mut shards = Vec::with_capacity(self.shards.len());
+        let mut all_samples: Vec<f64> = Vec::new();
+        let mut frames_served = 0usize;
+        let mut frames_shed = 0usize;
+        let mut switches = 0usize;
+        let mut busy_ns = 0.0f64;
+        let mut makespan_ns = 0.0f64;
+        let mut energy_total = 0.0f64;
+        for (state, replay) in self.shards.iter().zip(replays) {
+            let outcome = replay?;
+            all_samples.extend_from_slice(&outcome.latency_samples);
+            frames_served += outcome.frames_delivered();
+            frames_shed += outcome.frames_shed;
+            switches += outcome.switches;
+            busy_ns += outcome.busy_ns;
+            makespan_ns = makespan_ns.max(outcome.makespan_ns);
+            // The device is alive from creation until its last completion
+            // (an idle shard still pays spin-up plus static draw).
+            let alive_until = outcome
+                .makespan_ns
+                .max(state.created_ns + sim.shard_spinup_ns())
+                .max(state.retired_ns.unwrap_or(0.0));
+            let energy_j = sim.shard_energy_j(outcome.busy_ns, alive_until - state.created_ns);
+            energy_total += energy_j;
+            shards.push(ShardReport {
+                created_ns: state.created_ns,
+                retired_ns: state.retired_ns,
+                sessions: outcome.per_session.len(),
+                migrations_in: state.migrations_in,
+                peak_utilization: state.peak_utilization,
+                energy_j,
+                outcome,
+            });
+        }
+
+        let count = |pred: fn(&OfferFate) -> bool| self.fates.iter().filter(|f| pred(f)).count();
+        Ok(FleetReport {
+            offered: self.fates.len(),
+            admitted: count(|f| matches!(f, OfferFate::Admitted { .. })),
+            rejected: count(|f| matches!(f, OfferFate::Rejected { .. })),
+            churned_out: count(|f| matches!(f, OfferFate::ChurnedOut)),
+            fates: self.fates,
+            peak_concurrent: self.peak_concurrent,
+            migrations: self.migrations,
+            scale_ups: self.scale_ups,
+            scale_downs: self.scale_downs,
+            peak_shards: self.peak_shards,
+            shards,
+            frames_served,
+            frames_shed,
+            switches,
+            busy_ns,
+            makespan_ns,
+            throughput_fps: if makespan_ns > 0.0 {
+                frames_served as f64 / (makespan_ns * 1e-9)
+            } else {
+                0.0
+            },
+            latency: LatencyStats::from_samples(&all_samples),
+            energy_j: energy_total,
+        })
+    }
 }
 
 /// Serves one traffic window on a shard fleet. See the module docs for the
@@ -329,387 +709,23 @@ pub fn run_fleet(
             detail: "fleet offered a traffic trace with an empty stream library".into(),
         });
     }
-    let min_shards = cfg.min_shards.max(1);
-    let max_shards = cfg.max_shards.max(min_shards);
-    let mut shards: Vec<ShardState> = (0..min_shards)
-        .map(|_| ShardState::new(0.0, cfg.slo, cfg.sched.batch_cap, cfg.sim))
-        .collect();
-    let mut fates: Vec<OfferFate> = Vec::with_capacity(trace.arrivals.len());
-    let mut placements: Vec<Option<Placement>> = Vec::with_capacity(trace.arrivals.len());
-    // (end_ns, offer) of resident sessions, drained as the clock passes.
-    let mut departures: Vec<(f64, usize)> = Vec::new();
-    let mut migrations = 0usize;
-    let mut scale_ups = 0usize;
-    let mut scale_downs = 0usize;
-    let mut peak_concurrent = 0usize;
-    let mut peak_shards = min_shards;
-    let mut last_scale_down_ns = f64::NEG_INFINITY;
-
-    for arr in &trace.arrivals {
+    let mut walk = Walk::new(cfg);
+    for (offer, arr) in trace.arrivals.iter().enumerate() {
         let t = arr.arrive_ns;
-
-        // 1. Sessions whose streams ended (or churned out) before `t`
-        // release their demand — in end-time order, ids breaking ties, so
-        // the controller state is a pure function of the trace.
-        departures.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        while let Some(&(end, offer)) = departures.first() {
-            if end > t {
-                break;
-            }
-            departures.remove(0);
-            let p = placements[offer]
-                .as_ref()
-                .expect("departing offer was placed");
-            let shard = &mut shards[p.shard];
-            shard.controller.release(&p.demand);
-            shard.affinity_sum -= p.affinity;
-            let pos = shard
-                .resident
-                .iter()
-                .position(|&o| o == offer)
-                .expect("departing offer is resident on its shard");
-            shard.resident.remove(pos);
-            if shard.draining_since.is_some() && shard.resident.is_empty() {
-                shard.retired_ns = Some(end);
-            }
-        }
-
-        // 2. Resolve the arrival against the library and bill it.
+        walk.depart_until(t);
         let entry = &library[arr.stream % library.len()];
-        let interval_ns = if arr.interval_ns > 0.0 {
-            arr.interval_ns
-        } else {
-            entry.demand.frame_interval_ns
-        };
-        let mut demand = entry.demand;
-        demand.frame_interval_ns = interval_ns;
-        if arr.shape.compute == ComputeMode::Int8 && demand.compute != ComputeMode::Int8 {
-            // An int8 session over an f32-estimated stream: NN-S speeds up
-            // by the quantized service-rate ratio.
-            demand.nns_ns *= cfg.sim.npu_ops_per_ns() / cfg.sim.npu_int8_ops_per_ns();
-            demand.compute = ComputeMode::Int8;
-        }
-        let compute = demand.compute;
-
-        // Mid-stream churn: only work whose decode unit fully arrives
-        // (one pacing interval) before departure is ever offered; a
-        // session that leaves within its first interval churns out with
-        // an empty prefix and never reaches admission.
-        let nominal_end = t + entry.template.frames.max(1) as f64 * interval_ns;
-        let (end_ns, budget_items) = match arr.depart_ns {
-            Some(d) => {
-                let dur = (d - t).max(0.0);
-                let n = entry
-                    .template
-                    .items
-                    .iter()
-                    .filter(|it| (it.arrive_idx as f64 + 1.0) * interval_ns <= dur)
-                    .count();
-                (d.min(nominal_end), n)
-            }
-            None => (nominal_end, entry.template.items.len()),
-        };
-        if budget_items == 0 {
-            fates.push(OfferFate::ChurnedOut);
-            placements.push(None);
-            continue;
-        }
-
-        let new_util =
-            demand.compute_utilization() + demand.switch_utilization(cfg.sched.batch_cap, &cfg.sim);
-
-        // 3. Autoscale: proactively size the active set for the projected
-        // load, and drain the emptiest shard when over-provisioned.
-        if let Some(auto) = &cfg.autoscale {
-            let active = shards.iter().filter(|s| s.is_active()).count();
-            let fleet_util: f64 = shards
-                .iter()
-                .filter(|s| s.is_active())
-                .map(|s| s.controller.utilization())
-                .sum();
-            let needed =
-                ((fleet_util + new_util) / auto.target_utilization.max(1e-6)).ceil() as usize;
-            let mut active_now = active;
-            while active_now < needed.min(max_shards) {
-                shards.push(ShardState::new(t, cfg.slo, cfg.sched.batch_cap, cfg.sim));
-                scale_ups += 1;
-                active_now += 1;
-            }
-            if active_now > min_shards
-                && t - last_scale_down_ns >= auto.cooldown_ns
-                && fleet_util / active_now as f64 <= auto.scale_down_level
-                && fleet_util / (active_now - 1) as f64 <= auto.target_utilization
-            {
-                // Drain the emptiest active shard; highest index breaks
-                // ties so the longest-lived shards persist.
-                let victim = shards
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| s.is_active())
-                    .min_by(|(i, a), (j, b)| {
-                        a.controller
-                            .utilization()
-                            .total_cmp(&b.controller.utilization())
-                            .then(j.cmp(i))
-                    })
-                    .map(|(i, _)| i)
-                    .expect("active_now > min_shards ≥ 1 shards are active");
-                shards[victim].draining_since = Some(t);
-                if shards[victim].resident.is_empty() {
-                    shards[victim].retired_ns = Some(t);
-                }
-                scale_downs += 1;
-                last_scale_down_ns = t;
-            }
-        }
-        peak_shards = peak_shards.max(shards.iter().filter(|s| s.retired_ns.is_none()).count());
-
-        // 4. Affinity placement: active shards ordered by how closely
-        // their resident NN-L mix matches the session's, load and index
-        // breaking ties.
-        let frac = nnl_fraction(&demand);
-        let mut order: Vec<usize> = (0..shards.len())
-            .filter(|&i| shards[i].is_active())
-            .collect();
-        order.sort_by(|&a, &b| {
-            let sa = (shards[a].affinity_mean() - frac).abs() * AFFINITY_WEIGHT
-                + shards[a].controller.utilization();
-            let sb = (shards[b].affinity_mean() - frac).abs() * AFFINITY_WEIGHT
-                + shards[b].controller.utilization();
-            sa.total_cmp(&sb).then(a.cmp(&b))
-        });
-        let mut placed: Option<usize> = None;
-        let mut first_reject: Option<RejectReason> = None;
-        for &i in &order {
-            match shards[i].controller.try_admit(&demand) {
-                Ok(_) => {
-                    placed = Some(i);
-                    break;
-                }
-                Err(r) => {
-                    first_reject.get_or_insert(r);
-                }
-            }
-        }
-        // Reactive scale-up: every running shard said no, but the fleet
-        // has headroom to provision one more.
-        if placed.is_none()
-            && cfg.autoscale.is_some()
-            && shards.iter().filter(|s| s.is_active()).count() < max_shards
-        {
-            let mut fresh = ShardState::new(t, cfg.slo, cfg.sched.batch_cap, cfg.sim);
-            if let Ok(_p) = fresh.controller.try_admit(&demand) {
-                shards.push(fresh);
-                scale_ups += 1;
-                placed = Some(shards.len() - 1);
-                peak_shards =
-                    peak_shards.max(shards.iter().filter(|s| s.retired_ns.is_none()).count());
-            }
-        }
-        let Some(shard_idx) = placed else {
-            fates.push(OfferFate::Rejected {
-                reason: first_reject.unwrap_or(RejectReason::Utilization { projected: 1.0 }),
-            });
-            placements.push(None);
+        let Some(billed) = Placement::bill(offer, arr, entry, &cfg.sim) else {
+            walk.fates.push(OfferFate::ChurnedOut);
             continue;
         };
-
-        let shard = &mut shards[shard_idx];
-        shard.resident.push(fates.len());
-        shard.affinity_sum += frac;
-        shard.peak_utilization = shard.peak_utilization.max(shard.controller.utilization());
-        departures.push((end_ns, fates.len()));
-        fates.push(OfferFate::Admitted { shard: shard_idx });
-        placements.push(Some(Placement {
-            shard: shard_idx,
-            demand,
-            affinity: frac,
-            budget_items,
-            compute,
-            interval_ns,
-        }));
-        peak_concurrent =
-            peak_concurrent.max(shards.iter().map(|s| s.resident.len()).sum::<usize>());
-
-        // 5. Skew-triggered work stealing: move the hottest shard's most
-        // recent placement to the coolest shard when the utilisation gap
-        // crosses the threshold.
-        if let Some(reb) = &cfg.rebalance {
-            let active: Vec<usize> = (0..shards.len())
-                .filter(|&i| shards[i].is_active())
-                .collect();
-            if active.len() >= 2 {
-                let hot = *active
-                    .iter()
-                    .max_by(|&&a, &&b| {
-                        shards[a]
-                            .controller
-                            .utilization()
-                            .total_cmp(&shards[b].controller.utilization())
-                            .then(b.cmp(&a))
-                    })
-                    .expect("≥ 2 active shards");
-                let cool = *active
-                    .iter()
-                    .min_by(|&&a, &&b| {
-                        shards[a]
-                            .controller
-                            .utilization()
-                            .total_cmp(&shards[b].controller.utilization())
-                            .then(a.cmp(&b))
-                    })
-                    .expect("≥ 2 active shards");
-                let skew =
-                    shards[hot].controller.utilization() - shards[cool].controller.utilization();
-                if hot != cool && skew > reb.skew_threshold {
-                    if let Some(&victim) = shards[hot].resident.last() {
-                        let vp = placements[victim]
-                            .as_ref()
-                            .expect("resident offer was placed");
-                        let (vd, va) = (vp.demand, vp.affinity);
-                        if shards[cool].controller.try_admit(&vd).is_ok() {
-                            shards[hot].resident.pop();
-                            shards[hot].controller.release(&vd);
-                            shards[hot].affinity_sum -= va;
-                            shards[cool].resident.push(victim);
-                            shards[cool].affinity_sum += va;
-                            shards[cool].peak_utilization = shards[cool]
-                                .peak_utilization
-                                .max(shards[cool].controller.utilization());
-                            shards[cool].migrations_in += 1;
-                            placements[victim].as_mut().expect("placed").shard = cool;
-                            if let OfferFate::Admitted { shard } = &mut fates[victim] {
-                                *shard = cool;
-                            }
-                            migrations += 1;
-                        }
-                    }
-                }
-            }
+        walk.autoscale(t, &billed);
+        walk.note_peak_shards();
+        if walk.place(t, billed) {
+            walk.rebalance();
         }
     }
-
-    // 6. Replay: group final placements per shard (offer order preserves
-    // determinism), instantiate each session from its template, and run
-    // every shard's event loop in parallel.
-    let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); shards.len()];
-    for (offer, p) in placements.iter().enumerate() {
-        if let Some(p) = p {
-            per_shard[p.shard].push(offer);
-        }
-    }
-    let spinup_ns = cfg.sim.shard_spinup_ns();
-    let jobs: Vec<(usize, Vec<DrivenSession>)> = per_shard
-        .iter()
-        .enumerate()
-        .map(|(si, offers)| {
-            let driven = offers
-                .iter()
-                .enumerate()
-                .map(|(dense, &offer)| {
-                    let p = placements[offer].as_ref().expect("grouped offer placed");
-                    let arr = &trace.arrivals[offer];
-                    let entry = &library[arr.stream % library.len()];
-                    let spec = SessionSpec {
-                        start_offset_ns: arr.arrive_ns,
-                        frame_interval_ns: p.interval_ns,
-                    };
-                    let mut d = entry
-                        .template
-                        .instantiate_prefix(dense, &spec, p.budget_items);
-                    d.compute = p.compute;
-                    d
-                })
-                .collect();
-            (si, driven)
-        })
-        .collect();
-    let threads = vrd_runtime::pool_threads(cfg.threads, jobs.len());
-    let replays: Vec<Result<ScheduleOutcome>> =
-        vrd_runtime::parallel_map_with(&jobs, threads, |(si, driven)| {
-            let sched = SchedConfig {
-                npu_available_ns: shards[*si].created_ns + spinup_ns,
-                ..cfg.sched
-            };
-            schedule(driven, cfg.policy, &sched, &cfg.sim, None)
-        });
-
-    let mut shard_reports = Vec::with_capacity(shards.len());
-    let mut all_samples: Vec<f64> = Vec::new();
-    let mut frames_served = 0usize;
-    let mut frames_shed = 0usize;
-    let mut switches = 0usize;
-    let mut busy_ns = 0.0f64;
-    let mut makespan_ns = 0.0f64;
-    let mut energy_total = 0.0f64;
-    for (state, replay) in shards.iter().zip(replays) {
-        let outcome = replay?;
-        all_samples.extend_from_slice(&outcome.latency_samples);
-        frames_served += outcome.frames_delivered();
-        frames_shed += outcome.frames_shed;
-        switches += outcome.switches;
-        busy_ns += outcome.busy_ns;
-        makespan_ns = makespan_ns.max(outcome.makespan_ns);
-        // The device is alive from creation until its last completion (an
-        // idle shard still pays spin-up plus static draw).
-        let alive_until = outcome
-            .makespan_ns
-            .max(state.created_ns + spinup_ns)
-            .max(state.retired_ns.unwrap_or(0.0));
-        let energy_j = cfg
-            .sim
-            .shard_energy_j(outcome.busy_ns, alive_until - state.created_ns);
-        energy_total += energy_j;
-        shard_reports.push(ShardReport {
-            created_ns: state.created_ns,
-            retired_ns: state.retired_ns,
-            sessions: outcome.per_session.len(),
-            migrations_in: state.migrations_in,
-            peak_utilization: state.peak_utilization,
-            energy_j,
-            outcome,
-        });
-    }
-
-    let admitted = fates
-        .iter()
-        .filter(|f| matches!(f, OfferFate::Admitted { .. }))
-        .count();
-    let rejected = fates
-        .iter()
-        .filter(|f| matches!(f, OfferFate::Rejected { .. }))
-        .count();
-    let churned_out = fates
-        .iter()
-        .filter(|f| matches!(f, OfferFate::ChurnedOut))
-        .count();
-    let latency = LatencyStats::from_samples(&all_samples);
-    let throughput_fps = if makespan_ns > 0.0 {
-        frames_served as f64 / (makespan_ns * 1e-9)
-    } else {
-        0.0
-    };
-    Ok(FleetReport {
-        offered: fates.len(),
-        fates,
-        admitted,
-        rejected,
-        churned_out,
-        peak_concurrent,
-        migrations,
-        scale_ups,
-        scale_downs,
-        peak_shards,
-        shards: shard_reports,
-        frames_served,
-        frames_shed,
-        switches,
-        busy_ns,
-        makespan_ns,
-        throughput_fps,
-        latency,
-        energy_j: energy_total,
-    })
+    let replays = walk.replay(trace, library);
+    walk.report(replays)
 }
 
 #[cfg(test)]
@@ -717,7 +733,9 @@ mod tests {
     use super::*;
     use crate::loadgen::{generate, Envelope, LoadGenConfig};
     use crate::session::TemplateItem;
+    use vr_dann::ComputeMode;
     use vrd_codec::FrameType;
+    use vrd_sim::Model;
 
     /// A synthetic template: `anchors` NN-L items interleaved with `bs`
     /// NN-S items per anchor, one item per decode unit — no NN compute, so
@@ -757,10 +775,9 @@ mod tests {
             .windows(2)
             .filter(|w| w[0].uses_large_model != w[1].uses_large_model)
             .count();
-        let ops_per_ns = sim.npu_ops_per_ns();
         let demand = SessionDemand {
-            nnl_ns: nnl_ops as f64 / ops_per_ns,
-            nns_ns: nns_ops as f64 / ops_per_ns,
+            nnl_ops,
+            nns_ops,
             compute: ComputeMode::F32Reference,
             anchors,
             b_frames: anchors * bs,
@@ -775,7 +792,7 @@ mod tests {
                 peak_live_frames: 2,
                 total_ops,
                 switches_in_order: switches,
-                isolated_ns: total_ops as f64 / ops_per_ns,
+                isolated_ns: sim.service_ns(total_ops, Model::Large, ComputeMode::F32Reference),
             },
             demand,
         }

@@ -19,8 +19,8 @@
 //!   decoder lane that stamps every NPU work item with its hand-over time;
 //! * [`sched`] — the shared virtual NPU: replay the merged per-session work
 //!   under per-stream FIFO or cross-session lagged batching, with bounded
-//!   per-session queues and backpressure, using `vrd-sim`'s cost model for
-//!   service and switch times;
+//!   per-session queues and backpressure, billing every attempt through
+//!   `vrd-sim`'s cost model ([`vrd_sim::cost`]);
 //! * [`metrics`] — latency percentile accounting (p50/p95/p99);
 //! * [`faults`] — deterministic virtual-NPU fault injection: transient
 //!   stalls, per-attempt work-item failures and full-device

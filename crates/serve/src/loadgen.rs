@@ -19,6 +19,7 @@
 //! so 64+ concurrent sessions cost the NN compute of a handful of distinct
 //! streams.
 
+use crate::faults::draw;
 use vr_dann::ComputeMode;
 
 /// Recognition task a session runs.
@@ -228,8 +229,9 @@ impl Default for LoadGenConfig {
     }
 }
 
-// Counter-based draws — the same splitmix64 idiom the fault injector uses,
-// with this module's own salts so traces and fault plans never correlate.
+// Counter-based draws `(seed, salt, candidate, sub-draw, 0)` — the fault
+// injector's splitmix64 hash, with this module's own salts so traces and
+// fault plans never correlate.
 const SALT_GAP: u64 = 0x7ace_10ad_0a11;
 const SALT_THIN: u64 = 0x7ace_10ad_0a12;
 const SALT_STREAM: u64 = 0x7ace_10ad_0a13;
@@ -237,23 +239,6 @@ const SALT_SHAPE: u64 = 0x7ace_10ad_0a14;
 const SALT_PACE: u64 = 0x7ace_10ad_0a15;
 const SALT_CHURN: u64 = 0x7ace_10ad_0a16;
 const SALT_DEPART: u64 = 0x7ace_10ad_0a17;
-
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Counter-based uniform draw in `[0, 1)`: a pure hash of the identifying
-/// tuple, so every decision has its own independent coin regardless of
-/// generation order.
-fn draw(seed: u64, salt: u64, a: u64, b: u64) -> f64 {
-    let h = mix(seed
-        ^ mix(salt
-            .wrapping_add(a.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-            .wrapping_add(b.wrapping_mul(0xc2b2_ae3d_27d4_eb4f))));
-    (h >> 11) as f64 / (1u64 << 53) as f64
-}
 
 /// Exponential variate with the given mean from a uniform draw.
 fn exp_gap(mean_ns: f64, u: f64) -> f64 {
@@ -277,49 +262,49 @@ pub fn generate(cfg: &LoadGenConfig) -> TrafficTrace {
     let mut t = 0.0f64;
     let mut cand = 0u64;
     while arrivals.len() < cfg.sessions {
-        t += exp_gap(peak_mean, draw(cfg.seed, SALT_GAP, cand, 0));
+        t += exp_gap(peak_mean, draw(cfg.seed, SALT_GAP, cand, 0, 0));
         let frac = t / cfg.horizon_ns.max(1.0);
-        let keep = draw(cfg.seed, SALT_THIN, cand, 0) < cfg.envelope.level(frac) / peak;
+        let keep = draw(cfg.seed, SALT_THIN, cand, 0, 0) < cfg.envelope.level(frac) / peak;
         cand += 1;
         if !keep {
             continue;
         }
         let id = arrivals.len();
-        let stream = (draw(cfg.seed, SALT_STREAM, cand, 0) * cfg.streams.max(1) as f64) as usize;
+        let stream = (draw(cfg.seed, SALT_STREAM, cand, 0, 0) * cfg.streams.max(1) as f64) as usize;
         let (shape, interval_ns) = if cfg.heterogeneous {
             let shape = SessionShape {
-                task: if draw(cfg.seed, SALT_SHAPE, cand, 0) < 0.25 {
+                task: if draw(cfg.seed, SALT_SHAPE, cand, 0, 0) < 0.25 {
                     TaskKind::Detection
                 } else {
                     TaskKind::Segmentation
                 },
-                res: if draw(cfg.seed, SALT_SHAPE, cand, 1) < 0.25 {
+                res: if draw(cfg.seed, SALT_SHAPE, cand, 1, 0) < 0.25 {
                     ResClass::Low
                 } else {
                     ResClass::Std
                 },
-                gop: if draw(cfg.seed, SALT_SHAPE, cand, 2) < 0.25 {
+                gop: if draw(cfg.seed, SALT_SHAPE, cand, 2, 0) < 0.25 {
                     GopClass::Short
                 } else {
                     GopClass::Standard
                 },
-                compute: if draw(cfg.seed, SALT_SHAPE, cand, 3) < 0.25 {
+                compute: if draw(cfg.seed, SALT_SHAPE, cand, 3, 0) < 0.25 {
                     ComputeMode::Int8
                 } else {
                     ComputeMode::F32Reference
                 },
             };
             // Pacing spread ±: 0.8×..1.6× the base interval.
-            let pace = 0.8 + 0.8 * draw(cfg.seed, SALT_PACE, cand, 0);
+            let pace = 0.8 + 0.8 * draw(cfg.seed, SALT_PACE, cand, 0, 0);
             (shape, cfg.base_interval_ns * pace)
         } else {
             (SessionShape::standard(), cfg.base_interval_ns)
         };
-        let depart_ns = if draw(cfg.seed, SALT_CHURN, cand, 0) < cfg.churn_rate {
+        let depart_ns = if draw(cfg.seed, SALT_CHURN, cand, 0, 0) < cfg.churn_rate {
             // Uniform over the nominal stream span: early draws model a
             // session that leaves before it is ever served.
             let span = cfg.stream_frames as f64 * interval_ns;
-            Some(t + span * draw(cfg.seed, SALT_DEPART, cand, 0))
+            Some(t + span * draw(cfg.seed, SALT_DEPART, cand, 0, 0))
         } else {
             None
         };

@@ -2,9 +2,9 @@
 //!
 //! [`schedule`] replays the stamped work of every admitted session through
 //! one deterministic event loop timed by `vrd-sim`'s cost model
-//! ([`SimConfig::npu_ops_per_ns`] for service,
-//! [`SimConfig::switch_to_large_ns`]/[`SimConfig::switch_to_small_ns`] for
-//! NN-L ↔ NN-S weight swaps) and returns one record, [`ScheduleOutcome`].
+//! ([`vrd_sim::cost`]: [`SimConfig::service_ns`] for service,
+//! [`SimConfig::switch_ns`] for NN-L ↔ NN-S weight swaps) and returns one
+//! record, [`ScheduleOutcome`].
 //! Two policies share the loop:
 //!
 //! * [`SchedPolicy::Fifo`] — per-stream FIFO: always serve the globally
@@ -48,7 +48,7 @@
 //!   pressure handling: a backlogged session steps down
 //!   [`DegradeLevel::Full`] → [`DegradeLevel::Int8`] →
 //!   [`DegradeLevel::SkipRefine`] → [`DegradeLevel::CopyForward`], where
-//!   int8 divides NN-S service by [`vrd_sim::NpuConfig::int8_speedup`] and
+//!   int8 bills NN-S at the cost model's quantized rate and
 //!   the last two rungs are agent-unit-only (raw reconstruction /
 //!   copy-forward of the nearest reference mask — zero NPU occupancy),
 //!   then steps back up once its queue wait stays short. Deadline misses
@@ -69,7 +69,7 @@ use crate::metrics::LatencyStats;
 use crate::session::{DrivenSession, WorkItem};
 use std::collections::VecDeque;
 use vr_dann::ComputeMode;
-use vrd_sim::SimConfig;
+use vrd_sim::{Model, SimConfig};
 
 /// Which serving discipline the shared NPU runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,8 +131,8 @@ impl Default for SchedConfig {
 pub enum DegradeLevel {
     /// Full-precision NN-S refinement.
     Full = 0,
-    /// Int8 NN-S refinement: same mask pipeline, service time divided by
-    /// [`vrd_sim::NpuConfig::int8_speedup`].
+    /// Int8 NN-S refinement: same mask pipeline, billed by
+    /// [`SimConfig::service_ns`] at [`ComputeMode::Int8`].
     Int8 = 1,
     /// Skip NN-S refinement: emit the raw agent-unit reconstruction.
     /// Agent-unit-only — zero NPU occupancy.
@@ -448,8 +448,57 @@ struct SessLive {
     out: SessionSchedStats,
 }
 
-/// The per-session state one replay threads through its event loop, plus
-/// what every delivery accumulates.
+impl SessLive {
+    /// Ladder transition for a frame served `age` ns after its arrival,
+    /// against `deadline`: old frames step the session down, a streak of
+    /// young ones steps it back up.
+    fn step_ladder(&mut self, lad: &LadderConfig, deadline: f64, age: f64) {
+        if age > lad.downgrade_wait_frac * deadline {
+            if self.level < DegradeLevel::CopyForward {
+                self.level = self.level.down();
+                self.out.degradation.downgrades += 1;
+            }
+            self.streak = 0;
+        } else if age <= lad.upgrade_wait_frac * deadline {
+            self.streak += 1;
+            if self.streak >= lad.upgrade_streak && self.level > self.base {
+                self.level = self.level.up();
+                self.out.degradation.upgrades += 1;
+                self.streak = 0;
+            }
+        } else {
+            self.streak = 0;
+        }
+    }
+}
+
+/// What one replay runs under: the caller's knobs with the fault plan
+/// resolved (`None` = no faults, shed-only recovery).
+struct Plan<'a> {
+    policy: SchedPolicy,
+    cfg: &'a SchedConfig,
+    sim: &'a SimConfig,
+    faults: &'a NpuFaultProfile,
+    rec: &'a RecoveryConfig,
+    /// The ladder needs the deadline to scale its thresholds; without one
+    /// it stays dormant and pressure handling is shed-only.
+    ladder: Option<LadderConfig>,
+}
+
+/// What the cost model quotes for one service attempt.
+struct Bill {
+    /// Making the item's model resident (0 when it already is).
+    switch_ns: f64,
+    /// The transient stall this attempt drew, if it drew one.
+    stall_ns: Option<f64>,
+    /// The inference itself, at the rung it is served on.
+    service_ns: f64,
+}
+
+/// One replay's state: the per-session queues and ladders, the virtual
+/// device, and what every delivery accumulates. Its methods are the only
+/// frame and device transitions.
+#[derive(Default)]
 struct Replay<'a> {
     queues: Vec<SessionQueue<'a>>,
     live: Vec<SessLive>,
@@ -463,9 +512,165 @@ struct Replay<'a> {
     /// Total queue depth is sampled once per delivery.
     max_depth: usize,
     depth_sum: usize,
+    /// The NPU clock: completion of the last event on the device.
+    t_npu: f64,
+    /// The model whose weights are loaded (`None` = cold or just crashed).
+    resident: Option<Model>,
+    /// Consecutive serves on the resident model.
+    run_len: usize,
+    /// Crash windows not yet reached, earliest first.
+    crash_windows: VecDeque<CrashWindow>,
+    switches: usize,
+    switch_ns: f64,
+    busy_ns: f64,
+    stalls: usize,
+    stall_ns: f64,
+    wasted_ns: f64,
+    crashes: usize,
 }
 
-impl Replay<'_> {
+impl<'a> Replay<'a> {
+    /// Every session's first hand-overs queued on a device that comes
+    /// online at [`SchedConfig::npu_available_ns`].
+    fn new(sessions: &'a [DrivenSession], plan: &Plan<'_>) -> Self {
+        let mut crash_windows = plan.faults.crashes.clone();
+        crash_windows.sort_by(|a, b| a.at_ns.total_cmp(&b.at_ns));
+        let mut r = Replay {
+            queues: sessions
+                .iter()
+                .map(|s| SessionQueue {
+                    items: &s.items,
+                    next: 0,
+                    queue: VecDeque::new(),
+                })
+                .collect(),
+            live: sessions
+                .iter()
+                .map(|s| {
+                    let base = if s.compute == ComputeMode::Int8 {
+                        DegradeLevel::Int8
+                    } else {
+                        DegradeLevel::Full
+                    };
+                    SessLive {
+                        level: base,
+                        base,
+                        streak: 0,
+                        out: SessionSchedStats {
+                            session: s.session,
+                            ..SessionSchedStats::default()
+                        },
+                    }
+                })
+                .collect(),
+            cap: plan.cfg.queue_capacity.max(1),
+            session_samples: vec![Vec::new(); sessions.len()],
+            // Work handed over before the device is online waits for it.
+            t_npu: plan.cfg.npu_available_ns.max(0.0),
+            crash_windows: crash_windows.into(),
+            ..Replay::default()
+        };
+        for q in &mut r.queues {
+            q.refill(0.0, r.cap, &mut r.decoder_stalls);
+        }
+        r
+    }
+
+    /// The instant the next event happens: the earliest hand-over among
+    /// the queue fronts, once the device is free. `None` when every queue
+    /// is empty.
+    fn next_instant(&self) -> Option<f64> {
+        self.queues
+            .iter()
+            .filter_map(|q| q.queue.front().map(|e| e.entry_ns))
+            .min_by(|a, b| a.total_cmp(b))
+            .map(|min_entry| self.t_npu.max(min_entry))
+    }
+
+    /// The queue front `policy` serves at `t_now`, as (session, item index,
+    /// failed attempts): the oldest handed-over front, ties by admitted
+    /// index — among those [`SchedPolicy::Batch`] prefers.
+    fn pick(&self, plan: &Plan<'_>, t_now: f64) -> Option<(usize, usize, u32)> {
+        let oldest = |pred: &dyn Fn(Model) -> bool| {
+            self.queues
+                .iter()
+                .enumerate()
+                .filter_map(|(s, q)| {
+                    let e = q.queue.front()?;
+                    (e.entry_ns <= t_now && pred(q.items[e.item].model()))
+                        .then_some((s, e.item, e.entry_ns, e.attempt))
+                })
+                .min_by(|a, b| a.2.total_cmp(&b.2).then(a.0.cmp(&b.0)))
+                .map(|(s, i, _, attempt)| (s, i, attempt))
+        };
+        let any = |_: Model| true;
+        match plan.policy {
+            SchedPolicy::Fifo => oldest(&any),
+            SchedPolicy::Batch => {
+                let same = |m: Model| Some(m) == self.resident;
+                let other = |m: Model| Some(m) != self.resident;
+                if self.run_len >= plan.cfg.batch_cap {
+                    // Starvation bound hit: the oldest deferred
+                    // opposite-model item goes next (if any waits).
+                    oldest(&other).or_else(|| oldest(&any))
+                } else {
+                    oldest(&same).or_else(|| oldest(&any))
+                }
+            }
+        }
+    }
+
+    /// Prices one attempt at `item` on `rung` — the scheduler's single call
+    /// into the cost model ([`vrd_sim::cost`]). NN-S at the int8 rung or
+    /// below is billed quantized; the cost model knows anchors are not.
+    fn bill(&self, plan: &Plan<'_>, item: &WorkItem, rung: DegradeLevel, attempt: u32) -> Bill {
+        let mode = if rung >= DegradeLevel::Int8 {
+            ComputeMode::Int8
+        } else {
+            ComputeMode::F32Reference
+        };
+        Bill {
+            switch_ns: plan.sim.switch_ns(self.resident, item.model()),
+            stall_ns: plan
+                .faults
+                .draw_stall(item.session, item.idx, attempt)
+                .then_some(plan.faults.stall_ns),
+            service_ns: plan.sim.service_ns(item.ops, item.model(), mode),
+        }
+    }
+
+    /// An attempt at `model` ran to `finish` on the NPU clock: the switch
+    /// and stall it was billed are paid, the batch run grows.
+    fn commit(&mut self, model: Model, bill: &Bill, finish: f64) {
+        if self.resident != Some(model) {
+            self.switch_ns += bill.switch_ns;
+            self.switches += 1;
+            self.resident = Some(model);
+            self.run_len = 0;
+        }
+        if let Some(extra) = bill.stall_ns {
+            self.stalls += 1;
+            self.stall_ns += extra;
+        }
+        self.run_len += 1;
+        self.t_npu = finish;
+    }
+
+    /// Session `s`'s front entry failed for the `failed`-th time at `now`:
+    /// it stays at the front and becomes eligible again after the backoff.
+    fn retry(&mut self, s: usize, failed: u32, now: f64, rec: &RecoveryConfig) -> Result<()> {
+        let Some(front) = self.queues[s].queue.front_mut() else {
+            return Err(ServeError::Scheduler {
+                time_ns: now,
+                detail: format!("session {s}: retried entry vanished from its queue front"),
+            });
+        };
+        front.attempt = failed;
+        front.entry_ns = now + rec.backoff_ns(failed);
+        self.live[s].out.degradation.retries += 1;
+        Ok(())
+    }
+
     /// Retires session `s`'s front entry at `now` and hands over what the
     /// freed slot admits.
     fn retire(&mut self, s: usize, now: f64) {
@@ -498,10 +703,29 @@ impl Replay<'_> {
         self.depth_sum += depth;
     }
 
-    /// Voids every device-resident hand-over at the crash instant. With
+    /// The frame that cannot be served — past its deadline, or out of
+    /// retries — leaves at `now`: a copy-forward delivery under a ladder,
+    /// a drop without one.
+    fn give_up(&mut self, plan: &Plan<'_>, s: usize, item: &WorkItem, now: f64) {
+        if plan.ladder.is_some() {
+            self.deliver(s, item, now, DegradeLevel::CopyForward);
+        } else {
+            self.shed(s, now);
+        }
+    }
+
+    /// The device dies at the next crash window: residency and the batch
+    /// run are void, and so is every device-resident hand-over. With
     /// checkpoint restore the owning sessions re-enter after the outage
     /// plus the restore penalty; without it they die.
-    fn crash(&mut self, w: &CrashWindow, rec: &RecoveryConfig) {
+    fn crash(&mut self, rec: &RecoveryConfig) {
+        let Some(w) = self.crash_windows.pop_front() else {
+            return;
+        };
+        self.crashes += 1;
+        self.resident = None;
+        self.run_len = 0;
+        self.t_npu = self.t_npu.max(w.end_ns());
         for (q, l) in self.queues.iter_mut().zip(&mut self.live) {
             if l.out.lost || !q.queue.iter().any(|e| e.entry_ns <= w.at_ns) {
                 continue;
@@ -520,6 +744,155 @@ impl Replay<'_> {
                 q.next = q.items.len();
             }
         }
+    }
+
+    /// One event at `t_now`: a crash recovery, or one picked frame
+    /// delivered, shed or sent back to retry.
+    fn step(&mut self, plan: &Plan<'_>, t_now: f64) -> Result<()> {
+        // A crash window we have reached voids the device state before any
+        // more work is picked.
+        if self.crash_windows.front().is_some_and(|w| w.at_ns <= t_now) {
+            self.crash(plan.rec);
+            return Ok(());
+        }
+
+        // Items already handed over at t_now; non-empty by construction.
+        let Some((s, i, attempt)) = self.pick(plan, t_now) else {
+            return Err(ServeError::Scheduler {
+                time_ns: t_now,
+                detail: "no queue front is handed over at the service instant".into(),
+            });
+        };
+        let items: &'a [WorkItem] = self.queues[s].items;
+        let item = &items[i];
+
+        if let Some(deadline) = plan.cfg.shed_after_ns {
+            // Past its shedding deadline: the watchdog fires.
+            if item.arrival_ns + deadline < t_now {
+                if plan.ladder.is_some() {
+                    self.live[s].out.degradation.watchdog_degraded += 1;
+                }
+                self.give_up(plan, s, item, t_now);
+                return Ok(());
+            }
+            // Ladder transitions, driven by how close this frame ran to
+            // its deadline.
+            if let Some(lad) = &plan.ladder {
+                self.live[s].step_ladder(lad, deadline, t_now - item.arrival_ns);
+            }
+        }
+
+        // NN-L anchors always run full; NN-S frames run at the session's
+        // current rung.
+        let rung = if item.uses_large_model {
+            DegradeLevel::Full
+        } else {
+            self.live[s].level
+        };
+        // Agent-unit-only rungs: no NPU occupancy, no switch, no fault
+        // exposure — the mask is reconstructed (or copied forward) on the
+        // agent unit and delivered at the decision instant.
+        if rung >= DegradeLevel::SkipRefine {
+            self.deliver(s, item, t_now, rung);
+            return Ok(());
+        }
+
+        let bill = self.bill(plan, item, rung, attempt);
+        let finish = t_now + bill.switch_ns + bill.stall_ns.unwrap_or(0.0) + bill.service_ns;
+
+        // The device dies mid-attempt: the attempt (switch included) is
+        // void, and the crash voids every resident hand-over too.
+        if let Some(w) = self
+            .crash_windows
+            .front()
+            .filter(|w| w.at_ns < finish)
+            .copied()
+        {
+            self.wasted_ns += w.at_ns - t_now;
+            self.crash(plan.rec);
+            return Ok(());
+        }
+        self.commit(item.model(), &bill, finish);
+
+        // The attempt completed on the NPU clock — did it return garbage?
+        if plan
+            .faults
+            .draw_work_item_failure(item.session, item.idx, attempt)
+        {
+            self.wasted_ns += bill.service_ns;
+            if attempt + 1 < plan.rec.max_attempts.max(1) {
+                return self.retry(s, attempt + 1, finish, plan.rec);
+            }
+            self.live[s].out.degradation.retry_exhausted += 1;
+            self.give_up(plan, s, item, finish);
+            return Ok(());
+        }
+
+        self.busy_ns += bill.service_ns;
+        self.deliver(s, item, finish, rung);
+        Ok(())
+    }
+
+    /// Closes the books: per-session conservation, then the global record.
+    fn into_outcome(
+        self,
+        policy: SchedPolicy,
+        sessions: &[DrivenSession],
+    ) -> Result<ScheduleOutcome> {
+        let mut per_session = Vec::with_capacity(sessions.len());
+        for (s, (l, samples)) in self.live.into_iter().zip(&self.session_samples).enumerate() {
+            let mut out = l.out;
+            let resolved = out.frames_full + out.frames_degraded + out.frames_shed;
+            let lost = sessions[s].items.len() - resolved;
+            if lost > 0 && !out.lost {
+                return Err(ServeError::Scheduler {
+                    time_ns: self.t_npu,
+                    detail: format!("session {s}: {lost} frames unaccounted without a crash kill"),
+                });
+            }
+            out.frames_lost = lost;
+            out.latency = LatencyStats::from_samples(samples);
+            per_session.push(out);
+        }
+        let sum =
+            |f: &dyn Fn(&SessionSchedStats) -> usize| per_session.iter().map(f).sum::<usize>();
+        let mut frames_at_level = [0usize; DegradeLevel::COUNT];
+        for (k, n) in frames_at_level.iter_mut().enumerate() {
+            *n = sum(&|p| p.degradation.frames_at_level[k]);
+        }
+
+        Ok(ScheduleOutcome {
+            policy,
+            frames_offered: sessions.iter().map(|s| s.items.len()).sum(),
+            frames_full: sum(&|p| p.frames_full),
+            frames_degraded: sum(&|p| p.frames_degraded),
+            frames_shed: sum(&|p| p.frames_shed),
+            frames_lost: sum(&|p| p.frames_lost),
+            frames_at_level,
+            sessions_lost: sum(&|p| usize::from(p.lost)),
+            session_restores: sum(&|p| p.restores),
+            retries: sum(&|p| p.degradation.retries),
+            retry_exhausted: sum(&|p| p.degradation.retry_exhausted),
+            watchdog_degraded: sum(&|p| p.degradation.watchdog_degraded),
+            stalls: self.stalls,
+            stall_ns: self.stall_ns,
+            crashes: self.crashes,
+            wasted_ns: self.wasted_ns,
+            switches: self.switches,
+            switch_ns: self.switch_ns,
+            busy_ns: self.busy_ns,
+            makespan_ns: self.t_npu,
+            max_queue_depth: self.max_depth,
+            mean_queue_depth: if self.samples.is_empty() {
+                0.0
+            } else {
+                self.depth_sum as f64 / self.samples.len() as f64
+            },
+            decoder_stalls: self.decoder_stalls,
+            latency: LatencyStats::from_samples(&self.samples),
+            latency_samples: self.samples,
+            per_session,
+        })
     }
 }
 
@@ -542,333 +915,39 @@ pub fn schedule(
         recovery: RecoveryConfig::shed_only(),
     };
     let ChaosConfig {
-        faults: profile,
+        faults,
         recovery: rec,
     } = chaos.unwrap_or(&no_plan);
-    let max_attempts = rec.max_attempts.max(1);
-    // The ladder needs the deadline to scale its thresholds; without one
-    // it stays dormant and pressure handling is shed-only.
-    let ladder = rec.ladder.filter(|_| cfg.shed_after_ns.is_some());
-    let mut crash_windows = profile.crashes.clone();
-    crash_windows.sort_by(|a, b| a.at_ns.total_cmp(&b.at_ns));
-    let mut crash_idx = 0usize;
-
-    let mut r = Replay {
-        queues: sessions
-            .iter()
-            .map(|s| SessionQueue {
-                items: &s.items,
-                next: 0,
-                queue: VecDeque::new(),
-            })
-            .collect(),
-        live: sessions
-            .iter()
-            .map(|s| {
-                let base = if s.compute == ComputeMode::Int8 {
-                    DegradeLevel::Int8
-                } else {
-                    DegradeLevel::Full
-                };
-                SessLive {
-                    level: base,
-                    base,
-                    streak: 0,
-                    out: SessionSchedStats {
-                        session: s.session,
-                        ..SessionSchedStats::default()
-                    },
-                }
-            })
-            .collect(),
-        cap: cfg.queue_capacity.max(1),
-        decoder_stalls: 0,
-        samples: Vec::new(),
-        session_samples: vec![Vec::new(); sessions.len()],
-        max_depth: 0,
-        depth_sum: 0,
-    };
-    for q in &mut r.queues {
-        q.refill(0.0, r.cap, &mut r.decoder_stalls);
-    }
-
-    let ops_per_ns = sim.npu_ops_per_ns();
-    let int8_ops_per_ns = sim.npu_int8_ops_per_ns();
-    // Work handed over before the device is online waits for it.
-    let mut t_npu = cfg.npu_available_ns.max(0.0);
-    let mut resident_large: Option<bool> = None;
-    let mut run_len = 0usize;
-    let mut switches = 0usize;
-    let mut switch_ns = 0.0f64;
-    let mut busy_ns = 0.0f64;
-    let mut stalls = 0usize;
-    let mut stall_ns = 0.0f64;
-    let mut wasted_ns = 0.0f64;
-    let mut crashes = 0usize;
-
-    let frames_offered: usize = sessions.iter().map(|s| s.items.len()).sum();
-    // Every iteration resolves an item, burns one bounded retry, or
-    // consumes a crash window — so this bound is unreachable unless an
-    // invariant broke, and tripping it surfaces the bug instead of
-    // spinning forever.
-    let max_iters = frames_offered
-        .saturating_mul(max_attempts as usize + 2)
-        .saturating_add(crash_windows.len() * (sessions.len() + 2))
-        .saturating_add(64);
-    let mut iters = 0usize;
-
-    // Each pass delivers, sheds, retries or crash-recovers one event; done
-    // when all queues are empty. The loop condition finds the earliest
-    // hand-over among the queue fronts.
-    while let Some(min_entry) = r
-        .queues
-        .iter()
-        .filter_map(|q| q.queue.front().map(|e| e.entry_ns))
-        .min_by(|a, b| a.total_cmp(b))
-    {
-        let t_now = t_npu.max(min_entry);
-        iters += 1;
-        if iters > max_iters {
-            return Err(ServeError::Scheduler {
-                time_ns: t_now,
-                detail: format!("event loop exceeded {max_iters} iterations"),
-            });
-        }
-
-        // A crash window we have reached voids the device state before any
-        // more work is picked.
-        if crash_idx < crash_windows.len() && crash_windows[crash_idx].at_ns <= t_now {
-            let w = crash_windows[crash_idx];
-            crash_idx += 1;
-            crashes += 1;
-            resident_large = None;
-            run_len = 0;
-            r.crash(&w, rec);
-            t_npu = t_npu.max(w.end_ns());
-            continue;
-        }
-
-        // Items already handed over at t_now; non-empty by construction.
-        let oldest = |pred: &dyn Fn(bool) -> bool| -> Option<(usize, usize, f64, u32)> {
-            r.queues
-                .iter()
-                .enumerate()
-                .filter_map(|(s, q)| {
-                    let &QueueEntry {
-                        item: i,
-                        entry_ns: entry,
-                        attempt,
-                    } = q.queue.front()?;
-                    (entry <= t_now && pred(q.items[i].uses_large_model))
-                        .then_some((s, i, entry, attempt))
-                })
-                .min_by(|a, b| a.2.total_cmp(&b.2).then(a.0.cmp(&b.0)))
-        };
-        let any = |_: bool| true;
-        let picked = match policy {
-            SchedPolicy::Fifo => oldest(&any),
-            SchedPolicy::Batch => {
-                let same = |m: bool| Some(m) == resident_large;
-                let other = |m: bool| Some(m) != resident_large;
-                if run_len >= cfg.batch_cap {
-                    // Starvation bound hit: the oldest deferred
-                    // opposite-model item goes next (if any waits).
-                    oldest(&other).or_else(|| oldest(&any))
-                } else {
-                    oldest(&same).or_else(|| oldest(&any))
-                }
-            }
-        };
-        let Some((s, i, _entry, attempt)) = picked else {
-            return Err(ServeError::Scheduler {
-                time_ns: t_now,
-                detail: "no queue front is handed over at the service instant".into(),
-            });
-        };
-
-        let item = &r.queues[s].items[i];
-        // Past its shedding deadline: the watchdog fires. With a ladder
-        // the frame is delivered as a copy-forward; shed-only drops it.
-        if let Some(d) = cfg.shed_after_ns {
-            if item.arrival_ns + d < t_now {
-                if ladder.is_some() {
-                    r.live[s].out.degradation.watchdog_degraded += 1;
-                    r.deliver(s, item, t_now, DegradeLevel::CopyForward);
-                } else {
-                    r.shed(s, t_now);
-                }
-                continue;
-            }
-        }
-
-        // Ladder transitions, driven by how close this frame ran to its
-        // deadline.
-        if let (Some(lad), Some(d)) = (ladder, cfg.shed_after_ns) {
-            let l = &mut r.live[s];
-            let age = t_now - item.arrival_ns;
-            if age > lad.downgrade_wait_frac * d {
-                if l.level < DegradeLevel::CopyForward {
-                    l.level = l.level.down();
-                    l.out.degradation.downgrades += 1;
-                }
-                l.streak = 0;
-            } else if age <= lad.upgrade_wait_frac * d {
-                l.streak += 1;
-                if l.streak >= lad.upgrade_streak && l.level > l.base {
-                    l.level = l.level.up();
-                    l.out.degradation.upgrades += 1;
-                    l.streak = 0;
-                }
-            } else {
-                l.streak = 0;
-            }
-        }
-
-        // NN-L anchors always run full; NN-S frames run at the session's
-        // current rung.
-        let eff = if item.uses_large_model {
-            DegradeLevel::Full
-        } else {
-            r.live[s].level
-        };
-
-        // Agent-unit-only rungs: no NPU occupancy, no switch, no fault
-        // exposure — the mask is reconstructed (or copied forward) on the
-        // agent unit and delivered at the decision instant.
-        if !item.uses_large_model && eff >= DegradeLevel::SkipRefine {
-            r.deliver(s, item, t_now, eff);
-            continue;
-        }
-
-        let needs_switch = resident_large != Some(item.uses_large_model);
-        let switch_cost = if !needs_switch {
-            0.0
-        } else if item.uses_large_model {
-            sim.switch_to_large_ns()
-        } else {
-            sim.switch_to_small_ns()
-        };
-        let stalled = profile.draw_stall(item.session, item.idx, attempt);
-        let stall_extra = if stalled { profile.stall_ns } else { 0.0 };
-        let rate = if eff >= DegradeLevel::Int8 && !item.uses_large_model {
-            int8_ops_per_ns
-        } else {
-            ops_per_ns
-        };
-        let service = item.ops as f64 / rate;
-        let start = t_now + switch_cost + stall_extra;
-        let finish = start + service;
-
-        // The device dies mid-attempt: the attempt (switch included) is
-        // void, and the crash voids every resident hand-over too.
-        if crash_idx < crash_windows.len() && crash_windows[crash_idx].at_ns < finish {
-            let w = crash_windows[crash_idx];
-            crash_idx += 1;
-            crashes += 1;
-            wasted_ns += w.at_ns - t_now;
-            resident_large = None;
-            run_len = 0;
-            r.crash(&w, rec);
-            t_npu = w.end_ns();
-            continue;
-        }
-
-        if needs_switch {
-            switch_ns += switch_cost;
-            switches += 1;
-            resident_large = Some(item.uses_large_model);
-            run_len = 0;
-        }
-        if stalled {
-            stalls += 1;
-            stall_ns += stall_extra;
-        }
-        run_len += 1;
-        t_npu = finish;
-
-        // The attempt completed on the NPU clock — did it return garbage?
-        if profile.draw_work_item_failure(item.session, item.idx, attempt) {
-            wasted_ns += service;
-            let failed_attempts = attempt + 1;
-            if failed_attempts < max_attempts {
-                r.live[s].out.degradation.retries += 1;
-                let Some(front) = r.queues[s].queue.front_mut() else {
-                    return Err(ServeError::Scheduler {
-                        time_ns: finish,
-                        detail: format!("session {s}: retried entry vanished from its queue front"),
-                    });
-                };
-                front.attempt = failed_attempts;
-                front.entry_ns = finish + rec.backoff_ns(failed_attempts);
-                continue;
-            }
-            r.live[s].out.degradation.retry_exhausted += 1;
-            if ladder.is_some() {
-                // Budget gone: deliver the copy-forward fallback.
-                r.deliver(s, item, finish, DegradeLevel::CopyForward);
-            } else {
-                r.shed(s, finish);
-            }
-            continue;
-        }
-
-        busy_ns += service;
-        r.deliver(s, item, finish, eff);
-    }
-
-    let mut per_session = Vec::with_capacity(sessions.len());
-    for (s, (l, samples)) in r.live.into_iter().zip(&r.session_samples).enumerate() {
-        let mut out = l.out;
-        let resolved = out.frames_full + out.frames_degraded + out.frames_shed;
-        let lost = sessions[s].items.len() - resolved;
-        if lost > 0 && !out.lost {
-            return Err(ServeError::Scheduler {
-                time_ns: t_npu,
-                detail: format!("session {s}: {lost} frames unaccounted without a crash kill"),
-            });
-        }
-        out.frames_lost = lost;
-        out.latency = LatencyStats::from_samples(samples);
-        per_session.push(out);
-    }
-    let sum = |f: &dyn Fn(&SessionSchedStats) -> usize| per_session.iter().map(f).sum::<usize>();
-    let mut frames_at_level = [0usize; DegradeLevel::COUNT];
-    for (k, n) in frames_at_level.iter_mut().enumerate() {
-        *n = sum(&|p| p.degradation.frames_at_level[k]);
-    }
-
-    Ok(ScheduleOutcome {
+    let plan = Plan {
         policy,
-        frames_offered,
-        frames_full: sum(&|p| p.frames_full),
-        frames_degraded: sum(&|p| p.frames_degraded),
-        frames_shed: sum(&|p| p.frames_shed),
-        frames_lost: sum(&|p| p.frames_lost),
-        frames_at_level,
-        sessions_lost: sum(&|p| usize::from(p.lost)),
-        session_restores: sum(&|p| p.restores),
-        retries: sum(&|p| p.degradation.retries),
-        retry_exhausted: sum(&|p| p.degradation.retry_exhausted),
-        watchdog_degraded: sum(&|p| p.degradation.watchdog_degraded),
-        stalls,
-        stall_ns,
-        crashes,
-        wasted_ns,
-        switches,
-        switch_ns,
-        busy_ns,
-        makespan_ns: t_npu,
-        max_queue_depth: r.max_depth,
-        mean_queue_depth: if r.samples.is_empty() {
-            0.0
-        } else {
-            r.depth_sum as f64 / r.samples.len() as f64
-        },
-        decoder_stalls: r.decoder_stalls,
-        latency: LatencyStats::from_samples(&r.samples),
-        latency_samples: r.samples,
-        per_session,
-    })
+        cfg,
+        sim,
+        faults,
+        rec,
+        ladder: rec.ladder.filter(|_| cfg.shed_after_ns.is_some()),
+    };
+    let mut r = Replay::new(sessions, &plan);
+
+    // Every event resolves an item, burns one bounded retry, or consumes a
+    // crash window — so this bound is unreachable unless an invariant
+    // broke, and tripping it surfaces the bug instead of spinning forever.
+    let frames_offered: usize = sessions.iter().map(|s| s.items.len()).sum();
+    let max_events = frames_offered
+        .saturating_mul(rec.max_attempts.max(1) as usize + 2)
+        .saturating_add(faults.crashes.len() * (sessions.len() + 2))
+        .saturating_add(64);
+    let mut events = 0usize;
+    while let Some(t_now) = r.next_instant() {
+        events += 1;
+        if events > max_events {
+            return Err(ServeError::Scheduler {
+                time_ns: t_now,
+                detail: format!("event loop exceeded {max_events} iterations"),
+            });
+        }
+        r.step(&plan, t_now)?;
+    }
+    r.into_outcome(policy, sessions)
 }
 
 #[cfg(test)]
@@ -1078,7 +1157,10 @@ mod tests {
         assert_eq!(out.frames_delivered() + out.frames_shed, 4 * 16);
         // A served frame waited at most the deadline before starting, so
         // its latency is bounded by deadline + one switch + its service.
-        let bound = 2e6 + sim().switch_to_large_ns() + 4e9 / sim().npu_ops_per_ns() + 1.0;
+        let bound = 2e6
+            + sim().switch_ns(None, Model::Large)
+            + sim().service_ns(4_000_000_000, Model::Large, ComputeMode::F32Reference)
+            + 1.0;
         assert!(
             out.latency.max_ns < bound,
             "{} >= {bound}",

@@ -17,7 +17,6 @@ use crate::sched::{schedule, SchedConfig, SchedPolicy, ScheduleOutcome};
 use crate::session::{drive_template, DrivenSession, SessionSpec, SessionState};
 use vr_dann::{PipelineOptions, VrDann};
 use vrd_codec::EncodedVideo;
-use vrd_nn::LargeNet;
 use vrd_sim::SimConfig;
 use vrd_video::Sequence;
 
@@ -132,19 +131,16 @@ pub fn admit_and_drive(
     Vec<DrivenSession>,
     f64,
 )> {
-    let ops_per_ns = cfg.sim.npu_ops_per_ns();
-
     // Admission pass: request order, deterministic.
     let mut controller = AdmissionController::new(cfg.slo, cfg.sched.batch_cap, cfg.sim);
     let mut decisions: Vec<std::result::Result<AdmissionProjection, RejectReason>> =
         Vec::with_capacity(requests.len());
     let mut admitted_jobs: Vec<(usize, usize, SessionSpec)> = Vec::new();
     for (r, (seq, encoded)) in requests.iter().enumerate() {
-        let nnl_ns = LargeNet::new(model.config().segment_profile).ops(seq.width(), seq.height())
-            as f64
-            / ops_per_ns;
-        let interval = cfg.load_factor * nnl_ns;
-        let demand = SessionDemand::estimate(model, seq, encoded, interval, &cfg.sim);
+        // Pacing is a multiple of the stream's own NN-L time.
+        let mut demand = SessionDemand::estimate(model, seq, encoded, 0.0);
+        let interval = cfg.load_factor * demand.nnl_ns(&cfg.sim);
+        demand.frame_interval_ns = interval;
         let decision = controller.try_admit(&demand);
         if decision.is_ok() {
             let session = admitted_jobs.len();

@@ -19,7 +19,7 @@ use vr_dann::{
     StrictPolicy, VrDann,
 };
 use vrd_codec::{EncodedVideo, FrameSource, FrameType, StrictFrameSource};
-use vrd_sim::{simulate_stream, ExecMode, ParallelOptions, SimConfig};
+use vrd_sim::{simulate_stream, ExecMode, Model, ParallelOptions, SimConfig};
 use vrd_video::Sequence;
 
 /// Pacing of one session's arrival process (its camera / network feed).
@@ -60,6 +60,17 @@ pub struct WorkItem {
     pub arrival_ns: f64,
     /// When the decoder lane hands the item to the NPU queues.
     pub ready_ns: f64,
+}
+
+impl WorkItem {
+    /// The model the item needs resident on the NPU.
+    pub fn model(&self) -> Model {
+        if self.uses_large_model {
+            Model::Large
+        } else {
+            Model::Small
+        }
+    }
 }
 
 /// A host-side recovery point for one driven session: everything needed to
@@ -268,21 +279,16 @@ fn drive_observed(
     let task = SegTask::for_stream(seq, model.config(), &info);
     let engine = PipelineEngine::new(model.config(), model.nns(), task, StrictPolicy::default());
 
-    let px = (info.width * info.height) as f64;
+    let pixels = info.width * info.height;
     let mut items: Vec<TemplateItem> = Vec::with_capacity(info.n_frames);
     let run = engine.drive(source, &[], lanes, |engine, arrive_idx, work| {
-        let cpp = if work.full_decode {
-            sim.decoder.cycles_per_pixel_full
-        } else {
-            sim.decoder.cycles_per_pixel_mv
-        };
         items.push(TemplateItem {
             display: work.display,
             ftype: work.ftype,
             ops: work.ops,
             uses_large_model: work.uses_large_model,
             arrive_idx,
-            decode_ns: px * cpp / sim.decoder.freq_hz * 1e9,
+            decode_ns: sim.decode_ns(pixels, work.full_decode).ns,
         });
         after_item(engine, &items)
     })?;
@@ -531,7 +537,7 @@ mod tests {
         for _ in 0..ckpt.units_consumed {
             source.next_unit().unwrap().unwrap();
         }
-        let px = (info.width * info.height) as f64;
+        let pixels = info.width * info.height;
         let mut t_decode = ckpt.decode_clock_ns;
         let mut k = ckpt.units_consumed;
         let mut tail: Vec<WorkItem> = Vec::new();
@@ -541,12 +547,7 @@ mod tests {
             let Some(work) = engine.step(unit.unwrap()).unwrap() else {
                 continue;
             };
-            let cpp = if work.full_decode {
-                sim.decoder.cycles_per_pixel_full
-            } else {
-                sim.decoder.cycles_per_pixel_mv
-            };
-            t_decode = t_decode.max(arrival) + px * cpp / sim.decoder.freq_hz * 1e9;
+            t_decode = t_decode.max(arrival) + sim.decode_ns(pixels, work.full_decode).ns;
             tail.push(WorkItem {
                 session: 2,
                 idx: ckpt.items_emitted + tail.len(),

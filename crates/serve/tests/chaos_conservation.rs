@@ -6,7 +6,9 @@
 //! delivered full, delivered degraded, shed, or lost to a crash kill —
 //! the event loop always terminates (a livelock trips the scheduler's
 //! iteration bound and surfaces as an error, failing the property), and a
-//! bitwise repeat of the replay is identical.
+//! bitwise repeat of the replay is identical. The same mixes replayed
+//! with no plan and no deadline reconcile with the cost model: the
+//! scheduler's busy and switch time are what `vrd_sim::cost` quotes.
 
 use proptest::prelude::*;
 use vr_dann::ComputeMode;
@@ -15,7 +17,7 @@ use vrd_serve::{
     schedule, ChaosConfig, DrivenSession, LadderConfig, LatencyStats, NpuFaultProfile,
     RecoveryConfig, SchedConfig, SchedPolicy, ScheduleOutcome, WorkItem,
 };
-use vrd_sim::SimConfig;
+use vrd_sim::{Model, SimConfig};
 
 /// splitmix64 — deterministic parameter scrambling per session index.
 fn mix(mut z: u64) -> u64 {
@@ -107,6 +109,32 @@ fn assert_conserved(out: &ScheduleOutcome, sessions: &[DrivenSession]) {
     );
 }
 
+/// The scheduler bills what the cost model quotes. With no plan and no
+/// deadline every item is served exactly once at its session's own rung,
+/// so `busy_ns` is the sum of the quotes; and with two models, a cold
+/// device and an anchor leading every session, the switches along the
+/// served order alternate to-large, to-small, to-large, …
+fn assert_bills_reconcile(out: &ScheduleOutcome, sessions: &[DrivenSession], sim: &SimConfig) {
+    let close = |got: f64, quoted: f64| (got - quoted).abs() <= 1e-9 * quoted.max(1.0);
+    let service: f64 = sessions
+        .iter()
+        .flat_map(|s| {
+            s.items
+                .iter()
+                .map(|i| sim.service_ns(i.ops, i.model(), s.compute))
+        })
+        .sum();
+    assert!(close(out.busy_ns, service), "{} vs {service}", out.busy_ns);
+    let switching = out.switches.div_ceil(2) as f64 * sim.switch_ns(None, Model::Large)
+        + (out.switches / 2) as f64 * sim.switch_ns(Some(Model::Large), Model::Small);
+    assert!(
+        close(out.switch_ns, switching),
+        "{} vs {switching} over {} switches",
+        out.switch_ns,
+        out.switches
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -179,5 +207,10 @@ proptest! {
         // Bitwise determinism of the whole outcome.
         let again = schedule(&sessions, policy, &cfg, &sim, Some(&chaos)).unwrap();
         prop_assert_eq!(out, again);
+
+        // Reconcile upward, in virtual time.
+        let plain = schedule(&sessions, policy, &SchedConfig::default(), &sim, None).unwrap();
+        prop_assert_eq!(plain.frames_full, plain.frames_offered);
+        assert_bills_reconcile(&plain, &sessions, &sim);
     }
 }

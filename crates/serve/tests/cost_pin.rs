@@ -174,7 +174,7 @@ fn schedule_bills_are_pinned() {
 
 /// A synthetic f32-estimated library entry, demand derived from the same
 /// op counts the template carries.
-fn entry(anchors: usize, bs: usize, nnl_ops: u64, nns_ops: u64, sim: &SimConfig) -> StreamEntry {
+fn entry(anchors: usize, bs: usize, nnl_ops: u64, nns_ops: u64) -> StreamEntry {
     let mut items = Vec::new();
     for a in 0..anchors {
         for j in 0..=bs {
@@ -189,11 +189,10 @@ fn entry(anchors: usize, bs: usize, nnl_ops: u64, nns_ops: u64, sim: &SimConfig)
         }
     }
     let total_ops: u64 = items.iter().map(|i| i.ops).sum();
-    let ops_per_ns = sim.npu_ops_per_ns();
     StreamEntry {
         demand: SessionDemand {
-            nnl_ns: nnl_ops as f64 / ops_per_ns,
-            nns_ns: nns_ops as f64 / ops_per_ns,
+            nnl_ops,
+            nns_ops,
             compute: ComputeMode::F32Reference,
             anchors,
             b_frames: anchors * bs,
@@ -243,9 +242,9 @@ fn fleet_bills_are_pinned() {
     let mut got = Vec::new();
     for sim in sims() {
         let library = [
-            entry(3, 3, 3_999_937, 400_003, &sim),
-            entry(12, 0, 2_999_953, 0, &sim),
-            entry(1, 11, 4_999_963, 799_999, &sim),
+            entry(3, 3, 3_999_937, 400_003),
+            entry(12, 0, 2_999_953, 0),
+            entry(1, 11, 4_999_963, 799_999),
         ];
         let cfg = FleetConfig {
             min_shards: 1,

@@ -14,9 +14,10 @@ use vr_dann::ComputeMode;
 use vrd_codec::FrameType;
 use vrd_serve::{
     run_fleet, AutoscaleConfig, Envelope, FleetConfig, FleetReport, LatencyStats, LoadGenConfig,
-    OfferFate, RebalanceConfig, SessionDemand, SessionTemplate, StreamEntry, TemplateItem,
+    OfferFate, RebalanceConfig, SessionArrival, SessionDemand, SessionShape, SessionTemplate,
+    StreamEntry, TemplateItem, TrafficTrace,
 };
-use vrd_sim::SimConfig;
+use vrd_sim::{Model, SimConfig};
 
 /// splitmix64 — deterministic parameter scrambling per stream index.
 fn mix(mut z: u64) -> u64 {
@@ -61,11 +62,10 @@ fn synth_entry(seed: u64, stream: usize, sim: &SimConfig) -> StreamEntry {
         .windows(2)
         .filter(|w| w[0].uses_large_model != w[1].uses_large_model)
         .count();
-    let ops_per_ns = sim.npu_ops_per_ns();
     StreamEntry {
         demand: SessionDemand {
-            nnl_ns: nnl_ops as f64 / ops_per_ns,
-            nns_ns: nns_ops as f64 / ops_per_ns,
+            nnl_ops,
+            nns_ops,
             compute: ComputeMode::F32Reference,
             anchors,
             b_frames: anchors * b_per,
@@ -79,7 +79,7 @@ fn synth_entry(seed: u64, stream: usize, sim: &SimConfig) -> StreamEntry {
             peak_live_frames: 2,
             total_ops,
             switches_in_order: switches,
-            isolated_ns: total_ops as f64 / ops_per_ns,
+            isolated_ns: sim.service_ns(total_ops, Model::Large, ComputeMode::F32Reference),
         },
     }
 }
@@ -222,5 +222,65 @@ proptest! {
         )
         .unwrap();
         prop_assert_eq!(&report, &serial);
+    }
+}
+
+#[test]
+fn arrivals_are_billed_and_served_at_their_own_compute_mode() {
+    // The library entry's mode is only what it was estimated with: each
+    // arrival is restamped to the mode it asks for, in both directions.
+    let sim = SimConfig::default();
+    let f32_entry = synth_entry(7, 0, &sim);
+    let (anchors, bs) = (f32_entry.demand.anchors, f32_entry.demand.b_frames);
+    assert!(
+        bs > 0,
+        "the stream needs NN-S frames for the mode to matter"
+    );
+    let mut int8_entry = f32_entry.clone();
+    int8_entry.demand.compute = ComputeMode::Int8;
+    int8_entry.template.compute = ComputeMode::Int8;
+    let cfg = FleetConfig {
+        min_shards: 1,
+        max_shards: 1,
+        autoscale: None,
+        rebalance: None,
+        sim,
+        ..FleetConfig::default()
+    };
+    for (entry, wants, at_level) in [
+        (
+            &int8_entry,
+            ComputeMode::F32Reference,
+            [anchors + bs, 0, 0, 0],
+        ),
+        (&f32_entry, ComputeMode::Int8, [anchors, bs, 0, 0]),
+    ] {
+        let trace = TrafficTrace {
+            arrivals: vec![SessionArrival {
+                id: 0,
+                stream: 0,
+                arrive_ns: 0.0,
+                interval_ns: 0.0,
+                depart_ns: None,
+                shape: SessionShape {
+                    compute: wants,
+                    ..SessionShape::standard()
+                },
+            }],
+            horizon_ns: 0.0,
+        };
+        let report = run_fleet(&trace, std::slice::from_ref(entry), &cfg).unwrap();
+        let shard = &report.shards[0];
+        assert_eq!(shard.outcome.frames_at_level, at_level, "served {wants:?}");
+        assert_eq!(shard.outcome.frames_degraded, 0);
+        let billed = SessionDemand {
+            compute: wants,
+            ..entry.demand
+        };
+        assert_eq!(
+            shard.peak_utilization,
+            billed.compute_utilization(&sim) + billed.switch_utilization(cfg.sched.batch_cap, &sim),
+            "billed {wants:?}"
+        );
     }
 }

@@ -1,9 +1,10 @@
 //! End-to-end serving-layer tests: real model, real DAVIS-like streams,
 //! the full admit → drive → schedule → report path.
 
-use vr_dann::{PipelineOptions, TrainTask, VrDann, VrDannConfig};
+use vr_dann::{ComputeMode, PipelineOptions, TrainTask, VrDann, VrDannConfig};
 use vrd_codec::EncodedVideo;
-use vrd_serve::{serve, SchedPolicy, ServeConfig, SessionState, SloConfig};
+use vrd_serve::{serve, SchedPolicy, ServeConfig, SessionDemand, SessionState, SloConfig};
+use vrd_sim::SimConfig;
 use vrd_video::davis::{davis_train_suite, davis_val_suite, SuiteConfig};
 use vrd_video::Sequence;
 
@@ -160,4 +161,38 @@ fn tight_slo_rejects_excess_sessions() {
     let loose = serve(&model, &requests, &ServeConfig::default()).unwrap();
     assert!(report.admitted <= loose.admitted);
     assert!(report.projected_utilization < cfg.slo.max_utilization);
+}
+
+#[test]
+fn int8_estimate_equals_the_restamped_f32_estimate() {
+    // Demand is work, not time: estimating a stream with an int8 model and
+    // restamping its f32 estimate to int8 are the same demand, so admission
+    // and the fleet cannot bill one stream two ways — whatever the modelled
+    // int8 ratio, power of two or not.
+    let (model, seqs, encoded) = tiny_setup();
+    let int8_model = model.clone().with_compute(ComputeMode::Int8);
+    for k in [4.0, 3.0, 1.19] {
+        let mut sim = SimConfig::default();
+        sim.npu.int8_speedup = k;
+        for (seq, enc) in seqs.iter().zip(&encoded) {
+            let estimated = SessionDemand::estimate(&int8_model, seq, enc, 1e6);
+            let restamped = SessionDemand {
+                compute: ComputeMode::Int8,
+                ..SessionDemand::estimate(&model, seq, enc, 1e6)
+            };
+            assert_eq!(estimated, restamped);
+            assert_eq!(
+                estimated.nns_ns(&sim).to_bits(),
+                restamped.nns_ns(&sim).to_bits()
+            );
+            assert_eq!(
+                estimated.compute_utilization(&sim).to_bits(),
+                restamped.compute_utilization(&sim).to_bits()
+            );
+            // And it is int8 that is cheaper, on NN-S only.
+            let f32_demand = SessionDemand::estimate(&model, seq, enc, 1e6);
+            assert!(estimated.nns_ns(&sim) < f32_demand.nns_ns(&sim));
+            assert_eq!(estimated.nnl_ns(&sim), f32_demand.nnl_ns(&sim));
+        }
+    }
 }

@@ -6,7 +6,9 @@
 //!
 //! * an **NPU** behavioural timing model (Ascend-310 class, Table II) with
 //!   explicit NN-L ↔ NN-S model-switch costs;
-//! * a **video decoder** timing model (300 MHz, full-decode vs MV-only);
+//! * a **video decoder** timing model (300 MHz, full-decode vs MV-only) —
+//!   both priced by the one cost model in [`cost`], which the serving
+//!   layer bills through as well;
 //! * a **DDR3** memory model with banks and row buffers ([`Dram`]);
 //! * the **agent unit** — `ip_Q`/`b_Q`, `mv_T`, the 32-wide coalescing unit
 //!   and the `tmp_B` buffers ([`agent`]);
@@ -35,6 +37,7 @@
 
 pub mod agent;
 pub mod config;
+pub mod cost;
 pub mod dram;
 pub mod report;
 pub mod sched;
@@ -43,6 +46,7 @@ pub mod traffic;
 
 pub use agent::{AgentFootprint, ReconOutcome};
 pub use config::{AgentConfig, CostConfig, DecoderConfig, DramConfig, NpuConfig, SimConfig};
+pub use cost::{DecodeCost, Model};
 pub use dram::{Dram, DramStats};
 pub use report::{EnergyBreakdown, SimReport, TrafficBreakdown};
 pub use sched::{simulate, simulate_stream, simulate_traced, ExecMode, ParallelOptions, StreamSim};

@@ -15,12 +15,13 @@
 
 use crate::agent;
 use crate::config::SimConfig;
+use crate::cost::Model;
 use crate::dram::Dram;
 use crate::report::{EnergyBreakdown, SimReport, TrafficBreakdown};
 use crate::timeline::{Lane, SpanKind, Timeline};
 use crate::traffic::frame_traffic;
 use std::collections::{BTreeMap, VecDeque};
-use vr_dann::{ComputeKind, SchemeTrace, TraceFrame};
+use vr_dann::{ComputeKind, ComputeMode, SchemeTrace, TraceFrame};
 use vrd_codec::MvRecord;
 
 /// Options of the parallel architecture (the ablation knobs).
@@ -57,27 +58,6 @@ pub enum ExecMode {
     VrDannParallel(ParallelOptions),
 }
 
-/// NPU-resident model families (switching between them costs time).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Model {
-    None,
-    Large,
-    Flow,
-    Small,
-}
-
-fn model_of(kind: &ComputeKind) -> Model {
-    match kind {
-        ComputeKind::NnL { .. } => Model::Large,
-        ComputeKind::FlowWarp { .. } => Model::Flow,
-        ComputeKind::NnSRefine { .. } => Model::Small,
-        ComputeKind::BoxShift => Model::None,
-        // The staged head lives with the backbone weights: resident large
-        // model, no switch between anchors and propagated B-frames.
-        ComputeKind::FeatHead { .. } => Model::Large,
-    }
-}
-
 fn span_of(kind: &ComputeKind) -> SpanKind {
     match kind {
         ComputeKind::NnL { .. } => SpanKind::NnL,
@@ -91,7 +71,7 @@ fn span_of(kind: &ComputeKind) -> SpanKind {
 struct Machine<'a> {
     cfg: &'a SimConfig,
     t_npu: f64,
-    model: Model,
+    model: Option<Model>,
     npu_busy_ns: f64,
     switch_ns: f64,
     switches: usize,
@@ -106,7 +86,7 @@ impl<'a> Machine<'a> {
         Self {
             cfg,
             t_npu: 0.0,
-            model: Model::None,
+            model: None,
             npu_busy_ns: 0.0,
             switch_ns: 0.0,
             switches: 0,
@@ -117,16 +97,13 @@ impl<'a> Machine<'a> {
         }
     }
 
-    fn ensure_model(&mut self, m: Model) {
-        if m == self.model {
+    /// Makes `m` resident, paying the switch. `None` is zero-op work: it
+    /// leaves the resident model in place.
+    fn ensure_model(&mut self, m: Option<Model>) {
+        let Some(m) = m.filter(|&m| Some(m) != self.model) else {
             return;
-        }
-        let ns = match m {
-            // Zero-op frames leave the resident model in place.
-            Model::None => return,
-            Model::Large | Model::Flow => self.cfg.switch_to_large_ns(),
-            Model::Small => self.cfg.switch_to_small_ns(),
         };
+        let ns = self.cfg.switch_ns(self.model, m);
         if self.record {
             self.timeline.record(
                 Lane::Npu,
@@ -139,12 +116,16 @@ impl<'a> Machine<'a> {
         self.t_npu += ns;
         self.switch_ns += ns;
         self.switches += 1;
-        self.model = m;
+        self.model = Some(m);
     }
 
+    /// Runs `ops` on the resident model. A trace carries no precision, so
+    /// the simulator bills every inference at the calibrated full rate.
     fn run_ops(&mut self, ops: u64, not_before: f64, kind: SpanKind, frame: Option<u32>) {
         self.t_npu = self.t_npu.max(not_before);
-        let ns = ops as f64 / self.cfg.npu_ops_per_ns();
+        let ns = self.model.map_or(0.0, |m| {
+            self.cfg.service_ns(ops, m, ComputeMode::F32Reference)
+        });
         if self.record {
             self.timeline
                 .record(Lane::Npu, kind, self.t_npu, self.t_npu + ns, frame);
@@ -290,16 +271,10 @@ impl<'a> StreamSim<'a> {
     pub fn push(&mut self, f: &TraceFrame) {
         let cfg = self.machine.cfg;
         // Decoder lane: this frame's decode-completion time.
-        let px = (self.width * self.height) as f64;
-        let cpp = if f.full_decode {
-            cfg.decoder.cycles_per_pixel_full
-        } else {
-            cfg.decoder.cycles_per_pixel_mv
-        };
-        let cycles = px * cpp;
-        self.decoder_cycles += cycles;
+        let decode = cfg.decode_ns(self.width * self.height, f.full_decode);
+        self.decoder_cycles += decode.cycles;
         let start = self.t_decode;
-        self.t_decode += cycles / cfg.decoder.freq_hz * 1e9;
+        self.t_decode += decode.ns;
         let ready = self.t_decode;
         self.last_ready = ready;
         if self.machine.record {
@@ -336,7 +311,7 @@ impl<'a> StreamSim<'a> {
                         self.traffic.seg += refs * 512 + (self.width * self.height / 4) as u64;
                     }
                 }
-                self.machine.ensure_model(model_of(&f.kind));
+                self.machine.ensure_model(Model::of(&f.kind));
                 self.machine
                     .run_ops(f.kind.ops(), ready, span_of(&f.kind), Some(f.display));
             }
@@ -352,7 +327,7 @@ impl<'a> StreamSim<'a> {
                     if !opts.lagged_switching && !self.b_q.is_empty() {
                         self.drain_b_q(opts);
                     }
-                    self.machine.ensure_model(model_of(&f.kind));
+                    self.machine.ensure_model(Model::of(&f.kind));
                     self.machine
                         .run_ops(f.kind.ops(), ready, span_of(&f.kind), Some(f.display));
                     self.anchor_done.insert(f.display, self.machine.t_npu);
@@ -400,7 +375,7 @@ impl<'a> StreamSim<'a> {
                 );
             }
 
-            self.machine.ensure_model(Model::Small);
+            self.machine.ensure_model(Some(Model::Small));
             let stall = (outcome.finish_ns - self.machine.t_npu).max(0.0);
             self.machine.recon_stall_ns += stall;
             self.machine
@@ -631,18 +606,11 @@ mod tests {
         ] {
             let r = simulate(trace, mode, &cfg);
             // Total time is at least the decoder stream time.
-            let px = (trace.width * trace.height) as f64;
+            let px = trace.width * trace.height;
             let stream_ns: f64 = trace
                 .frames
                 .iter()
-                .map(|f| {
-                    let cpp = if f.full_decode {
-                        cfg.decoder.cycles_per_pixel_full
-                    } else {
-                        cfg.decoder.cycles_per_pixel_mv
-                    };
-                    px * cpp / cfg.decoder.freq_hz * 1e9
-                })
+                .map(|f| cfg.decode_ns(px, f.full_decode).ns)
                 .sum();
             assert!(r.total_ns >= stream_ns - 1e-6);
             assert!(r.fps > 0.0);
