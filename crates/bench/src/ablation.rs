@@ -13,7 +13,7 @@ use vrd_sim::{simulate, ExecMode, ParallelOptions};
 
 /// One accuracy-ablation row.
 #[derive(Debug, Clone)]
-pub struct AccuracyRow {
+pub(crate) struct AccuracyRow {
     /// Variant label.
     pub label: String,
     /// Mean accuracy over the suite.
@@ -22,7 +22,7 @@ pub struct AccuracyRow {
 
 /// One architecture-ablation row.
 #[derive(Debug, Clone)]
-pub struct ArchRow {
+pub(crate) struct ArchRow {
     /// Variant label.
     pub label: String,
     /// Mean time relative to the full architecture (1.0 = full, >1 slower).
@@ -33,7 +33,7 @@ pub struct ArchRow {
 
 /// The complete ablation data.
 #[derive(Debug, Clone)]
-pub struct Ablation {
+pub(crate) struct Ablation {
     /// Algorithm-side rows.
     pub accuracy: Vec<AccuracyRow>,
     /// Architecture-side rows.
@@ -56,7 +56,7 @@ fn accuracy_of(ctx: &Context, label: &str, cfg: VrDannConfig) -> AccuracyRow {
 }
 
 /// Runs both ablation families.
-pub fn run(ctx: &Context) -> Ablation {
+pub(crate) fn run(ctx: &Context) -> Ablation {
     let base = VrDannConfig::default();
     let accuracy = vec![
         accuracy_of(ctx, "full VR-DANN", base),
@@ -174,7 +174,7 @@ pub fn run(ctx: &Context) -> Ablation {
 
 impl Ablation {
     /// Renders both tables.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut a = Table::new(vec!["algorithm variant", "F-score", "IoU"]);
         for r in &self.accuracy {
             a.row(vec![

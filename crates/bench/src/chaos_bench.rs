@@ -37,18 +37,18 @@ use vrd_serve::{
 
 /// The session counts the sweep offers (the serve sweep's contended tail
 /// plus a light row so the fault scenarios are also exercised uncontended).
-pub const SESSIONS: [usize; 3] = [1, 4, 6];
+pub(crate) const SESSIONS: [usize; 3] = [1, 4, 6];
 
 /// Work-item failure rate of the head-line fault scenario.
-pub const FAIL_RATE: f64 = 0.10;
+pub(crate) const FAIL_RATE: f64 = 0.10;
 
 /// Seed for every fault lottery in the sweep.
-pub const CHAOS_SEED: u64 = 0xC4A0_5EED;
+pub(crate) const CHAOS_SEED: u64 = 0xC4A0_5EED;
 
 /// One session count's chaos results (all replays under the batching
 /// policy — the serving discipline the subsystem actually runs).
 #[derive(Debug, Clone)]
-pub struct ChaosBenchRow {
+pub(crate) struct ChaosBenchRow {
     /// Sessions offered.
     pub requested: usize,
     /// Sessions the SLO admitted.
@@ -71,7 +71,7 @@ pub struct ChaosBenchRow {
 
 impl ChaosBenchRow {
     /// Looks a scenario up by name.
-    pub fn scenario(&self, name: &str) -> &ScheduleOutcome {
+    pub(crate) fn scenario(&self, name: &str) -> &ScheduleOutcome {
         self.scenarios
             .iter()
             .find(|(n, _)| *n == name)
@@ -82,7 +82,7 @@ impl ChaosBenchRow {
 
 /// The complete chaos sweep.
 #[derive(Debug, Clone)]
-pub struct ChaosBench {
+pub(crate) struct ChaosBench {
     /// One row per offered session count, ascending.
     pub rows: Vec<ChaosBenchRow>,
 }
@@ -167,7 +167,7 @@ fn run_row(requested: usize, driven: &[DrivenSession], cfg: &ServeConfig) -> Cha
 }
 
 /// Runs the sweep at the given offered-session counts.
-pub fn run_sessions(ctx: &Context, sessions: &[usize]) -> ChaosBench {
+pub(crate) fn run_sessions(ctx: &Context, sessions: &[usize]) -> ChaosBench {
     let encoded: Vec<EncodedVideo> = parallel_map(&ctx.davis, |seq| {
         ctx.model.encode(seq).expect("suite sequences encode")
     });
@@ -191,14 +191,14 @@ pub fn run_sessions(ctx: &Context, sessions: &[usize]) -> ChaosBench {
 }
 
 /// Runs the full sweep (all counts in [`SESSIONS`]).
-pub fn run(ctx: &Context) -> ChaosBench {
+pub(crate) fn run(ctx: &Context) -> ChaosBench {
     run_sessions(ctx, &SESSIONS)
 }
 
 impl ChaosBench {
     /// Rows with enough admitted sessions for the NPU to be contended —
     /// where the resilience gates apply (≥ 4, the serve-bench regime).
-    pub fn contended_rows(&self) -> impl Iterator<Item = &ChaosBenchRow> {
+    pub(crate) fn contended_rows(&self) -> impl Iterator<Item = &ChaosBenchRow> {
         self.rows.iter().filter(|r| r.admitted >= 4)
     }
 
@@ -209,7 +209,7 @@ impl ChaosBench {
     /// posture serves ≤ 80 % while the recovery stack delivers ≥ 95 %;
     /// a single NPU crash kills sessions without checkpoints and loses
     /// nothing with them.
-    pub fn acceptance_failures(&self) -> Vec<String> {
+    pub(crate) fn acceptance_failures(&self) -> Vec<String> {
         let mut fails = Vec::new();
         let mut contended = 0usize;
         for r in self.contended_rows() {
@@ -258,7 +258,7 @@ impl ChaosBench {
     }
 
     /// Renders the chaos table.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut t = Table::new(vec![
             "sessions",
             "scenario",
@@ -299,7 +299,7 @@ impl ChaosBench {
 
     /// Machine-readable JSON of the sweep (hand-rolled — the workspace
     /// carries no serialisation dependency).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         fn scenario_json((name, s): &(&'static str, ScheduleOutcome)) -> String {
             let ladder_steps = |f: fn(&DegradationStats) -> usize| -> usize {
                 s.per_session.iter().map(|p| f(&p.degradation)).sum()

@@ -7,7 +7,7 @@
 //! number in `EXPERIMENTS.md` was produced with.
 
 use vr_dann::{ComputeMode, SegmentationRun, TrainTask, VrDann, VrDannConfig};
-use vrd_codec::{CodecConfig, EncodedVideo};
+use vrd_codec::EncodedVideo;
 use vrd_metrics::{score_sequence, SegScores};
 use vrd_sim::{ExecMode, ParallelOptions, SimConfig, SimReport};
 use vrd_video::davis::{davis_train_suite, davis_val_suite, SuiteConfig};
@@ -25,7 +25,7 @@ pub enum Scale {
 
 impl Scale {
     /// The video-suite configuration of this scale.
-    pub fn suite_config(self) -> SuiteConfig {
+    pub(crate) fn suite_config(self) -> SuiteConfig {
         match self {
             Scale::Full => SuiteConfig::default(),
             Scale::Quick => SuiteConfig::tiny(),
@@ -33,7 +33,7 @@ impl Scale {
     }
 
     /// Training sequences for NN-S.
-    pub fn train_sequences(self) -> usize {
+    pub(crate) fn train_sequences(self) -> usize {
         match self {
             Scale::Full => 6,
             Scale::Quick => 2,
@@ -41,7 +41,7 @@ impl Scale {
     }
 
     /// Validation sequences used by the experiment.
-    pub fn val_sequences(self) -> usize {
+    pub(crate) fn val_sequences(self) -> usize {
         match self {
             Scale::Full => 20,
             Scale::Quick => 6,
@@ -49,7 +49,7 @@ impl Scale {
     }
 
     /// Detection sequences per speed group.
-    pub fn vid_per_group(self) -> usize {
+    pub(crate) fn vid_per_group(self) -> usize {
         match self {
             Scale::Full => 5,
             Scale::Quick => 1,
@@ -79,7 +79,7 @@ impl Context {
 
     /// [`Context::new`] with an explicit NN-S compute mode — training is
     /// mode-independent (always f32), only inference switches paths.
-    pub fn new_with(scale: Scale, compute: ComputeMode) -> Self {
+    pub(crate) fn new_with(scale: Scale, compute: ComputeMode) -> Self {
         let suite_cfg = scale.suite_config();
         let train = davis_train_suite(&suite_cfg, scale.train_sequences());
         let model = VrDann::train(&train, TrainTask::Segmentation, VrDannConfig::default())
@@ -98,7 +98,7 @@ impl Context {
 
     /// Trains a pipeline with non-default settings (codec sweeps retrain
     /// NN-S because the motion vectors change with the encoder).
-    pub fn train_variant(&self, cfg: VrDannConfig, task: TrainTask) -> VrDann {
+    pub(crate) fn train_variant(&self, cfg: VrDannConfig, task: TrainTask) -> VrDann {
         let train = davis_train_suite(&self.suite_cfg, self.scale.train_sequences());
         VrDann::train(&train, task, cfg).expect("training a sweep variant succeeds")
     }
@@ -122,7 +122,7 @@ impl Context {
     }
 
     /// Runs VR-DANN segmentation on one sequence (encoding included).
-    pub fn run_vrdann(&self, seq: &Sequence) -> (EncodedVideo, SegmentationRun) {
+    pub(crate) fn run_vrdann(&self, seq: &Sequence) -> (EncodedVideo, SegmentationRun) {
         let encoded = self.model.encode(seq).expect("suite sequences encode");
         let run = self
             .model
@@ -135,7 +135,10 @@ impl Context {
     /// the pipeline's multi-sequence serving entry point
     /// ([`VrDann::run_segmentation_batch`]). Results are in suite order and
     /// identical to per-sequence [`Context::run_vrdann`] calls.
-    pub fn run_vrdann_batch(&self, seqs: &[Sequence]) -> Vec<(EncodedVideo, SegmentationRun)> {
+    pub(crate) fn run_vrdann_batch(
+        &self,
+        seqs: &[Sequence],
+    ) -> Vec<(EncodedVideo, SegmentationRun)> {
         let encoded: Vec<EncodedVideo> = parallel_map(seqs, |seq| {
             self.model.encode(seq).expect("suite sequences encode")
         });
@@ -150,7 +153,7 @@ impl Context {
 
     /// Simulates a trace on the default parallel architecture (fed through
     /// the streaming scheduler entry point).
-    pub fn sim_parallel(&self, trace: &vr_dann::SchemeTrace) -> SimReport {
+    pub(crate) fn sim_parallel(&self, trace: &vr_dann::SchemeTrace) -> SimReport {
         vrd_sim::simulate_stream(
             trace.frames.iter(),
             trace.scheme,
@@ -164,7 +167,7 @@ impl Context {
 
     /// Simulates a trace in order (baselines), fed through the streaming
     /// scheduler entry point.
-    pub fn sim_in_order(&self, trace: &vr_dann::SchemeTrace) -> SimReport {
+    pub(crate) fn sim_in_order(&self, trace: &vr_dann::SchemeTrace) -> SimReport {
         vrd_sim::simulate_stream(
             trace.frames.iter(),
             trace.scheme,
@@ -185,12 +188,7 @@ impl Context {
 // The scoped-thread map the experiments fan out with now lives in the
 // shared runtime crate; re-exported so experiment modules keep their
 // `crate::context::parallel_map` imports.
-pub use vrd_runtime::parallel_map;
-
-/// The default codec configuration (shared by experiments for readability).
-pub fn default_codec() -> CodecConfig {
-    CodecConfig::default()
-}
+pub(crate) use vrd_runtime::parallel_map;
 
 #[cfg(test)]
 mod tests {

@@ -13,7 +13,7 @@ use vrd_sim::{simulate, ExecMode, ParallelOptions};
 /// One scheme's position: speed/efficiency vs FAVOS, plus the accuracy and
 /// NPU-load coordinates (FAVOS = 1.0 load by construction).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SchemePoint {
+pub(crate) struct SchemePoint {
     /// FAVOS time / scheme time (higher = faster).
     pub performance: f64,
     /// FAVOS energy / scheme energy (higher = more efficient).
@@ -26,7 +26,7 @@ pub struct SchemePoint {
 
 /// The complete comparison.
 #[derive(Debug, Clone, Default)]
-pub struct FeatPropBench {
+pub(crate) struct FeatPropBench {
     /// FAVOS itself (performance/energy/load 1.0; the accuracy reference).
     pub favos: SchemePoint,
     /// DFF: flow-warped *outputs*, key-frame NN-L.
@@ -39,7 +39,7 @@ pub struct FeatPropBench {
 }
 
 /// Runs the suite experiment.
-pub fn run(ctx: &Context) -> FeatPropBench {
+pub(crate) fn run(ctx: &Context) -> FeatPropBench {
     let per_video = parallel_map(&ctx.davis, |seq| {
         let (encoded, vr) = ctx.run_vrdann(seq);
         let fp: vr_dann::SegmentationRun = ctx
@@ -101,7 +101,7 @@ pub fn run(ctx: &Context) -> FeatPropBench {
 
 impl FeatPropBench {
     /// Renders the fig13-style rows plus the accuracy-vs-load points.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut t = Table::new(vec![
             "scheme",
             "performance",

@@ -6,7 +6,7 @@ use vrd_codec::Encoder;
 
 /// One video's encoder statistics.
 #[derive(Debug, Clone)]
-pub struct Fig03Row {
+pub(crate) struct Fig03Row {
     /// Sequence name.
     pub name: String,
     /// Fraction of B-frames (Fig. 3a).
@@ -19,7 +19,7 @@ pub struct Fig03Row {
 
 /// The complete figure data.
 #[derive(Debug, Clone)]
-pub struct Fig03 {
+pub(crate) struct Fig03 {
     /// Per-video rows.
     pub rows: Vec<Fig03Row>,
     /// Suite-mean B ratio (the paper reports ~65%).
@@ -30,7 +30,7 @@ pub struct Fig03 {
 }
 
 /// Runs the experiment.
-pub fn run(ctx: &Context) -> Fig03 {
+pub(crate) fn run(ctx: &Context) -> Fig03 {
     let encoder = Encoder::new(ctx.model.config().codec);
     let stats = parallel_map(&ctx.davis, |seq| {
         let ev = encoder.encode(&seq.frames).expect("suite encodes");
@@ -59,7 +59,7 @@ pub fn run(ctx: &Context) -> Fig03 {
 
 impl Fig03 {
     /// Renders the paper-style rows.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut t = Table::new(vec!["video", "B ratio", "mean refs/B", "max refs/B"]);
         for r in &self.rows {
             t.row(vec![

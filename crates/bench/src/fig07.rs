@@ -13,7 +13,7 @@ use vrd_sim::{simulate_traced, ExecMode, ParallelOptions, SimReport, Timeline};
 
 /// One scheme's traced execution.
 #[derive(Debug, Clone)]
-pub struct TracedRun {
+pub(crate) struct TracedRun {
     /// Scheme label.
     pub label: String,
     /// Simulation report.
@@ -24,7 +24,7 @@ pub struct TracedRun {
 
 /// The complete figure data.
 #[derive(Debug, Clone)]
-pub struct Fig07 {
+pub(crate) struct Fig07 {
     /// The sequence the timelines were recorded on.
     pub sequence: String,
     /// FAVOS, VR-DANN-serial and VR-DANN-parallel, in that order.
@@ -32,7 +32,7 @@ pub struct Fig07 {
 }
 
 /// Runs the experiment on the given suite sequence (by index).
-pub fn run(ctx: &Context, seq_index: usize) -> Fig07 {
+pub(crate) fn run(ctx: &Context, seq_index: usize) -> Fig07 {
     let seq = &ctx.davis[seq_index.min(ctx.davis.len() - 1)];
     let (encoded, vr) = ctx.run_vrdann(seq);
     let favos = run_favos(seq, &encoded, 1);
@@ -61,7 +61,7 @@ pub fn run(ctx: &Context, seq_index: usize) -> Fig07 {
 
 impl Fig07 {
     /// Renders the three Gantt charts on a shared time axis.
-    pub fn render(&self, width: usize) -> String {
+    pub(crate) fn render(&self, width: usize) -> String {
         let mut out = format!(
             "Fig. 7: execution timelines on '{}' (all charts share one time scale)\n",
             self.sequence

@@ -7,7 +7,7 @@ use vrd_metrics::SegScores;
 
 /// One video's scores.
 #[derive(Debug, Clone)]
-pub struct Fig09Row {
+pub(crate) struct Fig09Row {
     /// Sequence name.
     pub name: String,
     /// FAVOS accuracy.
@@ -18,13 +18,13 @@ pub struct Fig09Row {
 
 /// The complete figure data.
 #[derive(Debug, Clone)]
-pub struct Fig09 {
+pub(crate) struct Fig09 {
     /// Per-video rows, suite order.
     pub rows: Vec<Fig09Row>,
 }
 
 /// Runs the experiment.
-pub fn run(ctx: &Context) -> Fig09 {
+pub(crate) fn run(ctx: &Context) -> Fig09 {
     // The whole suite is served as one batch through the pipeline engine;
     // FAVOS and the scoring then fan out per video.
     let vr_runs = ctx.run_vrdann_batch(&ctx.davis);
@@ -41,18 +41,8 @@ pub fn run(ctx: &Context) -> Fig09 {
 }
 
 impl Fig09 {
-    /// Videos where VR-DANN trails FAVOS by more than `gap` IoU (the
-    /// paper's problem cases: dramatic deformation / very fast motion).
-    pub fn problem_videos(&self, gap: f64) -> Vec<&str> {
-        self.rows
-            .iter()
-            .filter(|r| r.favos.iou - r.vrdann.iou > gap)
-            .map(|r| r.name.as_str())
-            .collect()
-    }
-
     /// Renders the paper-style rows.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut t = Table::new(vec![
             "video",
             "FAVOS F",
@@ -89,8 +79,14 @@ mod tests {
         let fig = run(&ctx);
         assert_eq!(fig.rows.len(), ctx.davis.len());
         // VR-DANN matches FAVOS on the bulk of the suite (the paper's
-        // claim), with at most a few problem videos.
-        let problems = fig.problem_videos(0.05);
+        // claim), with at most a few problem videos: those trailing FAVOS by
+        // more than 0.05 IoU (dramatic deformation / very fast motion).
+        let problems: Vec<&str> = fig
+            .rows
+            .iter()
+            .filter(|r| r.favos.iou - r.vrdann.iou > 0.05)
+            .map(|r| r.name.as_str())
+            .collect();
         assert!(
             problems.len() <= fig.rows.len() / 2,
             "too many problem videos: {problems:?}"

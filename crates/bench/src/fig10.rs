@@ -11,7 +11,7 @@ const CONTOUR_TOLERANCE: usize = 1;
 
 /// One scheme's suite-averaged scores.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SchemeScores {
+pub(crate) struct SchemeScores {
     /// Pixel-level F-score and IoU (the paper's metrics).
     pub pixel: SegScores,
     /// Contour F-measure (DAVIS's boundary metric; extra, beyond the
@@ -22,7 +22,7 @@ pub struct SchemeScores {
 
 /// Averaged scores for the four schemes.
 #[derive(Debug, Clone)]
-pub struct Fig10 {
+pub(crate) struct Fig10 {
     /// OSVOS average.
     pub osvos: SchemeScores,
     /// DFF average.
@@ -34,7 +34,7 @@ pub struct Fig10 {
 }
 
 /// Runs the experiment.
-pub fn run(ctx: &Context) -> Fig10 {
+pub(crate) fn run(ctx: &Context) -> Fig10 {
     let per_video = parallel_map(&ctx.davis, |seq| {
         let (encoded, vr) = ctx.run_vrdann(seq);
         let favos = run_favos(seq, &encoded, 1);
@@ -76,7 +76,7 @@ pub fn run(ctx: &Context) -> Fig10 {
 
 impl Fig10 {
     /// Renders the paper-style rows.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut t = Table::new(vec!["scheme", "F-score", "IoU", "contour F"]);
         for (name, s) in [
             ("OSVOS", self.osvos),

@@ -10,7 +10,7 @@ use vrd_video::{Sequence, SpeedClass};
 
 /// mAP per speed group plus the overall mean.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct GroupedMap {
+pub(crate) struct GroupedMap {
     /// All sequences.
     pub overall: f64,
     /// Slow group.
@@ -23,7 +23,7 @@ pub struct GroupedMap {
 
 /// The complete figure data.
 #[derive(Debug, Clone)]
-pub struct Fig11 {
+pub(crate) struct Fig11 {
     /// SELSA (the accuracy reference).
     pub selsa: GroupedMap,
     /// Euphrates with key interval 2.
@@ -69,7 +69,7 @@ fn grouped(values: &[(SpeedClass, f64)]) -> GroupedMap {
 }
 
 /// Runs the experiment.
-pub fn run(ctx: &Context) -> Fig11 {
+pub(crate) fn run(ctx: &Context) -> Fig11 {
     let suite = ctx.vid_suite();
     let det_model = ctx.detection_model();
     let results = parallel_map(&suite, |seq| {
@@ -99,7 +99,7 @@ pub fn run(ctx: &Context) -> Fig11 {
 
 impl Fig11 {
     /// Renders the paper-style rows.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut t = Table::new(vec!["scheme", "overall", "slow", "medium", "fast"]);
         for (name, g) in [
             ("SELSA", self.selsa),

@@ -8,7 +8,7 @@ use vrd_sim::{simulate, ExecMode, ParallelOptions};
 
 /// One video's timing results.
 #[derive(Debug, Clone)]
-pub struct Fig12Row {
+pub(crate) struct Fig12Row {
     /// Sequence name.
     pub name: String,
     /// B-frame ratio of this encode (explains the per-video variance).
@@ -25,13 +25,13 @@ pub struct Fig12Row {
 
 /// The complete figure data.
 #[derive(Debug, Clone)]
-pub struct Fig12 {
+pub(crate) struct Fig12 {
     /// Per-video rows.
     pub rows: Vec<Fig12Row>,
 }
 
 /// Runs the experiment.
-pub fn run(ctx: &Context) -> Fig12 {
+pub(crate) fn run(ctx: &Context) -> Fig12 {
     let rows = parallel_map(&ctx.davis, |seq| {
         let (encoded, vr) = ctx.run_vrdann(seq);
         let favos = run_favos(seq, &encoded, 1);
@@ -56,19 +56,19 @@ pub fn run(ctx: &Context) -> Fig12 {
 
 impl Fig12 {
     /// Mean parallel speed-up over the suite.
-    pub fn mean_parallel_speedup(&self) -> f64 {
+    pub(crate) fn mean_parallel_speedup(&self) -> f64 {
         self.rows.iter().map(|r| r.parallel_speedup).sum::<f64>() / self.rows.len().max(1) as f64
     }
 
     /// Mean drop in TOPS per frame (the paper reports ~60%).
-    pub fn mean_ops_drop(&self) -> f64 {
+    pub(crate) fn mean_ops_drop(&self) -> f64 {
         let favos: f64 = self.rows.iter().map(|r| r.favos_tops).sum();
         let vrdann: f64 = self.rows.iter().map(|r| r.vrdann_tops).sum();
         1.0 - vrdann / favos
     }
 
     /// Renders the paper-style rows.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut t = Table::new(vec![
             "video",
             "B ratio",

@@ -10,7 +10,7 @@ use vrd_video::davis::{davis_train_suite, SuiteConfig};
 
 /// Relative performance/energy of one scheme (FAVOS = 1.0).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Relative {
+pub(crate) struct Relative {
     /// FAVOS time / scheme time (higher = faster).
     pub performance: f64,
     /// FAVOS energy / scheme energy (higher = more efficient).
@@ -19,7 +19,7 @@ pub struct Relative {
 
 /// The complete figure data.
 #[derive(Debug, Clone, Default)]
-pub struct Fig13 {
+pub(crate) struct Fig13 {
     /// OSVOS relative to FAVOS.
     pub osvos: Relative,
     /// DFF relative to FAVOS.
@@ -31,7 +31,7 @@ pub struct Fig13 {
 }
 
 /// Runs the suite experiment.
-pub fn run(ctx: &Context) -> Fig13 {
+pub(crate) fn run(ctx: &Context) -> Fig13 {
     let per_video = parallel_map(&ctx.davis, |seq| {
         let (encoded, vr) = ctx.run_vrdann(seq);
         let favos = ctx.sim_in_order(&run_favos(seq, &encoded, 1).trace);
@@ -70,7 +70,7 @@ pub fn run(ctx: &Context) -> Fig13 {
 /// Recognition rate at high definition: FAVOS vs VR-DANN-parallel on an
 /// 864×480 sequence (the paper's "13 fps → 40 fps" result). The pipeline is
 /// fully convolutional, so the 160×96-trained NN-S runs at HD directly.
-pub fn fps_hd(frames: usize) -> (f64, f64, f64) {
+pub(crate) fn fps_hd(frames: usize) -> (f64, f64, f64) {
     let cfg = SuiteConfig {
         width: 864,
         height: 480,
@@ -100,7 +100,7 @@ pub fn fps_hd(frames: usize) -> (f64, f64, f64) {
 
 impl Fig13 {
     /// Renders the paper-style rows.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut t = Table::new(vec!["scheme", "performance", "energy reduction"]);
         t.row(vec!["FAVOS (baseline)", "1.00x", "1.00x"]);
         for (name, r) in [

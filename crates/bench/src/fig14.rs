@@ -7,7 +7,7 @@ use vrd_sim::{simulate, ExecMode, ParallelOptions, TrafficBreakdown};
 
 /// Traffic of the three schemes the paper breaks down.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Fig14 {
+pub(crate) struct Fig14 {
     /// FAVOS traffic (the 1.0 reference).
     pub favos: TrafficBreakdown,
     /// VR-DANN-serial traffic.
@@ -17,7 +17,7 @@ pub struct Fig14 {
 }
 
 /// Runs the experiment.
-pub fn run(ctx: &Context) -> Fig14 {
+pub(crate) fn run(ctx: &Context) -> Fig14 {
     let per_video = parallel_map(&ctx.davis, |seq| {
         let (encoded, vr) = ctx.run_vrdann(seq);
         let favos = ctx.sim_in_order(&run_favos(seq, &encoded, 1).trace);
@@ -40,7 +40,7 @@ pub fn run(ctx: &Context) -> Fig14 {
 
 impl Fig14 {
     /// Renders the paper-style rows (fractions of FAVOS's total).
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let base = self.favos.total().max(1) as f64;
         let mut t = Table::new(vec![
             "scheme",

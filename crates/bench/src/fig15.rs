@@ -10,7 +10,7 @@ use vrd_metrics::{mean_scores, SegScores};
 
 /// One sweep point.
 #[derive(Debug, Clone)]
-pub struct Fig15Row {
+pub(crate) struct Fig15Row {
     /// Human-readable setting label.
     pub label: String,
     /// Achieved mean B-frame ratio.
@@ -29,14 +29,14 @@ pub struct Fig15Row {
 
 /// The complete figure data.
 #[derive(Debug, Clone)]
-pub struct Fig15 {
+pub(crate) struct Fig15 {
     /// Sweep rows in increasing-B order, auto last.
     pub rows: Vec<Fig15Row>,
 }
 
 /// Evaluates one codec configuration over the suite (shared by the
 /// Fig. 15/16/17 sweeps).
-pub fn sweep_point(ctx: &Context, label: &str, codec: CodecConfig) -> Fig15Row {
+pub(crate) fn sweep_point(ctx: &Context, label: &str, codec: CodecConfig) -> Fig15Row {
     let model = ctx.train_variant(
         VrDannConfig {
             codec,
@@ -69,7 +69,7 @@ pub fn sweep_point(ctx: &Context, label: &str, codec: CodecConfig) -> Fig15Row {
 }
 
 /// Runs the sweep.
-pub fn run(ctx: &Context) -> Fig15 {
+pub(crate) fn run(ctx: &Context) -> Fig15 {
     let base = CodecConfig::default();
     let rows = vec![
         sweep_point(
@@ -103,7 +103,7 @@ pub fn run(ctx: &Context) -> Fig15 {
 
 impl Fig15 {
     /// Renders the paper-style rows.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut t = Table::new(vec![
             "setting",
             "B ratio",

@@ -8,13 +8,13 @@ use vrd_codec::{CodecConfig, SearchInterval};
 
 /// The complete figure data.
 #[derive(Debug, Clone)]
-pub struct Fig16 {
+pub(crate) struct Fig16 {
     /// Sweep rows for n = 1, 3, 5, 7, 9 and auto.
     pub rows: Vec<Fig15Row>,
 }
 
 /// Runs the sweep.
-pub fn run(ctx: &Context) -> Fig16 {
+pub(crate) fn run(ctx: &Context) -> Fig16 {
     let base = CodecConfig::default();
     let mut rows: Vec<Fig15Row> = [1u8, 3, 5, 7, 9]
         .into_iter()
@@ -35,7 +35,7 @@ pub fn run(ctx: &Context) -> Fig16 {
 
 impl Fig16 {
     /// Renders the paper-style rows.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut t = Table::new(vec![
             "setting",
             "F-score",

@@ -7,7 +7,7 @@ use vrd_codec::{CodecConfig, Standard};
 
 /// The complete figure data.
 #[derive(Debug, Clone)]
-pub struct Fig17 {
+pub(crate) struct Fig17 {
     /// H.264 (16-pixel macro-blocks) result.
     pub h264: Fig15Row,
     /// H.265 (8-pixel macro-blocks) result.
@@ -15,7 +15,7 @@ pub struct Fig17 {
 }
 
 /// Runs the comparison.
-pub fn run(ctx: &Context) -> Fig17 {
+pub(crate) fn run(ctx: &Context) -> Fig17 {
     let base = CodecConfig::default();
     Fig17 {
         h264: sweep_point(
@@ -39,7 +39,7 @@ pub fn run(ctx: &Context) -> Fig17 {
 
 impl Fig17 {
     /// Renders the paper-style rows.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut t = Table::new(vec!["standard", "F-score", "IoU"]);
         for r in [&self.h264, &self.h265] {
             t.row(vec![

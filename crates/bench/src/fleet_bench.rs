@@ -32,10 +32,10 @@ use vrd_video::davis::{davis_val_suite, SuiteConfig};
 
 /// Shard counts the scaling sweep runs, ascending; the last is the gated
 /// 8-shard row.
-pub const SHARDS: [usize; 4] = [1, 2, 4, 8];
+pub(crate) const SHARDS: [usize; 4] = [1, 2, 4, 8];
 
 /// Offered sessions per shard in the scaling rows.
-pub const SESSIONS_PER_SHARD: usize = 12;
+pub(crate) const SESSIONS_PER_SHARD: usize = 12;
 
 /// Fixed trace seed — the whole bench is a pure function of it.
 const TRACE_SEED: u64 = 0x000f_1ee7_5eed;
@@ -48,7 +48,7 @@ const IDX_LOW_RES: usize = STD_STREAMS + 2;
 
 /// One fixed-fleet scaling row.
 #[derive(Debug, Clone)]
-pub struct FleetBenchRow {
+pub(crate) struct FleetBenchRow {
     /// Shards in the fixed fleet.
     pub shards: usize,
     /// Sessions offered.
@@ -83,7 +83,7 @@ pub struct FleetBenchRow {
 
 /// The autoscaler-vs-spike scenario.
 #[derive(Debug, Clone)]
-pub struct SpikeSummary {
+pub(crate) struct SpikeSummary {
     /// Sessions offered.
     pub offered: usize,
     /// Sessions admitted.
@@ -112,7 +112,7 @@ pub struct SpikeSummary {
 
 /// The complete fleet bench.
 #[derive(Debug, Clone)]
-pub struct FleetBench {
+pub(crate) struct FleetBench {
     /// One row per fixed shard count, ascending.
     pub rows: Vec<FleetBenchRow>,
     /// The 4× spike scenario under autoscaling.
@@ -250,7 +250,7 @@ fn row_from_report(shards: usize, report: &FleetReport, base_fps: f64) -> FleetB
 
 /// Runs the fleet bench: the fixed-shard scaling sweep plus the autoscaled
 /// spike scenario.
-pub fn run(ctx: &Context) -> FleetBench {
+pub(crate) fn run(ctx: &Context) -> FleetBench {
     // Pacing from the workload itself (scale-invariant): 12 NN-L times
     // per frame interval, the light-per-session regime a fleet serves.
     let probe = SessionDemand::estimate(
@@ -336,7 +336,7 @@ impl FleetBench {
     /// Acceptance gates: ≥ 64 sessions resident across ≥ 8 shards, fleet
     /// throughput ≥ 0.8× ideal linear scaling at 8 shards, and the
     /// autoscaler holding the p99 SLO under the 4× spike.
-    pub fn acceptance_failures(&self) -> Vec<String> {
+    pub(crate) fn acceptance_failures(&self) -> Vec<String> {
         let mut fails = Vec::new();
         match self.rows.iter().find(|r| r.shards >= 8) {
             None => fails.push("no ≥8-shard scaling row was produced".to_string()),
@@ -369,7 +369,7 @@ impl FleetBench {
     }
 
     /// Renders the scaling table and the spike summary.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut t = Table::new(vec![
             "shards",
             "offered",
@@ -424,7 +424,7 @@ impl FleetBench {
 
     /// Machine-readable JSON (hand-rolled — the workspace carries no
     /// serialisation dependency).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let rows: Vec<String> = self
             .rows
             .iter()

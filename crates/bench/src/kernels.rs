@@ -39,7 +39,7 @@ const UNGATED: f64 = 0.0;
 
 /// One kernel's timings.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Row {
+pub(crate) struct Row {
     /// Kernel and shape.
     pub name: &'static str,
     /// Median time of the optimised kernel, milliseconds.
@@ -368,7 +368,7 @@ fn featwarp_row() -> Row {
 }
 
 /// Every row that is under its floor, as a printable complaint.
-pub fn failures(rows: &[Row]) -> Vec<String> {
+pub(crate) fn failures(rows: &[Row]) -> Vec<String> {
     let mut fails = Vec::new();
     for r in rows {
         let speedup = r.reference_ms / r.optimized_ms;
@@ -393,7 +393,7 @@ pub fn failures(rows: &[Row]) -> Vec<String> {
 
 /// Renders the rows as the `BENCH_kernels.json` artefact (hand-rolled —
 /// the workspace carries no serialisation dependency).
-pub fn to_json(rows: &[Row]) -> String {
+pub(crate) fn to_json(rows: &[Row]) -> String {
     let lines: Vec<String> = rows
         .iter()
         .map(|r| {
@@ -421,7 +421,7 @@ pub fn to_json(rows: &[Row]) -> String {
 ///
 /// # Panics
 /// Panics if an optimised kernel's output differs from its reference's.
-pub fn run() -> Output {
+pub(crate) fn run() -> Output {
     let mut rows = Vec::new();
     nn_rows(&mut rows);
     packed_mask_rows(&mut rows);

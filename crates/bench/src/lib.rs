@@ -7,27 +7,27 @@
 //!
 //! | module | paper artefact |
 //! |---|---|
-//! | [`fig03`] | Fig. 3: B-frame ratio, refs per B-frame |
-//! | [`fig07`] | Fig. 7: execution timelines (Gantt) |
-//! | [`fig09`] | Fig. 9: per-video accuracy, FAVOS vs VR-DANN |
-//! | [`fig10`] | Fig. 10: averaged segmentation accuracy |
-//! | [`fig11`] | Fig. 11: detection mAP by speed group |
-//! | [`fig12`] | Fig. 12: per-video cycles + TOPS |
-//! | [`fig13`] | Fig. 13: averaged performance & energy (+ HD fps) |
-//! | [`featprop`] | extra: feature-propagation baseline, accuracy vs NPU load |
-//! | [`fig14`] | Fig. 14: DRAM traffic breakdown |
-//! | [`fig15`] | Fig. 15: B-ratio sweep |
-//! | [`fig16`] | Fig. 16: search-interval sweep |
-//! | [`fig17`] | Fig. 17: H.264 vs H.265 |
-//! | [`table02`] | Table II: architecture configuration |
-//! | [`ablation`] | extra: design-choice ablations |
-//! | [`sensitivity`] | extra: platform sensitivity (NPU/DRAM/decoder) |
-//! | [`nns_width`] | extra: NN-S width design-space sweep |
-//! | [`resilience`] | extra: accuracy vs injected bitstream loss |
-//! | [`serve_bench`] | extra: multi-session serving, FIFO vs batching |
-//! | [`chaos_bench`] | extra: fault-injected serving, recovery vs shed-only |
-//! | [`fleet_bench`] | extra: fleet scaling, sharded NPUs + autoscaled spike |
-//! | [`kernels`] | extra: optimised-vs-reference kernel time ratios |
+//! | `fig03` | Fig. 3: B-frame ratio, refs per B-frame |
+//! | `fig07` | Fig. 7: execution timelines (Gantt) |
+//! | `fig09` | Fig. 9: per-video accuracy, FAVOS vs VR-DANN |
+//! | `fig10` | Fig. 10: averaged segmentation accuracy |
+//! | `fig11` | Fig. 11: detection mAP by speed group |
+//! | `fig12` | Fig. 12: per-video cycles + TOPS |
+//! | `fig13` | Fig. 13: averaged performance & energy (+ HD fps) |
+//! | `featprop` | extra: feature-propagation baseline, accuracy vs NPU load |
+//! | `fig14` | Fig. 14: DRAM traffic breakdown |
+//! | `fig15` | Fig. 15: B-ratio sweep |
+//! | `fig16` | Fig. 16: search-interval sweep |
+//! | `fig17` | Fig. 17: H.264 vs H.265 |
+//! | `table02` | Table II: architecture configuration |
+//! | `ablation` | extra: design-choice ablations |
+//! | `sensitivity` | extra: platform sensitivity (NPU/DRAM/decoder) |
+//! | `nns_width` | extra: NN-S width design-space sweep |
+//! | `resilience` | extra: accuracy vs injected bitstream loss |
+//! | `serve_bench` | extra: multi-session serving, FIFO vs batching |
+//! | `chaos_bench` | extra: fault-injected serving, recovery vs shed-only |
+//! | `fleet_bench` | extra: fleet scaling, sharded NPUs + autoscaled spike |
+//! | `kernels` | extra: optimised-vs-reference kernel time ratios |
 //!
 //! One binary runs them by name, in the order given, training the shared
 //! [`Context`] at most once:
@@ -39,36 +39,38 @@
 //! Names are the rows of [`registry::REGISTRY`] — the module names above
 //! (`serve`, `chaos`, `fleet` without the `_bench`), plus `fig13_hd` (the
 //! §VI-B 864×480 fps line) and `resilience_smoke` (one loss rate, gated) —
-//! and `all` for [`registry::PAPER_SET`]. `--quick` switches to the reduced
+//! and `all` for `registry::PAPER_SET`. `--quick` switches to the reduced
 //! scale; anything else is rejected. `resilience*`, `serve`, `chaos`,
 //! `fleet` and `kernels` also write their `results_*`/`BENCH_*` artefacts
 //! to the working directory and fail the run when a gate does not hold.
 //! End-to-end wall-clock fps is measured by the stand-alone `benchmark/`
 //! workspace, not here.
 
-pub mod ablation;
-pub mod chaos_bench;
-pub mod context;
-pub mod featprop;
-pub mod fig03;
-pub mod fig07;
-pub mod fig09;
-pub mod fig10;
-pub mod fig11;
-pub mod fig12;
-pub mod fig13;
-pub mod fig14;
-pub mod fig15;
-pub mod fig16;
-pub mod fig17;
-pub mod fleet_bench;
-pub mod kernels;
-pub mod nns_width;
-pub mod registry;
-pub mod resilience;
-pub mod sensitivity;
-pub mod serve_bench;
-pub mod table;
-pub mod table02;
+#![warn(unreachable_pub)]
 
-pub use context::{parallel_map, Context, Scale};
+mod ablation;
+mod chaos_bench;
+mod context;
+mod featprop;
+mod fig03;
+mod fig07;
+mod fig09;
+mod fig10;
+mod fig11;
+mod fig12;
+mod fig13;
+mod fig14;
+mod fig15;
+mod fig16;
+mod fig17;
+mod fleet_bench;
+mod kernels;
+mod nns_width;
+pub mod registry;
+mod resilience;
+mod sensitivity;
+mod serve_bench;
+mod table;
+mod table02;
+
+pub use context::{Context, Scale};

@@ -13,7 +13,7 @@ use vrd_metrics::{mean_scores, SegScores};
 
 /// One width's result.
 #[derive(Debug, Clone)]
-pub struct WidthRow {
+pub(crate) struct WidthRow {
     /// Hidden channel count.
     pub hidden: usize,
     /// Trainable parameters.
@@ -26,13 +26,13 @@ pub struct WidthRow {
 
 /// The complete sweep.
 #[derive(Debug, Clone)]
-pub struct NnsWidth {
+pub(crate) struct NnsWidth {
     /// Rows in increasing width order.
     pub rows: Vec<WidthRow>,
 }
 
 /// Runs the sweep over the given hidden widths.
-pub fn run(ctx: &Context, widths: &[usize]) -> NnsWidth {
+pub(crate) fn run(ctx: &Context, widths: &[usize]) -> NnsWidth {
     let rows = widths
         .iter()
         .map(|&hidden| {
@@ -63,7 +63,7 @@ pub fn run(ctx: &Context, widths: &[usize]) -> NnsWidth {
 
 impl NnsWidth {
     /// Renders the sweep table.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut t = Table::new(vec!["hidden", "params", "MMACs/frame", "F-score", "IoU"]);
         for r in &self.rows {
             t.row(vec![

@@ -2,7 +2,7 @@
 //! selects from it.
 //!
 //! `cargo run --release -p vrd-bench -- <name>... [--quick]` runs the named
-//! rows of [`REGISTRY`] in the order given; `all` stands for [`PAPER_SET`].
+//! rows of [`REGISTRY`] in the order given; `all` stands for `PAPER_SET`.
 //! A [`Session`] trains the shared [`Context`] at most once however many
 //! rows need it, and every row hands back the same [`Output`] record, so
 //! the binary has a single print/write/gate step.
@@ -190,7 +190,7 @@ pub const REGISTRY: [(&str, Runner); 23] = [
 
 /// What `all` stands for: the paper's tables and figures plus the
 /// design-space extras, in the order `results_all_figures.txt` holds them.
-pub const PAPER_SET: [&str; 16] = [
+pub(crate) const PAPER_SET: [&str; 16] = [
     "table02",
     "fig03",
     "fig07",

@@ -27,14 +27,14 @@ use vrd_metrics::{average_precision, FrameDetections};
 use vrd_video::Sequence;
 
 /// The swept loss rates (fraction of frames faulted).
-pub const RATES: [f64; 6] = [0.0, 0.02, 0.05, 0.10, 0.15, 0.20];
+pub(crate) const RATES: [f64; 6] = [0.0, 0.02, 0.05, 0.10, 0.15, 0.20];
 
 /// The single rate the CI smoke mode runs at.
-pub const SMOKE_RATE: f64 = 0.05;
+pub(crate) const SMOKE_RATE: f64 = 0.05;
 
 /// Aggregate outcome of one segmentation leg at one loss rate.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SegLeg {
+pub(crate) struct SegLeg {
     /// Mean region similarity (IoU) over the suite — the DAVIS J-mean.
     pub j_mean: f64,
     /// Mean contour score over the suite — the DAVIS F-mean.
@@ -47,7 +47,7 @@ pub struct SegLeg {
 
 /// Aggregate outcome of the detection leg at one loss rate.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct DetLeg {
+pub(crate) struct DetLeg {
     /// Mean average precision over the VID-like suite.
     pub map: f64,
     /// Faults the injector planted across the suite.
@@ -58,7 +58,7 @@ pub struct DetLeg {
 
 /// One loss rate's results.
 #[derive(Debug, Clone, Copy)]
-pub struct ResilienceRow {
+pub(crate) struct ResilienceRow {
     /// Injected loss rate.
     pub rate: f64,
     /// Segmentation under B-frame MV loss.
@@ -71,7 +71,7 @@ pub struct ResilienceRow {
 
 /// The complete sweep.
 #[derive(Debug, Clone)]
-pub struct Resilience {
+pub(crate) struct Resilience {
     /// One row per swept loss rate, ascending.
     pub rows: Vec<ResilienceRow>,
 }
@@ -133,7 +133,7 @@ fn det_ap(run: &DetectionRun, seq: &Sequence) -> f64 {
 }
 
 /// Runs the sweep at the given loss rates (ascending order recommended).
-pub fn run_rates(ctx: &Context, rates: &[f64]) -> Resilience {
+pub(crate) fn run_rates(ctx: &Context, rates: &[f64]) -> Resilience {
     // Encode + packetize once per sequence; only the injected faults vary
     // across rates.
     let seg_streams = parallel_map(&ctx.davis, |seq| {
@@ -211,18 +211,13 @@ pub fn run_rates(ctx: &Context, rates: &[f64]) -> Resilience {
 }
 
 /// Runs the full sweep (all rates in [`RATES`]).
-pub fn run(ctx: &Context) -> Resilience {
+pub(crate) fn run(ctx: &Context) -> Resilience {
     run_rates(ctx, &RATES)
 }
 
 impl Resilience {
-    /// The zero-loss row, if swept — the clean-pipeline reference point.
-    pub fn clean_row(&self) -> Option<&ResilienceRow> {
-        self.rows.iter().find(|r| r.rate == 0.0)
-    }
-
     /// Renders the degradation-curve table.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut t = Table::new(vec![
             "loss",
             "J b-mv",
@@ -256,7 +251,7 @@ impl Resilience {
 
     /// Machine-readable JSON of the sweep (hand-rolled — the workspace
     /// carries no serialisation dependency).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         fn conceal_json(c: &ConcealmentStats) -> String {
             format!(
                 "{{\"b_copied\":{},\"b_salvaged\":{},\"anchors_lost\":{},\
@@ -310,7 +305,8 @@ mod tests {
         let ctx = Context::new(Scale::Quick);
         let sweep = run_rates(&ctx, &[0.0, 0.15]);
         assert_eq!(sweep.rows.len(), 2);
-        let clean = sweep.clean_row().expect("0% rate was swept");
+        let clean = sweep.rows[0];
+        assert_eq!(clean.rate, 0.0);
         // No faults planted, nothing concealed: the clean pipeline's score.
         assert_eq!(clean.seg_bmv.fault_events, 0);
         assert!(clean.seg_bmv.concealment.is_clean());

@@ -15,7 +15,7 @@ use vrd_sim::{simulate, ExecMode, ParallelOptions, SimConfig};
 
 /// One sweep point.
 #[derive(Debug, Clone)]
-pub struct SensitivityRow {
+pub(crate) struct SensitivityRow {
     /// Knob label.
     pub label: String,
     /// FAVOS frames/second.
@@ -31,7 +31,7 @@ pub struct SensitivityRow {
 
 /// The complete study.
 #[derive(Debug, Clone)]
-pub struct Sensitivity {
+pub(crate) struct Sensitivity {
     /// NPU-utilisation sweep.
     pub npu: Vec<SensitivityRow>,
     /// DRAM-bandwidth sweep (scaling the burst time).
@@ -70,7 +70,7 @@ fn point(
 }
 
 /// Runs all three sweeps.
-pub fn run(ctx: &Context) -> Sensitivity {
+pub(crate) fn run(ctx: &Context) -> Sensitivity {
     let traces: Vec<(SchemeTrace, SchemeTrace)> = parallel_map(&ctx.davis, |seq| {
         let (encoded, vr) = ctx.run_vrdann(seq);
         let favos = run_favos(seq, &encoded, 1);
@@ -119,7 +119,7 @@ pub fn run(ctx: &Context) -> Sensitivity {
 
 impl Sensitivity {
     /// Renders all three tables.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let render_one = |title: &str, rows: &[SensitivityRow]| {
             let mut t = Table::new(vec![
                 "setting",

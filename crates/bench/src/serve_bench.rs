@@ -16,11 +16,11 @@ use vrd_codec::EncodedVideo;
 use vrd_serve::{serve, LatencyStats, ScheduleOutcome, ServeConfig, ServeReport, SessionState};
 
 /// The session counts the full sweep offers.
-pub const SESSIONS: [usize; 5] = [1, 2, 4, 6, 8];
+pub(crate) const SESSIONS: [usize; 5] = [1, 2, 4, 6, 8];
 
 /// One session count's results.
 #[derive(Debug, Clone)]
-pub struct ServeBenchRow {
+pub(crate) struct ServeBenchRow {
     /// Sessions offered.
     pub requested: usize,
     /// Sessions the SLO admitted.
@@ -45,7 +45,7 @@ pub struct ServeBenchRow {
 
 /// The complete serving sweep.
 #[derive(Debug, Clone)]
-pub struct ServeBench {
+pub(crate) struct ServeBench {
     /// One row per offered session count, ascending.
     pub rows: Vec<ServeBenchRow>,
 }
@@ -70,7 +70,7 @@ fn row_from_report(requested: usize, report: ServeReport) -> ServeBenchRow {
 }
 
 /// Runs the sweep at the given offered-session counts.
-pub fn run_sessions(ctx: &Context, sessions: &[usize]) -> ServeBench {
+pub(crate) fn run_sessions(ctx: &Context, sessions: &[usize]) -> ServeBench {
     // Encode once per suite sequence; each session count reuses the streams.
     let encoded: Vec<EncodedVideo> = parallel_map(&ctx.davis, |seq| {
         ctx.model.encode(seq).expect("suite sequences encode")
@@ -108,7 +108,7 @@ pub fn run_sessions(ctx: &Context, sessions: &[usize]) -> ServeBench {
 }
 
 /// Runs the full sweep (all counts in [`SESSIONS`]).
-pub fn run(ctx: &Context) -> ServeBench {
+pub(crate) fn run(ctx: &Context) -> ServeBench {
     run_sessions(ctx, &SESSIONS)
 }
 
@@ -123,7 +123,7 @@ pub(crate) fn latency_json(l: &LatencyStats) -> String {
 impl ServeBench {
     /// Rows whose admitted set is large enough for cross-session batching
     /// to have headroom (the acceptance regime: ≥ 4 concurrent sessions).
-    pub fn contended_rows(&self) -> impl Iterator<Item = &ServeBenchRow> {
+    pub(crate) fn contended_rows(&self) -> impl Iterator<Item = &ServeBenchRow> {
         self.rows.iter().filter(|r| r.admitted >= 4)
     }
 
@@ -132,7 +132,7 @@ impl ServeBench {
     /// FIFO on both model switches and p99 frame latency, and at least one
     /// row must be contended — the subsystem's headline claim, not just
     /// its determinism.
-    pub fn acceptance_failures(&self) -> Vec<String> {
+    pub(crate) fn acceptance_failures(&self) -> Vec<String> {
         let mut fails: Vec<String> = self
             .contended_rows()
             .filter(|r| {
@@ -157,7 +157,7 @@ impl ServeBench {
     }
 
     /// Renders the serving table.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut t = Table::new(vec![
             "sessions",
             "admitted",
@@ -204,7 +204,7 @@ impl ServeBench {
 
     /// Machine-readable JSON of the sweep (hand-rolled — the workspace
     /// carries no serialisation dependency).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         fn policy_json(p: &ScheduleOutcome) -> String {
             format!(
                 "{{\"frames_served\":{},\"frames_shed\":{},\"switches\":{},\

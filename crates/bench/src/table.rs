@@ -2,14 +2,14 @@
 
 /// A simple aligned text table.
 #[derive(Debug, Clone, Default)]
-pub struct Table {
+pub(crate) struct Table {
     header: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
 impl Table {
     /// Creates a table with the given column headers.
-    pub fn new<S: Into<String>>(header: Vec<S>) -> Self {
+    pub(crate) fn new<S: Into<String>>(header: Vec<S>) -> Self {
         Self {
             header: header.into_iter().map(Into::into).collect(),
             rows: Vec::new(),
@@ -17,25 +17,15 @@ impl Table {
     }
 
     /// Appends a row; short rows are padded with empty cells.
-    pub fn row<S: Into<String>>(&mut self, cells: Vec<S>) -> &mut Self {
+    pub(crate) fn row<S: Into<String>>(&mut self, cells: Vec<S>) -> &mut Self {
         let mut row: Vec<String> = cells.into_iter().map(Into::into).collect();
         row.resize(self.header.len(), String::new());
         self.rows.push(row);
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table with aligned columns.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let cols = self.header.len();
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
         for row in &self.rows {
@@ -73,22 +63,22 @@ impl Table {
 }
 
 /// Formats a ratio like `2.9x`.
-pub fn fmt_x(v: f64) -> String {
+pub(crate) fn fmt_x(v: f64) -> String {
     format!("{v:.2}x")
 }
 
 /// Formats a fraction as a percentage.
-pub fn fmt_pct(v: f64) -> String {
+pub(crate) fn fmt_pct(v: f64) -> String {
     format!("{:.1}%", v * 100.0)
 }
 
 /// Formats nanoseconds as milliseconds with three decimals.
-pub fn fmt_ms(ns: f64) -> String {
+pub(crate) fn fmt_ms(ns: f64) -> String {
     format!("{:.3}", ns / 1e6)
 }
 
 /// Formats an accuracy score with three decimals.
-pub fn fmt_score(v: f64) -> String {
+pub(crate) fn fmt_score(v: f64) -> String {
     format!("{v:.3}")
 }
 
@@ -109,8 +99,6 @@ mod tests {
         assert!(lines[3].starts_with("parkour-long-name"));
         // Right-aligned numeric column.
         assert!(lines[2].ends_with("0.93"));
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
     }
 
     #[test]

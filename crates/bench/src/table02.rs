@@ -5,7 +5,7 @@ use crate::table::Table;
 use vrd_sim::{AgentFootprint, SimConfig};
 
 /// Renders the configuration summary.
-pub fn render(cfg: &SimConfig) -> String {
+pub(crate) fn render(cfg: &SimConfig) -> String {
     let fp = AgentFootprint::from_config(&cfg.agent);
     let mut t = Table::new(vec!["component", "value"]);
     t.row(vec![

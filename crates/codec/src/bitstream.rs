@@ -16,39 +16,34 @@ use crate::types::{BlockMode, BlockMv};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Magic bytes identifying a VR-DANN codec bitstream.
-pub const MAGIC: [u8; 4] = *b"VRDC";
+pub(crate) const MAGIC: [u8; 4] = *b"VRDC";
 /// Format version written into every stream.
-pub const VERSION: u8 = 1;
+pub(crate) const VERSION: u8 = 1;
 
 /// Append-only bitstream writer.
 #[derive(Debug, Default)]
-pub struct Writer {
+pub(crate) struct Writer {
     buf: BytesMut,
 }
 
 impl Writer {
     /// Creates an empty writer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Current length in bytes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.buf.len()
     }
 
-    /// Whether nothing has been written yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Writes one byte.
-    pub fn put_u8(&mut self, v: u8) {
+    pub(crate) fn put_u8(&mut self, v: u8) {
         self.buf.put_u8(v);
     }
 
     /// Writes an unsigned LEB128 varint.
-    pub fn put_varint(&mut self, mut v: u64) {
+    pub(crate) fn put_varint(&mut self, mut v: u64) {
         loop {
             let byte = (v & 0x7f) as u8;
             v >>= 7;
@@ -61,7 +56,7 @@ impl Writer {
     }
 
     /// Writes a signed varint (zigzag encoding).
-    pub fn put_svarint(&mut self, v: i64) {
+    pub(crate) fn put_svarint(&mut self, v: i64) {
         self.put_varint(((v << 1) ^ (v >> 63)) as u64);
     }
 
@@ -69,7 +64,7 @@ impl Writer {
     ///
     /// Encoding: varint pair count, then for each non-zero coefficient a
     /// (varint zero-run, signed varint value) pair.
-    pub fn put_residual(&mut self, vals: &[i16]) {
+    pub(crate) fn put_residual(&mut self, vals: &[i16]) {
         let pairs: Vec<(u64, i16)> = {
             let mut out = Vec::new();
             let mut run = 0u64;
@@ -91,25 +86,25 @@ impl Writer {
     }
 
     /// Finalises the stream.
-    pub fn into_bytes(self) -> Bytes {
+    pub(crate) fn into_bytes(self) -> Bytes {
         self.buf.freeze()
     }
 }
 
 /// Sequential bitstream reader.
 #[derive(Debug)]
-pub struct Reader {
+pub(crate) struct Reader {
     buf: Bytes,
 }
 
 impl Reader {
     /// Wraps a byte buffer for reading.
-    pub fn new(buf: Bytes) -> Self {
+    pub(crate) fn new(buf: Bytes) -> Self {
         Self { buf }
     }
 
     /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.remaining()
     }
 
@@ -117,7 +112,7 @@ impl Reader {
     ///
     /// # Errors
     /// Returns [`CodecError::Bitstream`] at end of stream.
-    pub fn get_u8(&mut self) -> Result<u8> {
+    pub(crate) fn get_u8(&mut self) -> Result<u8> {
         if !self.buf.has_remaining() {
             return Err(CodecError::Bitstream(
                 "unexpected end of stream (0 bytes remaining)".into(),
@@ -132,7 +127,7 @@ impl Reader {
     /// Returns [`CodecError::Bitstream`] on truncation or a varint longer
     /// than 10 bytes; messages carry the remaining-byte count so corrupt
     /// streams can be located.
-    pub fn get_varint(&mut self) -> Result<u64> {
+    pub(crate) fn get_varint(&mut self) -> Result<u64> {
         let mut v = 0u64;
         for shift in (0..64).step_by(7) {
             let byte = self.get_u8()?;
@@ -155,7 +150,7 @@ impl Reader {
     /// # Errors
     /// Returns [`CodecError::Bitstream`] on truncation or when the decoded
     /// value exceeds `max`.
-    pub fn get_varint_bounded(&mut self, max: u64, what: &str) -> Result<u64> {
+    pub(crate) fn get_varint_bounded(&mut self, max: u64, what: &str) -> Result<u64> {
         let v = self.get_varint()?;
         if v > max {
             return Err(CodecError::Bitstream(format!(
@@ -170,7 +165,7 @@ impl Reader {
     ///
     /// # Errors
     /// Propagates [`CodecError::Bitstream`] from the underlying varint.
-    pub fn get_svarint(&mut self) -> Result<i64> {
+    pub(crate) fn get_svarint(&mut self) -> Result<i64> {
         let v = self.get_varint()?;
         Ok(((v >> 1) as i64) ^ -((v & 1) as i64))
     }
@@ -195,7 +190,7 @@ impl Reader {
     /// # Errors
     /// Returns [`CodecError::Bitstream`] if the coded runs overflow `len` or
     /// the pair count cannot fit the remaining bytes.
-    pub fn get_residual(&mut self, len: usize) -> Result<Vec<i16>> {
+    pub(crate) fn get_residual(&mut self, len: usize) -> Result<Vec<i16>> {
         let mut out = vec![0i16; len];
         let pairs = self.get_varint()?;
         let pairs = self.check_pairs(pairs, len)?;
@@ -221,7 +216,7 @@ impl Reader {
     /// # Errors
     /// Returns [`CodecError::Bitstream`] on truncation or an impossible
     /// pair count.
-    pub fn skip_residual(&mut self, len: usize) -> Result<()> {
+    pub(crate) fn skip_residual(&mut self, len: usize) -> Result<()> {
         let pairs = self.get_varint()?;
         let pairs = self.check_pairs(pairs, len)?;
         for _ in 0..pairs {
@@ -237,7 +232,7 @@ impl Reader {
 /// svarint dy` motion vectors.
 impl BlockMode {
     /// Serialises the record.
-    pub fn write(&self, w: &mut Writer) {
+    pub(crate) fn write(&self, w: &mut Writer) {
         w.put_u8(match self {
             BlockMode::Intra(_) => 0,
             BlockMode::Inter(_) => 1,
@@ -258,7 +253,7 @@ impl BlockMode {
     /// # Errors
     /// Returns [`CodecError::Bitstream`] on truncation, an unknown mode byte
     /// or a reference index outside `0..n_frames`.
-    pub fn read(r: &mut Reader, n_frames: usize) -> Result<Self> {
+    pub(crate) fn read(r: &mut Reader, n_frames: usize) -> Result<Self> {
         // Guarded once up here: the same check inside `mv` measured half
         // again as slow on the B-frame MV-extraction pass.
         let Some(max) = n_frames.checked_sub(1) else {

@@ -10,7 +10,7 @@ use vrd_video::Frame;
 ///
 /// # Panics
 /// Panics if the block does not lie fully inside the frame.
-pub fn extract_block(frame: &Frame, x: usize, y: usize, size: usize) -> Vec<u8> {
+pub(crate) fn extract_block(frame: &Frame, x: usize, y: usize, size: usize) -> Vec<u8> {
     assert!(x + size <= frame.width() && y + size <= frame.height());
     let mut out = Vec::with_capacity(size * size);
     let data = frame.as_slice();
@@ -26,7 +26,7 @@ pub fn extract_block(frame: &Frame, x: usize, y: usize, size: usize) -> Vec<u8> 
 /// # Panics
 /// Panics if the block does not lie fully inside the frame or
 /// `block.len() != size * size`.
-pub fn write_block(frame: &mut Frame, x: usize, y: usize, size: usize, block: &[u8]) {
+pub(crate) fn write_block(frame: &mut Frame, x: usize, y: usize, size: usize, block: &[u8]) {
     assert_eq!(block.len(), size * size);
     assert!(x + size <= frame.width() && y + size <= frame.height());
     let w = frame.width();
@@ -45,7 +45,7 @@ pub fn write_block(frame: &mut Frame, x: usize, y: usize, size: usize, block: &[
 /// (callers clamp their search windows, so this is a guard, not a code
 /// path).
 #[allow(clippy::too_many_arguments)] // mirrors the hardware operands: two frames, two positions, a size, a bound
-pub fn sae_between(
+pub(crate) fn sae_between(
     cur: &Frame,
     cx: usize,
     cy: usize,
@@ -86,7 +86,7 @@ pub fn sae_between(
 ///
 /// # Panics
 /// Panics if `pred.len() != size * size`.
-pub fn sae_against(cur: &Frame, cx: usize, cy: usize, pred: &[u8], size: usize) -> u32 {
+pub(crate) fn sae_against(cur: &Frame, cx: usize, cy: usize, pred: &[u8], size: usize) -> u32 {
     assert_eq!(pred.len(), size * size);
     let cw = cur.width();
     let cdata = cur.as_slice();
@@ -105,7 +105,7 @@ pub fn sae_against(cur: &Frame, cx: usize, cy: usize, pred: &[u8], size: usize) 
 ///
 /// # Panics
 /// Panics if the blocks have different lengths.
-pub fn average_blocks(a: &[u8], b: &[u8]) -> Vec<u8> {
+pub(crate) fn average_blocks(a: &[u8], b: &[u8]) -> Vec<u8> {
     assert_eq!(a.len(), b.len());
     a.iter()
         .zip(b)

@@ -32,7 +32,7 @@ impl Standard {
     }
 
     /// Number of intra prediction modes available.
-    pub fn intra_modes(self) -> u8 {
+    pub(crate) fn intra_modes(self) -> u8 {
         match self {
             Standard::H264 => 9,
             Standard::H265 => 14,
@@ -125,7 +125,7 @@ impl CodecConfig {
     /// Returns [`CodecError::InvalidConfig`] for out-of-range knobs and
     /// [`CodecError::BadDimensions`] if `width`×`height` is not a multiple of
     /// the macro-block size.
-    pub fn validate_for(&self, width: usize, height: usize) -> Result<()> {
+    pub(crate) fn validate_for(&self, width: usize, height: usize) -> Result<()> {
         if self.gop_len < 2 {
             return Err(CodecError::InvalidConfig(
                 "gop_len must be at least 2".into(),

@@ -1,7 +1,7 @@
 //! The decoder: one record walk, four visitors.
 //!
 //! Every frame payload is a raster of macro-block records
-//! ([`BlockMode::read`], the only code that knows the wire layout), each
+//! (`BlockMode::read`, the only code that knows the wire layout), each
 //! followed by its residual. `Decoder::for_each_block` is the one walk over
 //! that raster; what happens to a block is up to its visitor:
 //!
@@ -218,12 +218,12 @@ impl Decoder {
 
     /// Largest frame edge the decoder accepts. A corrupt header must fail
     /// here, with context, instead of driving a multi-gigabyte allocation.
-    pub const MAX_DIMENSION: u64 = 1 << 14;
+    pub(crate) const MAX_DIMENSION: u64 = 1 << 14;
 
     /// Largest frame count the decoder accepts when the header arrives
     /// without its payload (packetized transport), where the tighter
     /// bytes-remaining bound cannot apply.
-    pub const MAX_FRAMES: u64 = 1 << 20;
+    pub(crate) const MAX_FRAMES: u64 = 1 << 20;
 
     /// Reads the stream header. `frames_cap` overrides the frame-count
     /// bound; `None` uses the contiguous-stream rule (every frame costs at

@@ -285,7 +285,7 @@ fn apply_fault(packet: &mut FramePacket, kind: FaultKind, rng: &mut StdRng) -> S
 
 /// Byte span of one frame inside a valid bitstream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrameSpan {
+pub(crate) struct FrameSpan {
     /// Decode-order index.
     pub decode_idx: u32,
     /// Display-order index.
@@ -304,7 +304,7 @@ impl Decoder {
     ///
     /// # Errors
     /// Fails like [`Decoder::inspect`] for malformed input.
-    pub fn frame_spans(&self, bitstream: &Bytes) -> Result<Vec<FrameSpan>> {
+    pub(crate) fn frame_spans(&self, bitstream: &Bytes) -> Result<Vec<FrameSpan>> {
         let summaries = self.inspect(bitstream)?;
         let total = bitstream.len();
         let frame_bytes: usize = summaries.iter().map(|s| s.bytes).sum();

@@ -40,7 +40,7 @@ impl GopPlan {
     /// Plans frame types for `n_frames` frames.
     ///
     /// `motion` is the per-gap displacement estimate in pixels/frame from
-    /// [`crate::motion::estimate_motion`] (`motion.len() == n_frames - 1`);
+    /// `estimate_motion` (`motion.len() == n_frames - 1`);
     /// it drives [`BFrameMode::Auto`]. For [`BFrameMode::Fixed`] it may be
     /// empty.
     ///

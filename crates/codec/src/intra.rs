@@ -42,7 +42,7 @@ fn neighbours(recon: &Frame, x: usize, y: usize, size: usize) -> (Vec<u8>, Vec<u
 ///
 /// # Panics
 /// Panics if the block does not lie fully inside the frame.
-pub fn predict(recon: &Frame, x: usize, y: usize, size: usize, mode: u8) -> Vec<u8> {
+pub(crate) fn predict(recon: &Frame, x: usize, y: usize, size: usize, mode: u8) -> Vec<u8> {
     assert!(x + size <= recon.width() && y + size <= recon.height());
     let (top, left, corner) = neighbours(recon, x, y, size);
     let mut out = vec![0u8; size * size];
@@ -141,7 +141,7 @@ pub fn predict(recon: &Frame, x: usize, y: usize, size: usize, mode: u8) -> Vec<
 /// Picks the intra mode with minimal SAE against the source block.
 ///
 /// Returns `(mode, prediction, sae)`.
-pub fn best_mode(
+pub(crate) fn best_mode(
     source: &Frame,
     recon: &Frame,
     x: usize,

@@ -10,7 +10,7 @@
 //!   over a configurable reference interval `n` (Fig. 16's knob);
 //! * **bi-prediction** for B-frames with the `bi-ref` flag ([`MvRecord`]);
 //! * a real serialised **bitstream** — one macro-block record codec
-//!   ([`BlockMode`]) — decodable in two modes: [`Decoder::decode`] (all
+//!   (`BlockMode`) — decodable in two modes: [`Decoder::decode`] (all
 //!   pixels) and a pulled [`FrameSource`] (anchor pixels + B-frame motion
 //!   vectors only — the VR-DANN fast path), strict
 //!   ([`StrictFrameSource`]) or damage-tolerant ([`ResilientFrameSource`]);
@@ -42,35 +42,32 @@
 //! # }
 //! ```
 
-pub mod bitstream;
-pub mod block;
-pub mod config;
+#![warn(unreachable_pub)]
+
+mod bitstream;
+mod block;
+mod config;
 pub mod decoder;
-pub mod encoder;
-pub mod error;
+mod encoder;
+mod error;
 pub mod faults;
-pub mod gop;
-pub mod intra;
-pub mod me;
-pub mod motion;
-pub mod quality;
-pub mod stats;
-pub mod stream;
-pub mod types;
+mod gop;
+mod intra;
+mod me;
+mod motion;
+mod stats;
+mod stream;
+mod types;
 
 pub use config::{BFrameMode, CodecConfig, SearchInterval, Standard};
-pub use decoder::{BFrameInfo, ConcealReason, DecodeOutcome, DecodedVideo, Decoder, FrameSummary};
+pub use decoder::{ConcealReason, DecodeOutcome, Decoder};
 pub use encoder::{EncodedVideo, Encoder};
 pub use error::{CodecError, Result};
-pub use faults::{
-    checksum, inject, packetize, FaultConfig, FaultEvent, FaultKind, FaultLog, FramePacket,
-    FrameSpan, PacketStream,
-};
+pub use faults::{inject, packetize, FaultConfig, FaultKind, PacketStream};
 pub use gop::GopPlan;
-pub use quality::{psnr, psnr_sequence, ssim};
 pub use stats::EncodeStats;
 pub use stream::{
     DecodedUnit, FrameSource, ResilientFrameSource, StreamInfo, StreamTotals, StrictFrameSource,
     UnitPayload,
 };
-pub use types::{BlockMode, BlockMv, FrameMeta, FrameType, MvRecord, RefMv};
+pub use types::{FrameMeta, FrameType, MvRecord, RefMv};

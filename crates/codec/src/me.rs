@@ -11,7 +11,7 @@ use vrd_video::Frame;
 
 /// The outcome of a single-reference search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Match {
+pub(crate) struct Match {
     /// Index into the candidate reference list that was searched.
     pub ref_index: usize,
     /// Source block x in the reference frame.
@@ -24,7 +24,7 @@ pub struct Match {
 
 /// Three-step search for the best `size`×`size` match of the block at
 /// `(bx, by)` of `cur` inside `reference`, within ±`range` pixels.
-pub fn search_one(
+pub(crate) fn search_one(
     cur: &Frame,
     bx: usize,
     by: usize,
@@ -85,7 +85,7 @@ pub fn search_one(
 /// Searches every candidate reference frame and returns the best match.
 ///
 /// Returns `None` when `refs` is empty.
-pub fn search_all(
+pub(crate) fn search_all(
     cur: &Frame,
     bx: usize,
     by: usize,
@@ -111,7 +111,7 @@ pub fn search_all(
 /// A bi-prediction candidate: the best forward and backward matches plus the
 /// SAE of their averaged prediction.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BiMatch {
+pub(crate) struct BiMatch {
     /// Best match among references earlier in display order.
     pub fwd: Match,
     /// Best match among references later in display order.
@@ -124,7 +124,7 @@ pub struct BiMatch {
 
 /// Builds the bi-prediction from a forward and a backward match.
 #[allow(clippy::too_many_arguments)] // two matches, their frames, a position and a size
-pub fn bi_predict(
+pub(crate) fn bi_predict(
     cur: &Frame,
     bx: usize,
     by: usize,

@@ -37,7 +37,7 @@ fn block_mad(a: &Frame, b: &Frame, x: usize, y: usize) -> u32 {
 }
 
 /// Estimated motion (pixels/frame) for one frame gap.
-pub fn gap_displacement(cur: &Frame, next: &Frame) -> f64 {
+pub(crate) fn gap_displacement(cur: &Frame, next: &Frame) -> f64 {
     let w = cur.width();
     let h = cur.height();
     if w < PROBE_SIZE || h < PROBE_SIZE {
@@ -107,7 +107,7 @@ pub fn gap_displacement(cur: &Frame, next: &Frame) -> f64 {
 
 /// Per-gap displacement estimates for a whole sequence
 /// (`result.len() == frames.len() - 1`).
-pub fn estimate_motion(frames: &[Frame]) -> Vec<f64> {
+pub(crate) fn estimate_motion(frames: &[Frame]) -> Vec<f64> {
     frames
         .windows(2)
         .map(|p| gap_displacement(&p[0], &p[1]))

@@ -57,15 +57,6 @@ impl EncodeStats {
             self.raw_bytes as f64 / self.bitstream_bytes as f64
         }
     }
-
-    /// Mean motion-vector magnitude in pixels.
-    pub fn mean_mv_magnitude(&self) -> f64 {
-        if self.mv_count == 0 {
-            0.0
-        } else {
-            self.mv_magnitude_sum / self.mv_count as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -79,7 +70,6 @@ mod tests {
         assert_eq!(s.mean_refs_per_b(), 0.0);
         assert_eq!(s.max_refs_per_b(), 0);
         assert_eq!(s.compression_ratio(), 0.0);
-        assert_eq!(s.mean_mv_magnitude(), 0.0);
     }
 
     #[test]
@@ -90,14 +80,11 @@ mod tests {
             refs_per_b: vec![2, 3, 4, 2, 3, 4],
             bitstream_bytes: 100,
             raw_bytes: 1000,
-            mv_magnitude_sum: 30.0,
-            mv_count: 10,
             ..EncodeStats::default()
         };
         assert!((s.b_ratio() - 0.6).abs() < 1e-9);
         assert!((s.mean_refs_per_b() - 3.0).abs() < 1e-9);
         assert_eq!(s.max_refs_per_b(), 4);
         assert!((s.compression_ratio() - 10.0).abs() < 1e-9);
-        assert!((s.mean_mv_magnitude() - 3.0).abs() < 1e-9);
     }
 }

@@ -17,11 +17,11 @@
 //! * [`engine`] — the streaming [`PipelineEngine`] underneath and its one
 //!   driver, [`PipelineEngine::drive`]. The engine owns the frame ladder
 //!   (reference window, output store, concealment and its counters, trace);
-//!   [`TaskPolicy`] and [`FaultPolicy`] supply what differs between tasks
-//!   and between strict and resilient inputs;
+//!   [`engine::TaskPolicy`] and [`FaultPolicy`] supply what differs between
+//!   tasks and between strict and resilient inputs;
 //! * [`baselines`] — OSVOS, FAVOS, DFF, SELSA and Euphrates;
-//! * [`trace`] — the workload traces the `vrd-sim` architecture simulator
-//!   replays to produce the paper's performance/energy figures.
+//! * [`SchemeTrace`] — the workload traces the `vrd-sim` architecture
+//!   simulator replays to produce the paper's performance/energy figures.
 //!
 //! ## Example
 //!
@@ -42,25 +42,27 @@
 //! # }
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod baselines;
-pub mod components;
+mod components;
 pub mod engine;
-pub mod error;
-pub mod featprop;
+mod error;
+mod featprop;
 pub mod recon;
 pub mod sandwich;
-pub mod trace;
-pub mod vrdann;
+mod trace;
+mod vrdann;
 
 pub use components::{boxes_to_mask, extract_components};
 pub use engine::{
     ConcealingPolicy, DetTask, EngineCheckpoint, EngineRun, FaultPolicy, PipelineEngine,
-    PipelineOptions, SegTask, StepWork, StreamTask, StrictPolicy, TaskPolicy,
+    PipelineOptions, SegTask, StepWork, StreamTask, StrictPolicy,
 };
 pub use error::{Result, VrDannError};
 pub use featprop::FeatPropTask;
 pub use recon::{plane_to_mask, reconstruct_b_frame, ReconConfig};
-pub use sandwich::{build_reconstruction_only, build_sandwich};
+pub use sandwich::build_sandwich;
 pub use trace::{ComputeKind, ConcealmentStats, SchemeKind, SchemeTrace, TraceFrame};
 pub use vrd_nn::ComputeMode;
 pub use vrdann::{

@@ -66,7 +66,7 @@ pub fn build_sandwich(
 /// Builds a degenerate single-information input for the no-sandwich
 /// ablation: the reconstruction fills all three channels, so NN-S sees no
 /// temporal context.
-pub fn build_reconstruction_only(plane: &Seg2Plane) -> Tensor {
+pub(crate) fn build_reconstruction_only(plane: &Seg2Plane) -> Tensor {
     let (w, h) = (plane.width(), plane.height());
     let hw = h * w;
     let mut data = vec![0.0f32; 3 * hw];

@@ -223,11 +223,6 @@ impl SchemeTrace {
         self.total_ops() as f64 / self.frames.len() as f64 / 1e12
     }
 
-    /// Number of frames whose pixels are decoded.
-    pub fn decoded_frames(&self) -> usize {
-        self.frames.iter().filter(|f| f.full_decode).count()
-    }
-
     /// Number of large-model ↔ small-model switches a strict in-order
     /// execution would incur (the quantity VR-DANN-parallel's lagged queue
     /// switching minimises; Fig. 7).
@@ -270,7 +265,6 @@ mod tests {
             ],
         };
         assert_eq!(t.total_ops(), 1010);
-        assert_eq!(t.decoded_frames(), 3);
         assert!((t.tops_per_frame() - 1010.0 / 3.0 / 1e12).abs() < 1e-18);
     }
 

@@ -24,7 +24,7 @@ use vrd_codec::{
     CodecConfig, EncodedVideo, Encoder, FrameSource, ResilientFrameSource, StrictFrameSource,
     UnitPayload,
 };
-use vrd_nn::{trainer, ComputeMode, LargeNetProfile, NnS, Sample, Tensor, TrainConfig};
+use vrd_nn::{ComputeMode, LargeNetProfile, NnS, Sample, Tensor, TrainConfig};
 use vrd_video::{Detection, SegMask, Sequence};
 
 /// Full pipeline configuration.
@@ -195,6 +195,31 @@ pub enum RunInput<'a> {
     Resilient(&'a PacketStream, &'a ResilienceOptions),
 }
 
+/// Rejects an NN-L profile with a non-finite field: the oracle would turn
+/// it into NaN masks and detection scores.
+fn check_profiles(cfg: &VrDannConfig) -> Result<()> {
+    for (which, p) in [
+        ("segment_profile", &cfg.segment_profile),
+        ("detect_profile", &cfg.detect_profile),
+    ] {
+        let fields = [
+            ("warp_amp", f64::from(p.warp_amp)),
+            ("warp_scale", f64::from(p.warp_scale)),
+            ("speckle", f64::from(p.speckle)),
+            ("box_jitter", f64::from(p.box_jitter)),
+            ("miss_prob", f64::from(p.miss_prob)),
+            ("ops_per_pixel", p.ops_per_pixel),
+        ];
+        if let Some((field, v)) = fields.into_iter().find(|(_, v)| !v.is_finite()) {
+            return Err(VrDannError::InvalidConfig(format!(
+                "{which} `{}`: {field} is {v}",
+                p.name
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// A trained VR-DANN pipeline instance.
 #[derive(Debug, Clone)]
 pub struct VrDann {
@@ -218,8 +243,11 @@ impl VrDann {
     /// ground truth as label, two epochs.
     ///
     /// # Errors
-    /// Fails if encoding fails or the training set contains no B-frames.
+    /// Returns [`VrDannError::InvalidConfig`] if an NN-L profile has a
+    /// non-finite field; fails if encoding fails or the training set
+    /// contains no B-frames.
     pub fn train(train_seqs: &[Sequence], task: TrainTask, cfg: VrDannConfig) -> Result<Self> {
+        check_profiles(&cfg)?;
         let encoder = Encoder::new(cfg.codec);
         let mut samples = Vec::new();
         for seq in train_seqs {
@@ -259,7 +287,7 @@ impl VrDann {
             ));
         }
         let mut nns = NnS::new(cfg.nns_hidden, cfg.seed);
-        trainer::train(&mut nns, &samples, &cfg.train);
+        vrd_nn::train(&mut nns, &samples, &cfg.train);
         // Calibrate the quantized path's activation scales on (a slice of)
         // the training inputs. This only observes activations — weights and
         // the f32 inference path are untouched.
@@ -295,9 +323,11 @@ impl VrDann {
     /// Rebuilds a pipeline from a configuration and serialised NN-S bytes.
     ///
     /// # Errors
-    /// Returns [`VrDannError::InvalidConfig`] if the bytes do not hold a
-    /// valid model or its width differs from `cfg.nns_hidden`.
+    /// Returns [`VrDannError::InvalidConfig`] if an NN-L profile has a
+    /// non-finite field, the bytes do not hold a valid model or its width
+    /// differs from `cfg.nns_hidden`.
     pub fn from_parts(cfg: VrDannConfig, nns_bytes: &[u8]) -> Result<Self> {
+        check_profiles(&cfg)?;
         let nns = vrd_nn::load_nns(nns_bytes)
             .map_err(|e| VrDannError::InvalidConfig(format!("bad NN-S model: {e}")))?;
         if nns.hidden() != cfg.nns_hidden {
@@ -438,8 +468,10 @@ impl VrDann {
 mod tests {
     use super::*;
     use crate::trace::ComputeKind;
-    use vrd_metrics::score_sequence;
+    use vrd_metrics::{average_precision, score_sequence, FrameDetections};
+    use vrd_nn::LargeNet;
     use vrd_video::davis::{davis_sequence, davis_train_suite, SuiteConfig};
+    use vrd_video::Rect;
 
     fn tiny_model(task: TrainTask) -> (VrDann, SuiteConfig) {
         let cfg = SuiteConfig::tiny();
@@ -550,6 +582,55 @@ mod tests {
                     assert!(msg.contains("conv1: weight 0 is inf"), "{msg}");
                 }
                 other => panic!("expected InvalidConfig, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_non_finite_nnl_profile_is_invalid_config() {
+        // A NaN box jitter makes the oracle emit NaN scores; average
+        // precision ranks them instead of panicking...
+        let nan = LargeNetProfile {
+            box_jitter: f32::NAN,
+            ..LargeNetProfile::selsa()
+        };
+        let gt = [
+            Rect::new(2, 2, 12, 12),
+            Rect::new(16, 4, 30, 14),
+            Rect::new(6, 18, 20, 30),
+        ];
+        let detections = LargeNet::new(nan).detect(&gt, 32, 32, 7);
+        assert!(!detections.is_empty());
+        assert!(detections.iter().all(|d| d.score.is_nan()));
+        let frames = [FrameDetections {
+            detections,
+            ground_truth: gt.to_vec(),
+        }];
+        assert!((0.0..=1.0).contains(&average_precision(&frames)));
+        // ...and the pipeline refuses such a profile up front, naming the
+        // profile and the field.
+        let (model, cfg) = tiny_model(TrainTask::Segmentation);
+        let train = davis_train_suite(&cfg, 2);
+        let bytes = model.export_nns();
+        for which in ["segment_profile", "detect_profile"] {
+            let mut bad = *model.config();
+            match which {
+                "segment_profile" => bad.segment_profile = nan,
+                _ => bad.detect_profile = nan,
+            }
+            for result in [
+                VrDann::from_parts(bad, &bytes),
+                VrDann::train(&train, TrainTask::Detection, bad),
+            ] {
+                match result {
+                    Err(VrDannError::InvalidConfig(msg)) => {
+                        assert!(
+                            msg.contains(which) && msg.contains("box_jitter is NaN"),
+                            "{msg}"
+                        );
+                    }
+                    other => panic!("expected InvalidConfig, got {other:?}"),
+                }
             }
         }
     }

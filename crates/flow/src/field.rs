@@ -61,17 +61,6 @@ impl FlowField {
         self.dy[i] = dy;
     }
 
-    /// Mean flow magnitude in pixels.
-    pub fn mean_magnitude(&self) -> f64 {
-        let sum: f64 = self
-            .dx
-            .iter()
-            .zip(&self.dy)
-            .map(|(&dx, &dy)| ((dx * dx + dy * dy) as f64).sqrt())
-            .sum();
-        sum / self.dx.len() as f64
-    }
-
     /// Warps a reference segmentation mask into the current frame:
     /// each output pixel samples the mask at its flow source
     /// (nearest-neighbour, clamped at the borders).
@@ -141,7 +130,6 @@ mod tests {
         mask.fill_rect(Rect::new(4, 4, 8, 8));
         let flow = FlowField::zeros(16, 12);
         assert_eq!(flow.warp_mask(&mask), mask);
-        assert_eq!(flow.mean_magnitude(), 0.0);
     }
 
     #[test]
@@ -157,7 +145,6 @@ mod tests {
         }
         let warped = flow.warp_mask(&mask);
         assert_eq!(warped.bounding_box(), Some(Rect::new(6, 5, 10, 9)));
-        assert!((flow.mean_magnitude() - (5.0f64).sqrt()).abs() < 1e-6);
     }
 
     #[test]

@@ -23,8 +23,10 @@
 //! # }
 //! ```
 
-pub mod estimator;
-pub mod field;
+#![warn(unreachable_pub)]
+
+mod estimator;
+mod field;
 
 pub use estimator::{estimate, FlowConfig};
 pub use field::FlowField;

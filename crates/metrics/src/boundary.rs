@@ -56,22 +56,7 @@ fn dilate(points: &[(usize, usize)], w: usize, h: usize, tolerance: usize) -> Ve
 ///
 /// # Panics
 /// Panics if the masks differ in size.
-///
-/// # Example
-/// ```
-/// use vrd_metrics::boundary_f_score;
-/// use vrd_video::{Rect, SegMask};
-///
-/// let mut gt = SegMask::new(32, 32);
-/// gt.fill_rect(Rect::new(8, 8, 24, 24));
-/// // A one-pixel dilation is a perfect contour at tolerance 1...
-/// let mut pred = SegMask::new(32, 32);
-/// pred.fill_rect(Rect::new(7, 7, 25, 25));
-/// assert_eq!(boundary_f_score(&pred, &gt, 1), 1.0);
-/// // ...but not at tolerance 0.
-/// assert!(boundary_f_score(&pred, &gt, 0) < 1.0);
-/// ```
-pub fn boundary_f_score(pred: &SegMask, gt: &SegMask, tolerance: usize) -> f64 {
+pub(crate) fn boundary_f_score(pred: &SegMask, gt: &SegMask, tolerance: usize) -> f64 {
     assert_eq!(pred.width(), gt.width(), "mask width mismatch");
     assert_eq!(pred.height(), gt.height(), "mask height mismatch");
     let (w, h) = (pred.width(), pred.height());
@@ -98,6 +83,22 @@ pub fn boundary_f_score(pred: &SegMask, gt: &SegMask, tolerance: usize) -> f64 {
 ///
 /// # Panics
 /// Panics if the sequences differ in length or are empty.
+///
+/// # Example
+/// ```
+/// use vrd_metrics::boundary_f_sequence;
+/// use vrd_video::{Rect, SegMask};
+///
+/// let mut gt = SegMask::new(32, 32);
+/// gt.fill_rect(Rect::new(8, 8, 24, 24));
+/// // A one-pixel dilation is a perfect contour at tolerance 1...
+/// let mut pred = SegMask::new(32, 32);
+/// pred.fill_rect(Rect::new(7, 7, 25, 25));
+/// let (preds, gts) = ([pred], [gt]);
+/// assert_eq!(boundary_f_sequence(&preds, &gts, 1), 1.0);
+/// // ...but not at tolerance 0.
+/// assert!(boundary_f_sequence(&preds, &gts, 0) < 1.0);
+/// ```
 pub fn boundary_f_sequence(preds: &[SegMask], gts: &[SegMask], tolerance: usize) -> f64 {
     assert_eq!(preds.len(), gts.len(), "sequence length mismatch");
     assert!(!preds.is_empty(), "cannot score an empty sequence");

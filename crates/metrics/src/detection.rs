@@ -10,7 +10,7 @@ use vrd_video::{Detection, Rect};
 
 /// The IoU threshold above which a detection counts as a true positive
 /// (the ImageNet-VID convention).
-pub const MATCH_IOU: f64 = 0.5;
+pub(crate) const MATCH_IOU: f64 = 0.5;
 
 /// One frame's detections and ground truth.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -21,12 +21,14 @@ pub struct FrameDetections {
     pub ground_truth: Vec<Rect>,
 }
 
-/// Computes average precision over a set of frames at [`MATCH_IOU`].
+/// Computes average precision over a set of frames at IoU ≥ 0.5.
 ///
 /// Standard VOC continuous AP: detections are globally sorted by descending
 /// score, greedily matched (each ground-truth box at most once, per frame),
 /// and AP is the area under the interpolated precision-recall curve.
-/// Returns 1.0 when there is no ground truth and no detections.
+/// Returns 1.0 when there is no ground truth and no detections. Scores are
+/// ranked by [`f32::total_cmp`], so a non-finite score is ranked, not a
+/// panic.
 pub fn average_precision(frames: &[FrameDetections]) -> f64 {
     let total_gt: usize = frames.iter().map(|f| f.ground_truth.len()).sum();
     let total_det: usize = frames.iter().map(|f| f.detections.len()).sum();
@@ -45,7 +47,7 @@ pub fn average_precision(frames: &[FrameDetections]) -> f64 {
                 .map(move |(di, d)| (d.score, fi, di))
         })
         .collect();
-    ranked.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("scores are finite"));
+    ranked.sort_by(|a, b| b.0.total_cmp(&a.0));
 
     let mut matched: Vec<Vec<bool>> = frames
         .iter()
@@ -99,14 +101,6 @@ pub fn average_precision(frames: &[FrameDetections]) -> f64 {
         prev_recall = r;
     }
     ap
-}
-
-/// Mean AP over several sequences (each a slice of frames).
-pub fn mean_average_precision(sequences: &[Vec<FrameDetections>]) -> f64 {
-    if sequences.is_empty() {
-        return 0.0;
-    }
-    sequences.iter().map(|s| average_precision(s)).sum::<f64>() / sequences.len() as f64
 }
 
 #[cfg(test)]
@@ -182,15 +176,5 @@ mod tests {
             vec![],
         )];
         assert_eq!(average_precision(&spurious), 0.0);
-        assert_eq!(mean_average_precision(&[]), 0.0);
-    }
-
-    #[test]
-    fn map_averages_sequences() {
-        let gt = Rect::new(0, 0, 10, 10);
-        let perfect = vec![frame(vec![Detection::new(gt, 0.9)], vec![gt])];
-        let blind = vec![frame(vec![], vec![gt])];
-        let map = mean_average_precision(&[perfect, blind]);
-        assert!((map - 0.5).abs() < 1e-9);
     }
 }

@@ -7,8 +7,7 @@
 //!   [`score_sequence`]), averaged per frame then per sequence as DAVIS
 //!   does;
 //! * detection — VOC-style **average precision** at IoU 0.5
-//!   ([`average_precision`], [`mean_average_precision`]), the ImageNet-VID
-//!   convention.
+//!   ([`average_precision`]), the ImageNet-VID convention.
 //!
 //! ## Example
 //!
@@ -22,10 +21,12 @@
 //! assert_eq!(counts.iou(), 1.0);
 //! ```
 
-pub mod boundary;
-pub mod detection;
+#![warn(unreachable_pub)]
+
+mod boundary;
+mod detection;
 pub mod segmentation;
 
-pub use boundary::{boundary_f_score, boundary_f_sequence};
-pub use detection::{average_precision, mean_average_precision, FrameDetections, MATCH_IOU};
+pub use boundary::boundary_f_sequence;
+pub use detection::{average_precision, FrameDetections};
 pub use segmentation::{mean_scores, score_sequence, PixelCounts, SegScores};

@@ -56,7 +56,7 @@ impl PixelCounts {
     }
 
     /// Pixel recall; 1.0 when nothing was there to find.
-    pub fn recall(&self) -> f64 {
+    pub(crate) fn recall(&self) -> f64 {
         if self.tp + self.fn_ == 0 {
             1.0
         } else {

@@ -29,7 +29,7 @@ const PAR_MIN_MACS: u64 = 8_000_000;
 
 /// A stride-1, same-padded `k × k` convolution layer with bias: its shape and
 /// its parameters, nothing else. Gradients and optimiser state belong to
-/// whoever trains it (see [`crate::trainer`]).
+/// whoever trains it (see [`crate::train`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Conv2d {
     cin: usize,
@@ -116,7 +116,7 @@ impl Conv2d {
     }
 
     /// Kernel size (odd; the layer is same-padded).
-    pub fn kernel_size(&self) -> usize {
+    pub(crate) fn kernel_size(&self) -> usize {
         self.k
     }
 

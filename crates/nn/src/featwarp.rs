@@ -72,7 +72,12 @@ impl FeatureMap {
     /// # Panics
     /// Panics if the tensor's height/width disagree with
     /// `ceil(frame / stride)`.
-    pub fn from_tensor(frame_w: usize, frame_h: usize, stride: usize, tensor: Tensor) -> Self {
+    pub(crate) fn from_tensor(
+        frame_w: usize,
+        frame_h: usize,
+        stride: usize,
+        tensor: Tensor,
+    ) -> Self {
         assert!(stride > 0, "feature stride must be non-zero");
         assert_eq!(
             (tensor.width(), tensor.height()),
@@ -103,12 +108,12 @@ impl FeatureMap {
     }
 
     /// Feature-grid width (`ceil(frame_w / stride)`).
-    pub fn feat_w(&self) -> usize {
+    pub(crate) fn feat_w(&self) -> usize {
         self.tensor.width()
     }
 
     /// Feature-grid height (`ceil(frame_h / stride)`).
-    pub fn feat_h(&self) -> usize {
+    pub(crate) fn feat_h(&self) -> usize {
         self.tensor.height()
     }
 

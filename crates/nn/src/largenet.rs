@@ -27,7 +27,7 @@ use vrd_video::{Detection, Rect, SegMask};
 ///
 /// Derived from the paper's §VI-B: "the raw TOPS of a frame is 0.5 TOPS"
 /// at 854×480 → 0.5e12 / (854·480) ≈ 1.22e6 ops/pixel.
-pub const NNL_OPS_PER_PIXEL: f64 = 1.22e6;
+pub(crate) const NNL_OPS_PER_PIXEL: f64 = 1.22e6;
 
 /// Fraction of an NN-L inference spent in the head (the layers after the
 /// staged cut point — see [`LargeNet::forward_backbone`]).

@@ -6,10 +6,11 @@
 //! * [`NnS`], the paper's 3-layer refinement network (conv → downsample →
 //!   conv → upsample → concat → conv on the sandwich input). Its graph is
 //!   spelled once and is what inference, calibration and training all
-//!   walk; [`trainer`] trains it for the paper's two epochs with
+//!   walk; [`train`] trains it for the paper's two epochs with
 //!   SGD-momentum and owns all training state, [`quant`] runs it on int8,
-//!   [`serialize`] loads and saves it (a model file is untrusted input);
-//! * what that graph is made of: [`Tensor`], [`Conv2d`] (shape and
+//!   [`load_nns`] / [`save_nns`] load and save it (a model file is
+//!   untrusted input);
+//! * what that graph is made of: [`Tensor`], [`conv::Conv2d`] (shape and
 //!   parameters, with bit-exact optimised forward and backward kernels
 //!   beside a naive [`conv::reference`]), stateless pooling / upsampling /
 //!   activation kernels in [`layers`], and the BCE loss;
@@ -30,25 +31,23 @@
 //! assert_eq!(refined.channels(), 1);
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod conv;
 pub mod featwarp;
 pub mod largenet;
 pub mod layers;
-pub mod loss;
-pub mod nns;
+mod loss;
+mod nns;
 pub mod quant;
-pub mod serialize;
-pub mod tensor;
-pub mod trainer;
+mod serialize;
+mod tensor;
+mod trainer;
 
-pub use conv::Conv2d;
-pub use featwarp::{FeatureMap, WarpSource, FEATURE_CHANNELS, FEATURE_STRIDE};
-pub use largenet::{
-    LargeNet, LargeNetProfile, FLOWNET_OPS_PER_PIXEL, NNL_HEAD_FRACTION, NNL_OPS_PER_PIXEL,
-};
-pub use loss::bce_with_logits;
-pub use nns::{NnS, SANDWICH_CHANNELS};
-pub use quant::{ActScales, ComputeMode, QuantConv2d, QuantNnS, Requant};
+pub use featwarp::{FEATURE_CHANNELS, FEATURE_STRIDE};
+pub use largenet::{LargeNet, LargeNetProfile, FLOWNET_OPS_PER_PIXEL, NNL_HEAD_FRACTION};
+pub use nns::NnS;
+pub use quant::{ComputeMode, QuantConv2d, QuantNnS, Requant};
 pub use serialize::{load_nns, save_nns};
 pub use tensor::Tensor;
 pub use trainer::{train, Sample, TrainConfig};

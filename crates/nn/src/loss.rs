@@ -9,7 +9,7 @@ use crate::tensor::Tensor;
 ///
 /// # Panics
 /// Panics if the shapes differ.
-pub fn bce_with_logits(logits: &Tensor, target: &Tensor) -> (f32, Tensor) {
+pub(crate) fn bce_with_logits(logits: &Tensor, target: &Tensor) -> (f32, Tensor) {
     assert_eq!(logits.len(), target.len(), "loss shape mismatch");
     let n = logits.len() as f32;
     let mut loss = 0.0f32;

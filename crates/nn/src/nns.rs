@@ -24,7 +24,7 @@ use crate::trainer::Grads;
 use vrd_runtime::{BufferPool, PooledBuf};
 
 /// Channels of the sandwich input.
-pub const SANDWICH_CHANNELS: usize = 3;
+pub(crate) const SANDWICH_CHANNELS: usize = 3;
 
 /// Scratch buffers for the graph's activations, recycled across frames so
 /// steady-state refinement does not allocate per call.

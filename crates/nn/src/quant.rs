@@ -46,7 +46,7 @@ use crate::tensor::Tensor;
 use vrd_runtime::BufferPool;
 
 /// Largest quantized activation value (7-bit unsigned; see module docs).
-pub const QMAX: i32 = 127;
+pub(crate) const QMAX: i32 = 127;
 
 /// Minimum multiply-accumulate count before a quantized convolution fans
 /// out across threads (same threshold as the f32 kernels).
@@ -90,7 +90,7 @@ impl ActScales {
     /// calibration activations stay representable, and capped at the
     /// largest finite value so an overflowing activation still yields a
     /// usable scale).
-    pub fn from_maxes(input: f32, a1: f32, a2: f32) -> Self {
+    pub(crate) fn from_maxes(input: f32, a1: f32, a2: f32) -> Self {
         let s = |m: f32| (m.max(1e-6) / QMAX as f32).min(f32::MAX);
         Self {
             input: s(input),
@@ -103,7 +103,7 @@ impl ActScales {
     /// input is bounded by 1.0, and each ReLU layer by the L1 norm of its
     /// worst output channel. Used for models deserialized without
     /// calibration metadata; calibrated scales are tighter.
-    pub fn bound_from_nns(nns: &NnS) -> Self {
+    pub(crate) fn bound_from_nns(nns: &NnS) -> Self {
         let (c1, c2, _) = nns.convs();
         let layer_bound = |conv: &Conv2d, in_max: f32| -> f32 {
             let per_co = conv.weights().len() / conv.cout();
@@ -299,12 +299,12 @@ impl QuantConv2d {
     }
 
     /// Kernel size (odd).
-    pub fn kernel_size(&self) -> usize {
+    pub(crate) fn kernel_size(&self) -> usize {
         self.k
     }
 
     /// Per-output-channel weight scales.
-    pub fn w_scale(&self) -> &[f32] {
+    pub(crate) fn w_scale(&self) -> &[f32] {
         &self.w_scale
     }
 
@@ -710,7 +710,7 @@ mod x86 {
 ///
 /// # Panics
 /// Panics on a length mismatch.
-pub fn quantize_activations(src: &[f32], scale: f32, dst: &mut [u8]) {
+pub(crate) fn quantize_activations(src: &[f32], scale: f32, dst: &mut [u8]) {
     assert_eq!(src.len(), dst.len(), "quantize length mismatch");
     let inv = 1.0 / scale;
     for (o, &v) in dst.iter_mut().zip(src) {
@@ -745,7 +745,7 @@ impl QuantNnS {
     /// Quantizes a trained NN-S, using its calibrated activation scales
     /// when present and the conservative weight-norm bound otherwise (so
     /// models deserialized from the pre-quantization format still run).
-    pub fn from_nns(nns: &NnS) -> Self {
+    pub(crate) fn from_nns(nns: &NnS) -> Self {
         let scales = nns
             .act_scales()
             .unwrap_or_else(|| ActScales::bound_from_nns(nns));

@@ -11,13 +11,13 @@ use crate::nns::{NnS, SANDWICH_CHANNELS};
 use crate::quant::ActScales;
 
 /// Magic bytes of a serialised NN-S model.
-pub const MAGIC: [u8; 4] = *b"VRNS";
+pub(crate) const MAGIC: [u8; 4] = *b"VRNS";
 /// Format version.
-pub const VERSION: u8 = 1;
+pub(crate) const VERSION: u8 = 1;
 /// Magic bytes of the optional calibration trailer: activation scales for
 /// the quantized inference path, appended after the f32 parameters so
 /// pre-quantization files (which simply end after conv3) keep loading.
-pub const SCALES_MAGIC: [u8; 4] = *b"QSC1";
+pub(crate) const SCALES_MAGIC: [u8; 4] = *b"QSC1";
 
 fn put_f32s(out: &mut Vec<u8>, vals: &[f32]) {
     out.extend_from_slice(&(vals.len() as u32).to_le_bytes());

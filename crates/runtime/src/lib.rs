@@ -19,12 +19,14 @@
 //! plain variants use [`max_threads`], which honours the `VRD_THREADS`
 //! environment variable before falling back to the hardware parallelism.
 
+#![warn(unreachable_pub)]
+
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, Once, OnceLock};
 use std::thread;
 
-pub mod stage;
+mod stage;
 
 pub use stage::{stage_channel, StageReceiver, StageSender};
 
@@ -39,7 +41,7 @@ thread_local! {
 /// roughly `max_threads() / workers`, so nested parallel sections (an NN
 /// kernel called from a parallel wave, say) fan out to about the machine
 /// width in total instead of `workers × cores`.
-pub fn thread_budget() -> Option<usize> {
+pub(crate) fn thread_budget() -> Option<usize> {
     THREAD_BUDGET.with(|b| b.get())
 }
 
@@ -74,7 +76,7 @@ fn parse_thread_override(v: &str) -> Result<usize, &str> {
 /// The number of worker threads the plain `parallel_*` entry points use:
 /// the `VRD_THREADS` environment variable if set to a positive integer,
 /// otherwise [`std::thread::available_parallelism`] — further capped by the
-/// enclosing [`thread_budget`], if one is in force on this thread. An
+/// enclosing [`with_thread_budget`], if one is in force on this thread. An
 /// invalid `VRD_THREADS` value (zero, non-numeric) is reported once on
 /// stderr and then ignored.
 pub fn max_threads() -> usize {

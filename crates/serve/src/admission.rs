@@ -154,7 +154,7 @@ impl SessionDemand {
 /// Sequential admission: sessions are offered in request order and the
 /// accepted load accumulates.
 #[derive(Debug, Clone)]
-pub struct AdmissionController {
+pub(crate) struct AdmissionController {
     slo: SloConfig,
     batch_cap: usize,
     sim: SimConfig,
@@ -164,7 +164,7 @@ pub struct AdmissionController {
 
 impl AdmissionController {
     /// A controller with no accepted load yet.
-    pub fn new(slo: SloConfig, batch_cap: usize, sim: SimConfig) -> Self {
+    pub(crate) fn new(slo: SloConfig, batch_cap: usize, sim: SimConfig) -> Self {
         Self {
             slo,
             batch_cap,
@@ -175,7 +175,7 @@ impl AdmissionController {
     }
 
     /// Projected NPU utilisation over the currently accepted sessions.
-    pub fn utilization(&self) -> f64 {
+    pub(crate) fn utilization(&self) -> f64 {
         self.utilization
     }
 
@@ -200,7 +200,7 @@ impl AdmissionController {
     ///
     /// # Errors
     /// Returns the [`RejectReason`] when the projection breaks the SLO.
-    pub fn try_admit(
+    pub(crate) fn try_admit(
         &mut self,
         demand: &SessionDemand,
     ) -> std::result::Result<AdmissionProjection, RejectReason> {
@@ -232,7 +232,7 @@ impl AdmissionController {
     /// `worst_base_ns` is deliberately *not* rewound: it is a high-water
     /// mark of the worst frame the shard ever carried, and keeping it makes
     /// the p99 projection conservative rather than optimistic after churn.
-    pub fn release(&mut self, demand: &SessionDemand) {
+    pub(crate) fn release(&mut self, demand: &SessionDemand) {
         let u = demand.compute_utilization(&self.sim)
             + demand.switch_utilization(self.batch_cap, &self.sim);
         self.utilization = (self.utilization - u).max(0.0);

@@ -39,17 +39,6 @@ impl CrashWindow {
     }
 }
 
-/// The kinds of fault the injector can plant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NpuFaultKind {
-    /// Transient slowdown of one attempt.
-    Stall,
-    /// One attempt fails and must be retried.
-    WorkItemFail,
-    /// The whole device goes down for a window.
-    Crash,
-}
-
 /// A deterministic fault plan for one scheduler replay.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NpuFaultProfile {
@@ -123,13 +112,8 @@ impl NpuFaultProfile {
         }
     }
 
-    /// True when the profile can never plant a fault.
-    pub fn is_quiet(&self) -> bool {
-        self.work_item_fail_rate <= 0.0 && self.stall_rate <= 0.0 && self.crashes.is_empty()
-    }
-
     /// Does attempt `attempt` of work item `(session, item)` fail?
-    pub fn draw_work_item_failure(&self, session: usize, item: usize, attempt: u32) -> bool {
+    pub(crate) fn draw_work_item_failure(&self, session: usize, item: usize, attempt: u32) -> bool {
         self.work_item_fail_rate > 0.0
             && draw(
                 self.seed,
@@ -141,7 +125,7 @@ impl NpuFaultProfile {
     }
 
     /// Does attempt `attempt` of work item `(session, item)` stall?
-    pub fn draw_stall(&self, session: usize, item: usize, attempt: u32) -> bool {
+    pub(crate) fn draw_stall(&self, session: usize, item: usize, attempt: u32) -> bool {
         self.stall_rate > 0.0
             && draw(
                 self.seed,
@@ -232,10 +216,8 @@ mod tests {
     #[test]
     fn quiet_profiles_never_fire() {
         let p = NpuFaultProfile::none();
-        assert!(p.is_quiet());
         assert!((0..100).all(|i| !p.draw_work_item_failure(0, i, 0)));
         assert!((0..100).all(|i| !p.draw_stall(0, i, 0)));
-        assert!(!NpuFaultProfile::single_crash(1.0, 2.0).is_quiet());
         assert_eq!(
             CrashWindow {
                 at_ns: 5.0,

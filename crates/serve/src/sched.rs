@@ -143,7 +143,7 @@ pub enum DegradeLevel {
 
 impl DegradeLevel {
     /// Number of rungs.
-    pub const COUNT: usize = 4;
+    pub(crate) const COUNT: usize = 4;
 
     /// Index into per-level counters.
     pub fn index(self) -> usize {

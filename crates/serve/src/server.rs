@@ -21,7 +21,7 @@ use vrd_sim::SimConfig;
 use vrd_video::Sequence;
 
 /// One requested recognition session: a sequence and its encoded stream.
-pub type SessionJob<'a> = (&'a Sequence, &'a EncodedVideo);
+pub(crate) type SessionJob<'a> = (&'a Sequence, &'a EncodedVideo);
 
 /// Server configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -15,8 +15,7 @@
 //! hand-over instant the shared-NPU scheduler replays.
 
 use vr_dann::{
-    ComputeMode, EngineCheckpoint, PipelineEngine, PipelineOptions, Result, SegTask, StreamTask,
-    StrictPolicy, VrDann,
+    ComputeMode, PipelineEngine, PipelineOptions, Result, SegTask, StreamTask, StrictPolicy, VrDann,
 };
 use vrd_codec::{EncodedVideo, FrameSource, FrameType, StrictFrameSource};
 use vrd_sim::{simulate_stream, ExecMode, Model, ParallelOptions, SimConfig};
@@ -24,7 +23,7 @@ use vrd_video::Sequence;
 
 /// Pacing of one session's arrival process (its camera / network feed).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SessionSpec {
+pub(crate) struct SessionSpec {
     /// When the session's first frame reaches the decoder, in nanoseconds.
     pub start_offset_ns: f64,
     /// Nominal inter-frame arrival gap, in nanoseconds.
@@ -71,24 +70,6 @@ impl WorkItem {
             Model::Small
         }
     }
-}
-
-/// A host-side recovery point for one driven session: everything needed to
-/// resume the decode → engine → stamp loop after the shared NPU crashes.
-/// The engine snapshot holds the O(GOP) reference-mask window; the decoder
-/// lane resumes from `decode_clock_ns` skipping `units_consumed` units, so
-/// a replayed tail re-emits byte-identical work items.
-#[derive(Debug, Clone)]
-pub struct SessionCheckpoint {
-    /// Work items already emitted when the snapshot was taken.
-    pub items_emitted: usize,
-    /// Decoded units already consumed from the bitstream.
-    pub units_consumed: usize,
-    /// Decoder-lane clock at the snapshot.
-    pub decode_clock_ns: f64,
-    /// The engine's resumable state (reference window, anchor ring,
-    /// concealment counters).
-    pub engine: EngineCheckpoint,
 }
 
 /// Everything driving one session produced: the stamped work items for the
@@ -143,8 +124,8 @@ pub struct TemplateItem {
 
 /// One stream driven through the engine *once*, pacing left symbolic: the
 /// real NN-L/NN-S compute and the decoder service times are captured, and
-/// [`SessionTemplate::instantiate`] restamps them for any
-/// [`SessionSpec`] in O(items) — no decode, no inference. This is what
+/// `SessionTemplate::instantiate` restamps them for any session pacing in
+/// O(items) — no decode, no inference. This is what
 /// lets the fleet layer serve 64+ concurrent sessions drawn from a small
 /// library of distinct streams without paying the compute per session.
 #[derive(Debug, Clone, PartialEq)]
@@ -170,7 +151,7 @@ pub struct SessionTemplate {
 impl SessionTemplate {
     /// Stamps the full template for one session spec — the only place the
     /// decoder-lane stamping arithmetic exists.
-    pub fn instantiate(&self, session: usize, spec: &SessionSpec) -> DrivenSession {
+    pub(crate) fn instantiate(&self, session: usize, spec: &SessionSpec) -> DrivenSession {
         self.instantiate_prefix(session, spec, self.items.len())
     }
 
@@ -180,7 +161,7 @@ impl SessionTemplate {
     /// items and `isolated_ns` is prorated by the kept share of the NPU
     /// operations (an estimate; the full-length instantiation reports the
     /// exact simulated figure).
-    pub fn instantiate_prefix(
+    pub(crate) fn instantiate_prefix(
         &self,
         session: usize,
         spec: &SessionSpec,
@@ -235,12 +216,9 @@ impl SessionTemplate {
     }
 }
 
-/// The engine configuration every session runs: strict segmentation.
-type SessionEngine<'a> = PipelineEngine<'a, SegTask<'a>, StrictPolicy>;
-
 /// Drives one stream through the engine and captures it as a reusable
 /// [`SessionTemplate`]: the real compute runs exactly once, every
-/// [`SessionSpec`] instantiation afterwards is pure arithmetic.
+/// instantiation afterwards is pure arithmetic.
 ///
 /// `lanes` is handed to [`PipelineEngine::drive`] unchanged: `None` runs
 /// the session on the caller's thread, `Some` puts its decoder on a lane of
@@ -260,20 +238,6 @@ pub fn drive_template(
     sim: &SimConfig,
     lanes: Option<&PipelineOptions>,
 ) -> Result<SessionTemplate> {
-    drive_observed(model, seq, encoded, sim, lanes, |_, _| Ok(()))
-}
-
-/// [`drive_template`] with a hook on the engine driver's observer: after
-/// each emission `after_item` sees the engine and the items so far, the
-/// one just emitted last.
-fn drive_observed(
-    model: &VrDann,
-    seq: &Sequence,
-    encoded: &EncodedVideo,
-    sim: &SimConfig,
-    lanes: Option<&PipelineOptions>,
-    mut after_item: impl FnMut(&SessionEngine<'_>, &[TemplateItem]) -> Result<()>,
-) -> Result<SessionTemplate> {
     let source = StrictFrameSource::new(&encoded.bitstream)?;
     let info = source.info();
     let task = SegTask::for_stream(seq, model.config(), &info);
@@ -281,7 +245,7 @@ fn drive_observed(
 
     let pixels = info.width * info.height;
     let mut items: Vec<TemplateItem> = Vec::with_capacity(info.n_frames);
-    let run = engine.drive(source, &[], lanes, |engine, arrive_idx, work| {
+    let run = engine.drive(source, &[], lanes, |_, arrive_idx, work| {
         items.push(TemplateItem {
             display: work.display,
             ftype: work.ftype,
@@ -290,7 +254,7 @@ fn drive_observed(
             arrive_idx,
             decode_ns: sim.decode_ns(pixels, work.full_decode).ns,
         });
-        after_item(engine, &items)
+        Ok(())
     })?;
     let isolated = simulate_stream(
         run.trace.frames.iter(),
@@ -313,68 +277,10 @@ fn drive_observed(
     })
 }
 
-/// Drives one session to exhaustion: decode → engine step → stamped work
-/// item, then closes the engine and simulates the isolated-hardware
-/// baseline. The produced masks are identical to a standalone
-/// [`run_segmentation`](vr_dann::VrDann::run_segmentation) call; serving
-/// changes *when* work runs, never *what* it computes.
-///
-/// # Errors
-/// Propagates bitstream decode errors and engine reconstruction failures.
-pub fn drive_session(
-    model: &VrDann,
-    session: usize,
-    seq: &Sequence,
-    encoded: &EncodedVideo,
-    spec: &SessionSpec,
-    sim: &SimConfig,
-) -> Result<DrivenSession> {
-    Ok(drive_template(model, seq, encoded, sim, None)?.instantiate(session, spec))
-}
-
-/// [`drive_session`] that also snapshots a [`SessionCheckpoint`] after
-/// every NN-L anchor — the natural recovery points: each anchor refreshes
-/// the reference window the following B-frames lean on, so restoring at an
-/// anchor bounds the replay to one GOP. The decoder-lane clock of a
-/// snapshot is the hand-over stamp of the anchor's own work item.
-///
-/// # Errors
-/// Propagates bitstream decode errors and engine reconstruction failures.
-pub fn drive_session_checkpointed(
-    model: &VrDann,
-    session: usize,
-    seq: &Sequence,
-    encoded: &EncodedVideo,
-    spec: &SessionSpec,
-    sim: &SimConfig,
-) -> Result<(DrivenSession, Vec<SessionCheckpoint>)> {
-    let mut snapshots = Vec::new();
-    let template = drive_observed(model, seq, encoded, sim, None, |engine, items| {
-        if let Some(anchor) = items.last().filter(|item| item.uses_large_model) {
-            snapshots.push((items.len(), anchor.arrive_idx + 1, engine.checkpoint()?));
-        }
-        Ok(())
-    })?;
-    let driven = template.instantiate(session, spec);
-    let checkpoints = snapshots
-        .into_iter()
-        .map(
-            |(items_emitted, units_consumed, engine)| SessionCheckpoint {
-                items_emitted,
-                units_consumed,
-                decode_clock_ns: driven.items[items_emitted - 1].ready_ns,
-                engine,
-            },
-        )
-        .collect();
-    Ok((driven, checkpoints))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use vr_dann::{ComputeMode, TrainTask, VrDannConfig};
-    use vrd_nn::LargeNet;
     use vrd_video::davis::{davis_sequence, davis_train_suite, SuiteConfig};
 
     fn tiny_model() -> (VrDann, SuiteConfig) {
@@ -400,7 +306,9 @@ mod tests {
             frame_interval_ns: 1e6,
         };
         let sim = SimConfig::default();
-        let driven = drive_session(&model, 0, &seq, &encoded, &spec, &sim).unwrap();
+        let driven = drive_template(&model, &seq, &encoded, &sim, None)
+            .unwrap()
+            .instantiate(0, &spec);
         let solo = model.run_segmentation(&seq, &encoded).unwrap();
         assert_eq!(driven.frames, solo.masks.len());
         assert_eq!(driven.items.len(), solo.trace.frames.len());
@@ -431,9 +339,13 @@ mod tests {
             frame_interval_ns: 1e6,
         };
         let sim = SimConfig::default();
-        let f32_run = drive_session(&model, 0, &seq, &encoded, &spec, &sim).unwrap();
+        let f32_run = drive_template(&model, &seq, &encoded, &sim, None)
+            .unwrap()
+            .instantiate(0, &spec);
         let int8_model = model.clone().with_compute(ComputeMode::Int8);
-        let int8_run = drive_session(&int8_model, 0, &seq, &encoded, &spec, &sim).unwrap();
+        let int8_run = drive_template(&int8_model, &seq, &encoded, &sim, None)
+            .unwrap()
+            .instantiate(0, &spec);
         assert_eq!(f32_run.items, int8_run.items);
         assert_eq!(f32_run.frames, int8_run.frames);
         assert_eq!(f32_run.total_ops, int8_run.total_ops);
@@ -464,106 +376,6 @@ mod tests {
             let laned = drive_template(&model, &seq, &encoded, &sim, Some(pipe)).unwrap();
             assert_eq!(laned, tpl, "scheduler accounting diverged under {pipe:?}");
         }
-    }
-
-    #[test]
-    fn checkpointed_drive_is_identical_and_snapshots_every_anchor() {
-        let (model, cfg) = tiny_model();
-        let seq = davis_sequence("cows", &cfg).unwrap();
-        let encoded = model.encode(&seq).unwrap();
-        let spec = SessionSpec {
-            start_offset_ns: 0.0,
-            frame_interval_ns: 1e6,
-        };
-        let sim = SimConfig::default();
-        let plain = drive_session(&model, 0, &seq, &encoded, &spec, &sim).unwrap();
-        let (driven, ckpts) =
-            drive_session_checkpointed(&model, 0, &seq, &encoded, &spec, &sim).unwrap();
-        assert_eq!(driven, plain, "checkpointing must not perturb the drive");
-        let anchors = plain.items.iter().filter(|i| i.uses_large_model).count();
-        assert_eq!(ckpts.len(), anchors);
-        for w in ckpts.windows(2) {
-            assert!(w[0].items_emitted < w[1].items_emitted);
-            assert!(w[0].units_consumed < w[1].units_consumed);
-            assert!(w[0].decode_clock_ns <= w[1].decode_clock_ns);
-        }
-        for c in &ckpts {
-            assert_eq!(c.engine.frames_emitted(), c.items_emitted);
-        }
-    }
-
-    #[test]
-    fn crash_resume_from_checkpoint_reemits_identical_tail() {
-        // Simulate an NPU crash mid-session: the host rolls the engine
-        // back to the last anchor checkpoint and replays the decode walk
-        // from there. The re-emitted tail must be byte-identical — work
-        // kinds, ops AND decoder-lane stamps.
-        let (model, cfg) = tiny_model();
-        let seq = davis_sequence("dog", &cfg).unwrap();
-        let encoded = model.encode(&seq).unwrap();
-        let spec = SessionSpec {
-            start_offset_ns: 250.0,
-            frame_interval_ns: 1.5e6,
-        };
-        let sim = SimConfig::default();
-        let (straight, ckpts) =
-            drive_session_checkpointed(&model, 2, &seq, &encoded, &spec, &sim).unwrap();
-        assert!(ckpts.len() >= 2, "need a mid-stream anchor to resume from");
-        let ckpt = &ckpts[ckpts.len() / 2];
-        assert!(ckpt.items_emitted < straight.items.len());
-
-        // Re-drive up to the crash point on a live engine, then restore.
-        let mut source = StrictFrameSource::new(&encoded.bitstream).unwrap();
-        let info = source.info();
-        let task = SegTask::new(
-            &seq,
-            LargeNet::new(model.config().segment_profile),
-            model.config().seed,
-            &info,
-        );
-        let mut engine =
-            PipelineEngine::new(model.config(), model.nns(), task, StrictPolicy::default());
-        engine.prime(&info, &[]);
-        for _ in 0..ckpt.units_consumed + 2 {
-            if let Some(unit) = source.next_unit() {
-                engine.step(unit.unwrap()).unwrap();
-            }
-        }
-        engine.restore(&ckpt.engine).unwrap();
-
-        // Recovery walk: fresh source, skip the consumed units, resume the
-        // decoder-lane clock from the snapshot.
-        let mut source = StrictFrameSource::new(&encoded.bitstream).unwrap();
-        for _ in 0..ckpt.units_consumed {
-            source.next_unit().unwrap().unwrap();
-        }
-        let pixels = info.width * info.height;
-        let mut t_decode = ckpt.decode_clock_ns;
-        let mut k = ckpt.units_consumed;
-        let mut tail: Vec<WorkItem> = Vec::new();
-        while let Some(unit) = source.next_unit() {
-            let arrival = spec.start_offset_ns + k as f64 * spec.frame_interval_ns;
-            k += 1;
-            let Some(work) = engine.step(unit.unwrap()).unwrap() else {
-                continue;
-            };
-            t_decode = t_decode.max(arrival) + sim.decode_ns(pixels, work.full_decode).ns;
-            tail.push(WorkItem {
-                session: 2,
-                idx: ckpt.items_emitted + tail.len(),
-                display: work.display,
-                ftype: work.ftype,
-                ops: work.ops,
-                uses_large_model: work.uses_large_model,
-                arrival_ns: arrival,
-                ready_ns: t_decode,
-            });
-        }
-        assert_eq!(tail, straight.items[ckpt.items_emitted..]);
-        let run = engine
-            .finish(source.totals(), source.peak_live_frames())
-            .unwrap();
-        assert_eq!(run.outputs.len(), straight.frames);
     }
 
     #[test]
@@ -604,7 +416,9 @@ mod tests {
             frame_interval_ns: interval,
         };
         let sim = SimConfig::default();
-        let driven = drive_session(&model, 3, &seq, &encoded, &spec, &sim).unwrap();
+        let driven = drive_template(&model, &seq, &encoded, &sim, None)
+            .unwrap()
+            .instantiate(3, &spec);
         for (k, item) in driven.items.iter().enumerate() {
             assert_eq!(item.session, 3);
             assert_eq!(item.idx, k);

@@ -16,7 +16,7 @@ use vrd_codec::MvRecord;
 
 /// Outcome of reconstructing one B-frame.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ReconOutcome {
+pub(crate) struct ReconOutcome {
     /// Completion time (ns, absolute simulation time).
     pub finish_ns: f64,
     /// Segmentation bytes fetched from DRAM.
@@ -44,7 +44,7 @@ fn seg_base(frame: u32, width: usize, height: usize) -> u64 {
 /// available; the returned outcome gives the completion time against the
 /// shared `dram` model.
 #[allow(clippy::too_many_arguments)] // the agent's full operand set: mvs, geometry, policy, models, time
-pub fn reconstruct(
+pub(crate) fn reconstruct(
     mvs: &[MvRecord],
     width: usize,
     height: usize,

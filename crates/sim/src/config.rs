@@ -234,7 +234,7 @@ pub struct SimConfig {
 
 impl SimConfig {
     /// DRAM peak bandwidth in bytes/ns.
-    pub fn dram_bytes_per_ns(&self) -> f64 {
+    pub(crate) fn dram_bytes_per_ns(&self) -> f64 {
         self.dram.burst_bytes as f64 / self.dram.burst_ns
     }
 

@@ -4,7 +4,7 @@
 //! the simulator's NPU and decoder lanes, the serving layer's scheduler,
 //! admission control and fleet placement — asks here: NPU service time per
 //! resident [`Model`] and precision, NN-L ↔ NN-S switch cost, decoder time
-//! per frame. The constants live in [`crate::config`]; no other module
+//! per frame. The constants live in [`SimConfig`]; no other module
 //! combines them into nanoseconds.
 
 use crate::config::SimConfig;

@@ -9,9 +9,9 @@
 //! * a **video decoder** timing model (300 MHz, full-decode vs MV-only) —
 //!   both priced by the one cost model in [`cost`], which the serving
 //!   layer bills through as well;
-//! * a **DDR3** memory model with banks and row buffers ([`Dram`]);
+//! * a **DDR3** memory model with banks and row buffers ([`DramStats`]);
 //! * the **agent unit** — `ip_Q`/`b_Q`, `mv_T`, the 32-wide coalescing unit
-//!   and the `tmp_B` buffers ([`agent`]);
+//!   and the `tmp_B` buffers ([`AgentFootprint`]);
 //! * per-event **energy** accounting and the Fig. 14 **traffic** breakdown.
 //!
 //! Three execution modes reproduce Fig. 7: in-order (baselines),
@@ -35,19 +35,23 @@
 //! # }
 //! ```
 
-pub mod agent;
-pub mod config;
-pub mod cost;
-pub mod dram;
-pub mod report;
-pub mod sched;
-pub mod timeline;
-pub mod traffic;
+#![warn(unreachable_pub)]
 
-pub use agent::{AgentFootprint, ReconOutcome};
-pub use config::{AgentConfig, CostConfig, DecoderConfig, DramConfig, NpuConfig, SimConfig};
-pub use cost::{DecodeCost, Model};
-pub use dram::{Dram, DramStats};
+mod agent;
+mod config;
+pub mod cost;
+mod dram;
+mod report;
+mod sched;
+mod timeline;
+mod traffic;
+
+pub use agent::AgentFootprint;
+pub use config::{
+    AgentConfig, CostConfig, DecoderConfig, DramConfig, NpuConfig, ShardConfig, SimConfig,
+};
+pub use cost::Model;
+pub use dram::DramStats;
 pub use report::{EnergyBreakdown, SimReport, TrafficBreakdown};
-pub use sched::{simulate, simulate_stream, simulate_traced, ExecMode, ParallelOptions, StreamSim};
+pub use sched::{simulate, simulate_stream, simulate_traced, ExecMode, ParallelOptions};
 pub use timeline::{Lane, Span, SpanKind, Timeline};

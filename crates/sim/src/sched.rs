@@ -151,8 +151,8 @@ pub fn simulate_traced(
 }
 
 /// Simulates work items as they stream out of a pipeline run, without ever
-/// holding the whole trace: push each [`TraceFrame`] as it is produced and
-/// [`StreamSim::finish`] when the stream ends.
+/// holding the whole trace: `frames` is consumed one [`TraceFrame`] at a
+/// time.
 pub fn simulate_stream<'a, I>(
     frames: I,
     scheme: vr_dann::SchemeKind,
@@ -198,7 +198,7 @@ fn simulate_impl(
 /// State is O(b_Q): the only frames retained are the B-frames currently
 /// parked in the agent unit's `b_Q` (at most `cfg.agent.b_q_entries`), so a
 /// pipeline can feed the scheduler frame by frame with bounded memory.
-pub struct StreamSim<'a> {
+pub(crate) struct StreamSim<'a> {
     scheme: vr_dann::SchemeKind,
     width: usize,
     height: usize,
@@ -233,7 +233,7 @@ pub struct StreamSim<'a> {
 
 impl<'a> StreamSim<'a> {
     /// Starts a streaming simulation. `record` enables timeline capture.
-    pub fn new(
+    pub(crate) fn new(
         scheme: vr_dann::SchemeKind,
         width: usize,
         height: usize,
@@ -268,7 +268,7 @@ impl<'a> StreamSim<'a> {
     }
 
     /// Feeds the next work item (decode order).
-    pub fn push(&mut self, f: &TraceFrame) {
+    pub(crate) fn push(&mut self, f: &TraceFrame) {
         let cfg = self.machine.cfg;
         // Decoder lane: this frame's decode-completion time.
         let decode = cfg.decode_ns(self.width * self.height, f.full_decode);
@@ -385,7 +385,7 @@ impl<'a> StreamSim<'a> {
     }
 
     /// Ends the stream: drains any parked B-frames and closes the books.
-    pub fn finish(mut self) -> (SimReport, Timeline) {
+    pub(crate) fn finish(mut self) -> (SimReport, Timeline) {
         if let ExecMode::VrDannParallel(opts) = self.mode {
             self.drain_b_q(opts);
         }

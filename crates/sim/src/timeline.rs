@@ -55,7 +55,7 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// One-character glyph used in the Gantt chart.
-    pub fn glyph(self) -> char {
+    pub(crate) fn glyph(self) -> char {
         match self {
             SpanKind::DecodeFull => 'D',
             SpanKind::DecodeMv => 'm',

@@ -13,7 +13,7 @@ use vrd_nn::{FEATURE_CHANNELS, FEATURE_STRIDE, NNL_HEAD_FRACTION};
 
 /// Statically known traffic of one frame (everything except the agent
 /// unit's measured reconstruction fetches).
-pub fn frame_traffic(
+pub(crate) fn frame_traffic(
     f: &TraceFrame,
     width: usize,
     height: usize,

@@ -3,12 +3,9 @@
 //!
 //! The codec and the recognition pipelines operate on single-channel luma
 //! frames. The paper's memory-traffic accounting assumes 24-bit colour
-//! pixels; that constant lives in the simulator ([`BYTES_PER_RAW_PIXEL`]) so
-//! the algorithmic crates can stay single-channel without distorting the
+//! pixels; that accounting lives in the simulator's traffic model so the
+//! algorithmic crates can stay single-channel without distorting the
 //! DRAM-traffic comparison.
-
-/// Bytes per raw decoded pixel assumed by the traffic model (24-bit colour).
-pub const BYTES_PER_RAW_PIXEL: usize = 3;
 
 /// A single-channel 8-bit raster.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -114,14 +114,6 @@ impl Rect {
         self.area() == 0
     }
 
-    /// Centre of the rectangle in continuous coordinates.
-    pub fn center(&self) -> Point {
-        Point::new(
-            (self.x0 + self.x1) as f32 / 2.0,
-            (self.y0 + self.y1) as f32 / 2.0,
-        )
-    }
-
     /// Intersection with `other` (possibly empty).
     pub fn intersect(&self, other: &Rect) -> Rect {
         Rect::new(
@@ -234,7 +226,6 @@ mod tests {
         assert_eq!(r.height(), 5);
         assert_eq!(r.area(), 20);
         assert!(!r.is_empty());
-        assert_eq!(r.center(), Point::new(4.0, 5.5));
         assert!(r.contains(2, 3));
         assert!(!r.contains(6, 3));
     }

@@ -32,23 +32,23 @@
 //! # }
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod davis;
-pub mod frame;
-pub mod geom;
+mod frame;
+mod geom;
 pub mod mask;
-pub mod object;
+mod object;
 pub mod pgm;
-pub mod scene;
-pub mod sequence;
+mod scene;
+mod sequence;
 pub mod texture;
 pub mod vid;
 
-pub use davis::SuiteConfig;
-pub use frame::{Frame, BYTES_PER_RAW_PIXEL};
+pub use frame::Frame;
 pub use geom::{Detection, Point, Rect, Vec2};
-pub use mask::{MaskError, Seg2, Seg2Plane, SegMask, MASK_WORD_BITS};
+pub use mask::{Seg2, Seg2Plane, SegMask, MASK_WORD_BITS};
 pub use object::{Deformation, SceneObject, Shape, Trajectory};
-pub use pgm::{frame_to_pgm, mask_to_pgm, overlay};
 pub use scene::{RenderedFrame, Scene};
 pub use sequence::{Sequence, SpeedClass};
 pub use texture::Texture;

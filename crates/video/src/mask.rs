@@ -13,7 +13,7 @@
 //!
 //! ## Word layout
 //!
-//! Rows are padded to a whole number of words (`words_per_row()`), so every
+//! Rows are padded to a whole number of words, so every
 //! row starts word-aligned and row slices are disjoint — per-row parallelism
 //! stays race-free. Within a word, bit `j` (LSB-first) is pixel
 //! `x = word_index * 64 + j`. Bits past `width` in a row's final word (the
@@ -32,7 +32,7 @@ pub const MASK_WORD_BITS: usize = 64;
 
 /// Validation failure when constructing a mask or plane from raw data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MaskError {
+pub(crate) enum MaskError {
     /// The buffer length does not match `width * height`.
     SizeMismatch {
         /// `width * height` of the requested raster.
@@ -253,7 +253,11 @@ impl SegMask {
     /// Returns [`MaskError::ZeroDimension`] for an empty raster,
     /// [`MaskError::SizeMismatch`] when `data.len() != width * height`, and
     /// [`MaskError::BadValue`] for any byte that is not 0 or 1.
-    pub fn try_from_vec(width: usize, height: usize, data: &[u8]) -> Result<Self, MaskError> {
+    pub(crate) fn try_from_vec(
+        width: usize,
+        height: usize,
+        data: &[u8],
+    ) -> Result<Self, MaskError> {
         if width == 0 || height == 0 {
             return Err(MaskError::ZeroDimension);
         }
@@ -281,8 +285,7 @@ impl SegMask {
     /// Wraps an existing 0/1 buffer.
     ///
     /// # Panics
-    /// Panics on size mismatch or if any value is not 0 or 1; use
-    /// [`SegMask::try_from_vec`] to handle untrusted data.
+    /// Panics on size mismatch or if any value is not 0 or 1.
     pub fn from_vec(width: usize, height: usize, data: Vec<u8>) -> Self {
         match Self::try_from_vec(width, height, &data) {
             Ok(m) => m,
@@ -321,7 +324,7 @@ impl SegMask {
     /// # Panics
     /// Panics if a dimension is zero or `words.len()` is not
     /// `words_per_row * height`.
-    pub fn from_words(width: usize, height: usize, words: Vec<u64>) -> Self {
+    pub(crate) fn from_words(width: usize, height: usize, words: Vec<u64>) -> Self {
         assert!(width > 0 && height > 0, "mask dimensions must be non-zero");
         let words_per_row = width.div_ceil(MASK_WORD_BITS);
         assert_eq!(
@@ -349,20 +352,9 @@ impl SegMask {
         self.plane.height
     }
 
-    /// Words per packed row (rows are word-aligned and disjoint).
-    pub fn words_per_row(&self) -> usize {
-        self.plane.words_per_row
-    }
-
-    /// The packed words, row-major (`words_per_row()` per row).
+    /// The packed words, row-major (`width.div_ceil(64)` per row).
     pub fn words(&self) -> &[u64] {
         &self.plane.words
-    }
-
-    /// Mutable packed words. Writers must keep each row's tail bits (bits at
-    /// or past `width` in its final word) zero.
-    pub fn words_mut(&mut self) -> &mut [u64] {
-        &mut self.plane.words
     }
 
     /// Expands the mask back into a row-major 0/1 byte buffer (the
@@ -506,9 +498,6 @@ impl Seg2 {
             _ => Seg2::White,
         }
     }
-
-    /// The number of hardware bits per pixel of this representation.
-    pub const BITS: usize = 2;
 }
 
 impl std::fmt::Display for Seg2 {
@@ -553,7 +542,11 @@ impl Seg2Plane {
     /// Returns [`MaskError::ZeroDimension`] for an empty raster,
     /// [`MaskError::SizeMismatch`] when `data.len() != width * height`, and
     /// [`MaskError::BadValue`] for any code above 2.
-    pub fn try_from_vec(width: usize, height: usize, data: &[u8]) -> Result<Self, MaskError> {
+    pub(crate) fn try_from_vec(
+        width: usize,
+        height: usize,
+        data: &[u8],
+    ) -> Result<Self, MaskError> {
         if width == 0 || height == 0 {
             return Err(MaskError::ZeroDimension);
         }
@@ -578,12 +571,11 @@ impl Seg2Plane {
         Ok(plane)
     }
 
-    /// Packs a row-major buffer of 2-bit codes (see
-    /// [`Seg2Plane::try_from_vec`]).
+    /// Packs a row-major buffer of 2-bit codes (0 = black, 1 = gray,
+    /// 2 = white — the [`Seg2`] discriminants).
     ///
     /// # Panics
-    /// Panics on size mismatch or a code above 2; use `try_from_vec` to
-    /// handle untrusted data.
+    /// Panics on size mismatch or a code above 2.
     pub fn from_vec(width: usize, height: usize, data: Vec<u8>) -> Self {
         match Self::try_from_vec(width, height, &data) {
             Ok(p) => p,
@@ -601,21 +593,6 @@ impl Seg2Plane {
     /// Plane height in pixels.
     pub fn height(&self) -> usize {
         self.white.height
-    }
-
-    /// Words per packed row (shared by both bitplanes).
-    pub fn words_per_row(&self) -> usize {
-        self.white.words_per_row
-    }
-
-    /// The packed white plane (both references foreground), row-major.
-    pub fn white_words(&self) -> &[u64] {
-        &self.white.words
-    }
-
-    /// The packed gray plane (references disagreed), row-major.
-    pub fn gray_words(&self) -> &[u64] {
-        &self.gray.words
     }
 
     /// Value at `(x, y)`.
@@ -720,24 +697,6 @@ impl Seg2Plane {
                 }
             }
         }
-    }
-
-    /// Expands the plane into row-major [`Seg2`] values (the pre-packing
-    /// representation; mostly for reference kernels and tests).
-    pub fn to_seg2_vec(&self) -> Vec<Seg2> {
-        let (w, h) = (self.width(), self.height());
-        let mut out = Vec::with_capacity(w * h);
-        for y in 0..h {
-            for x in 0..w {
-                out.push(self.get(x, y));
-            }
-        }
-        out
-    }
-
-    /// Storage size in bits (2 bits per pixel, as in the tmp_B buffers).
-    pub fn storage_bits(&self) -> usize {
-        self.width() * self.height() * Seg2::BITS
     }
 }
 
@@ -869,12 +828,10 @@ mod tests {
             Err(MaskError::BadValue { index: 3, value: 3 })
         );
         let p = Seg2Plane::try_from_vec(2, 2, &[0, 1, 2, 0]).unwrap();
+        assert_eq!(p.get(0, 0), Seg2::Black);
         assert_eq!(p.get(1, 0), Seg2::Gray);
         assert_eq!(p.get(0, 1), Seg2::White);
-        assert_eq!(
-            p.to_seg2_vec(),
-            vec![Seg2::Black, Seg2::Gray, Seg2::White, Seg2::Black]
-        );
+        assert_eq!(p.get(1, 1), Seg2::Black);
     }
 
     #[test]
@@ -887,7 +844,7 @@ mod tests {
     fn packing_crosses_word_boundaries() {
         // 100 columns: each row spans two words with a 36-bit tail.
         let mut m = SegMask::new(100, 3);
-        assert_eq!(m.words_per_row(), 2);
+        assert_eq!(m.words().len(), 2 * 3);
         m.set(63, 1, 1);
         m.set(64, 1, 1);
         m.set(99, 2, 1);
@@ -948,11 +905,10 @@ mod tests {
     }
 
     #[test]
-    fn seg2_plane_threshold_and_storage() {
+    fn seg2_plane_threshold_and_disjointness() {
         let mut p = Seg2Plane::new(3, 2);
         p.set(0, 0, Seg2::White);
         p.set(1, 0, Seg2::Gray);
-        assert_eq!(p.storage_bits(), 12);
         let strict = p.to_mask(false);
         assert_eq!(strict.count_ones(), 1);
         let lenient = p.to_mask(true);

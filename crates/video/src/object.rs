@@ -41,7 +41,7 @@ pub enum Shape {
 
 impl Shape {
     /// Whether the object-local point is inside the silhouette.
-    pub fn contains_local(&self, x: f32, y: f32) -> bool {
+    pub(crate) fn contains_local(&self, x: f32, y: f32) -> bool {
         match *self {
             Shape::Ellipse { rx, ry } => {
                 let (rx, ry) = (rx.max(0.5), ry.max(0.5));
@@ -62,7 +62,7 @@ impl Shape {
     }
 
     /// Radius of a circle guaranteed to contain the unscaled silhouette.
-    pub fn bounding_radius(&self) -> f32 {
+    pub(crate) fn bounding_radius(&self) -> f32 {
         match *self {
             Shape::Ellipse { rx, ry } => rx.max(ry),
             Shape::Box { hw, hh } => (hw * hw + hh * hh).sqrt(),
@@ -175,7 +175,7 @@ impl Trajectory {
 
     /// Mean per-frame displacement magnitude over `n` frames, used to
     /// classify sequences into the paper's fast/medium/slow groups.
-    pub fn mean_speed(&self, n: usize) -> f32 {
+    pub(crate) fn mean_speed(&self, n: usize) -> f32 {
         let n = n.max(2);
         let mut total = 0.0;
         for t in 1..n {

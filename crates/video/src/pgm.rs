@@ -13,17 +13,13 @@ use crate::mask::SegMask;
 ///
 /// # Example
 /// ```
-/// use vrd_video::pgm::{frame_to_pgm, parse_pgm_header};
+/// use vrd_video::pgm::frame_to_pgm;
 /// use vrd_video::Frame;
 ///
-/// # fn main() -> Result<(), String> {
-/// let frame = Frame::new(16, 8);
-/// let pgm = frame_to_pgm(&frame);
-/// let (w, h, offset) = parse_pgm_header(&pgm)?;
-/// assert_eq!((w, h), (16, 8));
-/// assert_eq!(pgm.len() - offset, 16 * 8);
-/// # Ok(())
-/// # }
+/// let pgm = frame_to_pgm(&Frame::new(16, 8));
+/// let header = b"P5\n16 8\n255\n";
+/// assert!(pgm.starts_with(header));
+/// assert_eq!(pgm.len() - header.len(), 16 * 8);
 /// ```
 pub fn frame_to_pgm(frame: &Frame) -> Vec<u8> {
     let mut out = format!("P5\n{} {}\n255\n", frame.width(), frame.height()).into_bytes();
@@ -69,47 +65,6 @@ pub fn overlay(frame: &Frame, mask: &SegMask) -> Frame {
     out
 }
 
-/// Parses the header of a binary PGM produced by this module, returning
-/// `(width, height, pixel_offset)`.
-///
-/// # Errors
-/// Returns a message for non-P5 input or malformed headers.
-pub fn parse_pgm_header(data: &[u8]) -> Result<(usize, usize, usize), String> {
-    // Tokenise raw bytes: the header is ASCII but is followed immediately by
-    // binary pixel data, so a UTF-8 view of a fixed prefix would fail.
-    let mut pos = 0usize;
-    let mut token = || -> Result<&[u8], String> {
-        while pos < data.len() && data[pos].is_ascii_whitespace() {
-            pos += 1;
-        }
-        let start = pos;
-        while pos < data.len() && !data[pos].is_ascii_whitespace() {
-            pos += 1;
-        }
-        if start == pos {
-            return Err("truncated header".into());
-        }
-        Ok(&data[start..pos])
-    };
-    if token()? != b"P5" {
-        return Err("not a binary PGM (P5)".into());
-    }
-    let parse = |t: &[u8]| -> Result<usize, String> {
-        std::str::from_utf8(t)
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| "non-numeric header field".into())
-    };
-    let w = parse(token()?)?;
-    let h = parse(token()?)?;
-    let maxval = parse(token()?)?;
-    if maxval != 255 {
-        return Err(format!("unsupported maxval {maxval}"));
-    }
-    // Pixels start after exactly one whitespace byte following the maxval.
-    Ok((w, h, pos + 1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,9 +75,9 @@ mod tests {
         let mut f = Frame::new(6, 4);
         f.set(2, 1, 200);
         let pgm = frame_to_pgm(&f);
-        let (w, h, off) = parse_pgm_header(&pgm).unwrap();
-        assert_eq!((w, h), (6, 4));
-        assert_eq!(&pgm[off..], f.as_slice());
+        let header = b"P5\n6 4\n255\n";
+        assert!(pgm.starts_with(header));
+        assert_eq!(&pgm[header.len()..], f.as_slice());
     }
 
     #[test]
@@ -130,8 +85,7 @@ mod tests {
         let mut m = SegMask::new(4, 4);
         m.fill_rect(Rect::new(1, 1, 3, 3));
         let pgm = mask_to_pgm(&m);
-        let (_, _, off) = parse_pgm_header(&pgm).unwrap();
-        let px = &pgm[off..];
+        let px = &pgm[b"P5\n4 4\n255\n".len()..];
         assert!(px.iter().all(|&v| v == 0 || v == 255));
         assert_eq!(px.iter().filter(|&&v| v == 255).count(), 4);
     }
@@ -146,11 +100,5 @@ mod tests {
         assert_eq!(o.get(2, 2), 255);
         assert_eq!(o.get(3, 3), 0);
         assert_eq!(o.get(0, 0), 0);
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert!(parse_pgm_header(b"JFIF....").is_err());
-        assert!(parse_pgm_header(b"P5\nxx").is_err());
     }
 }

@@ -149,7 +149,7 @@ impl Scene {
     }
 
     /// Mean per-frame object speed (pixels/frame), averaged over objects.
-    pub fn mean_object_speed(&self, n_frames: usize) -> f32 {
+    pub(crate) fn mean_object_speed(&self, n_frames: usize) -> f32 {
         if self.objects.is_empty() {
             return 0.0;
         }
@@ -162,7 +162,7 @@ impl Scene {
     }
 
     /// Maximum deformation intensity across objects (0 = all rigid).
-    pub fn deformation_intensity(&self) -> f32 {
+    pub(crate) fn deformation_intensity(&self) -> f32 {
         self.objects
             .iter()
             .map(|o| o.deformation.intensity())

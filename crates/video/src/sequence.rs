@@ -24,7 +24,7 @@ pub enum SpeedClass {
 impl SpeedClass {
     /// Classifies a normalised object speed (pixels/frame at the reference
     /// 160-pixel-wide canvas).
-    pub fn from_speed(speed: f32) -> Self {
+    pub(crate) fn from_speed(speed: f32) -> Self {
         if speed < 1.0 {
             SpeedClass::Slow
         } else if speed < 2.4 {

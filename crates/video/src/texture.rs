@@ -24,7 +24,7 @@ pub fn hash2(x: i64, y: i64, seed: u64) -> u64 {
 
 /// Uniform `[0, 1)` noise derived from [`hash2`].
 #[inline]
-pub fn noise01(x: i64, y: i64, seed: u64) -> f32 {
+pub(crate) fn noise01(x: i64, y: i64, seed: u64) -> f32 {
     (hash2(x, y, seed) >> 40) as f32 / (1u64 << 24) as f32
 }
 

@@ -18,6 +18,8 @@
 //! The runnable examples live in this crate:
 //! `cargo run --release --example quickstart`.
 
+#![warn(unreachable_pub)]
+
 pub use vr_dann;
 pub use vrd_bench;
 pub use vrd_codec;
