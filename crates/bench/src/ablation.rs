@@ -5,10 +5,10 @@
 //! Architecture ablations (hardware side): MV coalescing, lagged queue
 //! switching, number of `tmp_B` buffers.
 
-use crate::context::{parallel_map, Context};
+use crate::context::Context;
 use crate::table::{fmt_score, fmt_x, Table};
-use vr_dann::{ReconConfig, TrainTask, VrDannConfig};
-use vrd_metrics::{mean_scores, SegScores};
+use vr_dann::{ReconConfig, VrDannConfig};
+use vrd_metrics::SegScores;
 use vrd_sim::{simulate, ExecMode, ParallelOptions};
 
 /// One accuracy-ablation row.
@@ -41,17 +41,9 @@ pub(crate) struct Ablation {
 }
 
 fn accuracy_of(ctx: &Context, label: &str, cfg: VrDannConfig) -> AccuracyRow {
-    let model = ctx.train_variant(cfg, TrainTask::Segmentation);
-    let scores = parallel_map(&ctx.davis, |seq| {
-        let encoded = model.encode(seq).expect("ablation sequences encode");
-        let run = model
-            .run_segmentation(seq, &encoded)
-            .expect("ablation sequences segment");
-        ctx.score(seq, &run.masks)
-    });
     AccuracyRow {
         label: label.to_string(),
-        scores: mean_scores(&scores),
+        scores: ctx.mean_accuracy(&ctx.evaluate(cfg)),
     }
 }
 
@@ -97,8 +89,8 @@ pub(crate) fn run(ctx: &Context) -> Ablation {
         ),
     ];
 
-    // Architecture: reuse the default model's traces.
-    let traces: Vec<_> = parallel_map(&ctx.davis, |seq| ctx.run_vrdann(seq).1.trace);
+    // Architecture: the default model's suite traces.
+    let traces: Vec<_> = ctx.suite().iter().map(|(_, run)| &run.trace).collect();
     let variants: Vec<(&str, ParallelOptions)> = vec![
         ("full architecture", ParallelOptions::default()),
         (
@@ -206,12 +198,10 @@ impl Ablation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::Scale;
 
     #[test]
     fn ablations_quick_show_each_mechanism_matters() {
-        let ctx = Context::new(Scale::Quick);
-        let ab = run(&ctx);
+        let ab = run(crate::context::quick());
         let iou = |label: &str| {
             ab.accuracy
                 .iter()

@@ -363,12 +363,11 @@ impl ChaosBench {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::Scale;
 
     #[test]
     fn chaos_quick_gates_hold_and_reports_render() {
-        let ctx = Context::new(Scale::Quick);
-        let sweep = run_sessions(&ctx, &[1, 4]);
+        let ctx = crate::context::quick();
+        let sweep = run_sessions(ctx, &[1, 4]);
         assert_eq!(sweep.rows.len(), 2);
 
         // Every acceptance gate holds at quick scale — the same predicate
@@ -401,7 +400,7 @@ mod tests {
         assert!(restore.session_restores > 0);
 
         // Deterministic: a rerun over the same context is byte-identical.
-        let again = run_sessions(&ctx, &[1, 4]);
+        let again = run_sessions(ctx, &[1, 4]);
         assert_eq!(sweep.to_json(), again.to_json());
 
         let text = sweep.render();

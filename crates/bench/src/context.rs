@@ -1,15 +1,23 @@
-//! Shared experiment context: suites, trained models and common runners.
+//! Shared experiment context: suites, the trained model and the suite's
+//! runs.
 //!
 //! One invocation builds a [`Context`] at most once (training NN-S is the
-//! expensive part) and every named experiment runs its sweep on it.
-//! [`Scale::Quick`] shrinks the canvas, the sequence count and the training
-//! set so tests and CI runs stay fast; [`Scale::Full`] is the paper-scale configuration every
-//! number in `EXPERIMENTS.md` was produced with.
+//! expensive part) and every named experiment runs its sweep on it. The
+//! context also evaluates the suite at most once: VR-DANN under the default
+//! model and the FAVOS, OSVOS and DFF baselines on the same bitstreams are
+//! each run on first use and read by every figure afterwards, and the
+//! default configuration is never retrained. [`Scale::Quick`] shrinks the
+//! canvas, the sequence count and the training set so tests and CI runs stay
+//! fast; [`Scale::Full`] is the paper-scale configuration every number in
+//! `EXPERIMENTS.md` was produced with.
 
-use vr_dann::{ComputeMode, SegmentationRun, TrainTask, VrDann, VrDannConfig};
+use std::borrow::Cow;
+use std::sync::OnceLock;
+use vr_dann::baselines::{run_dff, run_favos, run_osvos, DFF_KEY_INTERVAL};
+use vr_dann::{SegmentationRun, TrainTask, VrDann, VrDannConfig};
 use vrd_codec::EncodedVideo;
-use vrd_metrics::{score_sequence, SegScores};
-use vrd_sim::{ExecMode, ParallelOptions, SimConfig, SimReport};
+use vrd_metrics::{mean_scores, score_sequence, SegScores};
+use vrd_sim::SimConfig;
 use vrd_video::davis::{davis_train_suite, davis_val_suite, SuiteConfig};
 use vrd_video::vid::vid_val_suite;
 use vrd_video::Sequence;
@@ -57,6 +65,9 @@ impl Scale {
     }
 }
 
+/// One suite sequence's bitstream and the VR-DANN run over it.
+pub(crate) type Evaluated = (EncodedVideo, SegmentationRun);
+
 /// Shared state across one experiment run.
 pub struct Context {
     /// The experiment scale.
@@ -69,22 +80,19 @@ pub struct Context {
     pub davis: Vec<Sequence>,
     /// A segmentation-trained pipeline at the default codec settings.
     pub model: VrDann,
+    suite: OnceLock<Vec<Evaluated>>,
+    favos: OnceLock<Vec<SegmentationRun>>,
+    osvos: OnceLock<Vec<SegmentationRun>>,
+    dff: OnceLock<Vec<SegmentationRun>>,
 }
 
 impl Context {
     /// Builds the context: generates suites and trains NN-S (the slow step).
     pub fn new(scale: Scale) -> Self {
-        Self::new_with(scale, ComputeMode::F32Reference)
-    }
-
-    /// [`Context::new`] with an explicit NN-S compute mode — training is
-    /// mode-independent (always f32), only inference switches paths.
-    pub(crate) fn new_with(scale: Scale, compute: ComputeMode) -> Self {
         let suite_cfg = scale.suite_config();
         let train = davis_train_suite(&suite_cfg, scale.train_sequences());
         let model = VrDann::train(&train, TrainTask::Segmentation, VrDannConfig::default())
-            .expect("training the default pipeline succeeds")
-            .with_compute(compute);
+            .expect("training the default pipeline succeeds");
         let mut davis = davis_val_suite(&suite_cfg);
         davis.truncate(scale.val_sequences());
         Self {
@@ -93,14 +101,23 @@ impl Context {
             sim: SimConfig::default(),
             davis,
             model,
+            suite: OnceLock::new(),
+            favos: OnceLock::new(),
+            osvos: OnceLock::new(),
+            dff: OnceLock::new(),
         }
     }
 
-    /// Trains a pipeline with non-default settings (codec sweeps retrain
-    /// NN-S because the motion vectors change with the encoder).
-    pub(crate) fn train_variant(&self, cfg: VrDannConfig, task: TrainTask) -> VrDann {
+    /// A segmentation pipeline trained with `cfg` (codec sweeps retrain
+    /// NN-S because the motion vectors change with the encoder). Training
+    /// is deterministic, so the default configuration is the shared model.
+    pub(crate) fn train_variant(&self, cfg: VrDannConfig) -> VrDann {
+        if cfg == *self.model.config() {
+            return self.model.clone();
+        }
         let train = davis_train_suite(&self.suite_cfg, self.scale.train_sequences());
-        VrDann::train(&train, task, cfg).expect("training a sweep variant succeeds")
+        VrDann::train(&train, TrainTask::Segmentation, cfg)
+            .expect("training a sweep variant succeeds")
     }
 
     /// The VID-like detection suite of this scale.
@@ -121,29 +138,31 @@ impl Context {
             .expect("training the detection pipeline succeeds")
     }
 
-    /// Runs VR-DANN segmentation on one sequence (encoding included).
-    pub(crate) fn run_vrdann(&self, seq: &Sequence) -> (EncodedVideo, SegmentationRun) {
-        let encoded = self.model.encode(seq).expect("suite sequences encode");
-        let run = self
-            .model
-            .run_segmentation(seq, &encoded)
-            .expect("suite sequences segment");
-        (encoded, run)
+    /// The default model over [`Context::davis`], suite order: each
+    /// sequence's bitstream and VR-DANN run, evaluated on first use.
+    pub(crate) fn suite(&self) -> &[Evaluated] {
+        self.suite.get_or_init(|| self.run_suite(&self.model))
     }
 
-    /// Runs VR-DANN segmentation over a whole suite as one batch through
-    /// the pipeline's multi-sequence serving entry point
-    /// ([`VrDann::run_segmentation_batch`]). Results are in suite order and
-    /// identical to per-sequence [`Context::run_vrdann`] calls.
-    pub(crate) fn run_vrdann_batch(
-        &self,
-        seqs: &[Sequence],
-    ) -> Vec<(EncodedVideo, SegmentationRun)> {
-        let encoded: Vec<EncodedVideo> = parallel_map(seqs, |seq| {
-            self.model.encode(seq).expect("suite sequences encode")
+    /// Evaluates a pipeline configuration over the suite: the cached
+    /// [`Context::suite`] for the default configuration, otherwise a
+    /// freshly trained variant encoding and segmenting every sequence.
+    pub(crate) fn evaluate(&self, cfg: VrDannConfig) -> Cow<'_, [Evaluated]> {
+        if cfg == *self.model.config() {
+            Cow::Borrowed(self.suite())
+        } else {
+            Cow::Owned(self.run_suite(&self.train_variant(cfg)))
+        }
+    }
+
+    /// Encodes every suite sequence with `model` and serves the suite as
+    /// one batch through [`VrDann::run_segmentation_batch`].
+    fn run_suite(&self, model: &VrDann) -> Vec<Evaluated> {
+        let encoded = parallel_map(&self.davis, |seq| {
+            model.encode(seq).expect("suite sequences encode")
         });
-        let jobs: Vec<(&Sequence, &EncodedVideo)> = seqs.iter().zip(encoded.iter()).collect();
-        let runs = self.model.run_segmentation_batch(&jobs);
+        let jobs: Vec<(&Sequence, &EncodedVideo)> = self.davis.iter().zip(&encoded).collect();
+        let runs = model.run_segmentation_batch(&jobs);
         encoded
             .into_iter()
             .zip(runs)
@@ -151,37 +170,54 @@ impl Context {
             .collect()
     }
 
-    /// Simulates a trace on the default parallel architecture (fed through
-    /// the streaming scheduler entry point).
-    pub(crate) fn sim_parallel(&self, trace: &vr_dann::SchemeTrace) -> SimReport {
-        vrd_sim::simulate_stream(
-            trace.frames.iter(),
-            trace.scheme,
-            trace.width,
-            trace.height,
-            trace.mb_size,
-            ExecMode::VrDannParallel(ParallelOptions::default()),
-            &self.sim,
-        )
+    /// FAVOS (seed 1) on the suite's bitstreams, suite order.
+    pub(crate) fn favos(&self) -> &[SegmentationRun] {
+        self.baseline(&self.favos, |seq, encoded| run_favos(seq, encoded, 1))
     }
 
-    /// Simulates a trace in order (baselines), fed through the streaming
-    /// scheduler entry point.
-    pub(crate) fn sim_in_order(&self, trace: &vr_dann::SchemeTrace) -> SimReport {
-        vrd_sim::simulate_stream(
-            trace.frames.iter(),
-            trace.scheme,
-            trace.width,
-            trace.height,
-            trace.mb_size,
-            ExecMode::InOrder,
-            &self.sim,
-        )
+    /// OSVOS (seed 1) on the suite's bitstreams, suite order.
+    pub(crate) fn osvos(&self) -> &[SegmentationRun] {
+        self.baseline(&self.osvos, |seq, encoded| run_osvos(seq, encoded, 1))
+    }
+
+    /// DFF (key interval [`DFF_KEY_INTERVAL`], seed 1) on the suite's
+    /// bitstreams, suite order.
+    pub(crate) fn dff(&self) -> &[SegmentationRun] {
+        self.baseline(&self.dff, |seq, encoded| {
+            run_dff(seq, encoded, DFF_KEY_INTERVAL, 1)
+        })
+    }
+
+    fn baseline<'a>(
+        &'a self,
+        cell: &'a OnceLock<Vec<SegmentationRun>>,
+        run: fn(&Sequence, &EncodedVideo) -> SegmentationRun,
+    ) -> &'a [SegmentationRun] {
+        cell.get_or_init(|| {
+            let jobs: Vec<(&Sequence, &EncodedVideo)> = self
+                .davis
+                .iter()
+                .zip(self.suite())
+                .map(|(seq, (encoded, _))| (seq, encoded))
+                .collect();
+            parallel_map(&jobs, |(seq, encoded)| run(seq, encoded))
+        })
     }
 
     /// Scores a mask sequence against ground truth.
     pub fn score(&self, seq: &Sequence, masks: &[vrd_video::SegMask]) -> SegScores {
         score_sequence(masks, &seq.gt_masks)
+    }
+
+    /// Suite-mean accuracy of `runs` (one per suite sequence, suite order).
+    pub(crate) fn mean_accuracy(&self, runs: &[Evaluated]) -> SegScores {
+        let scores: Vec<SegScores> = self
+            .davis
+            .iter()
+            .zip(runs)
+            .map(|(seq, (_, run))| self.score(seq, &run.masks))
+            .collect();
+        mean_scores(&scores)
     }
 }
 
@@ -190,20 +226,45 @@ impl Context {
 // `crate::context::parallel_map` imports.
 pub(crate) use vrd_runtime::parallel_map;
 
+/// The quick-scale context every unit test of this crate shares: trained,
+/// and its suite evaluated, once per test binary.
+#[cfg(test)]
+pub(crate) fn quick() -> &'static Context {
+    static QUICK: OnceLock<Context> = OnceLock::new();
+    QUICK.get_or_init(|| Context::new(Scale::Quick))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vrd_sim::{simulate, ExecMode, ParallelOptions};
 
     #[test]
     fn quick_context_builds_and_runs() {
-        let ctx = Context::new(Scale::Quick);
+        let ctx = quick();
         assert_eq!(ctx.davis.len(), 6);
-        let (encoded, run) = ctx.run_vrdann(&ctx.davis[0]);
+        let (encoded, run) = &ctx.suite()[0];
         assert_eq!(run.masks.len(), ctx.davis[0].len());
         assert!(encoded.stats.b_frames > 0);
-        let report = ctx.sim_parallel(&run.trace);
+        let report = simulate(
+            &run.trace,
+            ExecMode::VrDannParallel(ParallelOptions::default()),
+            &ctx.sim,
+        );
         assert!(report.fps > 0.0);
         let scores = ctx.score(&ctx.davis[0], &run.masks);
         assert!(scores.iou > 0.3);
+    }
+
+    #[test]
+    fn the_default_configuration_reads_the_cached_suite() {
+        let ctx = quick();
+        let evaluated = ctx.evaluate(VrDannConfig::default());
+        assert!(matches!(evaluated, Cow::Borrowed(_)));
+        assert!(std::ptr::eq(&evaluated[..], ctx.suite()));
+        assert_eq!(ctx.favos().len(), ctx.davis.len());
+        for ((seq, (encoded, _)), favos) in ctx.davis.iter().zip(ctx.suite()).zip(ctx.favos()) {
+            assert_eq!(favos.trace, run_favos(seq, encoded, 1).trace);
+        }
     }
 }

@@ -6,8 +6,7 @@
 
 use crate::context::{parallel_map, Context};
 use crate::table::{fmt_x, Table};
-use vr_dann::baselines::{run_dff, run_favos, DFF_KEY_INTERVAL};
-use vr_dann::{FeatPropTask, RunInput};
+use vr_dann::{FeatPropTask, RunInput, SegmentationRun};
 use vrd_sim::{simulate, ExecMode, ParallelOptions};
 
 /// One scheme's position: speed/efficiency vs FAVOS, plus the accuracy and
@@ -40,35 +39,38 @@ pub(crate) struct FeatPropBench {
 
 /// Runs the suite experiment.
 pub(crate) fn run(ctx: &Context) -> FeatPropBench {
-    let per_video = parallel_map(&ctx.davis, |seq| {
-        let (encoded, vr) = ctx.run_vrdann(seq);
-        let fp: vr_dann::SegmentationRun = ctx
+    let jobs: Vec<_> = ctx
+        .davis
+        .iter()
+        .zip(ctx.suite())
+        .zip(ctx.favos().iter().zip(ctx.dff()))
+        .collect();
+    let per_video = parallel_map(&jobs, |((seq, (encoded, vr)), (favos, dff))| {
+        let fp: SegmentationRun = ctx
             .model
-            .run::<FeatPropTask>(seq, RunInput::Strict(&encoded), None)
+            .run::<FeatPropTask>(seq, RunInput::Strict(encoded), None)
             .expect("suite sequences propagate in feature space")
             .into();
-        let favos = run_favos(seq, &encoded, 1);
-        let dff = run_dff(seq, &encoded, DFF_KEY_INTERVAL, 1);
-
-        let favos_sim = ctx.sim_in_order(&favos.trace);
+        let in_order = |run: &SegmentationRun| simulate(&run.trace, ExecMode::InOrder, &ctx.sim);
+        let favos_sim = in_order(favos);
         let favos_ops = favos.trace.total_ops().max(1) as f64;
-        let point = |r: &vrd_sim::SimReport, run: &vr_dann::SegmentationRun| SchemePoint {
+        let point = |r: &vrd_sim::SimReport, run: &SegmentationRun| SchemePoint {
             performance: favos_sim.total_ns / r.total_ns,
             energy: favos_sim.energy.total_mj() / r.energy.total_mj(),
             iou: ctx.score(seq, &run.masks).iou,
             npu_load: run.trace.total_ops() as f64 / favos_ops,
         };
         (
-            point(&favos_sim, &favos),
-            point(&ctx.sim_in_order(&dff.trace), &dff),
-            point(&ctx.sim_in_order(&fp.trace), &fp),
+            point(&favos_sim, favos),
+            point(&in_order(dff), dff),
+            point(&in_order(&fp), &fp),
             point(
                 &simulate(
                     &vr.trace,
                     ExecMode::VrDannParallel(ParallelOptions::default()),
                     &ctx.sim,
                 ),
-                &vr,
+                vr,
             ),
         )
     });
@@ -137,12 +139,10 @@ impl FeatPropBench {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::Scale;
 
     #[test]
     fn featprop_quick_sits_between_dff_and_vrdann() {
-        let ctx = Context::new(Scale::Quick);
-        let b = run(&ctx);
+        let b = run(crate::context::quick());
         // Performance: head-only B-frames beat DFF's FlowNet warps but a
         // quarter of NN-L per B-frame cannot touch VR-DANN's tiny NN-S.
         assert!(b.featprop.performance > b.dff.performance);

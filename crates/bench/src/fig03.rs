@@ -92,12 +92,11 @@ impl Fig03 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::Scale;
 
     #[test]
     fn fig03_quick_produces_paper_shape() {
-        let ctx = Context::new(Scale::Quick);
-        let fig = run(&ctx);
+        let ctx = crate::context::quick();
+        let fig = run(ctx);
         assert_eq!(fig.rows.len(), ctx.davis.len());
         assert!(fig.mean_b_ratio > 0.2 && fig.mean_b_ratio < 0.85);
         // Up to 7 references (never more, per the auto search interval).

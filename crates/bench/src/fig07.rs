@@ -8,7 +8,6 @@
 //! the agent lane.
 
 use crate::context::Context;
-use vr_dann::baselines::run_favos;
 use vrd_sim::{simulate_traced, ExecMode, ParallelOptions, SimReport, Timeline};
 
 /// One scheme's traced execution.
@@ -33,9 +32,8 @@ pub(crate) struct Fig07 {
 
 /// Runs the experiment on the given suite sequence (by index).
 pub(crate) fn run(ctx: &Context, seq_index: usize) -> Fig07 {
-    let seq = &ctx.davis[seq_index.min(ctx.davis.len() - 1)];
-    let (encoded, vr) = ctx.run_vrdann(seq);
-    let favos = run_favos(seq, &encoded, 1);
+    let i = seq_index.min(ctx.davis.len() - 1);
+    let (vr, favos) = (&ctx.suite()[i].1, &ctx.favos()[i]);
     let mut runs = Vec::new();
     for (label, trace, mode) in [
         ("FAVOS", &favos.trace, ExecMode::InOrder),
@@ -54,7 +52,7 @@ pub(crate) fn run(ctx: &Context, seq_index: usize) -> Fig07 {
         });
     }
     Fig07 {
-        sequence: seq.name.clone(),
+        sequence: ctx.davis[i].name.clone(),
         runs,
     }
 }
@@ -89,12 +87,10 @@ impl Fig07 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::Scale;
 
     #[test]
     fn fig07_quick_shows_the_three_schedules() {
-        let ctx = Context::new(Scale::Quick);
-        let fig = run(&ctx, 0);
+        let fig = run(crate::context::quick(), 0);
         assert_eq!(fig.runs.len(), 3);
         // Parallel fastest, FAVOS slowest.
         assert!(fig.runs[2].report.total_ns <= fig.runs[1].report.total_ns);

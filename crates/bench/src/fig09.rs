@@ -1,8 +1,7 @@
 //! Fig. 9: per-video segmentation accuracy, FAVOS vs VR-DANN.
 
-use crate::context::{parallel_map, Context};
+use crate::context::Context;
 use crate::table::{fmt_score, Table};
-use vr_dann::baselines::run_favos;
 use vrd_metrics::SegScores;
 
 /// One video's scores.
@@ -25,18 +24,17 @@ pub(crate) struct Fig09 {
 
 /// Runs the experiment.
 pub(crate) fn run(ctx: &Context) -> Fig09 {
-    // The whole suite is served as one batch through the pipeline engine;
-    // FAVOS and the scoring then fan out per video.
-    let vr_runs = ctx.run_vrdann_batch(&ctx.davis);
-    let per_video: Vec<_> = ctx.davis.iter().zip(vr_runs).collect();
-    let rows = parallel_map(&per_video, |(seq, (encoded, vr))| {
-        let favos = run_favos(seq, encoded, 1);
-        Fig09Row {
+    let rows = ctx
+        .davis
+        .iter()
+        .zip(ctx.suite())
+        .zip(ctx.favos())
+        .map(|((seq, (_, vr)), favos)| Fig09Row {
             name: seq.name.clone(),
             favos: ctx.score(seq, &favos.masks),
             vrdann: ctx.score(seq, &vr.masks),
-        }
-    });
+        })
+        .collect();
     Fig09 { rows }
 }
 
@@ -71,12 +69,11 @@ impl Fig09 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::Scale;
 
     #[test]
     fn fig09_quick_matches_on_most_videos() {
-        let ctx = Context::new(Scale::Quick);
-        let fig = run(&ctx);
+        let ctx = crate::context::quick();
+        let fig = run(ctx);
         assert_eq!(fig.rows.len(), ctx.davis.len());
         // VR-DANN matches FAVOS on the bulk of the suite (the paper's
         // claim), with at most a few problem videos: those trailing FAVOS by

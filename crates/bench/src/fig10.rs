@@ -1,9 +1,9 @@
 //! Fig. 10: suite-averaged segmentation accuracy of OSVOS, DFF, FAVOS and
 //! VR-DANN.
 
-use crate::context::{parallel_map, Context};
+use crate::context::Context;
 use crate::table::{fmt_score, Table};
-use vr_dann::baselines::{run_dff, run_favos, run_osvos, DFF_KEY_INTERVAL};
+use vr_dann::SegmentationRun;
 use vrd_metrics::{boundary_f_sequence, mean_scores, SegScores};
 
 /// Tolerance (pixels) of the contour F-measure.
@@ -33,44 +33,35 @@ pub(crate) struct Fig10 {
     pub vrdann: SchemeScores,
 }
 
+/// Suite-averaged scores of one scheme's runs (suite order).
+fn scheme_scores<'a>(
+    ctx: &Context,
+    runs: impl Iterator<Item = &'a SegmentationRun>,
+) -> SchemeScores {
+    let picked: Vec<(SegScores, f64)> = ctx
+        .davis
+        .iter()
+        .zip(runs)
+        .map(|(seq, run)| {
+            (
+                ctx.score(seq, &run.masks),
+                boundary_f_sequence(&run.masks, &seq.gt_masks, CONTOUR_TOLERANCE),
+            )
+        })
+        .collect();
+    SchemeScores {
+        pixel: mean_scores(&picked.iter().map(|p| p.0).collect::<Vec<_>>()),
+        contour_f: picked.iter().map(|p| p.1).sum::<f64>() / picked.len().max(1) as f64,
+    }
+}
+
 /// Runs the experiment.
 pub(crate) fn run(ctx: &Context) -> Fig10 {
-    let per_video = parallel_map(&ctx.davis, |seq| {
-        let (encoded, vr) = ctx.run_vrdann(seq);
-        let favos = run_favos(seq, &encoded, 1);
-        let osvos = run_osvos(seq, &encoded, 1);
-        let dff = run_dff(seq, &encoded, DFF_KEY_INTERVAL, 1);
-        let eval = |masks: &[vrd_video::SegMask]| {
-            (
-                ctx.score(seq, masks),
-                boundary_f_sequence(masks, &seq.gt_masks, CONTOUR_TOLERANCE),
-            )
-        };
-        (
-            eval(&osvos.masks),
-            eval(&dff.masks),
-            eval(&favos.masks),
-            eval(&vr.masks),
-        )
-    });
-    type Row = (
-        (SegScores, f64),
-        (SegScores, f64),
-        (SegScores, f64),
-        (SegScores, f64),
-    );
-    let col = |f: fn(&Row) -> (SegScores, f64)| {
-        let picked: Vec<(SegScores, f64)> = per_video.iter().map(f).collect();
-        SchemeScores {
-            pixel: mean_scores(&picked.iter().map(|p| p.0).collect::<Vec<_>>()),
-            contour_f: picked.iter().map(|p| p.1).sum::<f64>() / picked.len().max(1) as f64,
-        }
-    };
     Fig10 {
-        osvos: col(|t| t.0),
-        dff: col(|t| t.1),
-        favos: col(|t| t.2),
-        vrdann: col(|t| t.3),
+        osvos: scheme_scores(ctx, ctx.osvos().iter()),
+        dff: scheme_scores(ctx, ctx.dff().iter()),
+        favos: scheme_scores(ctx, ctx.favos().iter()),
+        vrdann: scheme_scores(ctx, ctx.suite().iter().map(|(_, run)| run)),
     }
 }
 
@@ -101,12 +92,10 @@ impl Fig10 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::Scale;
 
     #[test]
     fn fig10_quick_preserves_paper_ordering() {
-        let ctx = Context::new(Scale::Quick);
-        let fig = run(&ctx);
+        let fig = run(crate::context::quick());
         // FAVOS and VR-DANN on top, DFF/OSVOS behind.
         assert!(fig.vrdann.pixel.iou > fig.dff.pixel.iou);
         assert!(fig.vrdann.pixel.iou > fig.osvos.pixel.iou);

@@ -3,10 +3,15 @@
 
 use crate::context::{parallel_map, Context};
 use crate::table::{fmt_score, Table};
+use std::num::NonZeroUsize;
 use vr_dann::baselines::{run_euphrates, run_selsa};
 use vr_dann::{DetTask, DetectionRun, RunInput};
 use vrd_metrics::{average_precision, FrameDetections};
 use vrd_video::{Sequence, SpeedClass};
+
+/// Key-frame intervals of the paper's Euphrates-2 and Euphrates-4.
+const EUPHRATES_INTERVALS: [NonZeroUsize; 2] =
+    [NonZeroUsize::new(2).unwrap(), NonZeroUsize::new(4).unwrap()];
 
 /// mAP per speed group plus the overall mean.
 #[derive(Debug, Clone, Copy, Default)]
@@ -79,8 +84,8 @@ pub(crate) fn run(ctx: &Context) -> Fig11 {
             .expect("suite sequences detect")
             .into();
         let selsa = run_selsa(seq, &encoded, 2);
-        let e2 = run_euphrates(seq, &encoded, 2, 2);
-        let e4 = run_euphrates(seq, &encoded, 4, 2);
+        let e2 = run_euphrates(seq, &encoded, EUPHRATES_INTERVALS[0], 2);
+        let e4 = run_euphrates(seq, &encoded, EUPHRATES_INTERVALS[1], 2);
         let class = seq.speed_class();
         (
             (class, ap_of(&selsa, seq)),
@@ -125,12 +130,10 @@ impl Fig11 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::Scale;
 
     #[test]
     fn fig11_quick_preserves_paper_ordering() {
-        let ctx = Context::new(Scale::Quick);
-        let fig = run(&ctx);
+        let fig = run(crate::context::quick());
         // SELSA is the reference; VR-DANN close; Euphrates-4 degrades.
         assert!(fig.selsa.overall > 0.6, "selsa {:.3}", fig.selsa.overall);
         assert!(

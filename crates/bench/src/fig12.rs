@@ -1,9 +1,8 @@
 //! Fig. 12: per-video execution cycles (normalised to FAVOS) and NPU
 //! operations per frame.
 
-use crate::context::{parallel_map, Context};
+use crate::context::Context;
 use crate::table::{fmt_x, Table};
-use vr_dann::baselines::run_favos;
 use vrd_sim::{simulate, ExecMode, ParallelOptions};
 
 /// One video's timing results.
@@ -32,25 +31,29 @@ pub(crate) struct Fig12 {
 
 /// Runs the experiment.
 pub(crate) fn run(ctx: &Context) -> Fig12 {
-    let rows = parallel_map(&ctx.davis, |seq| {
-        let (encoded, vr) = ctx.run_vrdann(seq);
-        let favos = run_favos(seq, &encoded, 1);
-        let r_favos = ctx.sim_in_order(&favos.trace);
-        let r_serial = simulate(&vr.trace, ExecMode::VrDannSerial, &ctx.sim);
-        let r_par = simulate(
-            &vr.trace,
-            ExecMode::VrDannParallel(ParallelOptions::default()),
-            &ctx.sim,
-        );
-        Fig12Row {
-            name: seq.name.clone(),
-            b_ratio: encoded.stats.b_ratio(),
-            serial_speedup: r_favos.total_ns / r_serial.total_ns,
-            parallel_speedup: r_favos.total_ns / r_par.total_ns,
-            favos_tops: favos.trace.tops_per_frame(),
-            vrdann_tops: vr.trace.tops_per_frame(),
-        }
-    });
+    let rows = ctx
+        .davis
+        .iter()
+        .zip(ctx.suite())
+        .zip(ctx.favos())
+        .map(|((seq, (encoded, vr)), favos)| {
+            let r_favos = simulate(&favos.trace, ExecMode::InOrder, &ctx.sim);
+            let r_serial = simulate(&vr.trace, ExecMode::VrDannSerial, &ctx.sim);
+            let r_par = simulate(
+                &vr.trace,
+                ExecMode::VrDannParallel(ParallelOptions::default()),
+                &ctx.sim,
+            );
+            Fig12Row {
+                name: seq.name.clone(),
+                b_ratio: encoded.stats.b_ratio(),
+                serial_speedup: r_favos.total_ns / r_serial.total_ns,
+                parallel_speedup: r_favos.total_ns / r_par.total_ns,
+                favos_tops: favos.trace.tops_per_frame(),
+                vrdann_tops: vr.trace.tops_per_frame(),
+            }
+        })
+        .collect();
     Fig12 { rows }
 }
 
@@ -99,12 +102,11 @@ impl Fig12 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::Scale;
 
     #[test]
     fn fig12_quick_shows_b_ratio_driven_speedups() {
-        let ctx = Context::new(Scale::Quick);
-        let fig = run(&ctx);
+        let ctx = crate::context::quick();
+        let fig = run(ctx);
         assert_eq!(fig.rows.len(), ctx.davis.len());
         for r in &fig.rows {
             assert!(

@@ -1,10 +1,10 @@
 //! Fig. 13: suite-averaged performance and energy of every scheme,
 //! normalised to FAVOS, plus the §VI-B real-time rate (13 fps → ~40 fps).
 
-use crate::context::{parallel_map, Context};
+use crate::context::Context;
 use crate::table::{fmt_x, Table};
-use vr_dann::baselines::{run_dff, run_favos, run_osvos, DFF_KEY_INTERVAL};
-use vr_dann::{TrainTask, VrDann, VrDannConfig};
+use vr_dann::baselines::run_favos;
+use vr_dann::{SegmentationRun, TrainTask, VrDann, VrDannConfig};
 use vrd_sim::{simulate, ExecMode, ParallelOptions, SimConfig};
 use vrd_video::davis::{davis_train_suite, SuiteConfig};
 
@@ -32,23 +32,33 @@ pub(crate) struct Fig13 {
 
 /// Runs the suite experiment.
 pub(crate) fn run(ctx: &Context) -> Fig13 {
-    let per_video = parallel_map(&ctx.davis, |seq| {
-        let (encoded, vr) = ctx.run_vrdann(seq);
-        let favos = ctx.sim_in_order(&run_favos(seq, &encoded, 1).trace);
-        let osvos = ctx.sim_in_order(&run_osvos(seq, &encoded, 1).trace);
-        let dff = ctx.sim_in_order(&run_dff(seq, &encoded, DFF_KEY_INTERVAL, 1).trace);
-        let serial = simulate(&vr.trace, ExecMode::VrDannSerial, &ctx.sim);
-        let par = simulate(
-            &vr.trace,
-            ExecMode::VrDannParallel(ParallelOptions::default()),
-            &ctx.sim,
-        );
-        let rel = |r: &vrd_sim::SimReport| Relative {
-            performance: favos.total_ns / r.total_ns,
-            energy: favos.energy.total_mj() / r.energy.total_mj(),
-        };
-        (rel(&osvos), rel(&dff), rel(&serial), rel(&par))
-    });
+    let in_order = |run: &SegmentationRun| simulate(&run.trace, ExecMode::InOrder, &ctx.sim);
+    let per_video: Vec<_> = ctx
+        .suite()
+        .iter()
+        .zip(ctx.favos())
+        .zip(ctx.osvos())
+        .zip(ctx.dff())
+        .map(|((((_, vr), favos), osvos), dff)| {
+            let favos = in_order(favos);
+            let serial = simulate(&vr.trace, ExecMode::VrDannSerial, &ctx.sim);
+            let par = simulate(
+                &vr.trace,
+                ExecMode::VrDannParallel(ParallelOptions::default()),
+                &ctx.sim,
+            );
+            let rel = |r: &vrd_sim::SimReport| Relative {
+                performance: favos.total_ns / r.total_ns,
+                energy: favos.energy.total_mj() / r.energy.total_mj(),
+            };
+            (
+                rel(&in_order(osvos)),
+                rel(&in_order(dff)),
+                rel(&serial),
+                rel(&par),
+            )
+        })
+        .collect();
     let n = per_video.len().max(1) as f64;
     let mean = |f: fn(&(Relative, Relative, Relative, Relative)) -> Relative| {
         let (p, e) = per_video.iter().map(f).fold((0.0, 0.0), |acc, r| {
@@ -128,12 +138,10 @@ impl Fig13 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::Scale;
 
     #[test]
     fn fig13_quick_preserves_paper_ordering() {
-        let ctx = Context::new(Scale::Quick);
-        let fig = run(&ctx);
+        let fig = run(crate::context::quick());
         // Paper: parallel > serial > DFF > FAVOS > OSVOS in performance.
         assert!(fig.parallel.performance > fig.serial.performance);
         assert!(fig.serial.performance > 1.0);

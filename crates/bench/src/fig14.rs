@@ -1,8 +1,8 @@
 //! Fig. 14: DRAM access breakdown, normalised to FAVOS.
 
-use crate::context::{parallel_map, Context};
+use crate::context::Context;
 use crate::table::Table;
-use vr_dann::baselines::run_favos;
+use vr_dann::SchemeTrace;
 use vrd_sim::{simulate, ExecMode, ParallelOptions, TrafficBreakdown};
 
 /// Traffic of the three schemes the paper breaks down.
@@ -18,22 +18,16 @@ pub(crate) struct Fig14 {
 
 /// Runs the experiment.
 pub(crate) fn run(ctx: &Context) -> Fig14 {
-    let per_video = parallel_map(&ctx.davis, |seq| {
-        let (encoded, vr) = ctx.run_vrdann(seq);
-        let favos = ctx.sim_in_order(&run_favos(seq, &encoded, 1).trace);
-        let serial = simulate(&vr.trace, ExecMode::VrDannSerial, &ctx.sim);
-        let par = simulate(
+    let traffic = |trace: &SchemeTrace, mode| simulate(trace, mode, &ctx.sim).traffic;
+    let mut out = Fig14::default();
+    for ((_, vr), favos) in ctx.suite().iter().zip(ctx.favos()) {
+        out.favos.merge(&traffic(&favos.trace, ExecMode::InOrder));
+        out.serial
+            .merge(&traffic(&vr.trace, ExecMode::VrDannSerial));
+        out.parallel.merge(&traffic(
             &vr.trace,
             ExecMode::VrDannParallel(ParallelOptions::default()),
-            &ctx.sim,
-        );
-        (favos.traffic, serial.traffic, par.traffic)
-    });
-    let mut out = Fig14::default();
-    for (f, s, p) in per_video {
-        out.favos.merge(&f);
-        out.serial.merge(&s);
-        out.parallel.merge(&p);
+        ));
     }
     out
 }
@@ -76,12 +70,10 @@ impl Fig14 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::Scale;
 
     #[test]
     fn fig14_quick_shows_traffic_savings() {
-        let ctx = Context::new(Scale::Quick);
-        let fig = run(&ctx);
+        let fig = run(crate::context::quick());
         // VR-DANN fetches far less than FAVOS overall.
         assert!(fig.parallel.total() < fig.favos.total() * 3 / 4);
         // Parallel coalescing reads less segmentation data than serial's

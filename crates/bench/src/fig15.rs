@@ -3,10 +3,12 @@
 
 use crate::context::{parallel_map, Context};
 use crate::table::{fmt_pct, fmt_score, fmt_x, Table};
+use std::borrow::Cow;
 use vr_dann::baselines::run_favos;
-use vr_dann::{TrainTask, VrDannConfig};
+use vr_dann::{SegmentationRun, VrDannConfig};
 use vrd_codec::{BFrameMode, CodecConfig};
-use vrd_metrics::{mean_scores, SegScores};
+use vrd_metrics::SegScores;
+use vrd_sim::{simulate, ExecMode, ParallelOptions};
 
 /// One sweep point.
 #[derive(Debug, Clone)]
@@ -37,34 +39,45 @@ pub(crate) struct Fig15 {
 /// Evaluates one codec configuration over the suite (shared by the
 /// Fig. 15/16/17 sweeps).
 pub(crate) fn sweep_point(ctx: &Context, label: &str, codec: CodecConfig) -> Fig15Row {
-    let model = ctx.train_variant(
-        VrDannConfig {
-            codec,
-            ..VrDannConfig::default()
-        },
-        TrainTask::Segmentation,
-    );
-    let results = parallel_map(&ctx.davis, |seq| {
-        let encoded = model.encode(seq).expect("sweep sequences encode");
-        let vr = model
-            .run_segmentation(seq, &encoded)
-            .expect("sweep sequences segment");
-        let favos = ctx.sim_in_order(&run_favos(seq, &encoded, 1).trace);
-        let par = ctx.sim_parallel(&vr.trace);
-        (
-            encoded.stats.b_ratio(),
-            ctx.score(seq, &vr.masks),
-            favos.total_ns / par.total_ns,
-            par.recon_stall_ns / 1e3,
-        )
+    let runs = ctx.evaluate(VrDannConfig {
+        codec,
+        ..VrDannConfig::default()
     });
+    // FAVOS runs on this point's bitstreams; the default point's are the
+    // suite's, whose FAVOS runs are cached.
+    let favos: Cow<'_, [SegmentationRun]> = match &runs {
+        Cow::Borrowed(_) => Cow::Borrowed(ctx.favos()),
+        Cow::Owned(runs) => {
+            let jobs: Vec<_> = ctx.davis.iter().zip(runs).collect();
+            Cow::Owned(parallel_map(&jobs, |(seq, (encoded, _))| {
+                run_favos(seq, encoded, 1)
+            }))
+        }
+    };
+    let results: Vec<_> = runs
+        .iter()
+        .zip(favos.iter())
+        .map(|((encoded, vr), favos)| {
+            let favos = simulate(&favos.trace, ExecMode::InOrder, &ctx.sim);
+            let par = simulate(
+                &vr.trace,
+                ExecMode::VrDannParallel(ParallelOptions::default()),
+                &ctx.sim,
+            );
+            (
+                encoded.stats.b_ratio(),
+                favos.total_ns / par.total_ns,
+                par.recon_stall_ns / 1e3,
+            )
+        })
+        .collect();
     let n = results.len().max(1) as f64;
     Fig15Row {
         label: label.to_string(),
         b_ratio: results.iter().map(|r| r.0).sum::<f64>() / n,
-        scores: mean_scores(&results.iter().map(|r| r.1).collect::<Vec<_>>()),
-        speedup: results.iter().map(|r| r.2).sum::<f64>() / n,
-        recon_stall_us: results.iter().map(|r| r.3).sum::<f64>() / n,
+        scores: ctx.mean_accuracy(&runs),
+        speedup: results.iter().map(|r| r.1).sum::<f64>() / n,
+        recon_stall_us: results.iter().map(|r| r.2).sum::<f64>() / n,
     }
 }
 
@@ -130,12 +143,10 @@ impl Fig15 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::Scale;
 
     #[test]
     fn fig15_quick_trades_accuracy_for_speed() {
-        let ctx = Context::new(Scale::Quick);
-        let fig = run(&ctx);
+        let fig = run(crate::context::quick());
         assert_eq!(fig.rows.len(), 4);
         let b1 = &fig.rows[0];
         let b3 = &fig.rows[2];

@@ -62,12 +62,10 @@ impl Fig16 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::Scale;
 
     #[test]
     fn fig16_quick_larger_n_does_not_hurt_accuracy() {
-        let ctx = Context::new(Scale::Quick);
-        let fig = run(&ctx);
+        let fig = run(crate::context::quick());
         assert_eq!(fig.rows.len(), 6);
         let n1 = &fig.rows[0];
         let n7 = &fig.rows[3];

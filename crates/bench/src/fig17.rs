@@ -58,12 +58,10 @@ impl Fig17 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::Scale;
 
     #[test]
     fn fig17_quick_h265_at_least_as_accurate() {
-        let ctx = Context::new(Scale::Quick);
-        let fig = run(&ctx);
+        let fig = run(crate::context::quick());
         // The paper: H.265's finer macro-blocks reconstruct boundaries
         // better than H.264's 16-pixel blocks.
         assert!(

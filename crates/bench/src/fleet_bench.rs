@@ -22,7 +22,7 @@
 
 use crate::context::Context;
 use crate::table::{fmt_ms, fmt_pct, Table};
-use vr_dann::{TrainTask, VrDannConfig};
+use vr_dann::VrDannConfig;
 use vrd_codec::{BFrameMode, CodecConfig};
 use vrd_serve::{
     drive_template, generate, run_fleet, AutoscaleConfig, Envelope, FleetConfig, FleetReport,
@@ -128,7 +128,7 @@ fn build_library(ctx: &Context, base_interval_ns: f64) -> Vec<StreamEntry> {
     let mut push = |model: &vr_dann::VrDann, seq: &vrd_video::Sequence| {
         let encoded = model.encode(seq).expect("library sequences encode");
         let template =
-            drive_template(model, seq, &encoded, &ctx.sim, None).expect("library streams drive");
+            drive_template(model, seq, &encoded, &ctx.sim).expect("library streams drive");
         let demand = SessionDemand::estimate(model, seq, &encoded, base_interval_ns);
         entries.push(StreamEntry { template, demand });
     };
@@ -137,17 +137,14 @@ fn build_library(ctx: &Context, base_interval_ns: f64) -> Vec<StreamEntry> {
     }
     // Short GOP: anchors every other frame — the NN-L-heavy mix the
     // affinity placer keeps apart from NN-S-dominated streams.
-    let short_gop = ctx.train_variant(
-        VrDannConfig {
-            codec: CodecConfig {
-                gop_len: 4,
-                b_frames: BFrameMode::Fixed(1),
-                ..CodecConfig::default()
-            },
-            ..VrDannConfig::default()
+    let short_gop = ctx.train_variant(VrDannConfig {
+        codec: CodecConfig {
+            gop_len: 4,
+            b_frames: BFrameMode::Fixed(1),
+            ..CodecConfig::default()
         },
-        TrainTask::Segmentation,
-    );
+        ..VrDannConfig::default()
+    });
     push(&short_gop, &ctx.davis[STD_STREAMS % ctx.davis.len()]);
     // Detection task on a VID-like stream.
     let detect = ctx.detection_model();
@@ -480,12 +477,11 @@ impl FleetBench {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::Scale;
 
     #[test]
     fn fleet_quick_scales_and_absorbs_the_spike() {
-        let ctx = Context::new(Scale::Quick);
-        let bench = run(&ctx);
+        let ctx = crate::context::quick();
+        let bench = run(ctx);
         assert_eq!(bench.rows.len(), SHARDS.len());
 
         // The acceptance gates hold at quick scale.
@@ -522,7 +518,7 @@ mod tests {
         assert!(json.contains("\"held\":true"));
 
         // Byte-identical rerun — the determinism CI guards with `cmp`.
-        let again = run(&ctx);
+        let again = run(ctx);
         assert_eq!(json, again.to_json());
         assert_eq!(text, again.render());
     }

@@ -30,7 +30,9 @@
 //! | `kernels` | extra: optimised-vs-reference kernel time ratios |
 //!
 //! One binary runs them by name, in the order given, training the shared
-//! [`Context`] at most once:
+//! [`Context`] at most once. The context evaluates the suite once too:
+//! VR-DANN, FAVOS, OSVOS and DFF each run at most once per suite sequence,
+//! and every figure that compares them reads those runs:
 //!
 //! ```text
 //! cargo run --release -p vrd-bench -- <name>... [--quick]

@@ -6,10 +6,11 @@
 //! boundary corrections, above it the extra MACs buy nothing — which is the
 //! evidence behind this repository's default of 8 hidden channels.
 
-use crate::context::{parallel_map, Context};
+use crate::context::Context;
 use crate::table::{fmt_score, Table};
-use vr_dann::{TrainTask, VrDannConfig};
-use vrd_metrics::{mean_scores, SegScores};
+use vr_dann::VrDannConfig;
+use vrd_metrics::SegScores;
+use vrd_nn::NnS;
 
 /// One width's result.
 #[derive(Debug, Clone)]
@@ -36,25 +37,18 @@ pub(crate) fn run(ctx: &Context, widths: &[usize]) -> NnsWidth {
     let rows = widths
         .iter()
         .map(|&hidden| {
-            let model = ctx.train_variant(
-                VrDannConfig {
-                    nns_hidden: hidden,
-                    ..VrDannConfig::default()
-                },
-                TrainTask::Segmentation,
-            );
-            let scores = parallel_map(&ctx.davis, |seq| {
-                let encoded = model.encode(seq).expect("sweep sequences encode");
-                let run = model
-                    .run_segmentation(seq, &encoded)
-                    .expect("sweep sequences segment");
-                ctx.score(seq, &run.masks)
-            });
+            let cfg = VrDannConfig {
+                nns_hidden: hidden,
+                ..VrDannConfig::default()
+            };
+            // Parameter and MAC counts depend on the width only, so an
+            // untrained network of that width reports them.
+            let nns = NnS::new(hidden, cfg.seed);
             WidthRow {
                 hidden,
-                params: model.nns().n_params(),
-                macs_per_frame: model.nns().macs(ctx.suite_cfg.height, ctx.suite_cfg.width),
-                scores: mean_scores(&scores),
+                params: nns.n_params(),
+                macs_per_frame: nns.macs(ctx.suite_cfg.height, ctx.suite_cfg.width),
+                scores: ctx.mean_accuracy(&ctx.evaluate(cfg)),
             }
         })
         .collect();
@@ -84,12 +78,10 @@ impl NnsWidth {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::Scale;
 
     #[test]
     fn width_sweep_quick_shows_a_knee() {
-        let ctx = Context::new(Scale::Quick);
-        let sweep = run(&ctx, &[2, 8]);
+        let sweep = run(crate::context::quick(), &[2, 8]);
         assert_eq!(sweep.rows.len(), 2);
         let narrow = &sweep.rows[0];
         let wide = &sweep.rows[1];

@@ -298,12 +298,10 @@ impl Resilience {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::Scale;
 
     #[test]
     fn resilience_quick_zero_loss_is_clean_and_loss_degrades() {
-        let ctx = Context::new(Scale::Quick);
-        let sweep = run_rates(&ctx, &[0.0, 0.15]);
+        let sweep = run_rates(crate::context::quick(), &[0.0, 0.15]);
         assert_eq!(sweep.rows.len(), 2);
         let clean = sweep.rows[0];
         assert_eq!(clean.rate, 0.0);

@@ -7,10 +7,8 @@
 //! exactly the paper's §VI-B observation that VR-DANN "matches the speed of
 //! the high-definition 854×480 decoder".
 
-use crate::context::{parallel_map, Context};
+use crate::context::Context;
 use crate::table::{fmt_x, Table};
-use vr_dann::baselines::run_favos;
-use vr_dann::SchemeTrace;
 use vrd_sim::{simulate, ExecMode, ParallelOptions, SimConfig};
 
 /// One sweep point.
@@ -40,19 +38,18 @@ pub(crate) struct Sensitivity {
     pub decoder: Vec<SensitivityRow>,
 }
 
-fn point(
-    label: String,
-    favos_traces: &[SchemeTrace],
-    vr_traces: &[SchemeTrace],
-    sim: &SimConfig,
-) -> SensitivityRow {
+fn point(ctx: &Context, label: String, sim: &SimConfig) -> SensitivityRow {
     let mut favos_ns = 0.0;
     let mut vr_ns = 0.0;
     let mut frames = 0usize;
     let mut decoder_bound = true;
-    for (f, v) in favos_traces.iter().zip(vr_traces) {
-        let rf = simulate(f, ExecMode::InOrder, sim);
-        let rv = simulate(v, ExecMode::VrDannParallel(ParallelOptions::default()), sim);
+    for (favos, (_, vr)) in ctx.favos().iter().zip(ctx.suite()) {
+        let rf = simulate(&favos.trace, ExecMode::InOrder, sim);
+        let rv = simulate(
+            &vr.trace,
+            ExecMode::VrDannParallel(ParallelOptions::default()),
+            sim,
+        );
         favos_ns += rf.total_ns;
         vr_ns += rv.total_ns;
         frames += rv.frames;
@@ -71,21 +68,13 @@ fn point(
 
 /// Runs all three sweeps.
 pub(crate) fn run(ctx: &Context) -> Sensitivity {
-    let traces: Vec<(SchemeTrace, SchemeTrace)> = parallel_map(&ctx.davis, |seq| {
-        let (encoded, vr) = ctx.run_vrdann(seq);
-        let favos = run_favos(seq, &encoded, 1);
-        (favos.trace, vr.trace)
-    });
-    let favos_traces: Vec<SchemeTrace> = traces.iter().map(|t| t.0.clone()).collect();
-    let vr_traces: Vec<SchemeTrace> = traces.iter().map(|t| t.1.clone()).collect();
-
     let base = SimConfig::default();
     let npu = [0.2, 0.41, 0.6, 0.8, 1.0]
         .into_iter()
         .map(|u| {
             let mut sim = base;
             sim.npu.utilization = u;
-            point(format!("NPU util {u:.2}"), &favos_traces, &vr_traces, &sim)
+            point(ctx, format!("NPU util {u:.2}"), &sim)
         })
         .collect();
     let dram = [0.5, 1.0, 2.0, 4.0]
@@ -93,12 +82,7 @@ pub(crate) fn run(ctx: &Context) -> Sensitivity {
         .map(|k| {
             let mut sim = base;
             sim.dram.burst_ns = base.dram.burst_ns / k;
-            point(
-                format!("DRAM {k:.1}x bandwidth"),
-                &favos_traces,
-                &vr_traces,
-                &sim,
-            )
+            point(ctx, format!("DRAM {k:.1}x bandwidth"), &sim)
         })
         .collect();
     let decoder = [0.5, 1.0, 2.0, 4.0]
@@ -106,12 +90,7 @@ pub(crate) fn run(ctx: &Context) -> Sensitivity {
         .map(|k| {
             let mut sim = base;
             sim.decoder.freq_hz = base.decoder.freq_hz * k;
-            point(
-                format!("decoder {k:.1}x speed"),
-                &favos_traces,
-                &vr_traces,
-                &sim,
-            )
+            point(ctx, format!("decoder {k:.1}x speed"), &sim)
         })
         .collect();
     Sensitivity { npu, dram, decoder }
@@ -151,12 +130,10 @@ impl Sensitivity {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::Scale;
 
     #[test]
     fn sensitivity_quick_shows_expected_monotonicity() {
-        let ctx = Context::new(Scale::Quick);
-        let s = run(&ctx);
+        let s = run(crate::context::quick());
         // Faster NPU -> higher fps for both schemes.
         assert!(s.npu.last().unwrap().vrdann_fps > s.npu.first().unwrap().vrdann_fps);
         assert!(s.npu.last().unwrap().favos_fps > s.npu.first().unwrap().favos_fps);

@@ -260,12 +260,11 @@ impl ServeBench {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::Scale;
 
     #[test]
     fn serve_quick_batching_wins_under_contention_and_slo_sheds() {
-        let ctx = Context::new(Scale::Quick);
-        let sweep = run_sessions(&ctx, &[1, 4, 6, 8]);
+        let ctx = crate::context::quick();
+        let sweep = run_sessions(ctx, &[1, 4, 6, 8]);
         assert_eq!(sweep.rows.len(), 4);
 
         // One stream: nothing to batch across sessions; policies agree.

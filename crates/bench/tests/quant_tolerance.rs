@@ -4,6 +4,7 @@
 //! mAP (VID-like suite, the fig. 11 configuration), while putting the
 //! byte-identical workload trace on the simulated NPU.
 
+use std::sync::OnceLock;
 use vr_dann::{ComputeMode, DetTask, DetectionRun, RunInput, VrDann};
 use vrd_bench::{Context, Scale};
 use vrd_metrics::{average_precision, FrameDetections};
@@ -11,9 +12,15 @@ use vrd_video::Sequence;
 
 const TOLERANCE: f64 = 0.005;
 
+/// The quick-scale context both tests share, trained once.
+fn quick() -> &'static Context {
+    static QUICK: OnceLock<Context> = OnceLock::new();
+    QUICK.get_or_init(|| Context::new(Scale::Quick))
+}
+
 #[test]
 fn int8_segmentation_j_mean_within_tolerance() {
-    let ctx = Context::new(Scale::Quick);
+    let ctx = quick();
     let int8 = ctx.model.clone().with_compute(ComputeMode::Int8);
     let (mut j_f32, mut j_int8) = (0.0f64, 0.0f64);
     for seq in &ctx.davis {
@@ -57,7 +64,7 @@ fn ap_of(run: &DetectionRun, seq: &Sequence) -> f64 {
 
 #[test]
 fn int8_detection_map_within_tolerance() {
-    let ctx = Context::new(Scale::Quick);
+    let ctx = quick();
     let det_f32 = ctx.detection_model();
     let det_int8 = det_f32.clone().with_compute(ComputeMode::Int8);
     let suite = ctx.vid_suite();

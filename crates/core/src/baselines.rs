@@ -15,10 +15,11 @@ use vrd_video::texture::hash2;
 use vrd_video::{Detection, Rect, SegMask, Sequence};
 
 use crate::vrdann::{DetectionRun, SegmentationRun};
+use std::num::NonZeroUsize;
 
-/// Key-frame interval used by DFF (the fixed, arbitrarily selected interval
-/// the paper criticises).
-pub const DFF_KEY_INTERVAL: usize = 10;
+/// Key-frame interval used by DFF: 10 frames (the fixed, arbitrarily
+/// selected interval the paper criticises).
+pub const DFF_KEY_INTERVAL: NonZeroUsize = NonZeroUsize::MIN.saturating_add(9);
 
 /// A per-frame large-network scheme (shared skeleton of OSVOS / FAVOS),
 /// expressed as a display-order engine configuration.
@@ -75,10 +76,9 @@ pub fn run_favos(seq: &Sequence, encoded: &EncodedVideo, seed: u64) -> Segmentat
 pub fn run_dff(
     seq: &Sequence,
     encoded: &EncodedVideo,
-    key_interval: usize,
+    key_interval: NonZeroUsize,
     seed: u64,
 ) -> SegmentationRun {
-    assert!(key_interval >= 1, "key interval must be at least 1");
     let nnl = LargeNet::new(LargeNetProfile::dff_key());
     let (w, h) = (seq.width(), seq.height());
     let flow_cfg = FlowConfig::default();
@@ -146,10 +146,9 @@ pub fn run_selsa(seq: &Sequence, encoded: &EncodedVideo, seed: u64) -> Detection
 pub fn run_euphrates(
     seq: &Sequence,
     encoded: &EncodedVideo,
-    key_interval: usize,
+    key_interval: NonZeroUsize,
     seed: u64,
 ) -> DetectionRun {
-    assert!(key_interval >= 1, "key interval must be at least 1");
     let nnl = LargeNet::new(LargeNetProfile::selsa());
     let (w, h) = (seq.width(), seq.height());
     let flow_cfg = FlowConfig::default();
@@ -286,8 +285,8 @@ mod tests {
     #[test]
     fn euphrates_interval_trades_accuracy_for_ops() {
         let (seq, encoded) = setup("dog");
-        let e2 = run_euphrates(&seq, &encoded, 2, 1);
-        let e4 = run_euphrates(&seq, &encoded, 4, 1);
+        let e2 = run_euphrates(&seq, &encoded, NonZeroUsize::new(2).unwrap(), 1);
+        let e4 = run_euphrates(&seq, &encoded, NonZeroUsize::new(4).unwrap(), 1);
         assert!(e4.trace.total_ops() < e2.trace.total_ops());
         let ap = |run: &DetectionRun| {
             let frames: Vec<FrameDetections> = run
@@ -315,7 +314,7 @@ mod tests {
         for trace in [
             run_favos(&seq, &encoded, 1).trace,
             run_dff(&seq, &encoded, DFF_KEY_INTERVAL, 1).trace,
-            run_euphrates(&seq, &encoded, 2, 1).trace,
+            run_euphrates(&seq, &encoded, NonZeroUsize::new(2).unwrap(), 1).trace,
         ] {
             assert_eq!(trace.frames.len(), seq.len());
             // Baselines decode everything.

@@ -55,8 +55,7 @@ pub fn extract_components(mask: &SegMask, min_pixels: usize) -> Vec<Detection> {
     // Highest-confidence first, deterministic order.
     out.sort_by(|a, b| {
         b.score
-            .partial_cmp(&a.score)
-            .expect("fill ratios are finite")
+            .total_cmp(&a.score)
             .then_with(|| (a.rect.x0, a.rect.y0).cmp(&(b.rect.x0, b.rect.y0)))
     });
     out

@@ -28,7 +28,7 @@ use vrd_nn::{ComputeMode, LargeNetProfile, NnS, Sample, Tensor, TrainConfig};
 use vrd_video::{Detection, SegMask, Sequence};
 
 /// Full pipeline configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VrDannConfig {
     /// Encoder settings (B ratio, search interval `n`, standard — the
     /// paper's Figs. 15–17 knobs).

@@ -15,7 +15,7 @@ use crate::admission::{
 use crate::error::{Result, ServeError};
 use crate::sched::{schedule, SchedConfig, SchedPolicy, ScheduleOutcome};
 use crate::session::{drive_template, DrivenSession, SessionSpec, SessionState};
-use vr_dann::{PipelineOptions, VrDann};
+use vr_dann::VrDann;
 use vrd_codec::EncodedVideo;
 use vrd_sim::SimConfig;
 use vrd_video::Sequence;
@@ -46,12 +46,6 @@ pub struct ServeConfig {
     /// Worker threads driving sessions (`None` = the runtime's detected
     /// count). Thread count never changes results, only wall time.
     pub threads: Option<usize>,
-    /// Drive each admitted session on the engine's two-lane pipelined
-    /// executor (`Some`) instead of the sequential stepper (`None`, the
-    /// default). The stamped work — and therefore every scheduler outcome —
-    /// is byte-identical either way (pinned by
-    /// `pipelined_serve_matches_sequential`); only wall-clock time changes.
-    pub pipeline: Option<PipelineOptions>,
 }
 
 impl Default for ServeConfig {
@@ -63,7 +57,6 @@ impl Default for ServeConfig {
             slo: SloConfig::default(),
             sim: SimConfig::default(),
             threads: None,
-            pipeline: None,
         }
     }
 }
@@ -158,7 +151,7 @@ pub fn admit_and_drive(
     let driven: Vec<vr_dann::Result<DrivenSession>> =
         vrd_runtime::parallel_map_with(&admitted_jobs, threads, |&(session, r, spec)| {
             let (seq, encoded) = requests[r];
-            let template = drive_template(model, seq, encoded, &cfg.sim, cfg.pipeline.as_ref())?;
+            let template = drive_template(model, seq, encoded, &cfg.sim)?;
             Ok(template.instantiate(session, &spec))
         });
     let mut sessions_driven = Vec::with_capacity(driven.len());

@@ -14,9 +14,7 @@
 //! extraction otherwise), and every emitted [`WorkItem`] carries the
 //! hand-over instant the shared-NPU scheduler replays.
 
-use vr_dann::{
-    ComputeMode, PipelineEngine, PipelineOptions, Result, SegTask, StreamTask, StrictPolicy, VrDann,
-};
+use vr_dann::{ComputeMode, PipelineEngine, Result, SegTask, StreamTask, StrictPolicy, VrDann};
 use vrd_codec::{EncodedVideo, FrameSource, FrameType, StrictFrameSource};
 use vrd_sim::{simulate_stream, ExecMode, Model, ParallelOptions, SimConfig};
 use vrd_video::Sequence;
@@ -220,14 +218,13 @@ impl SessionTemplate {
 /// [`SessionTemplate`]: the real compute runs exactly once, every
 /// instantiation afterwards is pure arithmetic.
 ///
-/// `lanes` is handed to [`PipelineEngine::drive`] unchanged: `None` runs
-/// the session on the caller's thread, `Some` puts its decoder on a lane of
-/// its own and fans B-frame reconstruction out. The captured template is
-/// **byte-identical** either way — every [`TemplateItem`] derives from the
-/// engine's plan-time [`StepWork`](vr_dann::StepWork), which executes sequentially in decode
-/// order — so the shared-NPU scheduler's accounting (ops, model residency,
-/// switch counts, decoder service times) never depends on how the session
-/// was driven. Pinned by `lanes_do_not_change_the_schedule`.
+/// The session runs on the caller's thread. Every [`TemplateItem`] derives
+/// from the engine's plan-time [`StepWork`](vr_dann::StepWork), which is
+/// the same on any executor (pinned by
+/// `observer_and_anchor_checkpoints_are_lane_invariant` in `vr-dann`'s
+/// `pipelined_equivalence.rs`), so the shared-NPU scheduler's accounting
+/// (ops, model residency, switch counts, decoder service times) does not
+/// depend on how the session was driven.
 ///
 /// # Errors
 /// Propagates bitstream decode errors and engine reconstruction failures.
@@ -236,7 +233,6 @@ pub fn drive_template(
     seq: &Sequence,
     encoded: &EncodedVideo,
     sim: &SimConfig,
-    lanes: Option<&PipelineOptions>,
 ) -> Result<SessionTemplate> {
     let source = StrictFrameSource::new(&encoded.bitstream)?;
     let info = source.info();
@@ -245,7 +241,7 @@ pub fn drive_template(
 
     let pixels = info.width * info.height;
     let mut items: Vec<TemplateItem> = Vec::with_capacity(info.n_frames);
-    let run = engine.drive(source, &[], lanes, |_, arrive_idx, work| {
+    let run = engine.drive(source, &[], None, |_, arrive_idx, work| {
         items.push(TemplateItem {
             display: work.display,
             ftype: work.ftype,
@@ -306,7 +302,7 @@ mod tests {
             frame_interval_ns: 1e6,
         };
         let sim = SimConfig::default();
-        let driven = drive_template(&model, &seq, &encoded, &sim, None)
+        let driven = drive_template(&model, &seq, &encoded, &sim)
             .unwrap()
             .instantiate(0, &spec);
         let solo = model.run_segmentation(&seq, &encoded).unwrap();
@@ -339,11 +335,11 @@ mod tests {
             frame_interval_ns: 1e6,
         };
         let sim = SimConfig::default();
-        let f32_run = drive_template(&model, &seq, &encoded, &sim, None)
+        let f32_run = drive_template(&model, &seq, &encoded, &sim)
             .unwrap()
             .instantiate(0, &spec);
         let int8_model = model.clone().with_compute(ComputeMode::Int8);
-        let int8_run = drive_template(&int8_model, &seq, &encoded, &sim, None)
+        let int8_run = drive_template(&int8_model, &seq, &encoded, &sim)
             .unwrap()
             .instantiate(0, &spec);
         assert_eq!(f32_run.items, int8_run.items);
@@ -357,34 +353,12 @@ mod tests {
     }
 
     #[test]
-    fn lanes_do_not_change_the_schedule() {
-        // The scheduler accounting must be executor-invariant: a session
-        // driven on two lanes puts byte-identical work (ops, residency,
-        // decoder-lane stamps, switch counts) on the shared NPU at every
-        // thread count.
-        let (model, cfg) = tiny_model();
-        let seq = davis_sequence("cows", &cfg).unwrap();
-        let encoded = model.encode(&seq).unwrap();
-        let sim = SimConfig::default();
-        let tpl = drive_template(&model, &seq, &encoded, &sim, None).unwrap();
-        let default_lanes = PipelineOptions::default();
-        let capped = [1, 2, 4].map(|threads| PipelineOptions {
-            threads: Some(threads),
-            channel_capacity: Some(4),
-        });
-        for pipe in capped.iter().chain([&default_lanes]) {
-            let laned = drive_template(&model, &seq, &encoded, &sim, Some(pipe)).unwrap();
-            assert_eq!(laned, tpl, "scheduler accounting diverged under {pipe:?}");
-        }
-    }
-
-    #[test]
     fn template_prefix_truncates_for_churn() {
         let (model, cfg) = tiny_model();
         let seq = davis_sequence("dog", &cfg).unwrap();
         let encoded = model.encode(&seq).unwrap();
         let sim = SimConfig::default();
-        let tpl = drive_template(&model, &seq, &encoded, &sim, None).unwrap();
+        let tpl = drive_template(&model, &seq, &encoded, &sim).unwrap();
         let spec = SessionSpec {
             start_offset_ns: 100.0,
             frame_interval_ns: 2e6,
@@ -416,7 +390,7 @@ mod tests {
             frame_interval_ns: interval,
         };
         let sim = SimConfig::default();
-        let driven = drive_template(&model, &seq, &encoded, &sim, None)
+        let driven = drive_template(&model, &seq, &encoded, &sim)
             .unwrap()
             .instantiate(3, &spec);
         for (k, item) in driven.items.iter().enumerate() {

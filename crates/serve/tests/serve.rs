@@ -1,7 +1,7 @@
 //! End-to-end serving-layer tests: real model, real DAVIS-like streams,
 //! the full admit → drive → schedule → report path.
 
-use vr_dann::{ComputeMode, PipelineOptions, TrainTask, VrDann, VrDannConfig};
+use vr_dann::{ComputeMode, TrainTask, VrDann, VrDannConfig};
 use vrd_codec::EncodedVideo;
 use vrd_serve::{serve, SchedPolicy, ServeConfig, SessionDemand, SessionState, SloConfig};
 use vrd_sim::SimConfig;
@@ -106,30 +106,6 @@ fn serving_is_deterministic() {
     )
     .unwrap();
     assert_eq!(a, single);
-}
-
-#[test]
-fn pipelined_serve_matches_sequential() {
-    // Opting the drive phase into the two-lane pipelined executor changes
-    // wall-clock time only: admission decisions, stamped work, scheduler
-    // replays and every report field stay byte-identical.
-    let (model, seqs, encoded) = tiny_setup();
-    let requests: Vec<_> = seqs.iter().zip(encoded.iter()).collect();
-    let sequential = serve(&model, &requests, &ServeConfig::default()).unwrap();
-    for threads in [1, 4] {
-        let cfg = ServeConfig {
-            pipeline: Some(PipelineOptions {
-                threads: Some(threads),
-                channel_capacity: Some(4),
-            }),
-            ..ServeConfig::default()
-        };
-        let piped = serve(&model, &requests, &cfg).unwrap();
-        assert_eq!(
-            piped, sequential,
-            "pipelined serve diverged at {threads} wave threads"
-        );
-    }
 }
 
 #[test]

@@ -9,6 +9,7 @@
 //! the three speed groups, reporting per-sequence average precision and the
 //! simulated time of each scheme.
 
+use std::num::NonZeroUsize;
 use vr_dann::baselines::{run_euphrates, run_selsa};
 use vr_dann::{DetTask, DetectionRun, RunInput, TrainTask, VrDann, VrDannConfig};
 use vrd_metrics::{average_precision, FrameDetections};
@@ -55,8 +56,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .run::<DetTask>(seq, RunInput::Strict(&encoded), None)?
             .into();
         let selsa = run_selsa(seq, &encoded, 2);
-        let e2 = run_euphrates(seq, &encoded, 2, 2);
-        let e4 = run_euphrates(seq, &encoded, 4, 2);
+        let e2 = run_euphrates(seq, &encoded, NonZeroUsize::new(2).unwrap(), 2);
+        let e4 = run_euphrates(seq, &encoded, NonZeroUsize::new(4).unwrap(), 2);
 
         let r_e2 = simulate(&e2.trace, ExecMode::InOrder, &sim);
         let r_vr = simulate(

@@ -1,6 +1,7 @@
 //! Cross-crate integration: the complete VR-DANN stack from scene synthesis
 //! through codec, recognition, metrics and the architecture simulator.
 
+use std::num::NonZeroUsize;
 use vr_dann::baselines::{run_dff, run_euphrates, run_favos, run_osvos, run_selsa};
 use vr_dann::{ComputeKind, DetTask, DetectionRun, RunInput, TrainTask, VrDann, VrDannConfig};
 use vrd_metrics::{average_precision, score_sequence, FrameDetections};
@@ -83,7 +84,7 @@ fn all_segmentation_schemes_run_on_the_same_bitstream() {
     let vr = model.run_segmentation(&seq, &encoded).unwrap();
     let favos = run_favos(&seq, &encoded, 1);
     let osvos = run_osvos(&seq, &encoded, 1);
-    let dff = run_dff(&seq, &encoded, 5, 1);
+    let dff = run_dff(&seq, &encoded, NonZeroUsize::new(5).unwrap(), 1);
     for (name, masks) in [
         ("vrdann", &vr.masks),
         ("favos", &favos.masks),
@@ -107,7 +108,7 @@ fn detection_stack_end_to_end() {
             .unwrap()
             .into();
         let selsa = run_selsa(seq, &encoded, 2);
-        let e2 = run_euphrates(seq, &encoded, 2, 2);
+        let e2 = run_euphrates(seq, &encoded, NonZeroUsize::new(2).unwrap(), 2);
         let to_frames = |runs: &Vec<Vec<vrd_video::Detection>>| -> Vec<FrameDetections> {
             runs.iter()
                 .zip(&seq.gt_boxes)
