@@ -19,6 +19,7 @@ use vrd_codec::{MvRecord, RefMv};
 use vrd_metrics::segmentation::{reference as tally_reference, PixelCounts};
 use vrd_nn::conv::{reference, Conv2d};
 use vrd_nn::featwarp::{self, FeatureMap, WarpSource, FEATURE_CHANNELS, FEATURE_STRIDE};
+use vrd_nn::largenet::{self, LargeNet, LargeNetProfile};
 use vrd_nn::layers::{maxpool2_into, relu_in_place, sigmoid_in_place, upsample2_into};
 use vrd_nn::{NnS, QuantConv2d, Requant, Tensor};
 use vrd_video::{mask, Seg2Plane, SegMask};
@@ -31,6 +32,8 @@ const MB: usize = 16;
 const PACKED_MASK_FLOOR: f64 = 3.0;
 /// Floor of the feature-warp kernel over its per-cell reference.
 const WARP_FLOOR: f64 = 2.0;
+/// Floor of the hoisted NN-L oracle over its per-pixel reference.
+const NNL_FLOOR: f64 = 2.0;
 /// Floor of the int8 path over the optimised f32 path, on every row that
 /// has an int8 column.
 const INT8_FLOOR: f64 = 1.0;
@@ -62,7 +65,7 @@ fn time_median<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
             t.elapsed().as_secs_f64() * 1e3
         })
         .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
+    times.sort_by(f64::total_cmp);
     times[times.len() / 2]
 }
 
@@ -367,6 +370,29 @@ fn featwarp_row() -> Row {
     )
 }
 
+/// One NN-L oracle inference on an 854×480 object mask (an ellipse a
+/// third of the frame across, so the boundary is a realistic share of the
+/// pixels): the hoisted raster vs the per-pixel reference, both on every
+/// core as the engine runs them.
+fn nnl_row() -> Row {
+    let (cx, cy) = (W as f32 * 0.45, H as f32 * 0.55);
+    let gt = SegMask::from_bits(
+        W,
+        H,
+        (0..W * H).map(|i| {
+            let (x, y) = ((i % W) as f32 - cx, (i / W) as f32 - cy);
+            (x / 150.0).powi(2) + (y / 110.0).powi(2) <= 1.0
+        }),
+    );
+    let net = LargeNet::new(LargeNetProfile::favos());
+    pair(
+        "nnl_segment_854x480",
+        NNL_FLOOR,
+        (31, || net.segment(&gt, 0x40f0)),
+        (9, || largenet::reference::segment(&net, &gt, 0x40f0)),
+    )
+}
+
 /// Every row that is under its floor, as a printable complaint.
 pub(crate) fn failures(rows: &[Row]) -> Vec<String> {
     let mut fails = Vec::new();
@@ -427,6 +453,7 @@ pub(crate) fn run() -> Output {
     packed_mask_rows(&mut rows);
     rows.push(quant_conv_row());
     rows.push(featwarp_row());
+    rows.push(nnl_row());
     let json = to_json(&rows);
     Output {
         text: json.trim_end().to_string(),

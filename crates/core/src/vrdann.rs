@@ -216,6 +216,13 @@ fn check_profiles(cfg: &VrDannConfig) -> Result<()> {
                 p.name
             )));
         }
+        // The displacement field's lattice spacing, in pixels.
+        if p.warp_scale <= 0.0 {
+            return Err(VrDannError::InvalidConfig(format!(
+                "{which} `{}`: warp_scale is {}, must be positive",
+                p.name, p.warp_scale
+            )));
+        }
     }
     Ok(())
 }
@@ -608,28 +615,38 @@ mod tests {
         }];
         assert!((0.0..=1.0).contains(&average_precision(&frames)));
         // ...and the pipeline refuses such a profile up front, naming the
-        // profile and the field.
+        // profile and the field; likewise a finite `warp_scale` that is not
+        // a positive lattice spacing (zero used to overflow the oracle's
+        // noise lattice in debug builds).
         let (model, cfg) = tiny_model(TrainTask::Segmentation);
         let train = davis_train_suite(&cfg, 2);
         let bytes = model.export_nns();
-        for which in ["segment_profile", "detect_profile"] {
-            let mut bad = *model.config();
-            match which {
-                "segment_profile" => bad.segment_profile = nan,
-                _ => bad.detect_profile = nan,
-            }
-            for result in [
-                VrDann::from_parts(bad, &bytes),
-                VrDann::train(&train, TrainTask::Detection, bad),
-            ] {
-                match result {
-                    Err(VrDannError::InvalidConfig(msg)) => {
-                        assert!(
-                            msg.contains(which) && msg.contains("box_jitter is NaN"),
-                            "{msg}"
-                        );
+        let scale = |warp_scale| LargeNetProfile {
+            warp_scale,
+            ..LargeNetProfile::favos()
+        };
+        for (profile, complaint) in [
+            (nan, "box_jitter is NaN"),
+            (scale(0.0), "warp_scale is 0, must be positive"),
+            (scale(-0.0), "warp_scale is -0, must be positive"),
+            (scale(-3.5), "warp_scale is -3.5, must be positive"),
+        ] {
+            for which in ["segment_profile", "detect_profile"] {
+                let mut bad = *model.config();
+                match which {
+                    "segment_profile" => bad.segment_profile = profile,
+                    _ => bad.detect_profile = profile,
+                }
+                for result in [
+                    VrDann::from_parts(bad, &bytes),
+                    VrDann::train(&train, TrainTask::Detection, bad),
+                ] {
+                    match result {
+                        Err(VrDannError::InvalidConfig(msg)) => {
+                            assert!(msg.contains(which) && msg.contains(complaint), "{msg}");
+                        }
+                        other => panic!("expected InvalidConfig, got {other:?}"),
                     }
-                    other => panic!("expected InvalidConfig, got {other:?}"),
                 }
             }
         }

@@ -20,8 +20,8 @@
 
 use crate::featwarp::{FeatureMap, FEATURE_CHANNELS, FEATURE_STRIDE};
 use crate::tensor::Tensor;
-use vrd_video::texture::{hash2, value_noise};
-use vrd_video::{Detection, Rect, SegMask};
+use vrd_video::texture::{noise01, value_noise_axis, value_noise_blend, value_noise_corners};
+use vrd_video::{Detection, Rect, SegMask, MASK_WORD_BITS};
 
 /// Operations per pixel of one NN-L segmentation inference.
 ///
@@ -155,8 +155,7 @@ impl LargeNet {
     /// displacement field plus boundary speckle. Deterministic in
     /// `(gt, seed)`.
     pub fn segment(&self, gt: &SegMask, seed: u64) -> SegMask {
-        let (w, h) = (gt.width(), gt.height());
-        SegMask::from_vec(w, h, self.raster(gt, seed))
+        SegMask::from_words(gt.width(), gt.height(), self.raster(gt, seed))
     }
 
     /// Full staged inference: [`Self::forward_backbone`] composed with
@@ -178,32 +177,7 @@ impl LargeNet {
     /// oracle bit-exactly on unwarped features while degrading softly
     /// (bilinear blends of means and residuals) on warped ones.
     pub fn forward_backbone(&self, gt: &SegMask, seed: u64) -> FeatureMap {
-        let (w, h) = (gt.width(), gt.height());
-        let raster = self.raster(gt, seed);
-        let s = FEATURE_STRIDE;
-        let (fw, fh) = (w.div_ceil(s), h.div_ceil(s));
-        let mut t = Tensor::zeros(FEATURE_CHANNELS, fh, fw);
-        for fy in 0..fh {
-            for fx in 0..fw {
-                let (x0, y0) = (fx * s, fy * s);
-                let (x1, y1) = ((x0 + s).min(w), (y0 + s).min(h));
-                let mut sum = 0u32;
-                for y in y0..y1 {
-                    for x in x0..x1 {
-                        sum += u32::from(raster[y * w + x]);
-                    }
-                }
-                let mean = sum as f32 / ((x1 - x0) * (y1 - y0)) as f32;
-                t.set(0, fy, fx, mean);
-                for y in y0..y1 {
-                    for x in x0..x1 {
-                        let c = 1 + (y - y0) * s + (x - x0);
-                        t.set(c, fy, fx, f32::from(raster[y * w + x]) - mean);
-                    }
-                }
-            }
-        }
-        FeatureMap::from_tensor(w, h, s, t)
+        backbone(&self.segment(gt, seed))
     }
 
     /// Runs the head on a (possibly warped) feature map: per-pixel score
@@ -233,12 +207,196 @@ impl LargeNet {
         )
     }
 
-    /// The shared oracle raster both [`Self::segment`] and
-    /// [`Self::forward_backbone`] consume: ground truth resampled through
-    /// the displacement field plus boundary speckle, one byte per pixel.
-    fn raster(&self, gt: &SegMask, seed: u64) -> Vec<u8> {
+    /// The oracle raster [`Self::segment`] wraps: ground truth resampled
+    /// through the displacement field plus boundary speckle, as packed mask
+    /// words (the [`SegMask`] layout, tail bits zero).
+    ///
+    /// Bit-identical to [`reference::segment`], which samples
+    /// `value_noise` twice per pixel: here its axis terms are computed once
+    /// per column and once per row, and its lattice corners once per run of
+    /// columns sharing a cell. Caching by run rather than in a table over
+    /// the frame's cell range keeps one code path for every `warp_scale`,
+    /// including zero, subnormal and non-finite ones, whose cells span up
+    /// to the whole `i64` range.
+    fn raster(&self, gt: &SegMask, seed: u64) -> Vec<u64> {
         let (w, h) = (gt.width(), gt.height());
+        let wpr = w.div_ceil(MASK_WORD_BITS);
         let p = &self.profile;
+        // Every row is independent, so large frames split by row across
+        // cores — same bits at any thread count.
+        let threads = if w * h >= 1 << 16 {
+            vrd_runtime::max_threads()
+        } else {
+            1
+        };
+        let axis = |v: usize| value_noise_axis(v as f32, p.warp_scale);
+        let cols: Vec<(i64, f32)> = (0..w).map(axis).collect();
+        let rows: Vec<(i64, f32)> = (0..h).map(axis).collect();
+
+        let mut warped = vec![0u64; wpr * h];
+        for_each_row(&mut warped, wpr, threads, |y, out| {
+            let (y0, sy) = rows[y];
+            let mut cell = None;
+            for (x, &(x0, sx)) in cols.iter().enumerate() {
+                let (cx, cy) = match cell {
+                    Some((c, cx, cy)) if c == x0 => (cx, cy),
+                    _ => {
+                        let cx = value_noise_corners(x0, y0, seed ^ 0x11);
+                        let cy = value_noise_corners(x0, y0, seed ^ 0x22);
+                        cell = Some((x0, cx, cy));
+                        (cx, cy)
+                    }
+                };
+                let nx = value_noise_blend(cx, sx, sy) - 0.5;
+                let ny = value_noise_blend(cy, sx, sy) - 0.5;
+                let src_x = (x as f32 + nx * 2.0 * p.warp_amp).round() as i32;
+                let src_y = (y as f32 + ny * 2.0 * p.warp_amp).round() as i32;
+                out[x / 64] |= u64::from(gt.get_clamped(src_x, src_y)) << (x % 64);
+            }
+        });
+
+        if p.speckle > 0.0 {
+            // Flip a fraction of the pixels adjacent to the warped boundary.
+            // A pixel is adjacent when an in-frame 4-neighbour differs; a
+            // word of them is `v ^ shifted(v)` with the frame edge masked
+            // off, and only those pixels are hashed.
+            let row = |y: usize| &warped[y * wpr..(y + 1) * wpr];
+            let mut flips = vec![0u64; wpr * h];
+            for_each_row(&mut flips, wpr, threads, |y, flip| {
+                let v = row(y);
+                let up = (y > 0).then(|| row(y - 1));
+                let down = (y + 1 < h).then(|| row(y + 1));
+                for (k, f) in flip.iter_mut().enumerate() {
+                    let in_frame = u64::MAX >> (64 - (w - k * 64).min(64));
+                    // Bit j of `right` is pixel j + 1, of `left` pixel j - 1.
+                    let (right, has_right) = match v.get(k + 1) {
+                        Some(&next) => ((v[k] >> 1) | (next << 63), in_frame),
+                        None => (v[k] >> 1, in_frame >> 1),
+                    };
+                    let (left, has_left) = match k.checked_sub(1) {
+                        Some(prev) => ((v[k] << 1) | (v[prev] >> 63), in_frame),
+                        None => (v[k] << 1, in_frame & !1),
+                    };
+                    let mut near = ((v[k] ^ right) & has_right)
+                        | ((v[k] ^ left) & has_left)
+                        | up.map_or(0, |u| v[k] ^ u[k])
+                        | down.map_or(0, |d| v[k] ^ d[k]);
+                    while near != 0 {
+                        let j = near.trailing_zeros() as usize;
+                        if noise01((k * 64 + j) as i64, y as i64, seed ^ 0x33) < p.speckle {
+                            *f |= 1 << j;
+                        }
+                        near &= near - 1;
+                    }
+                }
+            });
+            for (v, f) in warped.iter_mut().zip(&flips) {
+                *v ^= f;
+            }
+        }
+        warped
+    }
+
+    /// Detects objects: ground-truth boxes jittered by the profile's
+    /// `box_jitter`, each with a confidence score. Deterministic in
+    /// `(gt_boxes, seed)`.
+    pub fn detect(
+        &self,
+        gt_boxes: &[Rect],
+        frame_w: usize,
+        frame_h: usize,
+        seed: u64,
+    ) -> Vec<Detection> {
+        let jitter_amp = self.profile.box_jitter;
+        gt_boxes
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| noise01(*i as i64, 6, seed) >= self.profile.miss_prob)
+            .map(|(i, b)| {
+                let jitter = |salt: i64| -> i32 {
+                    ((noise01(i as i64, salt, seed) - 0.5) * 2.0 * jitter_amp).round() as i32
+                };
+                let rect = Rect::new(
+                    b.x0 + jitter(1),
+                    b.y0 + jitter(2),
+                    b.x1 + jitter(3),
+                    b.y1 + jitter(4),
+                )
+                .clamped(frame_w, frame_h);
+                let score_r = noise01(i as i64, 5, seed);
+                let score = (1.0 - 0.1 * jitter_amp * score_r).clamp(0.05, 1.0);
+                Detection::new(rect, score)
+            })
+            .filter(|d| !d.rect.is_empty())
+            .collect()
+    }
+}
+
+/// Runs `f(y, row)` over the `wpr`-word rows of `words` on `threads`
+/// workers (inline at 1).
+fn for_each_row(
+    words: &mut [u64],
+    wpr: usize,
+    threads: usize,
+    f: impl Fn(usize, &mut [u64]) + Sync,
+) {
+    let rows: Vec<(usize, &mut [u64])> = words.chunks_mut(wpr).enumerate().collect();
+    vrd_runtime::parallel_for_each_with(rows, threads, |(y, row)| f(y, row));
+}
+
+/// The staged backbone's features of a segmented frame (see
+/// [`LargeNet::forward_backbone`]).
+fn backbone(mask: &SegMask) -> FeatureMap {
+    let (w, h) = (mask.width(), mask.height());
+    let s = FEATURE_STRIDE;
+    let (fw, fh) = (w.div_ceil(s), h.div_ceil(s));
+    let mut t = Tensor::zeros(FEATURE_CHANNELS, fh, fw);
+    for fy in 0..fh {
+        for fx in 0..fw {
+            let (x0, y0) = (fx * s, fy * s);
+            let (x1, y1) = ((x0 + s).min(w), (y0 + s).min(h));
+            let mut sum = 0u32;
+            for y in y0..y1 {
+                for x in x0..x1 {
+                    sum += u32::from(mask.get(x, y));
+                }
+            }
+            let mean = sum as f32 / ((x1 - x0) * (y1 - y0)) as f32;
+            t.set(0, fy, fx, mean);
+            for y in y0..y1 {
+                for x in x0..x1 {
+                    let c = 1 + (y - y0) * s + (x - x0);
+                    t.set(c, fy, fx, f32::from(mask.get(x, y)) - mean);
+                }
+            }
+        }
+    }
+    FeatureMap::from_tensor(w, h, s, t)
+}
+
+/// The per-pixel oracle — `value_noise` sampled twice per pixel into a byte
+/// raster, speckle over a byte snapshot — kept as the ground truth the
+/// hoisted raster is property-tested and benchmarked against.
+#[doc(hidden)]
+pub mod reference {
+    use super::{backbone, LargeNet};
+    use crate::featwarp::FeatureMap;
+    use vrd_video::texture::{hash2, value_noise};
+    use vrd_video::SegMask;
+
+    /// [`LargeNet::segment`], per pixel.
+    pub fn segment(net: &LargeNet, gt: &SegMask, seed: u64) -> SegMask {
+        SegMask::from_vec(gt.width(), gt.height(), raster(net, gt, seed))
+    }
+
+    /// [`LargeNet::forward_backbone`] over [`segment`].
+    pub fn forward_backbone(net: &LargeNet, gt: &SegMask, seed: u64) -> FeatureMap {
+        backbone(&segment(net, gt, seed))
+    }
+
+    fn raster(net: &LargeNet, gt: &SegMask, seed: u64) -> Vec<u8> {
+        let (w, h) = (gt.width(), gt.height());
+        let p = &net.profile;
         // The noise passes are inherently per-pixel, so they run over a byte
         // scratch raster and pack into the bitplane once at the end.
         let mut out = vec![0u8; w * h];
@@ -292,44 +450,6 @@ impl LargeNet {
             }
         }
         out
-    }
-
-    /// Detects objects: ground-truth boxes jittered by the profile's
-    /// `box_jitter`, each with a confidence score. Deterministic in
-    /// `(gt_boxes, seed)`.
-    pub fn detect(
-        &self,
-        gt_boxes: &[Rect],
-        frame_w: usize,
-        frame_h: usize,
-        seed: u64,
-    ) -> Vec<Detection> {
-        let jitter_amp = self.profile.box_jitter;
-        gt_boxes
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| {
-                let r = (hash2(*i as i64, 6, seed) >> 40) as f32 / (1u64 << 24) as f32;
-                r >= self.profile.miss_prob
-            })
-            .map(|(i, b)| {
-                let jitter = |salt: i64| -> i32 {
-                    let r = (hash2(i as i64, salt, seed) >> 40) as f32 / (1u64 << 24) as f32;
-                    ((r - 0.5) * 2.0 * jitter_amp).round() as i32
-                };
-                let rect = Rect::new(
-                    b.x0 + jitter(1),
-                    b.y0 + jitter(2),
-                    b.x1 + jitter(3),
-                    b.y1 + jitter(4),
-                )
-                .clamped(frame_w, frame_h);
-                let score_r = (hash2(i as i64, 5, seed) >> 40) as f32 / (1u64 << 24) as f32;
-                let score = (1.0 - 0.1 * jitter_amp * score_r).clamp(0.05, 1.0);
-                Detection::new(rect, score)
-            })
-            .filter(|d| !d.rect.is_empty())
-            .collect()
     }
 }
 
@@ -420,6 +540,21 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_zero_warp_scale_does_not_overflow_the_lattice() {
+        // x / 0.0 is +inf, whose cell saturates to i64::MAX; its right-hand
+        // neighbour used to overflow (a panic in debug builds) and now
+        // wraps, which is what release builds always computed.
+        let gt = square_mask(16, 8, Rect::new(4, 2, 12, 6));
+        let net = LargeNet::new(LargeNetProfile {
+            warp_scale: 0.0,
+            ..LargeNetProfile::favos()
+        });
+        let seg = net.segment(&gt, 5);
+        assert_eq!(seg, reference::segment(&net, &gt, 5));
+        assert_eq!(net.forward(&gt, 5), seg);
     }
 
     #[test]

@@ -324,7 +324,7 @@ impl SegMask {
     /// # Panics
     /// Panics if a dimension is zero or `words.len()` is not
     /// `words_per_row * height`.
-    pub(crate) fn from_words(width: usize, height: usize, words: Vec<u64>) -> Self {
+    pub fn from_words(width: usize, height: usize, words: Vec<u64>) -> Self {
         assert!(width > 0 && height > 0, "mask dimensions must be non-zero");
         let words_per_row = width.div_ceil(MASK_WORD_BITS);
         assert_eq!(

@@ -24,26 +24,53 @@ pub fn hash2(x: i64, y: i64, seed: u64) -> u64 {
 
 /// Uniform `[0, 1)` noise derived from [`hash2`].
 #[inline]
-pub(crate) fn noise01(x: i64, y: i64, seed: u64) -> f32 {
+pub fn noise01(x: i64, y: i64, seed: u64) -> f32 {
     (hash2(x, y, seed) >> 40) as f32 / (1u64 << 24) as f32
 }
 
 /// Smooth value noise: bilinear interpolation of lattice noise at `scale`
 /// pixel spacing. Gives blob-like low-frequency structure.
+///
+/// It is the composition of [`value_noise_axis`] (once per coordinate),
+/// [`value_noise_corners`] and [`value_noise_blend`]; a caller sampling a
+/// whole raster can compute each axis term once per row or column and the
+/// corners once per lattice cell, and get the same bits.
 pub fn value_noise(x: f32, y: f32, scale: f32, seed: u64) -> f32 {
-    let gx = x / scale;
-    let gy = y / scale;
-    let x0 = gx.floor() as i64;
-    let y0 = gy.floor() as i64;
-    let fx = gx - x0 as f32;
-    let fy = gy - y0 as f32;
+    let (x0, sx) = value_noise_axis(x, scale);
+    let (y0, sy) = value_noise_axis(y, scale);
+    value_noise_blend(value_noise_corners(x0, y0, seed), sx, sy)
+}
+
+/// One axis of [`value_noise`]: the lattice cell `v` falls in at `scale`
+/// pixel spacing, and the smoothstep fade of `v`'s position inside it.
+#[inline]
+pub fn value_noise_axis(v: f32, scale: f32) -> (i64, f32) {
+    let g = v / scale;
+    let cell = g.floor() as i64;
+    let f = g - cell as f32;
     // Smoothstep fade for C1 continuity.
-    let sx = fx * fx * (3.0 - 2.0 * fx);
-    let sy = fy * fy * (3.0 - 2.0 * fy);
-    let n00 = noise01(x0, y0, seed);
-    let n10 = noise01(x0 + 1, y0, seed);
-    let n01 = noise01(x0, y0 + 1, seed);
-    let n11 = noise01(x0 + 1, y0 + 1, seed);
+    (cell, f * f * (3.0 - 2.0 * f))
+}
+
+/// The lattice noise at the corners of cell `(x0, y0)`, in the order
+/// [`value_noise_blend`] takes them: `(x0, y0)`, one cell right, one cell
+/// down, diagonal. The neighbours wrap at `i64::MAX`, where a zero or
+/// subnormal `scale` puts the cell.
+#[inline]
+pub fn value_noise_corners(x0: i64, y0: i64, seed: u64) -> [f32; 4] {
+    let (x1, y1) = (x0.wrapping_add(1), y0.wrapping_add(1));
+    [
+        noise01(x0, y0, seed),
+        noise01(x1, y0, seed),
+        noise01(x0, y1, seed),
+        noise01(x1, y1, seed),
+    ]
+}
+
+/// The bilinear blend of [`value_noise`]: the four corners of a cell
+/// weighted by the two axis fades `sx`, `sy`.
+#[inline]
+pub fn value_noise_blend([n00, n10, n01, n11]: [f32; 4], sx: f32, sy: f32) -> f32 {
     let top = n00 + (n10 - n00) * sx;
     let bot = n01 + (n11 - n01) * sx;
     top + (bot - top) * sy
