@@ -47,7 +47,7 @@
 use crate::components::{boxes_to_mask, extract_components};
 use crate::error::{Result, VrDannError};
 use crate::recon::{plane_to_mask, reconstruct_b_frame};
-use crate::sandwich::nns_input;
+use crate::sandwich::{fill_nns_input, nns_tensor};
 use crate::trace::{ComputeKind, ConcealmentStats, SchemeKind, SchemeTrace, TraceFrame};
 use crate::vrdann::{ResilienceOptions, VrDannConfig};
 use rand::rngs::StdRng;
@@ -59,6 +59,7 @@ use vrd_codec::{
     UnitPayload,
 };
 use vrd_nn::{ComputeMode, LargeNet, NnS, QuantNnS};
+use vrd_runtime::BufferPool;
 use vrd_video::texture::hash2;
 use vrd_video::{Detection, SegMask, Sequence};
 
@@ -555,25 +556,45 @@ struct ReconCtx<'a> {
     nns_q: Option<QuantNnS>,
 }
 
+/// Scratch for the int8 path's quantized sandwiches, recycled across
+/// B-frames.
+static SANDWICH_U8: BufferPool<u8> = BufferPool::new();
+
 /// Executes one planned B-frame job. Pure with respect to the engine:
 /// reads the reference window and model, produces the mask, mutates
 /// nothing — which is what makes the wave fan-out safe and bit-identical
 /// to sequential execution.
+///
+/// Both precisions threshold NN-S's logits rather than its probabilities
+/// (`NnS::mask`, `QuantNnS::mask`), and the int8 path expands the packed
+/// planes straight into the quantized sandwich codes: the masks are those
+/// of `infer(build_sandwich(..)).to_mask(0.5)`, without the f32 sandwich,
+/// the quantize pass or the sigmoid.
 fn exec_recon(
     job: &ReconJob,
     ref_segs: &BTreeMap<u32, SegMask>,
     ctx: &ReconCtx<'_>,
 ) -> Result<SegMask> {
+    let (s, cfg) = (&ctx.stream, ctx.cfg);
+    let plane = reconstruct_b_frame(
+        &job.info, ref_segs, s.width, s.height, s.mb_size, &cfg.recon,
+    )?;
     if !job.refined {
-        let (s, recon) = (&ctx.stream, &ctx.cfg.recon);
-        let plane = reconstruct_b_frame(&job.info, ref_segs, s.width, s.height, s.mb_size, recon)?;
-        return Ok(plane_to_mask(&plane, recon));
+        return Ok(plane_to_mask(&plane, &cfg.recon));
     }
-    let input = nns_input(&job.info, ref_segs, &ctx.stream, ctx.cfg)?;
-    Ok(match &ctx.nns_q {
-        Some(q) => q.infer(&input).to_mask(0.5),
-        None => ctx.nns.infer(&input).to_mask(0.5),
-    })
+    let display = job.info.display_idx;
+    match &ctx.nns_q {
+        Some(q) => {
+            let mut xq = SANDWICH_U8.take_stale(3 * s.width * s.height);
+            let codes = q.sandwich_codes();
+            fill_nns_input(display, &plane, ref_segs, cfg.sandwich, codes, &mut xq)?;
+            Ok(q.mask(&xq, s.height, s.width))
+        }
+        None => {
+            let input = nns_tensor(display, &plane, ref_segs, cfg.sandwich)?;
+            Ok(ctx.nns.mask(&input))
+        }
+    }
 }
 
 /// The generic streaming engine: a task, a fault policy, and a shared model

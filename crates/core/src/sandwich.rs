@@ -33,6 +33,9 @@ fn pick_anchors(
     }
 }
 
+/// The values of black, gray and white pixels in an f32 NN-S input.
+const F32_CODES: [f32; 3] = [0.0, 0.5, 1.0];
+
 /// Builds the 3-channel sandwich tensor for a B-frame.
 ///
 /// `ref_segs` maps anchor display indices to segmentations; the channels are
@@ -40,9 +43,10 @@ fn pick_anchors(
 /// B-frame has anchors on only one side (stream boundaries), that side's
 /// nearest anchor fills both outer channels.
 ///
-/// The assembly is fused: each channel expands its packed bitplanes word-at-
-/// a-time straight into its slice of the final CHW buffer, so no
-/// intermediate per-channel tensor or byte raster is materialised.
+/// The assembly is fused ([`fill_nns_input`]): each channel expands its
+/// packed bitplanes word-at-a-time straight into its slice of the final CHW
+/// buffer, so no intermediate per-channel tensor or byte raster is
+/// materialised.
 ///
 /// # Errors
 /// Returns [`VrDannError::BadInput`] if `ref_segs` is empty.
@@ -51,30 +55,61 @@ pub fn build_sandwich(
     plane: &Seg2Plane,
     ref_segs: &BTreeMap<u32, SegMask>,
 ) -> Result<Tensor> {
-    let (prev, next) = pick_anchors(display_idx, ref_segs)?;
+    nns_tensor(display_idx, plane, ref_segs, true)
+}
+
+/// The f32 NN-S input of a B-frame reconstructed as `plane`:
+/// [`fill_nns_input`] into a new tensor.
+pub(crate) fn nns_tensor(
+    display_idx: u32,
+    plane: &Seg2Plane,
+    ref_segs: &BTreeMap<u32, SegMask>,
+    sandwich: bool,
+) -> Result<Tensor> {
     let (w, h) = (plane.width(), plane.height());
-    let hw = h * w;
-    let mut data = vec![0.0f32; 3 * hw];
-    let (first, rest) = data.split_at_mut(hw);
-    let (mid, last) = rest.split_at_mut(hw);
-    prev.expand_f32_into(first);
-    plane.expand_f32_into(mid);
-    next.expand_f32_into(last);
+    let mut data = vec![0.0; 3 * h * w];
+    fill_nns_input(display_idx, plane, ref_segs, sandwich, F32_CODES, &mut data)?;
     Ok(Tensor::from_vec(3, h, w, data))
 }
 
-/// Builds a degenerate single-information input for the no-sandwich
-/// ablation: the reconstruction fills all three channels, so NN-S sees no
-/// temporal context.
-pub(crate) fn build_reconstruction_only(plane: &Seg2Plane) -> Tensor {
-    let (w, h) = (plane.width(), plane.height());
-    let hw = h * w;
-    let mut data = vec![0.0f32; 3 * hw];
-    plane.expand_f32_into(&mut data[..hw]);
-    let (first, rest) = data.split_at_mut(hw);
-    rest[..hw].copy_from_slice(first);
-    rest[hw..].copy_from_slice(first);
-    Tensor::from_vec(3, h, w, data)
+/// Writes the NN-S input of a B-frame reconstructed as `plane` into `out`
+/// (`3 × h × w`), each pixel as `codes[0]`, `codes[1]` or `codes[2]` for
+/// black, gray and white: with `sandwich`, the sandwich of
+/// [`build_sandwich`]; without it, the reconstruction in all three channels
+/// (the no-sandwich ablation, where NN-S sees no temporal context). The one
+/// expansion body behind both precisions' inputs — f32 `0 / ½ / 1`, or the
+/// int8 graph's quantized codes — from the packed planes, a word at a time.
+///
+/// # Errors
+/// Returns [`VrDannError::BadInput`] if `sandwich` is set and `ref_segs` is
+/// empty.
+///
+/// # Panics
+/// Panics if `out` is not `3 × h × w` long.
+pub fn fill_nns_input<T: Copy>(
+    display_idx: u32,
+    plane: &Seg2Plane,
+    ref_segs: &BTreeMap<u32, SegMask>,
+    sandwich: bool,
+    codes: [T; 3],
+    out: &mut [T],
+) -> Result<()> {
+    let hw = plane.width() * plane.height();
+    assert_eq!(out.len(), 3 * hw, "NN-S input buffer size mismatch");
+    let (first, rest) = out.split_at_mut(hw);
+    let (mid, last) = rest.split_at_mut(hw);
+    if sandwich {
+        let (prev, next) = pick_anchors(display_idx, ref_segs)?;
+        let [black, _, white] = codes;
+        prev.expand_into(first, [black, white]);
+        plane.expand_into(mid, codes);
+        next.expand_into(last, [black, white]);
+    } else {
+        plane.expand_into(mid, codes);
+        first.copy_from_slice(mid);
+        last.copy_from_slice(mid);
+    }
+    Ok(())
 }
 
 /// The NN-S input of one B-frame, shared by training and the engine:
@@ -92,11 +127,7 @@ pub(crate) fn nns_input(
 ) -> Result<Tensor> {
     let (w, h, mb) = (stream.width, stream.height, stream.mb_size);
     let plane = reconstruct_b_frame(info, ref_segs, w, h, mb, &cfg.recon)?;
-    if cfg.sandwich {
-        build_sandwich(info.display_idx, &plane, ref_segs)
-    } else {
-        Ok(build_reconstruction_only(&plane))
-    }
+    nns_tensor(info.display_idx, &plane, ref_segs, cfg.sandwich)
 }
 
 /// Retained per-pixel sandwich assembly — the scalar ground truth the fused
@@ -159,6 +190,25 @@ mod tests {
     }
 
     #[test]
+    fn every_element_type_expands_the_same_pixels() {
+        let mut refs = BTreeMap::new();
+        refs.insert(0u32, mask(Rect::new(0, 0, 5, 3)));
+        refs.insert(4u32, mask(Rect::new(2, 1, 8, 8)));
+        let mut plane = Seg2Plane::new(8, 8);
+        plane.set(3, 0, Seg2::Gray);
+        plane.set(6, 7, Seg2::White);
+        for sandwich in [true, false] {
+            let f32s = nns_tensor(2, &plane, &refs, sandwich).unwrap();
+            let mut codes = vec![0u8; 3 * 64];
+            fill_nns_input(2, &plane, &refs, sandwich, [7, 11, 13], &mut codes).unwrap();
+            let want: Vec<u8> = (f32s.as_slice().iter())
+                .map(|&v| [7, 11, 13][(v * 2.0) as usize])
+                .collect();
+            assert_eq!(codes, want, "sandwich {sandwich}");
+        }
+    }
+
+    #[test]
     fn one_sided_anchors_duplicate() {
         let mut refs = BTreeMap::new();
         refs.insert(0u32, mask(Rect::new(0, 0, 2, 2)));
@@ -177,7 +227,7 @@ mod tests {
     fn reconstruction_only_ablation_replicates_middle() {
         let mut plane = Seg2Plane::new(8, 8);
         plane.set(2, 2, Seg2::White);
-        let t = build_reconstruction_only(&plane);
+        let t = nns_tensor(3, &plane, &BTreeMap::new(), false).unwrap();
         assert_eq!(t.channel(0), t.channel(1));
         assert_eq!(t.channel(1), t.channel(2));
         assert_eq!(t.get(1, 2, 2), 1.0);

@@ -158,11 +158,8 @@ impl Conv2d {
         self.forward_banded(x, out, epilogue, self.auto_threads(x.h, x.w), band_dispatch);
     }
 
-    /// The row-band driver: cuts the output rows into `bands` contiguous
-    /// bands (each a disjoint set of row slices, one per output channel) and
-    /// runs `body` on each, one thread per band. Every output element is
-    /// computed from scratch by exactly one band, so the result does not
-    /// depend on `bands`.
+    /// Checks the shapes, then runs `body` on `bands` row bands of `out`
+    /// ([`run_bands`]).
     fn forward_banded(
         &self,
         x: Input<'_>,
@@ -174,26 +171,7 @@ impl Conv2d {
         let (h, w) = (x.h, x.w);
         assert_eq!(x.data.len(), self.cin * h * w, "conv input length mismatch");
         assert_eq!(out.len(), self.cout * h * w, "conv output length mismatch");
-        if h == 0 || w == 0 {
-            return;
-        }
-        let band_rows = h.div_ceil(bands.clamp(1, h));
-        let mut work: Vec<Band<'_>> = (0..h)
-            .step_by(band_rows)
-            .map(|y0| Band {
-                y0,
-                planes: Vec::with_capacity(self.cout),
-            })
-            .collect();
-        for plane in out.chunks_mut(h * w) {
-            for (band, rows) in work.iter_mut().zip(plane.chunks_mut(band_rows * w)) {
-                band.planes.push(rows);
-            }
-        }
-        let threads = work.len();
-        vrd_runtime::parallel_for_each_with(work, threads, |band| {
-            body(self, x, band, epilogue);
-        });
+        run_bands(out, (h, w), bands, |band| body(self, x, band, epilogue));
     }
 
     fn forward_tensor(&self, x: &Tensor, bands: usize, body: BandBody) -> Tensor {
@@ -442,28 +420,62 @@ impl Epilogue {
     }
 }
 
-/// A `cin × h × w` layer input as the slice-level kernels take it.
+/// A `cin × h × w` layer input as the slice-level kernels take it (f32, or
+/// `u8` activations for the quantized kernels).
 #[derive(Clone, Copy)]
-pub(crate) struct Input<'a> {
-    data: &'a [f32],
-    h: usize,
-    w: usize,
+pub(crate) struct Input<'a, T = f32> {
+    pub(crate) data: &'a [T],
+    pub(crate) h: usize,
+    pub(crate) w: usize,
+}
+
+impl<'a, T> Input<'a, T> {
+    pub(crate) fn new(data: &'a [T], h: usize, w: usize) -> Self {
+        Self { data, h, w }
+    }
 }
 
 impl<'a> Input<'a> {
-    pub(crate) fn new(data: &'a [f32], h: usize, w: usize) -> Self {
-        Self { data, h, w }
-    }
-
     pub(crate) fn of(x: &'a Tensor) -> Self {
         Self::new(x.as_slice(), x.height(), x.width())
     }
 }
 
 /// One band of output rows: rows `y0..` of every output-channel plane.
-struct Band<'a> {
-    y0: usize,
-    planes: Vec<&'a mut [f32]>,
+pub(crate) struct Band<'a, T = f32> {
+    pub(crate) y0: usize,
+    pub(crate) planes: Vec<&'a mut [T]>,
+}
+
+/// The row-band driver of both precisions' convolutions: cuts the rows of
+/// `out` (planes of `h × w`) into `bands` contiguous bands — each a
+/// disjoint set of row slices, one per plane — and runs `body` on each, one
+/// thread per band. Every output element is computed from scratch by
+/// exactly one band, so the result does not depend on `bands`.
+pub(crate) fn run_bands<T: Send>(
+    out: &mut [T],
+    (h, w): (usize, usize),
+    bands: usize,
+    body: impl Fn(Band<'_, T>) + Sync,
+) {
+    if h == 0 || w == 0 {
+        return;
+    }
+    let band_rows = h.div_ceil(bands.clamp(1, h));
+    let mut work: Vec<Band<'_, T>> = (0..h)
+        .step_by(band_rows)
+        .map(|y0| Band {
+            y0,
+            planes: Vec::with_capacity(out.len() / (h * w)),
+        })
+        .collect();
+    for plane in out.chunks_mut(h * w) {
+        for (band, rows) in work.iter_mut().zip(plane.chunks_mut(band_rows * w)) {
+            band.planes.push(rows);
+        }
+    }
+    let threads = work.len();
+    vrd_runtime::parallel_for_each_with(work, threads, body);
 }
 
 /// One output row as the kernels see it.

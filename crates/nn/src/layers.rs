@@ -4,6 +4,9 @@
 //! pass — the backward kernels are written against the activations the
 //! caller kept.
 
+use std::sync::OnceLock;
+use vrd_video::SegMask;
+
 /// In-place ReLU over a raw buffer.
 pub fn relu_in_place(data: &mut [f32]) {
     for v in data.iter_mut() {
@@ -16,6 +19,45 @@ pub fn sigmoid_in_place(data: &mut [f32]) {
     for v in data.iter_mut() {
         *v = 1.0 / (1.0 + (-*v).exp());
     }
+}
+
+/// The one f32 cut-over of [`sigmoid_in_place`] at one half: the largest
+/// `t` whose sigmoid is not above 0.5, so that `sigmoid(z) > 0.5 ⇔ z > t`
+/// for every f32 `z` (NaN included: both sides are false). It is not 0 —
+/// the sigmoid rounds to exactly one half for tiny positive `z` — so it is
+/// found, once, by bisection over the bit patterns of `[0, 1]`, which order
+/// like the floats they encode.
+pub fn sigmoid_cut() -> f32 {
+    static CUT: OnceLock<f32> = OnceLock::new();
+    *CUT.get_or_init(|| {
+        let above_half = |bits: u32| {
+            let mut v = [f32::from_bits(bits)];
+            sigmoid_in_place(&mut v);
+            v[0] > 0.5
+        };
+        let (mut lo, mut hi) = (0.0f32.to_bits(), 1.0f32.to_bits());
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if above_half(mid) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        f32::from_bits(lo)
+    })
+}
+
+/// Thresholds an `h × w` plane of logits at [`sigmoid_cut`]: the mask
+/// [`sigmoid_in_place`] followed by `to_mask(0.5)` gives, without the
+/// exponentials.
+///
+/// # Panics
+/// Panics if `logits.len() != h * w`.
+pub fn logits_to_mask(logits: &[f32], h: usize, w: usize) -> SegMask {
+    assert_eq!(logits.len(), h * w, "logit plane size mismatch");
+    let cut = sigmoid_cut();
+    SegMask::from_bits(w, h, logits.iter().map(|&z| z > cut))
 }
 
 /// 2×2 max pooling from a `c × h × w` slice into a `c × h/2 × w/2` slice.
@@ -50,6 +92,85 @@ pub fn maxpool2_into<T: Copy>(
                 .zip(top.chunks_exact(2).zip(bot.chunks_exact(2)))
             {
                 *o = max(max(max(t[0], t[1]), b[0]), b[1]);
+            }
+        }
+    }
+}
+
+/// [`maxpool2_into`] on `u8` planes, with the same output: where AVX2 is
+/// detected, 32 output pixels per step (a byte-wise `max` of the row pair,
+/// then each column pair's `max` through a 16-bit shift and a pack).
+///
+/// # Panics
+/// Panics on odd input dimensions or mismatched buffer lengths.
+pub fn maxpool2_u8_into(src: &[u8], c: usize, h: usize, w: usize, dst: &mut [u8]) {
+    #[cfg(target_arch = "x86_64")]
+    if crate::quant::avx2_enabled() {
+        // SAFETY: AVX2 was just detected on this CPU, which is all
+        // `maxpool2_u8_avx2` (safe code compiled for that target) requires.
+        return unsafe { maxpool2_u8_avx2(src, c, h, w, dst) };
+    }
+    maxpool2_into(src, c, h, w, dst, u8::max);
+}
+
+/// [`maxpool2_u8_into`]'s AVX2 body: each row pair 64 input columns at a
+/// time, the remainder through the scalar `max`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn maxpool2_u8_avx2(src: &[u8], c: usize, h: usize, w: usize, dst: &mut [u8]) {
+    use std::arch::x86_64::{
+        __m256i, _mm256_and_si256, _mm256_loadu_si256, _mm256_max_epu8, _mm256_packus_epi16,
+        _mm256_permute4x64_epi64, _mm256_set1_epi16, _mm256_srli_epi16, _mm256_storeu_si256,
+    };
+    assert!(
+        h.is_multiple_of(2) && w.is_multiple_of(2),
+        "max-pool needs even dimensions"
+    );
+    assert_eq!(src.len(), c * h * w, "max-pool input length mismatch");
+    assert_eq!(dst.len(), c * h * w / 4, "max-pool output length mismatch");
+    // Sixteen `u16` lanes, each the max of one 2×2 block of a 32-column
+    // strip of the row pair.
+    let blocks = |top: &[u8], bot: &[u8]| -> __m256i {
+        // SAFETY: both strips are 32 bytes long (sliced by the caller),
+        // the width of the unaligned loads.
+        let m = unsafe {
+            _mm256_max_epu8(
+                _mm256_loadu_si256(top.as_ptr().cast()),
+                _mm256_loadu_si256(bot.as_ptr().cast()),
+            )
+        };
+        let pairs = _mm256_max_epu8(m, _mm256_srli_epi16::<8>(m));
+        _mm256_and_si256(pairs, _mm256_set1_epi16(0xff))
+    };
+    let (oh, ow) = (h / 2, w / 2);
+    let split = w / 64 * 64;
+    for ci in 0..c {
+        let plane = &src[ci * h * w..][..h * w];
+        for y in 0..oh {
+            let top = &plane[2 * y * w..][..w];
+            let bot = &plane[(2 * y + 1) * w..][..w];
+            let orow = &mut dst[(ci * oh + y) * ow..][..ow];
+            let strips = top[..split]
+                .chunks_exact(32)
+                .zip(bot[..split].chunks_exact(32));
+            let mut strips = strips.map(|(t, b)| blocks(t, b));
+            for o in orow[..split / 2].chunks_exact_mut(32) {
+                let (Some(lo), Some(hi)) = (strips.next(), strips.next()) else {
+                    break;
+                };
+                // `packus` interleaves the two sources per 128-bit lane;
+                // the permute puts the four quarters back in order.
+                let packed = _mm256_permute4x64_epi64::<0b1101_1000>(_mm256_packus_epi16(lo, hi));
+                // SAFETY: `o` is 32 bytes long, the width of the store.
+                unsafe { _mm256_storeu_si256(o.as_mut_ptr().cast(), packed) };
+            }
+            let tail = orow[split / 2..].iter_mut().zip(
+                top[split..]
+                    .chunks_exact(2)
+                    .zip(bot[split..].chunks_exact(2)),
+            );
+            for (o, (t, b)) in tail {
+                *o = t[0].max(t[1]).max(b[0]).max(b[1]);
             }
         }
     }
@@ -184,6 +305,19 @@ mod tests {
                 1.0, 1.0, 1.0, 1.0, 31.0, 1.0,
             ]
         );
+    }
+
+    #[test]
+    fn u8_pool_matches_the_generic_pool() {
+        // 130 columns: two 64-column steps and a scalar tail.
+        let (c, h, w) = (3, 4, 130);
+        let src: Vec<u8> = (0..c * h * w)
+            .map(|i| vrd_video::texture::hash2(i as i64, 3, 9) as u8)
+            .collect();
+        let (mut fast, mut generic) = (vec![0u8; c * h * w / 4], vec![1u8; c * h * w / 4]);
+        maxpool2_u8_into(&src, c, h, w, &mut fast);
+        maxpool2_into(&src, c, h, w, &mut generic, u8::max);
+        assert_eq!(fast, generic);
     }
 
     #[test]

@@ -14,14 +14,15 @@
 
 use crate::conv::{Conv2d, Epilogue, Input};
 use crate::layers::{
-    maxpool2_backward, maxpool2_into, relu_backward, sigmoid_in_place, upsample2_backward,
-    upsample2_into,
+    logits_to_mask, maxpool2_backward, maxpool2_into, relu_backward, sigmoid_in_place,
+    upsample2_backward, upsample2_into,
 };
 use crate::loss::bce_with_logits;
 use crate::quant::{ActScales, QuantNnS};
 use crate::tensor::Tensor;
 use crate::trainer::Grads;
 use vrd_runtime::{BufferPool, PooledBuf};
+use vrd_video::SegMask;
 
 /// Channels of the sandwich input.
 pub(crate) const SANDWICH_CHANNELS: usize = 3;
@@ -207,6 +208,17 @@ impl NnS {
         Tensor::from_vec(1, x.height(), x.width(), out)
     }
 
+    /// The refined mask: the logits thresholded at
+    /// [`sigmoid_cut`](crate::layers::sigmoid_cut) — the mask
+    /// `infer(x).to_mask(0.5)` gives, without the sigmoid or the
+    /// probability plane.
+    ///
+    /// # Panics
+    /// Panics on a wrong channel count or odd spatial dimensions.
+    pub fn mask(&self, x: &Tensor) -> SegMask {
+        logits_to_mask(&self.walk(x).logits, x.height(), x.width())
+    }
+
     /// One sample's training step: forward, BCE-with-logits against
     /// `target`, backward. Adds the sample's parameter gradients into
     /// `grads` and returns the loss.
@@ -256,6 +268,7 @@ mod tests {
         let y = nns.infer(&x);
         assert_eq!((y.channels(), y.height(), y.width()), (1, 8, 12));
         assert!(y.as_slice().iter().all(|&v| (0.0..=1.0).contains(&v)));
+        assert_eq!(nns.mask(&x), y.to_mask(0.5));
     }
 
     #[test]

@@ -272,23 +272,27 @@ impl<T: Copy + Default> BufferPool<T> {
     /// request does not walk off with (and pin) a large allocation; when
     /// none fits, the largest one is grown.
     pub fn take(&self, len: usize) -> PooledBuf<'_, T> {
-        let mut buf = {
-            let mut free = self
-                .free
-                .lock()
-                .expect("buffer pool lock is never poisoned");
-            // Fitting buffers sort first; within either group the capacity
-            // closest to `len` is the smallest fit or the largest misfit.
-            let best = free
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, b)| (b.capacity() < len, b.capacity().abs_diff(len)))
-                .map(|(i, _)| i);
-            best.map(|i| free.swap_remove(i)).unwrap_or_default()
-        };
+        let mut buf = self.retired(len);
         buf.clear();
         buf.resize(len, T::default());
         PooledBuf { buf, pool: self }
+    }
+
+    /// The retired buffer best fitting `len` (see [`BufferPool::take`]), or
+    /// a new empty one.
+    fn retired(&self, len: usize) -> Vec<T> {
+        let mut free = self
+            .free
+            .lock()
+            .expect("buffer pool lock is never poisoned");
+        // Fitting buffers sort first; within either group the capacity
+        // closest to `len` is the smallest fit or the largest misfit.
+        let best = free
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, b)| (b.capacity() < len, b.capacity().abs_diff(len)))
+            .map(|(i, _)| i);
+        best.map(|i| free.swap_remove(i)).unwrap_or_default()
     }
 
     fn recycle(&self, buf: Vec<T>) {
@@ -299,6 +303,39 @@ impl<T: Copy + Default> BufferPool<T> {
         if free.len() < POOL_CAP {
             free.push(buf);
         }
+    }
+}
+
+/// Element types [`BufferPool::take_stale`] hands out: debug builds fill a
+/// stale buffer with `POISON`, a value no kernel should be found reading.
+pub trait Poison: Copy + Default {
+    /// The debug-build fill of a stale take.
+    const POISON: Self;
+}
+
+impl Poison for f32 {
+    const POISON: f32 = f32::NAN;
+}
+
+impl Poison for u8 {
+    /// Above the 7-bit activation range, so a quantized kernel that reads
+    /// it also moves its output.
+    const POISON: u8 = 0xA5;
+}
+
+impl<T: Poison> BufferPool<T> {
+    /// A scratch buffer of length `len` whose contents are unspecified —
+    /// whatever the retired allocation last held — for a caller that writes
+    /// every element before it reads any: [`BufferPool::take`] without the
+    /// fill. Debug builds fill it with [`Poison::POISON`] instead, so a read
+    /// of an unwritten element shows up in tests.
+    pub fn take_stale(&self, len: usize) -> PooledBuf<'_, T> {
+        let mut buf = self.retired(len);
+        if cfg!(debug_assertions) {
+            buf.clear();
+        }
+        buf.resize(len, T::POISON);
+        PooledBuf { buf, pool: self }
     }
 }
 
@@ -462,6 +499,25 @@ mod tests {
         assert!(d.iter().all(|&v| v == 0.0));
         let e = pool.take(64);
         assert_eq!(e.as_ptr(), small);
+    }
+
+    #[test]
+    fn stale_take_is_poisoned_in_debug_builds_and_unfilled_in_release() {
+        let pool = BufferPool::<u8>::new();
+        pool.take(64).fill(7);
+        let stale = pool.take_stale(48);
+        assert_eq!(stale.len(), 48);
+        let want = if cfg!(debug_assertions) {
+            u8::POISON
+        } else {
+            7
+        };
+        assert!(stale.iter().all(|&v| v == want), "{:?}", &stale[..]);
+        drop(stale);
+        // Growing past the retired length fills the new tail either way.
+        let grown = pool.take_stale(100);
+        assert_eq!(grown.len(), 100);
+        assert!(grown[64..].iter().all(|&v| v == u8::POISON));
     }
 
     #[test]
