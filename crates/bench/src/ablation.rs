@@ -72,10 +72,7 @@ pub(crate) fn run(ctx: &Context) -> Ablation {
             ctx,
             "no mean filter (first ref wins)",
             VrDannConfig {
-                recon: ReconConfig {
-                    mean_filter: false,
-                    ..ReconConfig::default()
-                },
+                recon: ReconConfig { mean_filter: false },
                 ..base
             },
         ),

@@ -25,8 +25,8 @@ use crate::table::{fmt_ms, fmt_pct, Table};
 use vr_dann::VrDannConfig;
 use vrd_codec::{BFrameMode, CodecConfig};
 use vrd_serve::{
-    drive_template, generate, run_fleet, AutoscaleConfig, Envelope, FleetConfig, FleetReport,
-    LoadGenConfig, ResClass, SessionDemand, SloConfig, StreamEntry, TaskKind, TrafficTrace,
+    drive_template, generate, run_fleet, Envelope, FleetConfig, FleetReport, LoadGenConfig,
+    ResClass, SessionDemand, SloConfig, StreamEntry, TaskKind, TrafficTrace,
 };
 use vrd_video::davis::{davis_val_suite, SuiteConfig};
 
@@ -269,7 +269,7 @@ pub(crate) fn run(ctx: &Context) -> FleetBench {
             max_shards: shards,
             slo,
             sim: ctx.sim,
-            autoscale: None,
+            autoscale: false,
             ..FleetConfig::default()
         };
         let report = run_fleet(&trace, &library, &cfg).expect("scaling row serves");
@@ -307,7 +307,7 @@ pub(crate) fn run(ctx: &Context) -> FleetBench {
         max_shards: 16,
         slo,
         sim: ctx.sim,
-        autoscale: Some(AutoscaleConfig::default()),
+        autoscale: true,
         ..FleetConfig::default()
     };
     let spike_report = run_fleet(&spike_trace, &library, &spike_cfg).expect("spike serves");

@@ -39,15 +39,20 @@ const WARP_FLOOR: f64 = 2.0;
 /// Floor of the hoisted NN-L oracle over its per-pixel reference.
 const NNL_FLOOR: f64 = 2.0;
 /// Floor of the int8 path over the optimised f32 path, on every row that
-/// has an int8 column. The rows' medians read 1.5–2× on a 2-core AVX2 VM
-/// (conv1 the lowest), and single runs there spread by up to a third, so
-/// the floor sits below the lowest single reading rather than at the
-/// median.
+/// has an int8 column. Over twenty runs on a 2-core AVX2 VM the rows'
+/// median per-rep ratios read 1.39–2.97× (NN-S and conv1 the lowest), so
+/// the floor sits below the lowest run rather than at the typical one.
 const INT8_FLOOR: f64 = 1.25;
 /// Rows that are reported, not gated.
 const UNGATED: f64 = 0.0;
 
-/// One kernel's timings.
+/// `[q1, median, q3]` of a sample.
+type Quartiles = [f64; 3];
+
+/// One kernel's timings. Every side of a row is timed in the same loop
+/// ([`time_interleaved`]) and the floors gate the median of the per-rep
+/// ratios, so host-speed drift that lasts longer than one rep cancels out
+/// of the gated figure.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Row {
     /// Kernel and shape.
@@ -56,46 +61,123 @@ pub(crate) struct Row {
     pub optimized_ms: f64,
     /// Median time of the naive reference it is pinned against.
     pub reference_ms: f64,
-    /// Median time of the int8 path doing the same work, where one exists.
-    pub int8_ms: Option<f64>,
-    /// Lowest acceptable `reference_ms / optimized_ms`.
+    /// Per-rep `reference / optimized`; its median is gated at `floor`.
+    pub speedup: Quartiles,
+    /// Where an int8 path does the same work: its median time, and its
+    /// per-rep `optimized / int8`, whose median is gated at [`INT8_FLOOR`].
+    pub int8: Option<(f64, Quartiles)>,
+    /// Lowest acceptable median `speedup`.
     pub floor: f64,
 }
 
-/// Median wall-clock milliseconds of `reps` runs of `f`, whose result is
-/// kept from the optimiser and dropped inside the timed region.
-fn time_median<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut times: Vec<f64> = (0..reps.max(1))
-        .map(|_| {
-            let t = Instant::now();
-            black_box(f());
-            t.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
+impl Row {
+    /// Summarises per-round milliseconds: `times[0]` of the optimised
+    /// kernel, `times[1]` of its reference, `times[2]` of any int8 path.
+    fn from_times(name: &'static str, floor: f64, times: &[Vec<f64>]) -> Self {
+        let median = |v: &[f64]| quartiles(v.to_vec())[1];
+        let ratios =
+            |num: &[f64], den: &[f64]| quartiles(num.iter().zip(den).map(|(n, d)| n / d).collect());
+        let (optimized, reference) = (&times[0], &times[1]);
+        Row {
+            name,
+            optimized_ms: median(optimized),
+            reference_ms: median(reference),
+            speedup: ratios(reference, optimized),
+            int8: (times.get(2)).map(|int8| (median(int8), ratios(optimized, int8))),
+            floor,
+        }
+    }
 }
 
+/// `[q1, median, q3]` of `v` by nearest rank.
+fn quartiles(mut v: Vec<f64>) -> Quartiles {
+    v.sort_by(f64::total_cmp);
+    let n = v.len();
+    [v[n / 4], v[n / 2], v[3 * n / 4]]
+}
+
+/// Runs every side once per round for `reps` rounds (at least one), in
+/// order on even rounds and in reverse on odd ones, and returns each
+/// side's per-round time as read from `clock`. No side always runs first,
+/// and drift slower than one round lands on every side of a round alike.
+fn time_interleaved(
+    reps: usize,
+    clock: &mut impl FnMut() -> f64,
+    sides: &mut [&mut dyn FnMut()],
+) -> Vec<Vec<f64>> {
+    let n = sides.len();
+    let mut times = vec![Vec::with_capacity(reps); n];
+    for round in 0..reps.max(1) {
+        for k in 0..n {
+            let k = if round % 2 == 0 { k } else { n - 1 - k };
+            let t = clock();
+            (sides[k])();
+            times[k].push(clock() - t);
+        }
+    }
+    times
+}
+
+/// Rounds per row.
+const REPS: usize = 31;
+/// Rounds per row with an int8 column, whose naive reference takes
+/// 0.1–0.5 s a run.
+const INT8_REPS: usize = 9;
+
 /// Asserts that the optimised kernel and its reference return the same
-/// value, then times both; each side is `(reps, body)`. Kernels that write
+/// value, then times both, and `int8` if given (its caller checks its
+/// output), interleaved for `reps` rounds; results are kept from the
+/// optimiser and dropped inside the timed region. Kernels that write
 /// through an out-parameter return `()` and are compared by their caller.
+fn measure<T: PartialEq>(
+    name: &'static str,
+    floor: f64,
+    reps: usize,
+    mut optimized: impl FnMut() -> T,
+    mut reference: impl FnMut() -> T,
+    int8: Option<&mut dyn FnMut()>,
+) -> Row {
+    assert!(
+        optimized() == reference(),
+        "{name}: optimised and reference kernels diverged"
+    );
+    let optimized = &mut || drop(black_box(optimized()));
+    let reference = &mut || drop(black_box(reference()));
+    let start = Instant::now();
+    let clock = &mut || start.elapsed().as_secs_f64() * 1e3;
+    let times = match int8 {
+        Some(int8) => time_interleaved(reps, clock, &mut [optimized, reference, int8]),
+        None => time_interleaved(reps, clock, &mut [optimized, reference]),
+    };
+    Row::from_times(name, floor, &times)
+}
+
+/// [`measure`] of a row without an int8 side, for [`REPS`] rounds.
 fn pair<T: PartialEq>(
     name: &'static str,
     floor: f64,
-    mut optimized: (usize, impl FnMut() -> T),
-    mut reference: (usize, impl FnMut() -> T),
+    optimized: impl FnMut() -> T,
+    reference: impl FnMut() -> T,
 ) -> Row {
-    assert!(
-        (optimized.1)() == (reference.1)(),
-        "{name}: optimised and reference kernels diverged"
-    );
-    Row {
-        name,
-        optimized_ms: time_median(optimized.0, optimized.1),
-        reference_ms: time_median(reference.0, reference.1),
-        int8_ms: None,
-        floor,
-    }
+    measure(name, floor, REPS, optimized, reference, None)
+}
+
+/// [`measure`] of an ungated row with its int8 side, for [`INT8_REPS`]
+/// rounds.
+fn pair_int8<T: PartialEq>(
+    name: &'static str,
+    optimized: impl FnMut() -> T,
+    reference: impl FnMut() -> T,
+    int8: &mut dyn FnMut(),
+) -> Row {
+    measure(name, UNGATED, INT8_REPS, optimized, reference, Some(int8))
+}
+
+/// Runs `write` into `buf` and keeps what it wrote from the optimiser: the
+/// timed body of a kernel that writes through an out-parameter.
+fn written<B: ?Sized>(buf: &mut B, write: impl FnOnce(&mut B)) {
+    write(buf);
+    black_box(buf);
 }
 
 /// NN-S inference composed purely from the naive reference conv kernels.
@@ -132,14 +214,12 @@ fn nn_rows(rows: &mut Vec<Row>) {
     nns.calibrate(&[&hd]);
     let q = nns.quantize();
     rows.push(vrd_runtime::with_thread_budget(1, || {
-        let mut row = pair(
+        pair_int8(
             "nns_infer_854x480",
-            UNGATED,
-            (5, || nns.infer(&hd)),
-            (3, || naive_infer(&nns, &hd)),
-        );
-        row.int8_ms = Some(time_median(9, || q.infer(&hd)));
-        row
+            || nns.infer(&hd),
+            || naive_infer(&nns, &hd),
+            &mut || drop(black_box(q.infer(&hd))),
+        )
     }));
 
     // Single conv layer, forward and backward, at the training resolution.
@@ -153,8 +233,8 @@ fn nn_rows(rows: &mut Vec<Row>) {
     rows.push(pair(
         "conv_forward_64x48",
         UNGATED,
-        (31, || conv.forward_inference(&x)),
-        (31, || reference::forward(&conv, &x)),
+        || conv.forward_inference(&x),
+        || reference::forward(&conv, &x),
     ));
 
     // The three NN-S layers at the wall-clock benchmark's HD shape, on one
@@ -174,14 +254,12 @@ fn nn_rows(rows: &mut Vec<Row>) {
         let x = Tensor::from_vec(cin, h, w, data);
         let qconv = QuantConv2d::from_conv(&conv);
         rows.push(vrd_runtime::with_thread_budget(1, || {
-            let mut row = pair(
+            pair_int8(
                 name,
-                UNGATED,
-                (9, || conv.forward_inference(&x)),
-                (3, || reference::forward(&conv, &x)),
-            );
-            row.int8_ms = Some(int8_conv_ms(&qconv, &xq, (h, w), cout > 1));
-            row
+                || conv.forward_inference(&x),
+                || reference::forward(&conv, &x),
+                &mut int8_conv(&qconv, &xq, (h, w), cout > 1),
+            )
         }));
     }
     int8_ledger_rows(rows, &q, &hd);
@@ -190,20 +268,24 @@ fn nn_rows(rows: &mut Vec<Row>) {
     rows.push(pair(
         "conv_backward_64x48",
         UNGATED,
-        (31, || {
+        || {
             let (mut gw, mut gb) = (vec![0.0; conv.weights().len()], vec![0.0; conv.cout()]);
             let gin = conv.backward(&x, &gout, &mut gw, &mut gb);
             (gin, gw, gb)
-        }),
-        (31, || reference::backward(&conv, &x, &gout)),
+        },
+        || reference::backward(&conv, &x, &gout),
     ));
 }
 
-/// Median milliseconds of 9 int8 forward passes of `conv` over `x`, after
-/// asserting the pass equals `quant::reference`'s: with `requant`, fused
-/// requantization into `u8` (as conv1 and conv2 run), otherwise raw `i32`
-/// accumulators.
-fn int8_conv_ms(conv: &QuantConv2d, x: &[u8], (h, w): (usize, usize), requant: bool) -> f64 {
+/// One int8 forward pass of `conv` over `x`, to time, after asserting the
+/// pass equals `quant::reference`'s: with `requant`, fused requantization
+/// into `u8` (as conv1 and conv2 run), otherwise raw `i32` accumulators.
+fn int8_conv<'a>(
+    conv: &'a QuantConv2d,
+    x: &'a [u8],
+    (h, w): (usize, usize),
+    requant: bool,
+) -> Box<dyn FnMut() + 'a> {
     let n = conv.cout() * h * w;
     let diverged = "int8 conv diverged from its reference";
     if requant {
@@ -214,10 +296,7 @@ fn int8_conv_ms(conv: &QuantConv2d, x: &[u8], (h, w): (usize, usize), requant: b
             out == quant::reference::forward_requant(conv, x, h, w, &rq),
             "{diverged}"
         );
-        time_median(9, || {
-            conv.forward_requant(x, h, w, &rq, &mut out);
-            black_box(&out);
-        })
+        Box::new(move || written(&mut out, |b| conv.forward_requant(x, h, w, &rq, b)))
     } else {
         let mut out = vec![0i32; n];
         conv.forward_i32(x, h, w, &mut out);
@@ -225,10 +304,7 @@ fn int8_conv_ms(conv: &QuantConv2d, x: &[u8], (h, w): (usize, usize), requant: b
             out == quant::reference::forward_i32(conv, x, h, w),
             "{diverged}"
         );
-        time_median(9, || {
-            conv.forward_i32(x, h, w, &mut out);
-            black_box(&out);
-        })
+        Box::new(move || written(&mut out, |b| conv.forward_i32(x, h, w, b)))
     }
 }
 
@@ -252,13 +328,8 @@ fn int8_ledger_rows(rows: &mut Vec<Row>, q: &QuantNnS, hd: &Tensor) {
         rows.push(pair(
             "quantize_854x480",
             UNGATED,
-            (31, || {
-                q.quantize_input(hd, &mut xq);
-                black_box(&xq);
-            }),
-            (9, || {
-                black_box(naive_quantize());
-            }),
+            || written(&mut xq, |b| q.quantize_input(hd, b)),
+            || drop(black_box(naive_quantize())),
         ));
 
         // The engine's int8 input: packed planes straight into the input
@@ -282,14 +353,8 @@ fn int8_ledger_rows(rows: &mut Vec<Row>, q: &QuantNnS, hd: &Tensor) {
         rows.push(pair(
             "sandwich_u8_854x480",
             UNGATED,
-            (31, || {
-                expanded(&mut fast);
-                black_box(&fast);
-            }),
-            (9, || {
-                quantized(&mut slow);
-                black_box(&slow);
-            }),
+            || written(&mut fast, |b| expanded(b)),
+            || written(&mut slow, |b| quantized(b)),
         ));
 
         // The 2×2 max-pool on conv1's `u8` output.
@@ -303,14 +368,12 @@ fn int8_ledger_rows(rows: &mut Vec<Row>, q: &QuantNnS, hd: &Tensor) {
         rows.push(pair(
             "maxpool_u8_854x480",
             UNGATED,
-            (31, || {
-                maxpool2_u8_into(&a1, hid, H, W, &mut d);
-                black_box(&d);
-            }),
-            (9, || {
-                maxpool2_into(&a1, hid, H, W, &mut d_generic, u8::max);
-                black_box(&d_generic);
-            }),
+            || written(&mut d, |b| maxpool2_u8_into(&a1, hid, H, W, b)),
+            || {
+                written(&mut d_generic, |b| {
+                    maxpool2_into(&a1, hid, H, W, b, u8::max)
+                })
+            },
         ));
 
         // The 2× upsample of conv2's output, against a per-pixel gather.
@@ -327,14 +390,8 @@ fn int8_ledger_rows(rows: &mut Vec<Row>, q: &QuantNnS, hd: &Tensor) {
         rows.push(pair(
             "upsample_u8_854x480",
             UNGATED,
-            (31, || {
-                upsample2_into(&d, hid, H / 2, W / 2, &mut up);
-                black_box(&up);
-            }),
-            (9, || {
-                naive_upsample(&mut up_naive);
-                black_box(&up_naive);
-            }),
+            || written(&mut up, |b| upsample2_into(&d, hid, H / 2, W / 2, b)),
+            || written(&mut up_naive, |b| naive_upsample(b)),
         ));
 
         // Logits to mask: the cut, against the sigmoid and `to_mask(0.5)`
@@ -353,12 +410,12 @@ fn int8_ledger_rows(rows: &mut Vec<Row>, q: &QuantNnS, hd: &Tensor) {
         rows.push(pair(
             "threshold_854x480",
             UNGATED,
-            (31, || logits_to_mask(&logits, H, W)),
-            (9, || {
+            || logits_to_mask(&logits, H, W),
+            || {
                 let mut p = logits.clone();
                 sigmoid_in_place(&mut p);
                 Tensor::from_vec(1, H, W, p).to_mask(0.5)
-            }),
+            },
         ));
 
         // One inference's scratch planes: stale takes against filling ones.
@@ -379,8 +436,8 @@ fn int8_ledger_rows(rows: &mut Vec<Row>, q: &QuantNnS, hd: &Tensor) {
         rows.push(pair(
             "take_854x480",
             UNGATED,
-            (31, || take_all(true)),
-            (31, || take_all(false)),
+            || take_all(true),
+            || take_all(false),
         ));
     });
 }
@@ -438,20 +495,16 @@ fn packed_mask_rows(rows: &mut Vec<Row>) {
     rows.push(pair(
         "reconstruct_854x480",
         PACKED_MASK_FLOOR,
-        (31, || {
-            reconstruct_b_frame(&info, &refs, W, H, MB, &cfg).unwrap()
-        }),
-        (9, || {
-            recon::reference::reconstruct_b_frame(&info, &refs, W, H, MB, &cfg).unwrap()
-        }),
+        || reconstruct_b_frame(&info, &refs, W, H, MB, &cfg).unwrap(),
+        || recon::reference::reconstruct_b_frame(&info, &refs, W, H, MB, &cfg).unwrap(),
     ));
 
     // Whole-frame bi-reference mean filter: AND/XOR vs per-pixel.
     rows.push(pair(
         "mean_filter_854x480",
         PACKED_MASK_FLOOR,
-        (31, || Seg2Plane::mean_filter(&a, &b)),
-        (9, || mask::reference::mean_filter(&a, &b)),
+        || Seg2Plane::mean_filter(&a, &b),
+        || mask::reference::mean_filter(&a, &b),
     ));
 
     // IoU tally: popcounts over packed words vs the byte-wise loop.
@@ -459,26 +512,24 @@ fn packed_mask_rows(rows: &mut Vec<Row>) {
     rows.push(pair(
         "tally_854x480",
         PACKED_MASK_FLOOR,
-        (31, || PixelCounts::tally(&a, &b)),
-        (31, || tally_reference::tally_bytes(&pred_bytes, &gt_bytes)),
+        || PixelCounts::tally(&a, &b),
+        || tally_reference::tally_bytes(&pred_bytes, &gt_bytes),
     ));
 
     // Sandwich assembly: fused packed→f32 expansion vs per-pixel sets.
     rows.push(pair(
         "sandwich_854x480",
         PACKED_MASK_FLOOR,
-        (31, || build_sandwich(2, &packed, &refs).unwrap()),
-        (9, || {
-            sandwich::reference::build_sandwich(2, &packed, &refs).unwrap()
-        }),
+        || build_sandwich(2, &packed, &refs).unwrap(),
+        || sandwich::reference::build_sandwich(2, &packed, &refs).unwrap(),
     ));
 
     // 2-bit plane → binary mask: word-wise threshold vs per-pixel.
     rows.push(pair(
         "plane_to_mask_854x480",
         PACKED_MASK_FLOOR,
-        (31, || plane_to_mask(&packed, &cfg)),
-        (9, || recon::reference::plane_to_mask(&packed, &cfg)),
+        || plane_to_mask(&packed),
+        || mask::reference::plane_to_mask(&packed, true),
     ));
 }
 
@@ -499,14 +550,13 @@ fn quant_conv_row() -> Row {
         .iter()
         .map(|&v| ((v * 127.0) as i32).clamp(0, 127) as u8)
         .collect();
-    let mut row = pair(
+    let mut int8 = int8_conv(&qconv, &xq, (H, W), true);
+    pair_int8(
         "conv_forward_854x480",
-        UNGATED,
-        (5, || conv.forward_inference(&xf)),
-        (3, || reference::forward(&conv, &xf)),
-    );
-    row.int8_ms = Some(int8_conv_ms(&qconv, &xq, (H, W), true));
-    row
+        || conv.forward_inference(&xf),
+        || reference::forward(&conv, &xf),
+        &mut int8,
+    )
 }
 
 /// Full-frame feature warp: every 16-px block of an 854×480 frame
@@ -559,14 +609,8 @@ fn featwarp_row() -> Row {
     pair(
         "featwarp_854x480",
         WARP_FLOOR,
-        (31, || {
-            warp_frame(&mut fast, true);
-            black_box(&fast);
-        }),
-        (9, || {
-            warp_frame(&mut slow, false);
-            black_box(&slow);
-        }),
+        || written(&mut fast, |b| warp_frame(b, true)),
+        || written(&mut slow, |b| warp_frame(b, false)),
     )
 }
 
@@ -588,24 +632,24 @@ fn nnl_row() -> Row {
     pair(
         "nnl_segment_854x480",
         NNL_FLOOR,
-        (31, || net.segment(&gt, 0x40f0)),
-        (9, || largenet::reference::segment(&net, &gt, 0x40f0)),
+        || net.segment(&gt, 0x40f0),
+        || largenet::reference::segment(&net, &gt, 0x40f0),
     )
 }
 
-/// Every row that is under its floor, as a printable complaint.
+/// Every row whose median per-rep ratio is under its floor, as a
+/// printable complaint.
 pub(crate) fn failures(rows: &[Row]) -> Vec<String> {
     let mut fails = Vec::new();
     for r in rows {
-        let speedup = r.reference_ms / r.optimized_ms;
+        let speedup = r.speedup[1];
         if speedup < r.floor {
             fails.push(format!(
                 "{} is {speedup:.2}x its reference, need >= {:.2}x",
                 r.name, r.floor
             ));
         }
-        if let Some(int8_ms) = r.int8_ms {
-            let speedup = r.optimized_ms / int8_ms;
+        if let Some((_, [_, speedup, _])) = r.int8 {
             if speedup < INT8_FLOOR {
                 fails.push(format!(
                     "{} int8 is {speedup:.2}x f32, need >= {INT8_FLOOR:.2}x",
@@ -618,25 +662,24 @@ pub(crate) fn failures(rows: &[Row]) -> Vec<String> {
 }
 
 /// Renders the rows as the `BENCH_kernels.json` artefact (hand-rolled —
-/// the workspace carries no serialisation dependency).
+/// the workspace carries no serialisation dependency): median times, the
+/// gated median ratios, and each ratio's quartiles.
 pub(crate) fn to_json(rows: &[Row]) -> String {
+    let ratio = |key: &str, [q1, median, q3]: Quartiles| {
+        format!("\"{key}\": {median:.2}, \"{key}_quartiles\": [{q1:.2}, {median:.2}, {q3:.2}]")
+    };
     let lines: Vec<String> = rows
         .iter()
         .map(|r| {
-            let int8 = r.int8_ms.map_or(String::new(), |ms| {
-                format!(
-                    ", \"int8_ms\": {:.4}, \"int8_speedup\": {:.2}",
-                    ms,
-                    r.optimized_ms / ms
-                )
+            let int8 = r.int8.map_or(String::new(), |(ms, speedup)| {
+                format!(", \"int8_ms\": {ms:.4}, {}", ratio("int8_speedup", speedup))
             });
             format!(
-                "  \"{}\": {{\"optimized_ms\": {:.4}, \"reference_ms\": {:.4}, \"speedup\": {:.2}{}}}",
+                "  \"{}\": {{\"optimized_ms\": {:.4}, \"reference_ms\": {:.4}, {}{int8}}}",
                 r.name,
                 r.optimized_ms,
                 r.reference_ms,
-                r.reference_ms / r.optimized_ms,
-                int8,
+                ratio("speedup", r.speedup),
             )
         })
         .collect();
@@ -665,13 +708,15 @@ pub(crate) fn run() -> Output {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::{Cell, RefCell};
 
     fn row(optimized_ms: f64, reference_ms: f64, int8_ms: Option<f64>, floor: f64) -> Row {
         Row {
             name: "synthetic",
             optimized_ms,
             reference_ms,
-            int8_ms,
+            speedup: [reference_ms / optimized_ms; 3],
+            int8: int8_ms.map(|ms| (ms, [optimized_ms / ms; 3])),
             floor,
         }
     }
@@ -698,24 +743,56 @@ mod tests {
     }
 
     #[test]
-    fn json_carries_the_int8_column_only_where_measured() {
-        let json = to_json(&[row(2.0, 8.0, Some(1.0), 0.0), row(1.0, 3.0, None, 3.0)]);
-        assert_eq!(
-            json,
-            "{\n  \"synthetic\": {\"optimized_ms\": 2.0000, \"reference_ms\": 8.0000, \
-             \"speedup\": 4.00, \"int8_ms\": 1.0000, \"int8_speedup\": 2.00},\n  \
-             \"synthetic\": {\"optimized_ms\": 1.0000, \"reference_ms\": 3.0000, \
-             \"speedup\": 3.00}\n}\n"
-        );
+    fn paired_timer_alternates_sides_and_gates_the_median_per_rep_ratio() {
+        // Per-rep milliseconds of the optimised, reference and int8 sides.
+        // Their ratios of medians (10 / 3 and 3 / 2.5) are under the floors
+        // below; their medians of per-rep ratios (5 and 2) are not.
+        let durations = [
+            [1.0, 2.0, 3.0, 4.0, 5.0],
+            [10.0, 10.0, 10.0, 10.0, 100.0],
+            [0.5, 1.0, 3.0, 3.0, 2.5],
+        ];
+        let (now, order) = (Cell::new(0.0), RefCell::new(Vec::new()));
+        let side = |k: usize| {
+            let (now, order) = (&now, &order);
+            let mut rep = 0;
+            move || {
+                order.borrow_mut().push(k);
+                now.set(now.get() + durations[k][rep]);
+                rep += 1;
+            }
+        };
+        let (mut a, mut b, mut c) = (side(0), side(1), side(2));
+        let times = time_interleaved(5, &mut || now.get(), &mut [&mut a, &mut b, &mut c]);
+        assert_eq!(order.take(), [0, 1, 2, 2, 1, 0, 0, 1, 2, 2, 1, 0, 0, 1, 2]);
+        assert_eq!(times, durations.map(Vec::from));
+
+        let r = Row::from_times("synthetic", 4.0, &times);
+        assert_eq!((r.optimized_ms, r.reference_ms), (3.0, 10.0));
+        // reference / optimized per rep: 10, 5, 10/3, 2.5, 20.
+        assert_eq!(r.speedup, [10.0 / 3.0, 5.0, 10.0]);
+        // optimized / int8 per rep: 2, 2, 1, 4/3, 2.
+        assert_eq!(r.int8, Some((2.5, [4.0 / 3.0, 2.0, 2.0])));
+        assert!(failures(&[r]).is_empty());
+
+        let mut ran = false;
+        let times = time_interleaved(0, &mut || 0.0, &mut [&mut || ran = true]);
+        assert!(ran && times == [vec![0.0]], "a row runs at least once");
     }
 
     #[test]
-    fn median_runs_the_body_reps_times_and_at_least_once() {
-        let mut n = 0;
-        let t = time_median(5, || n += 1);
-        assert!(t.is_finite() && t >= 0.0);
-        assert_eq!(n, 5);
-        let mut ran = false;
-        assert!(time_median(0, || ran = true) >= 0.0 && ran);
+    fn json_carries_the_int8_column_only_where_measured() {
+        let mut first = row(2.0, 8.0, Some(1.0), 0.0);
+        first.speedup = [3.5, 4.0, 4.5];
+        let json = to_json(&[first, row(1.0, 3.0, None, 3.0)]);
+        assert_eq!(
+            json,
+            "{\n  \"synthetic\": {\"optimized_ms\": 2.0000, \"reference_ms\": 8.0000, \
+             \"speedup\": 4.00, \"speedup_quartiles\": [3.50, 4.00, 4.50], \
+             \"int8_ms\": 1.0000, \"int8_speedup\": 2.00, \
+             \"int8_speedup_quartiles\": [2.00, 2.00, 2.00]},\n  \
+             \"synthetic\": {\"optimized_ms\": 1.0000, \"reference_ms\": 3.0000, \
+             \"speedup\": 3.00, \"speedup_quartiles\": [3.00, 3.00, 3.00]}\n}\n"
+        );
     }
 }

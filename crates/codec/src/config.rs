@@ -98,8 +98,6 @@ pub struct CodecConfig {
     pub b_frames: BFrameMode,
     /// Reference search interval `n`.
     pub search_interval: SearchInterval,
-    /// Motion search range in pixels (± around the co-located block).
-    pub search_range: i32,
     /// Residual quantisation step (1 = near-lossless, larger = lossier).
     pub quant: u8,
 }
@@ -112,7 +110,6 @@ impl Default for CodecConfig {
             gop_len: 16,
             b_frames: BFrameMode::Auto,
             search_interval: SearchInterval::Auto,
-            search_range: 8,
             quant: 8,
         }
     }
@@ -145,12 +142,6 @@ impl CodecConfig {
                     "search interval must be in 1..=9, got {n}"
                 )));
             }
-        }
-        if self.search_range < 1 || self.search_range > 64 {
-            return Err(CodecError::InvalidConfig(format!(
-                "search_range must be in 1..=64, got {}",
-                self.search_range
-            )));
         }
         if self.quant == 0 {
             return Err(CodecError::InvalidConfig("quant must be non-zero".into()));

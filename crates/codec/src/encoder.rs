@@ -156,8 +156,7 @@ impl Encoder {
                         intra::best_mode(cur, &rec, bx, by, mb, self.cfg.standard.intra_modes());
 
                     // Inter candidates.
-                    let single =
-                        me::search_all(cur, bx, by, &cand_frames, mb, self.cfg.search_range);
+                    let single = me::search_all(cur, bx, by, &cand_frames, mb);
                     let bi = if ftype == FrameType::B {
                         self.best_bi(cur, bx, by, display, &candidates, &cand_frames, mb)
                     } else {
@@ -263,7 +262,7 @@ impl Encoder {
         let mut best_fwd: Option<Match> = None;
         let mut best_bwd: Option<Match> = None;
         for (i, (&c, frame)) in candidates.iter().zip(cand_frames).enumerate() {
-            let (sx, sy, sae) = me::search_one(cur, bx, by, frame, mb, self.cfg.search_range);
+            let (sx, sy, sae) = me::search_one(cur, bx, by, frame, mb);
             let m = Match {
                 ref_index: i,
                 src_x: sx,

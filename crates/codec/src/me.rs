@@ -9,6 +9,9 @@
 use crate::block::{average_blocks, extract_block, sae_against, sae_between};
 use vrd_video::Frame;
 
+/// Motion search range in pixels (± around the co-located block).
+const SEARCH_RANGE: i32 = 8;
+
 /// The outcome of a single-reference search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Match {
@@ -23,23 +26,18 @@ pub(crate) struct Match {
 }
 
 /// Three-step search for the best `size`×`size` match of the block at
-/// `(bx, by)` of `cur` inside `reference`, within ±`range` pixels.
+/// `(bx, by)` of `cur` inside `reference`, within ±[`SEARCH_RANGE`] pixels.
 pub(crate) fn search_one(
     cur: &Frame,
     bx: usize,
     by: usize,
     reference: &Frame,
     size: usize,
-    range: i32,
 ) -> (i32, i32, u32) {
     let mut best_dx = 0i32;
     let mut best_dy = 0i32;
     let mut best = sae_between(cur, bx, by, reference, bx as i32, by as i32, size, u32::MAX);
-    let mut step = range.clamp(1, 4);
-    // Round the initial step down to a power of two for the classic ladder.
-    while step & (step - 1) != 0 {
-        step -= 1;
-    }
+    let mut step = 4;
     while step >= 1 {
         let mut improved = true;
         while improved {
@@ -56,7 +54,7 @@ pub(crate) fn search_one(
             ] {
                 let dx = best_dx + ox;
                 let dy = best_dy + oy;
-                if dx.abs() > range || dy.abs() > range {
+                if dx.abs() > SEARCH_RANGE || dy.abs() > SEARCH_RANGE {
                     continue;
                 }
                 let sae = sae_between(
@@ -91,11 +89,10 @@ pub(crate) fn search_all(
     by: usize,
     refs: &[&Frame],
     size: usize,
-    range: i32,
 ) -> Option<Match> {
     let mut best: Option<Match> = None;
     for (i, reference) in refs.iter().enumerate() {
-        let (sx, sy, sae) = search_one(cur, bx, by, reference, size, range);
+        let (sx, sy, sae) = search_one(cur, bx, by, reference, size);
         if best.is_none_or(|b| sae < b.sae) {
             best = Some(Match {
                 ref_index: i,
@@ -166,7 +163,7 @@ mod tests {
     fn finds_exact_translation() {
         let reference = square_at(64, 48, 20, 16);
         let cur = square_at(64, 48, 25, 13); // moved by (+5, -3)
-        let (sx, sy, sae) = search_one(&cur, 25, 13, &reference, 8, 8);
+        let (sx, sy, sae) = search_one(&cur, 25, 13, &reference, 8);
         // Block at (25,13) in cur should match (20,16) in reference.
         assert_eq!((sx, sy), (20, 16));
         assert_eq!(sae, 0);
@@ -175,7 +172,7 @@ mod tests {
     #[test]
     fn zero_motion_matches_colocated() {
         let f = square_at(64, 48, 24, 16);
-        let (sx, sy, sae) = search_one(&f, 24, 16, &f, 8, 8);
+        let (sx, sy, sae) = search_one(&f, 24, 16, &f, 8);
         assert_eq!((sx, sy, sae), (24, 16, 0));
     }
 
@@ -183,8 +180,8 @@ mod tests {
     fn respects_search_range() {
         let reference = square_at(64, 48, 8, 16);
         let cur = square_at(64, 48, 32, 16); // moved by 24 > range 8
-        let (sx, _sy, sae) = search_one(&cur, 32, 16, &reference, 8, 8);
-        assert!((sx - 32).abs() <= 8, "candidate outside range: {sx}");
+        let (sx, _sy, sae) = search_one(&cur, 32, 16, &reference, 8);
+        assert!((sx - 32).abs() <= SEARCH_RANGE, "outside range: {sx}");
         assert!(sae > 0, "cannot perfectly match beyond the range");
     }
 
@@ -193,11 +190,11 @@ mod tests {
         let bad = Frame::new(64, 48);
         let good = square_at(64, 48, 22, 18);
         let cur = square_at(64, 48, 24, 16);
-        let m = search_all(&cur, 24, 16, &[&bad, &good], 8, 8).unwrap();
+        let m = search_all(&cur, 24, 16, &[&bad, &good], 8).unwrap();
         assert_eq!(m.ref_index, 1);
         assert_eq!((m.src_x, m.src_y), (22, 18));
         assert_eq!(m.sae, 0);
-        assert!(search_all(&cur, 24, 16, &[], 8, 8).is_none());
+        assert!(search_all(&cur, 24, 16, &[], 8).is_none());
     }
 
     #[test]

@@ -580,7 +580,7 @@ fn exec_recon(
         &job.info, ref_segs, s.width, s.height, s.mb_size, &cfg.recon,
     )?;
     if !job.refined {
-        return Ok(plane_to_mask(&plane, &cfg.recon));
+        return Ok(plane_to_mask(&plane));
     }
     let display = job.info.display_idx;
     match &ctx.nns_q {

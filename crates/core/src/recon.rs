@@ -27,17 +27,11 @@ pub struct ReconConfig {
     /// Combine bi-referenced blocks with the mean filter (paper). When off,
     /// the first reference wins (ablation).
     pub mean_filter: bool,
-    /// When thresholding a reconstruction directly into a mask (no NN-S),
-    /// treat gray as foreground.
-    pub gray_is_foreground: bool,
 }
 
 impl Default for ReconConfig {
     fn default() -> Self {
-        Self {
-            mean_filter: true,
-            gray_is_foreground: true,
-        }
+        Self { mean_filter: true }
     }
 }
 
@@ -175,10 +169,10 @@ pub fn reconstruct_b_frame(
 }
 
 /// Thresholds a reconstruction into a mask without NN-S (the VR-DANN
-/// ablation without refinement, and the source of Fig. 4's noisy example).
-/// A single OR (or copy) over the packed bitplanes.
-pub fn plane_to_mask(plane: &Seg2Plane, cfg: &ReconConfig) -> SegMask {
-    plane.to_mask(cfg.gray_is_foreground)
+/// ablation without refinement, and the source of Fig. 4's noisy example),
+/// gray counting as foreground. A single OR over the packed bitplanes.
+pub fn plane_to_mask(plane: &Seg2Plane) -> SegMask {
+    plane.to_mask(true)
 }
 
 /// Retained per-pixel reconstruction kernels (the pre-packing semantics),
@@ -272,12 +266,6 @@ pub mod reference {
 
         Ok(plane)
     }
-
-    /// Per-pixel threshold of a plane into a mask — the scalar ground truth
-    /// of [`super::plane_to_mask`].
-    pub fn plane_to_mask(plane: &Seg2Plane, cfg: &ReconConfig) -> SegMask {
-        vrd_video::mask::reference::plane_to_mask(plane, cfg.gray_is_foreground)
-    }
 }
 
 #[cfg(test)]
@@ -344,16 +332,7 @@ mod tests {
         let plane = reconstruct_b_frame(&info, &refs, 32, 16, 8, &ReconConfig::default()).unwrap();
         // Ref0 says white, ref4 (at 0,0) says black -> gray.
         assert_eq!(plane.get(8, 8), Seg2::Gray);
-        let strict = plane_to_mask(
-            &plane,
-            &ReconConfig {
-                gray_is_foreground: false,
-                ..ReconConfig::default()
-            },
-        );
-        assert_eq!(strict.get(8, 8), 0);
-        let lenient = plane_to_mask(&plane, &ReconConfig::default());
-        assert_eq!(lenient.get(8, 8), 1);
+        assert_eq!(plane_to_mask(&plane).get(8, 8), 1);
     }
 
     #[test]
@@ -366,10 +345,7 @@ mod tests {
             mvs: vec![mv((8, 8), 0, (0, 0), Some((4, (0, 0))))],
             intra_blocks: vec![],
         };
-        let cfg = ReconConfig {
-            mean_filter: false,
-            ..ReconConfig::default()
-        };
+        let cfg = ReconConfig { mean_filter: false };
         let plane = reconstruct_b_frame(&info, &refs, 32, 16, 8, &cfg).unwrap();
         assert_eq!(plane.get(8, 8), Seg2::White);
     }
@@ -421,13 +397,7 @@ mod tests {
             ],
             intra_blocks: vec![(80, 16)],
         };
-        for cfg in [
-            ReconConfig::default(),
-            ReconConfig {
-                mean_filter: false,
-                ..ReconConfig::default()
-            },
-        ] {
+        for cfg in [ReconConfig::default(), ReconConfig { mean_filter: false }] {
             let packed = reconstruct_b_frame(&info, &refs, 96, 32, 16, &cfg).unwrap();
             let scalar = reference::reconstruct_b_frame(&info, &refs, 96, 32, 16, &cfg).unwrap();
             assert_eq!(packed, scalar);

@@ -81,11 +81,8 @@ pub(crate) fn nns_tensor(
 /// int8 graph's quantized codes — from the packed planes, a word at a time.
 ///
 /// # Errors
-/// Returns [`VrDannError::BadInput`] if `sandwich` is set and `ref_segs` is
-/// empty.
-///
-/// # Panics
-/// Panics if `out` is not `3 × h × w` long.
+/// Returns [`VrDannError::BadInput`] if `out` is not `3 × h × w` long, or
+/// if `sandwich` is set and `ref_segs` is empty.
 pub fn fill_nns_input<T: Copy>(
     display_idx: u32,
     plane: &Seg2Plane,
@@ -95,7 +92,11 @@ pub fn fill_nns_input<T: Copy>(
     out: &mut [T],
 ) -> Result<()> {
     let hw = plane.width() * plane.height();
-    assert_eq!(out.len(), 3 * hw, "NN-S input buffer size mismatch");
+    if out.len() != 3 * hw {
+        let (len, want) = (out.len(), 3 * hw);
+        let msg = format!("NN-S input buffer holds {len} elements, expected {want}");
+        return Err(VrDannError::BadInput(msg));
+    }
     let (first, rest) = out.split_at_mut(hw);
     let (mid, last) = rest.split_at_mut(hw);
     if sandwich {
@@ -205,6 +206,22 @@ mod tests {
                 .map(|&v| [7, 11, 13][(v * 2.0) as usize])
                 .collect();
             assert_eq!(codes, want, "sandwich {sandwich}");
+        }
+    }
+
+    #[test]
+    fn wrong_length_buffer_is_bad_input() {
+        let mut refs = BTreeMap::new();
+        refs.insert(0u32, mask(Rect::new(0, 0, 2, 2)));
+        let plane = Seg2Plane::new(8, 8);
+        for (sandwich, len) in [(true, 191), (false, 193), (true, 0)] {
+            let mut out = vec![0u8; len];
+            let err = fill_nns_input(2, &plane, &refs, sandwich, [0, 1, 2], &mut out);
+            let want = format!("holds {len} elements, expected 192");
+            assert!(
+                matches!(&err, Err(VrDannError::BadInput(m)) if m.contains(&want)),
+                "{err:?}"
+            );
         }
     }
 

@@ -21,17 +21,18 @@ pub struct Sample {
     pub target: Tensor,
 }
 
+/// Learning rate.
+const LR: f32 = 0.4;
+/// Momentum coefficient.
+const MOMENTUM: f32 = 0.9;
+/// Minibatch size.
+const BATCH: usize = 4;
+
 /// Training hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
     /// Number of passes over the data (paper: 2).
     pub epochs: usize,
-    /// Learning rate.
-    pub lr: f32,
-    /// Momentum coefficient.
-    pub momentum: f32,
-    /// Minibatch size.
-    pub batch: usize,
     /// Shuffling seed.
     pub seed: u64,
     /// Worker threads for per-sample gradient computation; `0` means use
@@ -44,9 +45,6 @@ impl Default for TrainConfig {
     fn default() -> Self {
         Self {
             epochs: 2,
-            lr: 0.4,
-            momentum: 0.9,
-            batch: 4,
             seed: 0x7a41,
             threads: 0,
         }
@@ -117,10 +115,9 @@ pub(crate) fn sgd_step(
 /// result.
 ///
 /// # Panics
-/// Panics if `samples` is empty or `cfg.batch == 0`.
+/// Panics if `samples` is empty.
 pub fn train(model: &mut NnS, samples: &[Sample], cfg: &TrainConfig) -> Vec<f32> {
     assert!(!samples.is_empty(), "cannot train on zero samples");
-    assert!(cfg.batch > 0, "batch size must be non-zero");
     let threads = if cfg.threads == 0 {
         vrd_runtime::max_threads()
     } else {
@@ -133,7 +130,7 @@ pub fn train(model: &mut NnS, samples: &[Sample], cfg: &TrainConfig) -> Vec<f32>
     for _ in 0..cfg.epochs {
         order.shuffle(&mut rng);
         let mut epoch_loss = 0.0f32;
-        for chunk in order.chunks(cfg.batch) {
+        for chunk in order.chunks(BATCH) {
             let shared: &NnS = model;
             let per_sample = vrd_runtime::parallel_map_with(chunk, threads, |&i| {
                 let mut grads = Grads::zeros(shared);
@@ -145,14 +142,7 @@ pub fn train(model: &mut NnS, samples: &[Sample], cfg: &TrainConfig) -> Vec<f32>
                 epoch_loss += loss;
                 batch.add(grads);
             }
-            sgd_step(
-                model,
-                &batch,
-                &mut velocity,
-                cfg.lr,
-                cfg.momentum,
-                chunk.len(),
-            );
+            sgd_step(model, &batch, &mut velocity, LR, MOMENTUM, chunk.len());
         }
         history.push(epoch_loss / samples.len() as f32);
     }

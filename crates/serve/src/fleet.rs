@@ -28,7 +28,8 @@
 //!    the coolest when utilisation skew crosses a threshold; an optional
 //!    **autoscaler** adds shards ahead of projected demand (and reactively
 //!    when every shard rejects), and drains the emptiest shard after a
-//!    cooldown when the fleet is over-provisioned.
+//!    cooldown when the fleet is over-provisioned (its thresholds are the
+//!    `AUTOSCALE_*` constants).
 //! 2. **Replay** — every shard's final session set is instantiated from
 //!    its stream template ([`crate::session::SessionTemplate`], a prefix
 //!    for churned sessions) and replayed through the shared-NPU event loop
@@ -66,29 +67,15 @@ pub struct StreamEntry {
     pub demand: SessionDemand,
 }
 
-/// Autoscaler policy knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AutoscaleConfig {
-    /// Per-shard utilisation the proactive sizer provisions for: shards
-    /// are added so `fleet utilisation / active shards` stays near this.
-    pub target_utilization: f64,
-    /// Drain a shard when the fleet could serve its load with one fewer
-    /// shard below this mean utilisation.
-    pub scale_down_level: f64,
-    /// Minimum simulated time between scale-down events (scale-*up* is
-    /// never throttled — a spike must be absorbed immediately).
-    pub cooldown_ns: f64,
-}
-
-impl Default for AutoscaleConfig {
-    fn default() -> Self {
-        Self {
-            target_utilization: 0.6,
-            scale_down_level: 0.35,
-            cooldown_ns: 2e7,
-        }
-    }
-}
+/// Per-shard utilisation the proactive autoscaler provisions for: shards
+/// are added so `fleet utilisation / active shards` stays near this.
+const AUTOSCALE_TARGET_UTILIZATION: f64 = 0.6;
+/// The autoscaler drains a shard when the fleet could serve its load with
+/// one fewer shard below this mean utilisation.
+const AUTOSCALE_SCALE_DOWN_LEVEL: f64 = 0.35;
+/// Minimum simulated time between scale-down events (scale-*up* is never
+/// throttled — a spike must be absorbed immediately).
+const AUTOSCALE_COOLDOWN_NS: f64 = 2e7;
 
 /// Work-stealing rebalance knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -110,7 +97,7 @@ impl Default for RebalanceConfig {
 pub struct FleetConfig {
     /// Shards provisioned at `t = 0` (also the autoscaler's floor).
     pub min_shards: usize,
-    /// The autoscaler's ceiling. With `autoscale: None` the fleet runs
+    /// The autoscaler's ceiling. With `autoscale: false` the fleet runs
     /// exactly `min_shards` shards for the whole window.
     pub max_shards: usize,
     /// Scheduling discipline every shard replays under.
@@ -122,8 +109,8 @@ pub struct FleetConfig {
     pub slo: SloConfig,
     /// Hardware cost model.
     pub sim: SimConfig,
-    /// Autoscaling policy (`None` = fixed fleet).
-    pub autoscale: Option<AutoscaleConfig>,
+    /// Run the autoscaler (`false` = fixed fleet).
+    pub autoscale: bool,
     /// Skew-triggered work stealing (`None` = placements are final).
     pub rebalance: Option<RebalanceConfig>,
     /// Worker threads for the replay phase (`None` = runtime default).
@@ -140,7 +127,7 @@ impl Default for FleetConfig {
             sched: SchedConfig::default(),
             slo: SloConfig::default(),
             sim: SimConfig::default(),
-            autoscale: Some(AutoscaleConfig::default()),
+            autoscale: true,
             rebalance: Some(RebalanceConfig::default()),
             threads: None,
         }
@@ -457,15 +444,15 @@ impl<'a> Walk<'a> {
     /// drains the emptiest shard when over-provisioned.
     fn autoscale(&mut self, t: f64, offer: &Placement) {
         let cfg = self.cfg;
-        let Some(auto) = &cfg.autoscale else {
+        if !cfg.autoscale {
             return;
-        };
+        }
         let new_util = offer.demand.compute_utilization(&cfg.sim)
             + offer
                 .demand
                 .switch_utilization(cfg.sched.batch_cap, &cfg.sim);
         let fleet_util: f64 = self.active().map(|i| self.shards[i].utilization()).sum();
-        let needed = ((fleet_util + new_util) / auto.target_utilization.max(1e-6)).ceil() as usize;
+        let needed = ((fleet_util + new_util) / AUTOSCALE_TARGET_UTILIZATION).ceil() as usize;
         let mut active_now = self.active().count();
         while active_now < needed.min(self.max_shards) {
             self.shards.push(ShardState::new(t, cfg));
@@ -473,9 +460,9 @@ impl<'a> Walk<'a> {
             active_now += 1;
         }
         if active_now > self.min_shards
-            && t - self.last_scale_down_ns >= auto.cooldown_ns
-            && fleet_util / active_now as f64 <= auto.scale_down_level
-            && fleet_util / (active_now - 1) as f64 <= auto.target_utilization
+            && t - self.last_scale_down_ns >= AUTOSCALE_COOLDOWN_NS
+            && fleet_util / active_now as f64 <= AUTOSCALE_SCALE_DOWN_LEVEL
+            && fleet_util / (active_now - 1) as f64 <= AUTOSCALE_TARGET_UTILIZATION
         {
             // Drain the emptiest active shard; highest index breaks ties
             // so the longest-lived shards persist.
@@ -525,10 +512,7 @@ impl<'a> Walk<'a> {
                 }
             }
         }
-        if placed.is_none()
-            && self.cfg.autoscale.is_some()
-            && self.active().count() < self.max_shards
-        {
+        if placed.is_none() && self.cfg.autoscale && self.active().count() < self.max_shards {
             let mut fresh = ShardState::new(t, self.cfg);
             if fresh.controller.try_admit(&offer.demand).is_ok() {
                 self.shards.push(fresh);
@@ -880,7 +864,7 @@ mod tests {
         let cfg = FleetConfig {
             min_shards: 2,
             max_shards: 2,
-            autoscale: None,
+            autoscale: false,
             rebalance: None,
             sim,
             ..FleetConfig::default()
@@ -941,7 +925,7 @@ mod tests {
         let fixed = FleetConfig {
             min_shards: 1,
             max_shards: 1,
-            autoscale: None,
+            autoscale: false,
             rebalance: None,
             sim,
             ..FleetConfig::default()
@@ -979,7 +963,7 @@ mod tests {
         let cfg = FleetConfig {
             min_shards: 3,
             max_shards: 3,
-            autoscale: None,
+            autoscale: false,
             rebalance: Some(RebalanceConfig {
                 skew_threshold: 0.1,
             }),
@@ -1023,7 +1007,7 @@ mod tests {
         let cfg = FleetConfig {
             min_shards: 1,
             max_shards: 1,
-            autoscale: None,
+            autoscale: false,
             rebalance: None,
             sim,
             ..FleetConfig::default()

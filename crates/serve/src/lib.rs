@@ -45,9 +45,13 @@
 //! `Some` replays the same admitted work against an [`NpuFaultProfile`] —
 //! work-item failures retry with bounded exponential backoff, sessions on a
 //! crashed device resume from host-side engine checkpoints after the outage
-//! (billed as [`RecoveryConfig::restore_penalty_ns`]), and a
-//! graceful-degradation ladder ([`DegradeLevel`]) trades per-frame fidelity
-//! for throughput instead of shedding.
+//! (billed as the scheduler's `RESTORE_PENALTY_NS` constant), and a
+//! graceful-degradation ladder ([`DegradeLevel`], on with
+//! [`RecoveryConfig::ladder`]) trades per-frame fidelity for throughput
+//! instead of shedding. The backoff, restore and ladder thresholds are
+//! constants in `sched` (`BACKOFF_*`, `RESTORE_PENALTY_NS`, `LADDER_*`),
+//! as are the autoscaler's in `fleet` (`AUTOSCALE_*`) and the serve
+//! window's pacing in `server` (`LOAD_FACTOR`, `STAGGER_FRAC`).
 //!
 //! Everything is deterministic: the same requests and configuration produce
 //! byte-identical reports — fault-injected or not — which is what lets
@@ -69,8 +73,7 @@ pub use admission::{AdmissionProjection, RejectReason, SessionDemand, SloConfig}
 pub use error::{Result, ServeError};
 pub use faults::{CrashWindow, NpuFaultProfile};
 pub use fleet::{
-    run_fleet, AutoscaleConfig, FleetConfig, FleetReport, OfferFate, RebalanceConfig, ShardReport,
-    StreamEntry,
+    run_fleet, FleetConfig, FleetReport, OfferFate, RebalanceConfig, ShardReport, StreamEntry,
 };
 pub use loadgen::{
     generate, legacy_sweep, Envelope, GopClass, LoadGenConfig, ResClass, SessionArrival,
@@ -78,8 +81,8 @@ pub use loadgen::{
 };
 pub use metrics::LatencyStats;
 pub use sched::{
-    schedule, ChaosConfig, DegradationStats, DegradeLevel, LadderConfig, RecoveryConfig,
-    SchedConfig, SchedPolicy, ScheduleOutcome, SessionSchedStats,
+    schedule, ChaosConfig, DegradationStats, DegradeLevel, RecoveryConfig, SchedConfig,
+    SchedPolicy, ScheduleOutcome, SessionSchedStats,
 };
 pub use server::{admit_and_drive, serve, ServeConfig, ServeReport, SessionReport};
 pub use session::{

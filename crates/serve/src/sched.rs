@@ -36,22 +36,26 @@
 //! [`crate::run_fleet`] pass). With a plan:
 //!
 //! * **work-item failures** are retried in place with bounded exponential
-//!   backoff until the retry budget runs out;
+//!   backoff (`BACKOFF_BASE_NS`, doubling per failure up to
+//!   `BACKOFF_CAP_NS`) until the retry budget runs out;
 //! * **transient stalls** stretch one attempt's service time;
 //! * **full-NPU crashes** ([`CrashWindow`]) void the in-flight attempt and
 //!   every device-resident hand-over (the bounded queues mirror the agent
 //!   unit's `ip_Q`/`b_Q`, which live next to the NPU). With
 //!   [`RecoveryConfig::checkpoint_restore`] the affected sessions resume
 //!   from their host-side engine checkpoints after the outage, paying
-//!   [`RecoveryConfig::restore_penalty_ns`]; without it they are lost.
-//! * the **degradation ladder** ([`LadderConfig`]) replaces shed-only
+//!   `RESTORE_PENALTY_NS`; without it they are lost.
+//! * the **degradation ladder** ([`RecoveryConfig::ladder`]) replaces shed-only
 //!   pressure handling: a backlogged session steps down
 //!   [`DegradeLevel::Full`] → [`DegradeLevel::Int8`] →
 //!   [`DegradeLevel::SkipRefine`] → [`DegradeLevel::CopyForward`], where
 //!   int8 bills NN-S at the cost model's quantized rate and
 //!   the last two rungs are agent-unit-only (raw reconstruction /
 //!   copy-forward of the nearest reference mask — zero NPU occupancy),
-//!   then steps back up once its queue wait stays short. Deadline misses
+//!   then steps back up once its queue wait stays short. A frame older than
+//!   `LADDER_DOWNGRADE_WAIT_FRAC` of the deadline steps it down;
+//!   `LADDER_UPGRADE_STREAK` consecutive frames no older than
+//!   `LADDER_UPGRADE_WAIT_FRAC` of it step it up. Deadline misses
 //!   and exhausted retries deliver a copy-forward frame instead of
 //!   dropping it. The ladder keys its thresholds off the shedding
 //!   deadline, so it is dormant when [`SchedConfig::shed_after_ns`] is
@@ -180,61 +184,45 @@ impl std::fmt::Display for DegradeLevel {
     }
 }
 
-/// Ladder transition thresholds, as fractions of the shedding deadline.
-/// The signal is a frame's *age* (service instant − arrival) — the same
-/// basis the shedding watchdog uses — so the ladder reacts to real
+/// Frame age above `LADDER_DOWNGRADE_WAIT_FRAC × deadline` steps the
+/// session one rung down. The ladder's thresholds are fractions of the
+/// shedding deadline, and its signal is a frame's *age* (service instant −
+/// arrival) — the basis the shedding watchdog uses — so it reacts to real
 /// deadline pressure even when bounded queues hide the backlog behind
 /// hand-over backpressure.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LadderConfig {
-    /// Frame age above `downgrade_wait_frac × deadline` steps the session
-    /// one rung down.
-    pub downgrade_wait_frac: f64,
-    /// Frame age at or below `upgrade_wait_frac × deadline` counts toward
-    /// the upgrade streak.
-    pub upgrade_wait_frac: f64,
-    /// Consecutive young serves required before stepping back up.
-    pub upgrade_streak: usize,
-}
+const LADDER_DOWNGRADE_WAIT_FRAC: f64 = 0.5;
+/// Frame age at or below `LADDER_UPGRADE_WAIT_FRAC × deadline` counts
+/// toward the upgrade streak.
+const LADDER_UPGRADE_WAIT_FRAC: f64 = 0.125;
+/// Consecutive young serves required before stepping back up.
+const LADDER_UPGRADE_STREAK: usize = 8;
 
-impl Default for LadderConfig {
-    fn default() -> Self {
-        Self {
-            downgrade_wait_frac: 0.5,
-            upgrade_wait_frac: 0.125,
-            upgrade_streak: 8,
-        }
-    }
-}
+/// First retry backoff; doubles per failure.
+const BACKOFF_BASE_NS: f64 = 50_000.0;
+/// Backoff ceiling.
+const BACKOFF_CAP_NS: f64 = 800_000.0;
+/// Cost of one checkpoint restore: re-prime the engine and replay the
+/// O(GOP) mask window — roughly one NN-L weight refill.
+const RESTORE_PENALTY_NS: f64 = 800_000.0;
 
 /// Recovery machinery knobs of a fault plan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryConfig {
     /// Total service attempts allowed per work item (≥ 1).
     pub max_attempts: u32,
-    /// First retry backoff; doubles per failure.
-    pub backoff_base_ns: f64,
-    /// Backoff ceiling.
-    pub backoff_cap_ns: f64,
     /// Restore crashed sessions from host-side engine checkpoints instead
     /// of losing them.
     pub checkpoint_restore: bool,
-    /// Cost of one checkpoint restore: re-prime the engine and replay the
-    /// O(GOP) mask window. Defaults to roughly one NN-L weight refill.
-    pub restore_penalty_ns: f64,
-    /// Degradation ladder; `None` = shed-only pressure handling.
-    pub ladder: Option<LadderConfig>,
+    /// Run the degradation ladder; `false` = shed-only pressure handling.
+    pub ladder: bool,
 }
 
 impl Default for RecoveryConfig {
     fn default() -> Self {
         Self {
             max_attempts: 3,
-            backoff_base_ns: 50_000.0,
-            backoff_cap_ns: 800_000.0,
             checkpoint_restore: true,
-            restore_penalty_ns: 800_000.0,
-            ladder: Some(LadderConfig::default()),
+            ladder: true,
         }
     }
 }
@@ -246,16 +234,14 @@ impl RecoveryConfig {
         Self {
             max_attempts: 1,
             checkpoint_restore: false,
-            ladder: None,
-            ..Self::default()
+            ladder: false,
         }
     }
+}
 
-    /// Backoff before failure number `k` (1-based) is retried.
-    fn backoff_ns(&self, k: u32) -> f64 {
-        (self.backoff_base_ns * 2f64.powi(k.saturating_sub(1).min(62) as i32))
-            .min(self.backoff_cap_ns)
-    }
+/// Backoff before failure number `k` (1-based) is retried.
+fn backoff_ns(k: u32) -> f64 {
+    (BACKOFF_BASE_NS * 2f64.powi(k.saturating_sub(1).min(62) as i32)).min(BACKOFF_CAP_NS)
 }
 
 /// A replay's fault plan: what goes wrong and what is done about it.
@@ -452,16 +438,16 @@ impl SessLive {
     /// Ladder transition for a frame served `age` ns after its arrival,
     /// against `deadline`: old frames step the session down, a streak of
     /// young ones steps it back up.
-    fn step_ladder(&mut self, lad: &LadderConfig, deadline: f64, age: f64) {
-        if age > lad.downgrade_wait_frac * deadline {
+    fn step_ladder(&mut self, deadline: f64, age: f64) {
+        if age > LADDER_DOWNGRADE_WAIT_FRAC * deadline {
             if self.level < DegradeLevel::CopyForward {
                 self.level = self.level.down();
                 self.out.degradation.downgrades += 1;
             }
             self.streak = 0;
-        } else if age <= lad.upgrade_wait_frac * deadline {
+        } else if age <= LADDER_UPGRADE_WAIT_FRAC * deadline {
             self.streak += 1;
-            if self.streak >= lad.upgrade_streak && self.level > self.base {
+            if self.streak >= LADDER_UPGRADE_STREAK && self.level > self.base {
                 self.level = self.level.up();
                 self.out.degradation.upgrades += 1;
                 self.streak = 0;
@@ -482,7 +468,7 @@ struct Plan<'a> {
     rec: &'a RecoveryConfig,
     /// The ladder needs the deadline to scale its thresholds; without one
     /// it stays dormant and pressure handling is shed-only.
-    ladder: Option<LadderConfig>,
+    ladder: bool,
 }
 
 /// What the cost model quotes for one service attempt.
@@ -658,7 +644,7 @@ impl<'a> Replay<'a> {
 
     /// Session `s`'s front entry failed for the `failed`-th time at `now`:
     /// it stays at the front and becomes eligible again after the backoff.
-    fn retry(&mut self, s: usize, failed: u32, now: f64, rec: &RecoveryConfig) -> Result<()> {
+    fn retry(&mut self, s: usize, failed: u32, now: f64) -> Result<()> {
         let Some(front) = self.queues[s].queue.front_mut() else {
             return Err(ServeError::Scheduler {
                 time_ns: now,
@@ -666,7 +652,7 @@ impl<'a> Replay<'a> {
             });
         };
         front.attempt = failed;
-        front.entry_ns = now + rec.backoff_ns(failed);
+        front.entry_ns = now + backoff_ns(failed);
         self.live[s].out.degradation.retries += 1;
         Ok(())
     }
@@ -707,7 +693,7 @@ impl<'a> Replay<'a> {
     /// retries — leaves at `now`: a copy-forward delivery under a ladder,
     /// a drop without one.
     fn give_up(&mut self, plan: &Plan<'_>, s: usize, item: &WorkItem, now: f64) {
-        if plan.ladder.is_some() {
+        if plan.ladder {
             self.deliver(s, item, now, DegradeLevel::CopyForward);
         } else {
             self.shed(s, now);
@@ -731,7 +717,7 @@ impl<'a> Replay<'a> {
                 continue;
             }
             if rec.checkpoint_restore {
-                let resume = w.end_ns() + rec.restore_penalty_ns;
+                let resume = w.end_ns() + RESTORE_PENALTY_NS;
                 for e in q.queue.iter_mut() {
                     if e.entry_ns <= w.at_ns {
                         e.entry_ns = resume;
@@ -769,7 +755,7 @@ impl<'a> Replay<'a> {
         if let Some(deadline) = plan.cfg.shed_after_ns {
             // Past its shedding deadline: the watchdog fires.
             if item.arrival_ns + deadline < t_now {
-                if plan.ladder.is_some() {
+                if plan.ladder {
                     self.live[s].out.degradation.watchdog_degraded += 1;
                 }
                 self.give_up(plan, s, item, t_now);
@@ -777,8 +763,8 @@ impl<'a> Replay<'a> {
             }
             // Ladder transitions, driven by how close this frame ran to
             // its deadline.
-            if let Some(lad) = &plan.ladder {
-                self.live[s].step_ladder(lad, deadline, t_now - item.arrival_ns);
+            if plan.ladder {
+                self.live[s].step_ladder(deadline, t_now - item.arrival_ns);
             }
         }
 
@@ -821,7 +807,7 @@ impl<'a> Replay<'a> {
         {
             self.wasted_ns += bill.service_ns;
             if attempt + 1 < plan.rec.max_attempts.max(1) {
-                return self.retry(s, attempt + 1, finish, plan.rec);
+                return self.retry(s, attempt + 1, finish);
             }
             self.live[s].out.degradation.retry_exhausted += 1;
             self.give_up(plan, s, item, finish);
@@ -924,7 +910,7 @@ pub fn schedule(
         sim,
         faults,
         rec,
-        ladder: rec.ladder.filter(|_| cfg.shed_after_ns.is_some()),
+        ladder: rec.ladder && cfg.shed_after_ns.is_some(),
     };
     let mut r = Replay::new(sessions, &plan);
 

@@ -23,20 +23,20 @@ use vrd_video::Sequence;
 /// One requested recognition session: a sequence and its encoded stream.
 pub(crate) type SessionJob<'a> = (&'a Sequence, &'a EncodedVideo);
 
+/// Nominal frame interval as a multiple of one NN-L inference time at the
+/// session's resolution — the per-session load knob (smaller = hotter).
+/// Scale-invariant, so quick and full benches stress the NPU comparably.
+const LOAD_FACTOR: f64 = 3.0;
+/// Session `i` starts `i · STAGGER_FRAC · interval` into the window, so
+/// streams interleave instead of arriving in lockstep. A non-integer value
+/// spreads the sessions' *anchor phases* — lockstep or integer-staggered
+/// streams would deliver their NN-L frames back-to-back, hiding the switch
+/// cost FIFO pays on interleaved load.
+const STAGGER_FRAC: f64 = 1.3;
+
 /// Server configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ServeConfig {
-    /// Nominal frame interval as a multiple of one NN-L inference time at
-    /// the session's resolution — the per-session load knob (smaller =
-    /// hotter). Scale-invariant, so quick and full benches stress the NPU
-    /// comparably.
-    pub load_factor: f64,
-    /// Session `i` starts `i · stagger_frac · interval` into the window, so
-    /// streams interleave instead of arriving in lockstep. A non-integer
-    /// default spreads the sessions' *anchor phases* — lockstep or
-    /// integer-staggered streams would deliver their NN-L frames
-    /// back-to-back, hiding the switch cost FIFO pays on interleaved load.
-    pub stagger_frac: f64,
     /// Shared-NPU scheduling knobs (queue bound, batch cap, shedding).
     pub sched: SchedConfig,
     /// Admission SLO.
@@ -46,19 +46,6 @@ pub struct ServeConfig {
     /// Worker threads driving sessions (`None` = the runtime's detected
     /// count). Thread count never changes results, only wall time.
     pub threads: Option<usize>,
-}
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        Self {
-            load_factor: 3.0,
-            stagger_frac: 1.3,
-            sched: SchedConfig::default(),
-            slo: SloConfig::default(),
-            sim: SimConfig::default(),
-            threads: None,
-        }
-    }
 }
 
 /// Per-session outcome of one serve window.
@@ -132,13 +119,13 @@ pub fn admit_and_drive(
     for (r, (seq, encoded)) in requests.iter().enumerate() {
         // Pacing is a multiple of the stream's own NN-L time.
         let mut demand = SessionDemand::estimate(model, seq, encoded, 0.0);
-        let interval = cfg.load_factor * demand.nnl_ns(&cfg.sim);
+        let interval = LOAD_FACTOR * demand.nnl_ns(&cfg.sim);
         demand.frame_interval_ns = interval;
         let decision = controller.try_admit(&demand);
         if decision.is_ok() {
             let session = admitted_jobs.len();
             let spec = SessionSpec {
-                start_offset_ns: session as f64 * cfg.stagger_frac * interval,
+                start_offset_ns: session as f64 * STAGGER_FRAC * interval,
                 frame_interval_ns: interval,
             };
             admitted_jobs.push((session, r, spec));

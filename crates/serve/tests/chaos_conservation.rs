@@ -14,8 +14,8 @@ use proptest::prelude::*;
 use vr_dann::ComputeMode;
 use vrd_codec::FrameType;
 use vrd_serve::{
-    schedule, ChaosConfig, DrivenSession, LadderConfig, LatencyStats, NpuFaultProfile,
-    RecoveryConfig, SchedConfig, SchedPolicy, ScheduleOutcome, WorkItem,
+    schedule, ChaosConfig, DrivenSession, LatencyStats, NpuFaultProfile, RecoveryConfig,
+    SchedConfig, SchedPolicy, ScheduleOutcome, WorkItem,
 };
 use vrd_sim::{Model, SimConfig};
 
@@ -179,8 +179,7 @@ proptest! {
             recovery: RecoveryConfig {
                 max_attempts,
                 checkpoint_restore,
-                ladder: with_ladder.then(LadderConfig::default),
-                ..RecoveryConfig::default()
+                ladder: with_ladder,
             },
         };
         let policy = if fifo { SchedPolicy::Fifo } else { SchedPolicy::Batch };

@@ -13,9 +13,9 @@ use proptest::prelude::*;
 use vr_dann::ComputeMode;
 use vrd_codec::FrameType;
 use vrd_serve::{
-    run_fleet, AutoscaleConfig, Envelope, FleetConfig, FleetReport, LatencyStats, LoadGenConfig,
-    OfferFate, RebalanceConfig, SessionArrival, SessionDemand, SessionShape, SessionTemplate,
-    StreamEntry, TemplateItem, TrafficTrace,
+    run_fleet, Envelope, FleetConfig, FleetReport, LatencyStats, LoadGenConfig, OfferFate,
+    RebalanceConfig, SessionArrival, SessionDemand, SessionShape, SessionTemplate, StreamEntry,
+    TemplateItem, TrafficTrace,
 };
 use vrd_sim::{Model, SimConfig};
 
@@ -199,7 +199,7 @@ proptest! {
             min_shards: shards,
             max_shards: shards + headroom,
             sim,
-            autoscale: with_autoscale.then(AutoscaleConfig::default),
+            autoscale: with_autoscale,
             rebalance: with_rebalance.then(RebalanceConfig::default),
             threads: Some(3),
             ..FleetConfig::default()
@@ -242,7 +242,7 @@ fn arrivals_are_billed_and_served_at_their_own_compute_mode() {
     let cfg = FleetConfig {
         min_shards: 1,
         max_shards: 1,
-        autoscale: None,
+        autoscale: false,
         rebalance: None,
         sim,
         ..FleetConfig::default()
