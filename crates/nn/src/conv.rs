@@ -18,6 +18,7 @@
 //! partitions write disjoint buffers in unchanged per-element order, so
 //! results are independent of the thread count.
 
+use crate::band::RowSpans;
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -140,22 +141,30 @@ impl Conv2d {
         (self.cin * self.cout * self.k * self.k * h * w) as u64
     }
 
-    /// Threads a pass over `h × w` fans out to: every available one once the
-    /// work exceeds [`PAR_MIN_MACS`], otherwise one.
-    fn auto_threads(&self, h: usize, w: usize) -> usize {
-        if self.macs(h, w) >= PAR_MIN_MACS {
+    /// Threads a pass over `pixels` output pixels fans out to: every
+    /// available one once the work exceeds [`PAR_MIN_MACS`], otherwise one.
+    fn auto_threads(&self, pixels: usize) -> usize {
+        if self.macs(pixels, 1) >= PAR_MIN_MACS {
             vrd_runtime::max_threads()
         } else {
             1
         }
     }
 
-    /// Slice-level forward kernel: reads a `cin × h × w` input, writes a
-    /// `cout × h × w` output with `epilogue` applied as each value is
-    /// stored. What the `NnS` graph runs on its pooled scratch buffers; the
-    /// tensor API runs the same driver.
-    pub(crate) fn forward_into(&self, x: Input<'_>, out: &mut [f32], epilogue: Epilogue) {
-        self.forward_banded(x, out, epilogue, self.auto_threads(x.h, x.w), band_dispatch);
+    /// Slice-level forward kernel: reads a `cin × h × w` input, writes the
+    /// `cols` columns of a `cout × h × w` output with `epilogue` applied as
+    /// each value is stored (every other element is left as it was). What
+    /// the `NnS` graph runs on its pooled scratch buffers; the tensor API
+    /// runs the same driver on every column.
+    pub(crate) fn forward_into(
+        &self,
+        x: Input<'_>,
+        out: &mut [f32],
+        epilogue: Epilogue,
+        cols: &RowSpans,
+    ) {
+        let threads = self.auto_threads(cols.area());
+        self.forward_banded(x, out, epilogue, cols, threads, band_dispatch);
     }
 
     /// Checks the shapes, then runs `body` on `bands` row bands of `out`
@@ -165,22 +174,31 @@ impl Conv2d {
         x: Input<'_>,
         out: &mut [f32],
         epilogue: Epilogue,
+        cols: &RowSpans,
         bands: usize,
         body: BandBody,
     ) {
         let (h, w) = (x.h, x.w);
         assert_eq!(x.data.len(), self.cin * h * w, "conv input length mismatch");
         assert_eq!(out.len(), self.cout * h * w, "conv output length mismatch");
-        run_bands(out, (h, w), bands, |band| body(self, x, band, epilogue));
+        assert_eq!(
+            (cols.height(), cols.width()),
+            (h, w),
+            "conv span plane mismatch"
+        );
+        run_bands(out, cols, bands, |band| body(self, x, cols, band, epilogue));
     }
 
     fn forward_tensor(&self, x: &Tensor, bands: usize, body: BandBody) -> Tensor {
         assert_eq!(x.channels(), self.cin, "conv input channel mismatch");
-        let mut out = Tensor::zeros(self.cout, x.height(), x.width());
+        let (h, w) = (x.height(), x.width());
+        let mut out = Tensor::zeros(self.cout, h, w);
+        let cols = RowSpans::full(h, w);
         self.forward_banded(
             Input::of(x),
             out.as_mut_slice(),
             Epilogue::Linear,
+            &cols,
             bands,
             body,
         );
@@ -192,7 +210,8 @@ impl Conv2d {
     /// # Panics
     /// Panics if the input channel count differs from `cin`.
     pub fn forward_inference(&self, x: &Tensor) -> Tensor {
-        self.forward_tensor(x, self.auto_threads(x.height(), x.width()), band_dispatch)
+        let threads = self.auto_threads(x.height() * x.width());
+        self.forward_tensor(x, threads, band_dispatch)
     }
 
     /// [`Conv2d::forward_inference`] split into exactly `threads` row bands
@@ -337,7 +356,7 @@ impl Conv2d {
             .chunks(w)
             .map(|row| row.iter().any(|&g| g != 0.0))
             .collect();
-        let threads = self.auto_threads(h, w);
+        let threads = self.auto_threads(h * w);
 
         // Pass A — weight and bias gradients, partitioned by output channel
         // (each owns a disjoint `gw` block and `gb` element).
@@ -395,8 +414,9 @@ const TILE_W: usize = 32;
 /// the compiler sees fixed eight-wide groups (one AVX2 register, two SSE2).
 const LANES: usize = 8;
 
-/// Accumulator vectors per tile row.
-const TILE_VECS: usize = TILE_W / LANES;
+/// The tile widths a span's columns are covered with: whole [`TILE_W`]
+/// tiles, then one tile of the narrowest width that covers the rest.
+const TILE_WIDTHS: [usize; 3] = [TILE_W, TILE_W / 2, LANES];
 
 /// Output channels per register tile of the forward kernel.
 const CO_BLOCK: usize = 2;
@@ -448,30 +468,36 @@ pub(crate) struct Band<'a, T = f32> {
 }
 
 /// The row-band driver of both precisions' convolutions: cuts the rows of
-/// `out` (planes of `h × w`) into `bands` contiguous bands — each a
-/// disjoint set of row slices, one per plane — and runs `body` on each, one
-/// thread per band. Every output element is computed from scratch by
-/// exactly one band, so the result does not depend on `bands`.
+/// `out` (planes of `cols`' `h × w`) into at most `bands` contiguous bands
+/// holding about equal shares of `cols`' pixels ([`RowSpans::cuts`]) —
+/// each band a disjoint set of row slices, one per plane — and runs `body`
+/// on each, one thread per band. Every element a body computes it computes
+/// from scratch, in exactly one band, so the result does not depend on
+/// `bands`.
 pub(crate) fn run_bands<T: Send>(
     out: &mut [T],
-    (h, w): (usize, usize),
+    cols: &RowSpans,
     bands: usize,
     body: impl Fn(Band<'_, T>) + Sync,
 ) {
+    let (h, w) = (cols.height(), cols.width());
     if h == 0 || w == 0 {
         return;
     }
-    let band_rows = h.div_ceil(bands.clamp(1, h));
-    let mut work: Vec<Band<'_, T>> = (0..h)
-        .step_by(band_rows)
-        .map(|y0| Band {
+    let cuts = cols.cuts(bands);
+    let mut work: Vec<Band<'_, T>> = cuts
+        .iter()
+        .map(|&y0| Band {
             y0,
             planes: Vec::with_capacity(out.len() / (h * w)),
         })
         .collect();
-    for plane in out.chunks_mut(h * w) {
-        for (band, rows) in work.iter_mut().zip(plane.chunks_mut(band_rows * w)) {
+    for mut plane in out.chunks_mut(h * w) {
+        for (i, band) in work.iter_mut().enumerate() {
+            let end = cuts.get(i + 1).copied().unwrap_or(h);
+            let (rows, rest) = plane.split_at_mut((end - band.y0) * w);
             band.planes.push(rows);
+            plane = rest;
         }
     }
     let threads = work.len();
@@ -488,44 +514,68 @@ struct Row {
     offset: usize,
 }
 
-type BandBody = fn(&Conv2d, Input<'_>, Band<'_>, Epilogue);
+type BandBody = fn(&Conv2d, Input<'_>, &RowSpans, Band<'_>, Epilogue);
 
 /// [`band_body`] compiled for the baseline target.
-fn band_portable(conv: &Conv2d, x: Input<'_>, band: Band<'_>, epilogue: Epilogue) {
-    band_body(conv, x, band, epilogue);
+fn band_portable(conv: &Conv2d, x: Input<'_>, cols: &RowSpans, band: Band<'_>, epilogue: Epilogue) {
+    band_body(conv, x, cols, band, epilogue);
 }
 
 /// [`band_body`] compiled with AVX2 enabled. `fma` is deliberately left
 /// off: a fused multiply-add rounds once where the reference rounds twice.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn band_avx2(conv: &Conv2d, x: Input<'_>, band: Band<'_>, epilogue: Epilogue) {
-    band_body(conv, x, band, epilogue);
+fn band_avx2(conv: &Conv2d, x: Input<'_>, cols: &RowSpans, band: Band<'_>, epilogue: Epilogue) {
+    band_body(conv, x, cols, band, epilogue);
 }
 
 /// The AVX2 build of the band kernel on an `x86_64` CPU that has it;
 /// [`band_portable`] otherwise.
-fn band_dispatch(conv: &Conv2d, x: Input<'_>, band: Band<'_>, epilogue: Epilogue) {
+fn band_dispatch(conv: &Conv2d, x: Input<'_>, cols: &RowSpans, band: Band<'_>, epilogue: Epilogue) {
     #[cfg(target_arch = "x86_64")]
     if crate::quant::avx2_enabled() {
         // SAFETY: AVX2 was just detected on this CPU, which is all
         // `band_avx2` (safe code compiled for that target) requires.
-        return unsafe { band_avx2(conv, x, band, epilogue) };
+        return unsafe { band_avx2(conv, x, cols, band, epilogue) };
     }
-    band_portable(conv, x, band, epilogue);
+    band_portable(conv, x, cols, band, epilogue);
 }
 
-/// Computes one band of output rows.
+/// The tiles `(start, width)` covering the columns `[a, b)` of `interior`
+/// (at least `widths[0]` wide): `widths[0]`-wide tiles back to back from
+/// `a`, then one tile of the narrowest of `widths` (descending) that covers
+/// the rest, each moved left to end inside the interior. A tile may reach
+/// past `b`, which costs a few columns the caller did not ask for (tiles
+/// compute from scratch and plain-store, so a column stored twice is stored
+/// the same).
+pub(crate) fn tiles<'a>(
+    (a, b): (usize, usize),
+    interior: &'a std::ops::Range<usize>,
+    widths: &'a [usize],
+) -> impl Iterator<Item = (usize, usize)> + 'a {
+    let mut next = a;
+    std::iter::from_fn(move || {
+        let rest = b.checked_sub(next).filter(|&r| r > 0)?;
+        let width = widths
+            .iter()
+            .rev()
+            .find(|&&w| w >= rest)
+            .map_or(widths[0], |&w| w);
+        let x0 = next.min(interior.end - width);
+        next = x0 + width;
+        Some((x0, width))
+    })
+}
+
+/// Computes the `cols` columns of one band of output rows.
 ///
-/// Per row, the interior columns `[pad, w − pad)` — where every `kx` tap is
-/// in range — are covered by [`TILE_W`]-wide register tiles, [`CO_BLOCK`]
-/// output channels at a time; a ragged tail is covered by one more tile
-/// ending at the last interior column (tiles compute from scratch and
-/// plain-store, so re-storing a column stores the same value). The `pad`
+/// Per span, the interior columns — where every `kx` tap is in range,
+/// `[pad, w − pad)` — are covered by register tiles ([`tiles`] of
+/// [`TILE_WIDTHS`]), [`CO_BLOCK`] output channels at a time. The `pad`
 /// edge columns, and whole rows narrower than one tile, go through
 /// [`pixel`].
 #[inline(always)]
-fn band_body(conv: &Conv2d, x: Input<'_>, mut band: Band<'_>, epilogue: Epilogue) {
+fn band_body(conv: &Conv2d, x: Input<'_>, cols: &RowSpans, mut band: Band<'_>, epilogue: Epilogue) {
     let (k, pad, w) = (conv.k, conv.k / 2, x.w);
     let rows = band.planes.first().map_or(0, |p| p.len() / w);
     let full_blocks = conv.cout - conv.cout % CO_BLOCK;
@@ -543,32 +593,43 @@ fn band_body(conv: &Conv2d, x: Input<'_>, mut band: Band<'_>, epilogue: Epilogue
             taps_y: pad.saturating_sub(y)..k.min(x.h + pad - y),
             offset: r * w,
         };
-        for x0 in interior.clone().step_by(TILE_W) {
-            let x0 = x0.min(interior.end - TILE_W);
-            for co0 in (0..full_blocks).step_by(CO_BLOCK) {
-                tile::<CO_BLOCK>(conv, x, &row, x0, co0, &mut band.planes, epilogue);
+        for &(s, e) in cols.row(y) {
+            let inner = (s.max(interior.start), e.min(interior.end));
+            for (x0, width) in tiles(inner, &interior, &TILE_WIDTHS) {
+                let planes = &mut band.planes;
+                for co0 in (0..full_blocks).step_by(CO_BLOCK) {
+                    match width {
+                        TILE_W => tile::<CO_BLOCK, 4>(conv, x, &row, x0, co0, planes, epilogue),
+                        16 => tile::<CO_BLOCK, 2>(conv, x, &row, x0, co0, planes, epilogue),
+                        _ => tile::<CO_BLOCK, 1>(conv, x, &row, x0, co0, planes, epilogue),
+                    }
+                }
+                for co in full_blocks..conv.cout {
+                    match width {
+                        TILE_W => tile::<1, 4>(conv, x, &row, x0, co, planes, epilogue),
+                        16 => tile::<1, 2>(conv, x, &row, x0, co, planes, epilogue),
+                        _ => tile::<1, 1>(conv, x, &row, x0, co, planes, epilogue),
+                    }
+                }
             }
-            for co in full_blocks..conv.cout {
-                tile::<1>(conv, x, &row, x0, co, &mut band.planes, epilogue);
-            }
-        }
-        for (co, plane) in band.planes.iter_mut().enumerate() {
-            for xp in (0..interior.start).chain(interior.end..w) {
-                plane[row.offset + xp] = epilogue.apply(pixel(conv, x, &row, co, xp));
+            for (co, plane) in band.planes.iter_mut().enumerate() {
+                for xp in (s..e.min(interior.start)).chain(s.max(interior.end)..e) {
+                    plane[row.offset + xp] = epilogue.apply(pixel(conv, x, &row, co, xp));
+                }
             }
         }
     }
 }
 
-/// One register tile: output columns `[x0, x0 + TILE_W)` of channels
+/// One register tile: output columns `[x0, x0 + 8·V)` of channels
 /// `[co0, co0 + NCO)` on one row. The accumulators start at the bias and
 /// take the taps in ascending `(ci, ky, kx)` order, each as a multiply
 /// followed by an add — per element, exactly the reference's sequence.
 ///
-/// The caller guarantees `pad ≤ x0` and `x0 + TILE_W ≤ w − pad`, so every
+/// The caller guarantees `pad ≤ x0` and `x0 + 8·V ≤ w − pad`, so every
 /// `kx` tap of every column is in range.
 #[inline(always)]
-fn tile<const NCO: usize>(
+fn tile<const NCO: usize, const V: usize>(
     conv: &Conv2d,
     x: Input<'_>,
     row: &Row,
@@ -578,18 +639,18 @@ fn tile<const NCO: usize>(
     epilogue: Epilogue,
 ) {
     let (cin, k, pad) = (conv.cin, conv.k, conv.k / 2);
-    let mut acc = [[[0.0f32; LANES]; TILE_VECS]; NCO];
+    let mut acc = [[[0.0f32; LANES]; V]; NCO];
     for (c, a) in acc.iter_mut().enumerate() {
-        *a = [[conv.b[co0 + c]; LANES]; TILE_VECS];
+        *a = [[conv.b[co0 + c]; LANES]; V];
     }
     for ci in 0..cin {
         for ky in row.taps_y.clone() {
             let sy = row.y + ky - pad;
-            let src = &x.data[(ci * x.h + sy) * x.w + x0 - pad..][..TILE_W + k - 1];
+            let src = &x.data[(ci * x.h + sy) * x.w + x0 - pad..][..V * LANES + k - 1];
             let taps: [&[f32]; NCO] =
                 std::array::from_fn(|c| &conv.w[(((co0 + c) * cin + ci) * k + ky) * k..][..k]);
             for kx in 0..k {
-                let xs = &src[kx..][..TILE_W];
+                let xs = &src[kx..][..V * LANES];
                 for (a, wrow) in acc.iter_mut().zip(taps) {
                     let wv = wrow[kx];
                     for (av, xv) in a.iter_mut().zip(xs.chunks_exact(LANES)) {
@@ -602,7 +663,7 @@ fn tile<const NCO: usize>(
         }
     }
     for (c, a) in acc.iter().enumerate() {
-        let dst = &mut planes[co0 + c][row.offset + x0..][..TILE_W];
+        let dst = &mut planes[co0 + c][row.offset + x0..][..V * LANES];
         for (ov, av) in dst.chunks_exact_mut(LANES).zip(a) {
             for (o, &v) in ov.iter_mut().zip(av) {
                 *o = epilogue.apply(v);

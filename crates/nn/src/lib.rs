@@ -33,6 +33,7 @@
 
 #![warn(unreachable_pub)]
 
+mod band;
 pub mod conv;
 pub mod featwarp;
 pub mod largenet;

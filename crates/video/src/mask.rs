@@ -776,11 +776,129 @@ fn unpack_row<T, F: Fn(u64) -> T>(words: &[u64], row: &mut [T], f: F) {
     }
 }
 
+/// The band of a stack of equally sized bitplanes: every pixel whose
+/// Chebyshev radius-`r` window leaves the frame or is not one constant
+/// value in every plane. A window that is not constant holds two adjacent
+/// pixels that differ in some plane, so the band is the *differs* masks —
+/// a pixel whose value in some plane differs from its right neighbour's
+/// (`v ^ (v >> 1)` across the row's words), and one that differs from the
+/// pixel below it (`row ^ next_row`) — each dilated to the windows that
+/// hold both pixels of its pair, plus the ring of pixels within `r` of the
+/// frame edge. Word-parallel throughout: 64 pixels per operation.
+///
+/// What it is for: a network whose output at a pixel reads only that
+/// pixel's radius-`r` window gives every pixel outside the band the output
+/// of a constant image.
+///
+/// # Panics
+/// Panics if `planes` is empty, the planes' sizes differ, or `r >= 64`.
+pub fn band(planes: &[&SegMask], r: usize) -> SegMask {
+    let first = planes.first().expect("a band needs at least one plane");
+    let (w, h) = (first.width(), first.height());
+    assert!(
+        planes.iter().all(|p| (p.width(), p.height()) == (w, h)),
+        "band planes differ in size"
+    );
+    assert!(r < MASK_WORD_BITS, "band radius must be under a word");
+    let wpr = w.div_ceil(MASK_WORD_BITS);
+    if r == 0 {
+        return SegMask::new(w, h);
+    }
+    // Pixel w − 1 has no right neighbour: its bit in the last word's
+    // horizontal difference compares it with a zero tail bit.
+    let last_pairs = low_bits(w - 1 - (wpr - 1) * MASK_WORD_BITS);
+    let (mut across, mut down) = (vec![0u64; wpr * h], vec![0u64; wpr * h]);
+    for plane in planes {
+        let words = plane.words();
+        for y in 0..h {
+            let row = &words[y * wpr..][..wpr];
+            for k in 0..wpr {
+                let next = row.get(k + 1).map_or(0, |&n| n << 63);
+                let pairs = if k == wpr - 1 { last_pairs } else { u64::MAX };
+                across[y * wpr + k] |= (row[k] ^ ((row[k] >> 1) | next)) & pairs;
+            }
+            if let Some(below) = words.get((y + 1) * wpr..(y + 2) * wpr) {
+                for ((d, &a), &b) in down[y * wpr..][..wpr].iter_mut().zip(row).zip(below) {
+                    *d |= a ^ b;
+                }
+            }
+        }
+    }
+    // A pair at columns (x, x + 1) lies in the windows of columns
+    // x + 1 − r ..= x + r; one at rows (y, y + 1) in those of rows
+    // y + 1 − r ..= y + r.
+    let across = spread_rows(&across, wpr, r - 1, r);
+    let down = spread_rows(&down, wpr, r, r);
+    let mut out = vec![0u64; wpr * h];
+    for y in 0..h {
+        let dst = &mut out[y * wpr..][..wpr];
+        if y < r || y + r >= h {
+            dst.fill(u64::MAX);
+            continue;
+        }
+        let rows = across[(y - r) * wpr..(y + r + 1) * wpr].chunks_exact(wpr);
+        for src in rows.chain(down[(y - r) * wpr..(y + r) * wpr].chunks_exact(wpr)) {
+            for (d, &s) in dst.iter_mut().zip(src) {
+                *d |= s;
+            }
+        }
+    }
+    let mut band = SegMask::from_words(w, h, out);
+    for y in r..h.saturating_sub(r) {
+        band.plane.fill_row_span(y, 0, r.min(w));
+        band.plane.fill_row_span(y, w.saturating_sub(r), w);
+    }
+    band
+}
+
+/// Each row of `words` (`wpr` words a row) with every set pixel `x` spread
+/// over columns `x − left ..= x + right` (both under a word), bits past the
+/// row's end included.
+fn spread_rows(words: &[u64], wpr: usize, left: usize, right: usize) -> Vec<u64> {
+    let mut out = vec![0u64; words.len()];
+    for (src, dst) in words.chunks_exact(wpr).zip(out.chunks_exact_mut(wpr)) {
+        for k in 0..wpr {
+            let prev = k.checked_sub(1).map_or(0, |j| src[j]);
+            let next = src.get(k + 1).copied().unwrap_or(0);
+            let mut acc = src[k];
+            for s in 1..=right {
+                acc |= (src[k] << s) | (prev >> (MASK_WORD_BITS - s));
+            }
+            for s in 1..=left {
+                acc |= (src[k] >> s) | (next << (MASK_WORD_BITS - s));
+            }
+            dst[k] = acc;
+        }
+    }
+    out
+}
+
 /// Retained byte-per-pixel kernels (the pre-packing semantics), kept as the
 /// ground truth the word-parallel ops are property-tested against — the same
 /// pattern as `vrd_nn::conv::reference`.
 pub mod reference {
     use super::{Seg2, Seg2Plane, SegMask};
+
+    /// Per-pixel [`band`](super::band): a pixel is in it when its
+    /// radius-`r` window leaves the frame or holds two pixels that differ in
+    /// some plane — the definition the word-parallel band is tested against.
+    ///
+    /// # Panics
+    /// Panics if `planes` is empty or the planes' sizes differ.
+    pub fn band(planes: &[&SegMask], r: usize) -> SegMask {
+        let (w, h) = (planes[0].width(), planes[0].height());
+        assert!(planes.iter().all(|p| (p.width(), p.height()) == (w, h)));
+        let inside = |x: usize, y: usize| {
+            x >= r && y >= r && x + r < w && y + r < h && {
+                let (xs, ys) = (x - r..=x + r, y - r..=y + r);
+                planes.iter().all(|p| {
+                    let v = p.get(x, y);
+                    ys.clone().all(|sy| xs.clone().all(|sx| p.get(sx, sy) == v))
+                })
+            }
+        };
+        SegMask::from_bits(w, h, (0..w * h).map(|i| !inside(i % w, i / w)))
+    }
 
     /// Per-pixel bi-reference mean filter ([`Seg2::from_bits`] at every
     /// pixel) — the scalar ground truth of [`Seg2Plane::mean_filter`].
@@ -820,6 +938,37 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn band_matches_its_per_pixel_definition() {
+        // Blobs, stripes, specks and solid planes, at widths around a word
+        // and radii from 0 up, against the window definition.
+        let shapes: [fn(usize, usize) -> bool; 5] = [
+            |x, y| (x as i64 - 20).pow(2) + (y as i64 - 9).pow(2) < 60,
+            |x, _| x % 7 < 3,
+            |x, y| x == 30 && y == 4,
+            |_, _| true,
+            |_, y| y == 0,
+        ];
+        for w in [1, 2, 11, 63, 64, 65, 130] {
+            for h in [1, 3, 12, 19] {
+                let planes: Vec<SegMask> = shapes
+                    .iter()
+                    .map(|f| SegMask::from_bits(w, h, (0..w * h).map(|i| f(i % w, i / w))))
+                    .collect();
+                for r in [0, 1, 2, 5] {
+                    for pick in [&planes[..1], &planes[1..3], &planes[3..], &planes[..]] {
+                        let refs: Vec<&SegMask> = pick.iter().collect();
+                        assert_eq!(
+                            band(&refs, r),
+                            reference::band(&refs, r),
+                            "{w}x{h}, r = {r}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn mask_counting_and_bbox() {
