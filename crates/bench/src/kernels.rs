@@ -36,8 +36,10 @@ const MB: usize = 16;
 const PACKED_MASK_FLOOR: f64 = 3.0;
 /// Floor of the feature-warp kernel over its per-cell reference.
 const WARP_FLOOR: f64 = 2.0;
-/// Floor of the hoisted NN-L oracle over its per-pixel reference.
-const NNL_FLOOR: f64 = 2.0;
+/// Floor of the NN-L oracle, which warps only the band near the ground
+/// truth's value changes, over its per-pixel reference, which warps every
+/// pixel; on [`ellipse_mask`] the band is about 2 % of the frame.
+const NNL_FLOOR: f64 = 8.0;
 /// Floor of NN-S's band-restricted mask over the dense graph's, on a
 /// B-frame whose band is 10–14 % of each layer's pixels.
 const BAND_FLOOR: f64 = 2.0;
@@ -72,9 +74,10 @@ pub(crate) struct Row {
     /// Lowest acceptable median `speedup`.
     pub floor: f64,
     /// Where the optimised kernel computes only part of the frame: the
-    /// share of conv1's, conv2's and conv3's output pixels it computes, so
-    /// the ratio can be checked against the work it skips.
-    pub coverage: Option<[f64; 3]>,
+    /// share of each stage's pixels it computes (conv1's, conv2's and
+    /// conv3's outputs for NN-S, the warped pixels for NN-L), so the ratio
+    /// can be checked against the work it skips.
+    pub coverage: Vec<(&'static str, f64)>,
 }
 
 impl Row {
@@ -92,7 +95,7 @@ impl Row {
             speedup: ratios(reference, optimized),
             int8: (times.get(2)).map(|int8| (median(int8), ratios(optimized, int8))),
             floor,
-            coverage: None,
+            coverage: Vec::new(),
         }
     }
 }
@@ -637,17 +640,20 @@ fn ellipse_mask(dx: f32, dy: f32) -> SegMask {
     )
 }
 
-/// One NN-L oracle inference on [`ellipse_mask`]: the hoisted raster vs
-/// the per-pixel reference, both on every core as the engine runs them.
+/// One NN-L oracle inference on [`ellipse_mask`]: the band-restricted
+/// raster vs the per-pixel reference, each with the thread count it picks
+/// as the engine runs it. The row carries the share of pixels warped.
 fn nnl_row() -> Row {
     let gt = ellipse_mask(0.0, 0.0);
     let net = LargeNet::new(LargeNetProfile::favos());
-    pair(
+    let mut row = pair(
         "nnl_segment_854x480",
         NNL_FLOOR,
         || net.segment(&gt, 0x40f0),
         || largenet::reference::segment(&net, &gt, 0x40f0),
-    )
+    );
+    row.coverage = vec![("warp", net.band_coverage(&gt))];
+    row
 }
 
 /// NN-S's refined mask of a realistic B-frame on one thread: the band of
@@ -705,7 +711,8 @@ fn nns_band_row() -> Row {
             || nns.infer(&x).to_mask(0.5),
         )
     });
-    row.coverage = Some(NnS::band_coverage(&x));
+    let [c1, c2, c3] = NnS::band_coverage(&x);
+    row.coverage = vec![("conv1", c1), ("conv2", c2), ("conv3", c3)];
     row
 }
 
@@ -746,11 +753,13 @@ pub(crate) fn to_json(rows: &[Row]) -> String {
             let int8 = r.int8.map_or(String::new(), |(ms, speedup)| {
                 format!(", \"int8_ms\": {ms:.4}, {}", ratio("int8_speedup", speedup))
             });
-            let coverage = r.coverage.map_or(String::new(), |[c1, c2, c3]| {
-                format!(
-                    ", \"band_coverage\": {{\"conv1\": {c1:.3}, \"conv2\": {c2:.3}, \"conv3\": {c3:.3}}}"
-                )
-            });
+            let coverage = if r.coverage.is_empty() {
+                String::new()
+            } else {
+                let shares: Vec<String> =
+                    r.coverage.iter().map(|(k, c)| format!("\"{k}\": {c:.3}")).collect();
+                format!(", \"band_coverage\": {{{}}}", shares.join(", "))
+            };
             format!(
                 "  \"{}\": {{\"optimized_ms\": {:.4}, \"reference_ms\": {:.4}, {}{int8}{coverage}}}",
                 r.name,
@@ -796,7 +805,7 @@ mod tests {
             speedup: [reference_ms / optimized_ms; 3],
             int8: int8_ms.map(|ms| (ms, [optimized_ms / ms; 3])),
             floor,
-            coverage: None,
+            coverage: Vec::new(),
         }
     }
 
@@ -874,9 +883,12 @@ mod tests {
              \"speedup\": 3.00, \"speedup_quartiles\": [3.00, 3.00, 3.00]}\n}\n"
         );
         let mut band = row(1.0, 3.0, None, 2.0);
-        band.coverage = Some([0.2104, 0.18, 0.1595]);
+        band.coverage = vec![("conv1", 0.2104), ("conv2", 0.18), ("conv3", 0.1595)];
         assert!(to_json(&[band]).contains(
             "\"band_coverage\": {\"conv1\": 0.210, \"conv2\": 0.180, \"conv3\": 0.160}}"
         ));
+        let mut warp = row(1.0, 9.0, None, 8.0);
+        warp.coverage = vec![("warp", 0.0231)];
+        assert!(to_json(&[warp]).contains("\"band_coverage\": {\"warp\": 0.023}}"));
     }
 }

@@ -21,7 +21,7 @@
 use crate::featwarp::{FeatureMap, FEATURE_CHANNELS, FEATURE_STRIDE};
 use crate::tensor::Tensor;
 use vrd_video::texture::{noise01, value_noise_axis, value_noise_blend, value_noise_corners};
-use vrd_video::{Detection, Rect, SegMask, MASK_WORD_BITS};
+use vrd_video::{mask, Detection, Rect, SegMask, MASK_WORD_BITS};
 
 /// Operations per pixel of one NN-L segmentation inference.
 ///
@@ -44,6 +44,13 @@ pub const NNL_HEAD_FRACTION: f64 = 0.25;
 /// faster than FAVOS ("DFF spends lots of energy on searching the optical
 /// flow", §VI-B) and why VR-DANN beats it by 2.2×.
 pub const FLOWNET_OPS_PER_PIXEL: f64 = 8.5e5;
+
+/// Band pixels from which the oracle raster fans its rows out across cores.
+const PAR_MIN_BAND_PIXELS: usize = 1 << 17;
+
+/// One coordinate's value-noise axis term: its lattice cell and the fade
+/// inside it (`texture::value_noise_axis`).
+type Axis = (i64, f32);
 
 /// Noise/cost profile of a large network.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -207,51 +214,133 @@ impl LargeNet {
         )
     }
 
+    /// The share of `gt`'s pixels whose warp [`Self::segment`] computes:
+    /// those within `⌈|warp_amp|⌉` of a value change or the frame edge, or
+    /// every pixel where that radius does not bound the displacement. Every
+    /// other pixel keeps its ground-truth bit until speckle. [`Self::ops`]
+    /// bills the whole frame either way.
+    pub fn band_coverage(&self, gt: &SegMask) -> f64 {
+        let (cols, rows) = self.axes(gt.width(), gt.height());
+        self.warp_band(gt, &cols, &rows).count_ones() as f64 / (gt.width() * gt.height()) as f64
+    }
+
+    /// The value-noise axis terms of every column and every row of a
+    /// `w`×`h` frame at the profile's `warp_scale`.
+    fn axes(&self, w: usize, h: usize) -> (Vec<Axis>, Vec<Axis>) {
+        let axis = |v: usize| value_noise_axis(v as f32, self.profile.warp_scale);
+        ((0..w).map(axis).collect(), (0..h).map(axis).collect())
+    }
+
+    /// The pixels whose warped bit can differ from `gt`'s: the band of
+    /// radius `r = ⌈|warp_amp|⌉` around `gt`'s value changes and the frame
+    /// edge ([`mask::band`]), or every pixel where that radius does not
+    /// bound the warp.
+    ///
+    /// # Why it is exact
+    ///
+    /// A pixel reads `gt` at `round(x + (blend − ½)·2·warp_amp)` (and the
+    /// same in y), clamped to the frame. When every column fade `sx` and
+    /// row fade `sy` is in [0, 1]:
+    ///
+    /// * Corners are multiples of 2⁻²⁴ in [0, 1), so a corner difference is
+    ///   exact, and `top = n00 + (n10 − n00)·sx` lies between `n00` and
+    ///   `n10`: the product is no larger in magnitude than the exact
+    ///   difference and rounding is monotone, so the sum rounds between two
+    ///   representable bounds. `bot` likewise.
+    /// * `blend = top + fl(bot − top)·sy` is in [0, 1]: `fl(bot − top)` is
+    ///   at least `−top` (representable) and below `1 − top` (the exact
+    ///   difference is at most `1 − 2⁻²⁴ − top`, rounded by at most 2⁻²⁵),
+    ///   so the exact sum is in [0, 1) and rounds into [0, 1].
+    /// * `blend − ½` is then in [−½, ½], times 2 in [−1, 1], times
+    ///   `warp_amp` at most `|warp_amp| ≤ r` in magnitude.
+    /// * `x as f32` is exact and so are `x ± r` while `x + r ≤ 2²⁴`, so the
+    ///   displaced coordinate rounds into [x − r, x + r], and so does
+    ///   `round`. Clamping to the frame keeps it there.
+    ///
+    /// So the source pixel lies in the in-frame part of the Chebyshev
+    /// window of radius `r`, and a pixel whose window is uniform in `gt`
+    /// reads its own bit. `mask::band` holds every pixel whose window is not
+    /// uniform or leaves the frame, so no clamping term is needed.
+    ///
+    /// The bound fails, and every pixel is warped, when `r ≥ 64` (the
+    /// band's limit), `warp_amp` is not finite (`r` is then NaN or ∞), a
+    /// frame side is within 64 of 2²⁴, or some fade is outside [0, 1] or
+    /// NaN. Finite fades are not enough: near `warp_scale = 100 / 2⁶³` the
+    /// cell saturates at `i64::MAX` and `g − cell` is far outside [0, 1).
+    fn warp_band(&self, gt: &SegMask, cols: &[Axis], rows: &[Axis]) -> SegMask {
+        let (w, h) = (gt.width(), gt.height());
+        let r = self.profile.warp_amp.abs().ceil();
+        let unit = |&(_, fade): &Axis| (0.0..=1.0).contains(&fade);
+        if r < MASK_WORD_BITS as f32
+            && w.max(h) + MASK_WORD_BITS <= 1 << 24
+            && cols.iter().all(unit)
+            && rows.iter().all(unit)
+        {
+            mask::band(&[gt], r as usize)
+        } else {
+            SegMask::from_words(w, h, vec![u64::MAX; w.div_ceil(MASK_WORD_BITS) * h])
+        }
+    }
+
     /// The oracle raster [`Self::segment`] wraps: ground truth resampled
     /// through the displacement field plus boundary speckle, as packed mask
     /// words (the [`SegMask`] layout, tail bits zero).
     ///
     /// Bit-identical to [`reference::segment`], which samples
-    /// `value_noise` twice per pixel: here its axis terms are computed once
-    /// per column and once per row, and its lattice corners once per run of
-    /// columns sharing a cell. Caching by run rather than in a table over
-    /// the frame's cell range keeps one code path for every `warp_scale`,
-    /// including zero, subnormal and non-finite ones, whose cells span up
-    /// to the whole `i64` range.
+    /// `value_noise` twice per pixel at every pixel. Here only the pixels
+    /// of [`Self::warp_band`] are warped — every other one copies its
+    /// `gt` bit a word at a time — and of `value_noise` the axis terms are
+    /// computed once per column and once per row, the lattice corners once
+    /// per run of band pixels sharing a cell. Caching by run rather than in
+    /// a table over the frame's cell range keeps one code path for every
+    /// `warp_scale`, including zero, subnormal and non-finite ones, whose
+    /// cells span up to the whole `i64` range.
     fn raster(&self, gt: &SegMask, seed: u64) -> Vec<u64> {
         let (w, h) = (gt.width(), gt.height());
         let wpr = w.div_ceil(MASK_WORD_BITS);
         let p = &self.profile;
-        // Every row is independent, so large frames split by row across
-        // cores — same bits at any thread count.
-        let threads = if w * h >= 1 << 16 {
+        let (cols, rows) = self.axes(w, h);
+        let band = self.warp_band(gt, &cols, &rows);
+        // Every row is independent, so a large band splits by row across
+        // cores — same bits at any thread count. The work is the band's, so
+        // it decides: on two cores an 854×480 anchor's band (2–6 % of its
+        // pixels) runs 13–20 % faster on one thread, and a dense frame
+        // breaks even between 2¹⁶ and 2¹⁷ pixels.
+        let threads = if band.count_ones() >= PAR_MIN_BAND_PIXELS {
             vrd_runtime::max_threads()
         } else {
             1
         };
-        let axis = |v: usize| value_noise_axis(v as f32, p.warp_scale);
-        let cols: Vec<(i64, f32)> = (0..w).map(axis).collect();
-        let rows: Vec<(i64, f32)> = (0..h).map(axis).collect();
 
         let mut warped = vec![0u64; wpr * h];
         for_each_row(&mut warped, wpr, threads, |y, out| {
             let (y0, sy) = rows[y];
+            let span = y * wpr..(y + 1) * wpr;
+            let words = gt.words()[span.clone()].iter().zip(&band.words()[span]);
             let mut cell = None;
-            for (x, &(x0, sx)) in cols.iter().enumerate() {
-                let (cx, cy) = match cell {
-                    Some((c, cx, cy)) if c == x0 => (cx, cy),
-                    _ => {
-                        let cx = value_noise_corners(x0, y0, seed ^ 0x11);
-                        let cy = value_noise_corners(x0, y0, seed ^ 0x22);
-                        cell = Some((x0, cx, cy));
-                        (cx, cy)
-                    }
-                };
-                let nx = value_noise_blend(cx, sx, sy) - 0.5;
-                let ny = value_noise_blend(cy, sx, sy) - 0.5;
-                let src_x = (x as f32 + nx * 2.0 * p.warp_amp).round() as i32;
-                let src_y = (y as f32 + ny * 2.0 * p.warp_amp).round() as i32;
-                out[x / 64] |= u64::from(gt.get_clamped(src_x, src_y)) << (x % 64);
+            for (k, (o, (&g, &b))) in out.iter_mut().zip(words).enumerate() {
+                *o = g & !b;
+                let mut todo = b;
+                while todo != 0 {
+                    let j = todo.trailing_zeros() as usize;
+                    todo &= todo - 1;
+                    let x = k * 64 + j;
+                    let (x0, sx) = cols[x];
+                    let (cx, cy) = match cell {
+                        Some((c, cx, cy)) if c == x0 => (cx, cy),
+                        _ => {
+                            let cx = value_noise_corners(x0, y0, seed ^ 0x11);
+                            let cy = value_noise_corners(x0, y0, seed ^ 0x22);
+                            cell = Some((x0, cx, cy));
+                            (cx, cy)
+                        }
+                    };
+                    let nx = value_noise_blend(cx, sx, sy) - 0.5;
+                    let ny = value_noise_blend(cy, sx, sy) - 0.5;
+                    let src_x = (x as f32 + nx * 2.0 * p.warp_amp).round() as i32;
+                    let src_y = (y as f32 + ny * 2.0 * p.warp_amp).round() as i32;
+                    *o |= u64::from(gt.get_clamped(src_x, src_y)) << j;
+                }
             }
         });
 

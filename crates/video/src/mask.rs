@@ -968,6 +968,33 @@ mod tests {
                 }
             }
         }
+        // The radii the NN-L oracle's warp drives it to, up to the last
+        // under a word, on frames tall enough to keep an interior (127 is
+        // exactly one row of it at r = 63): a solid plane alone, whose band
+        // is the edge ring, and a centred speck and disk.
+        let wide: [fn(usize, usize) -> bool; 3] = [
+            |_, _| true,
+            |x, y| x == 70 && y == 69,
+            |x, y| (x as i64 - 65).pow(2) + (y as i64 - 70).pow(2) < 900,
+        ];
+        for w in [64, 65, 130] {
+            for h in [127, 140] {
+                let planes: Vec<SegMask> = wide
+                    .iter()
+                    .map(|f| SegMask::from_bits(w, h, (0..w * h).map(|i| f(i % w, i / w))))
+                    .collect();
+                for r in [31, 63] {
+                    for pick in [&planes[..1], &planes[1..2], &planes[2..], &planes[..]] {
+                        let refs: Vec<&SegMask> = pick.iter().collect();
+                        assert_eq!(
+                            band(&refs, r),
+                            reference::band(&refs, r),
+                            "{w}x{h}, r = {r}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
