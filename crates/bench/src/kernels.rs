@@ -25,7 +25,6 @@ use vrd_nn::layers::{
     upsample2_into,
 };
 use vrd_nn::{quant, NnS, QuantConv2d, QuantNnS, Requant, Tensor};
-use vrd_runtime::BufferPool;
 use vrd_video::{mask, Seg2Plane, SegMask};
 
 const W: usize = 854;
@@ -252,8 +251,8 @@ fn nn_rows(rows: &mut Vec<Row>) {
     // thread: the kernel rows behind its `nn.nns_infer_ms` (conv2 runs at
     // half resolution). The int8 column runs the layer quantized: conv1
     // and conv2 requantize into `u8` as `QuantNnS` runs them; conv3 stores
-    // raw `i32` (the graph runs it as two 8→1 halves whose blocks it
-    // dequantizes in registers — the same kernel over the same taps).
+    // raw `i32`, as the graph runs each of its two 8→1 halves before the
+    // scalar epilogue sums them.
     for (name, cin, cout, h, w) in [
         ("conv1_3to8_864x480", 3, 8, 480, 864),
         ("conv2_8to8_432x240", 8, 8, 240, 432),
@@ -427,28 +426,6 @@ fn int8_ledger_rows(rows: &mut Vec<Row>, q: &QuantNnS, hd: &Tensor) {
                 sigmoid_in_place(&mut p);
                 Tensor::from_vec(1, H, W, p).to_mask(0.5)
             },
-        ));
-
-        // One inference's scratch planes: stale takes against filling ones.
-        let pool = BufferPool::<u8>::new();
-        let sizes = [3 * hw, hid * hw, hid * hw / 4, hid * hw / 4, hid * hw];
-        let take_all = |stale: bool| {
-            let bufs: Vec<_> = (sizes.iter())
-                .map(|&n| {
-                    if stale {
-                        pool.take_stale(n)
-                    } else {
-                        pool.take(n)
-                    }
-                })
-                .collect();
-            bufs.len()
-        };
-        rows.push(pair(
-            "take_854x480",
-            UNGATED,
-            || take_all(true),
-            || take_all(false),
         ));
     });
 }
@@ -658,7 +635,8 @@ fn nnl_row() -> Row {
 
 /// NN-S's refined mask of a realistic B-frame on one thread: the band of
 /// [`NnS::mask`] against the dense graph (`infer(..).to_mask(0.5)`), each
-/// precision's masks asserted equal first. The sandwich's anchors are
+/// precision's masks asserted equal first, and the int8 column the engine's
+/// int8 B-frame path, [`QuantNnS::mask`]. The sandwich's anchors are
 /// [`ellipse_mask`] and the same ellipse 6 px right and 3 px down; the
 /// B-frame copies every 16-px block from within 4 px of its own position,
 /// half of them bi-predicted — the small motion vectors of a real stream,
@@ -704,11 +682,13 @@ fn nns_band_row() -> Row {
         "nns_mask_band_854x480: int8 band and dense masks diverged"
     );
     let mut row = vrd_runtime::with_thread_budget(1, || {
-        pair(
+        measure(
             "nns_mask_band_854x480",
             BAND_FLOOR,
+            REPS,
             || nns.mask(&x),
             || nns.infer(&x).to_mask(0.5),
+            Some(&mut || drop(black_box(q.mask(&xq, H, W)))),
         )
     });
     let [c1, c2, c3] = NnS::band_coverage(&x);

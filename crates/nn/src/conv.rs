@@ -28,6 +28,17 @@ use rand::{RngExt, SeedableRng};
 /// saves.
 const PAR_MIN_MACS: u64 = 8_000_000;
 
+/// Threads a pass of `macs` multiply-accumulates fans out to, in either
+/// precision: every available one once the work reaches [`PAR_MIN_MACS`],
+/// otherwise one.
+pub(crate) fn auto_threads(macs: u64) -> usize {
+    if macs >= PAR_MIN_MACS {
+        vrd_runtime::max_threads()
+    } else {
+        1
+    }
+}
+
 /// A stride-1, same-padded `k × k` convolution layer with bias: its shape and
 /// its parameters, nothing else. Gradients and optimiser state belong to
 /// whoever trains it (see [`crate::train`]).
@@ -141,16 +152,6 @@ impl Conv2d {
         (self.cin * self.cout * self.k * self.k * h * w) as u64
     }
 
-    /// Threads a pass over `pixels` output pixels fans out to: every
-    /// available one once the work exceeds [`PAR_MIN_MACS`], otherwise one.
-    fn auto_threads(&self, pixels: usize) -> usize {
-        if self.macs(pixels, 1) >= PAR_MIN_MACS {
-            vrd_runtime::max_threads()
-        } else {
-            1
-        }
-    }
-
     /// Slice-level forward kernel: reads a `cin × h × w` input, writes the
     /// `cols` columns of a `cout × h × w` output with `epilogue` applied as
     /// each value is stored (every other element is left as it was). What
@@ -163,7 +164,7 @@ impl Conv2d {
         epilogue: Epilogue,
         cols: &RowSpans,
     ) {
-        let threads = self.auto_threads(cols.area());
+        let threads = auto_threads(self.macs(cols.area(), 1));
         self.forward_banded(x, out, epilogue, cols, threads, band_dispatch);
     }
 
@@ -210,7 +211,7 @@ impl Conv2d {
     /// # Panics
     /// Panics if the input channel count differs from `cin`.
     pub fn forward_inference(&self, x: &Tensor) -> Tensor {
-        let threads = self.auto_threads(x.height() * x.width());
+        let threads = auto_threads(self.macs(x.height(), x.width()));
         self.forward_tensor(x, threads, band_dispatch)
     }
 
@@ -356,7 +357,7 @@ impl Conv2d {
             .chunks(w)
             .map(|row| row.iter().any(|&g| g != 0.0))
             .collect();
-        let threads = self.auto_threads(h * w);
+        let threads = auto_threads(self.macs(h, w));
 
         // Pass A — weight and bias gradients, partitioned by output channel
         // (each owns a disjoint `gw` block and `gb` element).

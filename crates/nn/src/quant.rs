@@ -32,23 +32,23 @@
 //! source rows: two tap rows are byte-interleaved and widened to `i16`
 //! once, then multiply-added (`vpmaddwd`) against every channel's packed
 //! weight pair, the `i32` accumulators staying in `ymm` registers across
-//! all taps. The block's epilogue stores them as they finish — raw,
-//! requantized to `u8` (conv1, conv2), or dequantized beside the other
-//! half's block and summed in f32 (conv3) — so no `i32` plane is written or
-//! re-read. The `pad` edge columns, and rows narrower than a block, run a
-//! scalar per-pixel routine; a portable body (a per-row tap AXPY, then the
-//! same epilogue) runs where AVX2 is absent.
+//! all taps. The block's epilogue stores them as they finish: requantized
+//! to `u8` (conv1, conv2) or raw `i32` (each conv3 half). The `pad` edge
+//! columns, and rows narrower than a block, run a scalar per-pixel routine;
+//! a portable body (a per-row tap AXPY, then the same epilogue) runs where
+//! AVX2 is absent.
 //!
 //! [`QuantNnS`] wires three [`QuantConv2d`]s into the NN-S topology.
 //! The final concat feeding conv3 mixes two activation scales (`a1` and
-//! upsampled `a2`), so conv3 is split into two half-convolutions whose
-//! `i32` accumulators are dequantized separately and summed in f32 — dot
+//! upsampled `a2`), so conv3 is split into two half-convolutions, each
+//! run by the same kernel into its own `i32` plane; a scalar pass then
+//! dequantizes the two planes separately and sums them in f32 — dot
 //! products distribute, so the split is exact. Max-pool and
 //! nearest-neighbour upsampling commute with the monotone quantizer and run
 //! directly on `u8` planes ([`crate::layers`]).
 
 use crate::band::{Banded, CutTable, Plan, RowSpans, TABLE_SIDE};
-use crate::conv::{run_bands, tiles, Band, Conv2d, Input};
+use crate::conv::{auto_threads, run_bands, tiles, Band, Conv2d, Input};
 use crate::layers::{maxpool2_u8_span_into, sigmoid_cut, sigmoid_in_place, upsample2_span_into};
 use crate::nns::{NnS, SANDWICH_CHANNELS};
 use crate::tensor::Tensor;
@@ -62,10 +62,6 @@ pub(crate) const QMAX: i32 = 127;
 /// vector requantization's range proof, so the proof holds for any input.
 const ACT_MAX: i64 = u8::MAX as i64;
 
-/// Minimum multiply-accumulate count before a quantized convolution fans
-/// out across threads (same threshold as the f32 kernels).
-const PAR_MIN_MACS: u64 = 8_000_000;
-
 /// Output channels per register tile of the AVX2 body: four channels'
 /// 16-pixel accumulators are eight `ymm`, which leaves room for the widened
 /// source pair and the weight broadcast.
@@ -75,10 +71,11 @@ const CO_TILE: usize = 4;
 /// channel).
 const BLOCK: usize = 16;
 
-/// Scratch for the quantized graph — `u8` activation planes and f32
-/// logits — recycled across frames. Every kernel writes each element before
-/// it is read, so the takes are stale.
+/// Scratch for the quantized graph — `u8` activation planes, conv3's `i32`
+/// half-accumulators and f32 logits — recycled across frames. Every kernel
+/// writes each element before it is read, so the takes are stale.
 static SCRATCH_U8: BufferPool<u8> = BufferPool::new();
+static SCRATCH_I32: BufferPool<i32> = BufferPool::new();
 static SCRATCH_F32: BufferPool<f32> = BufferPool::new();
 
 /// Which compute path the pipeline runs NN-S inference on.
@@ -365,7 +362,7 @@ impl QuantConv2d {
     /// # Panics
     /// Panics on length mismatches.
     pub fn forward_i32(&self, x: &[u8], h: usize, w: usize, out: &mut [i32]) {
-        self.forward_i32_with(x, h, w, out, self.auto_threads(h * w));
+        self.forward_i32_with(x, h, w, out, auto_threads(self.macs(h, w)));
     }
 
     /// [`QuantConv2d::forward_i32`] split into exactly `threads` row bands
@@ -391,7 +388,7 @@ impl QuantConv2d {
     /// # Panics
     /// Panics on length mismatches or `rq.len() != cout`.
     pub fn forward_requant(&self, x: &[u8], h: usize, w: usize, rq: &[Requant], out: &mut [u8]) {
-        self.forward_requant_with(x, h, w, rq, out, self.auto_threads(h * w));
+        self.forward_requant_with(x, h, w, rq, out, auto_threads(self.macs(h, w)));
     }
 
     /// [`QuantConv2d::forward_requant`] split into exactly `threads` row
@@ -423,16 +420,6 @@ impl QuantConv2d {
     ) {
         let sink = Requantize::new(self, rq);
         self.forward(x, out, &sink, cols, threads, band_dispatch);
-    }
-
-    /// Threads a pass over `pixels` output pixels fans out to: every
-    /// available one once the work exceeds [`PAR_MIN_MACS`], otherwise one.
-    fn auto_threads(&self, pixels: usize) -> usize {
-        if self.macs(pixels, 1) >= PAR_MIN_MACS {
-            vrd_runtime::max_threads()
-        } else {
-            1
-        }
     }
 
     /// Checks the shapes, then runs `body` on `threads` row bands of `out`,
@@ -873,25 +860,6 @@ mod x86 {
         // SAFETY: `dst` is 16 bytes long, the width of the store.
         unsafe { _mm_storeu_si128(dst.as_mut_ptr().cast(), bytes) };
     }
-
-    /// conv3's epilogue on a block: `a·da + b·db + bias` in f32, stored as
-    /// sixteen floats at the front of `dst`. `i32 → f32` rounds to nearest
-    /// like `as f32`, and the multiplies and adds stay separate (never
-    /// fused), so each lane is the scalar expression's value.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    pub(super) fn dequant16(a: Block, b: Block, [da, db, bias]: [f32; 3], dst: &mut [f32]) {
-        let (da, db, bias) = (_mm256_set1_ps(da), _mm256_set1_ps(db), _mm256_set1_ps(bias));
-        let dst = &mut dst[..16];
-        for (half, (&a, &b)) in a.iter().zip(&b).enumerate() {
-            let ta = _mm256_mul_ps(_mm256_cvtepi32_ps(a), da);
-            let tb = _mm256_mul_ps(_mm256_cvtepi32_ps(b), db);
-            let v = _mm256_add_ps(_mm256_add_ps(ta, tb), bias);
-            // SAFETY: `dst` is 16 floats long and `half` is 0 or 1, so the
-            // 8-float store stays inside it.
-            unsafe { _mm256_storeu_ps(dst.as_mut_ptr().add(8 * half), v) };
-        }
-    }
 }
 
 /// Quantizes an f32 activation slice to 7-bit `u8`
@@ -934,10 +902,6 @@ pub struct QuantNnS {
     /// [`QuantNnS::mask`] does not compute.
     cuts: CutTable,
 }
-
-/// What a band of the logit plane runs: [`logits_dispatch`], or
-/// [`logits_portable`] where the tests pin the fallback.
-type LogitsBody = fn(&QuantNnS, Input<'_, u8>, Input<'_, u8>, &RowSpans, Band<'_, f32>);
 
 impl QuantNnS {
     /// Quantizes a trained NN-S, using its calibrated activation scales
@@ -1008,7 +972,7 @@ impl QuantNnS {
             .collect();
         let mut logits = vec![0.0; h * w];
         let plan = Plan::dense(h, w);
-        self.logits_into(&xq, h, w, &mut logits, &plan, logits_dispatch);
+        self.logits_into(&xq, h, w, &mut logits, &plan);
         logits[h / 2 * w + w / 2] > sigmoid_cut()
     }
 
@@ -1056,7 +1020,7 @@ impl QuantNnS {
         self.quantize_input(x, &mut xq);
         let mut out = vec![0.0; h * w];
         let plan = Plan::dense(h, w);
-        self.logits_into(&xq, h, w, &mut out, &plan, logits_dispatch);
+        self.logits_into(&xq, h, w, &mut out, &plan);
         sigmoid_in_place(&mut out);
         Tensor::from_vec(1, h, w, out)
     }
@@ -1078,24 +1042,16 @@ impl QuantNnS {
     pub fn mask(&self, xq: &[u8], h: usize, w: usize) -> SegMask {
         let banded = Banded::of(xq, (h, w), self.codes);
         let mut logits = SCRATCH_F32.take_stale(h * w);
-        self.logits_into(xq, h, w, &mut logits, banded.plan(), logits_dispatch);
+        self.logits_into(xq, h, w, &mut logits, banded.plan());
         banded.mask(&logits, sigmoid_cut(), self.cuts)
     }
 
     /// The `u8` graph from a quantized sandwich to f32 logits on the
     /// stages' `plan` columns: conv1 + requantization → 2×2 max-pool →
-    /// conv2 + requantization → 2× upsample → both conv3 halves, dequantized
-    /// and summed as each block finishes (`conv3_body`). Only `plan.conv3`'s
-    /// columns of `out` are written.
-    fn logits_into(
-        &self,
-        xq: &[u8],
-        h: usize,
-        w: usize,
-        out: &mut [f32],
-        plan: &Plan,
-        conv3_body: LogitsBody,
-    ) {
+    /// conv2 + requantization → 2× upsample → each conv3 half into its own
+    /// `i32` plane, then both dequantized and summed per logit. Only
+    /// `plan.conv3`'s columns of `out` are written.
+    fn logits_into(&self, xq: &[u8], h: usize, w: usize, out: &mut [f32], plan: &Plan) {
         assert_eq!(
             xq.len(),
             SANDWICH_CHANNELS * h * w,
@@ -1109,7 +1065,7 @@ impl QuantNnS {
         let (hw, hid) = (h * w, self.hidden);
         let mut a1 = SCRATCH_U8.take_stale(hid * hw);
         let (c1, c2) = (&self.conv1, &self.conv2);
-        let threads = c1.auto_threads(plan.conv1.area());
+        let threads = auto_threads(c1.macs(plan.conv1.area(), 1));
         c1.requant_into(
             Input::new(xq, h, w),
             &self.rq1,
@@ -1120,120 +1076,38 @@ impl QuantNnS {
         let mut d = SCRATCH_U8.take_stale(hid * hw / 4);
         maxpool2_u8_span_into(&a1, hid, h, w, &mut d, &plan.pool);
         let mut a2 = SCRATCH_U8.take_stale(hid * hw / 4);
-        let threads = c2.auto_threads(plan.conv2.area());
+        let threads = auto_threads(c2.macs(plan.conv2.area(), 1));
         let half = Input::new(&d[..], h / 2, w / 2);
         c2.requant_into(half, &self.rq2, &mut a2, &plan.conv2, threads);
         let mut up = SCRATCH_U8.take_stale(hid * hw);
         upsample2_span_into(&a2, hid, h / 2, w / 2, &mut up, &plan.up);
-        let (a1, up) = (Input::new(&a1[..], h, w), Input::new(&up[..], h, w));
         let cols = &plan.conv3;
-        let threads = self.conv3a.auto_threads(2 * cols.area());
-        run_bands(out, cols, threads, |band| {
-            conv3_body(self, a1, up, cols, band)
-        });
+        // One plane per half, plain-stored: tiles overlap inside a span and
+        // overshoot its end, so summing into one plane would add some
+        // columns twice.
+        let raw = |conv: &QuantConv2d, x: &[u8]| {
+            let mut acc = SCRATCH_I32.take_stale(hw);
+            let threads = auto_threads(conv.macs(cols.area(), 1));
+            let x = Input::new(x, h, w);
+            conv.forward(x, &mut acc, &Raw, cols, threads, band_dispatch);
+            acc
+        };
+        let (acc_a, acc_b) = (raw(&self.conv3a, &a1), raw(&self.conv3b, &up));
+        for y in 0..h {
+            for &(s, e) in cols.row(y) {
+                let (s, e) = (y * w + s, y * w + e);
+                let accs = acc_a[s..e].iter().zip(&acc_b[s..e]);
+                for (o, (&a, &b)) in out[s..e].iter_mut().zip(accs) {
+                    *o = self.dequant(a, b);
+                }
+            }
+        }
     }
 
     /// conv3's f32 epilogue for one pixel's two half-accumulators.
     fn dequant(&self, a: i32, b: i32) -> f32 {
         let [da, db, bias] = self.deq3;
         a as f32 * da + b as f32 * db + bias
-    }
-}
-
-/// conv3's AVX2 body on an `x86_64` CPU that has it; [`logits_portable`]
-/// otherwise.
-fn logits_dispatch(
-    q: &QuantNnS,
-    a1: Input<'_, u8>,
-    up: Input<'_, u8>,
-    cols: &RowSpans,
-    band: Band<'_, f32>,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if avx2_enabled() {
-        // SAFETY: AVX2 was just detected on this CPU, which is all
-        // `logits_avx2` (safe code compiled for that target) requires.
-        return unsafe { logits_avx2(q, a1, up, cols, band) };
-    }
-    logits_portable(q, a1, up, cols, band);
-}
-
-/// conv3's portable body: per row with spans, both halves' accumulator
-/// rows, then the epilogue per span pixel.
-fn logits_portable(
-    q: &QuantNnS,
-    a1: Input<'_, u8>,
-    up: Input<'_, u8>,
-    cols: &RowSpans,
-    mut band: Band<'_, f32>,
-) {
-    let w = a1.w;
-    let (mut acc_a, mut acc_b) = (vec![0; w], vec![0; w]);
-    for plane in &mut band.planes {
-        for (r, row) in plane.chunks_exact_mut(w).enumerate() {
-            let spans = cols.row(band.y0 + r);
-            if spans.is_empty() {
-                continue;
-            }
-            q.conv3a.row(a1, band.y0 + r, 0, &mut acc_a);
-            q.conv3b.row(up, band.y0 + r, 0, &mut acc_b);
-            for &(s, e) in spans {
-                let accs = acc_a[s..e].iter().zip(&acc_b[s..e]);
-                for (o, (&a, &b)) in row[s..e].iter_mut().zip(accs) {
-                    *o = q.dequant(a, b);
-                }
-            }
-        }
-    }
-}
-
-/// conv3's AVX2 body: per 16-pixel block of a span's interior columns, one
-/// tile of each half and the f32 epilogue on the two register blocks; the
-/// span's edge columns per pixel.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn logits_avx2(
-    q: &QuantNnS,
-    a1: Input<'_, u8>,
-    up: Input<'_, u8>,
-    cols: &RowSpans,
-    mut band: Band<'_, f32>,
-) {
-    let (k, w) = (q.conv3a.k, a1.w);
-    let interior = q.conv3a.interior(w);
-    let zero = vec![0u8; w];
-    let (mut rows_a, mut rows_b) = (Vec::new(), Vec::new());
-    for plane in &mut band.planes {
-        for (r, row) in plane.chunks_exact_mut(w).enumerate() {
-            let y = band.y0 + r;
-            let spans = cols.row(y);
-            if spans.is_empty() {
-                continue;
-            }
-            q.conv3a.source_rows(a1, y, &zero, &mut rows_a);
-            q.conv3b.source_rows(up, y, &zero, &mut rows_b);
-            let frame_rows = |rows: &[&[u8]]| rows.iter().all(|r| r.len() == w);
-            assert!(frame_rows(&rows_a) && frame_rows(&rows_b));
-            for &(s, e) in spans {
-                let inner = (s.max(interior.start), e.min(interior.end));
-                for (x0, _) in tiles(inner, &interior, &[BLOCK]) {
-                    // SAFETY: AVX2 is enabled in this function; each half's
-                    // rows come from its own `source_rows`, are `w` long
-                    // (asserted above), and `tiles` puts `x0` in
-                    // `[pad, w − pad − 16]`; both halves have one channel.
-                    let (a, b) = unsafe {
-                        let [a] = x86::tile::<1>(&q.conv3a.wpairs, &rows_a, k, 0, x0);
-                        let [b] = x86::tile::<1>(&q.conv3b.wpairs, &rows_b, k, 0, x0);
-                        (a, b)
-                    };
-                    x86::dequant16(a, b, q.deq3, &mut row[x0..]);
-                }
-                for xp in (s..e.min(interior.start)).chain(s.max(interior.end)..e) {
-                    let (a, b) = (q.conv3a.pixel(a1, y, 0, xp), q.conv3b.pixel(up, y, 0, xp));
-                    row[xp] = q.dequant(a, b);
-                }
-            }
-        }
     }
 }
 
@@ -1465,12 +1339,13 @@ mod tests {
         assert!(max_err < 0.05, "quantized path drifted: max err {max_err}");
     }
 
-    /// The graph — requantizing convolutions, the `u8` pool, the fused
-    /// conv3 epilogue on both bodies — against the same graph composed of
+    /// The graph — requantizing convolutions, the `u8` pool, the conv3
+    /// halves and their f32 epilogue — against the same graph composed of
     /// the naive reference kernels, at a width that leaves ragged blocks at
     /// both resolutions and a hidden width that leaves a partial channel
-    /// tile; `infer` and `mask` are that graph's logits through the sigmoid
-    /// and through the cut.
+    /// tile, on the dense plan and on a blob sandwich's band; `infer` and
+    /// `mask` are that graph's logits through the sigmoid and through the
+    /// cut.
     #[test]
     fn quantized_graph_matches_separate_reference_layers() {
         let (h, w, hid) = (10, 70, 5);
@@ -1490,33 +1365,73 @@ mod tests {
         );
         nns.calibrate(&[&x]);
         let q = nns.quantize();
+        let reference_logits = |xq: &[u8], h: usize, w: usize| -> Vec<f32> {
+            let a1 = reference::forward_requant(&q.conv1, xq, h, w, &q.rq1);
+            let mut d = vec![0u8; hid * h * w / 4];
+            maxpool2_into(&a1, hid, h, w, &mut d, u8::max);
+            let a2 = reference::forward_requant(&q.conv2, &d, h / 2, w / 2, &q.rq2);
+            let mut up = vec![0u8; hid * h * w];
+            upsample2_into(&a2, hid, h / 2, w / 2, &mut up);
+            let acc_a = reference::forward_i32(&q.conv3a, &a1, h, w);
+            let acc_b = reference::forward_i32(&q.conv3b, &up, h, w);
+            let accs = acc_a.iter().zip(&acc_b);
+            accs.map(|(&a, &b)| q.dequant(a, b)).collect()
+        };
+        let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let mut xq = vec![0u8; 3 * h * w];
         q.quantize_input(&x, &mut xq);
-        let a1 = reference::forward_requant(&q.conv1, &xq, h, w, &q.rq1);
-        let mut d = vec![0u8; hid * h * w / 4];
-        maxpool2_into(&a1, hid, h, w, &mut d, u8::max);
-        let a2 = reference::forward_requant(&q.conv2, &d, h / 2, w / 2, &q.rq2);
-        let mut up = vec![0u8; hid * h * w];
-        upsample2_into(&a2, hid, h / 2, w / 2, &mut up);
-        let acc_a = reference::forward_i32(&q.conv3a, &a1, h, w);
-        let acc_b = reference::forward_i32(&q.conv3b, &up, h, w);
-        let want: Vec<f32> = acc_a
-            .iter()
-            .zip(&acc_b)
-            .map(|(&a, &b)| q.dequant(a, b))
-            .collect();
-        let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        for body in [logits_dispatch as LogitsBody, logits_portable] {
-            let mut got = vec![f32::NAN; h * w];
-            q.logits_into(&xq, h, w, &mut got, &Plan::dense(h, w), body);
-            assert_eq!(bits(&got), bits(&want));
-        }
+        let want = reference_logits(&xq, h, w);
+        let mut got = vec![f32::NAN; h * w];
+        q.logits_into(&xq, h, w, &mut got, &Plan::dense(h, w));
+        assert_eq!(bits(&got), bits(&want));
         assert_eq!(q.mask(&xq, h, w), logits_to_mask(&want, h, w));
         let mut probs = want;
         sigmoid_in_place(&mut probs);
         let inferred = q.infer(&x);
         assert_eq!(bits(inferred.as_slice()), bits(&probs));
         assert_eq!(inferred.to_mask(0.5), q.mask(&xq, h, w));
+
+        // A sandwich of two offset ellipses, gray where they differ: only
+        // the band's logits are written, and each equals the reference's.
+        let (h, w) = (48, 126);
+        let inside = |x: usize, y: usize, cx: f32| {
+            let (dx, dy) = ((x as f32 - cx) / 10.0, (y as f32 - 24.0) / 6.0);
+            dx * dx + dy * dy <= 1.0
+        };
+        let blob = Tensor::from_vec(
+            3,
+            h,
+            w,
+            (0..3 * h * w)
+                .map(|i| {
+                    let (c, y, x) = (i / (h * w), i / w % h, i % w);
+                    let (a, b) = (inside(x, y, 50.0), inside(x, y, 57.0));
+                    match c {
+                        0 => f32::from(u8::from(a)),
+                        1 => 0.5 * f32::from(u8::from(a) + u8::from(b)),
+                        _ => f32::from(u8::from(b)),
+                    }
+                })
+                .collect(),
+        );
+        let mut xq = vec![0u8; 3 * h * w];
+        q.quantize_input(&blob, &mut xq);
+        let banded = Banded::of(&xq, (h, w), q.codes);
+        let cols = &banded.plan().conv3;
+        assert!(
+            0 < cols.area() && cols.area() < h * w,
+            "a band, not the frame"
+        );
+        let want = reference_logits(&xq, h, w);
+        let mut got = vec![f32::NAN; h * w];
+        q.logits_into(&xq, h, w, &mut got, banded.plan());
+        for y in 0..h {
+            for &(s, e) in cols.row(y) {
+                let span = y * w + s..y * w + e;
+                assert_eq!(bits(&got[span.clone()]), bits(&want[span]), "row {y}");
+            }
+        }
+        assert_eq!(q.mask(&xq, h, w), logits_to_mask(&want, h, w));
     }
 
     #[test]

@@ -243,11 +243,11 @@ where
 /// named; the quantized NN path pools `u8` activations and `i32`
 /// accumulators).
 ///
-/// `take` hands out a buffer of the requested length filled with
-/// `T::default()` (reusing the best-fitting retired allocation when one is
-/// available); dropping the returned [`PooledBuf`] recycles it. The pool
-/// holds at most a fixed number of retired buffers so long-running
-/// processes do not accumulate memory.
+/// [`BufferPool::take_stale`] hands out a buffer of the requested length
+/// (reusing the best-fitting retired allocation when one is available);
+/// dropping the returned [`PooledBuf`] recycles it. The pool holds at most
+/// a fixed number of retired buffers so long-running processes do not
+/// accumulate memory.
 #[derive(Debug)]
 pub struct BufferPool<T = f32> {
     free: Mutex<Vec<Vec<T>>>,
@@ -263,23 +263,9 @@ impl<T> BufferPool<T> {
             free: Mutex::new(Vec::new()),
         }
     }
-}
 
-impl<T: Copy + Default> BufferPool<T> {
-    /// A `T::default()`-filled scratch buffer of length `len`.
-    ///
-    /// Reuses the smallest retired buffer whose capacity fits, so a small
-    /// request does not walk off with (and pin) a large allocation; when
-    /// none fits, the largest one is grown.
-    pub fn take(&self, len: usize) -> PooledBuf<'_, T> {
-        let mut buf = self.retired(len);
-        buf.clear();
-        buf.resize(len, T::default());
-        PooledBuf { buf, pool: self }
-    }
-
-    /// The retired buffer best fitting `len` (see [`BufferPool::take`]), or
-    /// a new empty one.
+    /// The retired buffer best fitting `len` (see
+    /// [`BufferPool::take_stale`]), or a new empty one.
     fn retired(&self, len: usize) -> Vec<T> {
         let mut free = self
             .free
@@ -317,6 +303,12 @@ impl Poison for f32 {
     const POISON: f32 = f32::NAN;
 }
 
+impl Poison for i32 {
+    /// Far outside any accumulator a quantized convolution produces, so an
+    /// epilogue that reads it moves its output.
+    const POISON: i32 = i32::MIN;
+}
+
 impl Poison for u8 {
     /// Above the 7-bit activation range, so a quantized kernel that reads
     /// it also moves its output.
@@ -326,9 +318,13 @@ impl Poison for u8 {
 impl<T: Poison> BufferPool<T> {
     /// A scratch buffer of length `len` whose contents are unspecified —
     /// whatever the retired allocation last held — for a caller that writes
-    /// every element before it reads any: [`BufferPool::take`] without the
-    /// fill. Debug builds fill it with [`Poison::POISON`] instead, so a read
-    /// of an unwritten element shows up in tests.
+    /// every element before it reads any. Debug builds fill it with
+    /// [`Poison::POISON`] instead, so a read of an unwritten element shows
+    /// up in tests.
+    ///
+    /// Reuses the smallest retired buffer whose capacity fits, so a small
+    /// request does not walk off with (and pin) a large allocation; when
+    /// none fits, the largest one is grown.
     pub fn take_stale(&self, len: usize) -> PooledBuf<'_, T> {
         let mut buf = self.retired(len);
         if cfg!(debug_assertions) {
@@ -463,48 +459,53 @@ mod tests {
     fn buffer_pool_recycles_allocations() {
         let pool = BufferPool::new();
         let ptr = {
-            let mut a = pool.take(1024);
+            let mut a = pool.take_stale(1024);
             a[0] = 5.0;
             a.as_ptr()
         };
-        // The recycled allocation is reused and comes back zeroed.
-        let b = pool.take(1024);
+        // The recycled allocation is reused.
+        let b = pool.take_stale(1024);
         assert_eq!(b.as_ptr(), ptr);
-        assert!(b.iter().all(|&v| v == 0.0));
-        let c = pool.take(8);
+        assert_eq!(b.len(), 1024);
+        let c = pool.take_stale(8);
         assert_eq!(c.len(), 8);
+        drop((b, c));
+        // At most `POOL_CAP` retired buffers are kept.
+        let held: Vec<_> = (0..POOL_CAP + 3).map(|_| pool.take_stale(4)).collect();
+        drop(held);
+        assert_eq!(pool.free.lock().unwrap().len(), POOL_CAP);
     }
 
     #[test]
     fn buffer_pool_takes_the_best_fitting_allocation() {
         let pool = BufferPool::new();
         let (small, large) = {
-            let (s, l) = (pool.take(64), pool.take(4096));
+            let (s, l) = (pool.take_stale(64), pool.take_stale(4096));
             (s.as_ptr(), l.as_ptr())
         };
         // Whatever order the two retired, a small request gets the small
         // allocation and leaves the large one for a large request.
-        let a = pool.take(16);
+        let a = pool.take_stale(16);
         assert_eq!(a.as_ptr(), small);
-        let b = pool.take(4000);
+        let b = pool.take_stale(4000);
         assert_eq!(b.as_ptr(), large);
         drop((a, b));
         // Nothing fits: the largest is grown rather than a fresh buffer
-        // allocated beside it, and the contents are defaulted.
-        let mut c = pool.take(4096);
+        // allocated beside it, and the new tail is poisoned.
+        let mut c = pool.take_stale(4096);
         c.fill(7.0);
         drop(c);
-        let d = pool.take(10_000);
+        let d = pool.take_stale(10_000);
         assert_eq!(d.len(), 10_000);
-        assert!(d.iter().all(|&v| v == 0.0));
-        let e = pool.take(64);
+        assert!(d[4096..].iter().all(|v| v.is_nan()));
+        let e = pool.take_stale(64);
         assert_eq!(e.as_ptr(), small);
     }
 
     #[test]
     fn stale_take_is_poisoned_in_debug_builds_and_unfilled_in_release() {
         let pool = BufferPool::<u8>::new();
-        pool.take(64).fill(7);
+        pool.take_stale(64).fill(7);
         let stale = pool.take_stale(48);
         assert_eq!(stale.len(), 48);
         let want = if cfg!(debug_assertions) {
