@@ -14,8 +14,10 @@ use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::time::Instant;
 use vr_dann::{build_sandwich, plane_to_mask, recon, reconstruct_b_frame, sandwich, ReconConfig};
-use vrd_codec::decoder::BFrameInfo;
-use vrd_codec::{MvRecord, RefMv};
+use vrd_codec::decoder::{self, BFrameInfo};
+use vrd_codec::{
+    BFrameMode, CodecConfig, Encoder, FrameSource, MvRecord, RefMv, StrictFrameSource, UnitPayload,
+};
 use vrd_metrics::segmentation::{reference as tally_reference, PixelCounts};
 use vrd_nn::conv::{reference, Conv2d};
 use vrd_nn::featwarp::{self, FeatureMap, WarpSource, FEATURE_CHANNELS, FEATURE_STRIDE};
@@ -25,7 +27,8 @@ use vrd_nn::layers::{
     upsample2_into,
 };
 use vrd_nn::{quant, NnS, QuantConv2d, QuantNnS, Requant, Tensor};
-use vrd_video::{mask, Seg2Plane, SegMask};
+use vrd_video::davis::{davis_sequence, SuiteConfig};
+use vrd_video::{mask, Frame, Seg2Plane, SegMask};
 
 const W: usize = 854;
 const H: usize = 480;
@@ -42,6 +45,10 @@ const NNL_FLOOR: f64 = 8.0;
 /// Floor of NN-S's band-restricted mask over the dense graph's, on a
 /// B-frame whose band is 10–14 % of each layer's pixels.
 const BAND_FLOOR: f64 = 2.0;
+/// Floor of the in-place anchor decode over the dense per-block one. Four
+/// runs on a 2-core AVX2 VM read 2.41–2.83×; the floor sits below the
+/// lowest run.
+const DECODE_FLOOR: f64 = 1.5;
 /// Floor of the int8 path over the optimised f32 path, on every row that
 /// has an int8 column. Over twenty runs on a 2-core AVX2 VM the rows'
 /// median per-rep ratios read 1.39–2.97× (NN-S and conv1 the lowest), so
@@ -696,6 +703,43 @@ fn nns_band_row() -> Row {
     row
 }
 
+/// Anchor decode of `cows` encoded anchor-only (the stream of the
+/// benchmark's `hd_anchor_only`, seed 0x40f0, its first 8 frames): the
+/// strict source, which reconstructs each block in place, against
+/// [`decoder::reference::decode`], which fetches, adds and writes every
+/// block through owned buffers. The stream is 864 wide, 854 rounded up to
+/// whole macro-blocks, as the benchmark's is.
+fn decode_row() -> Row {
+    let scene = SuiteConfig {
+        width: 864,
+        height: H,
+        frames: 8,
+        seed: 0x40f0,
+    };
+    let seq = davis_sequence("cows", &scene).expect("cows generates at 864x480");
+    let codec = CodecConfig {
+        b_frames: BFrameMode::Fixed(0),
+        ..CodecConfig::default()
+    };
+    let bits = (Encoder::new(codec).encode(&seq.frames))
+        .expect("cows encodes")
+        .bitstream;
+    let strict = || -> Vec<Frame> {
+        let mut src = StrictFrameSource::new(&bits).expect("header parses");
+        std::iter::from_fn(|| src.next_unit())
+            .map(|unit| match unit.expect("stream decodes").payload {
+                UnitPayload::Anchor { frame, .. } => frame,
+                _ => panic!("an anchor-only stream yielded a non-anchor"),
+            })
+            .collect()
+    };
+    pair("decode_anchor_854x480", DECODE_FLOOR, strict, || {
+        decoder::reference::decode(&bits)
+            .expect("stream decodes")
+            .frames
+    })
+}
+
 /// Every row whose median per-rep ratio is under its floor, as a
 /// printable complaint.
 pub(crate) fn failures(rows: &[Row]) -> Vec<String> {
@@ -764,6 +808,7 @@ pub(crate) fn run() -> Output {
     rows.push(featwarp_row());
     rows.push(nnl_row());
     rows.push(nns_band_row());
+    rows.push(decode_row());
     let json = to_json(&rows);
     Output {
         text: json.trim_end().to_string(),

@@ -8,12 +8,12 @@
 //!
 //! Each macro-block is a [`BlockMode`] record ([`BlockMode::write`] /
 //! [`BlockMode::read`]) followed by its residual
-//! ([`Writer::put_residual`] / [`Reader::get_residual`] or
+//! ([`Writer::put_residual`] / [`Reader::read_residual`] or
 //! [`Reader::skip_residual`]).
 
 use crate::error::{CodecError, Result};
 use crate::types::{BlockMode, BlockMv};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 /// Magic bytes identifying a VR-DANN codec bitstream.
 pub(crate) const MAGIC: [u8; 4] = *b"VRDC";
@@ -91,21 +91,28 @@ impl Writer {
     }
 }
 
-/// Sequential bitstream reader.
+/// Sequential bitstream reader: the buffer and a read position, every byte
+/// read by slice indexing.
 #[derive(Debug)]
 pub(crate) struct Reader {
     buf: Bytes,
+    pos: usize,
+}
+
+/// The signed value of a zigzag-coded varint.
+fn unzigzag(v: u64) -> i64 {
+    ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
 impl Reader {
     /// Wraps a byte buffer for reading.
     pub(crate) fn new(buf: Bytes) -> Self {
-        Self { buf }
+        Self { buf, pos: 0 }
     }
 
     /// Bytes not yet consumed.
     pub(crate) fn remaining(&self) -> usize {
-        self.buf.remaining()
+        self.buf.len() - self.pos
     }
 
     /// Reads one byte.
@@ -113,12 +120,13 @@ impl Reader {
     /// # Errors
     /// Returns [`CodecError::Bitstream`] at end of stream.
     pub(crate) fn get_u8(&mut self) -> Result<u8> {
-        if !self.buf.has_remaining() {
+        let Some(&byte) = self.buf.get(self.pos) else {
             return Err(CodecError::Bitstream(
                 "unexpected end of stream (0 bytes remaining)".into(),
             ));
-        }
-        Ok(self.buf.get_u8())
+        };
+        self.pos += 1;
+        Ok(byte)
     }
 
     /// Reads an unsigned LEB128 varint.
@@ -128,6 +136,14 @@ impl Reader {
     /// than 10 bytes; messages carry the remaining-byte count so corrupt
     /// streams can be located.
     pub(crate) fn get_varint(&mut self) -> Result<u64> {
+        // Most varints in a stream (runs, small values, counts) are one
+        // byte long.
+        if let Some(&byte) = self.buf.get(self.pos) {
+            if byte & 0x80 == 0 {
+                self.pos += 1;
+                return Ok(byte as u64);
+            }
+        }
         let mut v = 0u64;
         for shift in (0..64).step_by(7) {
             let byte = self.get_u8()?;
@@ -166,8 +182,7 @@ impl Reader {
     /// # Errors
     /// Propagates [`CodecError::Bitstream`] from the underlying varint.
     pub(crate) fn get_svarint(&mut self) -> Result<i64> {
-        let v = self.get_varint()?;
-        Ok(((v >> 1) as i64) ^ -((v & 1) as i64))
+        self.get_varint().map(unzigzag)
     }
 
     /// Validates a residual pair count against the block size and the bytes
@@ -185,29 +200,48 @@ impl Reader {
         Ok(pairs as usize)
     }
 
-    /// Reads a residual block of exactly `len` coefficients.
+    /// Reads a residual block of `len` coefficients, handing each coded
+    /// (non-skipped) coefficient to `sink` as `(index, value)`. Indices
+    /// strictly increase, so no index is handed over twice, and every index
+    /// not handed over is zero.
     ///
     /// # Errors
-    /// Returns [`CodecError::Bitstream`] if the coded runs overflow `len` or
-    /// the pair count cannot fit the remaining bytes.
-    pub(crate) fn get_residual(&mut self, len: usize) -> Result<Vec<i16>> {
-        let mut out = vec![0i16; len];
+    /// Returns [`CodecError::Bitstream`] if the coded runs overflow `len`, the
+    /// pair count cannot fit the remaining bytes or the stream ends inside a
+    /// pair.
+    pub(crate) fn read_residual(
+        &mut self,
+        len: usize,
+        mut sink: impl FnMut(usize, i64),
+    ) -> Result<()> {
         let pairs = self.get_varint()?;
         let pairs = self.check_pairs(pairs, len)?;
         let mut idx = 0usize;
         for _ in 0..pairs {
-            let run = self.get_varint()? as usize;
-            let val = self.get_svarint()?;
-            idx = idx.checked_add(run).filter(|&i| i < len).ok_or_else(|| {
-                CodecError::Bitstream(format!(
-                    "residual run overflow past {len} ({} bytes remaining)",
-                    self.remaining()
-                ))
-            })?;
-            out[idx] = val as i16;
+            // Fast path: a one-byte run and a one-byte value. `check_pairs`'
+            // two bytes per pair no longer hold once a multi-byte pair was
+            // read, so both bytes are bounds-checked here; a short tail
+            // falls to the general readers, which report the truncation.
+            let (run, val) = match self.buf.get(self.pos..self.pos + 2) {
+                Some(&[run, val]) if (run | val) & 0x80 == 0 => {
+                    self.pos += 2;
+                    (run as u64, unzigzag(val as u64))
+                }
+                _ => (self.get_varint()?, self.get_svarint()?),
+            };
+            idx = idx
+                .checked_add(run as usize)
+                .filter(|&i| i < len)
+                .ok_or_else(|| {
+                    CodecError::Bitstream(format!(
+                        "residual run overflow past {len} ({} bytes remaining)",
+                        self.remaining()
+                    ))
+                })?;
+            sink(idx, val);
             idx += 1;
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Skips a residual block of a `len`-coefficient block without
@@ -358,6 +392,15 @@ mod tests {
         }
     }
 
+    /// The dense block `read_residual` describes: each handed-over value
+    /// (cut to `i16`, as the decoder applies it) at its index, zero
+    /// elsewhere.
+    fn read_dense(r: &mut Reader, len: usize) -> Result<Vec<i16>> {
+        let mut out = vec![0i16; len];
+        r.read_residual(len, |i, v| out[i] = v as i16)?;
+        Ok(out)
+    }
+
     #[test]
     fn residual_roundtrip_sparse_and_dense() {
         let sparse: Vec<i16> = {
@@ -372,7 +415,7 @@ mod tests {
             let mut w = Writer::new();
             w.put_residual(&vals);
             let mut r = Reader::new(w.into_bytes());
-            assert_eq!(r.get_residual(64).unwrap(), vals);
+            assert_eq!(read_dense(&mut r, 64).unwrap(), vals);
         }
     }
 
@@ -422,7 +465,7 @@ mod tests {
         let mut w = Writer::new();
         w.put_varint(1000);
         let mut r = Reader::new(w.into_bytes());
-        let err = r.get_residual(64).unwrap_err();
+        let err = read_dense(&mut r, 64).unwrap_err();
         assert!(err.to_string().contains("pair count 1000"), "{err}");
         // Claim more pairs than the remaining bytes can hold: also rejected,
         // for both the materialising and the skipping reader.
@@ -431,7 +474,7 @@ mod tests {
         w.put_u8(0);
         w.put_u8(0);
         let bytes = w.into_bytes();
-        let err = Reader::new(bytes.clone()).get_residual(64).unwrap_err();
+        let err = read_dense(&mut Reader::new(bytes.clone()), 64).unwrap_err();
         assert!(err.to_string().contains("bytes remaining"), "{err}");
         assert!(Reader::new(bytes).skip_residual(64).is_err());
     }
@@ -454,6 +497,64 @@ mod tests {
         w.put_varint(100); // run of 100 into a 64-length block
         w.put_svarint(5);
         let mut r = Reader::new(w.into_bytes());
-        assert!(r.get_residual(64).is_err());
+        let err = read_dense(&mut r, 64).unwrap_err();
+        assert!(err.to_string().contains("run overflow past 64"), "{err}");
+    }
+
+    #[test]
+    fn residual_sink_sees_increasing_indices_and_unwrapped_values() {
+        // Runs and values of one, two and more bytes, values beyond `i16`,
+        // and a run written as a non-minimal two-byte varint (`0x81 0x00`
+        // is 1), which the decoder accepts like any other.
+        let mut w = Writer::new();
+        w.put_varint(5);
+        for (run, val) in [(0u64, 70_000i64), (130, -1), (3, i64::MIN), (0, 63)] {
+            w.put_varint(run);
+            w.put_svarint(val);
+        }
+        w.put_u8(0x81);
+        w.put_u8(0x00);
+        w.put_svarint(-64);
+        let mut r = Reader::new(w.into_bytes());
+        let mut seen = Vec::new();
+        r.read_residual(256, |i, v| seen.push((i, v))).unwrap();
+        assert_eq!(
+            seen,
+            [
+                (0, 70_000),
+                (131, -1),
+                (135, i64::MIN),
+                (136, 63),
+                (138, -64)
+            ]
+        );
+        assert_eq!(r.remaining(), 0);
+    }
+
+    #[test]
+    fn multi_byte_pair_then_short_tail_errors_without_panicking() {
+        // Three pairs in six bytes pass the up-front two-bytes-per-pair
+        // bound, but the first pair takes four, leaving nothing for the
+        // third (and, cut shorter, one byte for the second): the fast path
+        // must not index past the end.
+        let mut w = Writer::new();
+        w.put_varint(3);
+        w.put_varint(200); // two bytes
+        w.put_svarint(-100); // two bytes
+        w.put_varint(1);
+        w.put_svarint(1);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 7);
+        for cut in 1..bytes.len() {
+            let head = bytes.slice(0..cut);
+            assert!(
+                read_dense(&mut Reader::new(head.clone()), 256).is_err(),
+                "{cut}"
+            );
+            assert!(Reader::new(head).skip_residual(256).is_err(), "{cut}");
+        }
+        let err = read_dense(&mut Reader::new(bytes.clone()), 256).unwrap_err();
+        assert!(err.to_string().contains("end of stream"), "{err}");
+        assert!(Reader::new(bytes).skip_residual(256).is_err());
     }
 }

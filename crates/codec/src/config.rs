@@ -22,6 +22,9 @@ pub enum Standard {
     H265,
 }
 
+/// The largest macro-block edge of any standard (H.264's).
+pub(crate) const MAX_MB_SIZE: usize = 16;
+
 impl Standard {
     /// Macro-block edge length in pixels.
     pub fn mb_size(self) -> usize {

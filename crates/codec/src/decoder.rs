@@ -22,8 +22,7 @@
 //! one frame at a time from a [`crate::FrameSource`].
 
 use crate::bitstream::{Reader, MAGIC, VERSION};
-use crate::block::{average_blocks, extract_block, write_block};
-use crate::config::Standard;
+use crate::config::{Standard, MAX_MB_SIZE};
 use crate::error::{CodecError, Result};
 use crate::intra;
 use crate::stream::StreamInfo;
@@ -164,7 +163,13 @@ impl RefWindow {
 
     /// Strict fetch: a reference outside the window or a vector leaving the
     /// frame is an error.
-    pub(crate) fn fetch(&self, mv: BlockMv, bx: usize, by: usize, mb: usize) -> Result<Vec<u8>> {
+    pub(crate) fn fetch(
+        &self,
+        mv: BlockMv,
+        bx: usize,
+        by: usize,
+        mb: usize,
+    ) -> Result<RefBlock<'_>> {
         let f = self.get(mv.frame).ok_or_else(|| {
             CodecError::Bitstream(format!("reference {} not yet decoded", mv.frame))
         })?;
@@ -173,7 +178,7 @@ impl RefWindow {
         if !inside(src.src_x, f.width()) || !inside(src.src_y, f.height()) {
             return Err(CodecError::Bitstream("motion vector out of frame".into()));
         }
-        Ok(extract_block(f, src.src_x as usize, src.src_y as usize, mb))
+        Ok(RefBlock::at(f, src.src_x as usize, src.src_y as usize))
     }
 
     /// Concealing fetch: a reference that never arrived is replaced by the
@@ -187,7 +192,7 @@ impl RefWindow {
         by: usize,
         mb: usize,
         substituted: &mut bool,
-    ) -> Vec<u8> {
+    ) -> RefBlock<'_> {
         let source = self.get(mv.frame).or_else(|| {
             *substituted = true;
             let nearest = self
@@ -197,12 +202,49 @@ impl RefWindow {
             nearest.map(|(_, f)| f)
         });
         let Some(f) = source else {
-            return vec![128u8; mb * mb];
+            return RefBlock::FLAT;
         };
         let src = mv.at(bx, by);
         let sx = src.src_x.clamp(0, (f.width() - mb) as i32) as usize;
         let sy = src.src_y.clamp(0, (f.height() - mb) as i32) as usize;
-        extract_block(f, sx, sy, mb)
+        RefBlock::at(f, sx, sy)
+    }
+}
+
+/// Where a motion vector's reference block lives, so that it can be read
+/// straight into the frame being reconstructed: each row is `mb` pixels of
+/// `pixels`, the first at `start`, each next one `stride` further on. A
+/// held anchor's block strides by the anchor's width; flat mid-gray is one
+/// row of 128 read for every row (stride 0).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RefBlock<'a> {
+    pixels: &'a [u8],
+    start: usize,
+    stride: usize,
+}
+
+impl<'a> RefBlock<'a> {
+    /// Flat mid-gray: the prediction when no anchor is held.
+    const FLAT: RefBlock<'static> = RefBlock {
+        pixels: &[128; MAX_MB_SIZE],
+        start: 0,
+        stride: 0,
+    };
+
+    /// The block of `frame` whose top-left pixel is `(x, y)`; the caller
+    /// has validated or clamped that origin into the frame.
+    fn at(frame: &'a Frame, x: usize, y: usize) -> Self {
+        Self {
+            pixels: frame.as_slice(),
+            start: y * frame.width() + x,
+            stride: frame.width(),
+        }
+    }
+
+    /// Row `row` of an `MB`×`MB` block.
+    fn row<const MB: usize>(&self, row: usize) -> &'a [u8] {
+        let s = self.start + row * self.stride;
+        &self.pixels[s..s + MB]
     }
 }
 
@@ -310,28 +352,82 @@ impl Decoder {
     }
 
     /// Decodes one frame's payload to pixels; `fetch` resolves a motion
-    /// vector of the block at `(bx, by)` to its reference block (strictly or
-    /// with concealment — see [`RefWindow`]).
-    pub(crate) fn reconstruct(
+    /// vector of the block at `(bx, by)` to where its reference block lives
+    /// (strictly or with concealment — see [`RefWindow`]).
+    ///
+    /// Each block is predicted straight into the frame — reference rows
+    /// copied (inter) or averaged (bi), an intra prediction made in one
+    /// reused buffer and copied — and its residual is then added in place,
+    /// one coded coefficient at a time. No block allocates.
+    ///
+    /// Why adding only the coded coefficients gives the dense result,
+    /// `px = clamp(pred + q * quant, 0, 255)` over all `mb²` coefficients
+    /// `q` (zero where no pair lands, [`reference::decode`]): for `q == 0`
+    /// that is `clamp(pred, 0, 255)`, which is `pred` itself because every
+    /// prediction is a byte, so only coded coefficients can move a pixel.
+    /// [`Reader::read_residual`] hands those over with strictly increasing
+    /// indices, so no pixel is written twice and each one adds its own
+    /// coefficient to its own prediction. A coded value applies as `i16`
+    /// exactly as the dense block stores it (so one that wraps to 0 adds
+    /// nothing there either).
+    pub(crate) fn reconstruct<'w>(
         r: &mut Reader,
         hdr: &Header,
-        mut fetch: impl FnMut(BlockMv, usize, usize) -> Result<Vec<u8>>,
+        fetch: impl FnMut(BlockMv, usize, usize) -> Result<RefBlock<'w>>,
     ) -> Result<Frame> {
-        let mb = hdr.mb();
+        // One body per macro-block size, so that row copies and the
+        // coefficient's row and column are fixed-size operations.
+        match hdr.standard {
+            Standard::H264 => Self::reconstruct_mb::<16>(r, hdr, fetch),
+            Standard::H265 => Self::reconstruct_mb::<8>(r, hdr, fetch),
+        }
+    }
+
+    /// [`Decoder::reconstruct`] for `MB`×`MB` macro-blocks.
+    fn reconstruct_mb<'w, const MB: usize>(
+        r: &mut Reader,
+        hdr: &Header,
+        mut fetch: impl FnMut(BlockMv, usize, usize) -> Result<RefBlock<'w>>,
+    ) -> Result<Frame> {
+        debug_assert_eq!(MB, hdr.mb());
+        let (width, quant) = (hdr.width, hdr.quant);
         let mut rec = Frame::new(hdr.width, hdr.height);
+        let mut intra_pred = [0u8; MAX_MB_SIZE * MAX_MB_SIZE];
         Self::for_each_block(r, hdr, |bx, by, record, r| {
-            let pred = match record {
-                BlockMode::Intra(mode) => intra::predict(&rec, bx, by, mb, mode),
-                BlockMode::Inter(mv) => fetch(mv, bx, by)?,
-                BlockMode::Bi(a, b) => average_blocks(&fetch(a, bx, by)?, &fetch(b, bx, by)?),
-            };
-            let resid = r.get_residual(mb * mb)?;
-            let mut block = Vec::with_capacity(mb * mb);
-            for (p, q) in pred.iter().zip(&resid) {
-                block.push((*p as i32 + *q as i32 * hdr.quant).clamp(0, 255) as u8);
+            let origin = by * width + bx;
+            let rows = (0..MB).map(|row| origin + row * width);
+            match record {
+                BlockMode::Intra(mode) => {
+                    let pred = &mut intra_pred[..MB * MB];
+                    intra::predict_into(&rec, bx, by, MB, mode, pred);
+                    let px = rec.as_mut_slice();
+                    for (d, src) in rows.zip(pred.chunks_exact(MB)) {
+                        px[d..d + MB].copy_from_slice(src);
+                    }
+                }
+                BlockMode::Inter(mv) => {
+                    let src = fetch(mv, bx, by)?;
+                    let px = rec.as_mut_slice();
+                    for (row, d) in rows.enumerate() {
+                        px[d..d + MB].copy_from_slice(src.row::<MB>(row));
+                    }
+                }
+                BlockMode::Bi(a, b) => {
+                    let (a, b) = (fetch(a, bx, by)?, fetch(b, bx, by)?);
+                    let px = rec.as_mut_slice();
+                    for (row, d) in rows.enumerate() {
+                        let pairs = a.row::<MB>(row).iter().zip(b.row::<MB>(row));
+                        for (p, (&x, &y)) in px[d..d + MB].iter_mut().zip(pairs) {
+                            *p = (x as u16 + y as u16).div_ceil(2) as u8;
+                        }
+                    }
+                }
             }
-            write_block(&mut rec, bx, by, mb, &block);
-            Ok(())
+            let px = rec.as_mut_slice();
+            r.read_residual(MB * MB, |idx, val| {
+                let p = &mut px[origin + (idx / MB) * width + idx % MB];
+                *p = (*p as i32 + (val as i16) as i32 * quant).clamp(0, 255) as u8;
+            })
         })?;
         Ok(rec)
     }
@@ -373,12 +469,12 @@ impl Decoder {
     }
 
     /// Walks one anchor payload without producing pixels, with the full
-    /// run-length validation of `get_residual` rather than the cheaper
-    /// skip, so a payload that passes here reconstructs under a concealing
-    /// fetch (which cannot fail).
+    /// run-length validation of [`Reader::read_residual`] (into a sink that
+    /// keeps nothing) rather than the cheaper skip, so a payload that passes
+    /// here reconstructs under a concealing fetch (which cannot fail).
     pub(crate) fn scan_anchor(r: &mut Reader, hdr: &Header) -> Result<()> {
         let len = hdr.mb() * hdr.mb();
-        Self::for_each_block(r, hdr, |_, _, _, r| r.get_residual(len).map(drop))
+        Self::for_each_block(r, hdr, |_, _, _, r| r.read_residual(len, |_, _| {}))
     }
 
     /// Summarises the next frame of the stream (header and payload).
@@ -427,35 +523,27 @@ impl Decoder {
             .collect()
     }
 
-    /// Decodes the next frame of the stream to pixels against `window`.
-    fn decode_frame(
-        r: &mut Reader,
-        hdr: &Header,
-        window: &RefWindow,
-        decode_idx: u32,
-    ) -> Result<(FrameMeta, Frame)> {
-        let (ftype, display_idx) = Self::read_frame_header(r, hdr.n_frames)?;
-        let mb = hdr.mb();
-        let mut refs = BTreeSet::new();
-        let rec = Self::reconstruct(r, hdr, |mv, bx, by| {
-            refs.insert(mv.frame);
-            window.fetch(mv, bx, by, mb)
-        })?;
-        let meta = FrameMeta {
-            ftype,
-            display_idx,
-            decode_idx,
-            refs: refs.into_iter().collect(),
-        };
-        Ok((meta, rec))
-    }
-
     /// Fully decodes the bitstream (every frame to pixels).
     ///
     /// # Errors
     /// Returns [`CodecError::Bitstream`] for a malformed stream header and
     /// [`CodecError::Corrupt`] naming the frame for anything after it.
     pub fn decode(&self, bitstream: &Bytes) -> Result<DecodedVideo> {
+        Self::decode_with(bitstream, |r, hdr, window, refs| {
+            Self::reconstruct(r, hdr, |mv, bx, by| {
+                refs.insert(mv.frame);
+                window.fetch(mv, bx, by, hdr.mb())
+            })
+        })
+    }
+
+    /// The full decode around a frame decoder: `pixels` reconstructs the
+    /// payload the reader is parked on against the anchors in `window`,
+    /// collecting every reference it resolves into `refs`.
+    fn decode_with(
+        bitstream: &Bytes,
+        pixels: impl Fn(&mut Reader, &Header, &RefWindow, &mut BTreeSet<u32>) -> Result<Frame>,
+    ) -> Result<DecodedVideo> {
         let mut r = Reader::new(bitstream.clone());
         let hdr = Self::read_header(&mut r, None)?;
         let mut window = RefWindow::default();
@@ -463,8 +551,19 @@ impl Decoder {
         let mut metas = Vec::with_capacity(hdr.n_frames);
 
         for decode_idx in 0..hdr.n_frames as u32 {
-            let (meta, rec) = Self::decode_frame(&mut r, &hdr, &window, decode_idx)
-                .map_err(|e| e.in_frame(decode_idx))?;
+            let frame = |r: &mut Reader| {
+                let (ftype, display_idx) = Self::read_frame_header(r, hdr.n_frames)?;
+                let mut refs = BTreeSet::new();
+                let rec = pixels(r, &hdr, &window, &mut refs)?;
+                let meta = FrameMeta {
+                    ftype,
+                    display_idx,
+                    decode_idx,
+                    refs: refs.into_iter().collect(),
+                };
+                Ok((meta, rec))
+            };
+            let (meta, rec) = frame(&mut r).map_err(|e: CodecError| e.in_frame(decode_idx))?;
             if meta.ftype.is_anchor() {
                 window.push(meta.display_idx, rec.clone());
             }
@@ -486,6 +585,69 @@ impl Decoder {
             frames,
             metas,
         })
+    }
+}
+
+/// The dense per-block pixel path, the oracle of the in-place one: each
+/// block's prediction fetched into a `Vec`, its residual read into a dense
+/// `Vec` of all `mb²` coefficients, every one of them added into a third
+/// `Vec`, which is then copied into the frame. [`Decoder::decode`] must
+/// match it pixel for pixel and error for error; `decode_equivalence.rs`
+/// checks that it does.
+pub mod reference {
+    use super::*;
+    use crate::block::{average_blocks, extract_block, write_block};
+
+    /// [`Decoder::decode`] on the dense per-block path.
+    ///
+    /// # Errors
+    /// As [`Decoder::decode`].
+    pub fn decode(bitstream: &Bytes) -> Result<DecodedVideo> {
+        Decoder::decode_with(bitstream, |r, hdr, window, refs| {
+            reconstruct(r, hdr, |mv, bx, by| {
+                refs.insert(mv.frame);
+                fetch(window, mv, bx, by, hdr.mb())
+            })
+        })
+    }
+
+    /// [`RefWindow::fetch`], copying the block out.
+    fn fetch(window: &RefWindow, mv: BlockMv, bx: usize, by: usize, mb: usize) -> Result<Vec<u8>> {
+        let f = window.get(mv.frame).ok_or_else(|| {
+            CodecError::Bitstream(format!("reference {} not yet decoded", mv.frame))
+        })?;
+        let src = mv.at(bx, by);
+        let inside = |s: i32, edge: usize| s >= 0 && s as usize + mb <= edge;
+        if !inside(src.src_x, f.width()) || !inside(src.src_y, f.height()) {
+            return Err(CodecError::Bitstream("motion vector out of frame".into()));
+        }
+        Ok(extract_block(f, src.src_x as usize, src.src_y as usize, mb))
+    }
+
+    /// [`Decoder::reconstruct`], block by block through owned buffers.
+    fn reconstruct(
+        r: &mut Reader,
+        hdr: &Header,
+        mut fetch: impl FnMut(BlockMv, usize, usize) -> Result<Vec<u8>>,
+    ) -> Result<Frame> {
+        let mb = hdr.mb();
+        let mut rec = Frame::new(hdr.width, hdr.height);
+        Decoder::for_each_block(r, hdr, |bx, by, record, r| {
+            let pred = match record {
+                BlockMode::Intra(mode) => intra::predict(&rec, bx, by, mb, mode),
+                BlockMode::Inter(mv) => fetch(mv, bx, by)?,
+                BlockMode::Bi(a, b) => average_blocks(&fetch(a, bx, by)?, &fetch(b, bx, by)?),
+            };
+            let mut resid = vec![0i16; mb * mb];
+            r.read_residual(mb * mb, |idx, val| resid[idx] = val as i16)?;
+            let mut block = Vec::with_capacity(mb * mb);
+            for (p, q) in pred.iter().zip(&resid) {
+                block.push((*p as i32 + *q as i32 * hdr.quant).clamp(0, 255) as u8);
+            }
+            write_block(&mut rec, bx, by, mb, &block);
+            Ok(())
+        })?;
+        Ok(rec)
     }
 }
 
@@ -914,5 +1076,51 @@ mod tests {
             concealed_anchors > 0,
             "no dependent anchor needed reference substitution"
         );
+    }
+
+    /// The rows of an 8×8 reference block, as one buffer.
+    fn rows(block: RefBlock<'_>) -> Vec<u8> {
+        (0..8)
+            .flat_map(|row| block.row::<8>(row))
+            .copied()
+            .collect()
+    }
+
+    #[test]
+    fn concealed_fetches_clamp_into_the_nearest_anchor_or_predict_mid_gray() {
+        let mv = |frame, dx, dy| BlockMv { frame, dx, dy };
+        let mut window = RefWindow::default();
+        let mut substituted = false;
+        let flat = window.fetch_concealed(mv(3, 0, 0), 8, 8, 8, &mut substituted);
+        assert!(substituted);
+        assert_eq!(rows(flat), [128; 64], "no anchor held");
+
+        let gradient = Frame::from_vec(32, 24, (0..32 * 24).map(|i| (i * 7 % 251) as u8).collect());
+        window.push(4, gradient.clone());
+        window.push(9, Frame::new(32, 24));
+        for (dx, dy, x, y) in [
+            (-100, 3, 0, 11),   // off the left edge
+            (100, -100, 24, 0), // off the top-right corner
+            (5, 100, 13, 16),   // off the bottom edge
+        ] {
+            // Reference 6 never arrived: anchor 4, two away, stands in for
+            // it rather than 9, three away.
+            let mut substituted = false;
+            let block = window.fetch_concealed(mv(6, dx, dy), 8, 8, 8, &mut substituted);
+            assert!(substituted);
+            assert_eq!(rows(block), crate::block::extract_block(&gradient, x, y, 8));
+        }
+        // A held reference is used as is, and the strict fetch reads the
+        // same block where the vector stays inside the frame.
+        let mut substituted = false;
+        let held = window.fetch_concealed(mv(4, 4, -3), 8, 8, 8, &mut substituted);
+        assert!(!substituted);
+        let strict = window.fetch(mv(4, 4, -3), 8, 8, 8).unwrap();
+        assert_eq!(rows(held), rows(strict));
+        assert_eq!(
+            rows(strict),
+            crate::block::extract_block(&gradient, 12, 5, 8)
+        );
+        assert!(window.fetch(mv(4, 17, 0), 8, 8, 8).is_err());
     }
 }

@@ -9,21 +9,33 @@
 //! When a neighbour is unavailable (frame border) its samples default to 128,
 //! mirroring the standards' mid-level substitution.
 
+use crate::config::MAX_MB_SIZE;
 use vrd_video::Frame;
 
 /// Mid-gray substitute for unavailable neighbour samples.
 const MID: u8 = 128;
 
-/// Gathers the top neighbour row (length `size`), left neighbour column
-/// (length `size`) and the top-left corner sample of a block, substituting
-/// `MID` outside the frame. `recon` is the in-progress reconstructed frame.
-fn neighbours(recon: &Frame, x: usize, y: usize, size: usize) -> (Vec<u8>, Vec<u8>, u8) {
-    let top: Vec<u8> = (0..size)
-        .map(|i| if y > 0 { recon.get(x + i, y - 1) } else { MID })
-        .collect();
-    let left: Vec<u8> = (0..size)
-        .map(|i| if x > 0 { recon.get(x - 1, y + i) } else { MID })
-        .collect();
+/// Gathers the top neighbour row (the first `size` entries), left neighbour
+/// column (likewise) and the top-left corner sample of a block,
+/// substituting `MID` outside the frame. `recon` is the in-progress
+/// reconstructed frame.
+fn neighbours(
+    recon: &Frame,
+    x: usize,
+    y: usize,
+    size: usize,
+) -> ([u8; MAX_MB_SIZE], [u8; MAX_MB_SIZE], u8) {
+    let (mut top, mut left) = ([MID; MAX_MB_SIZE], [MID; MAX_MB_SIZE]);
+    if y > 0 {
+        for (i, t) in top[..size].iter_mut().enumerate() {
+            *t = recon.get(x + i, y - 1);
+        }
+    }
+    if x > 0 {
+        for (i, l) in left[..size].iter_mut().enumerate() {
+            *l = recon.get(x - 1, y + i);
+        }
+    }
     let corner = if x > 0 && y > 0 {
         recon.get(x - 1, y - 1)
     } else {
@@ -33,7 +45,15 @@ fn neighbours(recon: &Frame, x: usize, y: usize, size: usize) -> (Vec<u8>, Vec<u
 }
 
 /// Predicts a `size`×`size` block with intra `mode` from the reconstructed
-/// neighbourhood. Valid modes are `0..n_modes` where `n_modes` comes from
+/// neighbourhood (see [`predict_into`]).
+pub(crate) fn predict(recon: &Frame, x: usize, y: usize, size: usize, mode: u8) -> Vec<u8> {
+    let mut out = vec![0u8; size * size];
+    predict_into(recon, x, y, size, mode, &mut out);
+    out
+}
+
+/// Writes the `size`×`size` intra prediction of the block at `(x, y)` into
+/// `out`, row-major. Valid modes are `0..n_modes` where `n_modes` comes from
 /// [`crate::config::Standard::intra_modes`].
 ///
 /// Mode map: 0 DC, 1 vertical, 2 horizontal, 3 diagonal down-left,
@@ -41,11 +61,20 @@ fn neighbours(recon: &Frame, x: usize, y: usize, size: usize) -> (Vec<u8>, Vec<u
 /// 8 vertical-left, 9..13 finer angular blends (H.265 only).
 ///
 /// # Panics
-/// Panics if the block does not lie fully inside the frame.
-pub(crate) fn predict(recon: &Frame, x: usize, y: usize, size: usize, mode: u8) -> Vec<u8> {
+/// Panics if the block does not lie fully inside the frame, `size` exceeds
+/// 16 or `out.len() != size * size`.
+pub(crate) fn predict_into(
+    recon: &Frame,
+    x: usize,
+    y: usize,
+    size: usize,
+    mode: u8,
+    out: &mut [u8],
+) {
     assert!(x + size <= recon.width() && y + size <= recon.height());
+    assert!(size <= MAX_MB_SIZE && out.len() == size * size);
     let (top, left, corner) = neighbours(recon, x, y, size);
-    let mut out = vec![0u8; size * size];
+    let (top, left) = (&top[..size], &left[..size]);
     let at = |i: i32, arr: &[u8]| -> u8 { arr[i.clamp(0, size as i32 - 1) as usize] };
     match mode {
         // DC: mean of all neighbour samples.
@@ -57,7 +86,7 @@ pub(crate) fn predict(recon: &Frame, x: usize, y: usize, size: usize, mode: u8) 
         // Vertical: copy the row above downwards.
         1 => {
             for r in 0..size {
-                out[r * size..(r + 1) * size].copy_from_slice(&top);
+                out[r * size..(r + 1) * size].copy_from_slice(top);
             }
         }
         // Horizontal: copy the left column rightwards.
@@ -70,7 +99,7 @@ pub(crate) fn predict(recon: &Frame, x: usize, y: usize, size: usize, mode: u8) 
         3 => {
             for r in 0..size {
                 for c in 0..size {
-                    out[r * size + c] = at(c as i32 + r as i32 + 1, &top);
+                    out[r * size + c] = at(c as i32 + r as i32 + 1, top);
                 }
             }
         }
@@ -80,8 +109,8 @@ pub(crate) fn predict(recon: &Frame, x: usize, y: usize, size: usize, mode: u8) 
                 for c in 0..size {
                     let d = c as i32 - r as i32;
                     out[r * size + c] = match d.cmp(&0) {
-                        std::cmp::Ordering::Greater => at(d - 1, &top),
-                        std::cmp::Ordering::Less => at(-d - 1, &left),
+                        std::cmp::Ordering::Greater => at(d - 1, top),
+                        std::cmp::Ordering::Less => at(-d - 1, left),
                         std::cmp::Ordering::Equal => corner,
                     };
                 }
@@ -93,8 +122,8 @@ pub(crate) fn predict(recon: &Frame, x: usize, y: usize, size: usize, mode: u8) 
                 for c in 0..size {
                     let v = (top[c] as u32 * (size - r) as u32
                         + left[r] as u32 * (size - c) as u32
-                        + at(size as i32 - 1, &top) as u32 * r as u32
-                        + at(size as i32 - 1, &left) as u32 * c as u32)
+                        + at(size as i32 - 1, top) as u32 * r as u32
+                        + at(size as i32 - 1, left) as u32 * c as u32)
                         / (2 * size) as u32;
                     out[r * size + c] = v.min(255) as u8;
                 }
@@ -121,13 +150,13 @@ pub(crate) fn predict(recon: &Frame, x: usize, y: usize, size: usize, mode: u8) 
                 for c in 0..size {
                     let v = if vertical {
                         let off = r as i32 * num / den;
-                        let a = at(c as i32 + off, &top);
-                        let b = at(c as i32 + off + 1, &top);
+                        let a = at(c as i32 + off, top);
+                        let b = at(c as i32 + off + 1, top);
                         ((a as u16 + b as u16) / 2) as u8
                     } else {
                         let off = c as i32 * num / den;
-                        let a = at(r as i32 + off, &left);
-                        let b = at(r as i32 + off + 1, &left);
+                        let a = at(r as i32 + off, left);
+                        let b = at(r as i32 + off + 1, left);
                         ((a as u16 + b as u16) / 2) as u8
                     };
                     out[r * size + c] = v;
@@ -135,7 +164,6 @@ pub(crate) fn predict(recon: &Frame, x: usize, y: usize, size: usize, mode: u8) 
             }
         }
     }
-    out
 }
 
 /// Picks the intra mode with minimal SAE against the source block.
