@@ -45,6 +45,7 @@ mod serialize;
 mod tensor;
 mod trainer;
 
+pub use band::SandwichPlanes;
 pub use featwarp::{FEATURE_CHANNELS, FEATURE_STRIDE};
 pub use largenet::{LargeNet, LargeNetProfile, FLOWNET_OPS_PER_PIXEL, NNL_HEAD_FRACTION};
 pub use nns::NnS;
