@@ -47,7 +47,7 @@
 use crate::components::{boxes_to_mask, extract_components};
 use crate::error::{Result, VrDannError};
 use crate::recon::{plane_to_mask, reconstruct_b_frame};
-use crate::sandwich::{fill_nns_input, nns_tensor};
+use crate::sandwich::nns_planes;
 use crate::trace::{ComputeKind, ConcealmentStats, SchemeKind, SchemeTrace, TraceFrame};
 use crate::vrdann::{ResilienceOptions, VrDannConfig};
 use rand::rngs::StdRng;
@@ -59,7 +59,6 @@ use vrd_codec::{
     UnitPayload,
 };
 use vrd_nn::{ComputeMode, LargeNet, NnS, QuantNnS};
-use vrd_runtime::BufferPool;
 use vrd_video::texture::hash2;
 use vrd_video::{Detection, SegMask, Sequence};
 
@@ -556,19 +555,15 @@ struct ReconCtx<'a> {
     nns_q: Option<QuantNnS>,
 }
 
-/// Scratch for the int8 path's quantized sandwiches, recycled across
-/// B-frames.
-static SANDWICH_U8: BufferPool<u8> = BufferPool::new();
-
 /// Executes one planned B-frame job. Pure with respect to the engine:
 /// reads the reference window and model, produces the mask, mutates
 /// nothing — which is what makes the wave fan-out safe and bit-identical
 /// to sequential execution.
 ///
-/// Both precisions threshold NN-S's logits rather than its probabilities
-/// (`NnS::mask`, `QuantNnS::mask`), and the int8 path expands the packed
-/// planes straight into the quantized sandwich codes: the masks are those
-/// of `infer(build_sandwich(..)).to_mask(0.5)`, without the f32 sandwich,
+/// Both precisions read the reconstruction and the anchors' masks as the
+/// packed planes they are (`NnS::mask`, `QuantNnS::mask`) and threshold
+/// NN-S's logits rather than its probabilities: the masks are those of
+/// `infer(build_sandwich(..)).to_mask(0.5)`, without the dense sandwich,
 /// the quantize pass or the sigmoid.
 fn exec_recon(
     job: &ReconJob,
@@ -582,19 +577,11 @@ fn exec_recon(
     if !job.refined {
         return Ok(plane_to_mask(&plane));
     }
-    let display = job.info.display_idx;
-    match &ctx.nns_q {
-        Some(q) => {
-            let mut xq = SANDWICH_U8.take_stale(3 * s.width * s.height);
-            let codes = q.sandwich_codes();
-            fill_nns_input(display, &plane, ref_segs, cfg.sandwich, codes, &mut xq)?;
-            Ok(q.mask(&xq, s.height, s.width))
-        }
-        None => {
-            let input = nns_tensor(display, &plane, ref_segs, cfg.sandwich)?;
-            Ok(ctx.nns.mask(&input))
-        }
-    }
+    let planes = nns_planes(job.info.display_idx, &plane, ref_segs, cfg.sandwich)?;
+    Ok(match &ctx.nns_q {
+        Some(q) => q.mask(&planes),
+        None => ctx.nns.mask(&planes),
+    })
 }
 
 /// The generic streaming engine: a task, a fault policy, and a shared model

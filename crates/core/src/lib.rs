@@ -8,7 +8,8 @@
 //!
 //! * [`recon`] — B-frame segmentation **reconstruction** from motion
 //!   vectors, with the 2-bit bi-reference mean filter;
-//! * [`sandwich`] — the 3-channel NN-S input builder;
+//! * [`sandwich`] — the 3-channel NN-S input: the packed planes the engine
+//!   refines, and the dense tensor training and `infer` take;
 //! * [`VrDann`] — the trained pipeline: NN-L on I/P anchors, reconstruction
 //!   plus NN-S refinement on B-frames. [`VrDann::run`] is its one entry
 //!   point, parameterised by task ([`SegTask`], [`DetTask`],

@@ -11,7 +11,7 @@ use crate::vrdann::VrDannConfig;
 use std::collections::BTreeMap;
 use vrd_codec::decoder::BFrameInfo;
 use vrd_codec::StreamInfo;
-use vrd_nn::Tensor;
+use vrd_nn::{SandwichPlanes, Tensor};
 use vrd_video::{Seg2Plane, SegMask};
 
 /// Picks the sandwich's outer channels: the temporally nearest anchors
@@ -33,9 +33,6 @@ fn pick_anchors(
     }
 }
 
-/// The values of black, gray and white pixels in an f32 NN-S input.
-const F32_CODES: [f32; 3] = [0.0, 0.5, 1.0];
-
 /// Builds the 3-channel sandwich tensor for a B-frame.
 ///
 /// `ref_segs` maps anchor display indices to segmentations; the channels are
@@ -43,10 +40,9 @@ const F32_CODES: [f32; 3] = [0.0, 0.5, 1.0];
 /// B-frame has anchors on only one side (stream boundaries), that side's
 /// nearest anchor fills both outer channels.
 ///
-/// The assembly is fused ([`fill_nns_input`]): each channel expands its
-/// packed bitplanes word-at-a-time straight into its slice of the final CHW
-/// buffer, so no intermediate per-channel tensor or byte raster is
-/// materialised.
+/// Each channel expands its packed bitplanes word-at-a-time straight into
+/// its slice of the final CHW buffer, so no intermediate per-channel
+/// tensor or byte raster is materialised.
 ///
 /// # Errors
 /// Returns [`VrDannError::BadInput`] if `ref_segs` is empty.
@@ -58,9 +54,16 @@ pub fn build_sandwich(
     nns_tensor(display_idx, plane, ref_segs, true)
 }
 
-/// The f32 NN-S input of a B-frame reconstructed as `plane`:
-/// [`fill_nns_input`] into a new tensor.
-pub(crate) fn nns_tensor(
+/// The dense f32 NN-S input of a B-frame reconstructed as `plane`, black,
+/// gray and white as 0, ½ and 1: with `sandwich`, the sandwich of
+/// [`build_sandwich`]; without it, the reconstruction in all three
+/// channels (the no-sandwich ablation, where NN-S sees no temporal
+/// context).
+///
+/// # Errors
+/// Returns [`VrDannError::BadInput`] if `sandwich` is set and `ref_segs`
+/// is empty.
+fn nns_tensor(
     display_idx: u32,
     plane: &Seg2Plane,
     ref_segs: &BTreeMap<u32, SegMask>,
@@ -68,54 +71,46 @@ pub(crate) fn nns_tensor(
 ) -> Result<Tensor> {
     let (w, h) = (plane.width(), plane.height());
     let mut data = vec![0.0; 3 * h * w];
-    fill_nns_input(display_idx, plane, ref_segs, sandwich, F32_CODES, &mut data)?;
-    Ok(Tensor::from_vec(3, h, w, data))
-}
-
-/// Writes the NN-S input of a B-frame reconstructed as `plane` into `out`
-/// (`3 × h × w`), each pixel as `codes[0]`, `codes[1]` or `codes[2]` for
-/// black, gray and white: with `sandwich`, the sandwich of
-/// [`build_sandwich`]; without it, the reconstruction in all three channels
-/// (the no-sandwich ablation, where NN-S sees no temporal context). The one
-/// expansion body behind both precisions' inputs — f32 `0 / ½ / 1`, or the
-/// int8 graph's quantized codes — from the packed planes, a word at a time.
-///
-/// # Errors
-/// Returns [`VrDannError::BadInput`] if `out` is not `3 × h × w` long, or
-/// if `sandwich` is set and `ref_segs` is empty.
-pub fn fill_nns_input<T: Copy>(
-    display_idx: u32,
-    plane: &Seg2Plane,
-    ref_segs: &BTreeMap<u32, SegMask>,
-    sandwich: bool,
-    codes: [T; 3],
-    out: &mut [T],
-) -> Result<()> {
-    let hw = plane.width() * plane.height();
-    if out.len() != 3 * hw {
-        let (len, want) = (out.len(), 3 * hw);
-        let msg = format!("NN-S input buffer holds {len} elements, expected {want}");
-        return Err(VrDannError::BadInput(msg));
-    }
-    let (first, rest) = out.split_at_mut(hw);
-    let (mid, last) = rest.split_at_mut(hw);
+    let (first, rest) = data.split_at_mut(h * w);
+    let (mid, last) = rest.split_at_mut(h * w);
+    plane.expand_into(mid, [0.0, 0.5, 1.0]);
     if sandwich {
         let (prev, next) = pick_anchors(display_idx, ref_segs)?;
-        let [black, _, white] = codes;
-        prev.expand_into(first, [black, white]);
-        plane.expand_into(mid, codes);
-        next.expand_into(last, [black, white]);
+        prev.expand_f32_into(first);
+        next.expand_f32_into(last);
     } else {
-        plane.expand_into(mid, codes);
         first.copy_from_slice(mid);
         last.copy_from_slice(mid);
     }
-    Ok(())
+    Ok(Tensor::from_vec(3, h, w, data))
 }
 
-/// The NN-S input of one B-frame, shared by training and the engine:
-/// reconstruct the frame from its motion vectors, then build the sandwich
-/// around it — or, with `cfg.sandwich` off, the reconstruction alone.
+/// The packed planes NN-S's `mask` reads for a B-frame reconstructed as
+/// `plane`: with `sandwich`, the nearest anchors' masks around it (as in
+/// [`build_sandwich`]); without it, the reconstruction alone.
+///
+/// # Errors
+/// Returns [`VrDannError::BadInput`] if `sandwich` is set and `ref_segs`
+/// is empty, or the planes differ in size or have an odd side.
+pub(crate) fn nns_planes<'a>(
+    display_idx: u32,
+    plane: &'a Seg2Plane,
+    ref_segs: &'a BTreeMap<u32, SegMask>,
+    sandwich: bool,
+) -> Result<SandwichPlanes<'a>> {
+    let planes = if sandwich {
+        let (prev, next) = pick_anchors(display_idx, ref_segs)?;
+        SandwichPlanes::new(prev, plane, next)
+    } else {
+        SandwichPlanes::recon_only(plane)
+    };
+    planes.map_err(VrDannError::BadInput)
+}
+
+/// The dense NN-S input of one training B-frame: reconstruct the frame
+/// from its motion vectors, then build the sandwich around it — or, with
+/// `cfg.sandwich` off, the reconstruction alone — as the engine's
+/// [`nns_planes`] does, expanded.
 ///
 /// # Errors
 /// Propagates reconstruction and sandwich failures (a motion vector or a
@@ -191,41 +186,6 @@ mod tests {
     }
 
     #[test]
-    fn every_element_type_expands_the_same_pixels() {
-        let mut refs = BTreeMap::new();
-        refs.insert(0u32, mask(Rect::new(0, 0, 5, 3)));
-        refs.insert(4u32, mask(Rect::new(2, 1, 8, 8)));
-        let mut plane = Seg2Plane::new(8, 8);
-        plane.set(3, 0, Seg2::Gray);
-        plane.set(6, 7, Seg2::White);
-        for sandwich in [true, false] {
-            let f32s = nns_tensor(2, &plane, &refs, sandwich).unwrap();
-            let mut codes = vec![0u8; 3 * 64];
-            fill_nns_input(2, &plane, &refs, sandwich, [7, 11, 13], &mut codes).unwrap();
-            let want: Vec<u8> = (f32s.as_slice().iter())
-                .map(|&v| [7, 11, 13][(v * 2.0) as usize])
-                .collect();
-            assert_eq!(codes, want, "sandwich {sandwich}");
-        }
-    }
-
-    #[test]
-    fn wrong_length_buffer_is_bad_input() {
-        let mut refs = BTreeMap::new();
-        refs.insert(0u32, mask(Rect::new(0, 0, 2, 2)));
-        let plane = Seg2Plane::new(8, 8);
-        for (sandwich, len) in [(true, 191), (false, 193), (true, 0)] {
-            let mut out = vec![0u8; len];
-            let err = fill_nns_input(2, &plane, &refs, sandwich, [0, 1, 2], &mut out);
-            let want = format!("holds {len} elements, expected 192");
-            assert!(
-                matches!(&err, Err(VrDannError::BadInput(m)) if m.contains(&want)),
-                "{err:?}"
-            );
-        }
-    }
-
-    #[test]
     fn one_sided_anchors_duplicate() {
         let mut refs = BTreeMap::new();
         refs.insert(0u32, mask(Rect::new(0, 0, 2, 2)));
@@ -238,6 +198,20 @@ mod tests {
     fn empty_refs_error() {
         let plane = Seg2Plane::new(8, 8);
         assert!(build_sandwich(3, &plane, &BTreeMap::new()).is_err());
+        assert!(nns_planes(3, &plane, &BTreeMap::new(), true).is_err());
+        assert!(nns_planes(3, &plane, &BTreeMap::new(), false).is_ok());
+    }
+
+    #[test]
+    fn planes_of_another_size_are_bad_input() {
+        let mut refs = BTreeMap::new();
+        refs.insert(0u32, mask(Rect::new(0, 0, 2, 2)));
+        let plane = Seg2Plane::new(10, 8);
+        let err = nns_planes(3, &plane, &refs, true);
+        assert!(
+            matches!(&err, Err(VrDannError::BadInput(m)) if m.contains("8×8") && m.contains("10×8")),
+            "{err:?}"
+        );
     }
 
     #[test]
