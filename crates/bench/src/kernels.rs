@@ -84,6 +84,9 @@ pub(crate) struct Row {
     /// conv3's outputs for NN-S, the warped pixels for NN-L), so the ratio
     /// can be checked against the work it skips.
     pub coverage: Vec<(&'static str, f64)>,
+    /// Where the optimised kernel walks the frame in row tiles: per
+    /// precision, the tile count and the bytes of scratch one call holds.
+    pub tiles: Vec<(&'static str, usize, usize)>,
 }
 
 impl Row {
@@ -102,6 +105,7 @@ impl Row {
             int8: (times.get(2)).map(|int8| (median(int8), ratios(optimized, int8))),
             floor,
             coverage: Vec::new(),
+            tiles: Vec::new(),
         }
     }
 }
@@ -625,7 +629,8 @@ fn nnl_row() -> Row {
 /// B-frame copies every 16-px block from within 4 px of its own position,
 /// half of them bi-predicted — the small motion vectors of a real stream,
 /// where random noise would put the whole frame in the band. The row
-/// carries the fixture's band coverage.
+/// carries the fixture's band coverage and, per precision, the row tiles
+/// `mask` walks and the bytes of scratch one call holds.
 fn nns_band_row() -> Row {
     let refs = BTreeMap::from([
         (0u32, ellipse_mask(0.0, 0.0)),
@@ -676,6 +681,12 @@ fn nns_band_row() -> Row {
     });
     let [c1, c2, c3] = NnS::band_coverage(&planes);
     row.coverage = vec![("conv1", c1), ("conv2", c2), ("conv3", c3)];
+    let ((f32_tiles, f32_bytes), (int8_tiles, int8_bytes)) =
+        (nns.mask_tiles(&planes), q.mask_tiles(&planes));
+    row.tiles = vec![
+        ("f32", f32_tiles, f32_bytes),
+        ("int8", int8_tiles, int8_bytes),
+    ];
     row
 }
 
@@ -760,8 +771,22 @@ pub(crate) fn to_json(rows: &[Row]) -> String {
                     r.coverage.iter().map(|(k, c)| format!("\"{k}\": {c:.3}")).collect();
                 format!(", \"band_coverage\": {{{}}}", shares.join(", "))
             };
+            let tiles = if r.tiles.is_empty() {
+                String::new()
+            } else {
+                let per = |f: fn(&(&str, usize, usize)) -> usize| {
+                    let v: Vec<String> =
+                        r.tiles.iter().map(|t| format!("\"{}\": {}", t.0, f(t))).collect();
+                    v.join(", ")
+                };
+                format!(
+                    ", \"tiles\": {{{}}}, \"scratch_bytes\": {{{}}}",
+                    per(|t| t.1),
+                    per(|t| t.2)
+                )
+            };
             format!(
-                "  \"{}\": {{\"optimized_ms\": {:.4}, \"reference_ms\": {:.4}, {}{int8}{coverage}}}",
+                "  \"{}\": {{\"optimized_ms\": {:.4}, \"reference_ms\": {:.4}, {}{int8}{coverage}{tiles}}}",
                 r.name,
                 r.optimized_ms,
                 r.reference_ms,
@@ -807,6 +832,7 @@ mod tests {
             int8: int8_ms.map(|ms| (ms, [optimized_ms / ms; 3])),
             floor,
             coverage: Vec::new(),
+            tiles: Vec::new(),
         }
     }
 
@@ -885,8 +911,14 @@ mod tests {
         );
         let mut band = row(1.0, 3.0, None, 2.0);
         band.coverage = vec![("conv1", 0.2104), ("conv2", 0.18), ("conv3", 0.1595)];
-        assert!(to_json(&[band]).contains(
+        assert!(to_json(&[band.clone()]).contains(
             "\"band_coverage\": {\"conv1\": 0.210, \"conv2\": 0.180, \"conv3\": 0.160}}"
+        ));
+        band.tiles = vec![("f32", 10, 5_000_000), ("int8", 4, 4_500_000)];
+        assert!(to_json(&[band]).contains(
+            "\"band_coverage\": {\"conv1\": 0.210, \"conv2\": 0.180, \"conv3\": 0.160}, \
+             \"tiles\": {\"f32\": 10, \"int8\": 4}, \
+             \"scratch_bytes\": {\"f32\": 5000000, \"int8\": 4500000}}"
         ));
         let mut warp = row(1.0, 9.0, None, 8.0);
         warp.coverage = vec![("warp", 0.0231)];

@@ -11,12 +11,16 @@
 //! reductions, and a training step the walk plus the backward pass over
 //! the activations it kept; all three take a dense tensor. The mask takes
 //! the input as the engine holds it — packed planes, [`SandwichPlanes`] —
-//! and is the walk over their band, on an input written only where conv1
-//! reads it, plus a table of cut bits (`crate::band`). (The int8 graph in
+//! and is the same walk over their band a row tile at a time, each tile's
+//! input written only where conv1 reads it and every role in a tile-sized
+//! buffer, plus a table of cut bits (`crate::band`). Every walk takes its
+//! buffers from one recycled scratch struct. (The int8 graph in
 //! [`crate::quant`] is a second arithmetic — requantisation between
 //! layers — not a second copy.)
 
-use crate::band::{Banded, CutTable, Plan, SandwichPlanes, TABLE_SIDE};
+use crate::band::{
+    capacity_bytes, stale, tile_rows, Banded, CutTable, Plan, Recycler, SandwichPlanes, TABLE_SIDE,
+};
 use crate::conv::{Conv2d, Epilogue, Input};
 use crate::layers::{
     maxpool2_backward, maxpool2_span_into, relu_backward, sigmoid_cut, sigmoid_in_place,
@@ -27,7 +31,6 @@ use crate::quant::{ActScales, QuantNnS};
 use crate::tensor::Tensor;
 use crate::trainer::Grads;
 use std::sync::OnceLock;
-use vrd_runtime::{BufferPool, PooledBuf};
 use vrd_video::SegMask;
 
 /// Channels of the sandwich input.
@@ -36,9 +39,10 @@ pub(crate) const SANDWICH_CHANNELS: usize = 3;
 /// The values of black, gray and white sandwich pixels in an f32 input.
 const F32_CODES: [f32; 3] = [0.0, 0.5, 1.0];
 
-/// Scratch buffers for the graph's activations, recycled across frames so
+/// The scratch of every walk, one struct per walk in flight (a dense
+/// walk's or one of [`NnS::mask`]'s tiles), recycled across calls so
 /// steady-state refinement does not allocate per call.
-static SCRATCH: BufferPool = BufferPool::new();
+static SCRATCH: Recycler<Scratch> = Recycler::new();
 
 /// The NN-S refinement network.
 #[derive(Debug, Clone)]
@@ -54,18 +58,70 @@ pub struct NnS {
     cuts: OnceLock<CutTable>,
 }
 
-/// What one walk of the graph leaves behind. Inference reads `logits`,
+/// What one walk of the graph leaves behind, one buffer `B` per role (or,
+/// as `Activations<usize>`, each role's length). Inference reads `logits`,
 /// calibration the ranges of `a1` and `a2`, and the backward pass all of it.
-struct Activations {
+#[derive(Default)]
+struct Activations<B> {
     /// conv3's input: conv1's post-ReLU output `a1` in the first `hidden`
     /// channels, the upsampled `a2` in the rest.
-    cat: PooledBuf<'static>,
+    cat: B,
     /// `a1` max-pooled to half resolution: conv2's input.
-    d: PooledBuf<'static>,
+    d: B,
     /// conv2's post-ReLU output.
-    a2: PooledBuf<'static>,
+    a2: B,
     /// conv3's output, one channel at full resolution.
-    logits: PooledBuf<'static>,
+    logits: B,
+}
+
+/// One walk's scratch: a buffer per role, each as long as the largest walk
+/// it served needed.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    /// conv1's input, written by [`NnS::mask`] (a dense walk reads its
+    /// tensor).
+    input: Vec<f32>,
+    acts: Activations<Vec<f32>>,
+}
+
+impl Scratch {
+    /// Every role's capacity, in bytes.
+    pub(crate) fn bytes(&self) -> usize {
+        let acts = &self.acts;
+        [&self.input, &acts.cat, &acts.d, &acts.a2, &acts.logits]
+            .map(capacity_bytes)
+            .iter()
+            .sum()
+    }
+
+    /// Every role as long as an `h × w` tile of a `hidden`-wide model
+    /// needs, filled with NaN.
+    #[cfg(test)]
+    pub(crate) fn poisoned(hidden: usize, h: usize, w: usize) -> Self {
+        let Activations { cat, d, a2, logits } = roles(hidden, h, w);
+        let nan = |n| vec![f32::NAN; n];
+        Self {
+            input: nan(SANDWICH_CHANNELS * h * w),
+            acts: Activations {
+                cat: nan(cat),
+                d: nan(d),
+                a2: nan(a2),
+                logits: nan(logits),
+            },
+        }
+    }
+}
+
+/// The length of each of a walk's roles over `h × w` with `hidden`
+/// channels.
+fn roles(hidden: usize, h: usize, w: usize) -> Activations<usize> {
+    let hw = h * w;
+    Activations {
+        cat: 2 * hidden * hw,
+        d: hidden * hw / 4,
+        a2: hidden * hw / 4,
+        logits: hw,
+    }
 }
 
 impl NnS {
@@ -154,11 +210,14 @@ impl NnS {
     pub fn calibrate(&mut self, inputs: &[&Tensor]) {
         let mut maxes = [0.0f32; 3];
         for x in inputs {
-            let acts = self.walk(Input::of(x), &Plan::dense(x.height(), x.width()));
-            let a1 = &acts.cat[..self.hidden * x.height() * x.width()];
-            for (m, s) in maxes.iter_mut().zip([x.as_slice(), a1, &acts.a2]) {
-                *m = s.iter().fold(*m, |m, v| m.max(v.abs()));
-            }
+            SCRATCH.with(|s| {
+                let plan = Plan::dense(x.height(), x.width());
+                let acts = self.walk(Input::of(x), &plan, &mut s.acts);
+                let a1 = &acts.cat[..self.hidden * x.height() * x.width()];
+                for (m, s) in maxes.iter_mut().zip([x.as_slice(), a1, acts.a2]) {
+                    *m = s.iter().fold(*m, |m, v| m.max(v.abs()));
+                }
+            });
         }
         self.act_scales = Some(ActScales::from_maxes(maxes[0], maxes[1], maxes[2]));
     }
@@ -184,15 +243,20 @@ impl NnS {
 
     /// The NN-S graph, spelled once: conv1 + ReLU → 2×2 max-pool → conv2 +
     /// ReLU → 2× upsample → concatenate with conv1's output → conv3, each
-    /// stage on its `plan` columns (every other element of its buffer is
-    /// left stale). Runs on pooled scratch with the ReLUs fused into the
-    /// conv stores and conv1 writing straight into the concatenation
-    /// buffer, so inference pays nothing for the activations only training
-    /// reads afterwards.
+    /// stage on its `plan` columns of its role's buffer in `bufs` (grown to
+    /// fit, every other element left stale). The ReLUs are fused into the
+    /// conv stores and conv1 writes straight into the concatenation buffer,
+    /// so inference pays nothing for the activations only training reads
+    /// afterwards.
     ///
     /// # Panics
     /// Panics on a wrong channel count or odd spatial dimensions.
-    fn walk(&self, x: Input<'_>, plan: &Plan) -> Activations {
+    fn walk<'s>(
+        &self,
+        x: Input<'_>,
+        plan: &Plan,
+        bufs: &'s mut Activations<Vec<f32>>,
+    ) -> Activations<&'s [f32]> {
         let (h, w) = (x.h, x.w);
         assert_eq!(
             x.data.len(),
@@ -201,20 +265,21 @@ impl NnS {
         );
         assert!(h % 2 == 0 && w % 2 == 0, "max-pool needs even dimensions");
         let (hw, hid) = (h * w, self.hidden);
-        let mut cat = SCRATCH.take_stale(2 * hid * hw);
+        let lens = roles(hid, h, w);
+        let cat = stale(&mut bufs.cat, lens.cat);
+        let d = stale(&mut bufs.d, lens.d);
+        let a2 = stale(&mut bufs.a2, lens.a2);
+        let logits = stale(&mut bufs.logits, lens.logits);
         let (a1, up) = cat.split_at_mut(hid * hw);
         self.conv1.forward_into(x, a1, Epilogue::Relu, &plan.conv1);
-        let mut d = SCRATCH.take_stale(hid * hw / 4);
-        maxpool2_span_into(a1, hid, h, w, &mut d, &plan.pool, f32::max);
-        let mut a2 = SCRATCH.take_stale(hid * hw / 4);
-        let half = Input::new(&d, h / 2, w / 2);
+        maxpool2_span_into(a1, hid, h, w, d, &plan.pool, f32::max);
+        let half = Input::new(d, h / 2, w / 2);
         self.conv2
-            .forward_into(half, &mut a2, Epilogue::Relu, &plan.conv2);
-        upsample2_span_into(&a2, hid, h / 2, w / 2, up, &plan.up);
-        let mut logits = SCRATCH.take_stale(hw);
-        let full = Input::new(&cat, h, w);
+            .forward_into(half, a2, Epilogue::Relu, &plan.conv2);
+        upsample2_span_into(a2, hid, h / 2, w / 2, up, &plan.up);
+        let full = Input::new(cat, h, w);
         self.conv3
-            .forward_into(full, &mut logits, Epilogue::Linear, &plan.conv3);
+            .forward_into(full, logits, Epilogue::Linear, &plan.conv3);
         Activations { cat, d, a2, logits }
     }
 
@@ -224,7 +289,7 @@ impl NnS {
     /// Panics on a wrong channel count or odd spatial dimensions.
     pub fn infer(&self, x: &Tensor) -> Tensor {
         let plan = Plan::dense(x.height(), x.width());
-        let mut out = self.walk(Input::of(x), &plan).logits.to_vec();
+        let mut out = SCRATCH.with(|s| self.walk(Input::of(x), &plan, &mut s.acts).logits.to_vec());
         sigmoid_in_place(&mut out);
         Tensor::from_vec(1, x.height(), x.width(), out)
     }
@@ -239,27 +304,54 @@ impl NnS {
     /// radius of a value change in any plane or of the frame edge, with
     /// the input written only where conv1 reads it. Every other pixel takes
     /// its value triple's bit from a table of this model's constant images
-    /// (see `crate::band` for why that is exact).
+    /// (see `crate::band` for why that is exact). The band is walked in
+    /// row tiles on tile-sized scratch, so no frame-sized plane is held.
     pub fn mask(&self, x: &SandwichPlanes<'_>) -> SegMask {
-        let (h, w) = x.size();
-        let mut input = SCRATCH.take_stale(SANDWICH_CHANNELS * h * w);
-        self.mask_with_input(x, &mut input)
+        self.mask_tiled(x, self.tile_rows(x.size().1), &SCRATCH)
     }
 
-    /// [`NnS::mask`] writing the input into `input`, whose contents are
-    /// stale.
-    pub(crate) fn mask_with_input(&self, x: &SandwichPlanes<'_>, input: &mut [f32]) -> SegMask {
-        let (h, w) = x.size();
-        let banded = Banded::of(x);
-        banded.input(F32_CODES, input);
-        let logits = self.walk(Input::new(input, h, w), banded.plan()).logits;
-        banded.mask(&logits, sigmoid_cut(), self.cut_table())
+    /// The logit rows of one [`NnS::mask`] tile on a `w`-wide frame: what
+    /// the tile byte budget holds of a row's scratch.
+    pub(crate) fn tile_rows(&self, w: usize) -> usize {
+        let Activations { cat, d, a2, logits } = roles(self.hidden, 2, w);
+        let row = SANDWICH_CHANNELS * w + (cat + d + a2 + logits) / 2;
+        tile_rows(row * std::mem::size_of::<f32>())
     }
 
-    /// The share of conv1's, conv2's and conv3's output pixels
-    /// [`NnS::mask`] computes on `x` (either precision: the band
-    /// depends only on where the planes change). The rest of the dense
-    /// graph's work, [`NnS::macs`], is skipped.
+    /// [`NnS::mask`] in tiles of `rows` logit rows, on scratch from
+    /// `scratch`.
+    pub(crate) fn mask_tiled(
+        &self,
+        x: &SandwichPlanes<'_>,
+        rows: usize,
+        scratch: &Recycler<Scratch>,
+    ) -> SegMask {
+        let cut = (sigmoid_cut(), self.cut_table());
+        Banded::of(x).mask(rows, self.hidden, scratch, cut, |tile, s| {
+            let (h, w) = tile.size();
+            let Scratch { input, acts } = s;
+            let input = stale(input, SANDWICH_CHANNELS * h * w);
+            tile.input(F32_CODES, input);
+            self.walk(Input::new(input, h, w), tile.plan(), acts).logits
+        })
+    }
+
+    /// How [`NnS::mask`] walks `x`: the number of row tiles, and the bytes
+    /// of scratch one call holds on one thread (measured by running it).
+    pub fn mask_tiles(&self, x: &SandwichPlanes<'_>) -> (usize, usize) {
+        let rows = self.tile_rows(x.size().1);
+        let held = Recycler::one_call(|s| drop(self.mask_tiled(x, rows, s)));
+        (
+            x.size().0.div_ceil(rows),
+            held.iter().map(Scratch::bytes).sum(),
+        )
+    }
+
+    /// The share of conv1's, conv2's and conv3's output pixels in
+    /// [`NnS::mask`]'s band on `x` (either precision: the band depends only
+    /// on where the planes change); its tiles recompute a few rows at each
+    /// seam on top. The rest of the dense graph's work, [`NnS::macs`], is
+    /// skipped.
     pub fn band_coverage(x: &SandwichPlanes<'_>) -> [f64; 3] {
         Banded::of(x).coverage()
     }
@@ -279,7 +371,10 @@ impl NnS {
             .flat_map(|&i| std::iter::repeat_n(F32_CODES[i], h * w))
             .collect();
         let x = Tensor::from_vec(SANDWICH_CHANNELS, h, w, data);
-        self.walk(Input::of(&x), &Plan::dense(h, w)).logits[h / 2 * w + w / 2] > sigmoid_cut()
+        let plan = Plan::dense(h, w);
+        let centre = SCRATCH
+            .with(|s| self.walk(Input::of(&x), &plan, &mut s.acts).logits[h / 2 * w + w / 2]);
+        centre > sigmoid_cut()
     }
 
     /// One sample's training step: forward, BCE-with-logits against
@@ -291,38 +386,45 @@ impl NnS {
     /// of another size.
     pub(crate) fn train_step(&self, x: &Tensor, target: &Tensor, grads: &mut Grads) -> f32 {
         let (h, w) = (x.height(), x.width());
-        let Activations { cat, d, a2, logits } = self.walk(Input::of(x), &Plan::dense(h, w));
-        let (hw, hid) = (h * w, self.hidden);
-        let (loss, dlogits) = bce_with_logits(&Tensor::from_vec(1, h, w, logits.to_vec()), target);
-        let [(gw1, gb1), (gw2, gb2), (gw3, gb3)] = grads.layers_mut();
-        let a1 = &cat[..hid * hw];
+        let plan = Plan::dense(h, w);
+        SCRATCH.with(|s| {
+            let acts = self.walk(Input::of(x), &plan, &mut s.acts);
+            let Activations { cat, d, a2, logits } = acts;
+            let (hw, hid) = (h * w, self.hidden);
+            let logits = Tensor::from_vec(1, h, w, logits.to_vec());
+            let (loss, dlogits) = bce_with_logits(&logits, target);
+            let [(gw1, gb1), (gw2, gb2), (gw3, gb3)] = grads.layers_mut();
+            let a1 = &cat[..hid * hw];
 
-        let mut g_cat = vec![0.0; 2 * hid * hw];
-        let full = Input::new(&cat, h, w);
-        self.conv3
-            .backward_into(full, dlogits.as_slice(), gw3, gb3, Some(&mut g_cat));
-        // The concat's gradient splits into conv1's output directly (`g_a1`)
-        // and, through the upsample, conv2's.
-        let (g_a1, g_up) = g_cat.split_at_mut(hid * hw);
-        let mut g_a2 = vec![0.0; hid * hw / 4];
-        upsample2_backward(g_up, hid, h / 2, w / 2, &mut g_a2);
-        relu_backward(&a2, &mut g_a2);
-        let mut g_d = vec![0.0; hid * hw / 4];
-        let half = Input::new(&d, h / 2, w / 2);
-        self.conv2
-            .backward_into(half, &g_a2, gw2, gb2, Some(&mut g_d));
-        maxpool2_backward(a1, &d, &g_d, (hid, h, w), g_a1);
-        relu_backward(a1, g_a1);
-        // Nothing reads the gradient of the sandwich itself.
-        self.conv1.backward_into(Input::of(x), g_a1, gw1, gb1, None);
-        loss
+            let mut g_cat = vec![0.0; 2 * hid * hw];
+            let full = Input::new(cat, h, w);
+            self.conv3
+                .backward_into(full, dlogits.as_slice(), gw3, gb3, Some(&mut g_cat));
+            // The concat's gradient splits into conv1's output directly
+            // (`g_a1`) and, through the upsample, conv2's.
+            let (g_a1, g_up) = g_cat.split_at_mut(hid * hw);
+            let mut g_a2 = vec![0.0; hid * hw / 4];
+            upsample2_backward(g_up, hid, h / 2, w / 2, &mut g_a2);
+            relu_backward(a2, &mut g_a2);
+            let mut g_d = vec![0.0; hid * hw / 4];
+            let half = Input::new(d, h / 2, w / 2);
+            self.conv2
+                .backward_into(half, &g_a2, gw2, gb2, Some(&mut g_d));
+            maxpool2_backward(a1, d, &g_d, (hid, h, w), g_a1);
+            relu_backward(a1, g_a1);
+            // Nothing reads the gradient of the sandwich itself.
+            self.conv1.backward_into(Input::of(x), g_a1, gw1, gb1, None);
+            loss
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::band::Poison;
     use crate::band::{biased, ellipse, triples};
+    use crate::quant;
     use crate::trainer::sgd_step;
     use vrd_video::Seg2Plane;
 
@@ -373,10 +475,13 @@ mod tests {
     }
 
     /// Both precisions' `mask` write their input only where conv1 reads
-    /// it and leave the rest of the buffer stale. Poisoned before every
-    /// call — NaN for f32, a byte no code takes for int8 — the buffer must
-    /// still give the dense graph's mask, on a blob sandwich and on masks
-    /// touching every edge, with and without the sandwich.
+    /// it and every other role of their tile scratch only where the next
+    /// stage reads it, leaving the rest stale. With every role poisoned
+    /// before each call — NaN for f32, a byte no code takes for int8,
+    /// `i32::MIN` for the accumulators — the mask must still be the dense
+    /// graph's, on a blob sandwich and on masks touching every edge, with
+    /// and without the sandwich: in one tile, where some of the input must
+    /// stay poisoned, and in 8-row tiles on a frame of five.
     #[test]
     fn stale_input_is_never_read() {
         let (h, w) = (40, 134);
@@ -385,7 +490,8 @@ mod tests {
             let on = |x: usize, y: usize| x < t || y < t || x + t >= w || y + 1 == h;
             SegMask::from_bits(w, h, (0..h * w).map(|i| on(i % w, i / w)))
         };
-        let mut nns = biased(NnS::new(5, 11));
+        let hid = 5;
+        let mut nns = biased(NnS::new(hid, 11));
         for (prev, next) in [(blob(50.0), blob(58.0)), (edges(2), edges(3))] {
             let recon = Seg2Plane::mean_filter(&prev, &next);
             let sandwich = SandwichPlanes::new(&prev, &recon, &next).unwrap();
@@ -393,20 +499,24 @@ mod tests {
                 let x = planes.to_tensor();
                 nns.calibrate(&[&x]);
                 let q = nns.quantize();
-                let mut stale = vec![f32::NAN; x.len()];
-                assert_eq!(
-                    nns.mask_with_input(&planes, &mut stale),
-                    nns.infer(&x).to_mask(0.5)
-                );
-                assert!(stale.iter().any(|v| v.is_nan()), "a band, not the frame");
-                // Above the 7-bit range every input code lies in.
-                let poison = u8::MAX;
-                let mut stale = vec![poison; x.len()];
-                assert_eq!(
-                    q.mask_with_input(&planes, &mut stale),
-                    q.infer(&x).to_mask(0.5)
-                );
-                assert!(stale.contains(&poison), "a band, not the frame");
+                let (f32_mask, int8_mask) = (nns.infer(&x).to_mask(0.5), q.infer(&x).to_mask(0.5));
+                assert!(nns.tile_rows(w) >= h && q.tile_rows(w) >= h, "one tile");
+                for rows in [h, 8] {
+                    let held = vec![Scratch::poisoned(hid, h, w)];
+                    let scratch = Recycler::holding(held);
+                    assert_eq!(nns.mask_tiled(&planes, rows, &scratch), f32_mask);
+                    if rows == h {
+                        let input = &scratch.held()[0].input;
+                        assert!(input.iter().any(|v| v.is_nan()), "a band, not the frame");
+                    }
+                    let held = vec![quant::Scratch::poisoned(hid, h, w)];
+                    let scratch = Recycler::holding(held);
+                    assert_eq!(q.mask_tiled(&planes, rows, &scratch), int8_mask);
+                    if rows == h {
+                        let input = scratch.held()[0].input().to_vec();
+                        assert!(input.contains(&u8::POISON), "a band, not the frame");
+                    }
+                }
             }
         }
     }

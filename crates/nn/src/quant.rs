@@ -1,4 +1,4 @@
-//! Quantized int8 inference path (ROADMAP item 3).
+//! Quantized int8 inference path.
 //!
 //! The paper's NPU is a low-precision MAC array; this module mirrors that
 //! with per-layer symmetric int8 quantization of the trained f32 weights:
@@ -45,14 +45,24 @@
 //! dequantizes the two planes separately and sums them in f32 — dot
 //! products distribute, so the split is exact. Max-pool and
 //! nearest-neighbour upsampling commute with the monotone quantizer and run
-//! directly on `u8` planes ([`crate::layers`]).
+//! directly on `u8` planes ([`crate::layers`]). `infer` walks the dense
+//! graph; [`QuantNnS::mask`] walks the band of its packed planes a row
+//! tile at a time (`crate::band`). Every walk takes its buffers — the
+//! input codes, the four `u8` planes, both accumulator planes and the
+//! logits — from one recycled scratch struct. A tile's rows are the same
+//! byte budget as an f32 tile's, and a row of int8 scratch is about a
+//! third of an f32 one, so int8 tiles are about three times as tall.
 
-use crate::band::{Banded, CutTable, Plan, RowSpans, SandwichPlanes, TABLE_SIDE};
+#[cfg(test)]
+use crate::band::Poison;
+use crate::band::{
+    capacity_bytes, stale, tile_rows, Banded, CutTable, Plan, Recycler, RowSpans, SandwichPlanes,
+    TABLE_SIDE,
+};
 use crate::conv::{auto_threads, run_bands, tiles, Band, Conv2d, Input};
 use crate::layers::{maxpool2_u8_span_into, sigmoid_cut, sigmoid_in_place, upsample2_span_into};
 use crate::nns::{NnS, SANDWICH_CHANNELS};
 use crate::tensor::Tensor;
-use vrd_runtime::BufferPool;
 use vrd_video::SegMask;
 
 /// Largest quantized activation value (7-bit unsigned; see module docs).
@@ -71,12 +81,70 @@ const CO_TILE: usize = 4;
 /// channel).
 const BLOCK: usize = 16;
 
-/// Scratch for the quantized graph — `u8` activation planes, conv3's `i32`
-/// half-accumulators and f32 logits — recycled across frames. Every kernel
-/// writes each element before it is read, so the takes are stale.
-static SCRATCH_U8: BufferPool<u8> = BufferPool::new();
-static SCRATCH_I32: BufferPool<i32> = BufferPool::new();
-static SCRATCH_F32: BufferPool<f32> = BufferPool::new();
+/// The scratch of every walk of the quantized graph, one struct per walk
+/// in flight (a dense one or one of [`QuantNnS::mask`]'s tiles), recycled
+/// across calls. Every kernel writes each element before it is read, so
+/// the buffers are stale.
+static SCRATCH: Recycler<Scratch> = Recycler::new();
+
+/// The buffers one walk of the `u8` graph writes, one per role: `a1`, the
+/// pooled `d`, `a2` and the upsampled `a2`, then conv3's two
+/// half-accumulator planes.
+#[derive(Default)]
+struct Walk {
+    acts: [Vec<u8>; 4],
+    acc: [Vec<i32>; 2],
+}
+
+/// One walk's scratch: a buffer per role, each as long as the largest walk
+/// it served needed.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    /// The quantized input, in the model's codes.
+    input: Vec<u8>,
+    walk: Walk,
+    logits: Vec<f32>,
+}
+
+impl Scratch {
+    /// Every role's capacity, in bytes.
+    pub(crate) fn bytes(&self) -> usize {
+        let u8s = std::iter::once(&self.input).chain(&self.walk.acts);
+        u8s.map(capacity_bytes).sum::<usize>()
+            + self.walk.acc.iter().map(capacity_bytes).sum::<usize>()
+            + capacity_bytes(&self.logits)
+    }
+
+    /// conv1's input role.
+    #[cfg(test)]
+    pub(crate) fn input(&self) -> &[u8] {
+        &self.input
+    }
+
+    /// Every role as long as an `h × w` tile of a `hidden`-wide model
+    /// needs, filled with its type's [`Poison::POISON`].
+    #[cfg(test)]
+    pub(crate) fn poisoned(hidden: usize, h: usize, w: usize) -> Self {
+        fn poison<T: Poison>(n: usize) -> Vec<T> {
+            vec![T::POISON; n]
+        }
+        Self {
+            input: poison(SANDWICH_CHANNELS * h * w),
+            walk: Walk {
+                acts: roles(hidden, h, w).map(poison),
+                acc: [(); 2].map(|()| poison(h * w)),
+            },
+            logits: poison(h * w),
+        }
+    }
+}
+
+/// The length of each of [`Walk`]'s `u8` roles over `h × w` with `hidden`
+/// channels (each accumulator plane is `h × w`).
+fn roles(hidden: usize, h: usize, w: usize) -> [usize; 4] {
+    let hw = h * w;
+    [hidden * hw, hidden * hw / 4, hidden * hw / 4, hidden * hw]
+}
 
 /// Which compute path the pipeline runs NN-S inference on.
 ///
@@ -974,7 +1042,7 @@ impl QuantNnS {
             .collect();
         let mut logits = vec![0.0; h * w];
         let plan = Plan::dense(h, w);
-        self.logits_into(&xq, h, w, &mut logits, &plan);
+        SCRATCH.with(|s| self.logits_into(&xq, h, w, &mut logits, &plan, &mut s.walk));
         logits[h / 2 * w + w / 2] > sigmoid_cut()
     }
 
@@ -1010,11 +1078,13 @@ impl QuantNnS {
             "NN-S expects the 3-channel sandwich input"
         );
         let (h, w) = (x.height(), x.width());
-        let mut xq = SCRATCH_U8.take_stale(x.len());
-        self.quantize_input(x, &mut xq);
         let mut out = vec![0.0; h * w];
         let plan = Plan::dense(h, w);
-        self.logits_into(&xq, h, w, &mut out, &plan);
+        SCRATCH.with(|s| {
+            let xq = stale(&mut s.input, x.len());
+            self.quantize_input(x, xq);
+            self.logits_into(xq, h, w, &mut out, &plan, &mut s.walk);
+        });
         sigmoid_in_place(&mut out);
         Tensor::from_vec(1, h, w, out)
     }
@@ -1029,30 +1099,72 @@ impl QuantNnS {
     /// radius of a value change in any plane or of the frame edge, with
     /// the input written in this model's codes only where conv1 reads it.
     /// Every other pixel takes its code triple's bit from the table built
-    /// with this model (see `crate::band` for why that is exact).
+    /// with this model (see `crate::band` for why that is exact). The band
+    /// is walked in row tiles on tile-sized scratch, so no frame-sized
+    /// plane is held.
     pub fn mask(&self, x: &SandwichPlanes<'_>) -> SegMask {
-        let (h, w) = x.size();
-        let mut input = SCRATCH_U8.take_stale(SANDWICH_CHANNELS * h * w);
-        self.mask_with_input(x, &mut input)
+        self.mask_tiled(x, self.tile_rows(x.size().1), &SCRATCH)
     }
 
-    /// [`QuantNnS::mask`] writing the input into `input`, whose
-    /// contents are stale.
-    pub(crate) fn mask_with_input(&self, x: &SandwichPlanes<'_>, input: &mut [u8]) -> SegMask {
-        let (h, w) = x.size();
-        let banded = Banded::of(x);
-        banded.input(self.codes, input);
-        let mut logits = SCRATCH_F32.take_stale(h * w);
-        self.logits_into(input, h, w, &mut logits, banded.plan());
-        banded.mask(&logits, sigmoid_cut(), self.cuts)
+    /// The logit rows of one [`QuantNnS::mask`] tile on a `w`-wide frame:
+    /// what the tile byte budget holds of a row's scratch.
+    pub(crate) fn tile_rows(&self, w: usize) -> usize {
+        let u8s = SANDWICH_CHANNELS * w + roles(self.hidden, 2, w).iter().sum::<usize>() / 2;
+        let wide = 2 * std::mem::size_of::<i32>() + std::mem::size_of::<f32>();
+        tile_rows(u8s + wide * w)
+    }
+
+    /// [`QuantNnS::mask`] in tiles of `rows` logit rows, on scratch from
+    /// `scratch`.
+    pub(crate) fn mask_tiled(
+        &self,
+        x: &SandwichPlanes<'_>,
+        rows: usize,
+        scratch: &Recycler<Scratch>,
+    ) -> SegMask {
+        let cut = (sigmoid_cut(), self.cuts);
+        Banded::of(x).mask(rows, self.hidden, scratch, cut, |tile, s| {
+            let (h, w) = tile.size();
+            let Scratch {
+                input,
+                walk,
+                logits,
+            } = s;
+            let input = stale(input, SANDWICH_CHANNELS * h * w);
+            tile.input(self.codes, input);
+            let out = stale(logits, h * w);
+            self.logits_into(input, h, w, out, tile.plan(), walk);
+            out
+        })
+    }
+
+    /// How [`QuantNnS::mask`] walks `x`: the number of row tiles, and the
+    /// bytes of scratch one call holds on one thread (measured by running
+    /// it).
+    pub fn mask_tiles(&self, x: &SandwichPlanes<'_>) -> (usize, usize) {
+        let rows = self.tile_rows(x.size().1);
+        let held = Recycler::one_call(|s| drop(self.mask_tiled(x, rows, s)));
+        (
+            x.size().0.div_ceil(rows),
+            held.iter().map(Scratch::bytes).sum(),
+        )
     }
 
     /// The `u8` graph from a quantized sandwich to f32 logits on the
-    /// stages' `plan` columns: conv1 + requantization → 2×2 max-pool →
-    /// conv2 + requantization → 2× upsample → each conv3 half into its own
-    /// `i32` plane, then both dequantized and summed per logit. Only
-    /// `plan.conv3`'s columns of `out` are written.
-    fn logits_into(&self, xq: &[u8], h: usize, w: usize, out: &mut [f32], plan: &Plan) {
+    /// stages' `plan` columns, each stage into its role's buffer in `walk`
+    /// (grown to fit, every other element left stale): conv1 +
+    /// requantization → 2×2 max-pool → conv2 + requantization → 2× upsample
+    /// → each conv3 half into its own `i32` plane, then both dequantized and
+    /// summed per logit. Only `plan.conv3`'s columns of `out` are written.
+    fn logits_into(
+        &self,
+        xq: &[u8],
+        h: usize,
+        w: usize,
+        out: &mut [f32],
+        plan: &Plan,
+        walk: &mut Walk,
+    ) {
         assert_eq!(
             xq.len(),
             SANDWICH_CHANNELS * h * w,
@@ -1063,37 +1175,30 @@ impl QuantNnS {
             "max-pool needs even dimensions"
         );
         assert_eq!(out.len(), h * w, "logit plane size mismatch");
-        let (hw, hid) = (h * w, self.hidden);
-        let mut a1 = SCRATCH_U8.take_stale(hid * hw);
+        let hid = self.hidden;
+        let [a1, d, a2, up] = &mut walk.acts;
+        let [n1, nd, n2, nup] = roles(hid, h, w);
+        let (a1, d, a2, up) = (stale(a1, n1), stale(d, nd), stale(a2, n2), stale(up, nup));
+        let [acc_a, acc_b] = walk.acc.each_mut().map(|buf| stale(buf, h * w));
         let (c1, c2) = (&self.conv1, &self.conv2);
         let threads = auto_threads(c1.macs(plan.conv1.area(), 1));
-        c1.requant_into(
-            Input::new(xq, h, w),
-            &self.rq1,
-            &mut a1,
-            &plan.conv1,
-            threads,
-        );
-        let mut d = SCRATCH_U8.take_stale(hid * hw / 4);
-        maxpool2_u8_span_into(&a1, hid, h, w, &mut d, &plan.pool);
-        let mut a2 = SCRATCH_U8.take_stale(hid * hw / 4);
+        c1.requant_into(Input::new(xq, h, w), &self.rq1, a1, &plan.conv1, threads);
+        maxpool2_u8_span_into(a1, hid, h, w, d, &plan.pool);
         let threads = auto_threads(c2.macs(plan.conv2.area(), 1));
         let half = Input::new(&d[..], h / 2, w / 2);
-        c2.requant_into(half, &self.rq2, &mut a2, &plan.conv2, threads);
-        let mut up = SCRATCH_U8.take_stale(hid * hw);
-        upsample2_span_into(&a2, hid, h / 2, w / 2, &mut up, &plan.up);
+        c2.requant_into(half, &self.rq2, a2, &plan.conv2, threads);
+        upsample2_span_into(a2, hid, h / 2, w / 2, up, &plan.up);
         let cols = &plan.conv3;
         // One plane per half, plain-stored: tiles overlap inside a span and
         // overshoot its end, so summing into one plane would add some
         // columns twice.
-        let raw = |conv: &QuantConv2d, x: &[u8]| {
-            let mut acc = SCRATCH_I32.take_stale(hw);
+        let raw = |conv: &QuantConv2d, x: &[u8], acc: &mut [i32]| {
             let threads = auto_threads(conv.macs(cols.area(), 1));
             let x = Input::new(x, h, w);
-            conv.forward(x, &mut acc, &Raw, cols, threads, band_dispatch);
-            acc
+            conv.forward(x, acc, &Raw, cols, threads, band_dispatch);
         };
-        let (acc_a, acc_b) = (raw(&self.conv3a, &a1), raw(&self.conv3b, &up));
+        raw(&self.conv3a, a1, acc_a);
+        raw(&self.conv3b, up, acc_b);
         for y in 0..h {
             for &(s, e) in cols.row(y) {
                 let (s, e) = (y * w + s, y * w + e);
@@ -1384,7 +1489,14 @@ mod tests {
         q.quantize_input(&x, &mut xq);
         let want = reference_logits(&xq, h, w);
         let mut got = vec![f32::NAN; h * w];
-        q.logits_into(&xq, h, w, &mut got, &Plan::dense(h, w));
+        q.logits_into(
+            &xq,
+            h,
+            w,
+            &mut got,
+            &Plan::dense(h, w),
+            &mut Walk::default(),
+        );
         assert_eq!(bits(&got), bits(&want));
         assert_eq!(q.mask(&planes), logits_to_mask(&want, h, w));
         let mut probs = want;
@@ -1402,15 +1514,15 @@ mod tests {
         let planes = SandwichPlanes::new(&a, &recon, &b).unwrap();
         let mut xq = vec![0u8; 3 * h * w];
         q.quantize_input(&planes.to_tensor(), &mut xq);
-        let banded = Banded::of(&planes);
-        let cols = &banded.plan().conv3;
+        let plan = Banded::of(&planes).plan();
+        let cols = &plan.conv3;
         assert!(
             0 < cols.area() && cols.area() < h * w,
             "a band, not the frame"
         );
         let want = reference_logits(&xq, h, w);
         let mut got = vec![f32::NAN; h * w];
-        q.logits_into(&xq, h, w, &mut got, banded.plan());
+        q.logits_into(&xq, h, w, &mut got, &plan, &mut Walk::default());
         for y in 0..h {
             for &(s, e) in cols.row(y) {
                 let span = y * w + s..y * w + e;

@@ -7,10 +7,8 @@
 //! * [`parallel_map`] — order-preserving map over a slice on all cores;
 //! * [`parallel_for_each`] — consume a vec of independent work items (e.g.
 //!   disjoint `&mut` output slices) across cores;
-//! * [`BufferPool`] — reusable scratch buffers (`f32` by default; the
-//!   quantized inference path pools `u8` activations and `i32`
-//!   accumulators), so per-frame inference stops paying an allocation per
-//!   intermediate tensor.
+//! * [`with_thread_budget`] — the per-thread cap that nested sections
+//!   honour.
 //!
 //! Everything here is **deterministic by construction**: work items are
 //! independent, outputs go to pre-assigned slots, and no reduction order
@@ -23,7 +21,7 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, Once, OnceLock};
+use std::sync::{Once, OnceLock};
 use std::thread;
 
 mod stage;
@@ -239,135 +237,6 @@ where
     });
 }
 
-/// A pool of reusable scratch buffers (`f32` unless another element type is
-/// named; the quantized NN path pools `u8` activations and `i32`
-/// accumulators).
-///
-/// [`BufferPool::take_stale`] hands out a buffer of the requested length
-/// (reusing the best-fitting retired allocation when one is available);
-/// dropping the returned [`PooledBuf`] recycles it. The pool holds at most
-/// a fixed number of retired buffers so long-running processes do not
-/// accumulate memory.
-#[derive(Debug)]
-pub struct BufferPool<T = f32> {
-    free: Mutex<Vec<Vec<T>>>,
-}
-
-/// Retired buffers kept per pool.
-const POOL_CAP: usize = 16;
-
-impl<T> BufferPool<T> {
-    /// An empty pool (usable in `static` position).
-    pub const fn new() -> Self {
-        Self {
-            free: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// The retired buffer best fitting `len` (see
-    /// [`BufferPool::take_stale`]), or a new empty one.
-    fn retired(&self, len: usize) -> Vec<T> {
-        let mut free = self
-            .free
-            .lock()
-            .expect("buffer pool lock is never poisoned");
-        // Fitting buffers sort first; within either group the capacity
-        // closest to `len` is the smallest fit or the largest misfit.
-        let best = free
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, b)| (b.capacity() < len, b.capacity().abs_diff(len)))
-            .map(|(i, _)| i);
-        best.map(|i| free.swap_remove(i)).unwrap_or_default()
-    }
-
-    fn recycle(&self, buf: Vec<T>) {
-        let mut free = self
-            .free
-            .lock()
-            .expect("buffer pool lock is never poisoned");
-        if free.len() < POOL_CAP {
-            free.push(buf);
-        }
-    }
-}
-
-/// Element types [`BufferPool::take_stale`] hands out: debug builds fill a
-/// stale buffer with `POISON`, a value no kernel should be found reading.
-pub trait Poison: Copy + Default {
-    /// The debug-build fill of a stale take.
-    const POISON: Self;
-}
-
-impl Poison for f32 {
-    const POISON: f32 = f32::NAN;
-}
-
-impl Poison for i32 {
-    /// Far outside any accumulator a quantized convolution produces, so an
-    /// epilogue that reads it moves its output.
-    const POISON: i32 = i32::MIN;
-}
-
-impl Poison for u8 {
-    /// Above the 7-bit activation range, so a quantized kernel that reads
-    /// it also moves its output.
-    const POISON: u8 = 0xA5;
-}
-
-impl<T: Poison> BufferPool<T> {
-    /// A scratch buffer of length `len` whose contents are unspecified —
-    /// whatever the retired allocation last held — for a caller that writes
-    /// every element before it reads any. Debug builds fill it with
-    /// [`Poison::POISON`] instead, so a read of an unwritten element shows
-    /// up in tests.
-    ///
-    /// Reuses the smallest retired buffer whose capacity fits, so a small
-    /// request does not walk off with (and pin) a large allocation; when
-    /// none fits, the largest one is grown.
-    pub fn take_stale(&self, len: usize) -> PooledBuf<'_, T> {
-        let mut buf = self.retired(len);
-        if cfg!(debug_assertions) {
-            buf.clear();
-        }
-        buf.resize(len, T::POISON);
-        PooledBuf { buf, pool: self }
-    }
-}
-
-impl<T> Default for BufferPool<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// A scratch buffer borrowed from a [`BufferPool`]; recycled on drop.
-#[derive(Debug)]
-pub struct PooledBuf<'p, T: Copy + Default = f32> {
-    buf: Vec<T>,
-    pool: &'p BufferPool<T>,
-}
-
-impl<T: Copy + Default> std::ops::Deref for PooledBuf<'_, T> {
-    type Target = [T];
-
-    fn deref(&self) -> &[T] {
-        &self.buf
-    }
-}
-
-impl<T: Copy + Default> std::ops::DerefMut for PooledBuf<'_, T> {
-    fn deref_mut(&mut self) -> &mut [T] {
-        &mut self.buf
-    }
-}
-
-impl<T: Copy + Default> Drop for PooledBuf<'_, T> {
-    fn drop(&mut self) {
-        self.pool.recycle(std::mem::take(&mut self.buf));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -453,72 +322,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn buffer_pool_recycles_allocations() {
-        let pool = BufferPool::new();
-        let ptr = {
-            let mut a = pool.take_stale(1024);
-            a[0] = 5.0;
-            a.as_ptr()
-        };
-        // The recycled allocation is reused.
-        let b = pool.take_stale(1024);
-        assert_eq!(b.as_ptr(), ptr);
-        assert_eq!(b.len(), 1024);
-        let c = pool.take_stale(8);
-        assert_eq!(c.len(), 8);
-        drop((b, c));
-        // At most `POOL_CAP` retired buffers are kept.
-        let held: Vec<_> = (0..POOL_CAP + 3).map(|_| pool.take_stale(4)).collect();
-        drop(held);
-        assert_eq!(pool.free.lock().unwrap().len(), POOL_CAP);
-    }
-
-    #[test]
-    fn buffer_pool_takes_the_best_fitting_allocation() {
-        let pool = BufferPool::new();
-        let (small, large) = {
-            let (s, l) = (pool.take_stale(64), pool.take_stale(4096));
-            (s.as_ptr(), l.as_ptr())
-        };
-        // Whatever order the two retired, a small request gets the small
-        // allocation and leaves the large one for a large request.
-        let a = pool.take_stale(16);
-        assert_eq!(a.as_ptr(), small);
-        let b = pool.take_stale(4000);
-        assert_eq!(b.as_ptr(), large);
-        drop((a, b));
-        // Nothing fits: the largest is grown rather than a fresh buffer
-        // allocated beside it, and the new tail is poisoned.
-        let mut c = pool.take_stale(4096);
-        c.fill(7.0);
-        drop(c);
-        let d = pool.take_stale(10_000);
-        assert_eq!(d.len(), 10_000);
-        assert!(d[4096..].iter().all(|v| v.is_nan()));
-        let e = pool.take_stale(64);
-        assert_eq!(e.as_ptr(), small);
-    }
-
-    #[test]
-    fn stale_take_is_poisoned_in_debug_builds_and_unfilled_in_release() {
-        let pool = BufferPool::<u8>::new();
-        pool.take_stale(64).fill(7);
-        let stale = pool.take_stale(48);
-        assert_eq!(stale.len(), 48);
-        let want = if cfg!(debug_assertions) {
-            u8::POISON
-        } else {
-            7
-        };
-        assert!(stale.iter().all(|&v| v == want), "{:?}", &stale[..]);
-        drop(stale);
-        // Growing past the retired length fills the new tail either way.
-        let grown = pool.take_stale(100);
-        assert_eq!(grown.len(), 100);
-        assert!(grown[64..].iter().all(|&v| v == u8::POISON));
     }
 
     #[test]
