@@ -2,10 +2,13 @@
 //!
 //! Every committed artefact exercises `SimConfig::default()` only. These
 //! digests (FNV-1a of the `Debug` rendering — Rust prints `f64` round-trip
-//! exact) cover the default **and** a configuration that moves every
-//! constant the cost model reads, over the scheduler, the fleet, the
-//! serving façade and the simulator. A digest that moves means an f64
-//! operation was reordered: find it, do not re-record the constant.
+//! exact) cover the default **and** a configuration that moves four of the
+//! seven settable values (NPU peak throughput, kernel swap, int8 ratio and
+//! decoder clock), over the scheduler, the fleet, the serving façade and
+//! the simulator; a third configuration moves the other three (NPU
+//! utilisation, DRAM burst time, full-decode cycles per pixel) under the
+//! scheduler and the simulator. A digest that moves means an f64 operation
+//! was reordered: find it, do not re-record the constant.
 
 use vr_dann::{ComputeKind, ComputeMode, SchemeKind, SchemeTrace, TraceFrame};
 use vr_dann::{TrainTask, VrDann, VrDannConfig};
@@ -29,8 +32,8 @@ fn digest(value: &impl std::fmt::Debug) -> u64 {
     fnv1a(&format!("{value:?}"))
 }
 
-/// The default cost model and one with every constant it reads moved: a
-/// different (power-of-two) int8 ratio, a doubled kernel swap, half the
+/// The default cost model and one with four of its settable values moved:
+/// a different (power-of-two) int8 ratio, a doubled kernel swap, half the
 /// NPU throughput and a faster decoder clock.
 fn sims() -> [SimConfig; 2] {
     let mut moved = SimConfig::default();
@@ -138,14 +141,20 @@ fn plans() -> Vec<(Option<f64>, Option<ChaosConfig>)> {
     ]
 }
 
-#[test]
-fn schedule_bills_are_pinned() {
-    let sessions = [
+/// The four sessions every `schedule` pin replays: f32 and int8, short and
+/// long GOPs.
+fn sessions() -> [DrivenSession; 4] {
+    [
         session(0, 4, 3, ComputeMode::F32Reference),
         session(1, 4, 3, ComputeMode::Int8),
         session(2, 2, 11, ComputeMode::F32Reference),
         session(3, 2, 11, ComputeMode::Int8),
-    ];
+    ]
+}
+
+#[test]
+fn schedule_bills_are_pinned() {
+    let sessions = sessions();
     let mut got = Vec::new();
     for sim in sims() {
         for policy in [SchedPolicy::Fifo, SchedPolicy::Batch] {
@@ -264,8 +273,9 @@ fn fleet_bills_are_pinned() {
     check("run_fleet", &got, &FLEET);
 }
 
-#[test]
-fn simulator_bills_are_pinned() {
+/// A hand-built trace with all five compute kinds, interleaved so every
+/// switch direction and the zero-op pass-through occur.
+fn trace() -> SchemeTrace {
     let mv = |dst: u32, frame: u32, bi: Option<u32>| MvRecord {
         dst_x: dst,
         dst_y: dst / 2,
@@ -290,8 +300,6 @@ fn simulator_bills_are_pinned() {
         full_decode,
         bitstream_bytes: 700 + 13 * display as usize,
     };
-    // All five compute kinds, interleaved so every switch direction and
-    // the zero-op pass-through occur.
     let nns = |ops| ComputeKind::NnSRefine {
         ops,
         mvs: mvs.clone(),
@@ -335,13 +343,18 @@ fn simulator_bills_are_pinned() {
             true,
         ),
     ];
-    let trace = SchemeTrace {
+    SchemeTrace {
         scheme: SchemeKind::VrDann,
         width: 64,
         height: 48,
         mb_size: 8,
         frames,
-    };
+    }
+}
+
+#[test]
+fn simulator_bills_are_pinned() {
+    let trace = trace();
     let mut got = Vec::new();
     for sim in sims() {
         for mode in [
@@ -353,6 +366,43 @@ fn simulator_bills_are_pinned() {
         }
     }
     check("simulate", &got, &SIMULATE);
+}
+
+/// A third cost model moving the settable values neither of [`sims`]
+/// moves: NPU utilisation, the DRAM burst time and the decoder's cycles per
+/// fully reconstructed pixel.
+fn third_sim() -> SimConfig {
+    let mut sim = SimConfig::default();
+    sim.npu.utilization = 0.29;
+    sim.dram.burst_ns = 3.75;
+    sim.decoder.cycles_per_pixel_full = 23.1;
+    sim
+}
+
+#[test]
+fn bills_under_a_third_cost_model_are_pinned() {
+    let sim = third_sim();
+    let trace = trace();
+    let mut got = Vec::new();
+    for mode in [
+        ExecMode::InOrder,
+        ExecMode::VrDannSerial,
+        ExecMode::VrDannParallel(ParallelOptions::default()),
+    ] {
+        got.push(digest(&simulate(&trace, mode, &sim)));
+    }
+    let sessions = sessions();
+    for policy in [SchedPolicy::Fifo, SchedPolicy::Batch] {
+        for (deadline, plan) in plans() {
+            let cfg = SchedConfig {
+                shed_after_ns: deadline,
+                ..SchedConfig::default()
+            };
+            let out = schedule(&sessions, policy, &cfg, &sim, plan.as_ref()).unwrap();
+            got.push(digest(&out));
+        }
+    }
+    check("third cost model", &got, &THIRD);
 }
 
 #[test]
@@ -428,4 +478,21 @@ const SERVE: [u64; 4] = [
     0x27d3ed6ffa9eeeee,
     0xb6ba7a7c402ef4d4,
     0xa21ef6b5666461f9,
+];
+const THIRD: [u64; 15] = [
+    0xc0855dceba6db336,
+    0xe5b73df4bf78e571,
+    0x5170353ccf46c392,
+    0x3bb863f47a7240ba,
+    0xa29b3f8d22c18dc2,
+    0x55ecee63599c8fc7,
+    0xa165847aa4011a6d,
+    0x39f8ce8f3ff58dcf,
+    0xda33f69d8a49c9a4,
+    0xca9fc781d95e907d,
+    0x774b18082050f0ca,
+    0xda955f97616b62f0,
+    0xa046a1480d270f6c,
+    0xcade1cedff83fcda,
+    0xd2bdf11c2082afe4,
 ];
