@@ -107,21 +107,21 @@ pub(crate) fn run(ctx: &Context) -> Ablation {
         (
             "1 tmp_B buffer",
             ParallelOptions {
-                tmp_b_buffers: Some(1),
+                tmp_b_buffers: 1,
                 ..ParallelOptions::default()
             },
         ),
         (
             "2 tmp_B buffers",
             ParallelOptions {
-                tmp_b_buffers: Some(2),
+                tmp_b_buffers: 2,
                 ..ParallelOptions::default()
             },
         ),
         (
             "4 tmp_B buffers",
             ParallelOptions {
-                tmp_b_buffers: Some(4),
+                tmp_b_buffers: 4,
                 ..ParallelOptions::default()
             },
         ),

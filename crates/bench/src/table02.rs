@@ -2,11 +2,14 @@
 //! agent unit's hardware budget.
 
 use crate::table::Table;
-use vrd_sim::{AgentFootprint, SimConfig};
+use vrd_sim::{
+    AgentFootprint, SimConfig, AGENT_FREQ_HZ, B_Q_ENTRIES, IP_Q_ENTRIES, MV_T_ENTRIES,
+    NPU_BUFFER_BYTES, TMP_B_BUFFERS, TMP_B_BYTES,
+};
 
 /// Renders the configuration summary.
 pub(crate) fn render(cfg: &SimConfig) -> String {
-    let fp = AgentFootprint::from_config(&cfg.agent);
+    let fp = AgentFootprint::table_ii();
     let mut t = Table::new(vec!["component", "value"]);
     t.row(vec![
         "NPU compute (INT8)".to_string(),
@@ -14,12 +17,12 @@ pub(crate) fn render(cfg: &SimConfig) -> String {
     ]);
     t.row(vec![
         "NPU buffer".to_string(),
-        format!("{} MB", cfg.npu.buffer_bytes >> 20),
+        format!("{} MB", NPU_BUFFER_BYTES >> 20),
     ]);
     t.row(vec!["NPU frequency".to_string(), "1 GHz".to_string()]);
     t.row(vec![
         "Agent unit frequency".to_string(),
-        format!("{:.0} MHz", cfg.agent.freq_hz / 1e6),
+        format!("{:.0} MHz", AGENT_FREQ_HZ / 1e6),
     ]);
     t.row(vec![
         "Decoder frequency".to_string(),
@@ -29,22 +32,22 @@ pub(crate) fn render(cfg: &SimConfig) -> String {
         "tmp_B".to_string(),
         format!(
             "{} x {} KB = {} KB",
-            cfg.agent.tmp_b_buffers,
-            cfg.agent.tmp_b_bytes >> 10,
+            TMP_B_BUFFERS,
+            TMP_B_BYTES >> 10,
             fp.tmp_b_bytes >> 10
         ),
     ]);
     t.row(vec![
         "mv_T".to_string(),
-        format!("{} entries, {} B", cfg.agent.mv_t_entries, fp.mv_t_bytes),
+        format!("{} entries, {} B", MV_T_ENTRIES, fp.mv_t_bytes),
     ]);
     t.row(vec![
         "ip_Q".to_string(),
-        format!("{} entries, {} B", cfg.agent.ip_q_entries, fp.ip_q_bytes),
+        format!("{} entries, {} B", IP_Q_ENTRIES, fp.ip_q_bytes),
     ]);
     t.row(vec![
         "b_Q".to_string(),
-        format!("{} entries, {} B", cfg.agent.b_q_entries, fp.b_q_bytes),
+        format!("{} entries, {} B", B_Q_ENTRIES, fp.b_q_bytes),
     ]);
     t.row(vec![
         "agent control SRAM total".to_string(),

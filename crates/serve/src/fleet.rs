@@ -36,7 +36,7 @@
 //!    in parallel (workers claim shards one at a time — shard costs are
 //!    skewed by construction, so fixed chunks would serialise the hot tail).
 //!    A shard created at `t` starts serving at
-//!    `t + `[`vrd_sim::SimConfig::shard_spinup_ns`] — autoscaling pays its
+//!    `t + `[`vrd_sim::SHARD_SPINUP_NS`] — autoscaling pays its
 //!    provisioning latency on the simulated clock, not for free.
 //!
 //! Migrated sessions replay entirely on their final shard (migration is a
@@ -50,9 +50,9 @@ use crate::admission::{AdmissionController, RejectReason, SessionDemand, SloConf
 use crate::error::{Result, ServeError};
 use crate::loadgen::{SessionArrival, TrafficTrace};
 use crate::metrics::LatencyStats;
-use crate::sched::{schedule, SchedConfig, SchedPolicy, ScheduleOutcome};
+use crate::sched::{check_sim, schedule, SchedConfig, SchedPolicy, ScheduleOutcome};
 use crate::session::{DrivenSession, SessionSpec, SessionTemplate};
-use vrd_sim::SimConfig;
+use vrd_sim::{SimConfig, SHARD_SPINUP_NS};
 
 /// One stream the fleet can serve: a driven template plus the admission
 /// demand it was estimated with. Arrivals resolve to entries by
@@ -602,7 +602,7 @@ impl<'a> Walk<'a> {
         let threads = vrd_runtime::pool_threads(cfg.threads, jobs.len());
         vrd_runtime::parallel_map_with(&jobs, threads, |(shard, driven)| {
             let sched = SchedConfig {
-                npu_available_ns: shard.created_ns + cfg.sim.shard_spinup_ns(),
+                npu_available_ns: shard.created_ns + SHARD_SPINUP_NS,
                 ..cfg.sched
             };
             schedule(driven, cfg.policy, &sched, &cfg.sim, None)
@@ -632,7 +632,7 @@ impl<'a> Walk<'a> {
             // (an idle shard still pays spin-up plus static draw).
             let alive_until = outcome
                 .makespan_ns
-                .max(state.created_ns + sim.shard_spinup_ns())
+                .max(state.created_ns + SHARD_SPINUP_NS)
                 .max(state.retired_ns.unwrap_or(0.0));
             let energy_j = sim.shard_energy_j(outcome.busy_ns, alive_until - state.created_ns);
             energy_total += energy_j;
@@ -680,13 +680,15 @@ impl<'a> Walk<'a> {
 /// two-phase design.
 ///
 /// # Errors
-/// [`ServeError::Scheduler`] when the stream library is empty or a shard
-/// replay breaks an event-loop invariant.
+/// [`ServeError::Scheduler`] when `cfg.sim` fails
+/// [`SimConfig::validate`], the stream library is empty or a shard replay
+/// breaks an event-loop invariant.
 pub fn run_fleet(
     trace: &TrafficTrace,
     library: &[StreamEntry],
     cfg: &FleetConfig,
 ) -> Result<FleetReport> {
+    check_sim(&cfg.sim)?;
     if library.is_empty() {
         return Err(ServeError::Scheduler {
             time_ns: 0.0,
@@ -935,7 +937,7 @@ mod tests {
         // Spin-up is billed: no shard serves before it is up.
         for s in &report.shards {
             if s.outcome.frames_delivered() > 0 {
-                assert!(s.outcome.makespan_ns >= s.created_ns + sim.shard_spinup_ns());
+                assert!(s.outcome.makespan_ns >= s.created_ns + SHARD_SPINUP_NS);
             }
         }
     }

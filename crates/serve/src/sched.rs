@@ -110,7 +110,7 @@ pub struct SchedConfig {
     pub shed_after_ns: Option<f64>,
     /// Instant the NPU comes online (0 = always on). The fleet layer sets
     /// this to a shard's creation instant plus its spin-up cost
-    /// ([`vrd_sim::SimConfig::shard_spinup_ns`]), so work handed to a
+    /// ([`vrd_sim::SHARD_SPINUP_NS`]), so work handed to a
     /// freshly provisioned shard queues until the virtual device is up —
     /// autoscaling pays its provisioning latency on the same clock
     /// everything else runs on.
@@ -882,13 +882,24 @@ impl<'a> Replay<'a> {
     }
 }
 
+/// Rejects a cost model that would bill an infinite or NaN time, before
+/// anything is billed with it: the serving entry points report it as a
+/// scheduler error at t = 0.
+pub(crate) fn check_sim(sim: &SimConfig) -> Result<()> {
+    sim.validate().map_err(|detail| ServeError::Scheduler {
+        time_ns: 0.0,
+        detail: format!("invalid cost model: {detail}"),
+    })
+}
+
 /// Replays the merged work of `sessions` through the shared NPU under
 /// `policy`, against the fault plan `chaos` (`None` = no faults, shed-only
 /// pressure handling). Deterministic: ties between sessions break by
 /// admitted index.
 ///
 /// # Errors
-/// [`ServeError::Scheduler`] when an event-loop invariant breaks.
+/// [`ServeError::Scheduler`] at t = 0 when `sim` fails
+/// [`SimConfig::validate`], or when an event-loop invariant breaks.
 pub fn schedule(
     sessions: &[DrivenSession],
     policy: SchedPolicy,
@@ -896,6 +907,7 @@ pub fn schedule(
     sim: &SimConfig,
     chaos: Option<&ChaosConfig>,
 ) -> Result<ScheduleOutcome> {
+    check_sim(sim)?;
     let no_plan = ChaosConfig {
         faults: NpuFaultProfile::none(),
         recovery: RecoveryConfig::shed_only(),

@@ -13,7 +13,7 @@ use crate::admission::{
     AdmissionController, AdmissionProjection, RejectReason, SessionDemand, SloConfig,
 };
 use crate::error::{Result, ServeError};
-use crate::sched::{schedule, SchedConfig, SchedPolicy, ScheduleOutcome};
+use crate::sched::{check_sim, schedule, SchedConfig, SchedPolicy, ScheduleOutcome};
 use crate::session::{drive_template, DrivenSession, SessionSpec, SessionState};
 use vr_dann::VrDann;
 use vrd_codec::EncodedVideo;
@@ -157,13 +157,16 @@ pub fn admit_and_drive(
 /// batching. Deterministic for fixed inputs and configuration.
 ///
 /// # Errors
-/// Propagates decode/engine failures from any admitted session (with the
-/// session's identity attached) and scheduler invariant violations.
+/// [`ServeError::Scheduler`] at t = 0, before any session is driven, when
+/// `cfg.sim` fails [`SimConfig::validate`]; otherwise propagates
+/// decode/engine failures from any admitted session (with the session's
+/// identity attached) and scheduler invariant violations.
 pub fn serve(
     model: &VrDann,
     requests: &[SessionJob<'_>],
     cfg: &ServeConfig,
 ) -> Result<ServeReport> {
+    check_sim(&cfg.sim)?;
     let (decisions, sessions_driven, projected_utilization) =
         admit_and_drive(model, requests, cfg)?;
 

@@ -3,7 +3,11 @@
 
 use vr_dann::{ComputeMode, TrainTask, VrDann, VrDannConfig};
 use vrd_codec::EncodedVideo;
-use vrd_serve::{serve, SchedPolicy, ServeConfig, SessionDemand, SessionState, SloConfig};
+use vrd_serve::{
+    admit_and_drive, drive_template, generate, run_fleet, schedule, serve, FleetConfig,
+    LoadGenConfig, Result, SchedConfig, SchedPolicy, ServeConfig, ServeError, SessionDemand,
+    SessionState, SloConfig, StreamEntry,
+};
 use vrd_sim::SimConfig;
 use vrd_video::davis::{davis_train_suite, davis_val_suite, SuiteConfig};
 use vrd_video::Sequence;
@@ -170,5 +174,103 @@ fn int8_estimate_equals_the_restamped_f32_estimate() {
             assert!(estimated.nns_ns(&sim) < f32_demand.nns_ns(&sim));
             assert_eq!(estimated.nnl_ns(&sim), f32_demand.nnl_ns(&sim));
         }
+    }
+}
+
+fn spoilt(spoil: fn(&mut SimConfig)) -> SimConfig {
+    let mut sim = SimConfig::default();
+    spoil(&mut sim);
+    sim
+}
+
+/// One degenerate value of each settable field, with the field it must be
+/// rejected by. The first three once replayed to `Ok` with every frame
+/// delivered and an infinite or NaN makespan.
+fn spoilt_sims() -> Vec<(SimConfig, &'static str)> {
+    vec![
+        (spoilt(|s| s.npu.utilization = 0.0), "npu.utilization"),
+        (spoilt(|s| s.npu.utilization = f64::NAN), "npu.utilization"),
+        (spoilt(|s| s.npu.int8_speedup = 0.0), "npu.int8_speedup"),
+        (spoilt(|s| s.npu.utilization = 1.5), "npu.utilization"),
+        (
+            spoilt(|s| s.npu.peak_ops_per_s = f64::INFINITY),
+            "npu.peak_ops_per_s",
+        ),
+        (
+            spoilt(|s| s.npu.kernel_swap_ns = -1.0),
+            "npu.kernel_swap_ns",
+        ),
+        (spoilt(|s| s.decoder.freq_hz = -3e8), "decoder.freq_hz"),
+        (
+            spoilt(|s| s.decoder.cycles_per_pixel_full = 0.0),
+            "decoder.cycles_per_pixel_full",
+        ),
+        (spoilt(|s| s.dram.burst_ns = f64::NAN), "dram.burst_ns"),
+    ]
+}
+
+/// The error a degenerate cost model must produce: a scheduler error at
+/// t = 0 naming the field.
+fn assert_rejected<T: std::fmt::Debug>(got: Result<T>, field: &str) {
+    match got {
+        Err(ServeError::Scheduler { time_ns, detail }) => {
+            assert_eq!(time_ns, 0.0);
+            assert!(detail.contains(field), "{field}: {detail}");
+        }
+        other => panic!("{field}: billed {other:?}"),
+    }
+}
+
+#[test]
+fn schedule_rejects_a_degenerate_cost_model() {
+    let (model, seqs, encoded) = tiny_setup();
+    let requests: Vec<_> = seqs.iter().zip(&encoded).collect();
+    let (_, sessions, _) = admit_and_drive(&model, &requests, &ServeConfig::default()).unwrap();
+    let cfg = SchedConfig::default();
+    for (sim, field) in spoilt_sims() {
+        for policy in [SchedPolicy::Fifo, SchedPolicy::Batch] {
+            assert_rejected(schedule(&sessions, policy, &cfg, &sim, None), field);
+        }
+    }
+    // A free kernel swap and full utilisation are legal edges.
+    let edge = spoilt(|s| {
+        s.npu.kernel_swap_ns = 0.0;
+        s.npu.utilization = 1.0;
+    });
+    let out = schedule(&sessions, SchedPolicy::Batch, &cfg, &edge, None).unwrap();
+    assert!(out.makespan_ns.is_finite() && out.frames_delivered() == out.frames_offered);
+}
+
+#[test]
+fn serve_rejects_a_degenerate_cost_model_before_driving() {
+    let (model, seqs, encoded) = tiny_setup();
+    let requests: Vec<_> = seqs.iter().zip(&encoded).collect();
+    for (sim, field) in spoilt_sims() {
+        let cfg = ServeConfig {
+            sim,
+            ..ServeConfig::default()
+        };
+        assert_rejected(serve(&model, &requests, &cfg), field);
+    }
+}
+
+#[test]
+fn run_fleet_rejects_a_degenerate_cost_model_before_placing() {
+    let (model, seqs, encoded) = tiny_setup();
+    let library: Vec<StreamEntry> = seqs
+        .iter()
+        .zip(&encoded)
+        .map(|(seq, enc)| StreamEntry {
+            template: drive_template(&model, seq, enc, &SimConfig::default()).unwrap(),
+            demand: SessionDemand::estimate(&model, seq, enc, 1e6),
+        })
+        .collect();
+    let trace = generate(&LoadGenConfig::default());
+    for (sim, field) in spoilt_sims() {
+        let cfg = FleetConfig {
+            sim,
+            ..FleetConfig::default()
+        };
+        assert_rejected(run_fleet(&trace, &library, &cfg), field);
     }
 }

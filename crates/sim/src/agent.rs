@@ -9,10 +9,29 @@
 //! every motion vector fetches its 8×8 reference block independently with
 //! row-hostile addresses.
 
-use crate::config::AgentConfig;
 use crate::dram::Dram;
 use std::collections::BTreeSet;
 use vrd_codec::MvRecord;
+
+/// Agent-unit clock in Hz (600 MHz, Table II).
+pub const AGENT_FREQ_HZ: f64 = 600e6;
+/// Number of `tmp_B` reconstruction buffers (3 in the paper); the
+/// `tmp_B` ablation overrides it through `ParallelOptions`.
+pub const TMP_B_BUFFERS: usize = 3;
+/// Capacity of one `tmp_B` buffer in bytes (≈100 KB for 854×480 at
+/// 2 bits/pixel).
+pub const TMP_B_BYTES: usize = 100 << 10;
+/// `mv_T` capacity in entries (256).
+pub const MV_T_ENTRIES: usize = 256;
+/// Motion vectors the coalescing unit examines per cycle (32).
+const COALESCE_WIDTH: usize = 32;
+/// `ip_Q` capacity (8 entries).
+pub const IP_Q_ENTRIES: usize = 8;
+/// `b_Q` capacity (24 entries).
+pub const B_Q_ENTRIES: usize = 24;
+/// Energy of one `tmp_B` access in nanojoules (CACTI, 45 nm: the paper
+/// quotes 0.53 nJ for the 300 KB 32-bank array).
+pub(crate) const TMP_B_NJ_PER_ACCESS: f64 = 0.53;
 
 /// Outcome of reconstructing one B-frame.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -40,23 +59,24 @@ fn seg_base(frame: u32, width: usize, height: usize) -> u64 {
 
 /// Models the reconstruction of one B-frame by the agent unit.
 ///
-/// `start_ns` is when the motion vectors and reference segmentations are
-/// available; the returned outcome gives the completion time against the
-/// shared `dram` model.
-#[allow(clippy::too_many_arguments)] // the agent's full operand set: mvs, geometry, policy, models, time
+/// `mv_t_entries` is the `mv_T` window the coalescer sees at once
+/// ([`MV_T_ENTRIES`] on the modelled unit). `start_ns` is when the motion
+/// vectors and reference segmentations are available; the returned outcome
+/// gives the completion time against the shared `dram` model.
+#[allow(clippy::too_many_arguments)] // the agent's full operand set: mvs, geometry, policy, window, models, time
 pub(crate) fn reconstruct(
     mvs: &[MvRecord],
     width: usize,
     height: usize,
     mb_size: usize,
     coalesce: bool,
-    cfg: &AgentConfig,
+    mv_t_entries: usize,
     dram: &mut Dram,
     start_ns: f64,
 ) -> ReconOutcome {
     let row_bytes = (width / 8).max(1) as u64;
     let band_bytes = row_bytes * mb_size as u64;
-    let cycle_ns = 1e9 / cfg.freq_hz;
+    let cycle_ns = 1e9 / AGENT_FREQ_HZ;
 
     // Every reference a block needs (bi-ref entries contribute two).
     let refs: Vec<(u32, i32)> = mvs
@@ -79,7 +99,7 @@ pub(crate) fn reconstruct(
         // needed by two windows is fetched twice (the cost of the finite
         // table — invisible at small resolutions, measurable at HD).
         let mut total_scans = 0.0f64;
-        for window in refs.chunks(cfg.mv_t_entries.max(1)) {
+        for window in refs.chunks(mv_t_entries.max(1)) {
             // Group by (frame, band); unaligned sources span two bands.
             let mut bands: BTreeSet<(u32, u32)> = BTreeSet::new();
             for &(frame, src_y) in window {
@@ -97,7 +117,7 @@ pub(crate) fn reconstruct(
             // Coalescer scans the mv_T window (32 entries/cycle) once per
             // band.
             total_scans +=
-                bands.len() as f64 * (window.len() as f64 / cfg.coalesce_width as f64).ceil();
+                bands.len() as f64 * (window.len() as f64 / COALESCE_WIDTH as f64).ceil();
         }
         // Plus two dispatch cycles per reference block.
         agent_ns = (total_scans + 2.0 * refs.len() as f64) * cycle_ns;
@@ -146,18 +166,18 @@ pub struct AgentFootprint {
 }
 
 impl AgentFootprint {
-    /// Computes the footprint from a configuration.
-    pub fn from_config(cfg: &AgentConfig) -> Self {
+    /// The modelled unit's footprint: Table II's buffer and queue sizes.
+    pub fn table_ii() -> Self {
         // mv_T entry: 1 bi-ref bit + 4+4 index bits + 4 × 12 address bits.
         let mv_entry_bits = 1 + 4 + 4 + 4 * 12;
         // Queue entries: 8-bit id + status + 32-bit address (§IV-D).
         let ip_entry_bits = 8 + 1 + 1 + 32;
         let b_entry_bits = 8 + 2 + 32;
         Self {
-            tmp_b_bytes: cfg.tmp_b_buffers * cfg.tmp_b_bytes,
-            mv_t_bytes: (cfg.mv_t_entries * mv_entry_bits).div_ceil(8),
-            ip_q_bytes: (cfg.ip_q_entries * ip_entry_bits).div_ceil(8),
-            b_q_bytes: (cfg.b_q_entries * b_entry_bits).div_ceil(8),
+            tmp_b_bytes: TMP_B_BUFFERS * TMP_B_BYTES,
+            mv_t_bytes: (MV_T_ENTRIES * mv_entry_bits).div_ceil(8),
+            ip_q_bytes: (IP_Q_ENTRIES * ip_entry_bits).div_ceil(8),
+            b_q_bytes: (B_Q_ENTRIES * b_entry_bits).div_ceil(8),
         }
     }
 
@@ -191,17 +211,8 @@ mod tests {
     }
 
     fn run(mvs: &[MvRecord], coalesce: bool) -> ReconOutcome {
-        let mut dram = Dram::new(DramConfig::default());
-        reconstruct(
-            mvs,
-            160,
-            96,
-            8,
-            coalesce,
-            &AgentConfig::default(),
-            &mut dram,
-            0.0,
-        )
+        let mut dram = Dram::new(DramConfig::default().burst_ns);
+        reconstruct(mvs, 160, 96, 8, coalesce, MV_T_ENTRIES, &mut dram, 0.0)
     }
 
     /// A full B-frame worth of motion vectors pointing at two anchors.
@@ -262,12 +273,8 @@ mod tests {
             })
             .collect();
         let run_with = |entries: usize| {
-            let mut dram = Dram::new(DramConfig::default());
-            let cfg = AgentConfig {
-                mv_t_entries: entries,
-                ..AgentConfig::default()
-            };
-            reconstruct(&mvs, 160, 96, 8, true, &cfg, &mut dram, 0.0)
+            let mut dram = Dram::new(DramConfig::default().burst_ns);
+            reconstruct(&mvs, 160, 96, 8, true, entries, &mut dram, 0.0)
         };
         let small = run_with(256);
         let large = run_with(1024);
@@ -290,7 +297,7 @@ mod tests {
 
     #[test]
     fn footprint_matches_table_ii() {
-        let fp = AgentFootprint::from_config(&AgentConfig::default());
+        let fp = AgentFootprint::table_ii();
         assert_eq!(fp.tmp_b_bytes, 3 * (100 << 10));
         // Table II: queues and table below 2 KB total.
         assert!(fp.control_bytes() < 2048, "{} B", fp.control_bytes());

@@ -4,11 +4,22 @@
 //! the simulator's NPU and decoder lanes, the serving layer's scheduler,
 //! admission control and fleet placement — asks here: NPU service time per
 //! resident [`Model`] and precision, NN-L ↔ NN-S switch cost, decoder time
-//! per frame. The constants live in [`SimConfig`]; no other module
-//! combines them into nanoseconds.
+//! per frame. The values a caller varies are [`SimConfig`]'s fields, the
+//! rest are constants here and in the DRAM model; no other module combines
+//! them into nanoseconds.
 
 use crate::config::SimConfig;
 use vr_dann::{ComputeKind, ComputeMode};
+
+/// NPU on-chip buffer in bytes (8 MB, Table II): the weight working set
+/// refilled from DRAM when the large or flow network becomes resident.
+pub const NPU_BUFFER_BYTES: usize = 8 << 20;
+/// NN-S weight bytes per inference (the whole network: ~1 K params), the
+/// refill of a switch to the small model and its per-frame weight traffic.
+pub(crate) const NNS_WEIGHT_BYTES: usize = 1_024;
+/// Decoder cycles per pixel for B-frame motion-vector extraction only (no
+/// pixel reconstruction, no residual decode).
+const DECODER_CYCLES_PER_PIXEL_MV: f64 = 2.0;
 
 /// NPU-resident model families (switching between them costs time).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,8 +84,8 @@ impl SimConfig {
             return 0.0;
         }
         let refill_bytes = match next {
-            Model::Large | Model::Flow => self.npu.buffer_bytes,
-            Model::Small => self.cost.nns_weight_bytes,
+            Model::Large | Model::Flow => NPU_BUFFER_BYTES,
+            Model::Small => NNS_WEIGHT_BYTES,
         };
         refill_bytes as f64 / self.dram_bytes_per_ns() + self.npu.kernel_swap_ns
     }
@@ -92,7 +103,7 @@ impl SimConfig {
         let cycles_per_pixel = if full_decode {
             self.decoder.cycles_per_pixel_full
         } else {
-            self.decoder.cycles_per_pixel_mv
+            DECODER_CYCLES_PER_PIXEL_MV
         };
         let cycles = pixels as f64 * cycles_per_pixel;
         DecodeCost {

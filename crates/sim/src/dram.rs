@@ -7,7 +7,20 @@
 //! needs — sequential (coalesced) bursts ride the open row while scattered
 //! block fetches thrash it.
 
-use crate::config::DramConfig;
+/// Burst granularity in bytes (64 B = BL8 × 64-bit bus).
+pub(crate) const BURST_BYTES: usize = 64;
+/// Column access latency (CL) in nanoseconds.
+const CL_NS: f64 = 13.75;
+/// Row-to-column delay (tRCD) in nanoseconds.
+const RCD_NS: f64 = 13.75;
+/// Row precharge (tRP) in nanoseconds.
+const RP_NS: f64 = 13.75;
+/// Number of banks.
+const BANKS: usize = 8;
+/// Row-buffer size in bytes.
+const ROW_BYTES: usize = 8 << 10;
+/// Energy per byte transferred, in picojoules (DDR3 ballpark).
+pub(crate) const PJ_PER_BYTE: f64 = 60.0;
 
 /// Cumulative access statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -25,23 +38,25 @@ pub struct DramStats {
 /// The memory model.
 #[derive(Debug, Clone)]
 pub(crate) struct Dram {
-    cfg: DramConfig,
+    /// Data-bus time of one burst (the one settable DRAM timing).
+    burst_ns: f64,
     /// Open row per bank (`None` = precharged).
-    open_rows: Vec<Option<u64>>,
+    open_rows: [Option<u64>; BANKS],
     /// Time each bank becomes free, in nanoseconds.
-    bank_free_ns: Vec<f64>,
+    bank_free_ns: [f64; BANKS],
     /// Time the shared data bus becomes free.
     bus_free_ns: f64,
     stats: DramStats,
 }
 
 impl Dram {
-    /// Creates a memory model.
-    pub(crate) fn new(cfg: DramConfig) -> Self {
+    /// Creates a memory model whose bursts each hold the data bus for
+    /// `burst_ns`.
+    pub(crate) fn new(burst_ns: f64) -> Self {
         Self {
-            cfg,
-            open_rows: vec![None; cfg.banks],
-            bank_free_ns: vec![0.0; cfg.banks],
+            burst_ns,
+            open_rows: [None; BANKS],
+            bank_free_ns: [0.0; BANKS],
             bus_free_ns: 0.0,
             stats: DramStats::default(),
         }
@@ -53,8 +68,8 @@ impl Dram {
     }
 
     fn bank_and_row(&self, addr: u64) -> (usize, u64) {
-        let row = addr / self.cfg.row_bytes as u64;
-        ((row % self.cfg.banks as u64) as usize, row)
+        let row = addr / ROW_BYTES as u64;
+        ((row % BANKS as u64) as usize, row)
     }
 
     /// Issues a request of `bytes` starting at `addr`, arriving at
@@ -68,12 +83,12 @@ impl Dram {
         let mut cursor = addr;
         let mut remaining = bytes.max(1);
         while remaining > 0 {
-            let chunk = self.cfg.burst_bytes.min(remaining);
+            let chunk = BURST_BYTES.min(remaining);
             data_end = self.burst(cursor, arrival_ns);
-            cursor += self.cfg.burst_bytes as u64;
+            cursor += BURST_BYTES as u64;
             remaining -= chunk;
         }
-        data_end + self.cfg.cl_ns
+        data_end + CL_NS
     }
 
     fn burst(&mut self, addr: u64, ready_ns: f64) -> f64 {
@@ -88,20 +103,20 @@ impl Dram {
             }
             Some(_) => {
                 self.stats.row_conflicts += 1;
-                self.cfg.rp_ns + self.cfg.rcd_ns
+                RP_NS + RCD_NS
             }
             None => {
                 self.stats.row_misses += 1;
-                self.cfg.rcd_ns
+                RCD_NS
             }
         };
         self.open_rows[bank] = Some(row);
         // Data transfer occupies the shared bus once the bank is ready.
         let data_start = (start + activate_ns).max(self.bus_free_ns);
-        let data_end = data_start + self.cfg.burst_ns;
+        let data_end = data_start + self.burst_ns;
         self.bank_free_ns[bank] = data_end;
         self.bus_free_ns = data_end;
-        self.stats.bytes += self.cfg.burst_bytes as u64;
+        self.stats.bytes += BURST_BYTES as u64;
         data_end
     }
 }
@@ -109,9 +124,10 @@ impl Dram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::DramConfig;
 
     fn dram() -> Dram {
-        Dram::new(DramConfig::default())
+        Dram::new(DramConfig::default().burst_ns)
     }
 
     #[test]

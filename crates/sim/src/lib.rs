@@ -46,11 +46,12 @@ mod sched;
 mod timeline;
 mod traffic;
 
-pub use agent::AgentFootprint;
-pub use config::{
-    AgentConfig, CostConfig, DecoderConfig, DramConfig, NpuConfig, ShardConfig, SimConfig,
+pub use agent::{
+    AgentFootprint, AGENT_FREQ_HZ, B_Q_ENTRIES, IP_Q_ENTRIES, MV_T_ENTRIES, TMP_B_BUFFERS,
+    TMP_B_BYTES,
 };
-pub use cost::Model;
+pub use config::{DecoderConfig, DramConfig, NpuConfig, SimConfig, SHARD_SPINUP_NS};
+pub use cost::{Model, NPU_BUFFER_BYTES};
 pub use dram::DramStats;
 pub use report::{EnergyBreakdown, SimReport, TrafficBreakdown};
 pub use sched::{simulate, simulate_stream, simulate_traced, ExecMode, ParallelOptions};

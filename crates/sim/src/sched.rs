@@ -13,16 +13,34 @@
 //!   through the coalescing unit and the `tmp_B` buffers, and drains the
 //!   `b_Q` in batches, minimising model switches.
 
-use crate::agent;
+use crate::agent::{self, B_Q_ENTRIES, MV_T_ENTRIES, TMP_B_BUFFERS, TMP_B_NJ_PER_ACCESS};
 use crate::config::SimConfig;
 use crate::cost::Model;
-use crate::dram::Dram;
+use crate::dram::{self, Dram};
 use crate::report::{EnergyBreakdown, SimReport, TrafficBreakdown};
 use crate::timeline::{Lane, SpanKind, Timeline};
 use crate::traffic::frame_traffic;
 use std::collections::{BTreeMap, VecDeque};
 use vr_dann::{ComputeKind, ComputeMode, SchemeTrace, TraceFrame};
 use vrd_codec::MvRecord;
+
+/// NPU energy per operation in picojoules (Ascend-310 class: 16 TOPS at
+/// ~8 W ≈ 0.5 pJ/op).
+pub(crate) const NPU_PJ_PER_OP: f64 = 0.5;
+/// Energy per decoder cycle in picojoules.
+const DECODER_PJ_PER_CYCLE: f64 = 300.0;
+/// CPU time per motion-vector record for the *software* reconstruction of
+/// VR-DANN-serial, in nanoseconds. Covers the scattered DRAM read, the bit
+/// manipulation and the write — the paper's "CPU is generally very
+/// inefficient for the large scale random memory accessing".
+const CPU_NS_PER_MV: f64 = 2_500.0;
+/// CPU energy per motion-vector record of the software reconstruction
+/// (VR-DANN-serial only), in nanojoules.
+const CPU_NJ_PER_MV: f64 = 3.0;
+/// SoC static/idle power in milliwatts, charged over the whole execution
+/// window (slower schedules pay more idle energy — this is what separates
+/// VR-DANN-serial from -parallel in Fig. 13's energy).
+const SOC_STATIC_MW: f64 = 500.0;
 
 /// Options of the parallel architecture (the ablation knobs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,8 +51,8 @@ pub struct ParallelOptions {
     /// Lagged queue switching (§IV-B). Off = strict decode order (still
     /// hardware-reconstructed, but switching on every frame-type change).
     pub lagged_switching: bool,
-    /// Override the number of `tmp_B` buffers (None = config value).
-    pub tmp_b_buffers: Option<usize>,
+    /// Number of `tmp_B` buffers ([`TMP_B_BUFFERS`] on the modelled unit).
+    pub tmp_b_buffers: usize,
 }
 
 impl Default for ParallelOptions {
@@ -42,7 +60,7 @@ impl Default for ParallelOptions {
         Self {
             coalesce: true,
             lagged_switching: true,
-            tmp_b_buffers: None,
+            tmp_b_buffers: TMP_B_BUFFERS,
         }
     }
 }
@@ -196,7 +214,7 @@ fn simulate_impl(
 /// The single-pass simulator core shared by every entry point.
 ///
 /// State is O(b_Q): the only frames retained are the B-frames currently
-/// parked in the agent unit's `b_Q` (at most `cfg.agent.b_q_entries`), so a
+/// parked in the agent unit's `b_Q` (at most [`B_Q_ENTRIES`]), so a
 /// pipeline can feed the scheduler frame by frame with bounded memory.
 pub(crate) struct StreamSim<'a> {
     scheme: vr_dann::SchemeKind,
@@ -255,7 +273,7 @@ impl<'a> StreamSim<'a> {
             decode_spans: Vec::new(),
             n_frames: 0,
             total_ops: 0,
-            dram: Dram::new(cfg.dram),
+            dram: Dram::new(cfg.dram.burst_ns),
             traffic: TrafficBreakdown::default(),
             tmp_b_accesses: 0,
             serial_mvs: 0,
@@ -284,7 +302,7 @@ impl<'a> StreamSim<'a> {
         self.n_frames += 1;
         self.total_ops += f.kind.ops();
         self.traffic
-            .merge(&frame_traffic(f, self.width, self.height, &cfg.cost));
+            .merge(&frame_traffic(f, self.width, self.height));
 
         match self.mode {
             ExecMode::InOrder | ExecMode::VrDannSerial => {
@@ -295,7 +313,7 @@ impl<'a> StreamSim<'a> {
                         // Blocking CPU reconstruction: scattered accesses,
                         // nothing overlapped.
                         let refs = mvs.iter().map(|m| 1 + m.ref1.is_some() as u64).sum::<u64>();
-                        let ns = mvs.len() as f64 * cfg.cost.cpu_ns_per_mv;
+                        let ns = mvs.len() as f64 * CPU_NS_PER_MV;
                         if self.machine.record {
                             self.machine.timeline.record(
                                 Lane::Cpu,
@@ -319,7 +337,7 @@ impl<'a> StreamSim<'a> {
                 ComputeKind::NnSRefine { ops, mvs } => {
                     self.b_q.push((ready, f.display, *ops, mvs.clone()));
                     self.max_b_q = self.max_b_q.max(self.b_q.len());
-                    if self.b_q.len() >= cfg.agent.b_q_entries || !opts.lagged_switching {
+                    if self.b_q.len() >= B_Q_ENTRIES || !opts.lagged_switching {
                         self.drain_b_q(opts);
                     }
                 }
@@ -338,8 +356,7 @@ impl<'a> StreamSim<'a> {
 
     /// Reconstructs and refines every parked B-frame, in arrival order.
     fn drain_b_q(&mut self, opts: ParallelOptions) {
-        let cfg = self.machine.cfg;
-        let tmp_b = opts.tmp_b_buffers.unwrap_or(cfg.agent.tmp_b_buffers).max(1);
+        let tmp_b = opts.tmp_b_buffers.max(1);
         for (ready, display, ops, mvs) in std::mem::take(&mut self.b_q) {
             let refs_done = mvs
                 .iter()
@@ -358,7 +375,7 @@ impl<'a> StreamSim<'a> {
                 self.height,
                 self.mb_size,
                 opts.coalesce,
-                &cfg.agent,
+                MV_T_ENTRIES,
                 &mut self.dram,
                 start,
             );
@@ -389,20 +406,19 @@ impl<'a> StreamSim<'a> {
         if let ExecMode::VrDannParallel(opts) = self.mode {
             self.drain_b_q(opts);
         }
-        let cfg = self.machine.cfg;
         // Note: model-switch weight reloads are *not* added to the traffic —
         // per-inference weight streaming already accounts for the weight
         // bytes; the switch cost models the pipeline bubble (latency), not
         // new data.
         let total_ns = self.machine.t_npu.max(self.last_ready);
         let energy = EnergyBreakdown {
-            npu_mj: self.total_ops as f64 * cfg.cost.npu_pj_per_op / 1e9,
-            dram_mj: self.traffic.total() as f64 * cfg.dram.pj_per_byte / 1e9,
-            decoder_mj: self.decoder_cycles * cfg.decoder.pj_per_cycle / 1e9,
-            agent_mj: self.tmp_b_accesses as f64 * cfg.agent.tmp_b_nj_per_access / 1e6,
-            cpu_mj: self.serial_mvs as f64 * cfg.cost.cpu_nj_per_mv / 1e6,
+            npu_mj: self.total_ops as f64 * NPU_PJ_PER_OP / 1e9,
+            dram_mj: self.traffic.total() as f64 * dram::PJ_PER_BYTE / 1e9,
+            decoder_mj: self.decoder_cycles * DECODER_PJ_PER_CYCLE / 1e9,
+            agent_mj: self.tmp_b_accesses as f64 * TMP_B_NJ_PER_ACCESS / 1e6,
+            cpu_mj: self.serial_mvs as f64 * CPU_NJ_PER_MV / 1e6,
             // mW x ns = pJ; 1e9 pJ per mJ.
-            static_mj: total_ns * cfg.cost.soc_static_mw / 1e9,
+            static_mj: total_ns * SOC_STATIC_MW / 1e9,
         };
         let report = SimReport {
             scheme: self.scheme,
@@ -545,7 +561,7 @@ mod tests {
         );
         assert!(r.max_b_q_occupancy > 0, "no B-frames queued");
         assert!(
-            r.max_b_q_occupancy <= cfg.agent.b_q_entries,
+            r.max_b_q_occupancy <= B_Q_ENTRIES,
             "b_Q overflowed: {}",
             r.max_b_q_occupancy
         );
@@ -655,7 +671,7 @@ mod tests {
             simulate(
                 &vr,
                 ExecMode::VrDannParallel(ParallelOptions {
-                    tmp_b_buffers: Some(n),
+                    tmp_b_buffers: n,
                     ..ParallelOptions::default()
                 }),
                 &cfg,

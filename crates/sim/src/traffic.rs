@@ -1,24 +1,29 @@
 //! Per-frame DRAM traffic accounting (the inputs to Fig. 14).
 //!
-//! Constants live in [`CostConfig`]; this module
-//! applies them to a trace frame. The B-frame *segmentation* traffic (the
+//! The per-pixel and per-record constants live here; this module applies
+//! them to a trace frame. The B-frame *segmentation* traffic (the
 //! coalesced or scattered reference fetches) is measured by the agent-unit
 //! model at simulation time and added there — this module covers the
 //! statically known part.
 
-use crate::config::CostConfig;
+use crate::cost::NNS_WEIGHT_BYTES;
 use crate::report::TrafficBreakdown;
 use vr_dann::{ComputeKind, TraceFrame};
 use vrd_nn::{FEATURE_CHANNELS, FEATURE_STRIDE, NNL_HEAD_FRACTION};
 
+/// NN-L weight traffic per inference, in bytes per pixel of the frame
+/// (≈16 MB per 854×480 inference: the tiled weight working set streamed
+/// from DRAM).
+const NNL_WEIGHT_BYTES_PER_PIXEL: f64 = 39.0;
+/// NN-L intermediate-activation spill traffic, in bytes per pixel (feature
+/// maps that do not fit the 8 MB buffer).
+const NNL_ACTIVATION_BYTES_PER_PIXEL: f64 = 60.0;
+/// Bytes of one motion-vector record in DRAM (mv_T entry: ~8 B packed).
+const MV_RECORD_BYTES: usize = 8;
+
 /// Statically known traffic of one frame (everything except the agent
 /// unit's measured reconstruction fetches).
-pub(crate) fn frame_traffic(
-    f: &TraceFrame,
-    width: usize,
-    height: usize,
-    cost: &CostConfig,
-) -> TrafficBreakdown {
+pub(crate) fn frame_traffic(f: &TraceFrame, width: usize, height: usize) -> TrafficBreakdown {
     let px = (width * height) as u64;
     let mut t = TrafficBreakdown {
         bitstream: f.bitstream_bytes as u64,
@@ -30,23 +35,22 @@ pub(crate) fn frame_traffic(
     }
     match &f.kind {
         ComputeKind::NnL { .. } => {
-            t.weights += (cost.nnl_weight_bytes_per_pixel * px as f64) as u64;
+            t.weights += (NNL_WEIGHT_BYTES_PER_PIXEL * px as f64) as u64;
             // Raw frame read back + spilled feature maps + result write.
-            t.activations += 3 * px + (cost.nnl_activation_bytes_per_pixel * px as f64) as u64;
+            t.activations += 3 * px + (NNL_ACTIVATION_BYTES_PER_PIXEL * px as f64) as u64;
             t.seg += px / 8;
         }
         ComputeKind::FlowWarp { .. } => {
             // FlowNet: two raw frames in, a flow field out, plus the warp's
             // mask read/write. Weights/activations scaled to FlowNet's
             // share of the large network.
-            t.weights += (0.5 * cost.nnl_weight_bytes_per_pixel * px as f64) as u64;
-            t.activations +=
-                6 * px + (0.6 * cost.nnl_activation_bytes_per_pixel * px as f64) as u64;
+            t.weights += (0.5 * NNL_WEIGHT_BYTES_PER_PIXEL * px as f64) as u64;
+            t.activations += 6 * px + (0.6 * NNL_ACTIVATION_BYTES_PER_PIXEL * px as f64) as u64;
             t.seg += px / 4;
         }
         ComputeKind::NnSRefine { mvs, .. } => {
-            t.weights += cost.nns_weight_bytes as u64;
-            t.mv += (mvs.len() * cost.mv_record_bytes) as u64;
+            t.weights += NNS_WEIGHT_BYTES as u64;
+            t.mv += (mvs.len() * MV_RECORD_BYTES) as u64;
             // Sandwich read (two 1-bit masks + the 2-bit plane) and the
             // refined 1-bit result write.
             t.activations += px / 8 * 2 + px / 4;
@@ -64,10 +68,10 @@ pub(crate) fn frame_traffic(
             let feat_bytes = (px as f64 / (FEATURE_STRIDE * FEATURE_STRIDE) as f64
                 * FEATURE_CHANNELS as f64
                 * 4.0) as u64;
-            t.weights += (NNL_HEAD_FRACTION * cost.nnl_weight_bytes_per_pixel * px as f64) as u64;
-            t.mv += (mvs.len() * cost.mv_record_bytes) as u64;
+            t.weights += (NNL_HEAD_FRACTION * NNL_WEIGHT_BYTES_PER_PIXEL * px as f64) as u64;
+            t.mv += (mvs.len() * MV_RECORD_BYTES) as u64;
             t.activations += 3 * feat_bytes
-                + (NNL_HEAD_FRACTION * cost.nnl_activation_bytes_per_pixel * px as f64) as u64;
+                + (NNL_HEAD_FRACTION * NNL_ACTIVATION_BYTES_PER_PIXEL * px as f64) as u64;
             t.seg += px / 8;
         }
     }
@@ -91,8 +95,7 @@ mod tests {
 
     #[test]
     fn nnl_frame_dominated_by_weights_and_activations() {
-        let cost = CostConfig::default();
-        let t = frame_traffic(&frame(ComputeKind::NnL { ops: 1 }, true), 854, 480, &cost);
+        let t = frame_traffic(&frame(ComputeKind::NnL { ops: 1 }, true), 854, 480);
         let px = 854 * 480;
         assert_eq!(t.weights, (39.0 * px as f64) as u64);
         assert!(t.activations > t.weights); // 60 B/px spill + raw frames
@@ -102,8 +105,7 @@ mod tests {
 
     #[test]
     fn b_frame_traffic_is_tiny_by_comparison() {
-        let cost = CostConfig::default();
-        let nnl = frame_traffic(&frame(ComputeKind::NnL { ops: 1 }, true), 854, 480, &cost);
+        let nnl = frame_traffic(&frame(ComputeKind::NnL { ops: 1 }, true), 854, 480);
         let b = frame_traffic(
             &frame(
                 ComputeKind::NnSRefine {
@@ -114,7 +116,6 @@ mod tests {
             ),
             854,
             480,
-            &cost,
         );
         assert!(
             (b.total() as f64) < 0.02 * nnl.total() as f64,
@@ -128,9 +129,8 @@ mod tests {
 
     #[test]
     fn feat_head_sits_between_nns_and_nnl() {
-        let cost = CostConfig::default();
         let (w, h) = (854, 480);
-        let nnl = frame_traffic(&frame(ComputeKind::NnL { ops: 1 }, true), w, h, &cost);
+        let nnl = frame_traffic(&frame(ComputeKind::NnL { ops: 1 }, true), w, h);
         let nns = frame_traffic(
             &frame(
                 ComputeKind::NnSRefine {
@@ -141,7 +141,6 @@ mod tests {
             ),
             w,
             h,
-            &cost,
         );
         let head = frame_traffic(
             &frame(
@@ -153,7 +152,6 @@ mod tests {
             ),
             w,
             h,
-            &cost,
         );
         // The head moves a quarter of the weights and real feature maps —
         // far more than NN-S, far less than a full NN-L pass.
@@ -163,14 +161,13 @@ mod tests {
         let px = (w * h) as u64;
         assert_eq!(
             head.weights,
-            (NNL_HEAD_FRACTION * cost.nnl_weight_bytes_per_pixel * px as f64) as u64
+            (NNL_HEAD_FRACTION * NNL_WEIGHT_BYTES_PER_PIXEL * px as f64) as u64
         );
     }
 
     #[test]
     fn box_shift_costs_only_bitstream() {
-        let cost = CostConfig::default();
-        let t = frame_traffic(&frame(ComputeKind::BoxShift, true), 160, 96, &cost);
+        let t = frame_traffic(&frame(ComputeKind::BoxShift, true), 160, 96);
         // Full decode still writes the raw frame.
         assert_eq!(t.total(), 1000 + 3 * 160 * 96);
     }

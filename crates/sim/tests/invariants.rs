@@ -4,7 +4,7 @@
 
 use vr_dann::baselines::{encode_default, run_favos};
 use vr_dann::{TrainTask, VrDann, VrDannConfig};
-use vrd_sim::{simulate, ExecMode, ParallelOptions, SimConfig, SimReport};
+use vrd_sim::{simulate, ExecMode, ParallelOptions, SimConfig, SimReport, B_Q_ENTRIES};
 use vrd_video::davis::{davis_train_suite, davis_val_suite, SuiteConfig};
 
 fn reports_for_suite() -> Vec<(String, f64, SimReport, SimReport, SimReport)> {
@@ -78,7 +78,6 @@ fn scheme_ordering_holds_on_every_video() {
 
 #[test]
 fn accounting_is_internally_consistent() {
-    let sim = SimConfig::default();
     for (name, _b_ratio, favos, serial, parallel) in reports_for_suite() {
         for r in [&favos, &serial, &parallel] {
             // Busy + switch + stalls can never exceed the wall clock.
@@ -109,7 +108,7 @@ fn accounting_is_internally_consistent() {
             );
         }
         // Queue bound holds.
-        assert!(parallel.max_b_q_occupancy <= sim.agent.b_q_entries);
+        assert!(parallel.max_b_q_occupancy <= B_Q_ENTRIES);
         // Only serial pays CPU reconstruction; only parallel uses the agent.
         assert_eq!(favos.cpu_recon_ns, 0.0, "{name}");
         assert!(serial.cpu_recon_ns > 0.0, "{name}");
@@ -120,7 +119,6 @@ fn accounting_is_internally_consistent() {
 
 #[test]
 fn parallel_switches_bounded_by_queue_drains() {
-    let sim = SimConfig::default();
     for (name, _b_ratio, _favos, serial, parallel) in reports_for_suite() {
         // Lagged switching: far fewer switches than the serial decode-order
         // flow, and at most two per b_Q drain (in plus out).
@@ -131,7 +129,7 @@ fn parallel_switches_bounded_by_queue_drains() {
         let drains = parallel
             .max_b_q_occupancy
             .max(1)
-            .div_ceil(sim.agent.b_q_entries)
+            .div_ceil(B_Q_ENTRIES)
             .max(1);
         let _ = drains; // at least one drain happened if any B-frames exist
         assert!(parallel.switches >= 1, "{name}: no switches at all");
