@@ -180,7 +180,6 @@ fn resolve_shapes(trace: &mut TrafficTrace) {
 fn bench_slo(library: &[StreamEntry], ctx: &Context) -> SloConfig {
     SloConfig {
         target_p99_ns: 8.0 * library[0].demand.unloaded_anchor_ns(&ctx.sim),
-        ..SloConfig::default()
     }
 }
 
@@ -207,7 +206,8 @@ fn scaling_trace(shards: usize, library: &[StreamEntry], base_interval_ns: f64) 
         },
         churn_rate: 0.05,
         heterogeneous: true,
-    });
+    })
+    .expect("the bench trace config is valid");
     resolve_shapes(&mut trace);
     trace
 }
@@ -300,7 +300,8 @@ pub(crate) fn run(ctx: &Context) -> FleetBench {
         },
         churn_rate: 0.1,
         heterogeneous: true,
-    });
+    })
+    .expect("the bench trace config is valid");
     resolve_shapes(&mut spike_trace);
     let spike_cfg = FleetConfig {
         min_shards: 2,

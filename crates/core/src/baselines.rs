@@ -9,7 +9,7 @@ use crate::engine::run_display_order;
 use crate::error::Result;
 use crate::trace::{ComputeKind, ConcealmentStats, SchemeKind};
 use vrd_codec::EncodedVideo;
-use vrd_flow::{estimate, FlowConfig};
+use vrd_flow::estimate;
 use vrd_nn::{LargeNet, LargeNetProfile, FLOWNET_OPS_PER_PIXEL};
 use vrd_video::texture::hash2;
 use vrd_video::{Detection, Rect, SegMask, Sequence};
@@ -81,7 +81,6 @@ pub fn run_dff(
 ) -> SegmentationRun {
     let nnl = LargeNet::new(LargeNetProfile::dff_key());
     let (w, h) = (seq.width(), seq.height());
-    let flow_cfg = FlowConfig::default();
     let flow_ops = (FLOWNET_OPS_PER_PIXEL * (w * h) as f64) as u64;
 
     let (masks, trace) = run_display_order(seq, encoded, SchemeKind::Dff, |d, prev| {
@@ -95,7 +94,7 @@ pub fn run_dff(
             // the consecutive-frame flow (small displacements match well;
             // errors accumulate with distance from the key frame, which is
             // DFF's characteristic failure mode).
-            let flow = estimate(&seq.frames[d], &seq.frames[d - 1], &flow_cfg);
+            let flow = estimate(&seq.frames[d], &seq.frames[d - 1]);
             (
                 flow.warp_mask(&prev[d - 1]),
                 ComputeKind::FlowWarp { ops: flow_ops },
@@ -151,7 +150,6 @@ pub fn run_euphrates(
 ) -> DetectionRun {
     let nnl = LargeNet::new(LargeNetProfile::selsa());
     let (w, h) = (seq.width(), seq.height());
-    let flow_cfg = FlowConfig::default();
 
     let (detections, trace) = run_display_order(seq, encoded, SchemeKind::Euphrates, |d, prev| {
         if d % key_interval == 0 {
@@ -161,7 +159,7 @@ pub fn run_euphrates(
             )
         } else {
             // Shift the previous frame's boxes by their mean motion.
-            let flow = estimate(&seq.frames[d], &seq.frames[d - 1], &flow_cfg);
+            let flow = estimate(&seq.frames[d], &seq.frames[d - 1]);
             let moved = prev[d - 1]
                 .iter()
                 .map(|det| {

@@ -58,7 +58,7 @@ use vrd_codec::{
     ConcealReason, DecodeOutcome, DecodedUnit, EncodedVideo, FrameSource, FrameType, StreamInfo,
     UnitPayload,
 };
-use vrd_nn::{ComputeMode, LargeNet, NnS, QuantNnS};
+use vrd_nn::{ComputeMode, LargeNet, LargeNetProfile, NnS, QuantNnS};
 use vrd_video::texture::hash2;
 use vrd_video::{Detection, SegMask, Sequence};
 
@@ -314,7 +314,7 @@ impl<'s> StreamTask<'s> for DetTask<'s> {
     fn for_stream(seq: &'s Sequence, cfg: &VrDannConfig, info: &StreamInfo) -> Self {
         Self {
             seq,
-            nnl: LargeNet::new(cfg.detect_profile),
+            nnl: LargeNet::new(LargeNetProfile::selsa()),
             seed: cfg.seed,
             w: info.width,
             h: info.height,
@@ -486,23 +486,20 @@ pub struct StepWork {
 }
 
 /// Decoded units the stage channel between the decode and compute lanes
-/// buffers by default — the software analogue of the paper's small on-chip
+/// buffers — the software analogue of the paper's small on-chip
 /// `ip_Q`/`b_Q` frame queues between the decoder and the NPU.
-const DEFAULT_STAGE_CAPACITY: usize = 8;
+const STAGE_CAPACITY: usize = 8;
 
 /// The lanes of [`PipelineEngine::drive`]: passing one moves the source
 /// onto a decode-lane thread and lets B-frame mask computation wait in the
-/// wave for the next barrier. `Default` resolves both fields: worker count
-/// from [`vrd_runtime::max_threads`] (which honours `VRD_THREADS`), channel
-/// capacity 8.
+/// wave for the next barrier. The stage channel between the lanes holds 8
+/// decoded units.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PipelineOptions {
     /// Wave-front worker threads for B-frame reconstruction + refinement
-    /// (`None` → `max_threads()`). The decode lane always adds one more
-    /// thread on top.
+    /// (`None` → [`vrd_runtime::max_threads`], which honours
+    /// `VRD_THREADS`). The decode lane always adds one more thread on top.
     pub threads: Option<usize>,
-    /// Bounded capacity of the decode→compute stage channel (`None` → 8).
-    pub channel_capacity: Option<usize>,
 }
 
 /// One planned B-frame mask computation: everything the pure
@@ -1088,9 +1085,8 @@ impl<'a, T: TaskPolicy, P: FaultPolicy> PipelineEngine<'a, T, P> {
     /// [`TaskPolicy`] × [`FaultPolicy`] at every `lanes` value — all
     /// stateful decisions execute sequentially in decode order; only pure
     /// per-frame mask computation runs concurrently. Memory stays bounded:
-    /// the source keeps its own O(GOP) window, at most
-    /// `opts.channel_capacity` decoded units sit in the channel, and a wave
-    /// holds at most O(GOP) planned jobs.
+    /// the source keeps its own O(GOP) window, at most 8 decoded units sit
+    /// in the channel, and a wave holds at most O(GOP) planned jobs.
     ///
     /// `observe` is called on this thread after each step that emitted
     /// work, with the engine, the index of the unit in decode order and
@@ -1129,12 +1125,10 @@ impl<'a, T: TaskPolicy, P: FaultPolicy> PipelineEngine<'a, T, P> {
             self.pump(std::iter::from_fn(|| source.next_unit()), &mut observe)?;
             return self.finish(source.totals(), source.peak_live_frames());
         };
-        // A zero in either field is clamped to 1 by `parallel_map_with` and
-        // `stage_channel` themselves.
+        // Zero threads is clamped to 1 by `parallel_map_with` itself.
         let threads = opts.threads.unwrap_or_else(vrd_runtime::max_threads);
         self.wave = Wave::new(Some(threads));
-        let capacity = opts.channel_capacity.unwrap_or(DEFAULT_STAGE_CAPACITY);
-        let (tx, rx) = vrd_runtime::stage_channel(capacity);
+        let (tx, rx) = vrd_runtime::stage_channel(STAGE_CAPACITY);
         let (pumped, lane) = std::thread::scope(|s| {
             let decode_lane = s.spawn(move || {
                 while let Some(unit) = source.next_unit() {

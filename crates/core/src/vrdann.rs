@@ -35,8 +35,6 @@ pub struct VrDannConfig {
     pub codec: CodecConfig,
     /// NN-S hidden channel width.
     pub nns_hidden: usize,
-    /// NN-S training recipe (paper: 2 epochs).
-    pub train: TrainConfig,
     /// Run NN-S refinement on B-frames (off = raw reconstruction ablation).
     pub refine: bool,
     /// Use the sandwich input (off = reconstruction-only ablation).
@@ -44,10 +42,9 @@ pub struct VrDannConfig {
     /// Reconstruction options (mean filter et al.).
     pub recon: ReconConfig,
     /// The NN-L used on anchor frames for segmentation (paper: FAVOS's
-    /// ROI-SegNet).
+    /// ROI-SegNet). Detection always runs SELSA's
+    /// ([`LargeNetProfile::selsa`]).
     pub segment_profile: LargeNetProfile,
-    /// The NN-L used on anchor frames for detection.
-    pub detect_profile: LargeNetProfile,
     /// Seed for NN-S initialisation and the NN-L oracles.
     pub seed: u64,
     /// Optional adaptive fallback (§VI-A: "we can always refine the VR-DANN
@@ -71,12 +68,10 @@ impl Default for VrDannConfig {
         Self {
             codec: CodecConfig::default(),
             nns_hidden: 8,
-            train: TrainConfig::default(),
             refine: true,
             sandwich: true,
             recon: ReconConfig::default(),
             segment_profile: LargeNetProfile::favos(),
-            detect_profile: LargeNetProfile::selsa(),
             seed: 0xda77,
             fallback_mv_threshold: None,
             compute: ComputeMode::F32Reference,
@@ -195,34 +190,30 @@ pub enum RunInput<'a> {
     Resilient(&'a PacketStream, &'a ResilienceOptions),
 }
 
-/// Rejects an NN-L profile with a non-finite field: the oracle would turn
-/// it into NaN masks and detection scores.
-fn check_profiles(cfg: &VrDannConfig) -> Result<()> {
-    for (which, p) in [
-        ("segment_profile", &cfg.segment_profile),
-        ("detect_profile", &cfg.detect_profile),
-    ] {
-        let fields = [
-            ("warp_amp", f64::from(p.warp_amp)),
-            ("warp_scale", f64::from(p.warp_scale)),
-            ("speckle", f64::from(p.speckle)),
-            ("box_jitter", f64::from(p.box_jitter)),
-            ("miss_prob", f64::from(p.miss_prob)),
-            ("ops_per_pixel", p.ops_per_pixel),
-        ];
-        if let Some((field, v)) = fields.into_iter().find(|(_, v)| !v.is_finite()) {
-            return Err(VrDannError::InvalidConfig(format!(
-                "{which} `{}`: {field} is {v}",
-                p.name
-            )));
-        }
-        // The displacement field's lattice spacing, in pixels.
-        if p.warp_scale <= 0.0 {
-            return Err(VrDannError::InvalidConfig(format!(
-                "{which} `{}`: warp_scale is {}, must be positive",
-                p.name, p.warp_scale
-            )));
-        }
+/// Rejects a segmentation NN-L profile with a non-finite field: the oracle
+/// would turn it into NaN masks.
+fn check_profile(cfg: &VrDannConfig) -> Result<()> {
+    let p = &cfg.segment_profile;
+    let fields = [
+        ("warp_amp", f64::from(p.warp_amp)),
+        ("warp_scale", f64::from(p.warp_scale)),
+        ("speckle", f64::from(p.speckle)),
+        ("box_jitter", f64::from(p.box_jitter)),
+        ("miss_prob", f64::from(p.miss_prob)),
+        ("ops_per_pixel", p.ops_per_pixel),
+    ];
+    if let Some((field, v)) = fields.into_iter().find(|(_, v)| !v.is_finite()) {
+        return Err(VrDannError::InvalidConfig(format!(
+            "segment_profile `{}`: {field} is {v}",
+            p.name
+        )));
+    }
+    // The displacement field's lattice spacing, in pixels.
+    if p.warp_scale <= 0.0 {
+        return Err(VrDannError::InvalidConfig(format!(
+            "segment_profile `{}`: warp_scale is {}, must be positive",
+            p.name, p.warp_scale
+        )));
     }
     Ok(())
 }
@@ -250,11 +241,11 @@ impl VrDann {
     /// ground truth as label, two epochs.
     ///
     /// # Errors
-    /// Returns [`VrDannError::InvalidConfig`] if an NN-L profile has a
+    /// Returns [`VrDannError::InvalidConfig`] if `segment_profile` has a
     /// non-finite field; fails if encoding fails or the training set
     /// contains no B-frames.
     pub fn train(train_seqs: &[Sequence], task: TrainTask, cfg: VrDannConfig) -> Result<Self> {
-        check_profiles(&cfg)?;
+        check_profile(&cfg)?;
         let encoder = Encoder::new(cfg.codec);
         let mut samples = Vec::new();
         for seq in train_seqs {
@@ -294,7 +285,7 @@ impl VrDann {
             ));
         }
         let mut nns = NnS::new(cfg.nns_hidden, cfg.seed);
-        vrd_nn::train(&mut nns, &samples, &cfg.train);
+        vrd_nn::train(&mut nns, &samples, &TrainConfig::default());
         // Calibrate the quantized path's activation scales on (a slice of)
         // the training inputs. This only observes activations — weights and
         // the f32 inference path are untouched.
@@ -330,11 +321,11 @@ impl VrDann {
     /// Rebuilds a pipeline from a configuration and serialised NN-S bytes.
     ///
     /// # Errors
-    /// Returns [`VrDannError::InvalidConfig`] if an NN-L profile has a
+    /// Returns [`VrDannError::InvalidConfig`] if `segment_profile` has a
     /// non-finite field, the bytes do not hold a valid model or its width
     /// differs from `cfg.nns_hidden`.
     pub fn from_parts(cfg: VrDannConfig, nns_bytes: &[u8]) -> Result<Self> {
-        check_profiles(&cfg)?;
+        check_profile(&cfg)?;
         let nns = vrd_nn::load_nns(nns_bytes)
             .map_err(|e| VrDannError::InvalidConfig(format!("bad NN-S model: {e}")))?;
         if nns.hidden() != cfg.nns_hidden {
@@ -631,22 +622,22 @@ mod tests {
             (scale(-0.0), "warp_scale is -0, must be positive"),
             (scale(-3.5), "warp_scale is -3.5, must be positive"),
         ] {
-            for which in ["segment_profile", "detect_profile"] {
-                let mut bad = *model.config();
-                match which {
-                    "segment_profile" => bad.segment_profile = profile,
-                    _ => bad.detect_profile = profile,
-                }
-                for result in [
-                    VrDann::from_parts(bad, &bytes),
-                    VrDann::train(&train, TrainTask::Detection, bad),
-                ] {
-                    match result {
-                        Err(VrDannError::InvalidConfig(msg)) => {
-                            assert!(msg.contains(which) && msg.contains(complaint), "{msg}");
-                        }
-                        other => panic!("expected InvalidConfig, got {other:?}"),
+            let bad = VrDannConfig {
+                segment_profile: profile,
+                ..*model.config()
+            };
+            for result in [
+                VrDann::from_parts(bad, &bytes),
+                VrDann::train(&train, TrainTask::Detection, bad),
+            ] {
+                match result {
+                    Err(VrDannError::InvalidConfig(msg)) => {
+                        assert!(
+                            msg.contains("segment_profile") && msg.contains(complaint),
+                            "{msg}"
+                        );
                     }
+                    other => panic!("expected InvalidConfig, got {other:?}"),
                 }
             }
         }

@@ -197,7 +197,6 @@ fn pipelined_engine_memory_stays_bounded_under_anchor_loss() {
     for threads in [2, 8] {
         let opts = PipelineOptions {
             threads: Some(threads),
-            channel_capacity: None,
         };
         let run = model
             .run::<SegTask>(

@@ -49,10 +49,7 @@ fn model() -> &'static VrDann {
 /// (which must agree).
 fn segment_digest(seqs: &[Sequence]) -> u64 {
     let model = model();
-    let lanes = PipelineOptions {
-        threads: Some(2),
-        channel_capacity: None,
-    };
+    let lanes = PipelineOptions { threads: Some(2) };
     let mut masks = Vec::new();
     for seq in seqs {
         let encoded = model.encode(seq).unwrap();

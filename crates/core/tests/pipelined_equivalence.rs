@@ -1,9 +1,9 @@
 //! One table pinning the engine driver's lanes invisible in every output:
 //! {segmentation, detection, feature propagation} × {strict, resilient with
 //! damage} through the generic `VrDann::run`, each compared between no
-//! lanes and lanes at 1/2/4/8 worker threads × channel capacities
-//! 1/2/4/default — same outputs, trace, concealment counters and
-//! live-frame/feature peaks. Random GOP shapes and the fallback barrier
+//! lanes and lanes at 1/2/4/8 worker threads — same outputs, trace,
+//! concealment counters and live-frame/feature peaks, with no more decoded
+//! units in flight than the engine's 8-unit stage channel holds. Random GOP shapes and the fallback barrier
 //! feed the same check; the observer, checkpoint and panicking-lane
 //! contracts of `PipelineEngine::drive` are pinned below it.
 
@@ -25,7 +25,9 @@ use vrd_video::davis::{davis_sequence, davis_train_suite, SuiteConfig};
 use vrd_video::Sequence;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
-const CAPACITIES: [Option<usize>; 4] = [Some(1), Some(2), Some(4), None];
+/// The engine's stage channel capacity: at most this many decoded units
+/// are ever in flight between the lanes.
+const STAGE_CAPACITY: usize = 8;
 const SEQ_NAMES: [&str; 4] = ["cows", "dog", "goat", "parkour"];
 
 fn trained(task: TrainTask) -> VrDann {
@@ -85,15 +87,10 @@ fn damaged(encoded: &EncodedVideo, seed: u64, rate: f64, kinds: &[FaultKind]) ->
 }
 
 /// The single check: task `T` over `input` without lanes, then with lanes
-/// at every thread count × `capacities`; every laned run must equal the
-/// inline one and keep its in-flight units within the channel capacity.
-fn check_lanes<'s, T>(
-    model: &VrDann,
-    seq: &'s Sequence,
-    input: RunInput<'_>,
-    capacities: &[Option<usize>],
-    label: &str,
-) where
+/// at every thread count; every laned run must equal the inline one and
+/// keep its in-flight units within the channel capacity.
+fn check_lanes<'s, T>(model: &VrDann, seq: &'s Sequence, input: RunInput<'_>, label: &str)
+where
     T: StreamTask<'s>,
     T::Output: PartialEq + Debug,
 {
@@ -101,33 +98,30 @@ fn check_lanes<'s, T>(
     assert_eq!(inline.outputs.len(), seq.len(), "{label}");
     assert_eq!(inline.peak_inflight_units, 0, "{label}: no lanes, no queue");
     for threads in THREADS {
-        for &channel_capacity in capacities {
-            let opts = PipelineOptions {
-                threads: Some(threads),
-                channel_capacity,
-            };
-            let at = format!("{label}, {threads} threads, capacity {channel_capacity:?}");
-            let laned = model.run::<T>(seq, input, Some(&opts)).unwrap();
-            assert_eq!(inline.outputs, laned.outputs, "outputs diverged: {at}");
-            assert_eq!(inline.trace, laned.trace, "trace diverged: {at}");
-            assert_eq!(
-                inline.concealment, laned.concealment,
-                "concealment diverged: {at}"
-            );
-            assert_eq!(
-                inline.peak_live_frames, laned.peak_live_frames,
-                "live-frame accounting diverged: {at}"
-            );
-            assert_eq!(
-                inline.peak_live_features, laned.peak_live_features,
-                "feature accounting diverged: {at}"
-            );
-            assert!(
-                laned.peak_inflight_units <= channel_capacity.unwrap_or(8),
-                "{} units in flight: {at}",
-                laned.peak_inflight_units
-            );
-        }
+        let opts = PipelineOptions {
+            threads: Some(threads),
+        };
+        let at = format!("{label}, {threads} threads");
+        let laned = model.run::<T>(seq, input, Some(&opts)).unwrap();
+        assert_eq!(inline.outputs, laned.outputs, "outputs diverged: {at}");
+        assert_eq!(inline.trace, laned.trace, "trace diverged: {at}");
+        assert_eq!(
+            inline.concealment, laned.concealment,
+            "concealment diverged: {at}"
+        );
+        assert_eq!(
+            inline.peak_live_frames, laned.peak_live_frames,
+            "live-frame accounting diverged: {at}"
+        );
+        assert_eq!(
+            inline.peak_live_features, laned.peak_live_features,
+            "feature accounting diverged: {at}"
+        );
+        assert!(
+            laned.peak_inflight_units <= STAGE_CAPACITY,
+            "{} units in flight: {at}",
+            laned.peak_inflight_units
+        );
     }
 }
 
@@ -144,10 +138,10 @@ fn every_task_and_input_is_lane_invariant() {
     let lossy = damaged(&encoded, 0xdec0de, 0.25, &kinds);
     let strict = RunInput::Strict(&encoded);
     let resilient = RunInput::Resilient(&lossy, &res);
-    check_lanes::<SegTask>(seg, &seq, strict, &CAPACITIES, "strict seg");
-    check_lanes::<SegTask>(seg, &seq, resilient, &CAPACITIES, "resilient seg");
-    check_lanes::<FeatPropTask>(seg, &seq, strict, &CAPACITIES, "strict featprop");
-    check_lanes::<FeatPropTask>(seg, &seq, resilient, &CAPACITIES, "resilient featprop");
+    check_lanes::<SegTask>(seg, &seq, strict, "strict seg");
+    check_lanes::<SegTask>(seg, &seq, resilient, "resilient seg");
+    check_lanes::<FeatPropTask>(seg, &seq, strict, "strict featprop");
+    check_lanes::<FeatPropTask>(seg, &seq, resilient, "resilient featprop");
     // The damage costs anchors, and B-frames naming a lost anchor go down
     // the mask-space ladder instead of failing the feature warp.
     let fp = seg.run::<FeatPropTask>(&seq, resilient, None).unwrap();
@@ -164,8 +158,8 @@ fn every_task_and_input_is_lane_invariant() {
     let lossy = damaged(&encoded, 0xdec0de, 0.25, &kinds);
     let strict = RunInput::Strict(&encoded);
     let resilient = RunInput::Resilient(&lossy, &res);
-    check_lanes::<DetTask>(&det, &seq, strict, &CAPACITIES, "strict det");
-    check_lanes::<DetTask>(&det, &seq, resilient, &CAPACITIES, "resilient det");
+    check_lanes::<DetTask>(&det, &seq, strict, "strict det");
+    check_lanes::<DetTask>(&det, &seq, resilient, "resilient det");
 }
 
 proptest! {
@@ -177,7 +171,6 @@ proptest! {
         bmode_sel in 0usize..9,
         seq_sel in 0usize..4,
         frames in 24usize..56,
-        cap in 1usize..9,
     ) {
         let base = seg_model();
         let model = redeploy(base, VrDannConfig {
@@ -190,7 +183,6 @@ proptest! {
             &model,
             &seq,
             RunInput::Strict(&encoded),
-            &[Some(cap)],
             &format!("strict seg, gop {gop_sel}/{bmode_sel}, {frames} frames"),
         );
     }
@@ -221,7 +213,6 @@ proptest! {
             &model,
             &seq,
             RunInput::Resilient(&lossy, &res),
-            &[None],
             &format!("resilient seg, seed {fault_seed}, rate {rate_pct}%"),
         );
     }
@@ -252,13 +243,7 @@ fn adaptive_fallback_barrier_is_lane_invariant() {
             .any(|f| f.kind.uses_large_model()),
         "fallback rerouted nothing; the barrier under test never fired"
     );
-    check_lanes::<SegTask>(
-        &model,
-        &seq,
-        RunInput::Strict(&encoded),
-        &[Some(2)],
-        "fallback",
-    );
+    check_lanes::<SegTask>(&model, &seq, RunInput::Strict(&encoded), "fallback");
 }
 
 /// What an observer sees over one drive: the `(unit_index, StepWork)`
@@ -347,7 +332,6 @@ fn observer_and_anchor_checkpoints_are_lane_invariant() {
         for threads in THREADS {
             let opts = PipelineOptions {
                 threads: Some(threads),
-                channel_capacity: Some(2),
             };
             let laned = run(Some(&opts));
             assert_eq!(inline.steps, laned.steps, "{label}, {threads} threads");
@@ -401,7 +385,6 @@ fn panicking_decode_lane_is_an_error_not_a_crash() {
     for threads in [1, 4] {
         let opts = PipelineOptions {
             threads: Some(threads),
-            channel_capacity: None,
         };
         let err = drive(Some(&opts)).expect_err("a panicked lane cannot finish the run");
         let msg = err.to_string();

@@ -10,45 +10,30 @@
 use crate::field::FlowField;
 use vrd_video::Frame;
 
-/// Configuration of the block-matching flow estimator.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FlowConfig {
-    /// Matching block size in pixels.
-    pub block: usize,
-    /// Block grid stride (smaller = denser, slower).
-    pub stride: usize,
-    /// Exhaustive search range in pixels.
-    pub range: i32,
-    /// Motion-cost penalty per offset pixel (anti-aliasing on periodic
-    /// textures).
-    pub lambda: u32,
-}
-
-impl Default for FlowConfig {
-    fn default() -> Self {
-        Self {
-            block: 8,
-            stride: 8,
-            range: 10,
-            lambda: 24,
-        }
-    }
-}
+/// Matching block size in pixels.
+const BLOCK: usize = 8;
+/// Block grid stride in pixels (smaller = denser, slower).
+const STRIDE: usize = 8;
+/// Exhaustive search range in pixels.
+const RANGE: i32 = 10;
+/// Motion-cost penalty per offset pixel (anti-aliasing on periodic
+/// textures).
+const LAMBDA: u32 = 24;
 
 /// Sum of absolute differences between a block of `cur` and `reference`,
 /// `u32::MAX` when out of bounds.
-fn sad(cur: &Frame, cx: usize, cy: usize, reference: &Frame, rx: i32, ry: i32, size: usize) -> u32 {
+fn sad(cur: &Frame, cx: usize, cy: usize, reference: &Frame, rx: i32, ry: i32) -> u32 {
     if rx < 0
         || ry < 0
-        || rx as usize + size > reference.width()
-        || ry as usize + size > reference.height()
+        || rx as usize + BLOCK > reference.width()
+        || ry as usize + BLOCK > reference.height()
     {
         return u32::MAX;
     }
     let (rx, ry) = (rx as usize, ry as usize);
     let mut total = 0u32;
-    for row in 0..size {
-        for col in 0..size {
+    for row in 0..BLOCK {
+        for col in 0..BLOCK {
             let a = cur.get(cx + col, cy + row) as i32;
             let b = reference.get(rx + col, ry + row) as i32;
             total += (a - b).unsigned_abs();
@@ -61,40 +46,32 @@ fn sad(cur: &Frame, cx: usize, cy: usize, reference: &Frame, rx: i32, ry: i32, s
 ///
 /// # Panics
 /// Panics if the frames differ in size or are smaller than one block.
-pub fn estimate(cur: &Frame, reference: &Frame, cfg: &FlowConfig) -> FlowField {
+pub fn estimate(cur: &Frame, reference: &Frame) -> FlowField {
     assert_eq!(cur.width(), reference.width(), "frame width mismatch");
     assert_eq!(cur.height(), reference.height(), "frame height mismatch");
     let (w, h) = (cur.width(), cur.height());
     assert!(
-        w >= cfg.block && h >= cfg.block,
+        w >= BLOCK && h >= BLOCK,
         "frame smaller than one flow block"
     );
 
     // Block-grid motion estimation.
-    let gx = (w - cfg.block) / cfg.stride + 1;
-    let gy = (h - cfg.block) / cfg.stride + 1;
+    let gx = (w - BLOCK) / STRIDE + 1;
+    let gy = (h - BLOCK) / STRIDE + 1;
     let mut grid_dx = vec![0.0f32; gx * gy];
     let mut grid_dy = vec![0.0f32; gx * gy];
     for by in 0..gy {
         for bx in 0..gx {
-            let px = bx * cfg.stride;
-            let py = by * cfg.stride;
+            let px = bx * STRIDE;
+            let py = by * STRIDE;
             let mut best = (0i32, 0i32, u32::MAX);
-            for dy in -cfg.range..=cfg.range {
-                for dx in -cfg.range..=cfg.range {
-                    let s = sad(
-                        cur,
-                        px,
-                        py,
-                        reference,
-                        px as i32 + dx,
-                        py as i32 + dy,
-                        cfg.block,
-                    );
+            for dy in -RANGE..=RANGE {
+                for dx in -RANGE..=RANGE {
+                    let s = sad(cur, px, py, reference, px as i32 + dx, py as i32 + dy);
                     if s == u32::MAX {
                         continue;
                     }
-                    let cost = s + cfg.lambda * (dx.unsigned_abs() + dy.unsigned_abs());
+                    let cost = s + LAMBDA * (dx.unsigned_abs() + dy.unsigned_abs());
                     if cost < best.2 {
                         best = (dx, dy, cost);
                     }
@@ -107,12 +84,12 @@ pub fn estimate(cur: &Frame, reference: &Frame, cfg: &FlowConfig) -> FlowField {
 
     // Bilinear densification from block centres to pixels.
     let mut field = FlowField::zeros(w, h);
-    let centre = (cfg.block / 2) as f32;
+    let centre = (BLOCK / 2) as f32;
     for y in 0..h {
         for x in 0..w {
             // Position in grid coordinates.
-            let gxf = ((x as f32 - centre) / cfg.stride as f32).clamp(0.0, (gx - 1) as f32);
-            let gyf = ((y as f32 - centre) / cfg.stride as f32).clamp(0.0, (gy - 1) as f32);
+            let gxf = ((x as f32 - centre) / STRIDE as f32).clamp(0.0, (gx - 1) as f32);
+            let gyf = ((y as f32 - centre) / STRIDE as f32).clamp(0.0, (gy - 1) as f32);
             let x0 = gxf.floor() as usize;
             let y0 = gyf.floor() as usize;
             let x1 = (x0 + 1).min(gx - 1);
@@ -148,7 +125,7 @@ mod tests {
                 shifted.set(x, y, base.get_clamped(x as i32 - 3, y as i32));
             }
         }
-        let flow = estimate(&shifted, base, &FlowConfig::default());
+        let flow = estimate(&shifted, base);
         // Ignore a border band where clamping distorts the content.
         let mut ok = 0;
         let mut total = 0;
@@ -173,7 +150,7 @@ mod tests {
     #[test]
     fn identical_frames_give_zero_flow() {
         let seq = davis_sequence("cows", &SuiteConfig::tiny()).unwrap();
-        let flow = estimate(&seq.frames[0], &seq.frames[0], &FlowConfig::default());
+        let flow = estimate(&seq.frames[0], &seq.frames[0]);
         let (w, h) = (flow.width(), flow.height());
         let sum: f64 = (0..h)
             .flat_map(|y| (0..w).map(move |x| (x, y)))
@@ -190,33 +167,11 @@ mod tests {
     fn tracks_a_moving_object_better_than_identity() {
         let seq = davis_sequence("drift-straight", &SuiteConfig::tiny()).unwrap();
         let (a, b) = (&seq.frames[4], &seq.frames[0]);
-        let flow = estimate(a, b, &FlowConfig::default());
+        let flow = estimate(a, b);
         // Warping frame 0 toward frame 4 must be closer to frame 4 than
         // frame 0 itself is.
         let warped = flow.warp_frame(b);
         assert!(warped.mean_abs_diff(a) < b.mean_abs_diff(a));
-    }
-
-    #[test]
-    fn denser_stride_does_not_hurt_warping() {
-        let seq = davis_sequence("libby", &SuiteConfig::tiny()).unwrap();
-        let (cur, reference) = (&seq.frames[2], &seq.frames[0]);
-        let coarse = estimate(cur, reference, &FlowConfig::default());
-        let dense = estimate(
-            cur,
-            reference,
-            &FlowConfig {
-                stride: 4,
-                ..FlowConfig::default()
-            },
-        );
-        let err = |f: &crate::FlowField| f.warp_frame(reference).mean_abs_diff(cur);
-        assert!(
-            err(&dense) <= err(&coarse) * 1.1,
-            "dense {:.2} much worse than coarse {:.2}",
-            err(&dense),
-            err(&coarse)
-        );
     }
 
     #[test]
@@ -234,7 +189,7 @@ mod tests {
         )
         .with_camera_pan(Vec2::new(2.0, 0.0));
         let seq = Sequence::from_scene("pan", &scene, 4);
-        let flow = estimate(&seq.frames[1], &seq.frames[0], &FlowConfig::default());
+        let flow = estimate(&seq.frames[1], &seq.frames[0]);
         // A camera pan of +2 samples the background at x + 2t, so screen
         // content slides *left* by 2 px/frame: the backward flow is (+2, 0).
         let (mut ok, mut total) = (0, 0);
@@ -254,6 +209,6 @@ mod tests {
     #[should_panic(expected = "frame smaller than one flow block")]
     fn rejects_undersized_frames() {
         let f = Frame::new(4, 4);
-        let _ = estimate(&f, &f, &FlowConfig::default());
+        let _ = estimate(&f, &f);
     }
 }

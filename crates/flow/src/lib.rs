@@ -10,12 +10,12 @@
 //! ## Example
 //!
 //! ```
-//! use vrd_flow::{estimate, FlowConfig};
+//! use vrd_flow::estimate;
 //! use vrd_video::davis::{davis_sequence, SuiteConfig};
 //!
 //! # fn main() -> Result<(), String> {
 //! let seq = davis_sequence("dog", &SuiteConfig::tiny())?;
-//! let flow = estimate(&seq.frames[1], &seq.frames[0], &FlowConfig::default());
+//! let flow = estimate(&seq.frames[1], &seq.frames[0]);
 //! // Propagate frame 0's ground-truth mask to frame 1.
 //! let propagated = flow.warp_mask(&seq.gt_masks[0]);
 //! assert_eq!(propagated.width(), seq.width());
@@ -28,5 +28,5 @@
 mod estimator;
 mod field;
 
-pub use estimator::{estimate, FlowConfig};
+pub use estimator::estimate;
 pub use field::FlowField;

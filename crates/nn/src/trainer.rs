@@ -3,8 +3,8 @@
 //! buffers live here (`Grads`).
 //!
 //! The paper trains NN-S for **two epochs** on the training split's
-//! reconstructed B-frames with ground-truth labels (§III-B); these defaults
-//! reproduce that recipe.
+//! reconstructed B-frames with ground-truth labels (§III-B); `EPOCHS` and the
+//! constants beside it reproduce that recipe.
 
 use crate::nns::NnS;
 use crate::tensor::Tensor;
@@ -27,28 +27,19 @@ const LR: f32 = 0.4;
 const MOMENTUM: f32 = 0.9;
 /// Minibatch size.
 const BATCH: usize = 4;
+/// Number of passes over the data (paper: 2).
+const EPOCHS: usize = 2;
+/// Shuffling seed.
+const SHUFFLE_SEED: u64 = 0x7a41;
 
-/// Training hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// How [`train`] runs. The recipe — the paper's two epochs, the shuffle
+/// seed, learning rate, momentum and minibatch size — is fixed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrainConfig {
-    /// Number of passes over the data (paper: 2).
-    pub epochs: usize,
-    /// Shuffling seed.
-    pub seed: u64,
-    /// Worker threads for per-sample gradient computation; `0` means use
-    /// every available core. The trained weights are identical for every
-    /// setting (see [`train`]).
-    pub threads: usize,
-}
-
-impl Default for TrainConfig {
-    fn default() -> Self {
-        Self {
-            epochs: 2,
-            seed: 0x7a41,
-            threads: 0,
-        }
-    }
+    /// Worker threads for per-sample gradient computation (`None` =
+    /// [`vrd_runtime::max_threads`]). The trained weights are identical
+    /// for every setting (see [`train`]).
+    pub threads: Option<usize>,
 }
 
 /// One `f32` per NN-S parameter — a weight-shaped and a bias-shaped buffer
@@ -118,16 +109,12 @@ pub(crate) fn sgd_step(
 /// Panics if `samples` is empty.
 pub fn train(model: &mut NnS, samples: &[Sample], cfg: &TrainConfig) -> Vec<f32> {
     assert!(!samples.is_empty(), "cannot train on zero samples");
-    let threads = if cfg.threads == 0 {
-        vrd_runtime::max_threads()
-    } else {
-        cfg.threads
-    };
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let threads = cfg.threads.unwrap_or_else(vrd_runtime::max_threads);
+    let mut rng = StdRng::seed_from_u64(SHUFFLE_SEED);
     let mut order: Vec<usize> = (0..samples.len()).collect();
-    let mut history = Vec::with_capacity(cfg.epochs);
+    let mut history = Vec::with_capacity(EPOCHS);
     let mut velocity = Grads::zeros(model);
-    for _ in 0..cfg.epochs {
+    for _ in 0..EPOCHS {
         order.shuffle(&mut rng);
         let mut epoch_loss = 0.0f32;
         for chunk in order.chunks(BATCH) {
@@ -190,15 +177,8 @@ mod tests {
     fn two_epochs_reduce_loss() {
         let samples = toy_samples(32);
         let mut model = NnS::new(4, 5);
-        let history = train(
-            &mut model,
-            &samples,
-            &TrainConfig {
-                epochs: 4,
-                ..TrainConfig::default()
-            },
-        );
-        assert_eq!(history.len(), 4);
+        let history = train(&mut model, &samples, &TrainConfig::default());
+        assert_eq!(history.len(), EPOCHS);
         assert!(
             history.last().unwrap() < &(history[0] * 0.8),
             "loss history did not fall: {history:?}"
@@ -228,14 +208,7 @@ mod tests {
                 .collect()
         };
         let mut baseline = NnS::new(4, 5);
-        let base_hist = train(
-            &mut baseline,
-            &samples,
-            &TrainConfig {
-                threads: 1,
-                ..TrainConfig::default()
-            },
-        );
+        let base_hist = train(&mut baseline, &samples, &TrainConfig { threads: Some(1) });
         let base_bits = weight_bits(&baseline);
         for threads in [2, 3, 8] {
             let mut model = NnS::new(4, 5);
@@ -243,8 +216,7 @@ mod tests {
                 &mut model,
                 &samples,
                 &TrainConfig {
-                    threads,
-                    ..TrainConfig::default()
+                    threads: Some(threads),
                 },
             );
             assert_eq!(hist, base_hist, "loss history differs at {threads} threads");

@@ -267,7 +267,7 @@ proptest! {
             let hist = train(
                 &mut model,
                 &samples,
-                &TrainConfig { threads, ..TrainConfig::default() },
+                &TrainConfig { threads: Some(threads) },
             );
             let (c1, c2, c3) = model.convs();
             let bits = [c1, c2, c3]

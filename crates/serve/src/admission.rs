@@ -6,32 +6,30 @@
 //! B-frame counts, frame geometry) and the cost model — no decode needed —
 //! and the switch overhead assumes the batching scheduler, which amortises
 //! one NN-L ↔ NN-S swap pair over a whole batch window. A session is
-//! rejected when the projected utilisation crosses the configured ceiling
+//! rejected when the projected utilisation reaches `MAX_UTILIZATION` (0.9)
 //! or the projected p99 frame latency blows the SLO; admission is strictly
 //! in request order, so the decision sequence is deterministic.
 
 use vr_dann::{ComputeMode, VrDann};
 use vrd_codec::EncodedVideo;
 use vrd_nn::LargeNet;
-use vrd_sim::{Model, SimConfig};
+use vrd_sim::{Model, SimConfig, B_Q_ENTRIES};
 use vrd_video::Sequence;
+
+/// Projected NPU utilisation (compute + amortised switching) must stay
+/// below this fraction.
+const MAX_UTILIZATION: f64 = 0.9;
 
 /// The service-level objective a deployment promises its sessions.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SloConfig {
     /// Projected p99 frame latency must stay below this, in nanoseconds.
     pub target_p99_ns: f64,
-    /// Projected NPU utilisation (compute + amortised switching) must stay
-    /// below this fraction.
-    pub max_utilization: f64,
 }
 
 impl Default for SloConfig {
     fn default() -> Self {
-        Self {
-            target_p99_ns: 8e6,
-            max_utilization: 0.9,
-        }
+        Self { target_p99_ns: 8e6 }
     }
 }
 
@@ -135,9 +133,10 @@ impl SessionDemand {
     }
 
     /// Switch overhead under the batching scheduler: one NN-L ↔ NN-S swap
-    /// pair amortised over `batch_cap` served items.
-    pub fn switch_utilization(&self, batch_cap: usize, sim: &SimConfig) -> f64 {
-        sim.switch_pair_ns() / batch_cap.max(1) as f64 / self.frame_interval_ns
+    /// pair amortised over a full batch window, the [`B_Q_ENTRIES`] serves
+    /// the scheduler's batch cap allows.
+    pub fn switch_utilization(&self, sim: &SimConfig) -> f64 {
+        sim.switch_pair_ns() / B_Q_ENTRIES as f64 / self.frame_interval_ns
     }
 
     /// The worst frame's pass through an idle NPU: switch the large model
@@ -156,7 +155,6 @@ impl SessionDemand {
 #[derive(Debug, Clone)]
 pub(crate) struct AdmissionController {
     slo: SloConfig,
-    batch_cap: usize,
     sim: SimConfig,
     utilization: f64,
     worst_base_ns: f64,
@@ -164,10 +162,9 @@ pub(crate) struct AdmissionController {
 
 impl AdmissionController {
     /// A controller with no accepted load yet.
-    pub(crate) fn new(slo: SloConfig, batch_cap: usize, sim: SimConfig) -> Self {
+    pub(crate) fn new(slo: SloConfig, sim: SimConfig) -> Self {
         Self {
             slo,
-            batch_cap,
             sim,
             utilization: 0.0,
             worst_base_ns: 0.0,
@@ -206,8 +203,8 @@ impl AdmissionController {
     ) -> std::result::Result<AdmissionProjection, RejectReason> {
         let u = self.utilization
             + demand.compute_utilization(&self.sim)
-            + demand.switch_utilization(self.batch_cap, &self.sim);
-        if u >= self.slo.max_utilization {
+            + demand.switch_utilization(&self.sim);
+        if u >= MAX_UTILIZATION {
             return Err(RejectReason::Utilization { projected: u });
         }
         let base = demand.unloaded_anchor_ns(&self.sim).max(self.worst_base_ns);
@@ -233,8 +230,7 @@ impl AdmissionController {
     /// mark of the worst frame the shard ever carried, and keeping it makes
     /// the p99 projection conservative rather than optimistic after churn.
     pub(crate) fn release(&mut self, demand: &SessionDemand) {
-        let u = demand.compute_utilization(&self.sim)
-            + demand.switch_utilization(self.batch_cap, &self.sim);
+        let u = demand.compute_utilization(&self.sim) + demand.switch_utilization(&self.sim);
         self.utilization = (self.utilization - u).max(0.0);
     }
 }
@@ -260,15 +256,13 @@ mod tests {
         let mut ctl = AdmissionController::new(
             SloConfig {
                 target_p99_ns: f64::INFINITY,
-                max_utilization: 0.9,
             },
-            24,
             SimConfig::default(),
         );
         let d = demand(1_710_000.0);
         let sim = SimConfig::default();
-        let per = d.compute_utilization(&sim) + d.switch_utilization(24, &sim);
-        let fit = (0.9 / per) as usize;
+        let per = d.compute_utilization(&sim) + d.switch_utilization(&sim);
+        let fit = (MAX_UTILIZATION / per) as usize;
         for i in 0..fit {
             assert!(ctl.try_admit(&d).is_ok(), "session {i} should fit");
         }
@@ -290,9 +284,7 @@ mod tests {
         let mut ctl = AdmissionController::new(
             SloConfig {
                 target_p99_ns: base * 1.4,
-                max_utilization: 0.99,
             },
-            24,
             sim,
         );
         let mut admitted = 0usize;
@@ -305,7 +297,7 @@ mod tests {
         };
         assert!(matches!(reason, RejectReason::LatencySlo { .. }));
         assert!(admitted >= 1);
-        assert!(ctl.utilization() < 0.99);
+        assert!(ctl.utilization() < MAX_UTILIZATION);
     }
 
     #[test]
@@ -314,9 +306,7 @@ mod tests {
         let fast = demand(1e6);
         let sim = SimConfig::default();
         assert!(fast.compute_utilization(&sim) > slow.compute_utilization(&sim));
-        assert!(fast.switch_utilization(24, &sim) > slow.switch_utilization(24, &sim));
-        // A bigger batch window amortises switches further.
-        assert!(fast.switch_utilization(48, &sim) < fast.switch_utilization(24, &sim));
+        assert!(fast.switch_utilization(&sim) > slow.switch_utilization(&sim));
     }
 
     #[test]
@@ -342,10 +332,9 @@ mod tests {
         // int8 sessions than f32 ones under the same ceiling.
         let slo = SloConfig {
             target_p99_ns: f64::INFINITY,
-            max_utilization: 0.9,
         };
         let count = |d: &SessionDemand| {
-            let mut ctl = AdmissionController::new(slo, 24, sim);
+            let mut ctl = AdmissionController::new(slo, sim);
             let mut n = 0usize;
             while ctl.try_admit(d).is_ok() {
                 n += 1;
@@ -369,14 +358,9 @@ mod tests {
         // is no stationary queue: the projection pins to +∞ and the SLO
         // check rejects deterministically — it must never go negative and
         // sneak past the `p99 > target` comparison.
-        let slo = SloConfig {
-            target_p99_ns: 8e6,
-            // Ceiling above 1.0 so the latency check, not the utilisation
-            // ceiling, is what guards saturation in this test.
-            max_utilization: 2.0,
-        };
+        let slo = SloConfig::default();
         let sim = SimConfig::default();
-        let mut ctl = AdmissionController::new(slo, 24, sim);
+        let mut ctl = AdmissionController::new(slo, sim);
         let base = 1_000_000.0;
 
         // u = 0.999: finite, positive, 1000× the base — over any SLO.
@@ -395,9 +379,10 @@ mod tests {
         let p = ctl.project_p99_ns(base, 1.25);
         assert!(p.is_infinite() && p > 0.0);
 
-        // End to end: a demand that lands utilisation exactly at 1.0 is
-        // rejected on latency with an infinite projection, and the
-        // controller state is untouched by the rejection.
+        // End to end: a demand that lands utilisation past saturation is
+        // rejected by the utilisation ceiling before any latency is
+        // projected, and the controller state is untouched by the
+        // rejection.
         let d = SessionDemand {
             anchors: 1,
             b_frames: 0,
@@ -407,9 +392,7 @@ mod tests {
         };
         let before = ctl.utilization();
         match ctl.try_admit(&d) {
-            Err(RejectReason::LatencySlo { projected_p99_ns }) => {
-                assert!(projected_p99_ns.is_infinite() && projected_p99_ns > 0.0);
-            }
+            Err(RejectReason::Utilization { projected }) => assert!(projected > 1.0),
             other => panic!("saturated shard admitted: {other:?}"),
         }
         assert_eq!(ctl.utilization(), before);
@@ -419,11 +402,10 @@ mod tests {
     fn release_returns_headroom_for_new_admissions() {
         let slo = SloConfig {
             target_p99_ns: f64::INFINITY,
-            max_utilization: 0.9,
         };
         let sim = SimConfig::default();
         let d = demand(1_710_000.0);
-        let mut ctl = AdmissionController::new(slo, 24, sim);
+        let mut ctl = AdmissionController::new(slo, sim);
         let mut admitted = 0usize;
         while ctl.try_admit(&d).is_ok() {
             admitted += 1;

@@ -22,7 +22,9 @@ pub enum ServeError {
         source: VrDannError,
     },
     /// The shared-NPU event loop detected a broken invariant (an
-    /// unserviceable queue state or a runaway replay).
+    /// unserviceable queue state or a runaway replay), or an entry point
+    /// refused at t = 0 a configuration it could not bill or generate (a
+    /// degenerate cost model, stall or load).
     Scheduler {
         /// Scheduler clock when the invariant broke, in nanoseconds.
         time_ns: f64,

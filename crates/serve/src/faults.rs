@@ -48,7 +48,8 @@ pub struct NpuFaultProfile {
     pub work_item_fail_rate: f64,
     /// Probability that any single service attempt stalls, in `[0, 1]`.
     pub stall_rate: f64,
-    /// Extra latency of a stalled attempt, in nanoseconds.
+    /// Extra latency of a stalled attempt, in nanoseconds: finite and
+    /// `>= 0`, or [`crate::schedule`] rejects the plan.
     pub stall_ns: f64,
     /// Full-device outages, sorted by `at_ns` (the scheduler sorts its own
     /// copy defensively).

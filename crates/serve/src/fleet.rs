@@ -33,8 +33,10 @@
 //! 2. **Replay** — every shard's final session set is instantiated from
 //!    its stream template ([`crate::session::SessionTemplate`], a prefix
 //!    for churned sessions) and replayed through the shared-NPU event loop
-//!    in parallel (workers claim shards one at a time — shard costs are
-//!    skewed by construction, so fixed chunks would serialise the hot tail).
+//!    under [`SchedPolicy::Batch`] (the cross-session batching the
+//!    affinity placement preserves), in parallel (workers claim shards one
+//!    at a time — shard costs are skewed by construction, so fixed chunks
+//!    would serialise the hot tail).
 //!    A shard created at `t` starts serving at
 //!    `t + `[`vrd_sim::SHARD_SPINUP_NS`] — autoscaling pays its
 //!    provisioning latency on the simulated clock, not for free.
@@ -100,8 +102,6 @@ pub struct FleetConfig {
     /// The autoscaler's ceiling. With `autoscale: false` the fleet runs
     /// exactly `min_shards` shards for the whole window.
     pub max_shards: usize,
-    /// Scheduling discipline every shard replays under.
-    pub policy: SchedPolicy,
     /// Per-shard event-loop knobs (`npu_available_ns` is overwritten with
     /// each shard's creation + spin-up instant).
     pub sched: SchedConfig,
@@ -123,7 +123,6 @@ impl Default for FleetConfig {
         Self {
             min_shards: 1,
             max_shards: 8,
-            policy: SchedPolicy::Batch,
             sched: SchedConfig::default(),
             slo: SloConfig::default(),
             sim: SimConfig::default(),
@@ -248,7 +247,7 @@ impl ShardState {
             created_ns,
             draining_since: None,
             retired_ns: None,
-            controller: AdmissionController::new(cfg.slo, cfg.sched.batch_cap, cfg.sim),
+            controller: AdmissionController::new(cfg.slo, cfg.sim),
             resident: Vec::new(),
             affinity_sum: 0.0,
             peak_utilization: 0.0,
@@ -447,10 +446,8 @@ impl<'a> Walk<'a> {
         if !cfg.autoscale {
             return;
         }
-        let new_util = offer.demand.compute_utilization(&cfg.sim)
-            + offer
-                .demand
-                .switch_utilization(cfg.sched.batch_cap, &cfg.sim);
+        let new_util =
+            offer.demand.compute_utilization(&cfg.sim) + offer.demand.switch_utilization(&cfg.sim);
         let fleet_util: f64 = self.active().map(|i| self.shards[i].utilization()).sum();
         let needed = ((fleet_util + new_util) / AUTOSCALE_TARGET_UTILIZATION).ceil() as usize;
         let mut active_now = self.active().count();
@@ -605,7 +602,7 @@ impl<'a> Walk<'a> {
                 npu_available_ns: shard.created_ns + SHARD_SPINUP_NS,
                 ..cfg.sched
             };
-            schedule(driven, cfg.policy, &sched, &cfg.sim, None)
+            schedule(driven, SchedPolicy::Batch, &sched, &cfg.sim, None)
         })
     }
 
@@ -797,6 +794,7 @@ mod tests {
             heterogeneous: true,
             ..LoadGenConfig::default()
         })
+        .unwrap()
     }
 
     fn base_cfg(sim: SimConfig) -> FleetConfig {
@@ -911,7 +909,8 @@ mod tests {
             churn_rate: 0.0,
             heterogeneous: false,
             ..LoadGenConfig::default()
-        });
+        })
+        .unwrap();
         let cfg = FleetConfig {
             min_shards: 1,
             max_shards: 12,
@@ -961,7 +960,8 @@ mod tests {
             churn_rate: 0.0,
             heterogeneous: true,
             ..LoadGenConfig::default()
-        });
+        })
+        .unwrap();
         let cfg = FleetConfig {
             min_shards: 3,
             max_shards: 3,

@@ -19,6 +19,7 @@
 //! so 64+ concurrent sessions cost the NN compute of a handful of distinct
 //! streams.
 
+use crate::error::{Result, ServeError};
 use crate::faults::draw;
 use vr_dann::ComputeMode;
 
@@ -240,10 +241,46 @@ const SALT_PACE: u64 = 0x7ace_10ad_0a15;
 const SALT_CHURN: u64 = 0x7ace_10ad_0a16;
 const SALT_DEPART: u64 = 0x7ace_10ad_0a17;
 
+/// Candidates [`generate`] may draw per requested arrival before it gives
+/// up on a load. Thinning keeps a candidate with probability `level /
+/// peak`, so an envelope that keeps nothing, or sits this far below its
+/// peak for the whole horizon, would otherwise spin forever or for hours.
+const MAX_CANDIDATES_PER_ARRIVAL: u64 = 1 << 16;
+
 /// Exponential variate with the given mean from a uniform draw.
 fn exp_gap(mean_ns: f64, u: f64) -> f64 {
     // 1 − u ∈ (0, 1]; ln of it is ≤ 0, so the gap is ≥ 0 and finite.
     -mean_ns * (1.0 - u).ln()
+}
+
+/// Rejects, before any draw, a configuration under which [`generate`]
+/// would stamp arrivals at non-finite or decreasing instants (a mean gap
+/// that is not finite and positive) or could never keep a candidate (a
+/// bursty envelope that is silent both in and between its bursts).
+fn check_load(cfg: &LoadGenConfig) -> Result<()> {
+    let invalid = |detail: String| {
+        Err(ServeError::Scheduler {
+            time_ns: 0.0,
+            detail: format!("invalid load: {detail}"),
+        })
+    };
+    let mean = cfg.mean_interarrival_ns;
+    if !(mean.is_finite() && mean > 0.0) {
+        return invalid(format!(
+            "mean_interarrival_ns is {mean}, must be finite and positive"
+        ));
+    }
+    if let Envelope::Bursty {
+        duty, quiet_level, ..
+    } = cfg.envelope
+    {
+        if !(duty > 0.0 || quiet_level > 0.0) {
+            return invalid(format!(
+                "bursty envelope keeps no arrival: duty {duty}, quiet_level {quiet_level}"
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Generates a deterministic traffic trace.
@@ -255,13 +292,35 @@ fn exp_gap(mean_ns: f64, u: f64) -> f64 {
 /// shape, pacing and churn. The candidate counter — not the kept count —
 /// salts every draw, so inserting or removing an envelope never shifts the
 /// randomness of later decisions.
-pub fn generate(cfg: &LoadGenConfig) -> TrafficTrace {
+///
+/// # Errors
+/// [`ServeError::Scheduler`] at t = 0 when `mean_interarrival_ns` is not
+/// finite and positive or a bursty envelope has neither a positive `duty`
+/// nor a positive `quiet_level` (both before any draw), and when
+/// `MAX_CANDIDATES_PER_ARRIVAL` candidates per requested arrival do not
+/// fill the trace — the fate of any envelope that keeps (almost) nothing,
+/// such as a non-finite or huge spike factor, a NaN level or an infinite
+/// horizon.
+pub fn generate(cfg: &LoadGenConfig) -> Result<TrafficTrace> {
+    check_load(cfg)?;
     let peak = cfg.envelope.peak();
     let peak_mean = cfg.mean_interarrival_ns / peak;
     let mut arrivals = Vec::with_capacity(cfg.sessions);
     let mut t = 0.0f64;
     let mut cand = 0u64;
+    let max_candidates = (cfg.sessions as u64).saturating_mul(MAX_CANDIDATES_PER_ARRIVAL);
     while arrivals.len() < cfg.sessions {
+        if cand == max_candidates {
+            return Err(ServeError::Scheduler {
+                time_ns: 0.0,
+                detail: format!(
+                    "invalid load: {cand} candidates kept {} of {} arrivals; the envelope \
+                     stays too far below its peak",
+                    arrivals.len(),
+                    cfg.sessions
+                ),
+            });
+        }
         t += exp_gap(peak_mean, draw(cfg.seed, SALT_GAP, cand, 0, 0));
         let frac = t / cfg.horizon_ns.max(1.0);
         let keep = draw(cfg.seed, SALT_THIN, cand, 0, 0) < cfg.envelope.level(frac) / peak;
@@ -317,10 +376,10 @@ pub fn generate(cfg: &LoadGenConfig) -> TrafficTrace {
             shape,
         });
     }
-    TrafficTrace {
+    Ok(TrafficTrace {
         arrivals,
         horizon_ns: cfg.horizon_ns,
-    }
+    })
 }
 
 /// The fixed-seed **legacy sweep** profile: the exact offered workload
@@ -354,8 +413,8 @@ mod tests {
     #[test]
     fn traces_are_deterministic_and_time_ordered() {
         let cfg = LoadGenConfig::default();
-        let a = generate(&cfg);
-        let b = generate(&cfg);
+        let a = generate(&cfg).unwrap();
+        let b = generate(&cfg).unwrap();
         assert_eq!(a, b, "same config must generate bit-identical traces");
         assert_eq!(a.arrivals.len(), cfg.sessions);
         for (i, arr) in a.arrivals.iter().enumerate() {
@@ -372,7 +431,7 @@ mod tests {
             }
         }
         // A different seed reshuffles the trace.
-        let other = generate(&LoadGenConfig { seed: 99, ..cfg });
+        let other = generate(&LoadGenConfig { seed: 99, ..cfg }).unwrap();
         assert_ne!(a, other);
     }
 
@@ -382,7 +441,7 @@ mod tests {
             sessions: 256,
             ..LoadGenConfig::default()
         };
-        let trace = generate(&cfg);
+        let trace = generate(&cfg).unwrap();
         let det = trace
             .arrivals
             .iter()
@@ -426,7 +485,8 @@ mod tests {
             heterogeneous: false,
             churn_rate: 0.0,
             ..cfg
-        });
+        })
+        .unwrap();
         assert!(flat
             .arrivals
             .iter()
@@ -452,11 +512,13 @@ mod tests {
                 end_frac: 0.6,
             },
             ..base
-        });
+        })
+        .unwrap();
         let flat = generate(&LoadGenConfig {
             envelope: Envelope::Flat,
             ..base
-        });
+        })
+        .unwrap();
         let in_window = |t: &TrafficTrace| {
             t.arrivals
                 .iter()
@@ -489,7 +551,8 @@ mod tests {
             let t = generate(&LoadGenConfig {
                 envelope: env,
                 ..base
-            });
+            })
+            .unwrap();
             assert_eq!(t.arrivals.len(), base.sessions);
             // Thinning stretches the same count over a longer window.
             assert!(last(&t) > last(&flat), "{env:?} did not thin arrivals");

@@ -16,13 +16,15 @@
 //!   `b_Q` idea (§IV-C) lifted across streams. Among the items already
 //!   handed over, prefer ones matching the currently resident model, so
 //!   same-model work from *different* sessions coalesces into one
-//!   residency; a batch cap (default: the paper's 24-entry `b_Q`) bounds
-//!   how long opposite-model work can be deferred, and the scheduler is
-//!   work-conserving — it never idles waiting for a preferred item.
+//!   residency; a batch cap (the paper's 24-entry `b_Q`,
+//!   [`vrd_sim::B_Q_ENTRIES`]) bounds how long opposite-model work can be
+//!   deferred, and the scheduler is work-conserving — it never idles
+//!   waiting for a preferred item.
 //!
-//! Each session owns a bounded queue between its decoder lane and the NPU
-//! (backpressure: a full queue delays the hand-over to the next serve
-//! completion, counted in [`ScheduleOutcome::decoder_stalls`]). Frame
+//! Each session owns a bounded queue between its decoder lane and the NPU,
+//! as deep as the agent unit's 8-entry `ip_Q` ([`vrd_sim::IP_Q_ENTRIES`]);
+//! a full queue delays the hand-over to the next serve completion
+//! (backpressure, counted in [`ScheduleOutcome::decoder_stalls`]). Frame
 //! latency is measured arrival → delivery, so decode, queueing, switching
 //! and service all show up in the percentiles; the raw samples ride along
 //! in [`ScheduleOutcome::latency_samples`] so a caller merging several
@@ -73,7 +75,7 @@ use crate::metrics::LatencyStats;
 use crate::session::{DrivenSession, WorkItem};
 use std::collections::VecDeque;
 use vr_dann::ComputeMode;
-use vrd_sim::{Model, SimConfig};
+use vrd_sim::{Model, SimConfig, B_Q_ENTRIES, IP_Q_ENTRIES};
 
 /// Which serving discipline the shared NPU runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,15 +96,11 @@ impl std::fmt::Display for SchedPolicy {
     }
 }
 
-/// Shared-NPU scheduling knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Shared-NPU scheduling knobs. The per-session queue depth and the batch
+/// cap are the agent unit's queue sizes, [`vrd_sim::IP_Q_ENTRIES`] and
+/// [`vrd_sim::B_Q_ENTRIES`].
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SchedConfig {
-    /// Bounded per-session queue between decoder lane and NPU (mirrors the
-    /// agent unit's 8-entry `ip_Q`).
-    pub queue_capacity: usize,
-    /// Consecutive same-model serves [`SchedPolicy::Batch`] may run while
-    /// opposite-model work waits (mirrors the 24-entry `b_Q`).
-    pub batch_cap: usize,
     /// Optional shedding deadline: a frame still unserved this long after
     /// its arrival is dropped instead of served (`None` = serve everything).
     /// Under a fault plan with a ladder, the miss is delivered as a
@@ -115,17 +113,6 @@ pub struct SchedConfig {
     /// autoscaling pays its provisioning latency on the same clock
     /// everything else runs on.
     pub npu_available_ns: f64,
-}
-
-impl Default for SchedConfig {
-    fn default() -> Self {
-        Self {
-            queue_capacity: 8,
-            batch_cap: 24,
-            shed_after_ns: None,
-            npu_available_ns: 0.0,
-        }
-    }
 }
 
 /// The graceful-degradation ladder, worst rung last. A session serves NN-S
@@ -403,10 +390,10 @@ struct SessionQueue<'a> {
 }
 
 impl SessionQueue<'_> {
-    /// Fills free slots up to `cap`. `now` is the instant slots freed; a
-    /// hand-over pushed past its decoder-lane `ready_ns` is a stall.
-    fn refill(&mut self, now: f64, cap: usize, stalls: &mut usize) {
-        while self.queue.len() < cap && self.next < self.items.len() {
+    /// Fills free slots up to [`IP_Q_ENTRIES`]. `now` is the instant slots
+    /// freed; a hand-over pushed past its decoder-lane `ready_ns` is a stall.
+    fn refill(&mut self, now: f64, stalls: &mut usize) {
+        while self.queue.len() < IP_Q_ENTRIES && self.next < self.items.len() {
             let ready = self.items[self.next].ready_ns;
             let entry = ready.max(now);
             if entry > ready {
@@ -488,8 +475,6 @@ struct Bill {
 struct Replay<'a> {
     queues: Vec<SessionQueue<'a>>,
     live: Vec<SessLive>,
-    /// Bound of every session queue.
-    cap: usize,
     decoder_stalls: usize,
     /// Delivered-frame latencies, delivery order.
     samples: Vec<f64>,
@@ -549,7 +534,6 @@ impl<'a> Replay<'a> {
                     }
                 })
                 .collect(),
-            cap: plan.cfg.queue_capacity.max(1),
             session_samples: vec![Vec::new(); sessions.len()],
             // Work handed over before the device is online waits for it.
             t_npu: plan.cfg.npu_available_ns.max(0.0),
@@ -557,7 +541,7 @@ impl<'a> Replay<'a> {
             ..Replay::default()
         };
         for q in &mut r.queues {
-            q.refill(0.0, r.cap, &mut r.decoder_stalls);
+            q.refill(0.0, &mut r.decoder_stalls);
         }
         r
     }
@@ -595,7 +579,7 @@ impl<'a> Replay<'a> {
             SchedPolicy::Batch => {
                 let same = |m: Model| Some(m) == self.resident;
                 let other = |m: Model| Some(m) != self.resident;
-                if self.run_len >= plan.cfg.batch_cap {
+                if self.run_len >= B_Q_ENTRIES {
                     // Starvation bound hit: the oldest deferred
                     // opposite-model item goes next (if any waits).
                     oldest(&other).or_else(|| oldest(&any))
@@ -661,7 +645,7 @@ impl<'a> Replay<'a> {
     /// freed slot admits.
     fn retire(&mut self, s: usize, now: f64) {
         self.queues[s].queue.pop_front();
-        self.queues[s].refill(now, self.cap, &mut self.decoder_stalls);
+        self.queues[s].refill(now, &mut self.decoder_stalls);
     }
 
     /// Drops session `s`'s front entry at `now`.
@@ -892,6 +876,20 @@ pub(crate) fn check_sim(sim: &SimConfig) -> Result<()> {
     })
 }
 
+/// Rejects a fault plan whose stall would bill a negative or NaN time:
+/// one such stall moves the NPU clock backwards or poisons it, and with it
+/// the makespan and every later latency.
+fn check_faults(faults: &NpuFaultProfile) -> Result<()> {
+    let stall = faults.stall_ns;
+    if stall.is_finite() && stall >= 0.0 {
+        return Ok(());
+    }
+    Err(ServeError::Scheduler {
+        time_ns: 0.0,
+        detail: format!("invalid fault plan: stall_ns is {stall}, must be finite and >= 0"),
+    })
+}
+
 /// Replays the merged work of `sessions` through the shared NPU under
 /// `policy`, against the fault plan `chaos` (`None` = no faults, shed-only
 /// pressure handling). Deterministic: ties between sessions break by
@@ -899,7 +897,9 @@ pub(crate) fn check_sim(sim: &SimConfig) -> Result<()> {
 ///
 /// # Errors
 /// [`ServeError::Scheduler`] at t = 0 when `sim` fails
-/// [`SimConfig::validate`], or when an event-loop invariant breaks.
+/// [`SimConfig::validate`] or the fault plan's
+/// [`NpuFaultProfile::stall_ns`] is negative or not finite, and later
+/// when an event-loop invariant breaks.
 pub fn schedule(
     sessions: &[DrivenSession],
     policy: SchedPolicy,
@@ -916,6 +916,7 @@ pub fn schedule(
         faults,
         recovery: rec,
     } = chaos.unwrap_or(&no_plan);
+    check_faults(faults)?;
     let plan = Plan {
         policy,
         cfg,
@@ -1111,36 +1112,47 @@ mod tests {
 
     #[test]
     fn bounded_queue_backpressures_the_decoder() {
-        // A tiny queue forces hand-overs to wait on serve completions.
+        // Frames decoded far faster than the NPU serves them fill the
+        // `ip_Q`-deep queue, and later hand-overs wait on serve completions.
         let sessions = vec![synth_session(0, 6, 5, 1_000.0)];
-        let cfg = SchedConfig {
-            queue_capacity: 1,
-            ..SchedConfig::default()
-        };
+        let cfg = SchedConfig::default();
         let out = schedule(&sessions, SchedPolicy::Fifo, &cfg, &sim(), None).unwrap();
         assert_eq!(out.frames_delivered(), 36);
         assert!(out.decoder_stalls > 0, "expected backpressure stalls");
-        assert!(out.max_queue_depth <= 1);
+        assert_eq!(out.max_queue_depth, IP_Q_ENTRIES);
     }
 
     #[test]
     fn batch_cap_bounds_large_model_starvation() {
-        // One session is pure NN-S work; another's anchors must still get
-        // served within the cap.
-        let mut nns_only = synth_session(0, 1, 60, 10_000.0);
+        // One session floods the NPU with three `b_Q`s' worth of NN-S work,
+        // all handed over at once beside another session's three anchors.
+        // The anchors go next once `B_Q_ENTRIES` NN-S serves have run, not
+        // after the whole flood.
+        let (flood, nns_ops) = (3 * B_Q_ENTRIES, 100_000_000);
+        let mut nns_only = synth_session_at(0, 1, flood - 1, 0.0, 0.0);
         for item in &mut nns_only.items {
             item.uses_large_model = false;
-            item.ops = 1_000_000;
+            item.ops = nns_ops;
         }
-        let anchors = synth_session(1, 3, 0, 50_000.0);
-        let cfg = SchedConfig {
-            batch_cap: 4,
-            ..SchedConfig::default()
-        };
+        let anchors = synth_session_at(1, 3, 0, 0.0, 0.0);
+        let cfg = SchedConfig::default();
         let out = schedule(&[nns_only, anchors], SchedPolicy::Batch, &cfg, &sim(), None).unwrap();
-        assert_eq!(out.frames_delivered(), 61 + 3);
-        // Every anchor was eventually served despite the NN-S flood.
+        assert_eq!(out.frames_delivered(), flood + 3);
         assert_eq!(out.per_session[1].frames_full, 3);
+        // Hand-over, one capped NN-S run, one switch, the three anchors.
+        let f32r = ComputeMode::F32Reference;
+        let bound = 1_000.0
+            + sim().switch_ns(None, Model::Small)
+            + B_Q_ENTRIES as f64 * sim().service_ns(nns_ops, Model::Small, f32r)
+            + sim().switch_ns(Some(Model::Small), Model::Large)
+            + 3.0 * sim().service_ns(4_000_000_000, Model::Large, f32r)
+            + 1.0;
+        let waited = out.per_session[1].latency.max_ns;
+        assert!(waited < bound, "anchors waited {waited} ns, bound {bound}");
+        assert!(
+            out.per_session[0].latency.max_ns > waited,
+            "the flood ended first"
+        );
     }
 
     #[test]

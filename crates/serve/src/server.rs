@@ -37,7 +37,7 @@ const STAGGER_FRAC: f64 = 1.3;
 /// Server configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ServeConfig {
-    /// Shared-NPU scheduling knobs (queue bound, batch cap, shedding).
+    /// Shared-NPU scheduling knobs (shedding deadline, NPU online instant).
     pub sched: SchedConfig,
     /// Admission SLO.
     pub slo: SloConfig,
@@ -112,7 +112,7 @@ pub fn admit_and_drive(
     f64,
 )> {
     // Admission pass: request order, deterministic.
-    let mut controller = AdmissionController::new(cfg.slo, cfg.sched.batch_cap, cfg.sim);
+    let mut controller = AdmissionController::new(cfg.slo, cfg.sim);
     let mut decisions: Vec<std::result::Result<AdmissionProjection, RejectReason>> =
         Vec::with_capacity(requests.len());
     let mut admitted_jobs: Vec<(usize, usize, SessionSpec)> = Vec::new();

@@ -240,7 +240,8 @@ fn fleet_bills_are_pinned() {
         churn_rate: 0.3,
         heterogeneous: true,
         ..LoadGenConfig::default()
-    });
+    })
+    .unwrap();
     assert!(
         trace
             .arrivals

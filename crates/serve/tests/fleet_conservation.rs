@@ -194,7 +194,7 @@ proptest! {
             envelope,
             churn_rate: churn,
             heterogeneous,
-        });
+        }).unwrap();
         let cfg = FleetConfig {
             min_shards: shards,
             max_shards: shards + headroom,
@@ -279,7 +279,7 @@ fn arrivals_are_billed_and_served_at_their_own_compute_mode() {
         };
         assert_eq!(
             shard.peak_utilization,
-            billed.compute_utilization(&sim) + billed.switch_utilization(cfg.sched.batch_cap, &sim),
+            billed.compute_utilization(&sim) + billed.switch_utilization(&sim),
             "billed {wants:?}"
         );
     }

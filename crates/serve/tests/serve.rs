@@ -1,12 +1,14 @@
 //! End-to-end serving-layer tests: real model, real DAVIS-like streams,
 //! the full admit → drive → schedule → report path.
 
+use std::sync::mpsc;
+use std::time::Duration;
 use vr_dann::{ComputeMode, TrainTask, VrDann, VrDannConfig};
 use vrd_codec::EncodedVideo;
 use vrd_serve::{
-    admit_and_drive, drive_template, generate, run_fleet, schedule, serve, FleetConfig,
-    LoadGenConfig, Result, SchedConfig, SchedPolicy, ServeConfig, ServeError, SessionDemand,
-    SessionState, SloConfig, StreamEntry,
+    admit_and_drive, drive_template, generate, run_fleet, schedule, serve, ChaosConfig, Envelope,
+    FleetConfig, LoadGenConfig, NpuFaultProfile, RecoveryConfig, Result, SchedConfig, SchedPolicy,
+    ServeConfig, ServeError, SessionDemand, SessionState, SloConfig, StreamEntry,
 };
 use vrd_sim::SimConfig;
 use vrd_video::davis::{davis_train_suite, davis_val_suite, SuiteConfig};
@@ -130,7 +132,6 @@ fn tight_slo_rejects_excess_sessions() {
     let cfg = ServeConfig {
         slo: SloConfig {
             target_p99_ns: 2.5e6,
-            max_utilization: 0.9,
         },
         ..ServeConfig::default()
     };
@@ -140,7 +141,8 @@ fn tight_slo_rejects_excess_sessions() {
     // Tightening the SLO can only shrink the admitted set.
     let loose = serve(&model, &requests, &ServeConfig::default()).unwrap();
     assert!(report.admitted <= loose.admitted);
-    assert!(report.projected_utilization < cfg.slo.max_utilization);
+    // Admission's utilisation ceiling.
+    assert!(report.projected_utilization < 0.9);
 }
 
 #[test]
@@ -265,12 +267,141 @@ fn run_fleet_rejects_a_degenerate_cost_model_before_placing() {
             demand: SessionDemand::estimate(&model, seq, enc, 1e6),
         })
         .collect();
-    let trace = generate(&LoadGenConfig::default());
+    let trace = generate(&LoadGenConfig::default()).unwrap();
     for (sim, field) in spoilt_sims() {
         let cfg = FleetConfig {
             sim,
             ..FleetConfig::default()
         };
         assert_rejected(run_fleet(&trace, &library, &cfg), field);
+    }
+}
+
+#[test]
+fn schedule_rejects_a_stall_that_bills_negative_or_nan_time() {
+    let (model, seqs, encoded) = tiny_setup();
+    let requests: Vec<_> = seqs.iter().zip(&encoded).collect();
+    let (_, sessions, _) = admit_and_drive(&model, &requests, &ServeConfig::default()).unwrap();
+    let (cfg, sim) = (SchedConfig::default(), SimConfig::default());
+    let stalling = |stall_ns| ChaosConfig {
+        faults: NpuFaultProfile::stalls(1.0, stall_ns, 1),
+        recovery: RecoveryConfig::default(),
+    };
+    // The first two once replayed to `Ok` with a negative makespan and a
+    // NaN one.
+    for stall_ns in [-5e7, f64::NAN, f64::INFINITY, -0.5] {
+        for policy in [SchedPolicy::Fifo, SchedPolicy::Batch] {
+            let got = schedule(&sessions, policy, &cfg, &sim, Some(&stalling(stall_ns)));
+            assert_rejected(got, "stall_ns");
+        }
+    }
+    // A stall that costs nothing is a legal edge.
+    let out = schedule(
+        &sessions,
+        SchedPolicy::Batch,
+        &cfg,
+        &sim,
+        Some(&stalling(0.0)),
+    )
+    .unwrap();
+    assert!(out.stalls > 0 && out.stall_ns == 0.0);
+    assert!(out.makespan_ns.is_finite() && out.frames_delivered() == out.frames_offered);
+}
+
+/// `generate` on `cfg`, on its own thread: `None` when it has not
+/// returned within five seconds.
+fn generate_within_5s(cfg: LoadGenConfig) -> Option<Result<usize>> {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(generate(&cfg).map(|t| t.arrivals.len()));
+    });
+    rx.recv_timeout(Duration::from_secs(5)).ok()
+}
+
+#[test]
+fn generate_rejects_a_load_that_never_keeps_an_arrival() {
+    let base = LoadGenConfig::default();
+    let bursty = |duty, quiet_level| Envelope::Bursty {
+        period_frac: 0.25,
+        duty,
+        quiet_level,
+    };
+    // Each of these once never returned (the finite spike within five
+    // seconds, at least), except the NaN mean gap, which returned arrivals
+    // at NaN instants.
+    for (cfg, field) in [
+        (
+            LoadGenConfig {
+                envelope: bursty(0.0, 0.0),
+                ..base
+            },
+            "bursty envelope keeps no arrival",
+        ),
+        (
+            LoadGenConfig {
+                mean_interarrival_ns: f64::INFINITY,
+                envelope: Envelope::Diurnal { trough_level: 0.3 },
+                ..base
+            },
+            "mean_interarrival_ns",
+        ),
+        (
+            LoadGenConfig {
+                mean_interarrival_ns: f64::NAN,
+                ..base
+            },
+            "mean_interarrival_ns",
+        ),
+        (
+            LoadGenConfig {
+                horizon_ns: f64::INFINITY,
+                envelope: Envelope::Diurnal { trough_level: 0.0 },
+                ..base
+            },
+            "candidates kept",
+        ),
+        (
+            LoadGenConfig {
+                envelope: Envelope::Spike {
+                    factor: f64::INFINITY,
+                    start_frac: 0.25,
+                    end_frac: 0.5,
+                },
+                ..base
+            },
+            "candidates kept",
+        ),
+        (
+            LoadGenConfig {
+                envelope: Envelope::Spike {
+                    factor: 1e12,
+                    start_frac: 0.35,
+                    end_frac: 0.65,
+                },
+                ..base
+            },
+            "candidates kept",
+        ),
+        (
+            LoadGenConfig {
+                envelope: Envelope::Diurnal {
+                    trough_level: f64::NAN,
+                },
+                ..base
+            },
+            "candidates kept",
+        ),
+    ] {
+        match generate_within_5s(cfg) {
+            Some(got) => assert_rejected(got, field),
+            None => panic!("{field}: generate did not return within 5 s"),
+        }
+    }
+    // A quiet floor alone, or a trough that touches zero, still keeps
+    // arrivals.
+    for envelope in [bursty(0.0, 0.25), Envelope::Diurnal { trough_level: 0.0 }] {
+        let cfg = LoadGenConfig { envelope, ..base };
+        let got = generate_within_5s(cfg).expect("generate returned within 5 s");
+        assert_eq!(got.unwrap(), base.sessions);
     }
 }
