@@ -66,14 +66,26 @@
 //! Each tile writes its input only where conv1 reads it, its spans grown
 //! by its 3×3 halo ([`Tile::input`]), and every stage into a buffer that
 //! is otherwise stale; all of them are one struct per walk in flight,
-//! recycled across calls and shared with the dense walks ([`Recycler`]). A tile's rows are what a fixed byte budget
-//! holds of a row's scratch in the precision at hand ([`tile_rows`]), so
-//! the mask path holds no frame-sized input, activation, accumulator or
-//! logit plane, whatever the frame's height. Training, calibration and
-//! `infer` take a dense tensor and run the dense plan.
+//! recycled across calls and shared with the dense walks ([`Recycler`]).
+//! A tile's rows are what a fixed byte budget holds of a row's scratch in
+//! the precision at hand ([`Graph::tile_rows`]), so the mask path holds no
+//! frame-sized input, activation, accumulator or logit plane, whatever the
+//! frame's height. Training, calibration and `infer` take a dense tensor
+//! and run the dense plan.
+//!
+//! # One path, two precisions
+//!
+//! All of the above is written once. A precision is a [`Graph`] and
+//! supplies only its input codes, its per-walk buffers and the walk from a
+//! tile's input to its logits: `NnS` walks f32 activations, `QuantNnS`
+//! requantised `u8` ones. The row budget, the tile fill and cut
+//! ([`Banded::mask`]), the scratch one call holds ([`mask_tiles`]) and the
+//! cut table ([`Graph::cuts`]) are this module's.
 
-use crate::conv::auto_threads;
-use std::sync::Mutex;
+use crate::conv::{auto_threads, Input};
+use crate::layers::sigmoid_cut;
+use crate::nns::SANDWICH_CHANNELS;
+use std::sync::{Mutex, OnceLock};
 use vrd_video::mask::{band, Expansion};
 use vrd_video::{Seg2Plane, SegMask, MASK_WORD_BITS};
 
@@ -87,7 +99,7 @@ const BLOCK: usize = 16;
 
 /// Side of the constant images a [`CutTable`] is read from: the smallest
 /// even side whose centre pixel's window stays in frame.
-pub(crate) const TABLE_SIDE: usize = 2 * RADIUS + 2;
+const TABLE_SIDE: usize = 2 * RADIUS + 2;
 
 /// The columns of each row one stage computes: ascending, disjoint,
 /// non-adjacent `[start, end)` spans per row.
@@ -301,12 +313,10 @@ impl Plan {
 pub(crate) struct CutTable(u32);
 
 impl CutTable {
-    /// Reads each triple's bit from `centre_bit`, the dense graph's cut bit
-    /// at the centre of a [`TABLE_SIDE`]-square image holding that triple's
-    /// codes.
-    pub(crate) fn build(mut centre_bit: impl FnMut([usize; 3]) -> bool) -> Self {
+    /// Each triple's bit from `bit`.
+    fn build(mut bit: impl FnMut([usize; 3]) -> bool) -> Self {
         Self(triples().fold(0, |bits, [i0, i1, i2]| {
-            bits | u32::from(centre_bit([i0, i1, i2])) << (i0 + 3 * i1 + 9 * i2)
+            bits | u32::from(bit([i0, i1, i2])) << (i0 + 3 * i1 + 9 * i2)
         }))
     }
 
@@ -416,10 +426,109 @@ const HALO: usize = RADIUS + 1;
 /// tile and ~140 of an int8 one.
 const TILE_BYTES: usize = 4 << 20;
 
-/// The rows of a tile whose scratch takes `row_bytes` a row: as many as
-/// [`TILE_BYTES`] holds, rounded down to an even count, at least two.
-pub(crate) fn tile_rows(row_bytes: usize) -> usize {
-    (TILE_BYTES / row_bytes.max(1) / 2 * 2).max(2)
+/// One precision of NN-S, as the mask path walks it: what differs between
+/// f32 and int8 (see the module docs).
+pub(crate) trait Graph: Sync {
+    /// An input element, and an element of the activation [`roles`].
+    type Code: Poison + Default + PartialEq + Send + Sync;
+    /// The buffers one walk writes besides its input, one per role.
+    type Walk: Default + Send;
+    /// The bytes a walk's buffers take per pixel besides the roles.
+    const PIXEL_BYTES: usize;
+
+    /// Hidden feature-channel width.
+    fn hidden(&self) -> usize;
+
+    /// The input values of black, gray and white pixels.
+    fn codes(&self) -> [Self::Code; 3];
+
+    /// Where this model keeps its [`CutTable`].
+    fn cut_cell(&self) -> &OnceLock<CutTable>;
+
+    /// The bytes `walk`'s buffers hold.
+    fn held_bytes(walk: &Self::Walk) -> usize;
+
+    /// The logits of the `3 × h × w` input `x` on `plan.conv3`'s columns
+    /// (every other element stale), each stage into its role's buffer in
+    /// `walk` on its `plan` columns.
+    ///
+    /// # Panics
+    /// Panics on a wrong input length or odd spatial dimensions.
+    fn logits<'s>(
+        &self,
+        x: Input<'_, Self::Code>,
+        plan: &Plan,
+        walk: &'s mut Self::Walk,
+    ) -> &'s [f32];
+
+    /// This model's [`CutTable`], built on first use: each triple's bit is
+    /// the dense walk's cut bit at the centre of a [`TABLE_SIDE`]-square
+    /// image holding that triple's codes.
+    fn cuts(&self) -> CutTable {
+        let centre_bit = |triple| self.centre_bit(TABLE_SIDE, TABLE_SIDE, triple);
+        *self.cut_cell().get_or_init(|| CutTable::build(centre_bit))
+    }
+
+    /// The logit rows of one mask tile on a `w`-wide frame: as many rows of
+    /// input and walk buffers as [`TILE_BYTES`] holds, rounded down to an
+    /// even count, at least two.
+    fn tile_rows(&self, w: usize) -> usize {
+        let codes = SANDWICH_CHANNELS * w + roles(self.hidden(), 2, w).iter().sum::<usize>() / 2;
+        let row = codes * std::mem::size_of::<Self::Code>() + w * Self::PIXEL_BYTES;
+        (TILE_BYTES / row.max(1) / 2 * 2).max(2)
+    }
+
+    /// The dense walk's cut bit at the centre of an `h × w` image holding
+    /// the codes of `triple` (one code index per channel).
+    fn centre_bit(&self, h: usize, w: usize, triple: [usize; 3]) -> bool {
+        let codes = self.codes();
+        let x: Vec<_> = triple
+            .iter()
+            .flat_map(|&i| std::iter::repeat_n(codes[i], h * w))
+            .collect();
+        let (plan, mut walk) = (Plan::dense(h, w), Self::Walk::default());
+        let logits = self.logits(Input::new(&x, h, w), &plan, &mut walk);
+        logits[h / 2 * w + w / 2] > sigmoid_cut()
+    }
+}
+
+/// The lengths of an `h × w` walk's activation roles with `hidden`
+/// channels: conv1's output `a1`, its max-pool `d`, conv2's output `a2` and
+/// `a2` upsampled.
+pub(crate) fn roles(hidden: usize, h: usize, w: usize) -> [usize; 4] {
+    let hw = h * w;
+    [hidden * hw, hidden * hw / 4, hidden * hw / 4, hidden * hw]
+}
+
+/// One walk's scratch: its input and its buffers, each as long as the
+/// largest walk it served needed.
+#[derive(Default)]
+pub(crate) struct Scratch<C, W> {
+    /// conv1's input, written by a mask tile or a dense int8 walk (a dense
+    /// f32 walk reads its tensor).
+    pub(crate) input: Vec<C>,
+    pub(crate) walk: W,
+}
+
+/// `graph`'s refined mask of `x` — either precision's `mask` — in tiles of
+/// its row budget, on structs of `scratch`.
+pub(crate) fn mask<G: Graph>(
+    graph: &G,
+    x: &SandwichPlanes<'_>,
+    scratch: &Recycler<Scratch<G::Code, G::Walk>>,
+) -> SegMask {
+    Banded::of(x).mask(graph, graph.tile_rows(x.size().1), scratch)
+}
+
+/// How [`mask`] walks `x`: the number of row tiles, and the bytes of
+/// scratch one call holds on one thread (measured by running it).
+pub(crate) fn mask_tiles<G: Graph>(graph: &G, x: &SandwichPlanes<'_>) -> (usize, usize) {
+    let (h, w) = x.size();
+    let held = Recycler::one_call(|s| drop(mask(graph, x, s)));
+    let bytes = held
+        .iter()
+        .map(|s| capacity_bytes(&s.input) + G::held_bytes(&s.walk));
+    (h.div_ceil(graph.tile_rows(w)), bytes.sum())
 }
 
 /// Scratch structs recycled across calls: a walk (dense, or one tile of a
@@ -432,12 +541,6 @@ impl<T: Default> Recycler<T> {
     /// An empty recycler (usable in `static` position).
     pub(crate) const fn new() -> Self {
         Self(Mutex::new(Vec::new()))
-    }
-
-    /// A recycler holding `structs`.
-    #[cfg(test)]
-    pub(crate) fn holding(structs: Vec<T>) -> Self {
-        Self(Mutex::new(structs))
     }
 
     /// The structs held.
@@ -551,21 +654,20 @@ impl<'a> Banded<'a> {
             .collect()
     }
 
-    /// The mask, a tile of `rows` logit rows at a time: each tile's logits,
-    /// from `walk` on a struct of `scratch`, cut at `cut` on the tile's
-    /// conv3 spans, and `table`'s bit for its code triple everywhere else.
-    /// Tiles fan out over the threads their `hidden`-wide walks' MACs call
-    /// for ([`auto_threads`]); the mask does not depend on how many.
+    /// `graph`'s mask, a tile of `rows` logit rows at a time: each tile's
+    /// input written in `graph`'s codes and walked to logits on a struct of
+    /// `scratch`, the logits cut at [`sigmoid_cut`] on the tile's conv3
+    /// spans, and the [`CutTable`]'s bit for its code triple everywhere
+    /// else. Tiles fan out over the threads their walks' MACs call for
+    /// ([`auto_threads`]); the mask does not depend on how many.
     ///
     /// # Panics
     /// Panics if `rows` is odd or zero.
-    pub(crate) fn mask<S: Default + Send>(
+    pub(crate) fn mask<G: Graph>(
         &self,
+        graph: &G,
         rows: usize,
-        hidden: usize,
-        scratch: &Recycler<S>,
-        (cut, table): (f32, CutTable),
-        walk: impl for<'s> Fn(&Tile<'a>, &'s mut S) -> &'s [f32] + Sync,
+        scratch: &Recycler<Scratch<G::Code, G::Walk>>,
     ) -> SegMask {
         assert!(
             rows > 0 && rows.is_multiple_of(2),
@@ -577,15 +679,19 @@ impl<'a> Banded<'a> {
             .planes
             .channels
             .map(|(white, gray)| (white.words(), gray.map(SegMask::words)));
-        let mut words = table_words(&channels, table);
+        let mut words = table_words(&channels, graph.cuts());
         let tiles = self.tiles(rows);
-        let macs = tiles.iter().map(|t| t.plan.macs(hidden)).sum();
+        let macs = tiles.iter().map(|t| t.plan.macs(graph.hidden())).sum();
         let work: Vec<_> = tiles
             .into_iter()
             .zip(words.chunks_mut(rows * wpr))
             .collect();
+        let (codes, cut) = (graph.codes(), sigmoid_cut());
         vrd_runtime::parallel_for_each_with(work, auto_threads(macs), |(tile, out)| {
-            scratch.with(|s| tile.cut(walk(&tile, s), cut, out));
+            scratch.with(|s| {
+                let x = tile.input(codes, &mut s.input);
+                tile.cut(graph.logits(x, &tile.plan, &mut s.walk), cut, out);
+            });
         });
         SegMask::from_words(w, h, words)
     }
@@ -594,7 +700,7 @@ impl<'a> Banded<'a> {
 /// One row tile of a [`Banded`] walk: the logits of frame rows `[t0, t1)`,
 /// computed on the sub-frame of rows `[a, b)` — the tile and [`HALO`] rows
 /// on each side, clipped to the frame — by the plan of those logits alone.
-pub(crate) struct Tile<'a> {
+struct Tile<'a> {
     planes: SandwichPlanes<'a>,
     /// `[t0, t1)`.
     rows: std::ops::Range<usize>,
@@ -618,28 +724,16 @@ impl<'a> Tile<'a> {
     }
 
     /// The sub-frame's `(height, width)`.
-    pub(crate) fn size(&self) -> (usize, usize) {
+    fn size(&self) -> (usize, usize) {
         (self.frame.len(), self.planes.size().1)
     }
 
-    /// What each stage computes, in sub-frame rows.
-    pub(crate) fn plan(&self) -> &Plan {
-        &self.plan
-    }
-
-    /// Writes the sub-frame's `3 × h × w` input `x` as `codes` (black, gray,
+    /// The sub-frame's `3 × h × w` input on `buf`: `codes` (black, gray,
     /// white) on the pixels conv1 reads — its spans grown by its 3×3 halo —
-    /// and leaves every other element as it was.
-    ///
-    /// # Panics
-    /// Panics if `x` is not `3 × h × w` long.
-    pub(crate) fn input<T: Copy>(&self, codes: [T; 3], x: &mut [T]) {
+    /// and every other element [`stale`].
+    fn input<'b, T: Poison>(&self, codes: [T; 3], buf: &'b mut Vec<T>) -> Input<'b, T> {
         let (h, w) = self.size();
-        assert_eq!(
-            x.len(),
-            3 * h * w,
-            "NN-S expects the 3-channel sandwich input"
-        );
+        let x = stale(buf, SANDWICH_CHANNELS * h * w);
         let read = self.plan.conv1.grow(1);
         let expansion = Expansion::new(codes);
         for (channel, (white, gray)) in x.chunks_exact_mut(h * w).zip(self.planes.channels) {
@@ -651,6 +745,7 @@ impl<'a> Tile<'a> {
                 }
             }
         }
+        Input::new(x, h, w)
     }
 
     /// Cuts the sub-frame's `logits` at `cut` into the tile's rows of mask
@@ -747,7 +842,7 @@ pub(crate) fn ellipse(w: usize, h: usize, (cx, cy): (f32, f32), (rx, ry): (f32, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{nns, quant, NnS, QuantNnS};
+    use crate::{NnS, QuantNnS};
     use proptest::prelude::*;
     use vrd_video::texture::hash2;
 
@@ -859,6 +954,11 @@ mod tests {
         (nns, q)
     }
 
+    /// `graph`'s mask of `planes` in tiles of `rows` logit rows.
+    fn tiled<G: Graph>(graph: &G, planes: &SandwichPlanes<'_>, rows: usize) -> SegMask {
+        Banded::of(planes).mask(graph, rows, &Recycler::new())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -930,10 +1030,8 @@ mod tests {
             };
             let x = planes.to_tensor();
             let (nns, q) = models(hid, seed, &x, calibrate == 1);
-            let f32_mask = nns.mask_tiled(&planes, rows, &Recycler::new());
-            prop_assert_eq!(f32_mask, nns.infer(&x).to_mask(0.5));
-            let int8_mask = q.mask_tiled(&planes, rows, &Recycler::new());
-            prop_assert_eq!(int8_mask, q.infer(&x).to_mask(0.5));
+            prop_assert_eq!(tiled(&nns, &planes, rows), nns.infer(&x).to_mask(0.5));
+            prop_assert_eq!(tiled(&q, &planes, rows), q.infer(&x).to_mask(0.5));
         }
     }
 
@@ -953,14 +1051,25 @@ mod tests {
                 let (nns, q) = models(hid, seed, &x, case % 2 == 0);
                 assert_eq!(Banded::of(&planes).tiles(rows).len(), 3);
                 if int8 == 1 {
-                    assert_eq!(q.tile_rows(w), rows);
-                    assert_eq!(q.mask(&planes), q.infer(&x).to_mask(0.5), "{w}×{h}");
+                    at_production_rows(&q, &planes, rows, &q.infer(&x).to_mask(0.5));
                 } else {
-                    assert_eq!(nns.tile_rows(w), rows);
-                    assert_eq!(nns.mask(&planes), nns.infer(&x).to_mask(0.5), "{w}×{h}");
+                    at_production_rows(&nns, &planes, rows, &nns.infer(&x).to_mask(0.5));
                 }
             }
         }
+    }
+
+    /// `graph` picks tiles of `rows` on `planes`, and its mask there is
+    /// `dense`.
+    fn at_production_rows<G: Graph>(
+        graph: &G,
+        planes: &SandwichPlanes<'_>,
+        rows: usize,
+        dense: &SegMask,
+    ) {
+        let (h, w) = planes.size();
+        assert_eq!(graph.tile_rows(w), rows);
+        assert_eq!(&mask(graph, planes, &Recycler::new()), dense, "{w}×{h}");
     }
 
     /// A call's scratch is what one tile needs, not the frame: both
@@ -976,16 +1085,7 @@ mod tests {
             let (prev, next) = (blob(400.0), blob(406.0));
             let recon = Seg2Plane::mean_filter(&prev, &next);
             let planes = SandwichPlanes::new(&prev, &recon, &next).unwrap();
-            let f32_bytes = Recycler::one_call(|s| {
-                drop(nns.mask_tiled(&planes, nns.tile_rows(w), s));
-            });
-            let int8_bytes = Recycler::one_call(|s| {
-                drop(q.mask_tiled(&planes, q.tile_rows(w), s));
-            });
-            [
-                f32_bytes.iter().map(nns::Scratch::bytes).sum::<usize>(),
-                int8_bytes.iter().map(quant::Scratch::bytes).sum(),
-            ]
+            [mask_tiles(&nns, &planes).1, mask_tiles(&q, &planes).1]
         };
         let (short, tall) = (bytes(480), bytes(960));
         assert_eq!(short, tall);

@@ -11,20 +11,20 @@
 //! reductions, and a training step the walk plus the backward pass over
 //! the activations it kept; all three take a dense tensor. The mask takes
 //! the input as the engine holds it — packed planes, [`SandwichPlanes`] —
-//! and is the same walk over their band a row tile at a time, each tile's
-//! input written only where conv1 reads it and every role in a tile-sized
-//! buffer, plus a table of cut bits (`crate::band`). Every walk takes its
-//! buffers from one recycled scratch struct. (The int8 graph in
-//! [`crate::quant`] is a second arithmetic — requantisation between
-//! layers — not a second copy.)
+//! and is `crate::band`'s one mask path, the int8 graph's too: this module
+//! supplies only the f32 codes, the activation buffers and the walk. Every
+//! walk takes its buffers from one recycled scratch struct. (The int8
+//! graph in [`crate::quant`] is a second arithmetic — requantisation
+//! between layers — not a second copy.)
 
 use crate::band::{
-    capacity_bytes, stale, tile_rows, Banded, CutTable, Plan, Recycler, SandwichPlanes, TABLE_SIDE,
+    self, capacity_bytes, roles, stale, Banded, CutTable, Graph, Plan, Recycler, SandwichPlanes,
+    Scratch,
 };
 use crate::conv::{Conv2d, Epilogue, Input};
 use crate::layers::{
-    maxpool2_backward, maxpool2_span_into, relu_backward, sigmoid_cut, sigmoid_in_place,
-    upsample2_backward, upsample2_span_into,
+    maxpool2_backward, maxpool2_span_into, relu_backward, sigmoid_in_place, upsample2_backward,
+    upsample2_span_into,
 };
 use crate::loss::bce_with_logits;
 use crate::quant::{ActScales, QuantNnS};
@@ -42,7 +42,7 @@ const F32_CODES: [f32; 3] = [0.0, 0.5, 1.0];
 /// The scratch of every walk, one struct per walk in flight (a dense
 /// walk's or one of [`NnS::mask`]'s tiles), recycled across calls so
 /// steady-state refinement does not allocate per call.
-static SCRATCH: Recycler<Scratch> = Recycler::new();
+static SCRATCH: Recycler<Scratch<f32, Activations<Vec<f32>>>> = Recycler::new();
 
 /// The NN-S refinement network.
 #[derive(Debug, Clone)]
@@ -58,11 +58,11 @@ pub struct NnS {
     cuts: OnceLock<CutTable>,
 }
 
-/// What one walk of the graph leaves behind, one buffer `B` per role (or,
-/// as `Activations<usize>`, each role's length). Inference reads `logits`,
-/// calibration the ranges of `a1` and `a2`, and the backward pass all of it.
+/// What one walk of the graph leaves behind, one buffer `B` per role.
+/// Inference reads `logits`, calibration the ranges of `a1` and `a2`, and
+/// the backward pass all of it.
 #[derive(Default)]
-struct Activations<B> {
+pub(crate) struct Activations<B> {
     /// conv3's input: conv1's post-ReLU output `a1` in the first `hidden`
     /// channels, the upsampled `a2` in the rest.
     cat: B,
@@ -72,56 +72,6 @@ struct Activations<B> {
     a2: B,
     /// conv3's output, one channel at full resolution.
     logits: B,
-}
-
-/// One walk's scratch: a buffer per role, each as long as the largest walk
-/// it served needed.
-#[derive(Default)]
-pub(crate) struct Scratch {
-    /// conv1's input, written by [`NnS::mask`] (a dense walk reads its
-    /// tensor).
-    input: Vec<f32>,
-    acts: Activations<Vec<f32>>,
-}
-
-impl Scratch {
-    /// Every role's capacity, in bytes.
-    pub(crate) fn bytes(&self) -> usize {
-        let acts = &self.acts;
-        [&self.input, &acts.cat, &acts.d, &acts.a2, &acts.logits]
-            .map(capacity_bytes)
-            .iter()
-            .sum()
-    }
-
-    /// Every role as long as an `h × w` tile of a `hidden`-wide model
-    /// needs, filled with NaN.
-    #[cfg(test)]
-    pub(crate) fn poisoned(hidden: usize, h: usize, w: usize) -> Self {
-        let Activations { cat, d, a2, logits } = roles(hidden, h, w);
-        let nan = |n| vec![f32::NAN; n];
-        Self {
-            input: nan(SANDWICH_CHANNELS * h * w),
-            acts: Activations {
-                cat: nan(cat),
-                d: nan(d),
-                a2: nan(a2),
-                logits: nan(logits),
-            },
-        }
-    }
-}
-
-/// The length of each of a walk's roles over `h × w` with `hidden`
-/// channels.
-fn roles(hidden: usize, h: usize, w: usize) -> Activations<usize> {
-    let hw = h * w;
-    Activations {
-        cat: 2 * hidden * hw,
-        d: hidden * hw / 4,
-        a2: hidden * hw / 4,
-        logits: hw,
-    }
 }
 
 impl NnS {
@@ -212,7 +162,7 @@ impl NnS {
         for x in inputs {
             SCRATCH.with(|s| {
                 let plan = Plan::dense(x.height(), x.width());
-                let acts = self.walk(Input::of(x), &plan, &mut s.acts);
+                let acts = self.walk(Input::of(x), &plan, &mut s.walk);
                 let a1 = &acts.cat[..self.hidden * x.height() * x.width()];
                 for (m, s) in maxes.iter_mut().zip([x.as_slice(), a1, acts.a2]) {
                     *m = s.iter().fold(*m, |m, v| m.max(v.abs()));
@@ -265,11 +215,11 @@ impl NnS {
         );
         assert!(h % 2 == 0 && w % 2 == 0, "max-pool needs even dimensions");
         let (hw, hid) = (h * w, self.hidden);
-        let lens = roles(hid, h, w);
-        let cat = stale(&mut bufs.cat, lens.cat);
-        let d = stale(&mut bufs.d, lens.d);
-        let a2 = stale(&mut bufs.a2, lens.a2);
-        let logits = stale(&mut bufs.logits, lens.logits);
+        let [n1, nd, n2, nup] = roles(hid, h, w);
+        let cat = stale(&mut bufs.cat, n1 + nup);
+        let d = stale(&mut bufs.d, nd);
+        let a2 = stale(&mut bufs.a2, n2);
+        let logits = stale(&mut bufs.logits, hw);
         let (a1, up) = cat.split_at_mut(hid * hw);
         self.conv1.forward_into(x, a1, Epilogue::Relu, &plan.conv1);
         maxpool2_span_into(a1, hid, h, w, d, &plan.pool, f32::max);
@@ -289,7 +239,7 @@ impl NnS {
     /// Panics on a wrong channel count or odd spatial dimensions.
     pub fn infer(&self, x: &Tensor) -> Tensor {
         let plan = Plan::dense(x.height(), x.width());
-        let mut out = SCRATCH.with(|s| self.walk(Input::of(x), &plan, &mut s.acts).logits.to_vec());
+        let mut out = SCRATCH.with(|s| self.walk(Input::of(x), &plan, &mut s.walk).logits.to_vec());
         sigmoid_in_place(&mut out);
         Tensor::from_vec(1, x.height(), x.width(), out)
     }
@@ -307,44 +257,13 @@ impl NnS {
     /// (see `crate::band` for why that is exact). The band is walked in
     /// row tiles on tile-sized scratch, so no frame-sized plane is held.
     pub fn mask(&self, x: &SandwichPlanes<'_>) -> SegMask {
-        self.mask_tiled(x, self.tile_rows(x.size().1), &SCRATCH)
-    }
-
-    /// The logit rows of one [`NnS::mask`] tile on a `w`-wide frame: what
-    /// the tile byte budget holds of a row's scratch.
-    pub(crate) fn tile_rows(&self, w: usize) -> usize {
-        let Activations { cat, d, a2, logits } = roles(self.hidden, 2, w);
-        let row = SANDWICH_CHANNELS * w + (cat + d + a2 + logits) / 2;
-        tile_rows(row * std::mem::size_of::<f32>())
-    }
-
-    /// [`NnS::mask`] in tiles of `rows` logit rows, on scratch from
-    /// `scratch`.
-    pub(crate) fn mask_tiled(
-        &self,
-        x: &SandwichPlanes<'_>,
-        rows: usize,
-        scratch: &Recycler<Scratch>,
-    ) -> SegMask {
-        let cut = (sigmoid_cut(), self.cut_table());
-        Banded::of(x).mask(rows, self.hidden, scratch, cut, |tile, s| {
-            let (h, w) = tile.size();
-            let Scratch { input, acts } = s;
-            let input = stale(input, SANDWICH_CHANNELS * h * w);
-            tile.input(F32_CODES, input);
-            self.walk(Input::new(input, h, w), tile.plan(), acts).logits
-        })
+        band::mask(self, x, &SCRATCH)
     }
 
     /// How [`NnS::mask`] walks `x`: the number of row tiles, and the bytes
     /// of scratch one call holds on one thread (measured by running it).
     pub fn mask_tiles(&self, x: &SandwichPlanes<'_>) -> (usize, usize) {
-        let rows = self.tile_rows(x.size().1);
-        let held = Recycler::one_call(|s| drop(self.mask_tiled(x, rows, s)));
-        (
-            x.size().0.div_ceil(rows),
-            held.iter().map(Scratch::bytes).sum(),
-        )
+        band::mask_tiles(self, x)
     }
 
     /// The share of conv1's, conv2's and conv3's output pixels in
@@ -354,27 +273,6 @@ impl NnS {
     /// skipped.
     pub fn band_coverage(x: &SandwichPlanes<'_>) -> [f64; 3] {
         Banded::of(x).coverage()
-    }
-
-    /// This model's [`CutTable`], built on first use.
-    fn cut_table(&self) -> CutTable {
-        *self.cuts.get_or_init(|| {
-            CutTable::build(|triple| self.centre_bit(TABLE_SIDE, TABLE_SIDE, triple))
-        })
-    }
-
-    /// The dense walk's cut bit at the centre of an `h × w` image holding
-    /// the sandwich values of `triple` (one code index per channel).
-    fn centre_bit(&self, h: usize, w: usize, triple: [usize; 3]) -> bool {
-        let data = triple
-            .iter()
-            .flat_map(|&i| std::iter::repeat_n(F32_CODES[i], h * w))
-            .collect();
-        let x = Tensor::from_vec(SANDWICH_CHANNELS, h, w, data);
-        let plan = Plan::dense(h, w);
-        let centre = SCRATCH
-            .with(|s| self.walk(Input::of(&x), &plan, &mut s.acts).logits[h / 2 * w + w / 2]);
-        centre > sigmoid_cut()
     }
 
     /// One sample's training step: forward, BCE-with-logits against
@@ -388,7 +286,7 @@ impl NnS {
         let (h, w) = (x.height(), x.width());
         let plan = Plan::dense(h, w);
         SCRATCH.with(|s| {
-            let acts = self.walk(Input::of(x), &plan, &mut s.acts);
+            let acts = self.walk(Input::of(x), &plan, &mut s.walk);
             let Activations { cat, d, a2, logits } = acts;
             let (hw, hid) = (h * w, self.hidden);
             let logits = Tensor::from_vec(1, h, w, logits.to_vec());
@@ -419,12 +317,40 @@ impl NnS {
     }
 }
 
+/// The f32 graph on the mask path: the sandwich values as codes, the
+/// activations as buffers, [`NnS::walk`] to the logits.
+impl Graph for NnS {
+    type Code = f32;
+    type Walk = Activations<Vec<f32>>;
+    /// The logit.
+    const PIXEL_BYTES: usize = std::mem::size_of::<f32>();
+
+    fn hidden(&self) -> usize {
+        self.hidden
+    }
+
+    fn codes(&self) -> [f32; 3] {
+        F32_CODES
+    }
+
+    fn cut_cell(&self) -> &OnceLock<CutTable> {
+        &self.cuts
+    }
+
+    fn held_bytes(walk: &Self::Walk) -> usize {
+        let Activations { cat, d, a2, logits } = walk;
+        [cat, d, a2, logits].map(capacity_bytes).iter().sum()
+    }
+
+    fn logits<'s>(&self, x: Input<'_>, plan: &Plan, walk: &'s mut Self::Walk) -> &'s [f32] {
+        self.walk(x, plan, walk).logits
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::band::Poison;
     use crate::band::{biased, ellipse, triples};
-    use crate::quant;
     use crate::trainer::sgd_step;
     use vrd_video::Seg2Plane;
 
@@ -457,7 +383,7 @@ mod tests {
     #[test]
     fn cut_table_bits_are_the_centres_of_constant_images() {
         let mut nns = biased(NnS::new(5, 11));
-        let table = nns.cut_table();
+        let table = nns.cuts();
         for triple in triples() {
             for (h, w) in [(14, 16), (36, 40)] {
                 assert_eq!(
@@ -471,7 +397,7 @@ mod tests {
         assert!(triples().any(|t| table.bit(t)) && !triples().all(|t| table.bit(t)));
         // Changing the weights drops the table.
         nns.convs_mut()[2].params_mut().1[0] += 100.0;
-        assert!(triples().all(|t| nns.cut_table().bit(t)));
+        assert!(triples().all(|t| nns.cuts().bit(t)));
     }
 
     /// Both precisions' `mask` write their input only where conv1 reads
@@ -481,7 +407,8 @@ mod tests {
     /// `i32::MIN` for the accumulators — the mask must still be the dense
     /// graph's, on a blob sandwich and on masks touching every edge, with
     /// and without the sandwich: in one tile, where some of the input must
-    /// stay poisoned, and in 8-row tiles on a frame of five.
+    /// stay poisoned, and in 8-row tiles on a frame of five. Each call runs
+    /// on a fresh recycler, whose buffers [`stale`] poisons as they grow.
     #[test]
     fn stale_input_is_never_read() {
         let (h, w) = (40, 134);
@@ -490,8 +417,7 @@ mod tests {
             let on = |x: usize, y: usize| x < t || y < t || x + t >= w || y + 1 == h;
             SegMask::from_bits(w, h, (0..h * w).map(|i| on(i % w, i / w)))
         };
-        let hid = 5;
-        let mut nns = biased(NnS::new(hid, 11));
+        let mut nns = biased(NnS::new(5, 11));
         for (prev, next) in [(blob(50.0), blob(58.0)), (edges(2), edges(3))] {
             let recon = Seg2Plane::mean_filter(&prev, &next);
             let sandwich = SandwichPlanes::new(&prev, &recon, &next).unwrap();
@@ -499,24 +425,25 @@ mod tests {
                 let x = planes.to_tensor();
                 nns.calibrate(&[&x]);
                 let q = nns.quantize();
-                let (f32_mask, int8_mask) = (nns.infer(&x).to_mask(0.5), q.infer(&x).to_mask(0.5));
-                assert!(nns.tile_rows(w) >= h && q.tile_rows(w) >= h, "one tile");
-                for rows in [h, 8] {
-                    let held = vec![Scratch::poisoned(hid, h, w)];
-                    let scratch = Recycler::holding(held);
-                    assert_eq!(nns.mask_tiled(&planes, rows, &scratch), f32_mask);
-                    if rows == h {
-                        let input = &scratch.held()[0].input;
-                        assert!(input.iter().any(|v| v.is_nan()), "a band, not the frame");
-                    }
-                    let held = vec![quant::Scratch::poisoned(hid, h, w)];
-                    let scratch = Recycler::holding(held);
-                    assert_eq!(q.mask_tiled(&planes, rows, &scratch), int8_mask);
-                    if rows == h {
-                        let input = scratch.held()[0].input().to_vec();
-                        assert!(input.contains(&u8::POISON), "a band, not the frame");
-                    }
-                }
+                reads_no_stale_element(&nns, &planes, &nns.infer(&x).to_mask(0.5));
+                reads_no_stale_element(&q, &planes, &q.infer(&x).to_mask(0.5));
+            }
+        }
+    }
+
+    /// `graph`'s mask of `planes` on fresh scratch, in one tile and in
+    /// 8-row tiles, is `dense`; in one tile, some of the input stays
+    /// poisoned (holds no code).
+    fn reads_no_stale_element<G: Graph>(graph: &G, planes: &SandwichPlanes<'_>, dense: &SegMask) {
+        let (h, w) = planes.size();
+        assert!(graph.tile_rows(w) >= h, "one tile");
+        for rows in [h, 8] {
+            let scratch = Recycler::new();
+            assert_eq!(&Banded::of(planes).mask(graph, rows, &scratch), dense);
+            if rows == h {
+                let input = &scratch.held()[0].input;
+                let unwritten = |v| !graph.codes().contains(v);
+                assert!(input.iter().any(unwritten), "a band, not the frame");
             }
         }
     }

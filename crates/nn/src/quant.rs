@@ -46,23 +46,22 @@
 //! products distribute, so the split is exact. Max-pool and
 //! nearest-neighbour upsampling commute with the monotone quantizer and run
 //! directly on `u8` planes ([`crate::layers`]). `infer` walks the dense
-//! graph; [`QuantNnS::mask`] walks the band of its packed planes a row
-//! tile at a time (`crate::band`). Every walk takes its buffers — the
-//! input codes, the four `u8` planes, both accumulator planes and the
-//! logits — from one recycled scratch struct. A tile's rows are the same
-//! byte budget as an f32 tile's, and a row of int8 scratch is about a
-//! third of an f32 one, so int8 tiles are about three times as tall.
+//! graph; [`QuantNnS::mask`] is `crate::band`'s mask path, the f32 one,
+//! with the input codes, the `u8` planes, accumulators and logits and
+//! `logits_into` of this graph. Every walk takes its buffers from one
+//! recycled scratch struct. A tile's rows are the same byte budget as an
+//! f32 tile's, and a row of int8 scratch is about a third of an f32 one,
+//! so int8 tiles are about three times as tall.
 
-#[cfg(test)]
-use crate::band::Poison;
 use crate::band::{
-    capacity_bytes, stale, tile_rows, Banded, CutTable, Plan, Recycler, RowSpans, SandwichPlanes,
-    TABLE_SIDE,
+    self, capacity_bytes, roles, stale, CutTable, Graph, Plan, Recycler, RowSpans, SandwichPlanes,
+    Scratch,
 };
 use crate::conv::{auto_threads, run_bands, tiles, Band, Conv2d, Input};
-use crate::layers::{maxpool2_u8_span_into, sigmoid_cut, sigmoid_in_place, upsample2_span_into};
+use crate::layers::{maxpool2_u8_span_into, sigmoid_in_place, upsample2_span_into};
 use crate::nns::{NnS, SANDWICH_CHANNELS};
 use crate::tensor::Tensor;
+use std::sync::OnceLock;
 use vrd_video::SegMask;
 
 /// Largest quantized activation value (7-bit unsigned; see module docs).
@@ -85,65 +84,17 @@ const BLOCK: usize = 16;
 /// in flight (a dense one or one of [`QuantNnS::mask`]'s tiles), recycled
 /// across calls. Every kernel writes each element before it is read, so
 /// the buffers are stale.
-static SCRATCH: Recycler<Scratch> = Recycler::new();
+static SCRATCH: Recycler<Scratch<u8, Walk>> = Recycler::new();
 
 /// The buffers one walk of the `u8` graph writes, one per role: `a1`, the
 /// pooled `d`, `a2` and the upsampled `a2`, then conv3's two
-/// half-accumulator planes.
+/// half-accumulator planes, then a mask tile's logits (a dense walk writes
+/// its caller's plane).
 #[derive(Default)]
-struct Walk {
+pub(crate) struct Walk {
     acts: [Vec<u8>; 4],
     acc: [Vec<i32>; 2],
-}
-
-/// One walk's scratch: a buffer per role, each as long as the largest walk
-/// it served needed.
-#[derive(Default)]
-pub(crate) struct Scratch {
-    /// The quantized input, in the model's codes.
-    input: Vec<u8>,
-    walk: Walk,
     logits: Vec<f32>,
-}
-
-impl Scratch {
-    /// Every role's capacity, in bytes.
-    pub(crate) fn bytes(&self) -> usize {
-        let u8s = std::iter::once(&self.input).chain(&self.walk.acts);
-        u8s.map(capacity_bytes).sum::<usize>()
-            + self.walk.acc.iter().map(capacity_bytes).sum::<usize>()
-            + capacity_bytes(&self.logits)
-    }
-
-    /// conv1's input role.
-    #[cfg(test)]
-    pub(crate) fn input(&self) -> &[u8] {
-        &self.input
-    }
-
-    /// Every role as long as an `h × w` tile of a `hidden`-wide model
-    /// needs, filled with its type's [`Poison::POISON`].
-    #[cfg(test)]
-    pub(crate) fn poisoned(hidden: usize, h: usize, w: usize) -> Self {
-        fn poison<T: Poison>(n: usize) -> Vec<T> {
-            vec![T::POISON; n]
-        }
-        Self {
-            input: poison(SANDWICH_CHANNELS * h * w),
-            walk: Walk {
-                acts: roles(hidden, h, w).map(poison),
-                acc: [(); 2].map(|()| poison(h * w)),
-            },
-            logits: poison(h * w),
-        }
-    }
-}
-
-/// The length of each of [`Walk`]'s `u8` roles over `h × w` with `hidden`
-/// channels (each accumulator plane is `h × w`).
-fn roles(hidden: usize, h: usize, w: usize) -> [usize; 4] {
-    let hw = h * w;
-    [hidden * hw, hidden * hw / 4, hidden * hw / 4, hidden * hw]
 }
 
 /// Which compute path the pipeline runs NN-S inference on.
@@ -969,8 +920,8 @@ pub struct QuantNnS {
     /// are, byte for byte, the f32 input quantized.
     codes: [u8; 3],
     /// The cut bit of each code triple's constant image, for the pixels
-    /// [`QuantNnS::mask`] does not compute.
-    cuts: CutTable,
+    /// [`QuantNnS::mask`] does not compute: built on first use.
+    cuts: OnceLock<CutTable>,
 }
 
 impl QuantNnS {
@@ -1015,7 +966,7 @@ impl QuantNnS {
         ];
         let mut codes = [0; 3];
         quantize_activations(&[0.0, 0.5, 1.0], scales.input, &mut codes);
-        let mut q = Self {
+        Self {
             hidden,
             scales,
             conv1,
@@ -1026,24 +977,8 @@ impl QuantNnS {
             conv3b,
             deq3,
             codes,
-            // Read off the graph itself, once it exists.
-            cuts: CutTable::build(|_| false),
-        };
-        q.cuts = CutTable::build(|triple| q.centre_bit(TABLE_SIDE, TABLE_SIDE, triple));
-        q
-    }
-
-    /// The dense graph's cut bit at the centre of an `h × w` image holding
-    /// the codes of `triple` (one code index per channel).
-    fn centre_bit(&self, h: usize, w: usize, triple: [usize; 3]) -> bool {
-        let xq: Vec<u8> = triple
-            .iter()
-            .flat_map(|&i| std::iter::repeat_n(self.codes[i], h * w))
-            .collect();
-        let mut logits = vec![0.0; h * w];
-        let plan = Plan::dense(h, w);
-        SCRATCH.with(|s| self.logits_into(&xq, h, w, &mut logits, &plan, &mut s.walk));
-        logits[h / 2 * w + w / 2] > sigmoid_cut()
+            cuts: OnceLock::new(),
+        }
     }
 
     /// Hidden feature-channel width.
@@ -1083,17 +1018,19 @@ impl QuantNnS {
         SCRATCH.with(|s| {
             let xq = stale(&mut s.input, x.len());
             self.quantize_input(x, xq);
-            self.logits_into(xq, h, w, &mut out, &plan, &mut s.walk);
+            let Walk { acts, acc, .. } = &mut s.walk;
+            self.logits_into(Input::new(xq, h, w), &mut out, &plan, acts, acc);
         });
         sigmoid_in_place(&mut out);
         Tensor::from_vec(1, h, w, out)
     }
 
     /// The refined mask of the input whose channels are `x`'s planes: the
-    /// `u8` graph's logits thresholded at [`sigmoid_cut`] — for the f32
-    /// input those planes expand to, the mask `infer(..).to_mask(0.5)`
-    /// gives, without the dense input, the quantize pass, the sigmoid or
-    /// the probability plane.
+    /// `u8` graph's logits thresholded at
+    /// [`sigmoid_cut`](crate::layers::sigmoid_cut) — for the f32 input
+    /// those planes expand to, the mask `infer(..).to_mask(0.5)` gives,
+    /// without the dense input, the quantize pass, the sigmoid or the
+    /// probability plane.
     ///
     /// Only the band is computed: the pixels within NN-S's receptive
     /// radius of a value change in any plane or of the frame edge, with
@@ -1103,70 +1040,33 @@ impl QuantNnS {
     /// is walked in row tiles on tile-sized scratch, so no frame-sized
     /// plane is held.
     pub fn mask(&self, x: &SandwichPlanes<'_>) -> SegMask {
-        self.mask_tiled(x, self.tile_rows(x.size().1), &SCRATCH)
-    }
-
-    /// The logit rows of one [`QuantNnS::mask`] tile on a `w`-wide frame:
-    /// what the tile byte budget holds of a row's scratch.
-    pub(crate) fn tile_rows(&self, w: usize) -> usize {
-        let u8s = SANDWICH_CHANNELS * w + roles(self.hidden, 2, w).iter().sum::<usize>() / 2;
-        let wide = 2 * std::mem::size_of::<i32>() + std::mem::size_of::<f32>();
-        tile_rows(u8s + wide * w)
-    }
-
-    /// [`QuantNnS::mask`] in tiles of `rows` logit rows, on scratch from
-    /// `scratch`.
-    pub(crate) fn mask_tiled(
-        &self,
-        x: &SandwichPlanes<'_>,
-        rows: usize,
-        scratch: &Recycler<Scratch>,
-    ) -> SegMask {
-        let cut = (sigmoid_cut(), self.cuts);
-        Banded::of(x).mask(rows, self.hidden, scratch, cut, |tile, s| {
-            let (h, w) = tile.size();
-            let Scratch {
-                input,
-                walk,
-                logits,
-            } = s;
-            let input = stale(input, SANDWICH_CHANNELS * h * w);
-            tile.input(self.codes, input);
-            let out = stale(logits, h * w);
-            self.logits_into(input, h, w, out, tile.plan(), walk);
-            out
-        })
+        band::mask(self, x, &SCRATCH)
     }
 
     /// How [`QuantNnS::mask`] walks `x`: the number of row tiles, and the
     /// bytes of scratch one call holds on one thread (measured by running
     /// it).
     pub fn mask_tiles(&self, x: &SandwichPlanes<'_>) -> (usize, usize) {
-        let rows = self.tile_rows(x.size().1);
-        let held = Recycler::one_call(|s| drop(self.mask_tiled(x, rows, s)));
-        (
-            x.size().0.div_ceil(rows),
-            held.iter().map(Scratch::bytes).sum(),
-        )
+        band::mask_tiles(self, x)
     }
 
-    /// The `u8` graph from a quantized sandwich to f32 logits on the
-    /// stages' `plan` columns, each stage into its role's buffer in `walk`
-    /// (grown to fit, every other element left stale): conv1 +
+    /// The `u8` graph from a quantized sandwich `x` to f32 logits on the
+    /// stages' `plan` columns, each stage into its role's buffer in `acts`
+    /// and `acc` (grown to fit, every other element left stale): conv1 +
     /// requantization → 2×2 max-pool → conv2 + requantization → 2× upsample
     /// → each conv3 half into its own `i32` plane, then both dequantized and
     /// summed per logit. Only `plan.conv3`'s columns of `out` are written.
     fn logits_into(
         &self,
-        xq: &[u8],
-        h: usize,
-        w: usize,
+        x: Input<'_, u8>,
         out: &mut [f32],
         plan: &Plan,
-        walk: &mut Walk,
+        acts: &mut [Vec<u8>; 4],
+        acc: &mut [Vec<i32>; 2],
     ) {
+        let (h, w) = (x.h, x.w);
         assert_eq!(
-            xq.len(),
+            x.data.len(),
             SANDWICH_CHANNELS * h * w,
             "NN-S expects the 3-channel sandwich input"
         );
@@ -1176,13 +1076,13 @@ impl QuantNnS {
         );
         assert_eq!(out.len(), h * w, "logit plane size mismatch");
         let hid = self.hidden;
-        let [a1, d, a2, up] = &mut walk.acts;
+        let [a1, d, a2, up] = acts;
         let [n1, nd, n2, nup] = roles(hid, h, w);
         let (a1, d, a2, up) = (stale(a1, n1), stale(d, nd), stale(a2, n2), stale(up, nup));
-        let [acc_a, acc_b] = walk.acc.each_mut().map(|buf| stale(buf, h * w));
+        let [acc_a, acc_b] = acc.each_mut().map(|buf| stale(buf, h * w));
         let (c1, c2) = (&self.conv1, &self.conv2);
         let threads = auto_threads(c1.macs(plan.conv1.area(), 1));
-        c1.requant_into(Input::new(xq, h, w), &self.rq1, a1, &plan.conv1, threads);
+        c1.requant_into(x, &self.rq1, a1, &plan.conv1, threads);
         maxpool2_u8_span_into(a1, hid, h, w, d, &plan.pool);
         let threads = auto_threads(c2.macs(plan.conv2.area(), 1));
         let half = Input::new(&d[..], h / 2, w / 2);
@@ -1214,6 +1114,41 @@ impl QuantNnS {
     fn dequant(&self, a: i32, b: i32) -> f32 {
         let [da, db, bias] = self.deq3;
         a as f32 * da + b as f32 * db + bias
+    }
+}
+
+/// The int8 graph on the mask path: the quantized sandwich values as codes,
+/// the `u8` planes, accumulators and logits as buffers,
+/// [`QuantNnS::logits_into`] to the logits.
+impl Graph for QuantNnS {
+    type Code = u8;
+    type Walk = Walk;
+    /// The two half-accumulators and the logit.
+    const PIXEL_BYTES: usize = 2 * std::mem::size_of::<i32>() + std::mem::size_of::<f32>();
+
+    fn hidden(&self) -> usize {
+        self.hidden
+    }
+
+    fn codes(&self) -> [u8; 3] {
+        self.codes
+    }
+
+    fn cut_cell(&self) -> &OnceLock<CutTable> {
+        &self.cuts
+    }
+
+    fn held_bytes(walk: &Walk) -> usize {
+        walk.acts.iter().map(capacity_bytes).sum::<usize>()
+            + walk.acc.iter().map(capacity_bytes).sum::<usize>()
+            + capacity_bytes(&walk.logits)
+    }
+
+    fn logits<'s>(&self, x: Input<'_, u8>, plan: &Plan, walk: &'s mut Walk) -> &'s [f32] {
+        let Walk { acts, acc, logits } = walk;
+        let out = stale(logits, x.h * x.w);
+        self.logits_into(x, out, plan, acts, acc);
+        out
     }
 }
 
@@ -1342,7 +1277,7 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::band::{biased, ellipse, triples};
+    use crate::band::{biased, ellipse, triples, Banded};
     use crate::layers::{logits_to_mask, maxpool2_into, maxpool2_u8_into, upsample2_into};
     use vrd_video::Seg2Plane;
 
@@ -1488,16 +1423,9 @@ mod tests {
         let mut xq = vec![0u8; 3 * h * w];
         q.quantize_input(&x, &mut xq);
         let want = reference_logits(&xq, h, w);
-        let mut got = vec![f32::NAN; h * w];
-        q.logits_into(
-            &xq,
-            h,
-            w,
-            &mut got,
-            &Plan::dense(h, w),
-            &mut Walk::default(),
-        );
-        assert_eq!(bits(&got), bits(&want));
+        let mut walk = Walk::default();
+        let got = q.logits(Input::new(&xq, h, w), &Plan::dense(h, w), &mut walk);
+        assert_eq!(bits(got), bits(&want));
         assert_eq!(q.mask(&planes), logits_to_mask(&want, h, w));
         let mut probs = want;
         sigmoid_in_place(&mut probs);
@@ -1521,8 +1449,7 @@ mod tests {
             "a band, not the frame"
         );
         let want = reference_logits(&xq, h, w);
-        let mut got = vec![f32::NAN; h * w];
-        q.logits_into(&xq, h, w, &mut got, &plan, &mut Walk::default());
+        let got = q.logits(Input::new(&xq, h, w), &plan, &mut walk);
         for y in 0..h {
             for &(s, e) in cols.row(y) {
                 let span = y * w + s..y * w + e;
@@ -1538,10 +1465,14 @@ mod tests {
         let q = nns.quantize();
         for triple in triples() {
             for (h, w) in [(14, 16), (36, 40)] {
-                assert_eq!(q.cuts.bit(triple), q.centre_bit(h, w, triple), "{triple:?}");
+                assert_eq!(
+                    q.cuts().bit(triple),
+                    q.centre_bit(h, w, triple),
+                    "{triple:?}"
+                );
             }
         }
-        assert!(triples().any(|t| q.cuts.bit(t)) && !triples().all(|t| q.cuts.bit(t)));
+        assert!(triples().any(|t| q.cuts().bit(t)) && !triples().all(|t| q.cuts().bit(t)));
     }
 
     #[test]
