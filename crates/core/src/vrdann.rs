@@ -24,7 +24,7 @@ use vrd_codec::{
     CodecConfig, EncodedVideo, Encoder, FrameSource, ResilientFrameSource, StrictFrameSource,
     UnitPayload,
 };
-use vrd_nn::{ComputeMode, LargeNetProfile, NnS, Sample, Tensor, TrainConfig};
+use vrd_nn::{ComputeMode, LargeNetProfile, NnS, Sample, Tensor, TrainConfig, MAX_HIDDEN};
 use vrd_video::{Detection, SegMask, Sequence};
 
 /// Full pipeline configuration.
@@ -33,7 +33,8 @@ pub struct VrDannConfig {
     /// Encoder settings (B ratio, search interval `n`, standard — the
     /// paper's Figs. 15–17 knobs).
     pub codec: CodecConfig,
-    /// NN-S hidden channel width.
+    /// NN-S hidden channel width, in `1..=`[`MAX_HIDDEN`] (the widest a
+    /// model file holds).
     pub nns_hidden: usize,
     /// Run NN-S refinement on B-frames (off = raw reconstruction ablation).
     pub refine: bool,
@@ -190,9 +191,17 @@ pub enum RunInput<'a> {
     Resilient(&'a PacketStream, &'a ResilienceOptions),
 }
 
-/// Rejects a segmentation NN-L profile with a non-finite field: the oracle
-/// would turn it into NaN masks.
-fn check_profile(cfg: &VrDannConfig) -> Result<()> {
+/// Rejects an NN-S width no model file can hold (zero would panic
+/// `NnS::new`; a wider one would train a model `load_nns` refuses) and a
+/// segmentation NN-L profile with a non-finite field (the oracle would turn
+/// it into NaN masks).
+fn check_config(cfg: &VrDannConfig) -> Result<()> {
+    if !(1..=MAX_HIDDEN).contains(&cfg.nns_hidden) {
+        return Err(VrDannError::InvalidConfig(format!(
+            "nns_hidden is {}, must be in 1..={MAX_HIDDEN}",
+            cfg.nns_hidden
+        )));
+    }
     let p = &cfg.segment_profile;
     let fields = [
         ("warp_amp", f64::from(p.warp_amp)),
@@ -241,11 +250,12 @@ impl VrDann {
     /// ground truth as label, two epochs.
     ///
     /// # Errors
-    /// Returns [`VrDannError::InvalidConfig`] if `segment_profile` has a
-    /// non-finite field; fails if encoding fails or the training set
-    /// contains no B-frames.
+    /// Returns [`VrDannError::InvalidConfig`] if `nns_hidden` is outside
+    /// `1..=`[`MAX_HIDDEN`] or `segment_profile` has a non-finite field,
+    /// before encoding anything; fails if encoding fails or the training
+    /// set contains no B-frames.
     pub fn train(train_seqs: &[Sequence], task: TrainTask, cfg: VrDannConfig) -> Result<Self> {
-        check_profile(&cfg)?;
+        check_config(&cfg)?;
         let encoder = Encoder::new(cfg.codec);
         let mut samples = Vec::new();
         for seq in train_seqs {
@@ -321,11 +331,12 @@ impl VrDann {
     /// Rebuilds a pipeline from a configuration and serialised NN-S bytes.
     ///
     /// # Errors
-    /// Returns [`VrDannError::InvalidConfig`] if `segment_profile` has a
-    /// non-finite field, the bytes do not hold a valid model or its width
-    /// differs from `cfg.nns_hidden`.
+    /// Returns [`VrDannError::InvalidConfig`] if `nns_hidden` is outside
+    /// `1..=`[`MAX_HIDDEN`], `segment_profile` has a non-finite field, the
+    /// bytes do not hold a valid model or its width differs from
+    /// `cfg.nns_hidden`.
     pub fn from_parts(cfg: VrDannConfig, nns_bytes: &[u8]) -> Result<Self> {
-        check_profile(&cfg)?;
+        check_config(&cfg)?;
         let nns = vrd_nn::load_nns(nns_bytes)
             .map_err(|e| VrDannError::InvalidConfig(format!("bad NN-S model: {e}")))?;
         if nns.hidden() != cfg.nns_hidden {
@@ -585,7 +596,7 @@ mod tests {
     }
 
     #[test]
-    fn a_non_finite_nnl_profile_is_invalid_config() {
+    fn a_config_the_pipeline_cannot_run_is_invalid_config() {
         // A NaN box jitter makes the oracle emit NaN scores; average
         // precision ranks them instead of panicking...
         let nan = LargeNetProfile {
@@ -608,7 +619,9 @@ mod tests {
         // ...and the pipeline refuses such a profile up front, naming the
         // profile and the field; likewise a finite `warp_scale` that is not
         // a positive lattice spacing (zero used to overflow the oracle's
-        // noise lattice in debug builds).
+        // noise lattice in debug builds), and an NN-S width no model file
+        // holds (zero used to encode the whole training set, then panic in
+        // `NnS::new`; a wider one trained a model `load_nns` refused).
         let (model, cfg) = tiny_model(TrainTask::Segmentation);
         let train = davis_train_suite(&cfg, 2);
         let bytes = model.export_nns();
@@ -616,26 +629,41 @@ mod tests {
             warp_scale,
             ..LargeNetProfile::favos()
         };
-        for (profile, complaint) in [
-            (nan, "box_jitter is NaN"),
-            (scale(0.0), "warp_scale is 0, must be positive"),
-            (scale(-0.0), "warp_scale is -0, must be positive"),
-            (scale(-3.5), "warp_scale is -3.5, must be positive"),
+        let profile = |segment_profile| VrDannConfig {
+            segment_profile,
+            ..*model.config()
+        };
+        let width = |nns_hidden| VrDannConfig {
+            nns_hidden,
+            ..*model.config()
+        };
+        for (bad, complaint) in [
+            (profile(nan), "segment_profile `selsa`: box_jitter is NaN"),
+            (
+                profile(scale(0.0)),
+                "`favos`: warp_scale is 0, must be positive",
+            ),
+            (
+                profile(scale(-0.0)),
+                "`favos`: warp_scale is -0, must be positive",
+            ),
+            (
+                profile(scale(-3.5)),
+                "`favos`: warp_scale is -3.5, must be positive",
+            ),
+            (width(0), "nns_hidden is 0, must be in 1..=4096"),
+            (
+                width(MAX_HIDDEN + 1),
+                "nns_hidden is 4097, must be in 1..=4096",
+            ),
         ] {
-            let bad = VrDannConfig {
-                segment_profile: profile,
-                ..*model.config()
-            };
             for result in [
                 VrDann::from_parts(bad, &bytes),
                 VrDann::train(&train, TrainTask::Detection, bad),
             ] {
                 match result {
                     Err(VrDannError::InvalidConfig(msg)) => {
-                        assert!(
-                            msg.contains("segment_profile") && msg.contains(complaint),
-                            "{msg}"
-                        );
+                        assert!(msg.contains(complaint), "{msg}");
                     }
                     other => panic!("expected InvalidConfig, got {other:?}"),
                 }

@@ -50,6 +50,6 @@ pub use featwarp::{FEATURE_CHANNELS, FEATURE_STRIDE};
 pub use largenet::{LargeNet, LargeNetProfile, FLOWNET_OPS_PER_PIXEL, NNL_HEAD_FRACTION};
 pub use nns::NnS;
 pub use quant::{ComputeMode, QuantConv2d, QuantNnS, Requant};
-pub use serialize::{load_nns, save_nns};
+pub use serialize::{load_nns, save_nns, MAX_HIDDEN};
 pub use tensor::Tensor;
 pub use trainer::{train, Sample, TrainConfig};

@@ -14,6 +14,8 @@ use crate::quant::ActScales;
 pub(crate) const MAGIC: [u8; 4] = *b"VRNS";
 /// Format version.
 pub(crate) const VERSION: u8 = 1;
+/// The widest NN-S a model file may hold: [`load_nns`] refuses any other.
+pub const MAX_HIDDEN: usize = 4096;
 /// Magic bytes of the optional calibration trailer: activation scales for
 /// the quantized inference path, appended after the f32 parameters so
 /// pre-quantization files (which simply end after conv3) keep loading.
@@ -112,7 +114,7 @@ pub fn load_nns(buf: &[u8]) -> Result<NnS, String> {
         return Err(format!("unsupported model version {}", buf[4]));
     }
     let hidden = u32::from_le_bytes(buf[5..9].try_into().expect("slice of 4")) as usize;
-    if hidden == 0 || hidden > 4096 {
+    if !(1..=MAX_HIDDEN).contains(&hidden) {
         return Err(format!("implausible hidden width {hidden}"));
     }
     // The widest model's largest block is 4096·4096·9 values: every length
@@ -251,7 +253,7 @@ mod tests {
     fn block_lengths_are_checked_against_the_header_before_anything_is_built() {
         // Under half a megabyte claiming the widest model the format
         // allows: a well-formed conv1, then conv2 blocks of length zero.
-        let hidden = 4096usize;
+        let hidden = MAX_HIDDEN;
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&MAGIC);
         bytes.push(VERSION);
