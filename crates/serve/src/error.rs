@@ -21,10 +21,15 @@ pub enum ServeError {
         /// The underlying pipeline failure.
         source: VrDannError,
     },
+    /// An entry point refused its input before any work: a configuration
+    /// it could not bill or generate (a degenerate cost model, stall or
+    /// load) or an empty stream library.
+    Refused {
+        /// What was refused, and why.
+        detail: String,
+    },
     /// The shared-NPU event loop detected a broken invariant (an
-    /// unserviceable queue state or a runaway replay), or an entry point
-    /// refused at t = 0 a configuration it could not bill or generate (a
-    /// degenerate cost model, stall or load).
+    /// unserviceable queue state or a runaway replay).
     Scheduler {
         /// Scheduler clock when the invariant broke, in nanoseconds.
         time_ns: f64,
@@ -43,6 +48,7 @@ impl fmt::Display for ServeError {
             } => {
                 write!(f, "session {session} ({name}) failed: {source}")
             }
+            ServeError::Refused { detail } => write!(f, "refused: {detail}"),
             ServeError::Scheduler { time_ns, detail } => {
                 write!(
                     f,
@@ -57,7 +63,7 @@ impl StdError for ServeError {
     fn source(&self) -> Option<&(dyn StdError + 'static)> {
         match self {
             ServeError::Session { source, .. } => Some(source),
-            ServeError::Scheduler { .. } => None,
+            ServeError::Refused { .. } | ServeError::Scheduler { .. } => None,
         }
     }
 }
@@ -88,5 +94,12 @@ mod tests {
         };
         assert!(s.to_string().contains("t=1234 ns") || s.to_string().contains("1235"));
         assert!(StdError::source(&s).is_none());
+
+        let r = ServeError::Refused {
+            detail: "invalid load: mean_interarrival_ns is NaN".into(),
+        };
+        let msg = r.to_string();
+        assert!(msg.starts_with("refused: invalid load") && !msg.contains("invariant"));
+        assert!(StdError::source(&r).is_none());
     }
 }

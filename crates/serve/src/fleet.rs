@@ -102,9 +102,6 @@ pub struct FleetConfig {
     /// The autoscaler's ceiling. With `autoscale: false` the fleet runs
     /// exactly `min_shards` shards for the whole window.
     pub max_shards: usize,
-    /// Per-shard event-loop knobs (`npu_available_ns` is overwritten with
-    /// each shard's creation + spin-up instant).
-    pub sched: SchedConfig,
     /// Per-shard admission SLO.
     pub slo: SloConfig,
     /// Hardware cost model.
@@ -123,7 +120,6 @@ impl Default for FleetConfig {
         Self {
             min_shards: 1,
             max_shards: 8,
-            sched: SchedConfig::default(),
             slo: SloConfig::default(),
             sim: SimConfig::default(),
             autoscale: true,
@@ -600,7 +596,7 @@ impl<'a> Walk<'a> {
         vrd_runtime::parallel_map_with(&jobs, threads, |(shard, driven)| {
             let sched = SchedConfig {
                 npu_available_ns: shard.created_ns + SHARD_SPINUP_NS,
-                ..cfg.sched
+                ..SchedConfig::default()
             };
             schedule(driven, SchedPolicy::Batch, &sched, &cfg.sim, None)
         })
@@ -677,9 +673,9 @@ impl<'a> Walk<'a> {
 /// two-phase design.
 ///
 /// # Errors
-/// [`ServeError::Scheduler`] when `cfg.sim` fails
-/// [`SimConfig::validate`], the stream library is empty or a shard replay
-/// breaks an event-loop invariant.
+/// [`ServeError::Refused`] when `cfg.sim` fails [`SimConfig::validate`] or
+/// the stream library is empty, and [`ServeError::Scheduler`] when a shard
+/// replay breaks an event-loop invariant.
 pub fn run_fleet(
     trace: &TrafficTrace,
     library: &[StreamEntry],
@@ -687,8 +683,7 @@ pub fn run_fleet(
 ) -> Result<FleetReport> {
     check_sim(&cfg.sim)?;
     if library.is_empty() {
-        return Err(ServeError::Scheduler {
-            time_ns: 0.0,
+        return Err(ServeError::Refused {
             detail: "fleet offered a traffic trace with an empty stream library".into(),
         });
     }

@@ -259,8 +259,7 @@ fn exp_gap(mean_ns: f64, u: f64) -> f64 {
 /// bursty envelope that is silent both in and between its bursts).
 fn check_load(cfg: &LoadGenConfig) -> Result<()> {
     let invalid = |detail: String| {
-        Err(ServeError::Scheduler {
-            time_ns: 0.0,
+        Err(ServeError::Refused {
             detail: format!("invalid load: {detail}"),
         })
     };
@@ -294,7 +293,7 @@ fn check_load(cfg: &LoadGenConfig) -> Result<()> {
 /// randomness of later decisions.
 ///
 /// # Errors
-/// [`ServeError::Scheduler`] at t = 0 when `mean_interarrival_ns` is not
+/// [`ServeError::Refused`] when `mean_interarrival_ns` is not
 /// finite and positive or a bursty envelope has neither a positive `duty`
 /// nor a positive `quiet_level` (both before any draw), and when
 /// `MAX_CANDIDATES_PER_ARRIVAL` candidates per requested arrival do not
@@ -311,8 +310,7 @@ pub fn generate(cfg: &LoadGenConfig) -> Result<TrafficTrace> {
     let max_candidates = (cfg.sessions as u64).saturating_mul(MAX_CANDIDATES_PER_ARRIVAL);
     while arrivals.len() < cfg.sessions {
         if cand == max_candidates {
-            return Err(ServeError::Scheduler {
-                time_ns: 0.0,
+            return Err(ServeError::Refused {
                 detail: format!(
                     "invalid load: {cand} candidates kept {} of {} arrivals; the envelope \
                      stays too far below its peak",

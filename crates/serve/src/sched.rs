@@ -867,11 +867,9 @@ impl<'a> Replay<'a> {
 }
 
 /// Rejects a cost model that would bill an infinite or NaN time, before
-/// anything is billed with it: the serving entry points report it as a
-/// scheduler error at t = 0.
+/// anything is billed with it: the serving entry points refuse it.
 pub(crate) fn check_sim(sim: &SimConfig) -> Result<()> {
-    sim.validate().map_err(|detail| ServeError::Scheduler {
-        time_ns: 0.0,
+    sim.validate().map_err(|detail| ServeError::Refused {
         detail: format!("invalid cost model: {detail}"),
     })
 }
@@ -884,8 +882,7 @@ fn check_faults(faults: &NpuFaultProfile) -> Result<()> {
     if stall.is_finite() && stall >= 0.0 {
         return Ok(());
     }
-    Err(ServeError::Scheduler {
-        time_ns: 0.0,
+    Err(ServeError::Refused {
         detail: format!("invalid fault plan: stall_ns is {stall}, must be finite and >= 0"),
     })
 }
@@ -896,10 +893,9 @@ fn check_faults(faults: &NpuFaultProfile) -> Result<()> {
 /// admitted index.
 ///
 /// # Errors
-/// [`ServeError::Scheduler`] at t = 0 when `sim` fails
-/// [`SimConfig::validate`] or the fault plan's
-/// [`NpuFaultProfile::stall_ns`] is negative or not finite, and later
-/// when an event-loop invariant breaks.
+/// [`ServeError::Refused`] when `sim` fails [`SimConfig::validate`] or the
+/// fault plan's [`NpuFaultProfile::stall_ns`] is negative or not finite,
+/// and [`ServeError::Scheduler`] when an event-loop invariant breaks.
 pub fn schedule(
     sessions: &[DrivenSession],
     policy: SchedPolicy,

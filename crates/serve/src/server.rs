@@ -157,10 +157,10 @@ pub fn admit_and_drive(
 /// batching. Deterministic for fixed inputs and configuration.
 ///
 /// # Errors
-/// [`ServeError::Scheduler`] at t = 0, before any session is driven, when
-/// `cfg.sim` fails [`SimConfig::validate`]; otherwise propagates
-/// decode/engine failures from any admitted session (with the session's
-/// identity attached) and scheduler invariant violations.
+/// [`ServeError::Refused`], before any session is driven, when `cfg.sim`
+/// fails [`SimConfig::validate`]; otherwise propagates decode/engine
+/// failures from any admitted session (with the session's identity
+/// attached) and scheduler invariant violations.
 pub fn serve(
     model: &VrDann,
     requests: &[SessionJob<'_>],

@@ -211,12 +211,11 @@ fn spoilt_sims() -> Vec<(SimConfig, &'static str)> {
     ]
 }
 
-/// The error a degenerate cost model must produce: a scheduler error at
-/// t = 0 naming the field.
+/// The error a refused input must produce: [`ServeError::Refused`] naming
+/// the field.
 fn assert_rejected<T: std::fmt::Debug>(got: Result<T>, field: &str) {
     match got {
-        Err(ServeError::Scheduler { time_ns, detail }) => {
-            assert_eq!(time_ns, 0.0);
+        Err(ServeError::Refused { detail }) => {
             assert!(detail.contains(field), "{field}: {detail}");
         }
         other => panic!("{field}: billed {other:?}"),
@@ -275,6 +274,8 @@ fn run_fleet_rejects_a_degenerate_cost_model_before_placing() {
         };
         assert_rejected(run_fleet(&trace, &library, &cfg), field);
     }
+    let no_library = run_fleet(&trace, &[], &FleetConfig::default());
+    assert_rejected(no_library, "empty stream library");
 }
 
 #[test]
