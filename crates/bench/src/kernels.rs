@@ -56,6 +56,9 @@ const DECODE_FLOOR: f64 = 1.5;
 const INT8_FLOOR: f64 = 1.25;
 /// Rows that are reported, not gated.
 const UNGATED: f64 = 0.0;
+/// Why an int8 conv fixture is never refused: its inputs are built in the
+/// kernels' 7-bit range.
+const SEVEN_BIT: &str = "int8 fixtures hold 7-bit inputs";
 
 /// `[q1, median, q3]` of a sample.
 type Quartiles = [f64; 3];
@@ -311,21 +314,21 @@ fn int8_conv<'a>(
     let diverged = "int8 conv diverged from its reference";
     if requant {
         let rq = vec![Requant::from_real(0.01, 0); conv.cout()];
+        let want = quant::reference::forward_requant(conv, x, h, w, &rq);
         let mut out = vec![0u8; n];
-        conv.forward_requant(x, h, w, &rq, &mut out);
-        assert!(
-            out == quant::reference::forward_requant(conv, x, h, w, &rq),
-            "{diverged}"
-        );
-        Box::new(move || written(&mut out, |b| conv.forward_requant(x, h, w, &rq, b)))
+        let run = move |b: &mut [u8]| conv.forward_requant(x, h, w, &rq, b).expect(SEVEN_BIT);
+        run(&mut out);
+        assert!(out == want, "{diverged}");
+        Box::new(move || written(&mut out[..], &run))
     } else {
         let mut out = vec![0i32; n];
-        conv.forward_i32(x, h, w, &mut out);
+        let run = move |b: &mut [i32]| conv.forward_i32(x, h, w, b).expect(SEVEN_BIT);
+        run(&mut out);
         assert!(
             out == quant::reference::forward_i32(conv, x, h, w),
             "{diverged}"
         );
-        Box::new(move || written(&mut out, |b| conv.forward_i32(x, h, w, b)))
+        Box::new(move || written(&mut out[..], run))
     }
 }
 
@@ -752,9 +755,10 @@ pub(crate) fn failures(rows: &[Row]) -> Vec<String> {
 }
 
 /// Renders the rows as the `BENCH_kernels.json` artefact (hand-rolled —
-/// the workspace carries no serialisation dependency): median times, the
-/// gated median ratios, and each ratio's quartiles.
-pub(crate) fn to_json(rows: &[Row]) -> String {
+/// the workspace carries no serialisation dependency): the int8 body the
+/// int8 columns ran on, then per row the median times, the gated median
+/// ratios, and each ratio's quartiles.
+pub(crate) fn to_json(int8_body: &str, rows: &[Row]) -> String {
     let ratio = |key: &str, [q1, median, q3]: Quartiles| {
         format!("\"{key}\": {median:.2}, \"{key}_quartiles\": [{q1:.2}, {median:.2}, {q3:.2}]")
     };
@@ -794,7 +798,10 @@ pub(crate) fn to_json(rows: &[Row]) -> String {
             )
         })
         .collect();
-    format!("{{\n{}\n}}\n", lines.join(",\n"))
+    format!(
+        "{{\n  \"int8_body\": \"{int8_body}\",\n{}\n}}\n",
+        lines.join(",\n")
+    )
 }
 
 /// Times every kernel pair (about 10 s) and packages the report.
@@ -810,7 +817,7 @@ pub(crate) fn run() -> Output {
     rows.push(nnl_row());
     rows.push(nns_band_row());
     rows.push(decode_row());
-    let json = to_json(&rows);
+    let json = to_json(quant::Body::detected().name(), &rows);
     Output {
         text: json.trim_end().to_string(),
         files: vec![("BENCH_kernels.json", json)],
@@ -899,10 +906,10 @@ mod tests {
     fn json_carries_the_int8_column_only_where_measured() {
         let mut first = row(2.0, 8.0, Some(1.0), 0.0);
         first.speedup = [3.5, 4.0, 4.5];
-        let json = to_json(&[first, row(1.0, 3.0, None, 3.0)]);
+        let json = to_json("avx2", &[first, row(1.0, 3.0, None, 3.0)]);
         assert_eq!(
             json,
-            "{\n  \"synthetic\": {\"optimized_ms\": 2.0000, \"reference_ms\": 8.0000, \
+            "{\n  \"int8_body\": \"avx2\",\n  \"synthetic\": {\"optimized_ms\": 2.0000, \"reference_ms\": 8.0000, \
              \"speedup\": 4.00, \"speedup_quartiles\": [3.50, 4.00, 4.50], \
              \"int8_ms\": 1.0000, \"int8_speedup\": 2.00, \
              \"int8_speedup_quartiles\": [2.00, 2.00, 2.00]},\n  \
@@ -911,17 +918,17 @@ mod tests {
         );
         let mut band = row(1.0, 3.0, None, 2.0);
         band.coverage = vec![("conv1", 0.2104), ("conv2", 0.18), ("conv3", 0.1595)];
-        assert!(to_json(&[band.clone()]).contains(
+        assert!(to_json("avx2", &[band.clone()]).contains(
             "\"band_coverage\": {\"conv1\": 0.210, \"conv2\": 0.180, \"conv3\": 0.160}}"
         ));
         band.tiles = vec![("f32", 10, 5_000_000), ("int8", 4, 4_500_000)];
-        assert!(to_json(&[band]).contains(
+        assert!(to_json("avx2", &[band]).contains(
             "\"band_coverage\": {\"conv1\": 0.210, \"conv2\": 0.180, \"conv3\": 0.160}, \
              \"tiles\": {\"f32\": 10, \"int8\": 4}, \
              \"scratch_bytes\": {\"f32\": 5000000, \"int8\": 4500000}}"
         ));
         let mut warp = row(1.0, 9.0, None, 8.0);
         warp.coverage = vec![("warp", 0.0231)];
-        assert!(to_json(&[warp]).contains("\"band_coverage\": {\"warp\": 0.023}}"));
+        assert!(to_json("avx2", &[warp]).contains("\"band_coverage\": {\"warp\": 0.023}}"));
     }
 }

@@ -114,7 +114,11 @@ pub(crate) struct RowSpans {
 impl RowSpans {
     /// Builds `h` rows of width `w`, row `y`'s spans being whatever `row`
     /// pushes for it (in any order, overlapping or not, clipped to the row).
-    fn build(h: usize, w: usize, mut row: impl FnMut(usize, &mut Vec<(usize, usize)>)) -> Self {
+    pub(crate) fn build(
+        h: usize,
+        w: usize,
+        mut row: impl FnMut(usize, &mut Vec<(usize, usize)>),
+    ) -> Self {
         let (mut starts, mut spans) = (Vec::with_capacity(h + 1), Vec::new());
         let mut raw = Vec::new();
         starts.push(0);

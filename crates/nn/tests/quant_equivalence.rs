@@ -1,16 +1,16 @@
 //! Property tests pinning the quantized conv kernels to the naive `i32`
-//! reference: the dispatched banded kernel (AVX2 where detected, the
-//! portable body otherwise) and the exported portable body must be
+//! reference: the dispatched banded kernel (the fastest body the CPU has)
+//! and every body the CPU has, run through `quant::reference`, must be
 //! **bit-exact** with the triple-loop reference — integer accumulation makes
 //! this an equality, not a tolerance. Shapes sweep every output-channel
 //! count the 4-channel tiles split differently (1, 2, 3, 5, 8, 9), 1–16
 //! input channels, 1×1 and 3×3 kernels, heights 1–9 and widths 1–70, so
 //! the padding edges, whole and ragged 16-pixel blocks and rows narrower
 //! than one block are all exercised, on one and two row bands; activations
-//! span the whole `u8` range.
+//! span the kernels' whole 7-bit input range, `[0, 127]`.
 
 use proptest::prelude::*;
-use vrd_nn::quant::{self, QuantConv2d, Requant};
+use vrd_nn::quant::{self, Body, QuantConv2d, Requant};
 
 /// Output-channel counts: below, at, between and above whole channel tiles.
 const COUTS: [usize; 6] = [1, 2, 3, 5, 8, 9];
@@ -25,12 +25,24 @@ fn fill_weights(len: usize, seed: u64) -> Vec<f32> {
         .collect()
 }
 
-/// Deterministic `u8` activations over the whole range, derived from a
-/// seed.
+/// Deterministic `u8` activations over the kernels' whole input range,
+/// `[0, 127]`, derived from a seed.
 fn fill_acts(len: usize, seed: u64) -> Vec<u8> {
     (0..len)
-        .map(|i| vrd_video::texture::hash2(i as i64, 3, seed) as u8)
+        .map(|i| (vrd_video::texture::hash2(i as i64, 3, seed) % 128) as u8)
         .collect()
+}
+
+/// Every body this CPU has; each one it lacks is skipped with a note.
+fn bodies() -> Vec<Body> {
+    let (have, lack): (Vec<Body>, Vec<Body>) = Body::ALL.into_iter().partition(|b| b.available());
+    for body in lack {
+        eprintln!(
+            "note: this CPU lacks the {} int8 body; not checked",
+            body.name()
+        );
+    }
+    have
 }
 
 /// A random case: `(cin, cout, k, h, w)`.
@@ -69,27 +81,29 @@ proptest! {
     ) {
         let (conv, h, w, x) = build_case(shape, seed);
         let mut fast = vec![0i32; conv.cout() * h * w];
-        conv.forward_i32_with(&x, h, w, &mut fast, threads);
+        conv.forward_i32_with(&x, h, w, &mut fast, threads).unwrap();
         let naive = quant::reference::forward_i32(&conv, &x, h, w);
         prop_assert_eq!(fast, naive);
     }
 
-    // Portable body == naive reference, bit-exact — pinned explicitly so
-    // AVX2 machines still cover the non-SIMD kernel.
+    // Every body == naive reference, bit-exact — pinned explicitly so a
+    // machine that dispatches to one body still covers the others it has.
     #[test]
-    fn portable_forward_matches_reference(
+    fn every_body_matches_reference(
         shape in arb_shape(),
         seed in 0u64..1_000_000,
         threads in 1usize..3,
     ) {
         let (conv, h, w, x) = build_case(shape, seed);
-        let portable = quant::reference::forward_i32_portable(&conv, &x, h, w, threads);
         let naive = quant::reference::forward_i32(&conv, &x, h, w);
-        prop_assert_eq!(portable, naive);
+        for body in bodies() {
+            let on = quant::reference::forward_i32_on(body, &conv, &x, h, w, threads).unwrap();
+            prop_assert_eq!(&on, &naive, "{:?}", body);
+        }
     }
 
     // Fused requantization == reference accumulate-then-requantize, for
-    // both bodies. With `odd` at 1, every other channel's multiplier is
+    // every body. With `odd` at 1, every other channel's multiplier is
     // far past `Requant::vector_safe`'s range; at 2, every other channel
     // carries a hand-built negative multiplier, which maps negative sums
     // to positive outputs. Either way the vector store must hand those
@@ -117,10 +131,12 @@ proptest! {
             .collect();
         let naive = quant::reference::forward_requant(&conv, &x, h, w, &rq);
         let mut fast = vec![0u8; conv.cout() * h * w];
-        conv.forward_requant_with(&x, h, w, &rq, &mut fast, threads);
+        conv.forward_requant_with(&x, h, w, &rq, &mut fast, threads).unwrap();
         prop_assert_eq!(&fast, &naive);
-        let portable = quant::reference::forward_requant_portable(&conv, &x, h, w, &rq, threads);
-        prop_assert_eq!(&portable, &naive);
+        for body in bodies() {
+            let on = quant::reference::forward_requant_on(body, &conv, &x, h, w, &rq, threads);
+            prop_assert_eq!(&on.unwrap(), &naive, "{:?}", body);
+        }
     }
 
     // Requantization saturates instead of wrapping at accumulator extremes
@@ -147,7 +163,7 @@ proptest! {
 
 /// Deterministic edge shapes the random sweep may never land on: widths
 /// exactly at and around the 16-pixel block boundary with 3×3 padding,
-/// every output-channel count, one and two row bands.
+/// every output-channel count, one and two row bands, every body.
 #[test]
 fn simd_block_boundary_widths() {
     let cin = 3;
@@ -159,8 +175,17 @@ fn simd_block_boundary_widths() {
             let naive = quant::reference::forward_i32(&conv, &x, h, wid);
             for threads in [1, 2] {
                 let mut fast = vec![0i32; cout * h * wid];
-                conv.forward_i32_with(&x, h, wid, &mut fast, threads);
+                conv.forward_i32_with(&x, h, wid, &mut fast, threads)
+                    .unwrap();
                 assert_eq!(fast, naive, "cout {cout}, width {wid}, {threads} bands");
+                for body in bodies() {
+                    let on = quant::reference::forward_i32_on(body, &conv, &x, h, wid, threads);
+                    assert_eq!(
+                        on.unwrap(),
+                        naive,
+                        "{body:?}, cout {cout}, width {wid}, {threads} bands"
+                    );
+                }
             }
         }
     }
@@ -174,7 +199,7 @@ fn one_by_one_kernel_is_interior_only() {
     let (h, wid) = (4, 33);
     let x = fill_acts(3 * h * wid, 9);
     let mut fast = vec![0i32; h * wid];
-    conv.forward_i32(&x, h, wid, &mut fast);
+    conv.forward_i32(&x, h, wid, &mut fast).unwrap();
     assert_eq!(fast, quant::reference::forward_i32(&conv, &x, h, wid));
 }
 
@@ -190,7 +215,7 @@ fn requant_extremes_clamp_in_both_kernels() {
     let x = vec![127u8; h * wid];
     let rq = vec![Requant::from_real(1.0, 0); 2];
     let mut fast = vec![0u8; 2 * h * wid];
-    conv.forward_requant(&x, h, wid, &rq, &mut fast);
+    conv.forward_requant(&x, h, wid, &rq, &mut fast).unwrap();
     let naive = quant::reference::forward_requant(&conv, &x, h, wid, &rq);
     assert_eq!(fast, naive);
     assert!(
