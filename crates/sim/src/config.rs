@@ -36,8 +36,8 @@ pub struct NpuConfig {
     /// precision. It is a property of the simulated device, not of this
     /// host's kernels (`vrd-bench -- kernels` measures those), and it is
     /// reached only through [`SimConfig::service_ns`], which applies it to
-    /// the small model alone. ROADMAP item 4(a) settles the value against
-    /// the measured ratio once item 1(a) has fixed the int8 kernels.
+    /// the small model alone. ROADMAP item 1(d) settles the value against
+    /// the measured ratio.
     pub int8_speedup: f64,
 }
 
