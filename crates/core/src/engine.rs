@@ -492,15 +492,17 @@ const STAGE_CAPACITY: usize = 8;
 
 /// The lanes of [`PipelineEngine::drive`]: passing one moves the source
 /// onto a decode-lane thread and lets B-frame mask computation wait in the
-/// wave for the next barrier. The stage channel between the lanes holds 8
-/// decoded units.
+/// wave for the next barrier, which fans out over
+/// [`vrd_runtime::max_threads`] workers (set per call with
+/// [`vrd_runtime::with_thread_budget`]); the decode lane adds one more
+/// thread on top. The stage channel between the lanes holds 8 decoded
+/// units.
+///
+/// It carries no value — passing one means "two lanes" — and stays a type
+/// because the benchmark harness passes `&PipelineOptions::default()` to
+/// [`crate::VrDann::run_segmentation_pipelined`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PipelineOptions {
-    /// Wave-front worker threads for B-frame reconstruction + refinement
-    /// (`None` → [`vrd_runtime::max_threads`], which honours
-    /// `VRD_THREADS`). The decode lane always adds one more thread on top.
-    pub threads: Option<usize>,
-}
+pub struct PipelineOptions;
 
 /// One planned B-frame mask computation: everything the pure
 /// reconstruct → sandwich → NN-S chain needs, captured at plan time. The
@@ -1079,7 +1081,7 @@ impl<'a, T: TaskPolicy, P: FaultPolicy> PipelineEngine<'a, T, P> {
     ///   and feeds [`DecodedUnit`]s through a bounded SPSC stage channel
     ///   (the software `ip_Q`/`b_Q`) while this thread plans them in decode
     ///   order and fans each GOP's B-frame reconstructions out
-    ///   wave-front-style across `opts.threads` workers.
+    ///   wave-front-style across [`vrd_runtime::max_threads`] workers.
     ///
     /// Outputs, trace and concealment counters are bit-identical for every
     /// [`TaskPolicy`] × [`FaultPolicy`] at every `lanes` value — all
@@ -1121,13 +1123,11 @@ impl<'a, T: TaskPolicy, P: FaultPolicy> PipelineEngine<'a, T, P> {
             )));
         }
         self.prime(&info, prepopulate);
-        let Some(opts) = lanes else {
+        if lanes.is_none() {
             self.pump(std::iter::from_fn(|| source.next_unit()), &mut observe)?;
             return self.finish(source.totals(), source.peak_live_frames());
-        };
-        // Zero threads is clamped to 1 by `parallel_map_with` itself.
-        let threads = opts.threads.unwrap_or_else(vrd_runtime::max_threads);
-        self.wave = Wave::new(Some(threads));
+        }
+        self.wave = Wave::new(Some(vrd_runtime::max_threads()));
         let (tx, rx) = vrd_runtime::stage_channel(STAGE_CAPACITY);
         let (pumped, lane) = std::thread::scope(|s| {
             let decode_lane = s.spawn(move || {

@@ -14,7 +14,10 @@
 //!   plus NN-S refinement on B-frames. [`VrDann::run`] is its one entry
 //!   point, parameterised by task ([`SegTask`], [`DetTask`],
 //!   [`FeatPropTask`]), input ([`RunInput`]: strict bitstream or resilient
-//!   packet stream) and optional lanes ([`PipelineOptions`]);
+//!   packet stream) and optional lanes ([`PipelineOptions`]). No entry
+//!   point takes a thread count: every one sizes from
+//!   [`vrd_runtime::max_threads`], which [`vrd_runtime::with_thread_budget`]
+//!   sets for the section it scopes and `VRD_THREADS` sets per process;
 //! * [`engine`] — the streaming [`PipelineEngine`] underneath and its one
 //!   driver, [`PipelineEngine::drive`]. The engine owns the frame ladder
 //!   (reference window, output store, concealment and its counters, trace);

@@ -33,56 +33,24 @@ fn pick_anchors(
     }
 }
 
-/// Builds the 3-channel sandwich tensor for a B-frame.
+/// Builds the 3-channel sandwich tensor for a B-frame: the packed planes
+/// the engine refines, expanded ([`SandwichPlanes::to_tensor`]).
 ///
 /// `ref_segs` maps anchor display indices to segmentations; the channels are
 /// the temporally nearest anchor before and after `display_idx`. When the
 /// B-frame has anchors on only one side (stream boundaries), that side's
 /// nearest anchor fills both outer channels.
 ///
-/// Each channel expands its packed bitplanes word-at-a-time straight into
-/// its slice of the final CHW buffer, so no intermediate per-channel
-/// tensor or byte raster is materialised.
-///
 /// # Errors
-/// Returns [`VrDannError::BadInput`] if `ref_segs` is empty.
+/// Returns [`VrDannError::BadInput`] if `ref_segs` is empty, if the chosen
+/// anchors and `plane` differ in size, or if a side is odd (NN-S max-pools
+/// by two, and the engine refuses such a stream too).
 pub fn build_sandwich(
     display_idx: u32,
     plane: &Seg2Plane,
     ref_segs: &BTreeMap<u32, SegMask>,
 ) -> Result<Tensor> {
-    nns_tensor(display_idx, plane, ref_segs, true)
-}
-
-/// The dense f32 NN-S input of a B-frame reconstructed as `plane`, black,
-/// gray and white as 0, ½ and 1: with `sandwich`, the sandwich of
-/// [`build_sandwich`]; without it, the reconstruction in all three
-/// channels (the no-sandwich ablation, where NN-S sees no temporal
-/// context).
-///
-/// # Errors
-/// Returns [`VrDannError::BadInput`] if `sandwich` is set and `ref_segs`
-/// is empty.
-fn nns_tensor(
-    display_idx: u32,
-    plane: &Seg2Plane,
-    ref_segs: &BTreeMap<u32, SegMask>,
-    sandwich: bool,
-) -> Result<Tensor> {
-    let (w, h) = (plane.width(), plane.height());
-    let mut data = vec![0.0; 3 * h * w];
-    let (first, rest) = data.split_at_mut(h * w);
-    let (mid, last) = rest.split_at_mut(h * w);
-    plane.expand_into(mid, [0.0, 0.5, 1.0]);
-    if sandwich {
-        let (prev, next) = pick_anchors(display_idx, ref_segs)?;
-        prev.expand_f32_into(first);
-        next.expand_f32_into(last);
-    } else {
-        first.copy_from_slice(mid);
-        last.copy_from_slice(mid);
-    }
-    Ok(Tensor::from_vec(3, h, w, data))
+    Ok(nns_planes(display_idx, plane, ref_segs, true)?.to_tensor())
 }
 
 /// The packed planes NN-S's `mask` reads for a B-frame reconstructed as
@@ -108,13 +76,14 @@ pub(crate) fn nns_planes<'a>(
 }
 
 /// The dense NN-S input of one training B-frame: reconstruct the frame
-/// from its motion vectors, then build the sandwich around it — or, with
-/// `cfg.sandwich` off, the reconstruction alone — as the engine's
-/// [`nns_planes`] does, expanded.
+/// from its motion vectors, then take the engine's [`nns_planes`] around
+/// it — the sandwich, or with `cfg.sandwich` off the reconstruction alone
+/// — expanded.
 ///
 /// # Errors
 /// Propagates reconstruction and sandwich failures (a motion vector or a
-/// sandwich with no reference segmentation to read).
+/// sandwich with no reference segmentation to read, planes of different
+/// sizes or an odd side).
 pub(crate) fn nns_input(
     info: &BFrameInfo,
     ref_segs: &BTreeMap<u32, SegMask>,
@@ -123,7 +92,7 @@ pub(crate) fn nns_input(
 ) -> Result<Tensor> {
     let (w, h, mb) = (stream.width, stream.height, stream.mb_size);
     let plane = reconstruct_b_frame(info, ref_segs, w, h, mb, &cfg.recon)?;
-    nns_tensor(info.display_idx, &plane, ref_segs, cfg.sandwich)
+    Ok(nns_planes(info.display_idx, &plane, ref_segs, cfg.sandwich)?.to_tensor())
 }
 
 /// Retained per-pixel sandwich assembly — the scalar ground truth the fused
@@ -134,10 +103,11 @@ pub mod reference {
     use vrd_nn::Tensor;
     use vrd_video::{Seg2Plane, SegMask};
 
-    /// Scalar per-pixel sandwich assembly.
+    /// Scalar per-pixel sandwich assembly, for planes
+    /// [`super::build_sandwich`] accepts.
     ///
     /// # Errors
-    /// Same contract as [`super::build_sandwich`].
+    /// Returns [`crate::VrDannError::BadInput`] if `ref_segs` is empty.
     pub fn build_sandwich(
         display_idx: u32,
         plane: &Seg2Plane,
@@ -215,10 +185,27 @@ mod tests {
     }
 
     #[test]
+    fn build_sandwich_refuses_planes_it_cannot_expand() {
+        let mut refs = BTreeMap::new();
+        refs.insert(0u32, mask(Rect::new(0, 0, 2, 2)));
+        let wider = build_sandwich(3, &Seg2Plane::new(10, 8), &refs);
+        assert!(matches!(wider, Err(VrDannError::BadInput(_))), "{wider:?}");
+        let mut odd = BTreeMap::new();
+        odd.insert(0u32, SegMask::new(7, 8));
+        let odd = build_sandwich(3, &Seg2Plane::new(7, 8), &odd);
+        assert!(
+            matches!(&odd, Err(VrDannError::BadInput(m)) if m.contains("even sides")),
+            "{odd:?}"
+        );
+    }
+
+    #[test]
     fn reconstruction_only_ablation_replicates_middle() {
         let mut plane = Seg2Plane::new(8, 8);
         plane.set(2, 2, Seg2::White);
-        let t = nns_tensor(3, &plane, &BTreeMap::new(), false).unwrap();
+        let t = nns_planes(3, &plane, &BTreeMap::new(), false)
+            .unwrap()
+            .to_tensor();
         assert_eq!(t.channel(0), t.channel(1));
         assert_eq!(t.channel(1), t.channel(2));
         assert_eq!(t.get(1, 2, 2), 1.0);

@@ -24,7 +24,7 @@ use vrd_codec::{
     CodecConfig, EncodedVideo, Encoder, FrameSource, ResilientFrameSource, StrictFrameSource,
     UnitPayload,
 };
-use vrd_nn::{ComputeMode, LargeNetProfile, NnS, Sample, Tensor, TrainConfig, MAX_HIDDEN};
+use vrd_nn::{ComputeMode, LargeNetProfile, NnS, Sample, Tensor, MAX_HIDDEN};
 use vrd_video::{Detection, SegMask, Sequence};
 
 /// Full pipeline configuration.
@@ -295,7 +295,7 @@ impl VrDann {
             ));
         }
         let mut nns = NnS::new(cfg.nns_hidden, cfg.seed);
-        vrd_nn::train(&mut nns, &samples, &TrainConfig::default());
+        vrd_nn::train(&mut nns, &samples);
         // Calibrate the quantized path's activation scales on (a slice of)
         // the training inputs. This only observes activations — weights and
         // the f32 inference path are untouched.

@@ -9,6 +9,7 @@ use vr_dann::{
     VrDannConfig,
 };
 use vrd_codec::{inject, packetize, FaultConfig, FaultKind};
+use vrd_runtime::with_thread_budget;
 use vrd_video::davis::{davis_sequence, davis_train_suite, SuiteConfig};
 
 #[test]
@@ -195,16 +196,14 @@ fn pipelined_engine_memory_stays_bounded_under_anchor_loss() {
 
     let gop = model.config().codec.gop_len;
     for threads in [2, 8] {
-        let opts = PipelineOptions {
-            threads: Some(threads),
-        };
-        let run = model
-            .run::<SegTask>(
+        let run = with_thread_budget(threads, || {
+            model.run::<SegTask>(
                 &seq,
                 RunInput::Resilient(&damaged, &ResilienceOptions::default()),
-                Some(&opts),
+                Some(&PipelineOptions),
             )
-            .unwrap();
+        })
+        .unwrap();
         assert_eq!(run.outputs.len(), seq.len());
         assert!(run.concealment.anchors_lost > 0, "no anchors lost");
 
@@ -229,7 +228,7 @@ fn pipelined_engine_memory_stays_bounded_under_anchor_loss() {
 
     // The strict pipelined driver obeys the same bound on a clean stream.
     let clean = model
-        .run_segmentation_pipelined(&seq, &encoded, &PipelineOptions::default())
+        .run_segmentation_pipelined(&seq, &encoded, &PipelineOptions)
         .unwrap();
     assert!(
         clean.peak_live_frames + clean.peak_inflight_units <= 2 * gop,

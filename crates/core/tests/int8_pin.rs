@@ -11,6 +11,7 @@
 use std::sync::OnceLock;
 use vr_dann::{ComputeMode, PipelineOptions, TrainTask, VrDann, VrDannConfig};
 use vrd_nn::Tensor;
+use vrd_runtime::with_thread_budget;
 use vrd_video::davis::{davis_sequence, davis_train_suite, davis_val_suite, SuiteConfig};
 use vrd_video::{SegMask, Sequence};
 
@@ -49,14 +50,14 @@ fn model() -> &'static VrDann {
 /// (which must agree).
 fn segment_digest(seqs: &[Sequence]) -> u64 {
     let model = model();
-    let lanes = PipelineOptions { threads: Some(2) };
     let mut masks = Vec::new();
     for seq in seqs {
         let encoded = model.encode(seq).unwrap();
         let inline = model.run_segmentation(seq, &encoded).unwrap();
-        let laned = model
-            .run_segmentation_pipelined(seq, &encoded, &lanes)
-            .unwrap();
+        let laned = with_thread_budget(2, || {
+            model.run_segmentation_pipelined(seq, &encoded, &PipelineOptions)
+        })
+        .unwrap();
         assert_eq!(
             inline.masks, laned.masks,
             "{}: lanes moved a mask",

@@ -21,6 +21,7 @@ use vrd_codec::{
     inject, BFrameMode, CodecConfig, DecodedUnit, EncodedVideo, FaultConfig, FaultKind,
     FrameSource, ResilientFrameSource, StreamInfo, StreamTotals, StrictFrameSource,
 };
+use vrd_runtime::with_thread_budget;
 use vrd_video::davis::{davis_sequence, davis_train_suite, SuiteConfig};
 use vrd_video::Sequence;
 
@@ -98,11 +99,11 @@ where
     assert_eq!(inline.outputs.len(), seq.len(), "{label}");
     assert_eq!(inline.peak_inflight_units, 0, "{label}: no lanes, no queue");
     for threads in THREADS {
-        let opts = PipelineOptions {
-            threads: Some(threads),
-        };
         let at = format!("{label}, {threads} threads");
-        let laned = model.run::<T>(seq, input, Some(&opts)).unwrap();
+        let laned = with_thread_budget(threads, || {
+            model.run::<T>(seq, input, Some(&PipelineOptions))
+        })
+        .unwrap();
         assert_eq!(inline.outputs, laned.outputs, "outputs diverged: {at}");
         assert_eq!(inline.trace, laned.trace, "trace diverged: {at}");
         assert_eq!(
@@ -330,10 +331,7 @@ fn observer_and_anchor_checkpoints_are_lane_invariant() {
         );
         assert!(inline.checkpoints.len() >= 2, "{label}: too few anchors");
         for threads in THREADS {
-            let opts = PipelineOptions {
-                threads: Some(threads),
-            };
-            let laned = run(Some(&opts));
+            let laned = with_thread_budget(threads, || run(Some(&PipelineOptions)));
             assert_eq!(inline.steps, laned.steps, "{label}, {threads} threads");
             assert_eq!(
                 inline.checkpoints, laned.checkpoints,
@@ -383,10 +381,8 @@ fn panicking_decode_lane_is_an_error_not_a_crash() {
             .map(|run| run.outputs.len())
     };
     for threads in [1, 4] {
-        let opts = PipelineOptions {
-            threads: Some(threads),
-        };
-        let err = drive(Some(&opts)).expect_err("a panicked lane cannot finish the run");
+        let err = with_thread_budget(threads, || drive(Some(&PipelineOptions)))
+            .expect_err("a panicked lane cannot finish the run");
         let msg = err.to_string();
         assert!(
             msg.contains("decode lane panicked") && msg.contains("gave out on unit 3"),

@@ -403,13 +403,10 @@ impl<'a> SandwichPlanes<'a> {
         }
         planes
     }
-}
 
-#[cfg(test)]
-impl SandwichPlanes<'_> {
-    /// The planes expanded to the dense f32 input `infer` takes: 0, ½ and
-    /// 1 for black, gray and white.
-    pub(crate) fn to_tensor(self) -> crate::Tensor {
+    /// The planes expanded to the dense f32 input `infer` and training
+    /// take: 0, ½ and 1 for black, gray and white.
+    pub fn to_tensor(self) -> crate::Tensor {
         let (h, w) = self.size();
         let mut x = vec![0.0; 3 * h * w];
         let expansion = Expansion::new([0.0, 0.5, 1.0]);

@@ -52,4 +52,4 @@ pub use nns::NnS;
 pub use quant::{ComputeMode, QuantConv2d, QuantNnS, Requant};
 pub use serialize::{load_nns, save_nns, MAX_HIDDEN};
 pub use tensor::Tensor;
-pub use trainer::{train, Sample, TrainConfig};
+pub use trainer::{train, Sample};

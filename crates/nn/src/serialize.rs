@@ -144,7 +144,7 @@ pub fn load_nns(buf: &[u8]) -> Result<NnS, String> {
 mod tests {
     use super::*;
     use crate::tensor::Tensor;
-    use crate::trainer::{train, Sample, TrainConfig};
+    use crate::trainer::{train, Sample};
 
     #[test]
     fn roundtrip_preserves_inference() {
@@ -155,7 +155,7 @@ mod tests {
             input: x.clone(),
             target: Tensor::zeros(1, 8, 8),
         };
-        train(&mut model, &[sample], &TrainConfig::default());
+        train(&mut model, &[sample]);
 
         let bytes = save_nns(&model);
         let loaded = load_nns(&bytes).expect("loads");
@@ -241,7 +241,7 @@ mod tests {
             input: x.clone(),
             target: Tensor::from_vec(1, 8, 8, x.channel(1).to_vec()),
         };
-        train(&mut model, &[sample], &TrainConfig::default());
+        train(&mut model, &[sample]);
         let plain = save_nns(&model);
         assert_eq!(save_nns(&load_nns(&plain).unwrap()), plain);
         model.calibrate(&[&x]);

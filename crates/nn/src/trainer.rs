@@ -32,16 +32,6 @@ const EPOCHS: usize = 2;
 /// Shuffling seed.
 const SHUFFLE_SEED: u64 = 0x7a41;
 
-/// How [`train`] runs. The recipe — the paper's two epochs, the shuffle
-/// seed, learning rate, momentum and minibatch size — is fixed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TrainConfig {
-    /// Worker threads for per-sample gradient computation (`None` =
-    /// [`vrd_runtime::max_threads`]). The trained weights are identical
-    /// for every setting (see [`train`]).
-    pub threads: Option<usize>,
-}
-
 /// One `f32` per NN-S parameter — a weight-shaped and a bias-shaped buffer
 /// per convolution, in graph order. A sample's gradient, a minibatch's
 /// summed gradient and the momentum state are each one of these.
@@ -99,17 +89,18 @@ pub(crate) fn sgd_step(
 
 /// Trains `model` on `samples`; returns the mean loss of each epoch.
 ///
-/// Each minibatch computes per-sample gradients independently (in parallel
-/// across `cfg.threads` workers, each borrowing the model) and reduces them
-/// in sample order, so the trained weights are **bit-identical for every
-/// thread count** — the parallelism only changes wall-clock time, never the
-/// result.
+/// The recipe — the paper's two epochs, the shuffle seed, learning rate,
+/// momentum and minibatch size — is fixed. Each minibatch computes
+/// per-sample gradients independently (in parallel across
+/// [`vrd_runtime::max_threads`] workers, each borrowing the model) and
+/// reduces them in sample order, so the trained weights are
+/// **bit-identical for every thread count** — the parallelism only changes
+/// wall-clock time, never the result.
 ///
 /// # Panics
 /// Panics if `samples` is empty.
-pub fn train(model: &mut NnS, samples: &[Sample], cfg: &TrainConfig) -> Vec<f32> {
+pub fn train(model: &mut NnS, samples: &[Sample]) -> Vec<f32> {
     assert!(!samples.is_empty(), "cannot train on zero samples");
-    let threads = cfg.threads.unwrap_or_else(vrd_runtime::max_threads);
     let mut rng = StdRng::seed_from_u64(SHUFFLE_SEED);
     let mut order: Vec<usize> = (0..samples.len()).collect();
     let mut history = Vec::with_capacity(EPOCHS);
@@ -119,7 +110,7 @@ pub fn train(model: &mut NnS, samples: &[Sample], cfg: &TrainConfig) -> Vec<f32>
         let mut epoch_loss = 0.0f32;
         for chunk in order.chunks(BATCH) {
             let shared: &NnS = model;
-            let per_sample = vrd_runtime::parallel_map_with(chunk, threads, |&i| {
+            let per_sample = vrd_runtime::parallel_map(chunk, |&i| {
                 let mut grads = Grads::zeros(shared);
                 let loss = shared.train_step(&samples[i].input, &samples[i].target, &mut grads);
                 (loss, grads)
@@ -140,6 +131,7 @@ pub fn train(model: &mut NnS, samples: &[Sample], cfg: &TrainConfig) -> Vec<f32>
 mod tests {
     use super::*;
     use rand::RngExt;
+    use vrd_runtime::with_thread_budget;
 
     /// Builds a toy refinement corpus: the target is the middle channel
     /// cleaned up (a square), the input's middle channel is the square
@@ -177,7 +169,7 @@ mod tests {
     fn two_epochs_reduce_loss() {
         let samples = toy_samples(32);
         let mut model = NnS::new(4, 5);
-        let history = train(&mut model, &samples, &TrainConfig::default());
+        let history = train(&mut model, &samples);
         assert_eq!(history.len(), EPOCHS);
         assert!(
             history.last().unwrap() < &(history[0] * 0.8),
@@ -188,11 +180,10 @@ mod tests {
     #[test]
     fn training_is_deterministic() {
         let samples = toy_samples(8);
-        let cfg = TrainConfig::default();
         let mut m1 = NnS::new(4, 5);
         let mut m2 = NnS::new(4, 5);
-        let h1 = train(&mut m1, &samples, &cfg);
-        let h2 = train(&mut m2, &samples, &cfg);
+        let h1 = train(&mut m1, &samples);
+        let h2 = train(&mut m2, &samples);
         assert_eq!(h1, h2);
     }
 
@@ -208,17 +199,11 @@ mod tests {
                 .collect()
         };
         let mut baseline = NnS::new(4, 5);
-        let base_hist = train(&mut baseline, &samples, &TrainConfig { threads: Some(1) });
+        let base_hist = with_thread_budget(1, || train(&mut baseline, &samples));
         let base_bits = weight_bits(&baseline);
         for threads in [2, 3, 8] {
             let mut model = NnS::new(4, 5);
-            let hist = train(
-                &mut model,
-                &samples,
-                &TrainConfig {
-                    threads: Some(threads),
-                },
-            );
+            let hist = with_thread_budget(threads, || train(&mut model, &samples));
             assert_eq!(hist, base_hist, "loss history differs at {threads} threads");
             assert_eq!(
                 weight_bits(&model),
@@ -232,6 +217,6 @@ mod tests {
     #[should_panic(expected = "zero samples")]
     fn rejects_empty_corpus() {
         let mut model = NnS::new(4, 0);
-        let _ = train(&mut model, &[], &TrainConfig::default());
+        let _ = train(&mut model, &[]);
     }
 }

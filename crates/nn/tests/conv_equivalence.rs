@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use vrd_nn::conv::{reference, Conv2d};
 use vrd_nn::layers::{maxpool2_into, relu_in_place, sigmoid_in_place, upsample2_into};
-use vrd_nn::{train, NnS, Sample, Tensor, TrainConfig};
+use vrd_nn::{train, NnS, Sample, Tensor};
 
 /// The forward kernel's column-tile width (`TILE_W`, private to `conv.rs`).
 /// Only the choice of boundary shapes below depends on it.
@@ -264,11 +264,7 @@ proptest! {
         let samples = toy_samples(12, seed);
         let run = |threads: usize| -> (Vec<f32>, Vec<u32>) {
             let mut model = NnS::new(4, seed ^ 0x42);
-            let hist = train(
-                &mut model,
-                &samples,
-                &TrainConfig { threads: Some(threads) },
-            );
+            let hist = vrd_runtime::with_thread_budget(threads, || train(&mut model, &samples));
             let (c1, c2, c3) = model.convs();
             let bits = [c1, c2, c3]
                 .iter()

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::sync::OnceLock;
-use vrd_nn::{load_nns, save_nns, train, NnS, Sample, Tensor, TrainConfig};
+use vrd_nn::{load_nns, save_nns, train, NnS, Sample, Tensor};
 
 const HIDDEN: usize = 4;
 /// Magic, version and hidden width come before the first block.
@@ -32,7 +32,7 @@ fn valid_files() -> &'static [Vec<u8>; 2] {
         let input = sandwich();
         let target = Tensor::from_vec(1, 8, 8, input.channel(1).to_vec());
         let sample = Sample { input, target };
-        train(&mut model, &[sample], &TrainConfig::default());
+        train(&mut model, &[sample]);
         let plain = save_nns(&model);
         model.calibrate(&[&sandwich()]);
         [plain, save_nns(&model)]

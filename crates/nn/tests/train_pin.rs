@@ -8,7 +8,7 @@
 //! entirely dead, and a ragged last minibatch (10 samples, batch 4). The
 //! constants were recorded at commit `c4ee60e`.
 
-use vrd_nn::{save_nns, train, NnS, Sample, Tensor, TrainConfig};
+use vrd_nn::{save_nns, train, NnS, Sample, Tensor};
 
 /// FNV-1a over a byte string.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -74,7 +74,7 @@ fn corpus(h: usize, w: usize, seed: u64) -> Vec<Sample> {
 fn train_digest(h: usize, w: usize, hidden: usize) -> (u64, Vec<u32>) {
     let samples = corpus(h, w, (h * 1000 + w * 10 + hidden) as u64);
     let mut model = NnS::new(hidden, 0x5eed ^ hidden as u64);
-    let history = train(&mut model, &samples, &TrainConfig::default());
+    let history = train(&mut model, &samples);
     let calib: Vec<&Tensor> = samples.iter().map(|s| &s.input).collect();
     model.calibrate(&calib);
     (

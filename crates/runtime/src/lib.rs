@@ -7,21 +7,21 @@
 //! * [`parallel_map`] — order-preserving map over a slice on all cores;
 //! * [`parallel_for_each`] — consume a vec of independent work items (e.g.
 //!   disjoint `&mut` output slices) across cores;
-//! * [`with_thread_budget`] — the per-thread cap that nested sections
-//!   honour.
+//! * [`with_thread_budget`] — sets the width of the section it scopes;
+//!   nested sections divide it among their workers.
 //!
 //! Everything here is **deterministic by construction**: work items are
 //! independent, outputs go to pre-assigned slots, and no reduction order
-//! depends on the thread count. Callers that need a specific thread count
-//! (tests pinning determinism, benchmarks) use the `_with` variants; the
-//! plain variants use [`max_threads`], which honours the `VRD_THREADS`
-//! environment variable before falling back to the hardware parallelism.
+//! depends on the thread count. The width is one value, [`max_threads`]:
+//! the [`with_thread_budget`] in force on the calling thread, else the
+//! process default — the `VRD_THREADS` environment variable if valid, else
+//! the hardware parallelism, read once per process.
 
 #![warn(unreachable_pub)]
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Once, OnceLock};
+use std::sync::OnceLock;
 use std::thread;
 
 mod stage;
@@ -29,7 +29,8 @@ mod stage;
 pub use stage::{stage_channel, StageReceiver, StageSender};
 
 thread_local! {
-    /// Per-thread cap on nested parallelism; `None` means uncapped.
+    /// The width [`with_thread_budget`] sets on this thread; `None` means
+    /// the process default.
     static THREAD_BUDGET: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
@@ -37,15 +38,18 @@ thread_local! {
 ///
 /// Workers spawned by the `parallel_*` entry points run under a budget of
 /// roughly `max_threads() / workers`, so nested parallel sections (an NN
-/// kernel called from a parallel wave, say) fan out to about the machine
+/// kernel called from a parallel wave, say) fan out to about the section's
 /// width in total instead of `workers × cores`.
 pub(crate) fn thread_budget() -> Option<usize> {
     THREAD_BUDGET.with(|b| b.get())
 }
 
-/// Runs `f` with this thread's budget capped at `budget` (≥ 1), restoring
-/// the previous budget afterwards. [`max_threads`] — and therefore every
-/// plain `parallel_*` entry point — honours the cap for the duration.
+/// Runs `f` with this thread's width set to `budget` (≥ 1), restoring the
+/// previous width afterwards. [`max_threads`] — and therefore every plain
+/// `parallel_*` entry point and everything sized from it — returns
+/// `budget` for the duration, above the detected core count as well as
+/// below it. Width changes wall-clock time only, never a result, so tests
+/// use it to run a section at widths a small host does not have.
 pub fn with_thread_budget<R>(budget: usize, f: impl FnOnce() -> R) -> R {
     THREAD_BUDGET.with(|b| {
         let prev = b.replace(Some(budget.max(1)));
@@ -71,44 +75,37 @@ fn parse_thread_override(v: &str) -> Result<usize, &str> {
     }
 }
 
-/// The number of worker threads the plain `parallel_*` entry points use:
-/// the `VRD_THREADS` environment variable if set to a positive integer,
-/// otherwise [`std::thread::available_parallelism`] — further capped by the
-/// enclosing [`with_thread_budget`], if one is in force on this thread. An
-/// invalid `VRD_THREADS` value (zero, non-numeric) is reported once on
-/// stderr and then ignored.
+/// The width the `parallel_*` entry points and every section sized from
+/// them use: the [`with_thread_budget`] in force on this thread, else the
+/// process default.
 pub fn max_threads() -> usize {
-    static WARN_ONCE: Once = Once::new();
-    let base = match std::env::var("VRD_THREADS") {
-        Ok(v) => match parse_thread_override(&v) {
-            Ok(n) => n,
-            Err(bad) => {
-                WARN_ONCE.call_once(|| {
-                    eprintln!(
-                        "vrd-runtime: ignoring invalid VRD_THREADS={bad:?} \
-                         (expected a positive integer); using detected core count"
-                    );
-                });
-                detected_parallelism()
-            }
-        },
-        Err(_) => detected_parallelism(),
-    };
-    match thread_budget() {
-        Some(cap) => base.min(cap).max(1),
-        None => base,
-    }
+    thread_budget().unwrap_or_else(process_default)
 }
 
-/// The hardware parallelism, detected once per process:
-/// [`thread::available_parallelism`] re-reads the affinity mask and cgroup
-/// quota files on every call, and [`max_threads`] is asked per kernel launch.
-fn detected_parallelism() -> usize {
-    static DETECTED: OnceLock<usize> = OnceLock::new();
-    *DETECTED.get_or_init(|| {
-        thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+/// The width outside any [`with_thread_budget`], fixed once per process:
+/// the `VRD_THREADS` environment variable if set to a positive integer,
+/// otherwise [`thread::available_parallelism`] (which re-reads the
+/// affinity mask and cgroup quota files on every call, while
+/// [`max_threads`] is asked per kernel launch). An invalid `VRD_THREADS`
+/// value (zero, non-numeric) is reported once on stderr and then ignored.
+fn process_default() -> usize {
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    *DEFAULT.get_or_init(|| {
+        let detected = || {
+            thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        };
+        match std::env::var("VRD_THREADS") {
+            Ok(v) => parse_thread_override(&v).unwrap_or_else(|bad| {
+                eprintln!(
+                    "vrd-runtime: ignoring invalid VRD_THREADS={bad:?} \
+                     (expected a positive integer); using detected core count"
+                );
+                detected()
+            }),
+            Err(_) => detected(),
+        }
     })
 }
 
@@ -179,17 +176,6 @@ where
         .collect()
 }
 
-/// Thread-pool sizing for a batch of `jobs` independent work items: the
-/// explicit `requested` count when given, otherwise [`max_threads`], and
-/// never more workers than jobs. Returns at least 1 so callers can divide
-/// by it.
-pub fn pool_threads(requested: Option<usize>, jobs: usize) -> usize {
-    requested
-        .unwrap_or_else(max_threads)
-        .max(1)
-        .min(jobs.max(1))
-}
-
 /// Consumes independent work items across all available cores.
 ///
 /// Unlike [`parallel_map`] the items are moved into the workers, which lets
@@ -223,16 +209,23 @@ where
     let budget = child_budget(threads);
     let f = &f;
     thread::scope(|s| {
+        let mut handles = Vec::with_capacity(threads);
         while !items.is_empty() {
             let take = chunk.min(items.len());
             let group: Vec<I> = items.drain(..take).collect();
-            s.spawn(move || {
+            handles.push(s.spawn(move || {
                 with_thread_budget(budget, || {
                     for item in group {
                         f(item);
                     }
                 })
-            });
+            }));
+        }
+        // As in `parallel_map_with`: a worker's panic re-raises here with
+        // its own payload instead of the scope's generic one.
+        for h in handles {
+            h.join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
         }
     });
 }
@@ -298,12 +291,15 @@ mod tests {
     }
 
     #[test]
-    fn pool_threads_clamps_to_jobs() {
-        assert_eq!(pool_threads(Some(8), 3), 3);
-        assert_eq!(pool_threads(Some(2), 100), 2);
-        assert_eq!(pool_threads(Some(0), 5), 1);
-        assert_eq!(pool_threads(Some(4), 0), 1);
-        assert!(pool_threads(None, 1000) >= 1);
+    fn parallel_for_each_reraises_a_worker_panic_with_its_payload() {
+        let caught = std::panic::catch_unwind(|| {
+            parallel_for_each_with((0..8u32).collect(), 2, |x| {
+                assert!(x != 5, "item {x} is poison");
+            })
+        });
+        let payload = caught.expect_err("the worker's panic must reach the caller");
+        let msg = payload.downcast_ref::<String>().expect("assert! message");
+        assert!(msg.contains("item 5 is poison"), "{msg}");
     }
 
     #[test]
@@ -334,7 +330,7 @@ mod tests {
         assert_eq!(thread_budget(), None);
         let inside = with_thread_budget(1, || {
             assert_eq!(thread_budget(), Some(1));
-            // Nested scopes re-cap and restore the outer budget.
+            // Nested scopes set their own width and restore the outer one.
             with_thread_budget(3, || assert_eq!(thread_budget(), Some(3)));
             assert_eq!(thread_budget(), Some(1));
             max_threads()
@@ -361,10 +357,26 @@ mod tests {
     }
 
     #[test]
+    fn thread_budget_sets_the_width_above_the_core_count() {
+        let outer = max_threads();
+        let workers = with_thread_budget(8, || {
+            // Not capped by the host: a 2-core machine runs 8 wide here.
+            assert_eq!(max_threads(), 8);
+            let items: Vec<u32> = (0..8).collect();
+            parallel_map_with(&items, max_threads(), |_| max_threads())
+        });
+        // Eight workers share the eight: each nested section runs 1 wide.
+        assert_eq!(workers, vec![1; 8]);
+        assert_eq!(max_threads(), outer);
+        assert_eq!(thread_budget(), None);
+    }
+
+    #[test]
     fn thread_override_rejects_invalid_values() {
         // The env-independent core of the VRD_THREADS handling: valid
         // positive integers pass through, everything else is rejected (and
-        // `max_threads` then warns once and uses the detected core count).
+        // the process default then warns once and uses the detected core
+        // count).
         assert_eq!(parse_thread_override("1"), Ok(1));
         assert_eq!(parse_thread_override("16"), Ok(16));
         assert_eq!(parse_thread_override("0"), Err("0"));

@@ -110,9 +110,6 @@ pub struct FleetConfig {
     pub autoscale: bool,
     /// Skew-triggered work stealing (`None` = placements are final).
     pub rebalance: Option<RebalanceConfig>,
-    /// Worker threads for the replay phase (`None` = runtime default).
-    /// Thread count never changes results, only wall time.
-    pub threads: Option<usize>,
 }
 
 impl Default for FleetConfig {
@@ -124,7 +121,6 @@ impl Default for FleetConfig {
             sim: SimConfig::default(),
             autoscale: true,
             rebalance: Some(RebalanceConfig::default()),
-            threads: None,
         }
     }
 }
@@ -592,8 +588,7 @@ impl<'a> Walk<'a> {
         }
         let jobs: Vec<(&ShardState, Vec<DrivenSession>)> = self.shards.iter().zip(jobs).collect();
         let cfg = self.cfg;
-        let threads = vrd_runtime::pool_threads(cfg.threads, jobs.len());
-        vrd_runtime::parallel_map_with(&jobs, threads, |(shard, driven)| {
+        vrd_runtime::parallel_map(&jobs, |(shard, driven)| {
             let sched = SchedConfig {
                 npu_available_ns: shard.created_ns + SHARD_SPINUP_NS,
                 ..SchedConfig::default()
@@ -841,9 +836,9 @@ mod tests {
         let again = run_fleet(&trace, &library, &base_cfg(sim)).unwrap();
         assert_eq!(report, again);
         // And thread-count invariant.
-        let mut one = base_cfg(sim);
-        one.threads = Some(1);
-        let serial = run_fleet(&trace, &library, &one).unwrap();
+        let serial =
+            vrd_runtime::with_thread_budget(1, || run_fleet(&trace, &library, &base_cfg(sim)))
+                .unwrap();
         assert_eq!(report, serial);
     }
 

@@ -43,9 +43,6 @@ pub struct ServeConfig {
     pub slo: SloConfig,
     /// Hardware cost model used for decode, service and switch timing.
     pub sim: SimConfig,
-    /// Worker threads driving sessions (`None` = the runtime's detected
-    /// count). Thread count never changes results, only wall time.
-    pub threads: Option<usize>,
 }
 
 /// Per-session outcome of one serve window.
@@ -134,9 +131,8 @@ pub fn admit_and_drive(
     }
 
     // Drive every admitted session concurrently — the real compute phase.
-    let threads = cfg.threads.unwrap_or_else(vrd_runtime::max_threads);
     let driven: Vec<vr_dann::Result<DrivenSession>> =
-        vrd_runtime::parallel_map_with(&admitted_jobs, threads, |&(session, r, spec)| {
+        vrd_runtime::parallel_map(&admitted_jobs, |&(session, r, spec)| {
             let (seq, encoded) = requests[r];
             let template = drive_template(model, seq, encoded, &cfg.sim)?;
             Ok(template.instantiate(session, &spec))

@@ -5,13 +5,13 @@
 //! and stream libraries, every offered session gets **exactly one** fate —
 //! admitted to exactly one shard, rejected, or churned-out — fleet totals
 //! equal the sum of shard totals, and the whole report is bitwise
-//! deterministic across repeat runs and worker-thread counts (the
-//! `VRD_THREADS` axis is exercised through the explicit `threads` knob the
-//! env var feeds in production).
+//! deterministic across repeat runs and worker-thread counts (set with
+//! `vrd_runtime::with_thread_budget`, the scoped form of `VRD_THREADS`).
 
 use proptest::prelude::*;
 use vr_dann::ComputeMode;
 use vrd_codec::FrameType;
+use vrd_runtime::with_thread_budget;
 use vrd_serve::{
     run_fleet, Envelope, FleetConfig, FleetReport, LatencyStats, LoadGenConfig, OfferFate,
     RebalanceConfig, SessionArrival, SessionDemand, SessionShape, SessionTemplate, StreamEntry,
@@ -201,11 +201,11 @@ proptest! {
             sim,
             autoscale: with_autoscale,
             rebalance: with_rebalance.then(RebalanceConfig::default),
-            threads: Some(3),
             ..FleetConfig::default()
         };
+        let run_at = |threads| with_thread_budget(threads, || run_fleet(&trace, &library, &cfg));
 
-        let report = run_fleet(&trace, &library, &cfg);
+        let report = run_at(3);
         prop_assert!(report.is_ok(), "fleet error: {:?}", report.err());
         let report = report.unwrap();
         prop_assert_eq!(report.offered, sessions);
@@ -213,14 +213,9 @@ proptest! {
 
         // Bitwise determinism: an identical rerun and a different worker
         // count both reproduce the report exactly.
-        let again = run_fleet(&trace, &library, &cfg).unwrap();
+        let again = run_at(3).unwrap();
         prop_assert_eq!(&report, &again);
-        let serial = run_fleet(
-            &trace,
-            &library,
-            &FleetConfig { threads: Some(1), ..cfg },
-        )
-        .unwrap();
+        let serial = run_at(1).unwrap();
         prop_assert_eq!(&report, &serial);
     }
 }

@@ -102,15 +102,7 @@ fn serving_is_deterministic() {
     assert_eq!(a, b);
 
     // Thread count must not change the outcome, only wall time.
-    let single = serve(
-        &model,
-        &requests,
-        &ServeConfig {
-            threads: Some(1),
-            ..cfg
-        },
-    )
-    .unwrap();
+    let single = vrd_runtime::with_thread_budget(1, || serve(&model, &requests, &cfg)).unwrap();
     assert_eq!(a, single);
 }
 

@@ -2,12 +2,22 @@
 //! just the calibration averages: scheme ordering, accounting consistency
 //! and queue bounds.
 
+use std::sync::OnceLock;
 use vr_dann::baselines::{encode_default, run_favos};
 use vr_dann::{TrainTask, VrDann, VrDannConfig};
 use vrd_sim::{simulate, ExecMode, ParallelOptions, SimConfig, SimReport, B_Q_ENTRIES};
 use vrd_video::davis::{davis_train_suite, davis_val_suite, SuiteConfig};
 
-fn reports_for_suite() -> Vec<(String, f64, SimReport, SimReport, SimReport)> {
+type Reports = Vec<(String, f64, SimReport, SimReport, SimReport)>;
+
+/// Each tiny-suite sequence under FAVOS, VR-DANN-serial and
+/// VR-DANN-parallel, from one trained model, built once per test binary.
+fn reports_for_suite() -> &'static Reports {
+    static REPORTS: OnceLock<Reports> = OnceLock::new();
+    REPORTS.get_or_init(build_reports)
+}
+
+fn build_reports() -> Reports {
     let cfg = SuiteConfig::tiny();
     let model = VrDann::train(
         &davis_train_suite(&cfg, 2),

@@ -11,10 +11,11 @@ fn fig13_performance_and_energy_ratios() {
     let model = VrDann::train(&train, TrainTask::Segmentation, VrDannConfig::default()).unwrap();
     let sim = SimConfig::default();
     let suite = davis_val_suite(&cfg);
-    let (mut po, mut pf, mut pd, mut ps, mut eo, mut ef, mut ed, mut es) =
-        (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0);
-    let n = suite.len() as f64;
-    for seq in &suite {
+    // Per sequence, VR-DANN-parallel's time and energy ratios against
+    // OSVOS, FAVOS, DFF and VR-DANN-serial. The sequences run concurrently;
+    // the sums below run in suite order, so every ratio is what a serial
+    // walk gives.
+    let per_seq = vrd_runtime::parallel_map(&suite, |seq| {
         let encoded = model.encode(seq).unwrap();
         let favos = simulate(&run_favos(seq, &encoded, 1).trace, ExecMode::InOrder, &sim);
         let osvos = simulate(&run_osvos(seq, &encoded, 1).trace, ExecMode::InOrder, &sim);
@@ -30,14 +31,25 @@ fn fig13_performance_and_energy_ratios() {
             ExecMode::VrDannParallel(ParallelOptions::default()),
             &sim,
         );
-        po += osvos.total_ns / par.total_ns;
-        pf += favos.total_ns / par.total_ns;
-        pd += dff.total_ns / par.total_ns;
-        ps += serial.total_ns / par.total_ns;
-        eo += osvos.energy.total_mj() / par.energy.total_mj();
-        ef += favos.energy.total_mj() / par.energy.total_mj();
-        ed += dff.energy.total_mj() / par.energy.total_mj();
-        es += serial.energy.total_mj() / par.energy.total_mj();
+        [osvos, favos, dff, serial].map(|r| {
+            (
+                r.total_ns / par.total_ns,
+                r.energy.total_mj() / par.energy.total_mj(),
+            )
+        })
+    });
+    let (mut po, mut pf, mut pd, mut ps, mut eo, mut ef, mut ed, mut es) =
+        (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0);
+    let n = suite.len() as f64;
+    for [(o, e_o), (f, e_f), (d, e_d), (s, e_s)] in per_seq {
+        po += o;
+        pf += f;
+        pd += d;
+        ps += s;
+        eo += e_o;
+        ef += e_f;
+        ed += e_d;
+        es += e_s;
     }
     println!(
         "perf  vs osvos {:.2}x favos {:.2}x dff {:.2}x serial {:.2}x",

@@ -665,23 +665,12 @@ impl Seg2Plane {
             .collect();
         SegMask::from_words(self.width(), self.height(), words)
     }
-
-    /// Writes the plane into `out`, one element per pixel — `codes[0]`,
-    /// `codes[1]`, `codes[2]` for black, gray and white — a word at a time,
-    /// a word that is all one value as one fill ([`Expansion`] over whole
-    /// rows).
-    ///
-    /// # Panics
-    /// Panics if `out.len() != width * height`.
-    pub fn expand_into<T: Copy>(&self, out: &mut [T], codes: [T; 3]) {
-        Expansion::new(codes).rows(&self.white, Some(&self.gray), out);
-    }
 }
 
 /// The element values of black, gray and white pixels, tabled for
 /// expanding packed planes four pixels per lookup: the one expansion body
-/// behind [`SegMask::expand_f32_into`], [`Seg2Plane::expand_into`] and NN-S's
-/// input, which writes only the spans its first layer reads.
+/// behind [`SegMask::expand_f32_into`] and NN-S's input, dense or only the
+/// spans its first layer reads.
 #[derive(Debug, Clone)]
 pub struct Expansion<T> {
     table: Vec<[T; 4]>,
@@ -1234,7 +1223,7 @@ mod tests {
         p.set(0, 0, Seg2::White);
         p.set(65, 0, Seg2::Gray);
         let mut out = vec![9.0f32; 66 * 2];
-        p.expand_into(&mut out, [0.0, 0.5, 1.0]);
+        Expansion::new([0.0, 0.5, 1.0]).rows(p.white(), Some(p.gray()), &mut out);
         assert_eq!(out[0], 1.0);
         assert_eq!(out[65], 0.5);
         assert_eq!(out[1], 0.0);

@@ -152,7 +152,7 @@ proptest! {
             }
         }
         let plane = Seg2Plane::mean_filter(&mask, &mask_from_seed(w, h, seed ^ 7));
-        plane.expand_into(&mut out, [0.0, 0.5, 1.0]);
+        Expansion::new([0.0, 0.5, 1.0]).rows(plane.white(), Some(plane.gray()), &mut out);
         for y in 0..h {
             for x in 0..w {
                 prop_assert_eq!(out[y * w + x], plane.get(x, y).to_f32());
@@ -160,7 +160,7 @@ proptest! {
         }
         // Any element type: the same pixels through caller-chosen codes.
         let mut codes = vec![0u8; w * h];
-        plane.expand_into(&mut codes, [3, 5, 9]);
+        Expansion::new([3, 5, 9]).rows(plane.white(), Some(plane.gray()), &mut codes);
         for (&c, &f) in codes.iter().zip(&out) {
             prop_assert_eq!(c, [3, 5, 9][(f * 2.0) as usize]);
         }
