@@ -467,7 +467,9 @@ fn packed_mask_rows(rows: &mut Vec<Row>) {
     let info = hd_bframe();
     let cfg = ReconConfig::default();
 
-    // B-frame reconstruction: shift-and-merge word moves vs per-pixel.
+    // B-frame reconstruction: one block write per MV (bounds checked once,
+    // per block row a shifted word read per reference and a word merge per
+    // plane) vs per-pixel clamped reads and sets.
     let packed = reconstruct_b_frame(&info, &refs, W, H, MB, &cfg).expect("anchors present");
     rows.push(pair(
         "reconstruct_854x480",
