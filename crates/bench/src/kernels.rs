@@ -428,13 +428,13 @@ fn hd_mask(seed: u64) -> SegMask {
     )
 }
 
-/// A full-coverage 16-px MV grid at 854×480 (53 block columns cover the
-/// 848 coded pixels; H.264 streams pad the rest) with word-straddling
-/// sources, half of them bi-predicted.
-fn hd_bframe() -> BFrameInfo {
+/// A full-coverage `mb`-px MV grid at 854×480 (whole blocks cover the
+/// first 848 columns, 106 of 8 px or 53 of 16; the stream pads the rest)
+/// with word-straddling sources, half of them bi-predicted.
+fn hd_bframe(mb: usize) -> BFrameInfo {
     let mut mvs = Vec::new();
-    for by in 0..(H / MB) as u32 {
-        for bx in 0..(W / MB) as u32 {
+    for by in 0..(H / mb) as u32 {
+        for bx in 0..(W / mb) as u32 {
             let s = vrd_video::texture::hash2(i64::from(bx), i64::from(by), 97);
             let ref0 = RefMv {
                 frame: 0,
@@ -447,8 +447,8 @@ fn hd_bframe() -> BFrameInfo {
                 src_y: ((s >> 24) % 480) as i32 - 7,
             });
             mvs.push(MvRecord {
-                dst_x: bx * MB as u32,
-                dst_y: by * MB as u32,
+                dst_x: bx * mb as u32,
+                dst_y: by * mb as u32,
                 ref0,
                 ref1,
             });
@@ -464,18 +464,20 @@ fn hd_bframe() -> BFrameInfo {
 fn packed_mask_rows(rows: &mut Vec<Row>) {
     let (a, b) = (hd_mask(1), hd_mask(2));
     let refs = BTreeMap::from([(0u32, a.clone()), (4u32, b.clone())]);
-    let info = hd_bframe();
+    // The block size of the codec the HD streams are coded with: 8 px.
+    let mb = CodecConfig::default().standard.mb_size();
+    let info = hd_bframe(mb);
     let cfg = ReconConfig::default();
 
     // B-frame reconstruction: one block write per MV (bounds checked once,
     // per block row a shifted word read per reference and a word merge per
     // plane) vs per-pixel clamped reads and sets.
-    let packed = reconstruct_b_frame(&info, &refs, W, H, MB, &cfg).expect("anchors present");
+    let packed = reconstruct_b_frame(&info, &refs, W, H, mb, &cfg).expect("anchors present");
     rows.push(pair(
         "reconstruct_854x480",
         PACKED_MASK_FLOOR,
-        || reconstruct_b_frame(&info, &refs, W, H, MB, &cfg).unwrap(),
-        || recon::reference::reconstruct_b_frame(&info, &refs, W, H, MB, &cfg).unwrap(),
+        || reconstruct_b_frame(&info, &refs, W, H, mb, &cfg).unwrap(),
+        || recon::reference::reconstruct_b_frame(&info, &refs, W, H, mb, &cfg).unwrap(),
     ));
 
     // Whole-frame bi-reference mean filter: AND/XOR vs per-pixel.
@@ -624,27 +626,24 @@ fn nnl_row() -> Row {
     row
 }
 
-/// NN-S's refined mask of a realistic B-frame on one thread: [`NnS::mask`]
-/// on the sandwich's packed planes — the band, with the input written only
-/// where conv1 reads it — against the dense graph on the built sandwich
-/// (`infer(..).to_mask(0.5)`), each precision's masks asserted equal
-/// first, and the int8 column the engine's int8 B-frame path,
-/// [`QuantNnS::mask`]. The sandwich's anchors are
-/// [`ellipse_mask`] and the same ellipse 6 px right and 3 px down; the
-/// B-frame copies every 16-px block from within 4 px of its own position,
-/// half of them bi-predicted — the small motion vectors of a real stream,
-/// where random noise would put the whole frame in the band. The row
-/// carries the fixture's band coverage and, per precision, the row tiles
-/// `mask` walks and the bytes of scratch one call holds.
-fn nns_band_row() -> Row {
-    let refs = BTreeMap::from([
+/// The anchors of the NN-S rows' B-frames: [`ellipse_mask`] at display 0
+/// and the same ellipse 6 px right and 3 px down at display 4.
+fn band_anchors() -> BTreeMap<u32, SegMask> {
+    BTreeMap::from([
         (0u32, ellipse_mask(0.0, 0.0)),
         (4u32, ellipse_mask(6.0, 3.0)),
-    ]);
+    ])
+}
+
+/// A realistic B-frame between [`band_anchors`]: every 16-px block copied
+/// from within 4 px of its own position, half of them bi-predicted, the
+/// offsets drawn by `salt` — the small motion vectors of a real stream,
+/// where random noise would put the whole frame in the band.
+fn near_bframe(refs: &BTreeMap<u32, SegMask>, salt: u64) -> Seg2Plane {
     let mut mvs = Vec::new();
     for by in 0..(H / MB) as u32 {
         for bx in 0..(W / MB) as u32 {
-            let s = vrd_video::texture::hash2(i64::from(bx), i64::from(by), 211);
+            let s = vrd_video::texture::hash2(i64::from(bx), i64::from(by), salt);
             let near = |frame: u32, bits: u64| RefMv {
                 frame,
                 src_x: (bx * MB as u32) as i32 + ((s >> bits) % 9) as i32 - 4,
@@ -663,8 +662,21 @@ fn nns_band_row() -> Row {
         mvs,
         intra_blocks: vec![],
     };
-    let plane = reconstruct_b_frame(&info, &refs, W, H, MB, &ReconConfig::default())
-        .expect("anchors present");
+    reconstruct_b_frame(&info, refs, W, H, MB, &ReconConfig::default()).expect("anchors present")
+}
+
+/// NN-S's refined mask of a realistic B-frame on one thread: [`NnS::mask`]
+/// on the sandwich's packed planes — the band, with the input written only
+/// where conv1 reads it — against the dense graph on the built sandwich
+/// (`infer(..).to_mask(0.5)`), each precision's masks asserted equal
+/// first, and the int8 column the engine's int8 B-frame path,
+/// [`QuantNnS::mask`]. The B-frame is [`near_bframe`] between
+/// [`band_anchors`]. The row carries the fixture's band coverage and, per
+/// precision, the row tiles `mask` walks and the bytes of scratch one call
+/// holds.
+fn nns_band_row() -> Row {
+    let refs = band_anchors();
+    let plane = near_bframe(&refs, 211);
     let x = build_sandwich(2, &plane, &refs).expect("anchors present");
     let planes = SandwichPlanes::new(&refs[&0], &plane, &refs[&4]).expect("one even size");
     let mut nns = NnS::new(8, 42);
@@ -693,6 +705,30 @@ fn nns_band_row() -> Row {
         ("int8", int8_tiles, int8_bytes),
     ];
     row
+}
+
+/// The engine's int8 B-frame wave in process, ungated: one
+/// [`QuantNnS::masks`] call over two [`near_bframe`]s at width 2, whose
+/// tiles form one queue, against the two frames' [`QuantNnS::mask`] one
+/// after the other at width 1, the masks asserted equal first. Its ratio
+/// is the wave's speedup on two threads, which `runtime.parallel_speedup`
+/// cannot measure: that divides an fps by one timed minutes apart.
+fn nns_wave_row() -> Row {
+    let refs = band_anchors();
+    let frames = [211, 223].map(|salt| near_bframe(&refs, salt));
+    let x = build_sandwich(2, &frames[0], &refs).expect("anchors present");
+    let mut nns = NnS::new(8, 42);
+    nns.calibrate(&[&x]);
+    let q = nns.quantize();
+    let xs = frames
+        .each_ref()
+        .map(|plane| SandwichPlanes::new(&refs[&0], plane, &refs[&4]).expect("one even size"));
+    pair(
+        "nns_masks_wave_854x480",
+        UNGATED,
+        || vrd_runtime::with_thread_budget(2, || q.masks(&xs)),
+        || vrd_runtime::with_thread_budget(1, || xs.iter().map(|x| q.mask(x)).collect::<Vec<_>>()),
+    )
 }
 
 /// Anchor decode of `cows` encoded anchor-only (the stream of the
@@ -818,6 +854,7 @@ pub(crate) fn run() -> Output {
     rows.push(featwarp_row());
     rows.push(nnl_row());
     rows.push(nns_band_row());
+    rows.push(nns_wave_row());
     rows.push(decode_row());
     let json = to_json(quant::Body::detected().name(), &rows);
     Output {

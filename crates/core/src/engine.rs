@@ -22,11 +22,12 @@
 //! The per-unit ladder, in order (`route_nnl`, `store` and `emit` are each
 //! the engine's only site for what they do):
 //!
-//! 1. **anchor** → `route_nnl`: flush the wave, NN-L inference (lazy, as
-//!    the unit arrives), insertion into the reference window, `store`,
-//!    `emit` — or, concealing, where `prime` already routed every usable
-//!    anchor, a substitution count for anchors decoded from replacement
-//!    references and the `emit` alone;
+//! 1. **anchor** → `route_nnl`: flush the wave with NN-L inference (lazy,
+//!    as the unit arrives) running on the compute lane beside it,
+//!    insertion into the reference window once the wave has joined,
+//!    `store`, `emit` — or, concealing, where `prime` already routed every
+//!    usable anchor, a substitution count for anchors decoded from
+//!    replacement references and the `emit` alone;
 //! 2. **lost anchor** (concealing) → mark a pending NN-L re-inference;
 //! 3. **B-frame payload** → the pending re-inference or the §VI-A adaptive
 //!    fallback (both `route_nnl`), else feature-space propagation for a
@@ -494,9 +495,10 @@ const STAGE_CAPACITY: usize = 8;
 /// onto a decode-lane thread and lets B-frame mask computation wait in the
 /// wave for the next barrier, which fans out over
 /// [`vrd_runtime::max_threads`] workers (set per call with
-/// [`vrd_runtime::with_thread_budget`]); the decode lane adds one more
-/// thread on top. The stage channel between the lanes holds 8 decoded
-/// units.
+/// [`vrd_runtime::with_thread_budget`]). The compute lane is one of those
+/// workers, so a wave of width `n` spawns `n − 1` helpers and keeps `n`
+/// compute threads runnable; the decode lane is the one thread on top. The
+/// stage channel between the lanes holds 8 decoded units.
 ///
 /// It carries no value — passing one means "two lanes" — and stays a type
 /// because the benchmark harness passes `&PipelineOptions::default()` to
@@ -516,10 +518,14 @@ struct ReconJob {
 }
 
 /// The only path a B-frame's mask takes: jobs planned since the last
-/// flush, executed together (fanned out across `threads` workers) when the
-/// wave reaches `flush_threshold`, when the reference window is about to
-/// change, or when the stream ends. Without lanes the threshold is 1 —
-/// every job runs inside its own `step`, on the caller's thread.
+/// flush, executed together when the wave reaches `flush_threshold`, when
+/// the reference window is about to change, or when the stream ends. A
+/// flush reconstructs the jobs across `threads` workers, then refines all
+/// of them in one `masks` call whose tiles form one queue, so a worker
+/// that finishes one frame's tiles takes another's instead of idling at a
+/// per-frame barrier; at an NN-L step the compute lane runs NN-L first and
+/// then joins that queue. Without lanes the threshold is 1 — every job
+/// runs inside its own `step`, its tiles across the caller's width.
 #[derive(Debug)]
 struct Wave {
     jobs: Vec<ReconJob>,
@@ -542,8 +548,8 @@ impl Wave {
     }
 }
 
-/// What the pure B-frame chain reads besides its job and the reference
-/// window; fixed for a stream once `prime` has set `stream` and `nns_q`.
+/// What a wave's flush reads besides its jobs and the reference window;
+/// fixed for a stream once `prime` has set `stream` and `nns_q`.
 #[derive(Debug)]
 struct ReconCtx<'a> {
     stream: StreamInfo,
@@ -552,35 +558,6 @@ struct ReconCtx<'a> {
     // Quantized twin of `nns`, present when the configuration selects
     // `ComputeMode::Int8` (weight quantization is done once, not per frame).
     nns_q: Option<QuantNnS>,
-}
-
-/// Executes one planned B-frame job. Pure with respect to the engine:
-/// reads the reference window and model, produces the mask, mutates
-/// nothing — which is what makes the wave fan-out safe and bit-identical
-/// to sequential execution.
-///
-/// Both precisions read the reconstruction and the anchors' masks as the
-/// packed planes they are (`NnS::mask`, `QuantNnS::mask`) and threshold
-/// NN-S's logits rather than its probabilities: the masks are those of
-/// `infer(build_sandwich(..)).to_mask(0.5)`, without the dense sandwich,
-/// the quantize pass or the sigmoid.
-fn exec_recon(
-    job: &ReconJob,
-    ref_segs: &BTreeMap<u32, SegMask>,
-    ctx: &ReconCtx<'_>,
-) -> Result<SegMask> {
-    let (s, cfg) = (&ctx.stream, ctx.cfg);
-    let plane = reconstruct_b_frame(
-        &job.info, ref_segs, s.width, s.height, s.mb_size, &cfg.recon,
-    )?;
-    if !job.refined {
-        return Ok(plane_to_mask(&plane));
-    }
-    let planes = nns_planes(job.info.display_idx, &plane, ref_segs, cfg.sandwich)?;
-    Ok(match &ctx.nns_q {
-        Some(q) => q.mask(&planes),
-        None => ctx.nns.mask(&planes),
-    })
 }
 
 /// The generic streaming engine: a task, a fault policy, and a shared model
@@ -806,8 +783,10 @@ impl<'a, T: TaskPolicy, P: FaultPolicy> PipelineEngine<'a, T, P> {
 
     /// The one NN-L route, behind anchors, prepopulation, the lost-anchor
     /// re-inference and the adaptive fallback: flush the wave (the new
-    /// reference mutates the window every planned job reads), infer, insert
-    /// the reference, store the output and — unless this is prepopulation,
+    /// reference mutates the window every planned job reads) with NN-L
+    /// running on this thread while the other workers walk the wave's
+    /// tiles, insert the reference once the wave has joined (so no job
+    /// sees it), store the output and — unless this is prepopulation,
     /// whose anchors are traced when their units arrive — emit.
     fn route_nnl(
         &mut self,
@@ -815,30 +794,83 @@ impl<'a, T: TaskPolicy, P: FaultPolicy> PipelineEngine<'a, T, P> {
         reinfer: bool,
         traced: Option<(FrameType, ByteClass)>,
     ) -> Result<Option<StepWork>> {
-        self.flush_wave()?;
         // The task indexes its sequence with `display`: bound it first.
-        self.slot(display)?;
-        let (out, mask) = self.task.infer_anchor(display, reinfer);
+        if let Err(e) = self.slot(display) {
+            self.flush_wave()?;
+            return Err(e);
+        }
+        let (out, mask) = self.flush_wave_beside(|task| task.infer_anchor(display, reinfer))?;
         self.ref_segs.insert(display, mask);
         self.store(display, out)?;
         let kind = ComputeKind::NnL { ops: self.nnl_ops };
         Ok(traced.map(|(ftype, bytes)| self.emit(display, ftype, kind, bytes)))
     }
 
-    /// Executes the wave's planned jobs: reconstruct + refine in parallel
-    /// (order-preserving, pure reads of the reference window), then store
-    /// the results sequentially in decode order.
+    /// [`Self::flush_wave_beside`] with nothing beside.
     fn flush_wave(&mut self) -> Result<()> {
+        self.flush_wave_beside(|_| ())
+    }
+
+    /// Executes the wave's planned jobs while this thread runs `beside` on
+    /// the task, and returns what `beside` returns. Pure reads of the
+    /// reference window and the model until the stores; three steps:
+    ///
+    /// 1. Each job's B-frame is reconstructed from its motion vectors, in
+    ///    parallel over the jobs, and a refined job's NN-S input taken
+    ///    around it ([`nns_planes`]), up to the first job in decode order
+    ///    that fails.
+    /// 2. One `masks` call refines every refined job's planes: every tile
+    ///    of every frame is claimed from one queue, and this thread runs
+    ///    `beside` first and then joins the queue. Both precisions read the
+    ///    packed planes and threshold NN-S's logits rather than its
+    ///    probabilities: the masks are those of
+    ///    `infer(build_sandwich(..)).to_mask(0.5)`, without the dense
+    ///    sandwich, the quantize pass or the sigmoid.
+    /// 3. The masks are stored in decode order, and the first failure in
+    ///    decode order is returned after the jobs before it are stored.
+    fn flush_wave_beside<R>(&mut self, beside: impl FnOnce(&mut T) -> R) -> Result<R> {
         let jobs = std::mem::take(&mut self.wave.jobs);
-        let (refs, ctx) = (&self.ref_segs, &self.ctx);
-        let masks = vrd_runtime::parallel_map_with(&jobs, self.wave.threads, |job| {
-            exec_recon(job, refs, ctx)
+        let (refs, ctx, task) = (&self.ref_segs, &self.ctx, &mut self.task);
+        let (s, cfg) = (ctx.stream, ctx.cfg);
+        let recons = vrd_runtime::parallel_map_with(&jobs, self.wave.threads, |job| {
+            reconstruct_b_frame(&job.info, refs, s.width, s.height, s.mb_size, &cfg.recon)
         });
-        for (job, mask) in jobs.iter().zip(masks) {
-            let out = self.task.refine(mask?);
-            self.store(job.display, out)?;
+        let mut failed = Ok(());
+        let mut inputs = Vec::with_capacity(jobs.len());
+        for (job, recon) in jobs.iter().zip(&recons) {
+            let input = recon.as_ref().map_err(Clone::clone).and_then(|plane| {
+                let planes = (job.refined)
+                    .then(|| nns_planes(job.info.display_idx, plane, refs, cfg.sandwich));
+                Ok((plane, planes.transpose()?))
+            });
+            match input {
+                Ok(input) => inputs.push(input),
+                Err(e) => {
+                    failed = Err(e);
+                    break;
+                }
+            }
         }
-        Ok(())
+        let planes: Vec<_> = inputs.iter().filter_map(|&(_, planes)| planes).collect();
+        let (masks, out) = match &ctx.nns_q {
+            Some(q) => q.masks_beside(&planes, || beside(task)),
+            None => ctx.nns.masks_beside(&planes, || beside(task)),
+        };
+        let mut masks = masks.into_iter();
+        let done: Vec<(u32, SegMask)> = (jobs.iter().zip(inputs))
+            .map(|(job, (plane, planes))| {
+                let mask = match planes {
+                    Some(_) => masks.next().expect("one mask per refined job"),
+                    None => plane_to_mask(plane),
+                };
+                (job.display, mask)
+            })
+            .collect();
+        for (display, mask) in done {
+            let out = self.task.refine(mask);
+            self.store(display, out)?;
+        }
+        failed.map(|()| out)
     }
 
     /// Advances the engine by one decoded unit through the stage ladder,
@@ -1080,8 +1112,10 @@ impl<'a, T: TaskPolicy, P: FaultPolicy> PipelineEngine<'a, T, P> {
     /// * `Some(opts)` — **two lanes**: a decode-lane thread owns the source
     ///   and feeds [`DecodedUnit`]s through a bounded SPSC stage channel
     ///   (the software `ip_Q`/`b_Q`) while this thread plans them in decode
-    ///   order and fans each GOP's B-frame reconstructions out
-    ///   wave-front-style across [`vrd_runtime::max_threads`] workers.
+    ///   order and fans each GOP's B-frame reconstructions, and then all
+    ///   of their NN-S tiles as one queue, out wave-front-style across
+    ///   [`vrd_runtime::max_threads`] workers, itself one of them (running
+    ///   the next anchor's NN-L before it joins the tile queue).
     ///
     /// Outputs, trace and concealment counters are bit-identical for every
     /// [`TaskPolicy`] × [`FaultPolicy`] at every `lanes` value — all

@@ -42,7 +42,7 @@
 //! the pixels whose window is not uniform or leaves the frame, rounded out
 //! to [`BLOCK`]-pixel row blocks: the logits to compute. The table's bits
 //! are spread over the same words, and the computed logits are cut into
-//! them ([`Banded::mask`]).
+//! them ([`walk`]).
 //!
 //! The logits are computed a row tile at a time, the software form of the
 //! paper's small `tmp_B` buffers and of fused-layer accelerators: tile
@@ -73,13 +73,26 @@
 //! frame's height. Training, calibration and `infer` take a dense tensor
 //! and run the dense plan.
 //!
+//! # A batch is one queue of tiles
+//!
+//! `masks` takes a batch of frames (the engine's B-frame wave; `mask` is a
+//! batch of one). Each frame's band and table words are found in parallel
+//! over the frames; then every tile of every frame, its plan's derivation
+//! included, is one item of one queue, the costliest first. A worker that
+//! finishes its frame's tiles takes the next frame's instead of idling at
+//! a per-frame barrier, the workers run out of work together, and the
+//! calling thread may run other work first and join the queue after it
+//! ([`walk`]). A tile writes only its own rows of its own frame's words,
+//! so the masks are the frames' one-by-one masks, bit for bit, whatever
+//! the batch and the thread count.
+//!
 //! # One path, two precisions
 //!
 //! All of the above is written once. A precision is a [`Graph`] and
 //! supplies only its input codes, its per-walk buffers and the walk from a
 //! tile's input to its logits: `NnS` walks f32 activations, `QuantNnS`
-//! requantised `u8` ones. The row budget, the tile fill and cut
-//! ([`Banded::mask`]), the scratch one call holds ([`mask_tiles`]) and the
+//! requantised `u8` ones. The row budget, the tile fill and cut, the batch
+//! queue ([`walk`]), the scratch one call holds ([`mask_tiles`]) and the
 //! cut table ([`Graph::cuts`]) are this module's.
 
 use crate::conv::{auto_threads, Input};
@@ -366,15 +379,16 @@ impl Plan {
             conv3,
         }
     }
+}
 
-    /// The multiply-accumulates of a walk of this plan through a
-    /// `hidden`-wide NN-S: conv1 (3 → hidden), conv2 (hidden → hidden) and
-    /// conv3 (2·hidden → 1), 3×3 each.
-    fn macs(&self, hidden: usize) -> u64 {
-        let taps = [3 * hidden, hidden * hidden, 2 * hidden].map(|t| 9 * t as u64);
-        let areas = [&self.conv1, &self.conv2, &self.conv3].map(|s| s.area() as u64);
-        taps.iter().zip(areas).map(|(t, a)| t * a).sum()
-    }
+/// The multiply-accumulates a dense walk through a `hidden`-wide NN-S
+/// spends per pixel: conv1 (3 → hidden) and conv3 (2·hidden → 1) at full
+/// resolution, conv2 (hidden → hidden) at a quarter of it, 3×3 each. A
+/// band walk's earlier stages compute a little more than its logits'
+/// pixels, so its logits times this counts its work from below.
+fn pixel_macs(hidden: usize) -> u64 {
+    let hidden = hidden as u64;
+    9 * (3 * hidden + 2 * hidden) + 9 * hidden * hidden / 4
 }
 
 /// The cut bit NN-S gives the centre of a constant image, for each of the
@@ -581,14 +595,96 @@ pub(crate) struct Scratch<C, W> {
     pub(crate) walk: W,
 }
 
-/// `graph`'s refined mask of `x` — either precision's `mask` — in tiles of
-/// its row budget, on structs of `scratch`.
+/// `graph`'s refined masks of `xs` — either precision's `masks` — in tiles
+/// of its row budget, on structs of `scratch`, and what `beside` returns:
+/// the calling thread runs `beside` while the other workers walk tiles,
+/// then joins them ([`walk`]).
+pub(crate) fn masks<G: Graph, R>(
+    graph: &G,
+    xs: &[SandwichPlanes<'_>],
+    scratch: &Recycler<Scratch<G::Code, G::Walk>>,
+    beside: impl FnOnce() -> R,
+) -> (Vec<SegMask>, R) {
+    walk(graph, xs, |w| graph.tile_rows(w), scratch, beside)
+}
+
+/// `graph`'s refined mask of `x` alone: [`masks`] of one frame.
 pub(crate) fn mask<G: Graph>(
     graph: &G,
     x: &SandwichPlanes<'_>,
     scratch: &Recycler<Scratch<G::Code, G::Walk>>,
 ) -> SegMask {
-    Banded::of(x).mask(graph, graph.tile_rows(x.size().1), scratch)
+    let (mut one, ()) = masks(graph, std::slice::from_ref(x), scratch, || ());
+    one.pop().expect("one mask per frame")
+}
+
+/// `graph`'s masks of `xs`, each walked in tiles of `rows(w)` logit rows
+/// for its width `w`, and what `beside` returns. Three steps:
+///
+/// 1. Per frame, in parallel over the frames: its band ([`Banded::of`])
+///    and the [`CutTable`]'s bits spread over its mask words
+///    ([`table_words`]).
+/// 2. Every tile of every frame is one item of one queue
+///    ([`vrd_runtime::parallel_for_each_beside`]), the costliest first,
+///    fanned out over the threads the band's MACs call for
+///    ([`auto_threads`]) while the calling thread runs `beside` first:
+///    each tile's plan is derived, its input written in `graph`'s codes
+///    and walked to logits on a struct of `scratch`, and the logits are
+///    cut at [`sigmoid_cut`] into the frame's words on the tile's conv3
+///    spans.
+/// 3. Each frame's words become its mask.
+///
+/// The masks do not depend on how many threads ran, in which order the
+/// tiles did, nor on which frames share a batch.
+///
+/// # Panics
+/// Panics if `rows` gives an odd count or zero.
+fn walk<G: Graph, R>(
+    graph: &G,
+    xs: &[SandwichPlanes<'_>],
+    rows: impl Fn(usize) -> usize + Sync,
+    scratch: &Recycler<Scratch<G::Code, G::Walk>>,
+    beside: impl FnOnce() -> R,
+) -> (Vec<SegMask>, R) {
+    let table = graph.cuts();
+    let (mut words, bands): (Vec<_>, Vec<_>) = vrd_runtime::parallel_map(xs, |x| {
+        let banded = Banded::of(x);
+        (banded.table_words(table), banded)
+    })
+    .into_iter()
+    .unzip();
+    let mut work = Vec::new();
+    for (words, banded) in words.iter_mut().zip(&bands) {
+        let (_, w) = banded.planes.size();
+        let rows = rows(w);
+        assert!(
+            rows > 0 && rows.is_multiple_of(2),
+            "tiles start on even rows"
+        );
+        let tiles = banded
+            .tile_rows(rows)
+            .zip(words.chunks_mut(rows * w.div_ceil(MASK_WORD_BITS)));
+        work.extend(tiles.map(|(t, out)| (banded.logits(t.clone()), banded, t, out)));
+    }
+    // The queue drains on its cheapest tiles, so the workers finish
+    // together rather than one waiting out a costly last tile.
+    work.sort_by_key(|&(logits, ..)| std::cmp::Reverse(logits));
+    let logits: usize = work.iter().map(|&(logits, ..)| logits).sum();
+    let threads = auto_threads(logits as u64 * pixel_macs(graph.hidden()));
+    let (codes, cut) = (graph.codes(), sigmoid_cut());
+    let out =
+        vrd_runtime::parallel_for_each_beside(work, threads, beside, |(_, banded, t, out)| {
+            let tile = banded.tile(t);
+            scratch.with(|s| {
+                let x = tile.input(codes, &mut s.input);
+                tile.cut(graph.logits(x, &tile.plan, &mut s.walk), cut, out);
+            });
+        });
+    let masks = bands.iter().zip(words).map(|(banded, words)| {
+        let (h, w) = banded.planes.size();
+        SegMask::from_words(w, h, words)
+    });
+    (masks.collect(), out)
 }
 
 /// How [`mask`] walks `x`: the number of row tiles, and the bytes of
@@ -715,56 +811,36 @@ impl<'a> Banded<'a> {
         [&plan.conv1, &plan.conv2, &plan.conv3].map(share)
     }
 
-    /// The tiles of `rows` logit rows each (the last one shorter), top to
-    /// bottom.
-    fn tiles(&self, rows: usize) -> Vec<Tile<'a>> {
+    /// The logit rows of each tile of `rows` rows (the last one shorter),
+    /// top to bottom.
+    fn tile_rows(&self, rows: usize) -> impl Iterator<Item = std::ops::Range<usize>> {
         let h = self.conv3.height();
-        (0..h)
-            .step_by(rows)
-            .map(|t0| Tile::new(self.planes, &self.conv3, t0..(t0 + rows).min(h)))
-            .collect()
+        (0..h).step_by(rows).map(move |t0| t0..(t0 + rows).min(h))
     }
 
-    /// `graph`'s mask, a tile of `rows` logit rows at a time: each tile's
-    /// input written in `graph`'s codes and walked to logits on a struct of
-    /// `scratch`, the logits cut at [`sigmoid_cut`] on the tile's conv3
-    /// spans, and the [`CutTable`]'s bit for its code triple everywhere
-    /// else. Tiles fan out over the threads their walks' MACs call for
-    /// ([`auto_threads`]); the mask does not depend on how many.
-    ///
-    /// # Panics
-    /// Panics if `rows` is odd or zero.
-    pub(crate) fn mask<G: Graph>(
-        &self,
-        graph: &G,
-        rows: usize,
-        scratch: &Recycler<Scratch<G::Code, G::Walk>>,
-    ) -> SegMask {
-        assert!(
-            rows > 0 && rows.is_multiple_of(2),
-            "tiles start on even rows"
-        );
-        let (h, w) = self.planes.size();
-        let wpr = w.div_ceil(MASK_WORD_BITS);
-        let channels = self
-            .planes
-            .channels
-            .map(|(white, gray)| (white.words(), gray.map(SegMask::words)));
-        let mut words = table_words(&channels, graph.cuts());
-        let tiles = self.tiles(rows);
-        let macs = tiles.iter().map(|t| t.plan.macs(graph.hidden())).sum();
-        let work: Vec<_> = tiles
-            .into_iter()
-            .zip(words.chunks_mut(rows * wpr))
-            .collect();
-        let (codes, cut) = (graph.codes(), sigmoid_cut());
-        vrd_runtime::parallel_for_each_with(work, auto_threads(macs), |(tile, out)| {
-            scratch.with(|s| {
-                let x = tile.input(codes, &mut s.input);
-                tile.cut(graph.logits(x, &tile.plan, &mut s.walk), cut, out);
-            });
-        });
-        SegMask::from_words(w, h, words)
+    /// The tile of logit rows `rows`.
+    fn tile(&self, rows: std::ops::Range<usize>) -> Tile<'a> {
+        Tile::new(self.planes, &self.conv3, rows)
+    }
+
+    /// The logits rows `rows` computes: a tile's share of the band.
+    fn logits(&self, rows: std::ops::Range<usize>) -> usize {
+        rows.map(|y| self.conv3.row(y).iter().map(|(s, e)| e - s).sum::<usize>())
+            .sum()
+    }
+
+    /// The tiles of `rows` logit rows each, top to bottom.
+    #[cfg(test)]
+    fn tiles(&self, rows: usize) -> Vec<Tile<'a>> {
+        self.tile_rows(rows).map(|t| self.tile(t)).collect()
+    }
+
+    /// `table`'s bit for each pixel's code triple, spread over the
+    /// frame's mask words: the mask outside the band.
+    fn table_words(&self, table: CutTable) -> Vec<u64> {
+        let channels =
+            (self.planes.channels).map(|(white, gray)| (white.words(), gray.map(SegMask::words)));
+        table_words(&channels, table)
     }
 }
 
@@ -896,6 +972,19 @@ fn table_words(channels: &[(&[u64], Option<&[u64]>); 3], table: CutTable) -> Vec
             bits
         })
         .collect()
+}
+
+/// `graph`'s mask of `x` in tiles of `rows` logit rows, on structs of
+/// `scratch`.
+#[cfg(test)]
+pub(crate) fn mask_in_tiles<G: Graph>(
+    graph: &G,
+    x: &SandwichPlanes<'_>,
+    rows: usize,
+    scratch: &Recycler<Scratch<G::Code, G::Walk>>,
+) -> SegMask {
+    let (mut one, ()) = walk(graph, std::slice::from_ref(x), |_| rows, scratch, || ());
+    one.pop().expect("one mask per frame")
 }
 
 /// `nns` with non-zero biases of both signs, so constant images do not
@@ -1038,7 +1127,7 @@ mod tests {
 
     /// `graph`'s mask of `planes` in tiles of `rows` logit rows.
     fn tiled<G: Graph>(graph: &G, planes: &SandwichPlanes<'_>, rows: usize) -> SegMask {
-        Banded::of(planes).mask(graph, rows, &Recycler::new())
+        mask_in_tiles(graph, planes, rows, &Recycler::new())
     }
 
     /// The spans of a mask's set pixels, row by row.
@@ -1252,6 +1341,71 @@ mod tests {
             short.iter().all(|&b| 0 < b && b < 2 * TILE_BYTES),
             "{short:?}"
         );
+    }
+
+    /// A batch's masks are its frames' own masks, whatever the batch and
+    /// the width: both precisions, over 0, 1 and 3 frames of different
+    /// sizes — one whose band spans whole rows, one constant (its band is
+    /// the edge ring alone, its interior all cut-table bits) and a moving
+    /// blob — in production tiles and in 8-row ones (many tiles a frame,
+    /// every frame's in one queue), at widths 1, 2, 3 and 8. A width-2
+    /// batch holds at most two scratch structs.
+    #[test]
+    fn the_batch_equals_its_frames() {
+        let (w0, h0) = (192, 96);
+        let stripes = Seg2Plane::from_vec(
+            w0,
+            h0,
+            (0..h0 * w0).map(|i| 2 * (i % w0 % 2) as u8).collect(),
+        );
+        let (blank, flat) = (SegMask::new(64, 40), Seg2Plane::new(64, 40));
+        let (prev, recon, next) = sandwich(48, 130, [0, 5, 0], 7);
+        let xs = [
+            SandwichPlanes::recon_only(&stripes).unwrap(),
+            SandwichPlanes::new(&blank, &flat, &blank).unwrap(),
+            SandwichPlanes::new(&prev, &recon, &next).unwrap(),
+        ];
+        let band = |x: &SandwichPlanes<'_>| Banded::of(x).conv3;
+        assert_eq!(band(&xs[0]).area(), w0 * h0, "whole rows");
+        assert_eq!(
+            band(&xs[1]).row(20),
+            [(0, BLOCK), (64 - BLOCK, 64)],
+            "the ring"
+        );
+        let nns = biased(NnS::new(8, 3));
+        let q = nns.quantize();
+        // The stripes alone reach the MAC count at which a walk fans out.
+        let macs = (w0 * h0) as u64 * pixel_macs(nns.hidden());
+        assert_eq!(vrd_runtime::with_thread_budget(2, || auto_threads(macs)), 2);
+        batch_equals_frames(&nns, &xs);
+        batch_equals_frames(&q, &xs);
+    }
+
+    /// [`the_batch_equals_its_frames`] on one precision.
+    fn batch_equals_frames<G: Graph>(graph: &G, xs: &[SandwichPlanes<'_>]) {
+        let one: Vec<SegMask> = xs
+            .iter()
+            .map(|x| mask(graph, x, &Recycler::new()))
+            .collect();
+        for threads in [1, 2, 3, 8] {
+            vrd_runtime::with_thread_budget(threads, || {
+                for n in [0, 1, 3] {
+                    let scratch = Recycler::new();
+                    let (batch, ()) = masks(graph, &xs[..n], &scratch, || ());
+                    assert_eq!(batch, one[..n], "{n} frames at width {threads}");
+                    let (small, ()) = walk(graph, &xs[..n], |_| 8, &scratch, || ());
+                    assert_eq!(
+                        small,
+                        one[..n],
+                        "{n} frames of 8-row tiles at width {threads}"
+                    );
+                    if threads == 2 {
+                        let held = scratch.held().len();
+                        assert!(held <= 2, "{held} scratch structs at width 2");
+                    }
+                }
+            });
+        }
     }
 
     #[test]

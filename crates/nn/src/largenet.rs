@@ -422,15 +422,22 @@ impl LargeNet {
 }
 
 /// Runs `f(y, row)` over the `wpr`-word rows of `words` on `threads`
-/// workers (inline at 1).
+/// workers (inline at 1), one contiguous band of rows each: a row is too
+/// little work to claim alone, and a band keeps each worker's writes off
+/// its neighbours' cache lines.
 fn for_each_row(
     words: &mut [u64],
     wpr: usize,
     threads: usize,
     f: impl Fn(usize, &mut [u64]) + Sync,
 ) {
-    let rows: Vec<(usize, &mut [u64])> = words.chunks_mut(wpr).enumerate().collect();
-    vrd_runtime::parallel_for_each_with(rows, threads, |(y, row)| f(y, row));
+    let band = (words.len() / wpr).div_ceil(threads.max(1)).max(1);
+    let bands: Vec<(usize, &mut [u64])> = words.chunks_mut(band * wpr).enumerate().collect();
+    vrd_runtime::parallel_for_each_with(bands, threads, |(i, rows)| {
+        for (k, row) in rows.chunks_mut(wpr).enumerate() {
+            f(i * band + k, row);
+        }
+    });
 }
 
 /// The staged backbone's features of a segmented frame (see

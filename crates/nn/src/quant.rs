@@ -1244,6 +1244,26 @@ impl QuantNnS {
         band::mask(self, x, &SCRATCH)
     }
 
+    /// [`QuantNnS::mask`] of every frame of `xs`, in one batch: the frames'
+    /// bands are found in parallel, then every tile of every frame is
+    /// claimed from one queue, costliest first, so no worker waits at a
+    /// frame boundary. Each mask is the frame's own `mask`, bit for bit.
+    pub fn masks(&self, xs: &[SandwichPlanes<'_>]) -> Vec<SegMask> {
+        self.masks_beside(xs, || ()).0
+    }
+
+    /// [`QuantNnS::masks`] while the calling thread runs `beside`: the other
+    /// workers start on the tiles at once, and the caller joins them when
+    /// `beside` returns. With nothing to walk, or one thread, the caller
+    /// runs `beside` at its own width first.
+    pub fn masks_beside<R>(
+        &self,
+        xs: &[SandwichPlanes<'_>],
+        beside: impl FnOnce() -> R,
+    ) -> (Vec<SegMask>, R) {
+        band::masks(self, xs, &SCRATCH, beside)
+    }
+
     /// How [`QuantNnS::mask`] walks `x`: the number of row tiles, and the
     /// bytes of scratch one call holds on one thread (measured by running
     /// it).

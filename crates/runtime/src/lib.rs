@@ -7,8 +7,19 @@
 //! * [`parallel_map`] — order-preserving map over a slice on all cores;
 //! * [`parallel_for_each`] — consume a vec of independent work items (e.g.
 //!   disjoint `&mut` output slices) across cores;
+//! * [`parallel_for_each_beside`] — the same, while the calling thread runs
+//!   one task of its own first and then joins the item queue;
 //! * [`with_thread_budget`] — sets the width of the section it scopes;
 //!   nested sections divide it among their workers.
+//!
+//! The caller is always one of the workers: a section of width `n` spawns
+//! `n − 1` scoped helpers and the calling thread claims items with them,
+//! so `n` threads are runnable, not `n + 1` with the caller parked in the
+//! join; at width 1 nothing is spawned. Workers claim the next unclaimed
+//! item, so one held up by a preemption or a slow item delays the section
+//! by part of an item, not by a fixed share. A panic in any worker,
+//! the caller's included, re-raises with its own payload once every helper
+//! has finished.
 //!
 //! Everything here is **deterministic by construction**: work items are
 //! independent, outputs go to pre-assigned slots, and no reduction order
@@ -21,7 +32,7 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 use std::thread;
 
 mod stage;
@@ -45,18 +56,21 @@ pub(crate) fn thread_budget() -> Option<usize> {
 }
 
 /// Runs `f` with this thread's width set to `budget` (≥ 1), restoring the
-/// previous width afterwards. [`max_threads`] — and therefore every plain
-/// `parallel_*` entry point and everything sized from it — returns
-/// `budget` for the duration, above the detected core count as well as
-/// below it. Width changes wall-clock time only, never a result, so tests
-/// use it to run a section at widths a small host does not have.
+/// previous width afterwards, also when `f` panics. [`max_threads`] — and
+/// therefore every plain `parallel_*` entry point and everything sized from
+/// it — returns `budget` for the duration, above the detected core count as
+/// well as below it. Width changes wall-clock time only, never a result, so
+/// tests use it to run a section at widths a small host does not have.
 pub fn with_thread_budget<R>(budget: usize, f: impl FnOnce() -> R) -> R {
-    THREAD_BUDGET.with(|b| {
-        let prev = b.replace(Some(budget.max(1)));
-        let out = f();
-        b.set(prev);
-        out
-    })
+    /// Puts the previous width back when dropped, on unwind too.
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            THREAD_BUDGET.with(|b| b.set(self.0));
+        }
+    }
+    let _restore = Restore(THREAD_BUDGET.with(|b| b.replace(Some(budget.max(1)))));
+    f()
 }
 
 /// The per-worker budget for a section about to fan out over `workers`
@@ -109,6 +123,47 @@ fn process_default() -> usize {
     })
 }
 
+/// Runs `work` on `workers` threads and returns what `beside` returns with
+/// what each worker's `work` returned: the caller is one of the workers and
+/// spawns only `workers − 1` helpers, so a section of width `n` keeps `n`
+/// threads runnable, not `n + 1` with the caller blocked in the join. The
+/// helpers start on `work` at once; the caller runs `beside` first and then
+/// `work`. Every worker runs under an even share of the width
+/// ([`child_budget`]); at one worker the caller runs both under its own.
+///
+/// A panic in any worker re-raises with its own payload once every helper
+/// has finished, the caller's first.
+fn fan_out<W: Send, R>(
+    workers: usize,
+    beside: impl FnOnce() -> R,
+    work: impl Fn() -> W + Sync,
+) -> (R, Vec<W>) {
+    if workers <= 1 {
+        let out = beside();
+        return (out, vec![work()]);
+    }
+    #[cfg(test)]
+    tests::SPAWNED.with(|n| n.set(n.get() + workers - 1));
+    let budget = child_budget(workers);
+    let work = &work;
+    thread::scope(|s| {
+        let helpers: Vec<_> = (1..workers)
+            .map(|_| s.spawn(move || with_thread_budget(budget, work)))
+            .collect();
+        // A panic here unwinds out of the scope, which joins the helpers
+        // first and then re-raises this payload.
+        let (out, mine) = with_thread_budget(budget, || (beside(), work()));
+        let mut done = vec![mine];
+        // A helper that panicked re-raises here with its own payload; the
+        // scope joins the rest while this thread unwinds.
+        done.extend(helpers.into_iter().map(|h| {
+            h.join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        }));
+        (out, done)
+    })
+}
+
 /// Runs `f` over the items on all available cores, preserving order.
 pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
@@ -119,18 +174,15 @@ where
     parallel_map_with(items, max_threads(), f)
 }
 
-/// [`parallel_map`] with an explicit worker-thread count.
+/// [`parallel_map`] with an explicit worker-thread count, the caller one of
+/// them.
 pub fn parallel_map_with<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let threads = threads.max(1).min(items.len());
-    if threads == 1 {
+    if threads <= 1 || items.len() <= 1 {
         return items.iter().map(f).collect();
     }
     // Workers claim the next unclaimed item instead of owning a fixed chunk:
@@ -138,34 +190,19 @@ where
     // call by part of one item, not by its share of a whole chunk. Results
     // are keyed by item index, so the output does not depend on who ran what.
     let next = AtomicUsize::new(0);
-    let budget = child_budget(threads);
-    let (f, next) = (&f, &next);
-    let per_worker: Vec<Vec<(usize, R)>> = thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(move || {
-                    with_thread_budget(budget, || {
-                        let mut done = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(item) = items.get(i) else { break };
-                            done.push((i, f(item)));
-                        }
-                        done
-                    })
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // A worker that panicked re-raises here with its own payload;
-            // the scope joins the rest while this thread unwinds.
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-            })
-            .collect()
-    });
+    let ((), per_worker) = fan_out(
+        threads.min(items.len()),
+        || (),
+        || {
+            let mut done = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { break };
+                done.push((i, f(item)));
+            }
+            done
+        },
+    );
     let mut results: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
     for (i, r) in per_worker.into_iter().flatten() {
         results[i] = Some(r);
@@ -189,50 +226,197 @@ where
     parallel_for_each_with(items, max_threads(), f)
 }
 
-/// [`parallel_for_each`] with an explicit worker-thread count.
-pub fn parallel_for_each_with<I, F>(mut items: Vec<I>, threads: usize, f: F)
+/// [`parallel_for_each`] with an explicit worker-thread count, the caller
+/// one of them.
+pub fn parallel_for_each_with<I, F>(items: Vec<I>, threads: usize, f: F)
 where
     I: Send,
     F: Fn(I) + Sync,
 {
-    if items.is_empty() {
-        return;
-    }
-    let threads = threads.max(1).min(items.len());
-    if threads == 1 {
-        for item in items {
-            f(item);
-        }
-        return;
-    }
-    let chunk = items.len().div_ceil(threads);
-    let budget = child_budget(threads);
-    let f = &f;
-    thread::scope(|s| {
-        let mut handles = Vec::with_capacity(threads);
-        while !items.is_empty() {
-            let take = chunk.min(items.len());
-            let group: Vec<I> = items.drain(..take).collect();
-            handles.push(s.spawn(move || {
-                with_thread_budget(budget, || {
-                    for item in group {
-                        f(item);
-                    }
-                })
-            }));
-        }
-        // As in `parallel_map_with`: a worker's panic re-raises here with
-        // its own payload instead of the scope's generic one.
-        for h in handles {
-            h.join()
-                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-        }
+    // With nothing beside, a worker beyond the items would find none.
+    let workers = threads.min(items.len());
+    parallel_for_each_beside(items, workers, || (), f);
+}
+
+/// [`parallel_for_each_with`] while the caller runs `beside`: `threads − 1`
+/// helpers start on the items at once, the caller runs `beside` and then
+/// claims items with them, and what `beside` returns is returned once every
+/// item has run. `beside` counts as one more item: with nothing to consume,
+/// or at width 1, the caller runs it and then the items under its own
+/// width, spawning nothing.
+///
+/// The items form one queue: each worker claims the next unclaimed one, so
+/// a worker held up by `beside`, a preemption or a slow item delays the
+/// call by part of one item, not by a fixed share.
+pub fn parallel_for_each_beside<I, F, R>(
+    items: Vec<I>,
+    threads: usize,
+    beside: impl FnOnce() -> R,
+    f: F,
+) -> R
+where
+    I: Send,
+    F: Fn(I) + Sync,
+{
+    let workers = threads.max(1).min(items.len() + 1);
+    let queue = Mutex::new(items.into_iter());
+    let (out, _) = fan_out(workers, beside, || loop {
+        // The lock is released before the item runs, so a panicking item
+        // never poisons it.
+        let Some(item) = queue.lock().expect("queue lock is never poisoned").next() else {
+            break;
+        };
+        f(item);
     });
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
+
+    thread_local! {
+        /// Helpers [`fan_out`] spawned from this thread.
+        pub(super) static SPAWNED: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// Blocks until `flag` is set (or five seconds pass, so a broken
+    /// runtime fails the test instead of hanging it).
+    fn wait_for(flag: &AtomicBool) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while !flag.load(Ordering::Acquire) && std::time::Instant::now() < deadline {
+            thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn width_one_runs_every_item_on_the_caller_and_spawns_nothing() {
+        let caller = thread::current().id();
+        let before = SPAWNED.with(Cell::get);
+        let items: Vec<u32> = (0..9).collect();
+        let ids = parallel_map_with(&items, 1, |_| thread::current().id());
+        assert!(ids.iter().all(|&id| id == caller));
+        let ran = Mutex::new(Vec::new());
+        parallel_for_each_with(items.clone(), 1, |_| {
+            ran.lock().unwrap().push(thread::current().id())
+        });
+        let beside = parallel_for_each_beside(
+            items,
+            1,
+            || thread::current().id(),
+            |_| ran.lock().unwrap().push(thread::current().id()),
+        );
+        assert_eq!(beside, caller);
+        let ran = ran.into_inner().unwrap();
+        assert_eq!(ran.len(), 18);
+        assert!(ran.iter().all(|&id| id == caller));
+        // Nothing to consume: `beside` runs on the caller at its own width.
+        let width = with_thread_budget(4, || {
+            parallel_for_each_beside(Vec::<u32>::new(), 4, max_threads, |_| {})
+        });
+        assert_eq!(width, 4);
+        assert_eq!(SPAWNED.with(Cell::get), before);
+    }
+
+    #[test]
+    fn width_two_runs_items_on_the_caller_and_one_helper() {
+        let caller = thread::current().id();
+        let items: Vec<u32> = (0..16).collect();
+        // A helper's item waits until the caller has run one, so the
+        // caller's participation does not hang on scheduling luck.
+        let caller_ran = AtomicBool::new(false);
+        let run = |_: &u32| {
+            let id = thread::current().id();
+            if id == caller {
+                caller_ran.store(true, Ordering::Release);
+            } else {
+                wait_for(&caller_ran);
+            }
+            id
+        };
+        let before = SPAWNED.with(Cell::get);
+        let mut ids = parallel_map_with(&items, 2, run);
+        assert_eq!(SPAWNED.with(Cell::get), before + 1);
+        caller_ran.store(false, Ordering::Release);
+        let moved = Mutex::new(Vec::new());
+        parallel_for_each_with(items.clone(), 2, |x| moved.lock().unwrap().push(run(&x)));
+        ids.extend(moved.into_inner().unwrap());
+        assert_eq!(ids.len(), 2 * items.len());
+        ids.sort_unstable_by_key(|id| format!("{id:?}"));
+        ids.dedup();
+        assert!(ids.len() <= 2, "{ids:?}");
+        assert!(ids.contains(&caller), "{ids:?}");
+    }
+
+    #[test]
+    fn a_panic_in_the_callers_item_reraises_after_the_helpers_finish() {
+        /// Sets its flag when dropped: on the caller, as its panic unwinds.
+        struct SetOnDrop<'a>(&'a AtomicBool);
+        impl Drop for SetOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Release);
+            }
+        }
+        let caller = thread::current().id();
+        let unwinding = AtomicBool::new(false);
+        let helped = AtomicUsize::new(0);
+        let items: Vec<u32> = (0..6).collect();
+        with_thread_budget(2, || {
+            let caught = std::panic::catch_unwind(|| {
+                parallel_for_each_with(items.clone(), 2, |x| {
+                    if thread::current().id() == caller {
+                        let _unwinding = SetOnDrop(&unwinding);
+                        panic!("item {x} ran on the caller");
+                    }
+                    // Every helper item waits for the caller's unwind, so
+                    // the helper is still at work when the panic starts.
+                    wait_for(&unwinding);
+                    helped.fetch_add(1, Ordering::Relaxed);
+                })
+            });
+            let payload = caught.expect_err("the caller's panic must reach its caller");
+            let msg = payload.downcast_ref::<String>().expect("panic! message");
+            assert!(msg.contains("ran on the caller"), "{msg}");
+            // The helper ran every item the caller did not claim before the
+            // panic surfaced, and the caller's width is its own again.
+            assert_eq!(helped.load(Ordering::Relaxed), items.len() - 1);
+            assert_eq!(thread_budget(), Some(2));
+        });
+        assert_eq!(thread_budget(), None);
+    }
+
+    #[test]
+    fn beside_runs_on_the_caller_while_the_helpers_consume() {
+        let caller = thread::current().id();
+        let helpers_ran = AtomicBool::new(false);
+        let ran = Mutex::new(Vec::new());
+        let (id, width) = with_thread_budget(2, || {
+            parallel_for_each_beside(
+                (0..4u32).collect(),
+                2,
+                || {
+                    // The helper is at work before the caller has claimed
+                    // an item.
+                    wait_for(&helpers_ran);
+                    (thread::current().id(), max_threads())
+                },
+                |x| {
+                    helpers_ran.store(true, Ordering::Release);
+                    ran.lock().unwrap().push(x);
+                },
+            )
+        });
+        assert!(helpers_ran.load(Ordering::Acquire));
+        assert_eq!(
+            (id, width),
+            (caller, 1),
+            "beside runs on the caller's share"
+        );
+        let mut ran = ran.into_inner().unwrap();
+        ran.sort_unstable();
+        assert_eq!(ran, [0, 1, 2, 3]);
+    }
 
     #[test]
     fn parallel_map_preserves_order() {
