@@ -1,9 +1,11 @@
-//! The decoder: one record walk, four visitors.
+//! The decoder: one record walk, four ways through it.
 //!
 //! Every frame payload is a raster of macro-block records
-//! (`BlockMode::read`, the only code that knows the wire layout), each
-//! followed by its residual. `Decoder::for_each_block` is the one walk over
-//! that raster; what happens to a block is up to its visitor:
+//! (`Reader::record`, the only code that reads the wire layout), each
+//! followed by its residual, parsed through one cursor over the payload's
+//! borrowed bytes. `Decoder::for_each_block` walks that raster for three
+//! visitors; pixel reconstruction walks it the same way with its block
+//! work inlined into the loop:
 //!
 //! * **pixel reconstruction** (`reconstruct`) — residuals decoded, each
 //!   motion vector resolved against the `RefWindow` of retained anchors
@@ -29,6 +31,7 @@ use crate::stream::StreamInfo;
 use crate::types::{BlockMode, BlockMv, FrameMeta, FrameType, MvRecord};
 use bytes::Bytes;
 use std::collections::{BTreeSet, VecDeque};
+use std::sync::Arc;
 use vrd_video::Frame;
 
 /// A fully decoded sequence.
@@ -130,20 +133,39 @@ pub(crate) const REF_WINDOW: usize = 10;
 
 /// The last [`REF_WINDOW`] reconstructed anchors in decode order: the only
 /// frames a record's motion vector can be resolved against.
+///
+/// Each anchor is shared with whoever it was handed to, not copied. An
+/// evicted anchor that nobody else holds any more is kept as the next
+/// reconstruction's buffer ([`RefWindow::buffer`]); one still held is left
+/// to its holder, so a frame handed out is never written again.
 #[derive(Debug, Default)]
 pub(crate) struct RefWindow {
-    anchors: VecDeque<(u32, Frame)>,
+    anchors: VecDeque<(u32, Arc<Frame>)>,
+    spare: Option<Frame>,
     peak_live: usize,
 }
 
 impl RefWindow {
     /// Retains a reconstructed anchor, evicting the oldest beyond the window.
-    pub(crate) fn push(&mut self, display: u32, frame: Frame) {
-        self.anchors.push_back((display, frame));
+    pub(crate) fn push(&mut self, display: u32, frame: impl Into<Arc<Frame>>) {
+        self.anchors.push_back((display, frame.into()));
         if self.anchors.len() > REF_WINDOW {
-            self.anchors.pop_front();
+            if let Some((_, evicted)) = self.anchors.pop_front() {
+                self.spare = Arc::try_unwrap(evicted).ok();
+            }
         }
         self.peak_live = self.peak_live.max(self.anchors.len() + 1);
+    }
+
+    /// A `width`×`height` frame to reconstruct the next anchor into: the
+    /// last evicted anchor when nobody else held it, else a new frame. Its
+    /// pixels are stale, which [`Decoder::reconstruct`] allows: it writes
+    /// every pixel's prediction before adding the residual.
+    pub(crate) fn buffer(&mut self, width: usize, height: usize) -> Frame {
+        match self.spare.take() {
+            Some(f) if (f.width(), f.height()) == (width, height) => f,
+            _ => Frame::new(width, height),
+        }
     }
 
     /// Anchors currently held.
@@ -158,11 +180,12 @@ impl RefWindow {
 
     fn get(&self, display: u32) -> Option<&Frame> {
         let hit = self.anchors.iter().rev().find(|(d, _)| *d == display);
-        hit.map(|(_, f)| f)
+        hit.map(|(_, f)| &**f)
     }
 
     /// Strict fetch: a reference outside the window or a vector leaving the
     /// frame is an error.
+    #[inline(always)]
     pub(crate) fn fetch(
         &self,
         mv: BlockMv,
@@ -185,6 +208,7 @@ impl RefWindow {
     /// nearest held anchor by display distance (the lower index wins ties),
     /// or flat mid-gray when none is held, and source coordinates are
     /// clamped into the frame. Sets `substituted` when it had to replace.
+    #[inline(always)]
     pub(crate) fn fetch_concealed(
         &self,
         mv: BlockMv,
@@ -199,7 +223,7 @@ impl RefWindow {
                 .anchors
                 .iter()
                 .min_by_key(|(d, _)| (d.abs_diff(mv.frame), *d));
-            nearest.map(|(_, f)| f)
+            nearest.map(|(_, f)| &**f)
         });
         let Some(f) = source else {
             return RefBlock::FLAT;
@@ -208,6 +232,36 @@ impl RefWindow {
         let sx = src.src_x.clamp(0, (f.width() - mb) as i32) as usize;
         let sy = src.src_y.clamp(0, (f.height() - mb) as i32) as usize;
         RefBlock::at(f, sx, sy)
+    }
+}
+
+/// How [`Decoder::reconstruct`] resolves a block's motion vector against the
+/// anchors of a window. One enum rather than a closure per caller, so that
+/// the fetch is inlined into the block loop, not called through it.
+#[derive(Debug)]
+pub(crate) enum Fetch<'w> {
+    /// [`RefWindow::fetch`].
+    Strict(&'w RefWindow),
+    /// [`RefWindow::fetch`], collecting every reference it resolves.
+    Collect(&'w RefWindow, &'w mut BTreeSet<u32>),
+    /// [`RefWindow::fetch_concealed`], noting whether it substituted one.
+    Concealed(&'w RefWindow, &'w mut bool),
+}
+
+impl<'w> Fetch<'w> {
+    /// The reference block of `mv` for the `mb`-pixel block at `(bx, by)`.
+    #[inline(always)]
+    fn block(&mut self, mv: BlockMv, bx: usize, by: usize, mb: usize) -> Result<RefBlock<'w>> {
+        match self {
+            Fetch::Strict(window) => window.fetch(mv, bx, by, mb),
+            Fetch::Collect(window, refs) => {
+                refs.insert(mv.frame);
+                window.fetch(mv, bx, by, mb)
+            }
+            Fetch::Concealed(window, substituted) => {
+                Ok(window.fetch_concealed(mv, bx, by, mb, substituted))
+            }
+        }
     }
 }
 
@@ -248,6 +302,81 @@ impl<'a> RefBlock<'a> {
     }
 }
 
+/// `v.clamp(0, 255)` without a branch, for `|v| < 2³⁰`: whether a
+/// residual saturates a pixel follows the picture, not a pattern a branch
+/// predictor could learn. A negative `v` is masked to 0, and one above 255
+/// becomes all ones, whose low byte is 255.
+fn clamp_byte(v: i32) -> u8 {
+    let v = v & !(v >> 31);
+    (v | ((255 - v) >> 31)) as u8
+}
+
+/// Writes one `MB`-pixel row of a block, `src`, at `px[start..]`: after
+/// inlining, one fixed-size copy after one bounds check.
+fn write_row<const MB: usize>(px: &mut [u8], start: usize, src: &[u8]) {
+    px[start..start + MB].copy_from_slice(src);
+}
+
+/// One frame's reconstruction in progress ([`Decoder::reconstruct`]): the
+/// frame, how its motion vectors resolve, and the intra prediction buffer.
+struct Pixels<'w, const MB: usize> {
+    rec: Frame,
+    fetch: Fetch<'w>,
+    intra_pred: [[u8; MB]; MB],
+    quant: i32,
+}
+
+impl<const MB: usize> Pixels<'_, MB> {
+    /// Predicts the block at `(bx, by)` from its record straight into the
+    /// frame, one fixed-size row at a time, then adds the residual the
+    /// reader is parked on in place.
+    #[inline(always)]
+    fn block(
+        &mut self,
+        bx: usize,
+        by: usize,
+        record: BlockMode,
+        r: &mut Reader<&[u8]>,
+    ) -> Result<()> {
+        let width = self.rec.width();
+        let origin = by * width + bx;
+        let row_at = |row: usize| origin + row * width;
+        match record {
+            BlockMode::Intra(mode) => {
+                let pred = self.intra_pred.as_flattened_mut();
+                intra::predict_into(&self.rec, bx, by, MB, mode, pred);
+                let px = self.rec.as_mut_slice();
+                for (row, src) in self.intra_pred.iter().enumerate() {
+                    write_row::<MB>(px, row_at(row), src);
+                }
+            }
+            BlockMode::Inter(mv) => {
+                let src = self.fetch.block(mv, bx, by, MB)?;
+                let px = self.rec.as_mut_slice();
+                for row in 0..MB {
+                    write_row::<MB>(px, row_at(row), src.row::<MB>(row));
+                }
+            }
+            BlockMode::Bi(a, b) => {
+                let a = self.fetch.block(a, bx, by, MB)?;
+                let b = self.fetch.block(b, bx, by, MB)?;
+                let px = self.rec.as_mut_slice();
+                for row in 0..MB {
+                    let (x, y) = (a.row::<MB>(row), b.row::<MB>(row));
+                    let mean: [u8; MB] =
+                        std::array::from_fn(|i| (x[i] as u16 + y[i] as u16).div_ceil(2) as u8);
+                    write_row::<MB>(px, row_at(row), &mean);
+                }
+            }
+        }
+        let (px, quant) = (self.rec.as_mut_slice(), self.quant);
+        r.read_residual(MB * MB, |idx, val| {
+            let p = &mut px[origin + (idx / MB) * width + idx % MB];
+            *p = clamp_byte(*p as i32 + (val as i16) as i32 * quant);
+        })
+    }
+}
+
 /// Video decoder. Stateless; create once and reuse.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Decoder;
@@ -270,7 +399,7 @@ impl Decoder {
     /// Reads the stream header. `frames_cap` overrides the frame-count
     /// bound; `None` uses the contiguous-stream rule (every frame costs at
     /// least two bytes of what remains in this buffer).
-    pub(crate) fn read_header(r: &mut Reader, frames_cap: Option<u64>) -> Result<Header> {
+    pub(crate) fn read_header(r: &mut Reader<&[u8]>, frames_cap: Option<u64>) -> Result<Header> {
         for expected in MAGIC {
             if r.get_u8()? != expected {
                 return Err(CodecError::Bitstream("bad magic".into()));
@@ -316,7 +445,10 @@ impl Decoder {
         })
     }
 
-    pub(crate) fn read_frame_header(r: &mut Reader, n_frames: usize) -> Result<(FrameType, u32)> {
+    pub(crate) fn read_frame_header(
+        r: &mut Reader<&[u8]>,
+        n_frames: usize,
+    ) -> Result<(FrameType, u32)> {
         let ftype = match r.get_u8()? {
             0 => FrameType::I,
             1 => FrameType::P,
@@ -335,25 +467,27 @@ impl Decoder {
     /// The one raster walk over a frame's macro-block records. `visit` gets
     /// each block's position and parsed record with the reader parked on
     /// the block's residual, which it must consume (decode, validate or
-    /// skip).
+    /// skip). Inlined into each caller, so that its visitor can be too.
+    #[inline(always)]
     fn for_each_block(
-        r: &mut Reader,
+        r: &mut Reader<&[u8]>,
         hdr: &Header,
-        mut visit: impl FnMut(usize, usize, BlockMode, &mut Reader) -> Result<()>,
+        mut visit: impl FnMut(usize, usize, BlockMode, &mut Reader<&[u8]>) -> Result<()>,
     ) -> Result<()> {
-        let mb = hdr.mb();
+        let (mb, max_ref) = (hdr.mb(), BlockMode::max_reference(hdr.n_frames)?);
         for by in (0..hdr.height).step_by(mb) {
             for bx in (0..hdr.width).step_by(mb) {
-                let record = BlockMode::read(r, hdr.n_frames)?;
+                let record = r.record(max_ref)?;
                 visit(bx, by, record, r)?;
             }
         }
         Ok(())
     }
 
-    /// Decodes one frame's payload to pixels; `fetch` resolves a motion
-    /// vector of the block at `(bx, by)` to where its reference block lives
-    /// (strictly or with concealment — see [`RefWindow`]).
+    /// Decodes one frame's payload to pixels in `rec`, a frame of the
+    /// stream's size whose pixels may be stale; `fetch` resolves a block's
+    /// motion vector to where its reference block lives (strictly or with
+    /// concealment — see [`RefWindow`]).
     ///
     /// Each block is predicted straight into the frame — reference rows
     /// copied (inter) or averaged (bi), an intra prediction made in one
@@ -369,67 +503,57 @@ impl Decoder {
     /// indices, so no pixel is written twice and each one adds its own
     /// coefficient to its own prediction. A coded value applies as `i16`
     /// exactly as the dense block stores it (so one that wraps to 0 adds
-    /// nothing there either).
+    /// nothing there either). The same argument is why `rec` needs no
+    /// clearing: prediction writes every pixel of a block before its
+    /// residual reads one, and an intra prediction reads only the blocks
+    /// above and to the left, which this frame's walk has already written.
     pub(crate) fn reconstruct<'w>(
-        r: &mut Reader,
+        r: &mut Reader<&[u8]>,
         hdr: &Header,
-        fetch: impl FnMut(BlockMv, usize, usize) -> Result<RefBlock<'w>>,
+        rec: Frame,
+        fetch: Fetch<'w>,
     ) -> Result<Frame> {
+        debug_assert_eq!((rec.width(), rec.height()), (hdr.width, hdr.height));
         // One body per macro-block size, so that row copies and the
         // coefficient's row and column are fixed-size operations.
         match hdr.standard {
-            Standard::H264 => Self::reconstruct_mb::<16>(r, hdr, fetch),
-            Standard::H265 => Self::reconstruct_mb::<8>(r, hdr, fetch),
+            Standard::H264 => Self::reconstruct_mb::<16>(r, hdr, rec, fetch),
+            Standard::H265 => Self::reconstruct_mb::<8>(r, hdr, rec, fetch),
         }
     }
 
-    /// [`Decoder::reconstruct`] for `MB`×`MB` macro-blocks.
+    /// [`Decoder::reconstruct`] for `MB`×`MB` macro-blocks: the raster
+    /// walk of [`Decoder::for_each_block`], with each record and its
+    /// block's work in one loop body.
     fn reconstruct_mb<'w, const MB: usize>(
-        r: &mut Reader,
+        r: &mut Reader<&[u8]>,
         hdr: &Header,
-        mut fetch: impl FnMut(BlockMv, usize, usize) -> Result<RefBlock<'w>>,
+        rec: Frame,
+        fetch: Fetch<'w>,
     ) -> Result<Frame> {
         debug_assert_eq!(MB, hdr.mb());
-        let (width, quant) = (hdr.width, hdr.quant);
-        let mut rec = Frame::new(hdr.width, hdr.height);
-        let mut intra_pred = [0u8; MAX_MB_SIZE * MAX_MB_SIZE];
-        Self::for_each_block(r, hdr, |bx, by, record, r| {
-            let origin = by * width + bx;
-            let rows = (0..MB).map(|row| origin + row * width);
-            match record {
-                BlockMode::Intra(mode) => {
-                    let pred = &mut intra_pred[..MB * MB];
-                    intra::predict_into(&rec, bx, by, MB, mode, pred);
-                    let px = rec.as_mut_slice();
-                    for (d, src) in rows.zip(pred.chunks_exact(MB)) {
-                        px[d..d + MB].copy_from_slice(src);
-                    }
-                }
-                BlockMode::Inter(mv) => {
-                    let src = fetch(mv, bx, by)?;
-                    let px = rec.as_mut_slice();
-                    for (row, d) in rows.enumerate() {
-                        px[d..d + MB].copy_from_slice(src.row::<MB>(row));
-                    }
-                }
-                BlockMode::Bi(a, b) => {
-                    let (a, b) = (fetch(a, bx, by)?, fetch(b, bx, by)?);
-                    let px = rec.as_mut_slice();
-                    for (row, d) in rows.enumerate() {
-                        let pairs = a.row::<MB>(row).iter().zip(b.row::<MB>(row));
-                        for (p, (&x, &y)) in px[d..d + MB].iter_mut().zip(pairs) {
-                            *p = (x as u16 + y as u16).div_ceil(2) as u8;
-                        }
+        let max_ref = BlockMode::max_reference(hdr.n_frames)?;
+        let mut px = Pixels::<MB> {
+            rec,
+            fetch,
+            intra_pred: [[0; MB]; MB],
+            quant: hdr.quant,
+        };
+        for by in (0..hdr.height).step_by(MB) {
+            for bx in (0..hdr.width).step_by(MB) {
+                // Two calls, so that a fast-path record reaches the block
+                // in registers rather than through the general path's
+                // returned value.
+                match r.fast_record(max_ref) {
+                    Some(record) => px.block(bx, by, record, r)?,
+                    None => {
+                        let record = r.read_record(max_ref)?;
+                        px.block(bx, by, record, r)?;
                     }
                 }
             }
-            let px = rec.as_mut_slice();
-            r.read_residual(MB * MB, |idx, val| {
-                let p = &mut px[origin + (idx / MB) * width + idx % MB];
-                *p = (*p as i32 + (val as i16) as i32 * quant).clamp(0, 255) as u8;
-            })
-        })?;
-        Ok(rec)
+        }
+        Ok(px.rec)
     }
 
     /// Parses one B-frame's block records, raster order, skipping every
@@ -437,13 +561,14 @@ impl Decoder {
     /// record in it was fully read and validated, so a caller that tolerates
     /// corruption keeps the prefix parsed before the error.
     pub(crate) fn read_motion(
-        r: &mut Reader,
+        r: &mut Reader<&[u8]>,
         hdr: &Header,
         display_idx: u32,
     ) -> (BFrameInfo, Result<()>) {
+        let blocks = (hdr.width / hdr.mb()) * (hdr.height / hdr.mb());
         let mut info = BFrameInfo {
             display_idx,
-            mvs: Vec::new(),
+            mvs: Vec::with_capacity(blocks),
             intra_blocks: Vec::new(),
         };
         let len = hdr.mb() * hdr.mb();
@@ -472,13 +597,13 @@ impl Decoder {
     /// run-length validation of [`Reader::read_residual`] (into a sink that
     /// keeps nothing) rather than the cheaper skip, so a payload that passes
     /// here reconstructs under a concealing fetch (which cannot fail).
-    pub(crate) fn scan_anchor(r: &mut Reader, hdr: &Header) -> Result<()> {
+    pub(crate) fn scan_anchor(r: &mut Reader<&[u8]>, hdr: &Header) -> Result<()> {
         let len = hdr.mb() * hdr.mb();
         Self::for_each_block(r, hdr, |_, _, _, r| r.read_residual(len, |_, _| {}))
     }
 
     /// Summarises the next frame of the stream (header and payload).
-    fn summarise(r: &mut Reader, hdr: &Header, decode_idx: u32) -> Result<FrameSummary> {
+    fn summarise(r: &mut Reader<&[u8]>, hdr: &Header, decode_idx: u32) -> Result<FrameSummary> {
         let before = r.remaining();
         let (ftype, display_idx) = Self::read_frame_header(r, hdr.n_frames)?;
         let mut summary = FrameSummary {
@@ -516,7 +641,7 @@ impl Decoder {
     /// Returns [`CodecError::Bitstream`] for a malformed stream header and
     /// [`CodecError::Corrupt`] naming the frame for anything after it.
     pub fn inspect(&self, bitstream: &Bytes) -> Result<Vec<FrameSummary>> {
-        let mut r = Reader::new(bitstream.clone());
+        let mut r = Reader::new(&bitstream[..]);
         let hdr = Self::read_header(&mut r, None)?;
         (0..hdr.n_frames as u32)
             .map(|i| Self::summarise(&mut r, &hdr, i).map_err(|e| e.in_frame(i)))
@@ -530,28 +655,27 @@ impl Decoder {
     /// [`CodecError::Corrupt`] naming the frame for anything after it.
     pub fn decode(&self, bitstream: &Bytes) -> Result<DecodedVideo> {
         Self::decode_with(bitstream, |r, hdr, window, refs| {
-            Self::reconstruct(r, hdr, |mv, bx, by| {
-                refs.insert(mv.frame);
-                window.fetch(mv, bx, by, hdr.mb())
-            })
+            let rec = Frame::new(hdr.width, hdr.height);
+            Self::reconstruct(r, hdr, rec, Fetch::Collect(window, refs))
         })
     }
 
     /// The full decode around a frame decoder: `pixels` reconstructs the
     /// payload the reader is parked on against the anchors in `window`,
-    /// collecting every reference it resolves into `refs`.
+    /// collecting every reference it resolves into `refs`. Each anchor is
+    /// shared between the window and the output, not copied.
     fn decode_with(
         bitstream: &Bytes,
-        pixels: impl Fn(&mut Reader, &Header, &RefWindow, &mut BTreeSet<u32>) -> Result<Frame>,
+        pixels: impl Fn(&mut Reader<&[u8]>, &Header, &RefWindow, &mut BTreeSet<u32>) -> Result<Frame>,
     ) -> Result<DecodedVideo> {
-        let mut r = Reader::new(bitstream.clone());
+        let mut r = Reader::new(&bitstream[..]);
         let hdr = Self::read_header(&mut r, None)?;
         let mut window = RefWindow::default();
-        let mut frames: Vec<Option<Frame>> = vec![None; hdr.n_frames];
+        let mut frames: Vec<Option<Arc<Frame>>> = vec![None; hdr.n_frames];
         let mut metas = Vec::with_capacity(hdr.n_frames);
 
         for decode_idx in 0..hdr.n_frames as u32 {
-            let frame = |r: &mut Reader| {
+            let frame = |r: &mut Reader<&[u8]>| {
                 let (ftype, display_idx) = Self::read_frame_header(r, hdr.n_frames)?;
                 let mut refs = BTreeSet::new();
                 let rec = pixels(r, &hdr, &window, &mut refs)?;
@@ -564,18 +688,22 @@ impl Decoder {
                 Ok((meta, rec))
             };
             let (meta, rec) = frame(&mut r).map_err(|e: CodecError| e.in_frame(decode_idx))?;
+            let rec = Arc::new(rec);
             if meta.ftype.is_anchor() {
-                window.push(meta.display_idx, rec.clone());
+                window.push(meta.display_idx, Arc::clone(&rec));
             }
             frames[meta.display_idx as usize] = Some(rec);
             metas.push(meta);
         }
 
+        // With the window gone, every frame has one holder left.
+        drop(window);
         let frames: Vec<Frame> = frames
             .into_iter()
             .enumerate()
             .map(|(i, f)| {
-                f.ok_or_else(|| CodecError::Bitstream(format!("frame {i} missing from stream")))
+                f.map(Arc::unwrap_or_clone)
+                    .ok_or_else(|| CodecError::Bitstream(format!("frame {i} missing from stream")))
             })
             .collect::<Result<_>>()?;
         Ok(DecodedVideo {
@@ -626,7 +754,7 @@ pub mod reference {
 
     /// [`Decoder::reconstruct`], block by block through owned buffers.
     fn reconstruct(
-        r: &mut Reader,
+        r: &mut Reader<&[u8]>,
         hdr: &Header,
         mut fetch: impl FnMut(BlockMv, usize, usize) -> Result<Vec<u8>>,
     ) -> Result<Frame> {
@@ -722,7 +850,7 @@ mod tests {
         let mut out = Vec::new();
         for unit in units {
             if let UnitPayload::Anchor { display, frame } = &unit.payload {
-                out.push((*display, frame));
+                out.push((*display, &**frame));
             }
         }
         out

@@ -28,12 +28,13 @@
 //! with them whether a reference had to be substituted, follow on pull.
 
 use crate::bitstream::Reader;
-use crate::decoder::{BFrameInfo, ConcealReason, DecodeOutcome, Decoder, Header, RefWindow};
+use crate::decoder::{BFrameInfo, ConcealReason, DecodeOutcome, Decoder, Fetch, Header, RefWindow};
 use crate::error::Result;
 use crate::faults::{FramePacket, PacketStream};
 use crate::types::FrameType;
 use bytes::Bytes;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use vrd_video::Frame;
 
 /// Stream-level metadata shared by every unit of one source.
@@ -73,9 +74,11 @@ pub enum UnitPayload {
     Anchor {
         /// Display index of the anchor.
         display: u32,
-        /// The reconstructed pixels. Ownership passes to the consumer; the
-        /// source keeps its own reference copy inside the retention window.
-        frame: Frame,
+        /// The reconstructed pixels, shared with the source's retention
+        /// window rather than copied. Dropping the payload lets the source
+        /// reuse the frame's buffer once the window evicts it; a payload
+        /// kept longer keeps its pixels, which are never written again.
+        frame: Arc<Frame>,
     },
     /// A B-frame's motion-vector payload (residuals skipped, no pixels).
     Motion(BFrameInfo),
@@ -140,7 +143,7 @@ pub trait FrameSource {
 /// [`crate::CodecError::Corrupt`] naming the frame — fuses the source.
 #[derive(Debug)]
 pub struct StrictFrameSource {
-    r: Reader,
+    r: Reader<Bytes>,
     hdr: Header,
     next_decode: usize,
     window: RefWindow,
@@ -155,7 +158,7 @@ impl StrictFrameSource {
     /// Returns [`crate::CodecError::Bitstream`] if the header is malformed.
     pub fn new(bitstream: &Bytes) -> Result<Self> {
         let mut r = Reader::new(bitstream.clone());
-        let hdr = Decoder::read_header(&mut r, None)?;
+        let hdr = r.parse(|r| Decoder::read_header(r, None))?;
         Ok(Self {
             totals: StreamTotals {
                 anchor_bytes: bitstream.len() - r.remaining(),
@@ -170,24 +173,27 @@ impl StrictFrameSource {
     }
 
     fn step(&mut self, decode_idx: u32) -> Result<DecodedUnit> {
-        let before = self.r.remaining();
-        let (ftype, display) = Decoder::read_frame_header(&mut self.r, self.hdr.n_frames)?;
-        let payload = if ftype.is_anchor() {
-            let (window, mb) = (&self.window, self.hdr.mb());
-            let frame = Decoder::reconstruct(&mut self.r, &self.hdr, |mv, bx, by| {
-                window.fetch(mv, bx, by, mb)
-            })?;
-            self.window.push(display, frame.clone());
-            self.totals.anchor_bytes += before - self.r.remaining();
-            self.totals.anchors += 1;
-            UnitPayload::Anchor { display, frame }
-        } else {
-            let (info, parsed) = Decoder::read_motion(&mut self.r, &self.hdr, display);
-            parsed?;
-            self.totals.b_bytes += before - self.r.remaining();
-            self.totals.b_frames += 1;
-            UnitPayload::Motion(info)
-        };
+        let (hdr, window, totals) = (&self.hdr, &mut self.window, &mut self.totals);
+        let (ftype, payload) = self.r.parse(|r| {
+            let before = r.remaining();
+            let (ftype, display) = Decoder::read_frame_header(r, hdr.n_frames)?;
+            let payload = if ftype.is_anchor() {
+                let rec = window.buffer(hdr.width, hdr.height);
+                let frame = Decoder::reconstruct(r, hdr, rec, Fetch::Strict(window))?;
+                let frame = Arc::new(frame);
+                window.push(display, Arc::clone(&frame));
+                totals.anchor_bytes += before - r.remaining();
+                totals.anchors += 1;
+                UnitPayload::Anchor { display, frame }
+            } else {
+                let (info, parsed) = Decoder::read_motion(r, hdr, display);
+                parsed?;
+                totals.b_bytes += before - r.remaining();
+                totals.b_frames += 1;
+                UnitPayload::Motion(info)
+            };
+            Ok((ftype, payload))
+        })?;
         Ok(DecodedUnit {
             decode_idx,
             ftype,
@@ -258,7 +264,7 @@ impl<'a> ResilientFrameSource<'a> {
     /// Returns [`crate::CodecError::Bitstream`] only if the *stream header*
     /// is unusable — packet damage is reported per unit, never as an `Err`.
     pub fn new(stream: &'a PacketStream) -> Result<Self> {
-        let mut hr = Reader::new(stream.header.clone());
+        let mut hr = Reader::new(&stream.header[..]);
         let hdr = Decoder::read_header(&mut hr, Some(Decoder::MAX_FRAMES))?;
 
         let mut totals = StreamTotals {
@@ -327,7 +333,7 @@ impl<'a> ResilientFrameSource<'a> {
             return Plan::Lost(None);
         }
         let intact = packet.intact();
-        let mut r = Reader::new(packet.payload.clone());
+        let mut r = Reader::new(&packet.payload[..]);
 
         // Frame header: type byte + display index. If it is unreadable or
         // contradicts the transport metadata, nothing in the payload can be
@@ -367,15 +373,15 @@ impl<'a> ResilientFrameSource<'a> {
 
     /// Decodes the pixels of a pre-scanned usable anchor packet into the
     /// retention window, reporting whether a reference was substituted.
-    fn decode_anchor(&mut self, packet: &FramePacket, display: u32) -> Result<(Frame, bool)> {
-        let mut r = Reader::new(packet.payload.clone());
+    fn decode_anchor(&mut self, packet: &FramePacket, display: u32) -> Result<(Arc<Frame>, bool)> {
+        let mut r = Reader::new(&packet.payload[..]);
         Decoder::read_frame_header(&mut r, self.hdr.n_frames)?;
-        let (window, mb) = (&self.window, self.hdr.mb());
+        let rec = self.window.buffer(self.hdr.width, self.hdr.height);
         let mut substituted = false;
-        let frame = Decoder::reconstruct(&mut r, &self.hdr, |mv, bx, by| {
-            Ok(window.fetch_concealed(mv, bx, by, mb, &mut substituted))
-        })?;
-        self.window.push(display, frame.clone());
+        let fetch = Fetch::Concealed(&self.window, &mut substituted);
+        let frame = Decoder::reconstruct(&mut r, &self.hdr, rec, fetch)?;
+        let frame = Arc::new(frame);
+        self.window.push(display, Arc::clone(&frame));
         Ok((frame, substituted))
     }
 }
@@ -448,6 +454,7 @@ mod tests {
     use crate::config::{BFrameMode, CodecConfig};
     use crate::decoder::REF_WINDOW;
     use crate::encoder::Encoder;
+    use crate::Decoder;
     use vrd_video::davis::{davis_sequence, SuiteConfig};
 
     fn tiny_bitstream() -> Bytes {
@@ -459,6 +466,77 @@ mod tests {
         .encode(&frames)
         .unwrap()
         .bitstream
+    }
+
+    /// Pulls `src` dry, holding the anchor payloads `hold` picks by their
+    /// position among the anchors and dropping the rest at once. Returns
+    /// every anchor's display index and pixels as handed over, after
+    /// checking that each held frame still has those pixels at the end.
+    fn pull_anchors(mut src: impl FrameSource, hold: fn(usize) -> bool) -> Vec<(u32, Vec<u8>)> {
+        let (mut seen, mut held) = (Vec::new(), Vec::new());
+        while let Some(unit) = src.next_unit() {
+            if let UnitPayload::Anchor { display, frame } = unit.unwrap().payload {
+                if hold(seen.len()) {
+                    held.push((seen.len(), Arc::clone(&frame)));
+                }
+                seen.push((display, frame.as_slice().to_vec()));
+            }
+        }
+        for (k, frame) in &held {
+            assert!(frame.as_slice() == seen[*k].1, "held anchor {k} rewritten");
+        }
+        seen
+    }
+
+    #[test]
+    fn recycled_anchor_buffers_decode_the_same_and_spare_held_frames() {
+        // Anchor-only, so that three window lengths of anchors are evicted
+        // and their buffers offered for reuse.
+        let frames = davis_sequence("cows", &SuiteConfig::tiny()).unwrap().frames;
+        let frames: Vec<_> = frames
+            .iter()
+            .cycle()
+            .take(3 * REF_WINDOW)
+            .cloned()
+            .collect();
+        let bits = Encoder::new(CodecConfig {
+            b_frames: BFrameMode::Fixed(0),
+            ..CodecConfig::default()
+        })
+        .encode(&frames)
+        .unwrap()
+        .bitstream;
+        let full = Decoder::new().decode(&bits).unwrap();
+        let packets = crate::faults::packetize(&bits).unwrap();
+        let (damaged, _) =
+            crate::faults::inject(&packets, &crate::faults::FaultConfig::uniform(0.3, 5));
+        let holds: [fn(usize) -> bool; 3] = [|_| true, |_| false, |k| k % 2 == 0];
+        let strict = holds.map(|hold| pull_anchors(StrictFrameSource::new(&bits).unwrap(), hold));
+        assert_eq!(strict[0].len(), 3 * REF_WINDOW);
+        for (display, pixels) in &strict[0] {
+            assert!(
+                pixels == full.frames[*display as usize].as_slice(),
+                "anchor {display}"
+            );
+        }
+        let clean =
+            holds.map(|hold| pull_anchors(ResilientFrameSource::new(&packets).unwrap(), hold));
+        let faulted =
+            holds.map(|hold| pull_anchors(ResilientFrameSource::new(&damaged).unwrap(), hold));
+        for runs in [strict, clean, faulted] {
+            assert!(
+                runs[0].len() > REF_WINDOW + 1,
+                "no buffer was offered for reuse"
+            );
+            assert!(
+                runs[1] == runs[0],
+                "dropping every anchor at once moved a pixel"
+            );
+            assert!(
+                runs[2] == runs[0],
+                "holding every other anchor moved a pixel"
+            );
+        }
     }
 
     #[test]

@@ -106,8 +106,8 @@ impl BlockMv {
 /// One macro-block record of the bitstream: how the block was predicted.
 /// The residual that follows it on the wire is not part of the record — the
 /// reader decides whether to decode, validate or skip it.
-/// [`BlockMode::write`] and [`BlockMode::read`] (in [`crate::bitstream`])
-/// are the only code that knows the wire layout.
+/// [`BlockMode::write`] and `Reader::record` (in [`crate::bitstream`]) are
+/// the only code that knows the wire layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum BlockMode {
     /// Intra prediction with the given mode index.

@@ -38,7 +38,7 @@ fn assert_agree(bytes: &Bytes) {
             let mut src = StrictFrameSource::new(bytes).unwrap();
             while let Some(unit) = src.next_unit() {
                 if let UnitPayload::Anchor { display, frame } = unit.unwrap().payload {
-                    assert_eq!(frame, slow.frames[display as usize], "anchor {display}");
+                    assert_eq!(*frame, slow.frames[display as usize], "anchor {display}");
                 }
             }
         }

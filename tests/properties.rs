@@ -152,7 +152,7 @@ proptest! {
         let mut source = StrictFrameSource::new(&encoded.bitstream).unwrap();
         while let Some(unit) = source.next_unit() {
             if let UnitPayload::Anchor { display, frame } = unit.unwrap().payload {
-                prop_assert_eq!(&frame, &decoded.frames[display as usize]);
+                prop_assert_eq!(&*frame, &decoded.frames[display as usize]);
             }
         }
     }
