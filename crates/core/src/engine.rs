@@ -851,24 +851,26 @@ impl<'a, T: TaskPolicy, P: FaultPolicy> PipelineEngine<'a, T, P> {
                 }
             }
         }
-        let planes: Vec<_> = inputs.iter().filter_map(|&(_, planes)| planes).collect();
+        let (at, planes): (Vec<usize>, Vec<_>) = (inputs.iter().enumerate())
+            .filter_map(|(i, &(_, planes))| Some((i, planes?)))
+            .unzip();
         let (masks, out) = match &ctx.nns_q {
             Some(q) => q.masks_beside(&planes, || beside(task)),
             None => ctx.nns.masks_beside(&planes, || beside(task)),
         };
-        let mut masks = masks.into_iter();
-        let done: Vec<(u32, SegMask)> = (jobs.iter().zip(inputs))
-            .map(|(job, (plane, planes))| {
-                let mask = match planes {
-                    Some(_) => masks.next().expect("one mask per refined job"),
-                    None => plane_to_mask(plane),
-                };
-                (job.display, mask)
-            })
+        // Each job's mask under its place in decode order: the refined
+        // jobs' zipped with their masks, the others' read off their planes.
+        let plain = inputs
+            .iter()
+            .enumerate()
+            .filter(|(_, (_, planes))| planes.is_none());
+        let mut done: Vec<(usize, SegMask)> = (at.into_iter().zip(masks))
+            .chain(plain.map(|(i, &(plane, _))| (i, plane_to_mask(plane))))
             .collect();
-        for (display, mask) in done {
+        done.sort_unstable_by_key(|&(i, _)| i);
+        for (i, mask) in done {
             let out = self.task.refine(mask);
-            self.store(display, out)?;
+            self.store(jobs[i].display, out)?;
         }
         failed.map(|()| out)
     }

@@ -40,30 +40,31 @@
 //! in a channel is white, gray or black by which plane has it. So
 //! [`vrd_video::mask::band`] runs on the distinct planes directly to find
 //! the pixels whose window is not uniform or leaves the frame, rounded out
-//! to [`BLOCK`]-pixel row blocks: the logits to compute. The table's bits
-//! are spread over the same words, and the computed logits are cut into
-//! them ([`walk`]).
+//! to [`BLOCK`]-pixel row blocks: the logits to compute. What every earlier
+//! stage computes is derived from them on bit rows too ([`Plan::from_conv3`])
+//! and read once into the spans the kernels iterate ([`RowSpans::of`]). The
+//! table's bits are spread over the same words, and the computed logits are
+//! cut into them ([`walk`]).
 //!
 //! The logits are computed a row tile at a time, the software form of the
 //! paper's small `tmp_B` buffers and of fused-layer accelerators: tile
 //! `[t0, t1)` of the logit rows runs the whole graph on the sub-frame of
 //! rows `[a, b) = [t0 − 6, t1 + 6)`, clipped to the frame ([`Tile`]). Its
-//! [`Plan`] comes from its own logits by the same derivation as the whole
-//! frame's, which grows each earlier stage's spans by what the next one
-//! reads. The halo of [`HALO`] = 6 rows is what the window above needs:
-//! tiles start on even rows, so an even logit row `y ≥ t0` reads from
-//! `y − 5 ≥ t0 − 5` and an odd one `y < t1` up to `y + 5 ≤ t1 + 4`. One
-//! more row on each side makes `a` even, so the sub-frame's 2×2 pool
-//! blocks are the frame's, and keeps its height even. Within the
-//! sub-frame every stage a kept logit needs lies inside `[a, b)`, so the
-//! zero padding the kernels apply at the sub-frame's edges is read only
-//! where those edges are the frame's own, as in the whole-frame walk.
-//! The kernels sum the same taps in the same order at every position, so
-//! every kept logit is the whole-frame walk's, bit for bit. Neighbouring
-//! tiles recompute the few rows of conv1, the pool and conv2 at their
-//! seam.
+//! [`Plan`] comes from its own logits, a copy of the tile's rows of the
+//! frame's, by the same derivation. The halo of [`HALO`] = 6 rows is what
+//! the window above needs: tiles start on even rows, so an even logit row
+//! `y ≥ t0` reads from `y − 5 ≥ t0 − 5` and an odd one `y < t1` up to
+//! `y + 5 ≤ t1 + 4`. One more row on each side makes `a` even, so the
+//! sub-frame's 2×2 pool blocks are the frame's, and keeps its height even.
+//! Within the sub-frame every stage a kept logit needs lies inside
+//! `[a, b)`, so the zero padding the kernels apply at the sub-frame's edges
+//! is read only where those edges are the frame's own, as in the
+//! whole-frame walk. The kernels sum the same taps in the same order at
+//! every position, so every kept logit is the whole-frame walk's, bit for
+//! bit. Neighbouring tiles recompute the few rows of conv1, the pool and
+//! conv2 at their seam.
 //!
-//! Each tile writes its input only where conv1 reads it, its spans grown
+//! Each tile writes its input only where conv1 reads it, its pixels grown
 //! by its 3×3 halo ([`Tile::input`]), and every stage into a buffer that
 //! is otherwise stale; all of them are one struct per walk in flight,
 //! recycled across calls and shared with the dense walks ([`Recycler`]).
@@ -98,9 +99,10 @@
 use crate::conv::{auto_threads, Input};
 use crate::layers::sigmoid_cut;
 use crate::nns::SANDWICH_CHANNELS;
+use std::ops::Range;
 use std::sync::{Mutex, OnceLock};
 use vrd_video::mask::{band, Expansion};
-use vrd_video::{Seg2Plane, SegMask, MASK_WORD_BITS};
+use vrd_video::{Rect, Seg2Plane, SegMask, MASK_WORD_BITS};
 
 /// NN-S's receptive radius: a logit reads nothing outside the Chebyshev
 /// window of this radius around its pixel (see the module docs).
@@ -114,8 +116,8 @@ const BLOCK: usize = 16;
 /// even side whose centre pixel's window stays in frame.
 const TABLE_SIDE: usize = 2 * RADIUS + 2;
 
-/// The columns of each row one stage computes: ascending, disjoint,
-/// non-adjacent `[start, end)` spans per row.
+/// The columns of each row one stage computes, in the kernels' iteration
+/// format: ascending, disjoint, non-adjacent `[start, end)` spans per row.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct RowSpans {
     w: usize,
@@ -125,171 +127,58 @@ pub(crate) struct RowSpans {
 }
 
 impl RowSpans {
-    /// Builds `h` rows of width `w`, row `y`'s spans being whatever `row`
-    /// pushes for it in ascending order of start, overlapping or not,
-    /// clipped to the row.
+    /// Builds `h` rows of width `w` (both non-zero), row `y` the pixels of
+    /// the spans `row` pushes for it, overlapping or not, clipped to the
+    /// row.
     pub(crate) fn build(
         h: usize,
         w: usize,
         mut row: impl FnMut(usize, &mut Vec<(usize, usize)>),
     ) -> Self {
-        let (mut out, mut raw) = (Self::empty(h, w), Vec::new());
+        let (mut bits, mut raw) = (SegMask::new(w, h), Vec::new());
         for y in 0..h {
             raw.clear();
             row(y, &mut raw);
-            for &span in &raw {
-                out.push(span);
+            for &(s, e) in &raw {
+                bits.fill_rect(Rect::new(s as i32, y as i32, e as i32, y as i32 + 1));
             }
-            out.end_row();
         }
-        out
+        Self::of(&bits)
     }
 
-    /// `h` rows of width `w`, row `y` the union of the `K` span lists
-    /// `lists` gives for it — each ascending, as a row of spans is — mapped
-    /// through `map`, whose starts rise with the spans', and clipped to the
-    /// row. The lists are merged by start, never sorted.
-    fn merged<'s, const K: usize>(
-        h: usize,
-        w: usize,
-        lists: impl Fn(usize) -> [&'s [(usize, usize)]; K],
-        map: impl Fn((usize, usize)) -> (usize, usize),
-    ) -> Self {
-        let mut out = Self::empty(h, w);
-        for y in 0..h {
-            let mut heads = lists(y);
-            // Neighbouring rows often hold the same spans: their union is
-            // any one of them.
-            if heads.iter().all(|list| *list == heads[0]) {
-                heads[1..].fill(&[]);
-            }
-            loop {
-                // The list whose head starts first, until all are spent.
-                let starts = heads.map(|list| list.first().map_or(usize::MAX, |&(s, _)| s));
-                let (mut i, mut first) = (0, starts[0]);
-                for (j, &s) in starts.iter().enumerate().skip(1) {
-                    if s < first {
-                        (i, first) = (j, s);
+    /// The runs of `plane`'s set pixels, row by row: each word's runs found
+    /// with `trailing_zeros` and `trailing_ones`, a run that goes on from
+    /// the word before joined to its span, so every span is maximal.
+    pub(crate) fn of(plane: &SegMask) -> Self {
+        let (w, words) = (plane.width(), plane.words());
+        // Room for each word's runs, allocated once.
+        let runs = words.iter().map(|&x| (x & !(x << 1)).count_ones() as usize);
+        let mut spans: Vec<(usize, usize)> = Vec::with_capacity(runs.sum());
+        let mut starts = Vec::with_capacity(plane.height() + 1);
+        starts.push(0);
+        for row in words.chunks_exact(w.div_ceil(MASK_WORD_BITS)) {
+            let first = spans.len();
+            for (base, &word) in (0..).step_by(MASK_WORD_BITS).zip(row) {
+                let mut bits = word;
+                while bits != 0 {
+                    let s = bits.trailing_zeros();
+                    let e = base + (s + (bits >> s).trailing_ones()) as usize;
+                    // The carry of the run's lowest bit clears the run.
+                    bits &= bits.wrapping_add(1 << s);
+                    match spans[first..].last_mut() {
+                        Some(last) if last.1 == base + s as usize => last.1 = e,
+                        _ => spans.push((base + s as usize, e)),
                     }
                 }
-                if first == usize::MAX {
-                    break;
-                }
-                out.push(map(heads[i][0]));
-                heads[i] = &heads[i][1..];
             }
-            out.end_row();
+            starts.push(spans.len());
         }
-        out
-    }
-
-    /// No rows yet, of width `w`, with room for `h`.
-    fn empty(h: usize, w: usize) -> Self {
-        let mut starts = Vec::with_capacity(h + 1);
-        starts.push(0);
-        Self {
-            w,
-            starts,
-            spans: Vec::new(),
-        }
-    }
-
-    /// Adds `(s, e)`, clipped to the row, to the row being built, whose
-    /// spans so far start no later: merged into the last one if they touch.
-    #[inline]
-    fn push(&mut self, (s, e): (usize, usize)) {
-        let (s, e) = (s.min(self.w), e.min(self.w));
-        if s >= e {
-            return;
-        }
-        let in_row = self.spans.len() > self.starts[self.starts.len() - 1];
-        match self.spans.last_mut() {
-            Some((start, end)) if in_row && s <= *end => {
-                debug_assert!(*start <= s, "spans pushed out of order");
-                *end = (*end).max(e);
-            }
-            _ => self.spans.push((s, e)),
-        }
-    }
-
-    /// Ends the row being built.
-    fn end_row(&mut self) {
-        self.starts.push(self.spans.len());
+        Self { w, starts, spans }
     }
 
     /// Every column of every row.
     pub(crate) fn full(h: usize, w: usize) -> Self {
         Self::build(h, w, |_, row| row.push((0, w)))
-    }
-
-    /// The [`BLOCK`]-pixel blocks of each row that hold a pixel of `mask`.
-    fn blocks(mask: &SegMask) -> Self {
-        let (w, words) = (mask.width(), mask.words());
-        let wpr = w.div_ceil(MASK_WORD_BITS);
-        let mut out = Self::empty(mask.height(), w);
-        for row in words.chunks_exact(wpr) {
-            for (k, &word) in row.iter().enumerate().filter(|&(_, &word)| word != 0) {
-                for b in 0..MASK_WORD_BITS / BLOCK {
-                    if (word >> (b * BLOCK)) & ((1 << BLOCK) - 1) != 0 {
-                        let x = k * MASK_WORD_BITS + b * BLOCK;
-                        out.push((x, x + BLOCK));
-                    }
-                }
-            }
-            out.end_row();
-        }
-        out
-    }
-
-    /// Rows and columns within `r` of a span (what a 3×3 layer computing
-    /// these spans reads, for `r = 1`).
-    fn grow(&self, r: usize) -> Self {
-        match r {
-            0 => self.clone(),
-            _ => (1..r).fold(self.grow_one(), |spans, _| spans.grow_one()),
-        }
-    }
-
-    /// Rows and columns next to a span or on one: a growth by `r` is `r`
-    /// of these.
-    fn grow_one(&self) -> Self {
-        let h = self.height();
-        let rows = |y: usize| [y.saturating_sub(1), y, (y + 1).min(h - 1)].map(|sy| self.row(sy));
-        Self::merged(h, self.w, rows, |(s, e)| (s.saturating_sub(1), e + 1))
-    }
-
-    /// The half-resolution pixels whose 2×2 block holds a span pixel.
-    fn halve(&self) -> Self {
-        let rows = |y: usize| [2 * y, 2 * y + 1].map(|sy| self.row(sy));
-        Self::merged(self.height() / 2, self.w / 2, rows, |(s, e)| {
-            (s / 2, e.div_ceil(2))
-        })
-    }
-
-    /// The double-resolution pixels whose half-resolution pixel is a span
-    /// pixel.
-    fn double(&self) -> Self {
-        let rows = |y: usize| [self.row(y / 2)];
-        Self::merged(2 * self.height(), 2 * self.w, rows, |(s, e)| (2 * s, 2 * e))
-    }
-
-    /// Rows `rows` of these spans on the rows `frame` (which holds them)
-    /// of the same plane, every other row empty.
-    fn window(&self, frame: std::ops::Range<usize>, rows: std::ops::Range<usize>) -> Self {
-        let mut out = Self::empty(frame.len(), self.w);
-        for y in frame {
-            if rows.contains(&y) {
-                out.spans.extend_from_slice(self.row(y));
-            }
-            out.end_row();
-        }
-        out
-    }
-
-    /// The pixels of either.
-    fn union(&self, other: &Self) -> Self {
-        let rows = |y: usize| [self.row(y), other.row(y)];
-        Self::merged(self.height(), self.w, rows, |span| span)
     }
 
     /// Rows.
@@ -330,48 +219,46 @@ impl RowSpans {
     }
 }
 
-/// The spans each stage of one NN-S walk computes.
+/// The pixels each stage of one NN-S walk computes, as spans or bit rows.
 #[derive(Debug)]
-pub(crate) struct Plan {
-    /// The input conv1 reads: its output spans grown by its 3×3 halo.
-    pub(crate) input: RowSpans,
+pub(crate) struct Plan<S = RowSpans> {
+    /// The input conv1 reads: its output grown by its 3×3 halo.
+    pub(crate) input: S,
     /// conv1's output (full resolution).
-    pub(crate) conv1: RowSpans,
+    pub(crate) conv1: S,
     /// The max-pool's output (half resolution).
-    pub(crate) pool: RowSpans,
+    pub(crate) pool: S,
     /// conv2's output (half resolution).
-    pub(crate) conv2: RowSpans,
+    pub(crate) conv2: S,
     /// The upsample's output (full resolution).
-    pub(crate) up: RowSpans,
+    pub(crate) up: S,
     /// conv3's output: the logits.
-    pub(crate) conv3: RowSpans,
+    pub(crate) conv3: S,
 }
 
 impl Plan {
-    /// Every pixel of every stage of an `h × w` walk.
+    /// Every pixel of every stage of an `h × w` walk: the plan of every
+    /// logit.
     pub(crate) fn dense(h: usize, w: usize) -> Self {
-        Self {
-            input: RowSpans::full(h, w),
-            conv1: RowSpans::full(h, w),
-            pool: RowSpans::full(h / 2, w / 2),
-            conv2: RowSpans::full(h / 2, w / 2),
-            up: RowSpans::full(h, w),
-            conv3: RowSpans::full(h, w),
-        }
+        let every = vec![u64::MAX; w.div_ceil(MASK_WORD_BITS) * h];
+        Plan::from_conv3(SegMask::from_words(w, h, every)).spans()
     }
+}
 
-    /// The logits `conv3`, and what they read: conv3 reads the
+impl Plan<SegMask> {
+    /// The logits `conv3`, and what they read, on bit rows: conv3 reads the
     /// concatenation at ±1; the upsample reads `a2` at half those columns,
     /// conv2 the pool at ±1 around them, the pool `a1` at twice those;
     /// conv1 computes what conv3 and the pool read, and reads the input at
-    /// ±1 around that.
-    fn from_conv3(conv3: RowSpans) -> Self {
-        let up = conv3.grow(1);
+    /// ±1 around that. Panics if a side of `conv3` is odd.
+    fn from_conv3(conv3: SegMask) -> Self {
+        let up = conv3.grow1();
         let conv2 = up.halve();
-        let pool = conv2.grow(1);
-        let conv1 = up.union(&pool.double());
+        let pool = conv2.grow1();
+        let mut conv1 = pool.double();
+        conv1 |= &up;
         Self {
-            input: conv1.grow(1),
+            input: conv1.grow1(),
             conv1,
             pool,
             conv2,
@@ -379,6 +266,40 @@ impl Plan {
             conv3,
         }
     }
+
+    /// Each stage read into spans once.
+    fn spans(&self) -> Plan {
+        let of = RowSpans::of;
+        Plan {
+            input: of(&self.input),
+            conv1: of(&self.conv1),
+            pool: of(&self.pool),
+            conv2: of(&self.conv2),
+            up: of(&self.up),
+            conv3: of(&self.conv3),
+        }
+    }
+}
+
+/// The [`BLOCK`]-pixel blocks of each row that hold a pixel of `band`:
+/// each word's non-zero `BLOCK`-bit lanes all ones. A lane's top bit ends
+/// up set when it is set or its low bits carry into it.
+fn blocks(band: &SegMask) -> SegMask {
+    const LANE: u64 = (1 << BLOCK) - 1;
+    const LOW: u64 = u64::MAX / LANE * (LANE >> 1);
+    let lanes =
+        (band.words().iter()).map(|&x| (((((x & LOW) + LOW) | x) & !LOW) >> (BLOCK - 1)) * LANE);
+    SegMask::from_words(band.width(), band.height(), lanes.collect())
+}
+
+/// Rows `rows` of `plane` on its rows `frame`, which hold them: a plane
+/// `frame.len()` rows tall, every other row zero.
+fn window(plane: &SegMask, frame: Range<usize>, rows: Range<usize>) -> SegMask {
+    let wpr = plane.width().div_ceil(MASK_WORD_BITS);
+    let mut words = vec![0; frame.len() * wpr];
+    let (from, to) = (rows.start * wpr..rows.end * wpr, rows.start - frame.start);
+    words[to * wpr..][..from.len()].copy_from_slice(&plane.words()[from]);
+    SegMask::from_words(plane.width(), frame.len(), words)
 }
 
 /// The multiply-accumulates a dense walk through a `hidden`-wide NN-S
@@ -630,8 +551,8 @@ pub(crate) fn mask<G: Graph>(
 ///    ([`auto_threads`]) while the calling thread runs `beside` first:
 ///    each tile's plan is derived, its input written in `graph`'s codes
 ///    and walked to logits on a struct of `scratch`, and the logits are
-///    cut at [`sigmoid_cut`] into the frame's words on the tile's conv3
-///    spans.
+///    cut at [`sigmoid_cut`] into the frame's words under the tile's conv3
+///    bits.
 /// 3. Each frame's words become its mask.
 ///
 /// The masks do not depend on how many threads ran, in which order the
@@ -782,51 +703,53 @@ pub(crate) fn capacity_bytes<T>(buf: &Vec<T>) -> usize {
 /// The part of an NN-S input the mask must compute, and how to finish it.
 pub(crate) struct Banded<'a> {
     planes: SandwichPlanes<'a>,
-    /// The logits to compute: the band's [`BLOCK`]-pixel row blocks.
-    conv3: RowSpans,
+    /// The logits to compute: the band rounded out to [`BLOCK`]-pixel row
+    /// blocks.
+    conv3: SegMask,
 }
 
 impl<'a> Banded<'a> {
     /// The band of `planes`: the pixels within [`RADIUS`] of a value change
     /// in any plane or of the frame edge.
     pub(crate) fn of(planes: &SandwichPlanes<'a>) -> Self {
-        let conv3 = RowSpans::blocks(&band(&planes.distinct(), RADIUS));
         Self {
             planes: *planes,
-            conv3,
+            conv3: blocks(&band(&planes.distinct(), RADIUS)),
         }
     }
 
     /// What each stage of one walk over the whole frame would compute.
+    #[cfg(test)]
     pub(crate) fn plan(&self) -> Plan {
-        Plan::from_conv3(self.conv3.clone())
+        Plan::from_conv3(self.conv3.clone()).spans()
     }
 
     /// The share of conv1's, conv2's and conv3's output pixels the band
-    /// covers (each tile also recomputes a few rows its neighbour computes).
+    /// covers (each tile also recomputes a few rows its neighbour computes):
+    /// the whole frame's stage planes' popcounts.
     pub(crate) fn coverage(&self) -> [f64; 3] {
-        let plan = self.plan();
-        let share =
-            |spans: &RowSpans| spans.area() as f64 / (spans.height() * spans.width()).max(1) as f64;
+        let plan = Plan::from_conv3(self.conv3.clone());
+        let share = |m: &SegMask| m.count_ones() as f64 / (m.height() * m.width()).max(1) as f64;
         [&plan.conv1, &plan.conv2, &plan.conv3].map(share)
     }
 
     /// The logit rows of each tile of `rows` rows (the last one shorter),
     /// top to bottom.
-    fn tile_rows(&self, rows: usize) -> impl Iterator<Item = std::ops::Range<usize>> {
+    fn tile_rows(&self, rows: usize) -> impl Iterator<Item = Range<usize>> {
         let h = self.conv3.height();
         (0..h).step_by(rows).map(move |t0| t0..(t0 + rows).min(h))
     }
 
     /// The tile of logit rows `rows`.
-    fn tile(&self, rows: std::ops::Range<usize>) -> Tile<'a> {
+    fn tile(&self, rows: Range<usize>) -> Tile<'a> {
         Tile::new(self.planes, &self.conv3, rows)
     }
 
     /// The logits rows `rows` computes: a tile's share of the band.
-    fn logits(&self, rows: std::ops::Range<usize>) -> usize {
-        rows.map(|y| self.conv3.row(y).iter().map(|(s, e)| e - s).sum::<usize>())
-            .sum()
+    fn logits(&self, rows: Range<usize>) -> usize {
+        let wpr = self.conv3.width().div_ceil(MASK_WORD_BITS);
+        let words = &self.conv3.words()[rows.start * wpr..rows.end * wpr];
+        words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// The tiles of `rows` logit rows each, top to bottom.
@@ -850,23 +773,26 @@ impl<'a> Banded<'a> {
 struct Tile<'a> {
     planes: SandwichPlanes<'a>,
     /// `[t0, t1)`.
-    rows: std::ops::Range<usize>,
+    rows: Range<usize>,
     /// `[a, b)`.
-    frame: std::ops::Range<usize>,
+    frame: Range<usize>,
     plan: Plan,
+    /// The logits to compute, on the sub-frame's rows.
+    conv3: SegMask,
 }
 
 impl<'a> Tile<'a> {
     /// The tile of `conv3`'s `rows`: its sub-frame, and each stage's spans
     /// there by the same derivation as the whole frame's ([`Plan`]).
-    fn new(planes: SandwichPlanes<'a>, conv3: &RowSpans, rows: std::ops::Range<usize>) -> Self {
+    fn new(planes: SandwichPlanes<'a>, conv3: &SegMask, rows: Range<usize>) -> Self {
         let frame = rows.start.saturating_sub(HALO)..(rows.end + HALO).min(conv3.height());
-        let plan = Plan::from_conv3(conv3.window(frame.clone(), rows.clone()));
+        let bits = Plan::from_conv3(window(conv3, frame.clone(), rows.clone()));
         Self {
             planes,
             rows,
             frame,
-            plan,
+            plan: bits.spans(),
+            conv3: bits.conv3,
         }
     }
 
@@ -895,30 +821,21 @@ impl<'a> Tile<'a> {
     }
 
     /// Cuts the sub-frame's `logits` at `cut` into the tile's rows of mask
-    /// words `out`, on conv3's spans only — the only logits written.
+    /// words `out`, under conv3's bits only — the only logits written: a
+    /// word's logits cut into byte flags, packed, and merged under its bits.
     fn cut(&self, logits: &[f32], cut: f32, out: &mut [u64]) {
         let (h, w) = self.size();
         assert_eq!(logits.len(), h * w, "logit plane size mismatch");
         let wpr = w.div_ceil(MASK_WORD_BITS);
-        for (row, y) in out.chunks_exact_mut(wpr).zip(self.rows.clone()) {
-            let y = y - self.frame.start;
-            for &(s, e) in self.plan.conv3.row(y) {
-                // The span word by word: its logits cut into byte flags,
-                // packed, and merged under the span's bits.
-                let first = s / MASK_WORD_BITS;
-                let words = &mut row[first..e.div_ceil(MASK_WORD_BITS)];
-                for (k, word) in (first..).zip(words) {
-                    let base = k * MASK_WORD_BITS;
-                    let (a, b) = (s.max(base), e.min(base + MASK_WORD_BITS));
-                    let mut flags = [0u8; 64];
-                    let cuts = logits[y * w + a..y * w + b].iter();
-                    for (f, &z) in flags[a - base..].iter_mut().zip(cuts) {
-                        *f = u8::from(z > cut);
-                    }
-                    let span = (u64::MAX >> (MASK_WORD_BITS - (b - a))) << (a - base);
-                    *word = (*word & !span) | (flags_to_word(&flags) & span);
-                }
+        let first = (self.rows.start - self.frame.start) * wpr;
+        let words = out.iter_mut().zip(&self.conv3.words()[first..]);
+        for (i, (word, &keep)) in (first..).zip(words).filter(|(_, (_, &keep))| keep != 0) {
+            let (y, x) = (i / wpr, i % wpr * MASK_WORD_BITS);
+            let mut flags = [0u8; 64];
+            for (f, &z) in flags.iter_mut().zip(&logits[y * w + x..(y + 1) * w]) {
+                *f = u8::from(z > cut);
             }
+            *word = (*word & !keep) | (flags_to_word(&flags) & keep);
         }
     }
 }
@@ -948,14 +865,7 @@ fn table_words(channels: &[(&[u64], Option<&[u64]>); 3], table: CutTable) -> Vec
         })
     });
     // A channel without gray reads an all-black gray plane.
-    let black = vec![
-        0;
-        if channels.iter().all(|c| c.1.is_some()) {
-            0
-        } else {
-            n
-        }
-    ];
+    let black = vec![0; n * usize::from(channels.iter().any(|c| c.1.is_none()))];
     let [(w0, g0), (w1, g1), (w2, g2)] =
         channels.map(|(white, gray)| (&white[..n], &gray.unwrap_or(&black)[..n]));
     (0..n)
@@ -1035,7 +945,7 @@ mod tests {
         let (h, w) = (40, 98);
         let mut speck = SegMask::new(w, h);
         speck.set(50, 20, 1);
-        let mut plan = Plan::from_conv3(RowSpans::blocks(&band(&[&speck], RADIUS)));
+        let mut plan = Plan::from_conv3(blocks(&band(&[&speck], RADIUS))).spans();
         let conv3 = covered(&plan.conv3);
         // The speck's window and the edge ring, rounded out to blocks.
         assert!(conv3.get(32, 20) == 1 && conv3.get(63, 25) == 1 && conv3.get(0, 0) == 1);
@@ -1165,48 +1075,56 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Every derivation a plan is made of covers exactly the pixels its
-        /// definition names, in canonical spans: the merged rows are the
-        /// union a sort would give.
+        /// Every bit-row derivation a plan is made of covers exactly the
+        /// pixels its definition names, holds no bit past its width and
+        /// reads into canonical spans, at the case's width and at widths
+        /// around one and two words (the half plane crossing a word).
         #[test]
         fn span_derivations_match_their_per_pixel_definitions(
             case in (1usize..30, 1usize..150, 0u64..1_000_000, 1usize..6, 0usize..4)
         ) {
             let (h, w, seed, run, r) = case;
-            let random = |salt: i64| {
-                mask_of(h, w, |x, y| hash2((x / run) as i64, y as i64 * 7 + salt, seed).is_multiple_of(3))
-            };
-            let (a, b) = (random(0), random(1));
-            let (sa, sb) = (runs(&a), runs(&b));
-            prop_assert_eq!(covered(&sa), a.clone());
-            let near = |m: &SegMask, x: usize, y: usize, r: usize| {
-                (y.saturating_sub(r)..(y + r + 1).min(h))
-                    .any(|sy| (x.saturating_sub(r)..(x + r + 1).min(w)).any(|sx| m.get(sx, sy) == 1))
-            };
-            let derived = [
-                (sa.grow(r), mask_of(h, w, |x, y| near(&a, x, y, r))),
-                (sa.union(&sb), mask_of(h, w, |x, y| a.get(x, y) == 1 || b.get(x, y) == 1)),
-                (sa.double(), mask_of(2 * h, 2 * w, |x, y| a.get(x / 2, y / 2) == 1)),
-                (RowSpans::blocks(&a), mask_of(h, w, |x, y| {
-                    let block = x / BLOCK * BLOCK;
-                    (block..(block + BLOCK).min(w)).any(|sx| a.get(sx, y) == 1)
-                })),
-                (sa.window(h / 3..h, h / 2..h), mask_of(h - h / 3, w, |x, y| {
-                    y + h / 3 >= h / 2 && a.get(x, y + h / 3) == 1
-                })),
-            ];
-            for (i, (spans, want)) in derived.iter().enumerate() {
-                prop_assert!(canonical(spans), "derivation {}", i);
-                prop_assert_eq!(&covered(spans), want, "derivation {}", i);
-            }
-            if h >= 2 && w >= 2 {
-                let halved = sa.halve();
-                let block = [(0, 0), (1, 0), (0, 1), (1, 1)];
-                let want = mask_of(h / 2, w / 2, |x, y| {
-                    block.iter().any(|&(dx, dy)| a.get(2 * x + dx, 2 * y + dy) == 1)
-                });
-                prop_assert!(canonical(&halved));
-                prop_assert_eq!(covered(&halved), want);
+            for w in std::iter::once(w).chain([1, 2, 63, 64, 65]).chain(126..132) {
+                let random = |salt: i64| {
+                    mask_of(h, w, |x, y| hash2((x / run) as i64, y as i64 * 7 + salt, seed).is_multiple_of(3))
+                };
+                let (a, b) = (random(0), random(1));
+                prop_assert_eq!(covered(&runs(&a)), a.clone());
+                prop_assert_eq!(RowSpans::of(&a), runs(&a));
+                let near = |m: &SegMask, x: usize, y: usize, r: usize| {
+                    (y.saturating_sub(r)..(y + r + 1).min(h))
+                        .any(|sy| (x.saturating_sub(r)..(x + r + 1).min(w)).any(|sx| m.get(sx, sy) == 1))
+                };
+                let mut union = a.clone();
+                union |= &b;
+                let mut derived = vec![
+                    ((0..r).fold(a.clone(), |m, _| m.grow1()), mask_of(h, w, |x, y| near(&a, x, y, r))),
+                    (union, mask_of(h, w, |x, y| a.get(x, y) == 1 || b.get(x, y) == 1)),
+                    (a.double(), mask_of(2 * h, 2 * w, |x, y| a.get(x / 2, y / 2) == 1)),
+                    (blocks(&a), mask_of(h, w, |x, y| {
+                        let block = x / BLOCK * BLOCK;
+                        (block..(block + BLOCK).min(w)).any(|sx| a.get(sx, y) == 1)
+                    })),
+                    (window(&a, h / 3..h, h / 2..h), mask_of(h - h / 3, w, |x, y| {
+                        y + h / 3 >= h / 2 && a.get(x, y + h / 3) == 1
+                    })),
+                ];
+                if h >= 2 && w >= 2 {
+                    let block = [(0, 0), (1, 0), (0, 1), (1, 1)];
+                    let want = mask_of(h / 2, w / 2, |x, y| {
+                        block.iter().any(|&(dx, dy)| a.get(2 * x + dx, 2 * y + dy) == 1)
+                    });
+                    derived.push((a.halve(), want));
+                }
+                for (i, (plane, want)) in derived.iter().enumerate() {
+                    let (pw, wpr) = (plane.width(), plane.width().div_ceil(MASK_WORD_BITS));
+                    let past = !(u64::MAX >> (wpr * MASK_WORD_BITS - pw));
+                    let tails = plane.words().chunks_exact(wpr).all(|row| row[wpr - 1] & past == 0);
+                    prop_assert!(tails, "derivation {} at width {}: bits past the width", i, w);
+                    let spans = RowSpans::of(plane);
+                    prop_assert!(canonical(&spans), "derivation {} at width {}", i, w);
+                    prop_assert_eq!(&covered(&spans), want, "derivation {} at width {}", i, w);
+                }
             }
         }
 
@@ -1229,10 +1147,11 @@ mod tests {
                 let (t, f) = (tile.rows.clone(), tile.frame.clone());
                 prop_assert!(t.start == next && t.start.is_multiple_of(2) && t.start < t.end);
                 next = t.end;
-                let full = Plan::from_conv3(banded.conv3.window(0..h, t.clone()));
-                let read = full.conv1.grow(1);
+                let bits = Plan::from_conv3(window(&banded.conv3, 0..h, t.clone()));
+                let full = bits.spans();
+                let read = RowSpans::of(&bits.conv1.grow1());
                 let stages = [
-                    (&read, &tile.plan.conv1.grow(1), 1),
+                    (&read, &RowSpans::of(&covered(&tile.plan.conv1).grow1()), 1),
                     (&full.conv1, &tile.plan.conv1, 1),
                     (&full.pool, &tile.plan.pool, 2),
                     (&full.conv2, &tile.plan.conv2, 2),
@@ -1243,7 +1162,7 @@ mod tests {
                     let sub = f.start / scale..f.end / scale;
                     let outside = (0..whole.height()).find(|y| !sub.contains(y) && !whole.row(*y).is_empty());
                     prop_assert_eq!(outside, None, "stage {} of tile {:?} leaves {:?}", i, t, f);
-                    prop_assert_eq!(own, &whole.window(sub, 0..whole.height()), "stage {}", i);
+                    prop_assert_eq!(own, &RowSpans::of(&window(&covered(whole), sub.clone(), sub)), "stage {}", i);
                 }
                 for y in t.filter(|&y| !full.conv3.row(y).is_empty()) {
                     let top = y >= RADIUS && y - RADIUS >= f.start || y < RADIUS && f.start == 0;
@@ -1365,7 +1284,7 @@ mod tests {
             SandwichPlanes::new(&blank, &flat, &blank).unwrap(),
             SandwichPlanes::new(&prev, &recon, &next).unwrap(),
         ];
-        let band = |x: &SandwichPlanes<'_>| Banded::of(x).conv3;
+        let band = |x: &SandwichPlanes<'_>| RowSpans::of(&Banded::of(x).conv3);
         assert_eq!(band(&xs[0]).area(), w0 * h0, "whole rows");
         assert_eq!(
             band(&xs[1]).row(20),

@@ -529,6 +529,76 @@ impl SegMask {
                 .fill_row_span(y as usize, r.x0 as usize, r.x1 as usize);
         }
     }
+
+    /// The pixels within one row and one column of a set pixel, clipped to
+    /// the mask: each row the OR of rows `y − 1 ..= y + 1` (`or_windows` of
+    /// three rows under a zero one), spread one column either way.
+    pub fn grow1(&self) -> SegMask {
+        let wpr = self.plane.words_per_row;
+        let above = std::iter::repeat_n(0, wpr);
+        let mut words: Vec<u64> = above.chain(self.plane.words.iter().copied()).collect();
+        or_windows(&mut words, wpr, 3);
+        words.truncate(self.plane.words.len());
+        for row in words.chunks_exact_mut(wpr) {
+            spread_row(row, 1, 1);
+        }
+        SegMask::from_words(self.width(), self.height(), words)
+    }
+
+    /// The half-resolution mask whose pixel `(x, y)` is set when a pixel of
+    /// the 2×2 block at `(2x, 2y)` is: each row pair ORed, then each word's
+    /// column pairs ORed and compacted (`pair_bits`). An odd last row or
+    /// column pairs with nothing and is dropped.
+    ///
+    /// # Panics
+    /// Panics if a side is shorter than two.
+    pub fn halve(&self) -> SegMask {
+        let (w, wpr) = (self.width() / 2, self.plane.words_per_row);
+        let mut out = SegMask::new(w, self.height() / 2);
+        let rows = out.plane.words.chunks_exact_mut(w.div_ceil(MASK_WORD_BITS));
+        for (dst, pair) in rows.zip(self.plane.words.chunks_exact(2 * wpr)) {
+            let (top, bottom) = pair.split_at(wpr);
+            // Source word `j`'s pairs; one past the row holds none.
+            let half = |j: usize| top.get(j).map_or(0, |&t| pair_bits(t | bottom[j]));
+            for (k, d) in dst.iter_mut().enumerate() {
+                *d = half(2 * k) | half(2 * k + 1) << 32;
+            }
+        }
+        out.plane.clear_tail_bits();
+        out
+    }
+
+    /// The double-resolution mask whose pixel `(x, y)` is pixel `(x / 2,
+    /// y / 2)` of this one: each bit spread to two (`double_bits`), each
+    /// row written twice.
+    pub fn double(&self) -> SegMask {
+        let wpr = self.plane.words_per_row;
+        let mut out = SegMask::new(2 * self.width(), 2 * self.height());
+        let out_wpr = out.plane.words_per_row;
+        let rows = out.plane.words.chunks_exact_mut(2 * out_wpr);
+        for (dst, src) in rows.zip(self.plane.words.chunks_exact(wpr)) {
+            let (even, odd) = dst.split_at_mut(out_wpr);
+            for (k, d) in even.iter_mut().enumerate() {
+                *d = double_bits(src[k / 2] >> (k % 2 * 32));
+            }
+            odd.copy_from_slice(even);
+        }
+        out
+    }
+}
+
+impl std::ops::BitOrAssign<&SegMask> for SegMask {
+    /// Sets every pixel `other` sets.
+    ///
+    /// # Panics
+    /// Panics if the sizes differ.
+    fn bitor_assign(&mut self, other: &SegMask) {
+        let size = |m: &SegMask| (m.width(), m.height());
+        assert_eq!(size(self), size(other), "mask size mismatch");
+        for (a, &b) in self.plane.words.iter_mut().zip(&other.plane.words) {
+            *a |= b;
+        }
+    }
 }
 
 /// One pixel of a reconstructed (pre-refinement) B-frame segmentation.
@@ -774,14 +844,11 @@ impl Seg2Plane {
     /// Thresholds the plane into a binary mask (gray counts as foreground
     /// when `gray_is_foreground` is set) — an OR over the bitplanes.
     pub fn to_mask(&self, gray_is_foreground: bool) -> SegMask {
-        if !gray_is_foreground {
-            return self.white.clone();
+        let mut mask = self.white.clone();
+        if gray_is_foreground {
+            mask |= &self.gray;
         }
-        let words = (self.white.words().iter())
-            .zip(self.gray.words())
-            .map(|(&w, &g)| w | g)
-            .collect();
-        SegMask::from_words(self.width(), self.height(), words)
+        mask
     }
 }
 
@@ -1041,6 +1108,27 @@ fn spread_row(row: &mut [u64], left: usize, right: usize) {
         row[last] |= row[last] >> s;
         held += s;
     }
+}
+
+/// The low half of every `2^(i + 1)`-bit group of a word: the masks of
+/// the steps that compact its even bits into its low 32 ([`pair_bits`]) and
+/// spread them back ([`double_bits`]).
+const fn halves(i: u32) -> u64 {
+    u64::MAX / ((1 << (1 << i)) + 1)
+}
+
+/// Bit `j < 32` of the result is bit `2j` or bit `2j + 1` of `x`: each pair
+/// ORed onto its even bit, then the even bits compacted in five steps.
+fn pair_bits(x: u64) -> u64 {
+    let even = (x | x >> 1) & halves(0);
+    (0..5).fold(even, |x, i| (x | x >> (1 << i)) & halves(i + 1))
+}
+
+/// Bits `2j` and `2j + 1` of the result are bit `j < 32` of `x`:
+/// [`pair_bits`]'s steps backwards, then each even bit copied up one.
+fn double_bits(x: u64) -> u64 {
+    let even = (0..5).fold(x & halves(5), |x, i| (x | x << (16 >> i)) & halves(4 - i));
+    even | even << 1
 }
 
 /// Retained byte-per-pixel kernels (the pre-packing semantics), kept as the
