@@ -102,7 +102,7 @@ use crate::nns::SANDWICH_CHANNELS;
 use std::ops::Range;
 use std::sync::{Mutex, OnceLock};
 use vrd_video::mask::{band, Expansion};
-use vrd_video::{Rect, Seg2Plane, SegMask, MASK_WORD_BITS};
+use vrd_video::{Seg2Plane, SegMask, MASK_WORD_BITS};
 
 /// NN-S's receptive radius: a logit reads nothing outside the Chebyshev
 /// window of this radius around its pixel (see the module docs).
@@ -127,50 +127,38 @@ pub(crate) struct RowSpans {
 }
 
 impl RowSpans {
-    /// Builds `h` rows of width `w` (both non-zero), row `y` the pixels of
-    /// the spans `row` pushes for it, overlapping or not, clipped to the
-    /// row.
-    pub(crate) fn build(
-        h: usize,
-        w: usize,
-        mut row: impl FnMut(usize, &mut Vec<(usize, usize)>),
-    ) -> Self {
-        let (mut bits, mut raw) = (SegMask::new(w, h), Vec::new());
-        for y in 0..h {
-            raw.clear();
-            row(y, &mut raw);
-            for &(s, e) in &raw {
-                bits.fill_rect(Rect::new(s as i32, y as i32, e as i32, y as i32 + 1));
-            }
-        }
-        Self::of(&bits)
-    }
-
     /// The runs of `plane`'s set pixels, row by row: each word's runs found
     /// with `trailing_zeros` and `trailing_ones`, a run that goes on from
-    /// the word before joined to its span, so every span is maximal.
+    /// the word before joined to its span, so every span is maximal. A row
+    /// whose words are the row above's, as most rows of a band's planes
+    /// are, copies its spans. Room for a run every four words and one a
+    /// row, more than a band's planes hold, is allocated up front.
     pub(crate) fn of(plane: &SegMask) -> Self {
         let (w, words) = (plane.width(), plane.words());
-        // Room for each word's runs, allocated once.
-        let runs = words.iter().map(|&x| (x & !(x << 1)).count_ones() as usize);
-        let mut spans: Vec<(usize, usize)> = Vec::with_capacity(runs.sum());
+        let mut spans: Vec<(usize, usize)> = Vec::with_capacity(words.len() / 4 + plane.height());
         let mut starts = Vec::with_capacity(plane.height() + 1);
         starts.push(0);
+        let mut above: &[u64] = &[];
         for row in words.chunks_exact(w.div_ceil(MASK_WORD_BITS)) {
             let first = spans.len();
-            for (base, &word) in (0..).step_by(MASK_WORD_BITS).zip(row) {
-                let mut bits = word;
-                while bits != 0 {
-                    let s = bits.trailing_zeros();
-                    let e = base + (s + (bits >> s).trailing_ones()) as usize;
-                    // The carry of the run's lowest bit clears the run.
-                    bits &= bits.wrapping_add(1 << s);
-                    match spans[first..].last_mut() {
-                        Some(last) if last.1 == base + s as usize => last.1 = e,
-                        _ => spans.push((base + s as usize, e)),
+            if row == above {
+                spans.extend_from_within(starts[starts.len() - 2]..first);
+            } else {
+                for (base, &word) in (0..).step_by(MASK_WORD_BITS).zip(row) {
+                    let mut bits = word;
+                    while bits != 0 {
+                        let s = bits.trailing_zeros();
+                        let e = base + (s + (bits >> s).trailing_ones()) as usize;
+                        // The carry of the run's lowest bit clears the run.
+                        bits &= bits.wrapping_add(1 << s);
+                        match spans[first..].last_mut() {
+                            Some(last) if last.1 == base + s as usize => last.1 = e,
+                            _ => spans.push((base + s as usize, e)),
+                        }
                     }
                 }
             }
+            above = row;
             starts.push(spans.len());
         }
         Self { w, starts, spans }
@@ -178,7 +166,9 @@ impl RowSpans {
 
     /// Every column of every row.
     pub(crate) fn full(h: usize, w: usize) -> Self {
-        Self::build(h, w, |_, row| row.push((0, w)))
+        let row = usize::from(w > 0);
+        let (starts, spans) = ((0..=h).map(|y| y * row).collect(), vec![(0, w); h * row]);
+        Self { w, starts, spans }
     }
 
     /// Rows.
@@ -219,46 +209,44 @@ impl RowSpans {
     }
 }
 
-/// The pixels each stage of one NN-S walk computes, as spans or bit rows.
+/// The spans each stage of one NN-S walk computes.
 #[derive(Debug)]
-pub(crate) struct Plan<S = RowSpans> {
+pub(crate) struct Plan {
     /// The input conv1 reads: its output grown by its 3×3 halo.
-    pub(crate) input: S,
+    pub(crate) input: RowSpans,
     /// conv1's output (full resolution).
-    pub(crate) conv1: S,
+    pub(crate) conv1: RowSpans,
     /// The max-pool's output (half resolution).
-    pub(crate) pool: S,
+    pub(crate) pool: RowSpans,
     /// conv2's output (half resolution).
-    pub(crate) conv2: S,
+    pub(crate) conv2: RowSpans,
     /// The upsample's output (full resolution).
-    pub(crate) up: S,
+    pub(crate) up: RowSpans,
     /// conv3's output: the logits.
-    pub(crate) conv3: S,
+    pub(crate) conv3: RowSpans,
 }
 
 impl Plan {
     /// Every pixel of every stage of an `h × w` walk: the plan of every
     /// logit.
+    ///
+    /// # Panics
+    /// Panics if a side is odd or zero.
     pub(crate) fn dense(h: usize, w: usize) -> Self {
+        assert!(
+            h.is_multiple_of(2) && w.is_multiple_of(2),
+            "max-pool needs even dimensions"
+        );
         let every = vec![u64::MAX; w.div_ceil(MASK_WORD_BITS) * h];
-        Plan::from_conv3(SegMask::from_words(w, h, every)).spans()
+        Plan::from_conv3(SegMask::from_words(w, h, every))
     }
-}
 
-impl Plan<SegMask> {
-    /// The logits `conv3`, and what they read, on bit rows: conv3 reads the
-    /// concatenation at ±1; the upsample reads `a2` at half those columns,
-    /// conv2 the pool at ±1 around them, the pool `a1` at twice those;
-    /// conv1 computes what conv3 and the pool read, and reads the input at
-    /// ±1 around that. Panics if a side of `conv3` is odd.
+    /// The logits `conv3` and what they read ([`derive`]), each stage read
+    /// into spans once.
     fn from_conv3(conv3: SegMask) -> Self {
-        let up = conv3.grow1();
-        let conv2 = up.halve();
-        let pool = conv2.grow1();
-        let mut conv1 = pool.double();
-        conv1 |= &up;
+        let [conv3, up, conv2, pool, conv1, input] = derive(conv3, RowSpans::of);
         Self {
-            input: conv1.grow1(),
+            input,
             conv1,
             pool,
             conv2,
@@ -266,19 +254,27 @@ impl Plan<SegMask> {
             conv3,
         }
     }
+}
 
-    /// Each stage read into spans once.
-    fn spans(&self) -> Plan {
-        let of = RowSpans::of;
-        Plan {
-            input: of(&self.input),
-            conv1: of(&self.conv1),
-            pool: of(&self.pool),
-            conv2: of(&self.conv2),
-            up: of(&self.up),
-            conv3: of(&self.conv3),
-        }
-    }
+/// `read` of each stage's bit plane for the logits `plane`, in the order
+/// conv3, up, conv2, pool, conv1, input: conv3 reads the concatenation at
+/// ±1; the upsample reads `a2` at half those columns, conv2 the pool at ±1
+/// around them, the pool `a1` at twice those; conv1 computes what conv3 and
+/// the pool read, and reads the input at ±1 around that. Each stage is the
+/// one before on one of two planes, full and half resolution, changed in
+/// place. Panics if a side of `plane` is odd.
+fn derive<T>(mut plane: SegMask, mut read: impl FnMut(&SegMask) -> T) -> [T; 6] {
+    let conv3 = read(&plane);
+    plane.grow1();
+    let up = read(&plane);
+    let mut half = plane.halve();
+    let conv2 = read(&half);
+    half.grow1();
+    let pool = read(&half);
+    plane.or_double(&half);
+    let conv1 = read(&plane);
+    plane.grow1();
+    [conv3, up, conv2, pool, conv1, read(&plane)]
 }
 
 /// The [`BLOCK`]-pixel blocks of each row that hold a pixel of `band`:
@@ -721,16 +717,16 @@ impl<'a> Banded<'a> {
     /// What each stage of one walk over the whole frame would compute.
     #[cfg(test)]
     pub(crate) fn plan(&self) -> Plan {
-        Plan::from_conv3(self.conv3.clone()).spans()
+        Plan::from_conv3(self.conv3.clone())
     }
 
     /// The share of conv1's, conv2's and conv3's output pixels the band
     /// covers (each tile also recomputes a few rows its neighbour computes):
     /// the whole frame's stage planes' popcounts.
     pub(crate) fn coverage(&self) -> [f64; 3] {
-        let plan = Plan::from_conv3(self.conv3.clone());
         let share = |m: &SegMask| m.count_ones() as f64 / (m.height() * m.width()).max(1) as f64;
-        [&plan.conv1, &plan.conv2, &plan.conv3].map(share)
+        let [conv3, _, conv2, _, conv1, _] = derive(self.conv3.clone(), share);
+        [conv1, conv2, conv3]
     }
 
     /// The logit rows of each tile of `rows` rows (the last one shorter),
@@ -741,7 +737,7 @@ impl<'a> Banded<'a> {
     }
 
     /// The tile of logit rows `rows`.
-    fn tile(&self, rows: Range<usize>) -> Tile<'a> {
+    fn tile(&self, rows: Range<usize>) -> Tile<'_> {
         Tile::new(self.planes, &self.conv3, rows)
     }
 
@@ -754,7 +750,7 @@ impl<'a> Banded<'a> {
 
     /// The tiles of `rows` logit rows each, top to bottom.
     #[cfg(test)]
-    fn tiles(&self, rows: usize) -> Vec<Tile<'a>> {
+    fn tiles(&self, rows: usize) -> Vec<Tile<'_>> {
         self.tile_rows(rows).map(|t| self.tile(t)).collect()
     }
 
@@ -777,22 +773,22 @@ struct Tile<'a> {
     /// `[a, b)`.
     frame: Range<usize>,
     plan: Plan,
-    /// The logits to compute, on the sub-frame's rows.
-    conv3: SegMask,
+    /// The frame's logits to compute on rows `[t0, t1)`, as mask words.
+    keep: &'a [u64],
 }
 
 impl<'a> Tile<'a> {
     /// The tile of `conv3`'s `rows`: its sub-frame, and each stage's spans
     /// there by the same derivation as the whole frame's ([`Plan`]).
-    fn new(planes: SandwichPlanes<'a>, conv3: &SegMask, rows: Range<usize>) -> Self {
+    fn new(planes: SandwichPlanes<'a>, conv3: &'a SegMask, rows: Range<usize>) -> Self {
         let frame = rows.start.saturating_sub(HALO)..(rows.end + HALO).min(conv3.height());
-        let bits = Plan::from_conv3(window(conv3, frame.clone(), rows.clone()));
+        let wpr = conv3.width().div_ceil(MASK_WORD_BITS);
         Self {
             planes,
+            plan: Plan::from_conv3(window(conv3, frame.clone(), rows.clone())),
+            keep: &conv3.words()[rows.start * wpr..rows.end * wpr],
             rows,
             frame,
-            plan: bits.spans(),
-            conv3: bits.conv3,
         }
     }
 
@@ -821,18 +817,21 @@ impl<'a> Tile<'a> {
     }
 
     /// Cuts the sub-frame's `logits` at `cut` into the tile's rows of mask
-    /// words `out`, under conv3's bits only — the only logits written: a
-    /// word's logits cut into byte flags, packed, and merged under its bits.
+    /// words `out`, under the kept bits only — the only logits written: the
+    /// logits from a word's lowest kept bit to its highest cut into byte
+    /// flags, packed, and merged under its kept bits.
     fn cut(&self, logits: &[f32], cut: f32, out: &mut [u64]) {
         let (h, w) = self.size();
         assert_eq!(logits.len(), h * w, "logit plane size mismatch");
         let wpr = w.div_ceil(MASK_WORD_BITS);
         let first = (self.rows.start - self.frame.start) * wpr;
-        let words = out.iter_mut().zip(&self.conv3.words()[first..]);
+        let words = out.iter_mut().zip(self.keep);
         for (i, (word, &keep)) in (first..).zip(words).filter(|(_, (_, &keep))| keep != 0) {
-            let (y, x) = (i / wpr, i % wpr * MASK_WORD_BITS);
+            let x = (i / wpr) * w + i % wpr * MASK_WORD_BITS;
+            let a = keep.trailing_zeros() as usize;
+            let b = MASK_WORD_BITS - keep.leading_zeros() as usize;
             let mut flags = [0u8; 64];
-            for (f, &z) in flags.iter_mut().zip(&logits[y * w + x..(y + 1) * w]) {
+            for (f, &z) in flags[a..b].iter_mut().zip(&logits[x + a..]) {
                 *f = u8::from(z > cut);
             }
             *word = (*word & !keep) | (flags_to_word(&flags) & keep);
@@ -865,7 +864,14 @@ fn table_words(channels: &[(&[u64], Option<&[u64]>); 3], table: CutTable) -> Vec
         })
     });
     // A channel without gray reads an all-black gray plane.
-    let black = vec![0; n * usize::from(channels.iter().any(|c| c.1.is_none()))];
+    let black = vec![
+        0;
+        if channels.iter().all(|c| c.1.is_some()) {
+            0
+        } else {
+            n
+        }
+    ];
     let [(w0, g0), (w1, g1), (w2, g2)] =
         channels.map(|(white, gray)| (&white[..n], &gray.unwrap_or(&black)[..n]));
     (0..n)
@@ -945,7 +951,7 @@ mod tests {
         let (h, w) = (40, 98);
         let mut speck = SegMask::new(w, h);
         speck.set(50, 20, 1);
-        let mut plan = Plan::from_conv3(blocks(&band(&[&speck], RADIUS))).spans();
+        let mut plan = Plan::from_conv3(blocks(&band(&[&speck], RADIUS)));
         let conv3 = covered(&plan.conv3);
         // The speck's window and the edge ring, rounded out to blocks.
         assert!(conv3.get(32, 20) == 1 && conv3.get(63, 25) == 1 && conv3.get(0, 0) == 1);
@@ -987,7 +993,7 @@ mod tests {
         assert_eq!(plan.conv1.area(), h * w);
         assert_eq!(plan.conv2.area(), h * w / 4);
         assert_eq!(RowSpans::full(h, w).cuts(4), [0, 10, 20, 30]);
-        let top_heavy = RowSpans::build(h, w, |y, row| row.push((0, if y < 4 { w } else { 1 })));
+        let top_heavy = runs(&mask_of(h, w, |x, y| y < 4 || x == 0));
         assert_eq!(top_heavy.cuts(2), [0, 3]);
     }
 
@@ -1043,7 +1049,8 @@ mod tests {
     /// The spans of a mask's set pixels, row by row.
     fn runs(mask: &SegMask) -> RowSpans {
         let (h, w) = (mask.height(), mask.width());
-        RowSpans::build(h, w, |y, row| {
+        let (mut starts, mut spans) = (vec![0], Vec::new());
+        for y in 0..h {
             let mut x = 0;
             while x < w {
                 let start = x;
@@ -1051,11 +1058,19 @@ mod tests {
                     x += 1;
                 }
                 if x > start {
-                    row.push((start, x));
+                    spans.push((start, x));
                 }
                 x += 1;
             }
-        })
+            starts.push(spans.len());
+        }
+        RowSpans { w, starts, spans }
+    }
+
+    /// `mask` grown by one ([`SegMask::grow1`]).
+    fn grown(mut mask: SegMask) -> SegMask {
+        mask.grow1();
+        mask
     }
 
     /// A mask of `h × w` with `pixel` set where it says.
@@ -1090,17 +1105,21 @@ mod tests {
                 };
                 let (a, b) = (random(0), random(1));
                 prop_assert_eq!(covered(&runs(&a)), a.clone());
-                prop_assert_eq!(RowSpans::of(&a), runs(&a));
                 let near = |m: &SegMask, x: usize, y: usize, r: usize| {
                     (y.saturating_sub(r)..(y + r + 1).min(h))
                         .any(|sy| (x.saturating_sub(r)..(x + r + 1).min(w)).any(|sx| m.get(sx, sy) == 1))
                 };
-                let mut union = a.clone();
-                union |= &b;
+                // A union is `or_double` onto a plane: on a zero one it is a
+                // double, on `b` doubled the union of `b` and `a`, doubled.
+                let double = |mut onto: SegMask, half: &SegMask| {
+                    onto.or_double(half);
+                    onto
+                };
+                let union = double(double(SegMask::new(2 * w, 2 * h), &b), &a);
                 let mut derived = vec![
-                    ((0..r).fold(a.clone(), |m, _| m.grow1()), mask_of(h, w, |x, y| near(&a, x, y, r))),
-                    (union, mask_of(h, w, |x, y| a.get(x, y) == 1 || b.get(x, y) == 1)),
-                    (a.double(), mask_of(2 * h, 2 * w, |x, y| a.get(x / 2, y / 2) == 1)),
+                    ((0..r).fold(a.clone(), |m, _| grown(m)), mask_of(h, w, |x, y| near(&a, x, y, r))),
+                    (union, mask_of(2 * h, 2 * w, |x, y| a.get(x / 2, y / 2) == 1 || b.get(x / 2, y / 2) == 1)),
+                    (double(SegMask::new(2 * w, 2 * h), &a), mask_of(2 * h, 2 * w, |x, y| a.get(x / 2, y / 2) == 1)),
                     (blocks(&a), mask_of(h, w, |x, y| {
                         let block = x / BLOCK * BLOCK;
                         (block..(block + BLOCK).min(w)).any(|sx| a.get(sx, y) == 1)
@@ -1147,11 +1166,10 @@ mod tests {
                 let (t, f) = (tile.rows.clone(), tile.frame.clone());
                 prop_assert!(t.start == next && t.start.is_multiple_of(2) && t.start < t.end);
                 next = t.end;
-                let bits = Plan::from_conv3(window(&banded.conv3, 0..h, t.clone()));
-                let full = bits.spans();
-                let read = RowSpans::of(&bits.conv1.grow1());
+                let full = Plan::from_conv3(window(&banded.conv3, 0..h, t.clone()));
+                let read = RowSpans::of(&grown(covered(&full.conv1)));
                 let stages = [
-                    (&read, &RowSpans::of(&covered(&tile.plan.conv1).grow1()), 1),
+                    (&read, &RowSpans::of(&grown(covered(&tile.plan.conv1))), 1),
                     (&full.conv1, &tile.plan.conv1, 1),
                     (&full.pool, &tile.plan.pool, 2),
                     (&full.conv2, &tile.plan.conv2, 2),

@@ -1537,12 +1537,13 @@ mod tests {
                 let want_u8 = reference::forward_requant(&conv, &x, h, w, &rq);
                 // Per row: both frame edges, the left edge, the right edge
                 // with a gap before it, and the whole row.
-                let spans = RowSpans::build(h, w, |y, row| match y {
-                    0 => row.extend([(0, 3), (w - 2, w)]),
-                    1 => row.push((0, 1)),
-                    2 => row.extend([(1, 2), (w - 1, w)]),
-                    _ => row.push((0, w)),
-                });
+                let kept = |i: usize| match (i / w, i % w) {
+                    (0, x) => x < 3 || x >= w - 2,
+                    (1, x) => x < 1,
+                    (2, x) => x == 1 || x == w - 1,
+                    _ => true,
+                };
+                let spans = RowSpans::of(&SegMask::from_bits(w, h, (0..h * w).map(kept)));
                 let input = Input::new(&x[..], h, w);
                 for body in Body::ALL.into_iter().filter(|b| b.available()) {
                     let mut got = vec![UNWRITTEN; cout * h * w];

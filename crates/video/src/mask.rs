@@ -530,19 +530,20 @@ impl SegMask {
         }
     }
 
-    /// The pixels within one row and one column of a set pixel, clipped to
-    /// the mask: each row the OR of rows `y − 1 ..= y + 1` (`or_windows` of
-    /// three rows under a zero one), spread one column either way.
-    pub fn grow1(&self) -> SegMask {
-        let wpr = self.plane.words_per_row;
-        let above = std::iter::repeat_n(0, wpr);
-        let mut words: Vec<u64> = above.chain(self.plane.words.iter().copied()).collect();
-        or_windows(&mut words, wpr, 3);
-        words.truncate(self.plane.words.len());
+    /// Sets the pixels within one row and one column of a set pixel,
+    /// clipped to the mask, in place: each row ORed with the row below
+    /// (`or_windows` of two rows), then, bottom up, with the row above, which
+    /// holds that row's own pixels by then; then spread one column either way.
+    pub fn grow1(&mut self) {
+        let (wpr, words) = (self.plane.words_per_row, &mut self.plane.words);
+        or_windows(words, wpr, 2);
+        for i in (wpr..words.len()).rev() {
+            words[i] |= words[i - wpr];
+        }
         for row in words.chunks_exact_mut(wpr) {
             spread_row(row, 1, 1);
         }
-        SegMask::from_words(self.width(), self.height(), words)
+        self.plane.clear_tail_bits();
     }
 
     /// The half-resolution mask whose pixel `(x, y)` is set when a pixel of
@@ -568,35 +569,23 @@ impl SegMask {
         out
     }
 
-    /// The double-resolution mask whose pixel `(x, y)` is pixel `(x / 2,
-    /// y / 2)` of this one: each bit spread to two (`double_bits`), each
-    /// row written twice.
-    pub fn double(&self) -> SegMask {
-        let wpr = self.plane.words_per_row;
-        let mut out = SegMask::new(2 * self.width(), 2 * self.height());
-        let out_wpr = out.plane.words_per_row;
-        let rows = out.plane.words.chunks_exact_mut(2 * out_wpr);
-        for (dst, src) in rows.zip(self.plane.words.chunks_exact(wpr)) {
-            let (even, odd) = dst.split_at_mut(out_wpr);
-            for (k, d) in even.iter_mut().enumerate() {
-                *d = double_bits(src[k / 2] >> (k % 2 * 32));
-            }
-            odd.copy_from_slice(even);
-        }
-        out
-    }
-}
-
-impl std::ops::BitOrAssign<&SegMask> for SegMask {
-    /// Sets every pixel `other` sets.
+    /// Sets every pixel whose pixel `(x / 2, y / 2)` of the half-resolution
+    /// `half` is set: each bit spread to two (`double_bits`) and ORed onto
+    /// two rows.
     ///
     /// # Panics
-    /// Panics if the sizes differ.
-    fn bitor_assign(&mut self, other: &SegMask) {
-        let size = |m: &SegMask| (m.width(), m.height());
-        assert_eq!(size(self), size(other), "mask size mismatch");
-        for (a, &b) in self.plane.words.iter_mut().zip(&other.plane.words) {
-            *a |= b;
+    /// Panics unless this mask is `half` with both sides doubled.
+    pub fn or_double(&mut self, half: &SegMask) {
+        let size = (2 * half.width(), 2 * half.height());
+        assert_eq!((self.width(), self.height()), size, "mask size mismatch");
+        let (wpr, half_wpr) = (self.plane.words_per_row, half.plane.words_per_row);
+        let rows = self.plane.words.chunks_exact_mut(2 * wpr);
+        for (dst, src) in rows.zip(half.plane.words.chunks_exact(half_wpr)) {
+            let (even, odd) = dst.split_at_mut(wpr);
+            for (k, (e, o)) in even.iter_mut().zip(odd).enumerate() {
+                let bits = double_bits(src[k / 2] >> (k % 2 * 32));
+                (*e, *o) = (*e | bits, *o | bits);
+            }
         }
     }
 }
@@ -844,11 +833,14 @@ impl Seg2Plane {
     /// Thresholds the plane into a binary mask (gray counts as foreground
     /// when `gray_is_foreground` is set) — an OR over the bitplanes.
     pub fn to_mask(&self, gray_is_foreground: bool) -> SegMask {
-        let mut mask = self.white.clone();
-        if gray_is_foreground {
-            mask |= &self.gray;
+        if !gray_is_foreground {
+            return self.white.clone();
         }
-        mask
+        let words = (self.white.words().iter())
+            .zip(self.gray.words())
+            .map(|(&w, &g)| w | g)
+            .collect();
+        SegMask::from_words(self.width(), self.height(), words)
     }
 }
 
@@ -1088,24 +1080,24 @@ fn or_windows(rows: &mut [u64], wpr: usize, len: usize) {
 /// past its width kept: doubling shifts, each across word pairs.
 fn spread_row(row: &mut [u64], left: usize, right: usize) {
     // Each set pixel covers the `held` columns from it rightwards; in the
-    // second loop, leftwards.
+    // second loop, leftwards. Each pass carries the word before's (after's)
+    // bits as they were.
     let mut held = 1;
     while held <= right {
         let s = held.min(right + 1 - held);
-        for k in (1..row.len()).rev() {
-            row[k] |= (row[k] << s) | (row[k - 1] >> (MASK_WORD_BITS - s));
+        let mut before = 0;
+        for x in row.iter_mut() {
+            (before, *x) = (*x, *x | *x << s | before >> (MASK_WORD_BITS - s));
         }
-        row[0] |= row[0] << s;
         held += s;
     }
     held = 1;
     while held <= left {
         let s = held.min(left + 1 - held);
-        let last = row.len() - 1;
-        for k in 0..last {
-            row[k] |= (row[k] >> s) | (row[k + 1] << (MASK_WORD_BITS - s));
+        let mut after = 0;
+        for x in row.iter_mut().rev() {
+            (after, *x) = (*x, *x | *x >> s | after << (MASK_WORD_BITS - s));
         }
-        row[last] |= row[last] >> s;
         held += s;
     }
 }
